@@ -8,7 +8,7 @@ exact reverse-mode gradients.  `experiments` bundles ready-made scenarios
 and `cli` exposes them as the `learning-control` command.
 """
 
-from .control import ControlSchedule, NeuronBasis, init_weights_control
+from .control import ControlSchedule, init_weights_control
 from .dynamics import (
     DIVERGENCE_LIMIT,
     DynamicsSpec,
@@ -72,7 +72,6 @@ __all__ = [
     "DivergenceError",
     "DynamicsSpec",
     "LearningControlError",
-    "NeuronBasis",
     "OptTrace",
     "OptimizerSpec",
     "RunConfig",

@@ -13,13 +13,11 @@ Kinds:
                        for a lone matrix
   engagement_series    one weight per task per segment
   category_series      one weight per class per segment
-  basis_coeff_series   coefficients over a NeuronBasis, expanded to gain
-                       matrices on demand
   init_weights         the starting weights themselves (no time axis)
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,69 +27,7 @@ KINDS = (
     "engagement_series",
     "category_series",
     "init_weights",
-    "basis_coeff_series",
 )
-
-
-@dataclass
-class NeuronBasis:
-    """Indicator basis restricting gains to whole rows or columns.
-
-    Each element is (layer, axis, index) with layer in {"first", "second"}
-    and axis in {"row", "col"}; the element's matrix is 1 on that row/column
-    of the layer's gain matrix and 0 elsewhere.  Within one layer all
-    elements must share the same axis so the indicators stay disjoint.
-    """
-
-    elements: list
-    shape_first: tuple
-    shape_second: tuple
-
-    def __post_init__(self):
-        seen = set()
-        axis_by_layer = {}
-        for layer, axis, index in self.elements:
-            if layer not in ("first", "second") or axis not in ("row", "col"):
-                raise ValueError(f"bad basis element {(layer, axis, index)}")
-            shape = self.shape_first if layer == "first" else self.shape_second
-            limit = shape[0] if axis == "row" else shape[1]
-            if not 0 <= index < limit:
-                raise ValueError(f"basis index {index} out of range for {layer}/{axis} (limit {limit})")
-            if (layer, axis, index) in seen:
-                raise ValueError(f"duplicate basis element {(layer, axis, index)}")
-            seen.add((layer, axis, index))
-            if axis_by_layer.setdefault(layer, axis) != axis:
-                raise ValueError(f"mixed row/col elements on layer '{layer}' would overlap")
-
-    def __len__(self):
-        return len(self.elements)
-
-    def expand(self, coeffs):
-        """Coefficients -> (gain_first, gain_second) dense matrices."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (len(self.elements),):
-            raise ValueError(f"expected {len(self.elements)} coefficients, got shape {coeffs.shape}")
-        g1 = np.zeros(self.shape_first)
-        g2 = np.zeros(self.shape_second)
-        for c, (layer, axis, index) in zip(coeffs, self.elements):
-            target = g1 if layer == "first" else g2
-            if axis == "row":
-                target[index, :] = c
-            else:
-                target[:, index] = c
-        return g1, g2
-
-    def contract(self, grad_first, grad_second):
-        """Adjoint of expand: dense gain gradients -> coefficient gradients."""
-        out = np.empty(len(self.elements))
-        for k, (layer, axis, index) in enumerate(self.elements):
-            src = grad_first if layer == "first" else grad_second
-            out[k] = src[index, :].sum() if axis == "row" else src[:, index].sum()
-        return out
-
-
-def _per_layer(layer, shape_first, shape_second):
-    return shape_first if layer == "first" else shape_second
 
 
 @dataclass
@@ -101,8 +37,6 @@ class ControlSchedule:
     n_steps: int
     segment: int = 1
     bounds: tuple | None = None
-    basis: NeuronBasis | None = None
-    _seg_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -121,8 +55,6 @@ class ControlSchedule:
             if not lo <= hi:
                 raise ValueError(f"empty bounds interval ({lo}, {hi})")
             self.bounds = (float(lo), float(hi))
-        if self.kind == "basis_coeff_series" and self.basis is None:
-            raise ValueError("basis_coeff_series needs a NeuronBasis")
         if self.kind == "init_weights":
             if not self.values:
                 raise ValueError("init_weights schedule needs at least one weight array")
@@ -140,7 +72,7 @@ class ControlSchedule:
     # --- construction -------------------------------------------------------
 
     @classmethod
-    def neutral(cls, kind, n_steps, segment=1, shapes=None, n_channels=None, bounds=None, basis=None, state0=None):
+    def neutral(cls, kind, n_steps, segment=1, shapes=None, n_channels=None, bounds=None, state0=None):
         """Schedule whose expansion leaves the dynamics unmodified.
 
         Gains and rate boosts are neutral at 0, engagement weights at 1.
@@ -157,17 +89,13 @@ class ControlSchedule:
             if not n_channels:
                 raise ValueError(f"{kind} needs n_channels")
             values = (np.ones((n_seg, int(n_channels))),)
-        elif kind == "basis_coeff_series":
-            if basis is None:
-                raise ValueError("basis_coeff_series needs a basis")
-            values = (np.zeros((n_seg, len(basis))),)
         elif kind == "init_weights":
             if state0 is None:
                 raise ValueError("init_weights needs the baseline state")
             values = tuple(np.array(w, dtype=float, copy=True) for w in state0)
         else:
             raise ValueError(f"unknown control kind '{kind}'")
-        return cls(kind=kind, values=values, n_steps=n_steps, segment=segment, bounds=bounds, basis=basis)
+        return cls(kind=kind, values=values, n_steps=n_steps, segment=segment, bounds=bounds)
 
     def with_values(self, values):
         return ControlSchedule(
@@ -176,7 +104,6 @@ class ControlSchedule:
             n_steps=self.n_steps,
             segment=self.segment,
             bounds=self.bounds,
-            basis=self.basis,
         )
 
     # --- indexing -----------------------------------------------------------
@@ -192,8 +119,8 @@ class ControlSchedule:
         """Control value governing integration step `step`.
 
         Returns a float (scalar_series), a row vector (engagement/category),
-        a tuple of matrices (matrix_pair and expanded basis kinds), or None
-        for init_weights, which acts through the starting state instead.
+        a tuple of matrices (matrix_pair_series), or None for init_weights,
+        which acts through the starting state instead.
         """
         if self.kind == "init_weights":
             return None
@@ -202,25 +129,13 @@ class ControlSchedule:
             return float(self.values[0][s])
         if self.kind == "matrix_pair_series":
             return tuple(v[s] for v in self.values)
-        if self.kind in ("engagement_series", "category_series"):
-            return self.values[0][s]
-        # basis_coeff_series: expand once per segment and cache
-        hit = self._seg_cache.get(s)
-        if hit is None:
-            hit = self.basis.expand(self.values[0][s])
-            self._seg_cache[s] = hit
-        return hit
+        return self.values[0][s]
 
     def expand(self):
         """Per-step arrays (leading axis n_steps); mostly for tests and CSV."""
         idx = np.minimum(np.arange(self.n_steps) // self.segment, self.n_segments - 1)
         if self.kind == "init_weights":
             return tuple(v.copy() for v in self.values)
-        if self.kind == "basis_coeff_series":
-            pairs = [self.basis.expand(row) for row in self.values[0]]
-            g1 = np.stack([p[0] for p in pairs])
-            g2 = np.stack([p[1] for p in pairs])
-            return g1[idx], g2[idx]
         return tuple(v[idx] for v in self.values)
 
     def control_norm_at(self, step):
@@ -238,21 +153,16 @@ class ControlSchedule:
     def add_grad(self, buffers, step, grad):
         """Accumulate a per-step control gradient into segment-shaped buffers.
 
-        `grad` mirrors the structure of at(step); for basis kinds it is the
-        dense (gain_first, gain_second) gradient pair, contracted here.
+        `grad` mirrors the structure of at(step).
         """
+        if self.kind == "init_weights":
+            raise ValueError("init_weights gradients are not per-step")
         s = self.segment_index(step)
-        if self.kind == "scalar_series":
-            buffers[0][s] += grad
-        elif self.kind == "matrix_pair_series":
+        if self.kind == "matrix_pair_series":
             for buf, g in zip(buffers, grad):
                 buf[s] += g
-        elif self.kind in ("engagement_series", "category_series"):
-            buffers[0][s] += grad
-        elif self.kind == "basis_coeff_series":
-            buffers[0][s] += self.basis.contract(grad[0], grad[1])
         else:
-            raise ValueError("init_weights gradients are not per-step")
+            buffers[0][s] += grad
 
     # --- projection ---------------------------------------------------------
 
@@ -269,31 +179,6 @@ class ControlSchedule:
         lo, hi = self.bounds
         return any(bool(np.any(v < lo) or np.any(v > hi)) for v in self.values)
 
-    # --- refinement ---------------------------------------------------------
-
-    def coarse_to_fine(self, new_segment):
-        """Re-grid to a finer segment length that divides the current one.
-
-        The expanded per-step schedule is unchanged (exactly), which is the
-        point: optimize coarse, refine, keep optimizing.
-        """
-        new_segment = int(new_segment)
-        if new_segment < 1 or self.segment % new_segment != 0:
-            raise ValueError(f"new segment {new_segment} must divide current segment {self.segment}")
-        if self.kind == "init_weights" or new_segment == self.segment:
-            return self.with_values(tuple(v.copy() for v in self.values))
-        n_seg_new = -(-self.n_steps // new_segment)
-        idx = np.minimum((np.arange(n_seg_new) * new_segment) // self.segment, self.n_segments - 1)
-        out = ControlSchedule(
-            kind=self.kind,
-            values=tuple(v[idx] for v in self.values),
-            n_steps=self.n_steps,
-            segment=new_segment,
-            bounds=self.bounds,
-            basis=self.basis,
-        )
-        return out
-
     # --- serialization ------------------------------------------------------
 
     def to_json(self):
@@ -305,25 +190,11 @@ class ControlSchedule:
             "shapes": [list(v.shape) for v in self.values],
             "values": [v.tolist() for v in self.values],
         }
-        if self.basis is not None:
-            doc["basis"] = {
-                "elements": [list(e) for e in self.basis.elements],
-                "shape_first": list(self.basis.shape_first),
-                "shape_second": list(self.basis.shape_second),
-            }
         return json.dumps(doc, indent=1)
 
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        basis = None
-        if doc.get("basis") is not None:
-            b = doc["basis"]
-            basis = NeuronBasis(
-                elements=[(e[0], e[1], int(e[2])) for e in b["elements"]],
-                shape_first=tuple(b["shape_first"]),
-                shape_second=tuple(b["shape_second"]),
-            )
         values = tuple(
             np.asarray(v, dtype=float).reshape(shape)
             for v, shape in zip(doc["values"], [tuple(s) for s in doc["shapes"]])
@@ -334,7 +205,6 @@ class ControlSchedule:
             n_steps=int(doc["n_steps"]),
             segment=int(doc["segment"]),
             bounds=tuple(doc["bounds"]) if doc.get("bounds") is not None else None,
-            basis=basis,
         )
 
 

@@ -22,33 +22,26 @@ Control kinds and their knobs:
   nonlinear_taylor     two-layer net with elementwise nonlinearity, propagated
                        through a first-order expansion around the mean input
 
-Every linear two-layer kind goes through one shared kernel in which an absent
-control skips its multiplication and a neutral control multiplies by exactly
-1.0.  IEEE multiplication by 1.0 is exact, so neutral schedules reproduce the
-baseline trajectory bit for bit; tests rely on that.
+Each kind is one entry of `_KIND_TABLE` holding its expected loss, flow and
+adjoint step; `expected_loss`, `_rhs` and `backward_step` look the kind up
+once, so adding a kind means adding one entry.  The linear two-layer entries
+share one kernel and hold only two maps: forward from a control slice to the
+kernel's channels (g1, g2, dvec, rate) -- layer gains, error-row scales, a
+boost of the whole right-hand side -- and back from the channel gradients to
+the control-shaped VJP.  In that kernel an absent channel skips its
+multiplication and a neutral one multiplies by exactly 1.0, which IEEE makes
+exact, so neutral schedules reproduce the baseline bit for bit; tests rely on
+that.
 """
 
-import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError, UnsupportedOperationError
 from .linalg import phi1, propagate_affine
-
-KINDS = (
-    "single_neuron",
-    "single_layer",
-    "two_layer_baseline",
-    "gain_mod",
-    "engagement",
-    "category_engagement",
-    "lr_mod",
-    "nonlinear_taylor",
-)
-
-_TWO_LAYER_KINDS = ("two_layer_baseline", "gain_mod", "engagement", "category_engagement", "lr_mod", "nonlinear_taylor")
 
 DIVERGENCE_LIMIT = 1e6
 EXPONENT_NORM_WARN = 1e3
@@ -181,27 +174,89 @@ def _nonlin(name):
     raise ValueError(f"unknown nonlinearity '{name}'")
 
 
-# --- step functions ---------------------------------------------------------
+def _gains(control):
+    """(g1, g2) of a two-layer gain slice; None means no gains."""
+    return control if control is not None else (None, None)
 
 
-def step_single_neuron(w, gain, task, spec):
+def _linear_map_loss(m_eff, task, weights, lam):
+    quad = m_eff @ task.sigma_x
+    loss = 0.5 * float(np.trace(task.sigma_y))
+    loss -= float(np.sum(m_eff * task.sigma_xy.T))
+    loss += 0.5 * float(np.sum(quad * m_eff))
+    if lam:
+        loss += 0.5 * lam * sum(float(np.sum(np.square(w))) for w in weights)
+    return loss
+
+
+# --- single neuron ----------------------------------------------------------
+
+
+def _neuron_loss(state, control, task, spec):
+    w = state[0]
+    gt = 1.0 + (0.0 if control is None else control)
+    mu = task.sigma_xy[0, 0]
+    x2 = task.sigma_x[0, 0]
+    sy = task.sigma_y[0, 0]
+    return 0.5 * (sy - 2.0 * gt * w * mu + x2 * (gt * w) ** 2) + 0.5 * spec.reg_lambda * w * w
+
+
+def _neuron_flow(w, control, task, spec):
     """Flow of a single weight under gain control: dw*tau = mu*g~ - w*(x2*g~^2 + lambda)."""
-    gt = 1.0 + (0.0 if gain is None else gain)
+    gt = 1.0 + (0.0 if control is None else control)
     mu = task.sigma_xy[0, 0]
     x2 = task.sigma_x[0, 0]
     return mu * gt - w * (x2 * gt * gt + spec.reg_lambda)
 
 
-def step_single_layer(weight, gain, task, spec):
+def _neuron_rhs(state, control, task, spec):
+    return (_neuron_flow(state[0], control, task, spec),)
+
+
+def _neuron_backward(state, control, task, spec, a_next):
+    lam = spec.reg_lambda
+    w = state[0]
+    a = a_next[0]
+    gt = 1.0 + (0.0 if control is None else control)
+    mu = task.sigma_xy[0, 0]
+    x2 = task.sigma_x[0, 0]
+    dhdw = -(x2 * gt * gt + lam)
+    dhdg = mu - 2.0 * w * x2 * gt
+    dldw = -mu * gt + x2 * w * gt * gt + lam * w
+    dldg = -mu * w + x2 * w * w * gt
+    return (dhdw * a,), dhdg * a, (dldw,), dldg
+
+
+# --- single layer -----------------------------------------------------------
+
+
+def _layer_gain(control):
+    return control[0] if isinstance(control, tuple) else control
+
+
+def _layer_loss(state, control, task, spec):
+    gain = _layer_gain(control)
+    eff = state[0] if gain is None else (1.0 + gain) * state[0]
+    return _linear_map_loss(eff, task, state, spec.reg_lambda)
+
+
+def _layer_rhs(state, control, task, spec):
     """One-layer flow with elementwise gains: ((Sxy^T - A Sx) o G~) - lambda W, A = G~ o W."""
+    weight = state[0]
+    gain = _layer_gain(control)
     if gain is None:
-        eff = weight
-        err = task.sigma_xy.T - eff @ task.sigma_x
-        return err - spec.reg_lambda * weight
+        err = task.sigma_xy.T - weight @ task.sigma_x
+        return (err - spec.reg_lambda * weight,)
     gt = 1.0 + gain
-    eff = gt * weight
-    err = task.sigma_xy.T - eff @ task.sigma_x
-    return err * gt - spec.reg_lambda * weight
+    err = task.sigma_xy.T - (gt * weight) @ task.sigma_x
+    return (err * gt - spec.reg_lambda * weight,)
+
+
+def _layer_backward(state, control, task, spec, a_next):
+    raise UnsupportedOperationError("no adjoint for single_layer dynamics; use the closed form")
+
+
+# --- linear two-layer kernel ------------------------------------------------
 
 
 def _linear_pair_rhs(w1, w2, gain1, gain2, dvec, rate_gain, task, lam):
@@ -225,24 +280,131 @@ def _linear_pair_rhs(w1, w2, gain1, gain2, dvec, rate_gain, task, lam):
     return h1, h2
 
 
-def step_two_layer_baseline(state, task, spec):
-    return _linear_pair_rhs(state[0], state[1], None, None, None, None, task, spec.reg_lambda)
+def _linear_pair_backward(state, channels, task, lam, a_next):
+    """Reverse mode of the shared kernel and of the pair's loss at one step.
+
+    Returns (state_vjp, loss_grad_state, cbar, lbar): cbar = (g1b, g2b, dvb,
+    rate_bar) is the channel VJP and lbar = (lg1, lg2) the loss gradient wrt
+    the gains, with None for an absent channel.
+    """
+    g1, g2, dvec, rate = channels
+    w1, w2 = state
+    a1, a2 = a_next
+    sx = task.sigma_x
+    sxy_t = task.sigma_xy.T
+    g1t = None if g1 is None else 1.0 + g1
+    g2t = None if g2 is None else 1.0 + g2
+    a_mat = w1 if g1t is None else g1t * w1
+    b_mat = w2 if g2t is None else g2t * w2
+    x1 = a_mat @ sx
+    err = sxy_t - b_mat @ x1
+    err_d = err if dvec is None else dvec[:, None] * err
+    up1 = b_mat.T @ err_d
+    up2 = err_d @ a_mat.T
+    p1 = (up1 if g1t is None else up1 * g1t) - lam * w1
+    p2 = (up2 if g2t is None else up2 * g2t) - lam * w2
+
+    # dynamics vjp
+    if rate is not None:
+        boost = 1.0 + rate
+        rate_bar = float(np.sum(a1 * p1) + np.sum(a2 * p2))
+        gp1 = boost * a1
+        gp2 = boost * a2
+    else:
+        rate_bar = None
+        gp1, gp2 = a1, a2
+    u1b = gp1 if g1t is None else gp1 * g1t
+    u2b = gp2 if g2t is None else gp2 * g2t
+    g1b = None if g1t is None else gp1 * up1
+    g2b = None if g2t is None else gp2 * up2
+    w1b = -lam * gp1
+    w2b = -lam * gp2
+    bb = err_d @ u1b.T
+    edb = b_mat @ u1b + u2b @ a_mat
+    ab = u2b.T @ err_d
+    if dvec is None:
+        dvb = None
+        eb = edb
+    else:
+        dvb = np.sum(edb * err, axis=1)
+        eb = dvec[:, None] * edb
+    bb = bb - eb @ x1.T
+    x1b = -(b_mat.T @ eb)
+    ab = ab + x1b @ sx
+    if g1t is None:
+        w1b = w1b + ab
+    else:
+        w1b = w1b + ab * g1t
+        g1b = g1b + ab * w1
+    if g2t is None:
+        w2b = w2b + bb
+    else:
+        w2b = w2b + bb * g2t
+        g2b = g2b + bb * w2
+
+    # loss gradients (the map ignores dvec and rate; err is the same object)
+    la = b_mat.T @ (-err)
+    lb = (-err) @ a_mat.T
+    if g1t is None:
+        lw1 = la + lam * w1
+        lg1 = None
+    else:
+        lw1 = la * g1t + lam * w1
+        lg1 = la * w1
+    if g2t is None:
+        lw2 = lb + lam * w2
+        lg2 = None
+    else:
+        lw2 = lb * g2t + lam * w2
+        lg2 = lb * w2
+    return (w1b, w2b), (lw1, lw2), (g1b, g2b, dvb, rate_bar), (lg1, lg2)
 
 
-def step_gain_mod(state, gain1, gain2, task, spec):
-    return _linear_pair_rhs(state[0], state[1], gain1, gain2, None, None, task, spec.reg_lambda)
+# One dynamics kind: its layer count, then its expected loss, flow h (shaped
+# like the state) and adjoint step, each a function of (state, control, task,
+# spec); the adjoint also takes a_next and returns what backward_step does.
+_Kind = namedtuple("_Kind", "layers loss rhs backward")
 
 
-def _engagement_dvec(engagement, task):
-    if task.blocks is None:
-        raise ValueError("engagement dynamics need a block-composed task")
-    sizes = task.blocks.output_sizes()
-    if len(engagement) != len(sizes):
-        raise ValueError(f"engagement vector length {len(engagement)} != task count {len(sizes)}")
-    return np.repeat(np.asarray(engagement, dtype=float), sizes)
+def _linear_kind(channels, control_vjp, gained=False):
+    """Entry for a linear two-layer kind from its two maps.
+
+    channels(control, task) -> (g1, g2, dvec, rate) feeds the shared kernel;
+    control_vjp(cbar, lbar, control, state, task) -> (ctrl_vjp, loss_grad_ctrl)
+    maps the kernel's channel and gain-loss gradients onto the control slice.
+    Only gains enter the map, so only a `gained` kind's loss reads its control.
+    """
+
+    def loss(state, control, task, spec):
+        g1, g2 = channels(control, task)[:2] if gained else (None, None)
+        a_mat = state[0] if g1 is None else (1.0 + g1) * state[0]
+        b_mat = state[1] if g2 is None else (1.0 + g2) * state[1]
+        return _linear_map_loss(b_mat @ a_mat, task, state, spec.reg_lambda)
+
+    def rhs(state, control, task, spec):
+        return _linear_pair_rhs(state[0], state[1], *channels(control, task), task, spec.reg_lambda)
+
+    def backward(state, control, task, spec, a_next):
+        state_vjp, loss_state, cbar, lbar = _linear_pair_backward(
+            state, channels(control, task), task, spec.reg_lambda, a_next
+        )
+        ctrl_vjp, loss_ctrl = control_vjp(cbar, lbar, control, state, task)
+        return state_vjp, ctrl_vjp, loss_state, loss_ctrl
+
+    return _Kind(2, loss, rhs, backward)
 
 
-def step_engagement(state, engagement, task, spec):
+_NO_CHANNELS = (None, None, None, None)
+
+
+def _gain_vjp(cbar, lbar, control, state, task):
+    def dense(grads):
+        return tuple(g if g is not None else np.zeros_like(w) for g, w in zip(grads, state))
+
+    return dense(cbar[:2]), dense(lbar)
+
+
+def _engagement_channels(control, task):
     """Per-task error scaling on a block-composed task.
 
     Scaling the error rows of each task's output block by its engagement
@@ -250,19 +412,47 @@ def step_engagement(state, engagement, task, spec):
     because each task's targets occupy disjoint output rows while the input
     covariance is shared.
     """
-    dvec = _engagement_dvec(engagement, task)
-    return _linear_pair_rhs(state[0], state[1], None, None, dvec, None, task, spec.reg_lambda)
+    if control is None:
+        return _NO_CHANNELS
+    if task.blocks is None:
+        raise ValueError("engagement dynamics need a block-composed task")
+    sizes = task.blocks.output_sizes()
+    if len(control) != len(sizes):
+        raise ValueError(f"engagement vector length {len(control)} != task count {len(sizes)}")
+    return None, None, np.repeat(np.asarray(control, dtype=float), sizes), None
 
 
-def step_category_engagement(state, class_engagement, task, spec):
-    phi = np.asarray(class_engagement, dtype=float)
+def _engagement_vjp(cbar, lbar, control, state, task):
+    dvb = cbar[2]
+    sizes = task.blocks.output_sizes()
+    if dvb is None:
+        return np.zeros(len(sizes)), None
+    bounds = np.cumsum([0] + sizes)
+    return np.add.reduceat(dvb, bounds[:-1]), None
+
+
+def _category_channels(control, task):
+    if control is None:
+        return _NO_CHANNELS
+    phi = np.asarray(control, dtype=float)
     if len(phi) != task.output_dim:
         raise ValueError(f"class engagement length {len(phi)} != output dim {task.output_dim}")
-    return _linear_pair_rhs(state[0], state[1], None, None, phi * phi, None, task, spec.reg_lambda)
+    return None, None, phi * phi, None
 
 
-def step_lr_mod(state, rate_gain, task, spec):
-    return _linear_pair_rhs(state[0], state[1], None, None, None, rate_gain, task, spec.reg_lambda)
+def _category_vjp(cbar, lbar, control, state, task):
+    dvb = cbar[2]
+    if dvb is None:
+        return np.zeros(task.output_dim), None
+    return 2.0 * np.asarray(control, dtype=float) * dvb, None
+
+
+def _rate_channels(control, task):
+    # an absent boost is an exact 1.0, so the adjoint still yields a rate gradient
+    return None, None, None, 0.0 if control is None else float(control)
+
+
+# --- nonlinear Taylor expansion ---------------------------------------------
 
 
 def _taylor_cache(state, gain1, gain2, task, spec):
@@ -296,7 +486,18 @@ def _taylor_cache(state, gain1, gain2, task, spec):
     }
 
 
-def step_nonlinear_taylor(state, gain1, gain2, task, spec):
+def _taylor_loss(state, control, task, spec):
+    lam = spec.reg_lambda
+    c = _taylor_cache(state, *_gains(control), task, spec)
+    loss = 0.5 * float(np.trace(task.sigma_y))
+    loss -= float(np.sum(c["b"] * c["fy"]))
+    loss += 0.5 * float(np.sum((c["b"] @ c["ff"]) * c["b"]))
+    if lam:
+        loss += 0.5 * lam * sum(float(np.sum(np.square(w))) for w in state)
+    return loss
+
+
+def _taylor_rhs(state, control, task, spec):
     """First-order propagation of a two-layer net with an elementwise nonlinearity.
 
     The hidden activation f(A x) is expanded around u = A <x>; fluctuations
@@ -304,24 +505,104 @@ def step_nonlinear_taylor(state, gain1, gain2, task, spec):
     identity nonlinearity this collapses algebraically onto the linear
     gain_mod flow.
     """
-    c = _taylor_cache(state, gain1, gain2, task, spec)
+    c = _taylor_cache(state, *_gains(control), task, spec)
     lam = spec.reg_lambda
     h1 = c["z1"] if c["g1t"] is None else c["z1"] * c["g1t"]
     h2 = c["z2"] if c["g2t"] is None else c["z2"] * c["g2t"]
     return h1 - lam * state[0], h2 - lam * state[1]
 
 
-# --- expected losses --------------------------------------------------------
+def _taylor_tail(c, fyb, ffb, kb, d1b_seed):
+    """Shared reverse chain Fy/Ff/K -> (f0, J, u) -> gradient wrt the gained layers."""
+    h_dim, i_dim = c["j"].shape
+    f0b = np.zeros(h_dim)
+    jb = np.zeros((h_dim, i_dim))
+    bb = np.zeros_like(c["b"])
+    d1b = np.array(d1b_seed, copy=True) if d1b_seed is not None else np.zeros(h_dim)
+    if fyb is not None:
+        f0b += fyb.T @ c["task"].mean_y
+        jb += fyb.T @ c["r"]
+    if ffb is not None:
+        sym = ffb + ffb.T
+        f0b += sym @ c["f0"]
+        jb += sym @ c["j"] @ c["s"]
+    if kb is not None:
+        bb += (kb @ c["task"].sigma_xy).T
+        c2b = -kb @ c["q"].T
+        qb = -c["c2"] @ kb
+        bb += c["b"] @ (c2b + c2b.T)
+        f0b += qb @ c["m"]
+        jb += qb @ c["s"]
+    d1b += np.sum(jb * c["a"], axis=1)
+    ab = c["d1"][:, None] * jb
+    ub = c["d1"] * f0b + c["d2"] * d1b
+    ab += np.outer(ub, c["m"])
+    return ab, bb
 
 
-def _linear_map_loss(m_eff, task, weights, lam):
-    quad = m_eff @ task.sigma_x
-    loss = 0.5 * float(np.trace(task.sigma_y))
-    loss -= float(np.sum(m_eff * task.sigma_xy.T))
-    loss += 0.5 * float(np.sum(quad * m_eff))
-    if lam:
-        loss += 0.5 * lam * sum(float(np.sum(np.square(w))) for w in weights)
-    return loss
+def _taylor_backward(state, control, task, spec, a_next):
+    c = _taylor_cache(state, *_gains(control), task, spec)
+    lam = spec.reg_lambda
+    a1, a2 = a_next
+    w1, w2 = state
+    gz1 = a1 if c["g1t"] is None else a1 * c["g1t"]
+    gz2 = a2 if c["g2t"] is None else a2 * c["g2t"]
+    # dynamics vjp
+    kb = c["d1"][:, None] * gz1
+    d1b_seed = np.sum(gz1 * c["k"], axis=1)
+    fyb = gz2
+    ffb = -(c["b"].T @ gz2)
+    bb_direct = -(gz2 @ c["ff"])
+    ab, bb_tail = _taylor_tail(c, fyb, ffb, kb, d1b_seed)
+    bb = bb_direct + bb_tail
+    if c["g1t"] is None:
+        w1b = -lam * a1 + ab
+        g1b = np.zeros_like(w1)
+    else:
+        w1b = -lam * a1 + ab * c["g1t"]
+        g1b = a1 * c["z1"] + ab * w1
+    if c["g2t"] is None:
+        w2b = -lam * a2 + bb
+        g2b = np.zeros_like(w2)
+    else:
+        w2b = -lam * a2 + bb * c["g2t"]
+        g2b = a2 * c["z2"] + bb * w2
+    # loss gradients
+    lab, lbb_tail = _taylor_tail(c, -c["b"], 0.5 * c["c2"], None, None)
+    lz2 = -c["z2"]
+    if c["g1t"] is None:
+        lw1 = lab + lam * w1
+        lg1 = np.zeros_like(w1)
+    else:
+        lw1 = lab * c["g1t"] + lam * w1
+        lg1 = lab * w1
+    lbb = lz2 + lbb_tail
+    if c["g2t"] is None:
+        lw2 = lbb + lam * w2
+        lg2 = np.zeros_like(w2)
+    else:
+        lw2 = lbb * c["g2t"] + lam * w2
+        lg2 = lbb * w2
+    return (w1b, w2b), (g1b, g2b), (lw1, lw2), (lg1, lg2)
+
+
+# --- the kind table ---------------------------------------------------------
+
+_KIND_TABLE = {
+    "single_neuron": _Kind(1, _neuron_loss, _neuron_rhs, _neuron_backward),
+    "single_layer": _Kind(1, _layer_loss, _layer_rhs, _layer_backward),
+    "two_layer_baseline": _linear_kind(
+        lambda control, task: _NO_CHANNELS, lambda cbar, lbar, control, state, task: (None, None)
+    ),
+    "gain_mod": _linear_kind(lambda control, task: (*_gains(control), None, None), _gain_vjp, gained=True),
+    "engagement": _linear_kind(_engagement_channels, _engagement_vjp),
+    "category_engagement": _linear_kind(_category_channels, _category_vjp),
+    "lr_mod": _linear_kind(_rate_channels, lambda cbar, lbar, control, state, task: (cbar[3], None)),
+    "nonlinear_taylor": _Kind(2, _taylor_loss, _taylor_rhs, _taylor_backward),
+}
+
+KINDS = tuple(_KIND_TABLE)
+_TWO_LAYER_KINDS = tuple(k for k, entry in _KIND_TABLE.items() if entry.layers == 2)
 
 
 def expected_loss(state, control, task, spec):
@@ -330,36 +611,28 @@ def expected_loss(state, control, task, spec):
     `control` mirrors ControlSchedule.at(step) for the spec's kind; None means
     neutral.  Engagement-style controls never alter the loss, only learning.
     """
-    kind = spec.kind
-    lam = spec.reg_lambda
-    if kind == "single_neuron":
-        w = state[0]
-        gt = 1.0 + (0.0 if control is None else control)
-        mu = task.sigma_xy[0, 0]
-        x2 = task.sigma_x[0, 0]
-        sy = task.sigma_y[0, 0]
-        return 0.5 * (sy - 2.0 * gt * w * mu + x2 * (gt * w) ** 2) + 0.5 * lam * w * w
-    if kind == "single_layer":
-        gain = control[0] if isinstance(control, tuple) else control
-        eff = state[0] if gain is None else (1.0 + gain) * state[0]
-        return _linear_map_loss(eff, task, state, lam)
-    if kind == "nonlinear_taylor":
-        g1, g2 = control if control is not None else (None, None)
-        c = _taylor_cache(state, g1, g2, task, spec)
-        loss = 0.5 * float(np.trace(task.sigma_y))
-        loss -= float(np.sum(c["b"] * c["fy"]))
-        loss += 0.5 * float(np.sum((c["b"] @ c["ff"]) * c["b"]))
-        if lam:
-            loss += 0.5 * lam * sum(float(np.sum(np.square(w))) for w in state)
-        return loss
-    if kind == "gain_mod":
-        g1, g2 = control if control is not None else (None, None)
-        a_mat = state[0] if g1 is None else (1.0 + g1) * state[0]
-        b_mat = state[1] if g2 is None else (1.0 + g2) * state[1]
-        return _linear_map_loss(b_mat @ a_mat, task, state, lam)
-    if kind in ("two_layer_baseline", "engagement", "category_engagement", "lr_mod"):
-        return _linear_map_loss(state[1] @ state[0], task, state, lam)
-    raise ValueError(f"unknown dynamics kind '{kind}'")
+    return _KIND_TABLE[spec.kind].loss(state, control, task, spec)
+
+
+def _rhs(spec, state, control, task):
+    """Flow h(state, control) of the spec's kind, same structure as the state."""
+    return _KIND_TABLE[spec.kind].rhs(state, control, task, spec)
+
+
+def backward_step(spec, state, control, task, a_next):
+    """Reverse-mode quantities for one Euler step at (state, control).
+
+    Returns (state_vjp, ctrl_vjp, loss_grad_state, loss_grad_ctrl):
+      state_vjp       [dh/dstate]^T a_next, same structure as state
+      ctrl_vjp        [dh/dcontrol]^T a_next, structure of the control slice
+                      (None for uncontrolled kinds)
+      loss_grad_state dL/dstate at (state, control)
+      loss_grad_ctrl  dL/dcontrol (None where the loss ignores the control)
+    Everything is exact for the discretized system; finite differences agree
+    to first order in the probe step.  single_layer has no adjoint and raises
+    UnsupportedOperationError.
+    """
+    return _KIND_TABLE[spec.kind].backward(state, control, task, spec, a_next)
 
 
 # --- integration ------------------------------------------------------------
@@ -371,42 +644,18 @@ def _control_for(spec, schedule, step):
     return schedule.at(step)
 
 
-def _rhs(spec, state, control, task):
-    kind = spec.kind
-    if kind == "single_neuron":
-        return (step_single_neuron(state[0], control, task, spec),)
-    if kind == "single_layer":
-        gain = control[0] if isinstance(control, tuple) else control
-        return (step_single_layer(state[0], gain, task, spec),)
-    if kind == "two_layer_baseline":
-        return step_two_layer_baseline(state, task, spec)
-    if kind == "gain_mod":
-        g1, g2 = control if control is not None else (None, None)
-        return step_gain_mod(state, g1, g2, task, spec)
-    if kind == "engagement":
-        if control is None:
-            return step_two_layer_baseline(state, task, spec)
-        return step_engagement(state, control, task, spec)
-    if kind == "category_engagement":
-        if control is None:
-            return step_two_layer_baseline(state, task, spec)
-        return step_category_engagement(state, control, task, spec)
-    if kind == "lr_mod":
-        return step_lr_mod(state, control, task, spec)
-    if kind == "nonlinear_taylor":
-        g1, g2 = control if control is not None else (None, None)
-        return step_nonlinear_taylor(state, g1, g2, task, spec)
-    raise ValueError(f"unknown dynamics kind '{kind}'")
+def _divergence(peak, step):
+    return DivergenceError(
+        f"weight magnitude {peak:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at step {step}; "
+        "the Euler step is too large for this system"
+    )
 
 
 def _check_divergence(state, step):
     for w in state:
         peak = abs(w) if isinstance(w, float) else float(np.max(np.abs(w))) if w.size else 0.0
         if not peak < DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"weight magnitude {peak:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at step {step}; "
-                "the Euler step is too large for this system"
-            )
+            raise _divergence(peak, step)
 
 
 def _prepare_schedule(spec, schedule):
@@ -426,7 +675,7 @@ def integrate(spec, schedule, task, state0=None):
     `task` is a TaskMoments or a TaskSchedule (for switching); `schedule` may
     be None for an uncontrolled run.  An init_weights schedule supplies the
     starting state; otherwise `state0` (if given) or the spec's init does.
-    Raises DivergenceError when any weight magnitude passes 1e6.
+    Raises DivergenceError when any weight magnitude passes DIVERGENCE_LIMIT.
     """
     schedule = _prepare_schedule(spec, schedule)
     if schedule is not None and schedule.kind == "init_weights":
@@ -437,33 +686,37 @@ def integrate(spec, schedule, task, state0=None):
     n = spec.n_steps
     scale = spec.dt / spec.tau_w
     times = np.arange(n + 1) * spec.dt
+    entry = _KIND_TABLE[spec.kind]
+    loss, rhs = entry.loss, entry.rhs
 
     if spec.kind == "single_neuron":
+        # pure-float loop on the scalar flow: several times cheaper per step
+        # than the tuple loop below
         w = state[0]
         ws = [w]
         losses = np.empty(n + 1)
         for i in range(n):
             ctrl = _control_for(spec, schedule, i)
             tsk = task_at(i)
-            losses[i] = expected_loss((w,), ctrl, tsk, spec)
-            w = w + scale * step_single_neuron(w, ctrl, tsk, spec)
+            losses[i] = loss((w,), ctrl, tsk, spec)
+            w = w + scale * _neuron_flow(w, ctrl, tsk, spec)
             if not abs(w) < DIVERGENCE_LIMIT:
-                raise DivergenceError(f"weight magnitude {abs(w):.3e} exceeded 1e6 at step {i}")
+                raise _divergence(abs(w), i)
             ws.append(w)
-        losses[n] = expected_loss((w,), _control_for(spec, schedule, n - 1), task_at(n - 1), spec)
+        losses[n] = loss((w,), _control_for(spec, schedule, n - 1), task_at(n - 1), spec)
         return Trajectory(times=times, states=[(v,) for v in ws], losses=losses, kind=spec.kind)
 
-    states = [tuple(np.array(w, copy=True) for w in state)]
+    states = [state]
     losses = np.empty(n + 1)
     for i in range(n):
         ctrl = _control_for(spec, schedule, i)
         tsk = task_at(i)
-        losses[i] = expected_loss(state, ctrl, tsk, spec)
-        hs = _rhs(spec, state, ctrl, tsk)
+        losses[i] = loss(state, ctrl, tsk, spec)
+        hs = rhs(state, ctrl, tsk, spec)
         state = tuple(w + scale * h for w, h in zip(state, hs))
         _check_divergence(state, i)
         states.append(state)
-    losses[n] = expected_loss(state, _control_for(spec, schedule, n - 1), task_at(n - 1), spec)
+    losses[n] = loss(state, _control_for(spec, schedule, n - 1), task_at(n - 1), spec)
     return Trajectory(times=times, states=states, losses=losses, kind=spec.kind)
 
 
@@ -517,8 +770,8 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
         key = [int(s) for s in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
         ex, ey = sample_batch(task, eval_batch, np.random.default_rng(key + [0x5EED]))
 
-        def eval_loss(state, ctrl):
-            g1, g2 = ctrl if ctrl is not None else (None, None)
+        def score(state, ctrl):
+            g1, g2 = _gains(ctrl)
             a_mat = state[0] if g1 is None else (1.0 + g1) * state[0]
             b_mat = state[1] if g2 is None else (1.0 + g2) * state[1]
             resid = ey - f(ex @ a_mat.T) @ b_mat.T
@@ -527,20 +780,22 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
                 loss += 0.5 * spec.reg_lambda * sum(float(np.sum(np.square(w))) for w in state)
             return loss
 
-    states = [tuple(np.array(w, copy=True) for w in state) if spec.kind != "single_neuron" else (float(state[0]),)]
+    else:
+
+        def score(state, ctrl):
+            return expected_loss(state, ctrl, task, spec)
+
+    states = [state]
     for i in range(n):
         ctrl = _control_for(spec, schedule, i)
-        if nonlinear:
-            losses[i] = eval_loss(state, ctrl)
-        else:
-            losses[i] = expected_loss(state, ctrl, task, spec)
+        losses[i] = score(state, ctrl)
         if class_counts is not None:
             x, y = sample_class_batch(task, class_counts[i], rng)
             emp = _EmpiricalMoments(x, y, blocks=task.blocks)
             hs = _linear_pair_rhs(state[0], state[1], None, None, None, None, emp, spec.reg_lambda)
         elif nonlinear:
             x, y = sample_batch(task, batch_size, rng)
-            g1, g2 = ctrl if ctrl is not None else (None, None)
+            g1, g2 = _gains(ctrl)
             g1t = None if g1 is None else 1.0 + g1
             g2t = None if g2 is None else 1.0 + g2
             a_mat = state[0] if g1t is None else g1t * state[0]
@@ -555,24 +810,11 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
             hs = (h1 - spec.reg_lambda * state[0], h2 - spec.reg_lambda * state[1])
         else:
             x, y = sample_batch(task, batch_size, rng)
-            emp = _EmpiricalMoments(x, y, blocks=task.blocks)
-            if spec.kind == "single_neuron":
-                mu_hat = emp.sigma_xy[0, 0]
-                x2_hat = emp.sigma_x[0, 0]
-                gt = 1.0 + (0.0 if ctrl is None else ctrl)
-                hs = (mu_hat * gt - state[0] * (x2_hat * gt * gt + spec.reg_lambda),)
-            else:
-                hs = _rhs(spec, state, ctrl, emp)
-        if spec.kind == "single_neuron":
-            state = (state[0] + scale * hs[0],)
-            if not abs(state[0]) < DIVERGENCE_LIMIT:
-                raise DivergenceError(f"SGD weight diverged at step {i}")
-        else:
-            state = tuple(w + scale * h for w, h in zip(state, hs))
-            _check_divergence(state, i)
+            hs = _rhs(spec, state, ctrl, _EmpiricalMoments(x, y, blocks=task.blocks))
+        state = tuple(w + scale * h for w, h in zip(state, hs))
+        _check_divergence(state, i)
         states.append(state)
-    last_ctrl = _control_for(spec, schedule, n - 1)
-    losses[n] = eval_loss(state, last_ctrl) if nonlinear else expected_loss(state, last_ctrl, task, spec)
+    losses[n] = score(state, _control_for(spec, schedule, n - 1))
     return Trajectory(times=times, states=states, losses=losses, kind=spec.kind)
 
 
@@ -700,7 +942,7 @@ def closed_form_single_layer(g_schedule, task, spec, times):
         landed = None
         while piece_idx < len(pieces):
             duration, ctrl = pieces[piece_idx]
-            gain = ctrl[0] if isinstance(ctrl, tuple) else ctrl
+            gain = _layer_gain(ctrl)
             remaining = duration - into_piece
             step_needed = target - t_cur
             if step_needed <= remaining + 1e-15:
@@ -720,239 +962,3 @@ def closed_form_single_layer(g_schedule, task, spec, times):
             t_cur = target
         out[k] = landed.reshape(o_dim, i_dim)
     return out
-
-
-# --- adjoint building blocks ------------------------------------------------
-
-
-def backward_step(spec, state, control, task, a_next):
-    """Reverse-mode quantities for one Euler step at (state, control).
-
-    Returns (state_vjp, ctrl_vjp, loss_grad_state, loss_grad_ctrl):
-      state_vjp       [dh/dstate]^T a_next, same structure as state
-      ctrl_vjp        [dh/dcontrol]^T a_next, structure of the control slice
-                      (None for uncontrolled kinds)
-      loss_grad_state dL/dstate at (state, control)
-      loss_grad_ctrl  dL/dcontrol (None where the loss ignores the control)
-    Everything is exact for the discretized system; finite differences agree
-    to first order in the probe step.
-    """
-    kind = spec.kind
-    lam = spec.reg_lambda
-    if kind == "single_neuron":
-        w = state[0]
-        a = a_next[0]
-        gt = 1.0 + (0.0 if control is None else control)
-        mu = task.sigma_xy[0, 0]
-        x2 = task.sigma_x[0, 0]
-        dhdw = -(x2 * gt * gt + lam)
-        dhdg = mu - 2.0 * w * x2 * gt
-        dldw = -mu * gt + x2 * w * gt * gt + lam * w
-        dldg = -mu * w + x2 * w * w * gt
-        return (dhdw * a,), dhdg * a, (dldw,), dldg
-
-    if kind == "single_layer":
-        raise UnsupportedOperationError("no adjoint for single_layer dynamics; use the closed form")
-
-    if kind == "nonlinear_taylor":
-        g1, g2 = control if control is not None else (None, None)
-        return _taylor_backward(state, g1, g2, task, spec, a_next)
-
-    # linear two-layer family
-    if kind == "gain_mod":
-        g1, g2 = control if control is not None else (None, None)
-        dvec, rate = None, None
-        phi = psi = None
-    elif kind == "engagement":
-        g1 = g2 = None
-        rate = None
-        psi = np.asarray(control, dtype=float) if control is not None else None
-        dvec = _engagement_dvec(psi, task) if psi is not None else None
-        phi = None
-    elif kind == "category_engagement":
-        g1 = g2 = None
-        rate = None
-        phi = np.asarray(control, dtype=float) if control is not None else None
-        dvec = phi * phi if phi is not None else None
-        psi = None
-    elif kind == "lr_mod":
-        g1 = g2 = None
-        dvec = None
-        rate = 0.0 if control is None else float(control)
-        phi = psi = None
-    elif kind == "two_layer_baseline":
-        g1 = g2 = None
-        dvec = rate = None
-        phi = psi = None
-    else:
-        raise ValueError(f"unknown dynamics kind '{kind}'")
-
-    w1, w2 = state
-    a1, a2 = a_next
-    sx = task.sigma_x
-    sxy_t = task.sigma_xy.T
-    g1t = None if g1 is None else 1.0 + g1
-    g2t = None if g2 is None else 1.0 + g2
-    a_mat = w1 if g1t is None else g1t * w1
-    b_mat = w2 if g2t is None else g2t * w2
-    x1 = a_mat @ sx
-    err = sxy_t - b_mat @ x1
-    err_d = err if dvec is None else dvec[:, None] * err
-    up1 = b_mat.T @ err_d
-    up2 = err_d @ a_mat.T
-    p1 = (up1 if g1t is None else up1 * g1t) - lam * w1
-    p2 = (up2 if g2t is None else up2 * g2t) - lam * w2
-
-    # dynamics vjp
-    if rate is not None:
-        boost = 1.0 + rate
-        rate_bar = float(np.sum(a1 * p1) + np.sum(a2 * p2))
-        gp1 = boost * a1
-        gp2 = boost * a2
-    else:
-        rate_bar = None
-        gp1, gp2 = a1, a2
-    u1b = gp1 if g1t is None else gp1 * g1t
-    u2b = gp2 if g2t is None else gp2 * g2t
-    g1b = None if g1t is None else gp1 * up1
-    g2b = None if g2t is None else gp2 * up2
-    w1b = -lam * gp1
-    w2b = -lam * gp2
-    bb = err_d @ u1b.T
-    edb = b_mat @ u1b + u2b @ a_mat
-    ab = u2b.T @ err_d
-    if dvec is None:
-        dvb = None
-        eb = edb
-    else:
-        dvb = np.sum(edb * err, axis=1)
-        eb = dvec[:, None] * edb
-    bb = bb - eb @ x1.T
-    x1b = -(b_mat.T @ eb)
-    ab = ab + x1b @ sx
-    if g1t is None:
-        w1b = w1b + ab
-    else:
-        w1b = w1b + ab * g1t
-        g1b = g1b + ab * w1
-    if g2t is None:
-        w2b = w2b + bb
-    else:
-        w2b = w2b + bb * g2t
-        g2b = g2b + bb * w2
-
-    # loss gradients (the map ignores dvec and rate; err is the same object)
-    la = b_mat.T @ (-err)
-    lb = (-err) @ a_mat.T
-    if g1t is None:
-        lw1 = la + lam * w1
-        lg1 = None
-    else:
-        lw1 = la * g1t + lam * w1
-        lg1 = la * w1
-    if g2t is None:
-        lw2 = lb + lam * w2
-        lg2 = None
-    else:
-        lw2 = lb * g2t + lam * w2
-        lg2 = lb * w2
-
-    if kind == "gain_mod":
-        ctrl_vjp = (g1b if g1b is not None else np.zeros_like(w1), g2b if g2b is not None else np.zeros_like(w2))
-        loss_ctrl = (lg1 if lg1 is not None else np.zeros_like(w1), lg2 if lg2 is not None else np.zeros_like(w2))
-    elif kind == "engagement":
-        sizes = task.blocks.output_sizes()
-        if dvb is None:
-            ctrl_vjp = np.zeros(len(sizes))
-        else:
-            bounds = np.cumsum([0] + sizes)
-            ctrl_vjp = np.add.reduceat(dvb, bounds[:-1])
-        loss_ctrl = None
-    elif kind == "category_engagement":
-        if dvb is None:
-            ctrl_vjp = np.zeros(task.output_dim)
-        else:
-            base_phi = phi if phi is not None else np.ones(task.output_dim)
-            ctrl_vjp = 2.0 * base_phi * dvb
-        loss_ctrl = None
-    elif kind == "lr_mod":
-        ctrl_vjp = rate_bar
-        loss_ctrl = None
-    else:
-        ctrl_vjp = None
-        loss_ctrl = None
-    return (w1b, w2b), ctrl_vjp, (lw1, lw2), loss_ctrl
-
-
-def _taylor_tail(c, fyb, ffb, kb, d1b_seed):
-    """Shared reverse chain Fy/Ff/K -> (f0, J, u) -> gradient wrt the gained layers."""
-    h_dim, i_dim = c["j"].shape
-    f0b = np.zeros(h_dim)
-    jb = np.zeros((h_dim, i_dim))
-    bb = np.zeros_like(c["b"])
-    d1b = np.array(d1b_seed, copy=True) if d1b_seed is not None else np.zeros(h_dim)
-    if fyb is not None:
-        f0b += fyb.T @ c["task"].mean_y
-        jb += fyb.T @ c["r"]
-    if ffb is not None:
-        sym = ffb + ffb.T
-        f0b += sym @ c["f0"]
-        jb += sym @ c["j"] @ c["s"]
-    if kb is not None:
-        bb += (kb @ c["task"].sigma_xy).T
-        c2b = -kb @ c["q"].T
-        qb = -c["c2"] @ kb
-        bb += c["b"] @ (c2b + c2b.T)
-        f0b += qb @ c["m"]
-        jb += qb @ c["s"]
-    d1b += np.sum(jb * c["a"], axis=1)
-    ab = c["d1"][:, None] * jb
-    ub = c["d1"] * f0b + c["d2"] * d1b
-    ab += np.outer(ub, c["m"])
-    return ab, bb
-
-
-def _taylor_backward(state, g1, g2, task, spec, a_next):
-    c = _taylor_cache(state, g1, g2, task, spec)
-    lam = spec.reg_lambda
-    a1, a2 = a_next
-    w1, w2 = state
-    gz1 = a1 if c["g1t"] is None else a1 * c["g1t"]
-    gz2 = a2 if c["g2t"] is None else a2 * c["g2t"]
-    # dynamics vjp
-    kb = c["d1"][:, None] * gz1
-    d1b_seed = np.sum(gz1 * c["k"], axis=1)
-    fyb = gz2
-    ffb = -(c["b"].T @ gz2)
-    bb_direct = -(gz2 @ c["ff"])
-    ab, bb_tail = _taylor_tail(c, fyb, ffb, kb, d1b_seed)
-    bb = bb_direct + bb_tail
-    if c["g1t"] is None:
-        w1b = -lam * a1 + ab
-        g1b = np.zeros_like(w1)
-    else:
-        w1b = -lam * a1 + ab * c["g1t"]
-        g1b = a1 * c["z1"] + ab * w1
-    if c["g2t"] is None:
-        w2b = -lam * a2 + bb
-        g2b = np.zeros_like(w2)
-    else:
-        w2b = -lam * a2 + bb * c["g2t"]
-        g2b = a2 * c["z2"] + bb * w2
-    # loss gradients
-    lab, lbb_tail = _taylor_tail(c, -c["b"], 0.5 * c["c2"], None, None)
-    lz2 = -c["z2"]
-    if c["g1t"] is None:
-        lw1 = lab + lam * w1
-        lg1 = np.zeros_like(w1)
-    else:
-        lw1 = lab * c["g1t"] + lam * w1
-        lg1 = lab * w1
-    lbb = lz2 + lbb_tail
-    if c["g2t"] is None:
-        lw2 = lbb + lam * w2
-        lg2 = np.zeros_like(w2)
-    else:
-        lw2 = lbb * c["g2t"] + lam * w2
-        lg2 = lbb * w2
-    return (w1b, w2b), (g1b, g2b), (lw1, lw2), (lg1, lg2)

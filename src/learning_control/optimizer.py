@@ -8,9 +8,9 @@ non-decreasing by construction.  `adaptive_moments` is a standard Adam
 variant of the ascent direction; projection onto box bounds happens after
 every update.
 
-Also here: parameter sweeps over run configs (process pool, LE_THREADS caps
-the workers) and the multi-task objective that treats shared initial weights
-as the control.
+A sequence of tasks switches the objective to the multi-task one that treats
+shared initial weights as the control.  Also here: parameter sweeps over run
+configs (process pool, LE_THREADS caps the workers).
 """
 
 import os
@@ -28,15 +28,14 @@ class OptimizerSpec:
     """Ascent hyperparameters.
 
     alpha_g is the base step size, iters the number of updates, update_rule
-    one of {plain, adaptive_moments}.  seed is reserved for stochastic
-    variants and currently unused.
+    one of {plain, adaptive_moments}.  max_halvings caps the backtracking
+    halvings per update; beta1, beta2 and eps configure adaptive_moments.
     """
 
     alpha_g: float = 0.1
     iters: int = 100
     update_rule: str = "plain"
     backtracking: bool = True
-    seed: int = 0
     max_halvings: int = 20
     beta1: float = 0.9
     beta2: float = 0.999
@@ -136,27 +135,17 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
                 accepted = True
                 break
             alpha *= 0.5
-        elapsed = (time.perf_counter() - tick) * 1000.0
         if not accepted:
             trace.stalled_at = k
             break
         cur = cand
         v_cur, g_cur = with_grad(cur)
+        elapsed = (time.perf_counter() - tick) * 1000.0
         trace.V.append(v_cur)
         trace.grad_norm.append(_tree_norm(g_cur))
         trace.alpha_used.append(alpha)
         trace.wall_ms.append(elapsed + 0.0)
     return cur, trace
-
-
-def maml_objective(dspec, tasks, schedule, steps_ahead=None):
-    """V and gradient for shared initial weights over a task set.
-
-    Thin public wrapper over the value-module implementation; steps_ahead
-    overrides dspec.n_steps when given.
-    """
-    v, g, _ = maml_value_and_grad(dspec, tasks, schedule, steps_ahead=steps_ahead)
-    return v, g
 
 
 def _sweep_worker(config):

@@ -112,15 +112,14 @@ class ValueSpec:
     """Parameters of the value functional.
 
     gamma discounts per unit time (gamma^t with t in the dynamics' units);
-    eta converts performance into reward units; horizon is informational
-    (the grid comes from the DynamicsSpec).  mode selects the discounted
-    integral (default) or the undiscounted per-step sum described above.
+    eta converts performance into reward units.  The time grid comes from the
+    DynamicsSpec.  mode selects the discounted integral (default) or the
+    undiscounted per-step sum described above.
     """
 
     gamma: float = 0.99
     eta: float = 1.0
     cost: CostSpec = field(default_factory=CostSpec)
-    horizon: float | None = None
     mode: str = "discounted_integral"
 
     def __post_init__(self):
@@ -289,7 +288,6 @@ def fd_check(dspec, task, schedule, vspec, coords=None, h=1e-6, rng=0):
         n_steps=schedule.n_steps,
         segment=schedule.segment,
         bounds=None,
-        basis=schedule.basis,
     )
     multi = isinstance(task, (list, tuple))
 

@@ -1,61 +1,9 @@
-"""Control-schedule mechanics: indexing, bases, projection, refinement, JSON.
-
-The refinement test pins the exact invariant the optimizer relies on: the
-per-step expansion must not change when the segment grid is subdivided.
-"""
+"""Control-schedule mechanics: construction, indexing, gradients, projection, JSON."""
 
 import numpy as np
 import pytest
 
-from learning_control.control import ControlSchedule, NeuronBasis, init_weights_control
-
-
-def row_col_basis():
-    return NeuronBasis(
-        elements=[("first", "row", 0), ("first", "row", 1), ("second", "col", 1)],
-        shape_first=(2, 3),
-        shape_second=(3, 2),
-    )
-
-
-class TestNeuronBasis:
-    def test_expand_hand_case(self):
-        basis = row_col_basis()
-        g1, g2 = basis.expand([0.5, -1.0, 2.0])
-        np.testing.assert_array_equal(g1, [[0.5, 0.5, 0.5], [-1.0, -1.0, -1.0]])
-        np.testing.assert_array_equal(g2, [[0.0, 2.0], [0.0, 2.0], [0.0, 2.0]])
-
-    def test_contract_is_adjoint_of_expand(self):
-        """<expand(c), G> must equal <c, contract(G)> for any c and G."""
-        basis = row_col_basis()
-        rng = np.random.default_rng(9)
-        coeffs = rng.standard_normal(3)
-        grad1 = rng.standard_normal((2, 3))
-        grad2 = rng.standard_normal((3, 2))
-        g1, g2 = basis.expand(coeffs)
-        lhs = np.sum(g1 * grad1) + np.sum(g2 * grad2)
-        rhs = np.dot(coeffs, basis.contract(grad1, grad2))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-14)
-
-    def test_rejects_bad_layer_name(self):
-        with pytest.raises(ValueError, match="bad basis element"):
-            NeuronBasis([("third", "row", 0)], (2, 2), (2, 2))
-
-    def test_rejects_out_of_range_index(self):
-        with pytest.raises(ValueError, match="out of range"):
-            NeuronBasis([("first", "row", 5)], (2, 2), (2, 2))
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            NeuronBasis([("first", "row", 0), ("first", "row", 0)], (2, 2), (2, 2))
-
-    def test_rejects_mixed_axes_on_one_layer(self):
-        with pytest.raises(ValueError, match="mixed"):
-            NeuronBasis([("first", "row", 0), ("first", "col", 1)], (2, 2), (2, 2))
-
-    def test_expand_checks_coefficient_count(self):
-        with pytest.raises(ValueError, match="coefficients"):
-            row_col_basis().expand([1.0])
+from learning_control.control import ControlSchedule, init_weights_control
 
 
 class TestScheduleConstruction:
@@ -122,18 +70,6 @@ class TestScheduleIndexing:
         sched = init_weights_control((np.ones((1, 1)),))
         assert sched.at(0) is None
 
-    def test_basis_expansion_cached_per_segment(self):
-        basis = row_col_basis()
-        vals = (np.ones((2, 3)),)
-        sched = ControlSchedule(kind="basis_coeff_series", values=vals, n_steps=4, segment=2, basis=basis)
-        first = sched.at(0)
-        again = sched.at(1)
-        assert first[0] is again[0]  # same segment, cached expansion
-
-    def test_basis_kind_requires_basis(self):
-        with pytest.raises(ValueError, match="NeuronBasis"):
-            ControlSchedule(kind="basis_coeff_series", values=(np.zeros((1, 2)),), n_steps=1)
-
     def test_expand_matches_at_stepwise(self):
         sched = ControlSchedule(
             kind="engagement_series",
@@ -160,15 +96,6 @@ class TestGradBuffers:
         sched.add_grad(buffers, 2, 10.0)
         np.testing.assert_array_equal(buffers[0], [3.0, 10.0])
 
-    def test_basis_grads_contracted(self):
-        basis = row_col_basis()
-        sched = ControlSchedule(kind="basis_coeff_series", values=(np.zeros((1, 3)),), n_steps=1, basis=basis)
-        buffers = sched.zero_grads()
-        grad1 = np.ones((2, 3))
-        grad2 = np.ones((3, 2))
-        sched.add_grad(buffers, 0, (grad1, grad2))
-        np.testing.assert_array_equal(buffers[0][0], [3.0, 3.0, 3.0])
-
     def test_init_weights_has_no_per_step_grads(self):
         sched = init_weights_control((np.ones((1, 1)),))
         with pytest.raises(ValueError, match="per-step"):
@@ -193,34 +120,6 @@ class TestProjection:
         assert sched.values[0][0] == 2.0
 
 
-class TestRefinement:
-    def test_expansion_invariant_under_subdivision(self):
-        rng = np.random.default_rng(3)
-        sched = ControlSchedule(
-            kind="scalar_series", values=(rng.standard_normal(4),), n_steps=12, segment=3
-        )
-        fine = sched.coarse_to_fine(1)
-        assert fine.segment == 1
-        np.testing.assert_array_equal(fine.expand()[0], sched.expand()[0])
-
-    def test_partial_segment_refinement(self):
-        sched = ControlSchedule(
-            kind="scalar_series", values=(np.array([1.0, 2.0]),), n_steps=7, segment=4
-        )
-        fine = sched.coarse_to_fine(2)
-        np.testing.assert_array_equal(fine.expand()[0], sched.expand()[0])
-
-    def test_rejects_non_divisor(self):
-        sched = ControlSchedule(kind="scalar_series", values=(np.zeros(2),), n_steps=12, segment=6)
-        with pytest.raises(ValueError, match="divide"):
-            sched.coarse_to_fine(4)
-
-    def test_init_weights_refinement_is_a_copy(self):
-        sched = init_weights_control((np.ones((2, 1)),))
-        fine = sched.coarse_to_fine(1)
-        np.testing.assert_array_equal(fine.values[0], sched.values[0])
-
-
 class TestJsonRoundTrip:
     def test_plain_schedule(self):
         sched = ControlSchedule(
@@ -233,17 +132,6 @@ class TestJsonRoundTrip:
         back = ControlSchedule.from_json(sched.to_json())
         assert back.kind == sched.kind and back.bounds == sched.bounds
         np.testing.assert_array_equal(back.values[0], sched.values[0])
-
-    def test_basis_schedule(self):
-        basis = row_col_basis()
-        sched = ControlSchedule(
-            kind="basis_coeff_series", values=(np.array([[0.1, 0.2, 0.3]]),), n_steps=1, basis=basis
-        )
-        back = ControlSchedule.from_json(sched.to_json())
-        assert back.basis.elements == basis.elements
-        g1_a, _ = sched.at(0)
-        g1_b, _ = back.at(0)
-        np.testing.assert_array_equal(g1_a, g1_b)
 
     def test_matrix_pair_shapes_survive(self):
         vals = (np.zeros((2, 2, 3)), np.zeros((2, 3, 1)))

@@ -7,14 +7,17 @@ solution, a finite difference, or a sampled twin), never against itself.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from learning_control.control import ControlSchedule, init_weights_control
 from learning_control.dynamics import (
+    KINDS,
     DynamicsSpec,
     TaskSchedule,
+    _rhs,
     backward_step,
     closed_form_single_layer,
     closed_form_single_neuron,
@@ -150,27 +153,21 @@ class TestFlowIsNegativeLossGradient:
 
     def test_single_neuron(self):
         spec = neuron_spec()
-        from learning_control.dynamics import step_single_neuron
-
-        h = step_single_neuron(0.5, 0.2, NEURON_TASK, spec)
+        (h,) = _rhs(spec, (0.5,), 0.2, NEURON_TASK)
         (fd,) = self.fd_loss_grad(spec, (np.array([0.5]),), 0.2, NEURON_TASK)
         np.testing.assert_allclose(h, -fd[0], rtol=1e-8)
 
     def test_single_layer(self):
-        from learning_control.dynamics import step_single_layer
-
         spec = DynamicsSpec(kind="single_layer", input_dim=2, output_dim=2, reg_lambda=0.07)
         rng = np.random.default_rng(2)
         w = rng.standard_normal((2, 2)) * 0.5
         gain = rng.standard_normal((2, 2)) * 0.2
         task = pair_task()
-        h = step_single_layer(w, gain, task, spec)
+        (h,) = _rhs(spec, (w,), gain, task)
         (fd,) = self.fd_loss_grad(spec, (w,), gain, task)
         np.testing.assert_allclose(h, -fd, rtol=1e-6, atol=1e-9)
 
     def test_gain_mod(self):
-        from learning_control.dynamics import step_gain_mod
-
         spec = DynamicsSpec(kind="gain_mod", input_dim=2, output_dim=2, hidden_dim=3,
                             reg_lambda=0.05)
         rng = np.random.default_rng(3)
@@ -178,7 +175,7 @@ class TestFlowIsNegativeLossGradient:
         g1 = rng.standard_normal((3, 2)) * 0.3
         g2 = rng.standard_normal((2, 3)) * 0.3
         task = pair_task()
-        h1, h2 = step_gain_mod(state, g1, g2, task, spec)
+        h1, h2 = _rhs(spec, state, (g1, g2), task)
         fd = self.fd_loss_grad(spec, state, (g1, g2), task)
         np.testing.assert_allclose(h1, -fd[0], rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(h2, -fd[1], rtol=1e-6, atol=1e-9)
@@ -193,10 +190,8 @@ class TestEngagementKinds:
         self.state = random_pair_state(rng, self.spec)
 
     def test_engagement_scales_error_rows_per_block(self):
-        from learning_control.dynamics import step_engagement
-
         psi = [0.7, 1.3]
-        h1, h2 = step_engagement(self.state, psi, self.task, self.spec)
+        h1, h2 = _rhs(self.spec, self.state, psi, self.task)
         w1, w2 = self.state
         err = self.task.sigma_xy.T - w2 @ w1 @ self.task.sigma_x
         dvec = np.array([0.7, 1.3, 1.3])  # block output sizes are 1 and 2
@@ -205,16 +200,12 @@ class TestEngagementKinds:
         np.testing.assert_allclose(h2, err_d @ w1.T - 0.02 * w2, rtol=1e-13)
 
     def test_engagement_needs_block_structure(self):
-        from learning_control.dynamics import step_engagement
-
         with pytest.raises(ValueError, match="block"):
-            step_engagement(self.state, [1.0], pair_task(), self.spec)
+            _rhs(self.spec, self.state, [1.0], pair_task())
 
     def test_engagement_vector_length_checked(self):
-        from learning_control.dynamics import step_engagement
-
         with pytest.raises(ValueError, match="length"):
-            step_engagement(self.state, [1.0, 1.0, 1.0], self.task, self.spec)
+            _rhs(self.spec, self.state, [1.0, 1.0, 1.0], self.task)
 
     def test_engagement_leaves_the_loss_alone(self):
         loss_low = expected_loss(self.state, [0.1, 0.1], self.task, self.spec)
@@ -222,12 +213,10 @@ class TestEngagementKinds:
         assert loss_low == loss_high
 
     def test_category_weights_enter_squared(self):
-        from learning_control.dynamics import step_category_engagement
-
         spec = DynamicsSpec(kind="category_engagement", input_dim=3, output_dim=3,
                             hidden_dim=4, reg_lambda=0.0)
         phi = np.array([0.5, 1.0, 2.0])
-        h1, h2 = step_category_engagement(self.state, phi, self.task, spec)
+        h1, h2 = _rhs(spec, self.state, phi, self.task)
         w1, w2 = self.state
         err = self.task.sigma_xy.T - w2 @ w1 @ self.task.sigma_x
         err_d = (phi * phi)[:, None] * err
@@ -235,12 +224,10 @@ class TestEngagementKinds:
         np.testing.assert_allclose(h2, err_d @ w1.T, rtol=1e-13)
 
     def test_lr_mod_scales_the_whole_flow(self):
-        from learning_control.dynamics import step_lr_mod, step_two_layer_baseline
-
         spec = DynamicsSpec(kind="lr_mod", input_dim=3, output_dim=3, hidden_dim=4,
                             reg_lambda=0.02)
-        base = step_two_layer_baseline(self.state, self.task, spec)
-        boosted = step_lr_mod(self.state, 0.5, self.task, spec)
+        base = _rhs(replace(spec, kind="two_layer_baseline"), self.state, None, self.task)
+        boosted = _rhs(spec, self.state, 0.5, self.task)
         np.testing.assert_allclose(boosted[0], 1.5 * base[0], rtol=1e-15)
         np.testing.assert_allclose(boosted[1], 1.5 * base[1], rtol=1e-15)
 
@@ -277,8 +264,6 @@ class TestNonlinearTaylor:
     def test_identity_nonlinearity_reduces_to_gain_mod(self):
         """With f(u) = u the first-order propagation collapses algebraically
         onto the linear gained flow; both rhs and loss must agree."""
-        from learning_control.dynamics import step_gain_mod, step_nonlinear_taylor
-
         task = class_mixture_moments(np.array([[1.0, 0.3], [-0.4, 1.2]]), 0.6)
         lin = DynamicsSpec(kind="gain_mod", input_dim=2, output_dim=2, hidden_dim=3,
                            reg_lambda=0.04)
@@ -288,8 +273,8 @@ class TestNonlinearTaylor:
         state = random_pair_state(rng, lin)
         g1 = rng.standard_normal((3, 2)) * 0.2
         g2 = rng.standard_normal((2, 3)) * 0.2
-        ha = step_gain_mod(state, g1, g2, task, lin)
-        hb = step_nonlinear_taylor(state, g1, g2, task, tay)
+        ha = _rhs(lin, state, (g1, g2), task)
+        hb = _rhs(tay, state, (g1, g2), task)
         np.testing.assert_allclose(hb[0], ha[0], rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(hb[1], ha[1], rtol=1e-12, atol=1e-14)
         la = expected_loss(state, (g1, g2), task, lin)
@@ -425,21 +410,87 @@ class TestClosedFormSingleLayer:
             backward_step(spec, (np.zeros((1, 2)),), None, pair_task(), (np.zeros((1, 2)),))
 
 
-class TestBackwardStepAgainstFiniteDifferences:
-    def check_kind(self, spec, state, control, task, seed):
-        from learning_control.dynamics import _rhs
+def _gain_pair(rng, spec, scale):
+    return (rng.standard_normal((spec.hidden_dim, spec.input_dim)) * scale,
+            rng.standard_normal((spec.output_dim, spec.hidden_dim)) * scale)
 
+
+def _neuron_case(rng):
+    return neuron_spec(), (0.5 + 0.2 * rng.standard_normal(),), 0.2, NEURON_TASK
+
+
+def _baseline_case(rng):
+    spec = DynamicsSpec(kind="two_layer_baseline", input_dim=2, output_dim=2, hidden_dim=3,
+                        reg_lambda=0.02)
+    return spec, random_pair_state(rng, spec), None, pair_task()
+
+
+def _gain_mod_case(rng):
+    spec = DynamicsSpec(kind="gain_mod", input_dim=2, output_dim=2, hidden_dim=3,
+                        reg_lambda=0.03)
+    state = random_pair_state(rng, spec)
+    return spec, state, _gain_pair(rng, spec, 0.2), pair_task()
+
+
+def _engagement_case(rng):
+    task = compose_block_tasks([two_gaussian_moments(1.0, 0.4), pair_task()])
+    spec = DynamicsSpec(kind="engagement", input_dim=3, output_dim=3, hidden_dim=4,
+                        reg_lambda=0.02)
+    return spec, random_pair_state(rng, spec), np.array([0.8, 1.4]), task
+
+
+def _category_case(rng):
+    spec = DynamicsSpec(kind="category_engagement", input_dim=2, output_dim=2, hidden_dim=3,
+                        reg_lambda=0.02)
+    return spec, random_pair_state(rng, spec), np.array([0.7, 1.3]), pair_task()
+
+
+def _lr_mod_case(rng):
+    spec = DynamicsSpec(kind="lr_mod", input_dim=2, output_dim=2, hidden_dim=3,
+                        reg_lambda=0.02)
+    return spec, random_pair_state(rng, spec), 0.4, pair_task()
+
+
+def _taylor_case(rng):
+    task = class_mixture_moments(np.array([[0.9, 0.1], [-0.2, 1.1]]), 0.5)
+    spec = DynamicsSpec(kind="nonlinear_taylor", input_dim=2, output_dim=2,
+                        hidden_dim=3, reg_lambda=0.01, nonlinearity="tanh")
+    state = random_pair_state(rng, spec)
+    return spec, state, _gain_pair(rng, spec, 0.15), task
+
+
+# kind -> rng -> (spec, state, control, task); every kind with an adjoint needs one
+VJP_CASES = {
+    "single_neuron": _neuron_case,
+    "two_layer_baseline": _baseline_case,
+    "gain_mod": _gain_mod_case,
+    "engagement": _engagement_case,
+    "category_engagement": _category_case,
+    "lr_mod": _lr_mod_case,
+    "nonlinear_taylor": _taylor_case,
+}
+ADJOINT_KINDS = [k for k in KINDS if k != "single_layer"]  # see test_single_layer_has_no_adjoint
+
+
+def _dot(xs, ys):
+    return sum(float(np.sum(x * y)) for x, y in zip(xs, ys))
+
+
+class TestBackwardStepAgainstFiniteDifferences:
+    EPS = 1e-6
+
+    def check_kind(self, spec, state, control, task, seed):
+        """State VJP and loss-versus-state gradient along random directions."""
         rng = np.random.default_rng(seed)
         a_next = tuple(rng.standard_normal(np.shape(w)) for w in state)
         svjp, cvjp, lgs, lgc = backward_step(spec, state, control, task, a_next)
 
         def dot_h(st):
-            hs = _rhs(spec, st, control, task)
-            return sum(float(np.sum(a * h)) for a, h in zip(a_next, hs))
+            return _dot(a_next, _rhs(spec, st, control, task))
 
-        eps = 1e-6
+        eps = self.EPS
         for li in range(len(state)):
-            delta = rng.standard_normal(state[li].shape)
+            delta = rng.standard_normal(np.shape(state[li]))
             plus = list(state)
             plus[li] = state[li] + eps * delta
             minus = list(state)
@@ -453,57 +504,65 @@ class TestBackwardStepAgainstFiniteDifferences:
                                        rtol=2e-5, atol=1e-7)
         return svjp, cvjp, lgs, lgc, a_next
 
+    def check_control(self, spec, state, control, task, cvjp, lgc, a_next, seed):
+        """Control VJP and loss-versus-control gradient along random directions.
+
+        A slice is a float, a vector or a tuple of matrices; each part is
+        probed on its own.  A None loss gradient means the loss ignores the
+        control, so its difference quotient must vanish exactly.
+        """
+        if control is None:
+            assert cvjp is None and lgc is None
+            return
+        tupled = isinstance(control, tuple)
+        parts = list(control) if tupled else [control]
+        vjp_parts = cvjp if tupled else (cvjp,)
+        loss_parts = None if lgc is None else (lgc if tupled else (lgc,))
+        rng = np.random.default_rng(seed)
+        eps = self.EPS
+
+        def bumped(ci, step):
+            moved = list(parts)
+            moved[ci] = parts[ci] + step
+            if np.ndim(moved[ci]) == 0:
+                moved[ci] = float(moved[ci])
+            return tuple(moved) if tupled else moved[0]
+
+        for ci in range(len(parts)):
+            delta = rng.standard_normal(np.shape(parts[ci]))
+            plus, minus = bumped(ci, eps * delta), bumped(ci, -eps * delta)
+            fd = (_dot(a_next, _rhs(spec, state, plus, task))
+                  - _dot(a_next, _rhs(spec, state, minus, task))) / (2 * eps)
+            np.testing.assert_allclose(float(np.sum(vjp_parts[ci] * delta)), fd,
+                                       rtol=2e-5, atol=1e-7)
+            fd_loss = (expected_loss(state, plus, task, spec)
+                       - expected_loss(state, minus, task, spec)) / (2 * eps)
+            if loss_parts is None:
+                assert fd_loss == 0.0
+            else:
+                np.testing.assert_allclose(float(np.sum(loss_parts[ci] * delta)), fd_loss,
+                                           rtol=2e-5, atol=1e-7)
+
+    def check_case(self, kind, seed):
+        spec, state, control, task = VJP_CASES[kind](np.random.default_rng(seed))
+        _, cvjp, _, lgc, a_next = self.check_kind(spec, state, control, task, seed=seed + 1)
+        self.check_control(spec, state, control, task, cvjp, lgc, a_next, seed=seed + 2)
+
+    @pytest.mark.parametrize("kind", ADJOINT_KINDS)
+    def test_every_adjoint_kind(self, kind):
+        self.check_case(kind, seed=100)
+
     def test_gain_mod_vjps(self):
-        spec = DynamicsSpec(kind="gain_mod", input_dim=2, output_dim=2, hidden_dim=3,
-                            reg_lambda=0.03)
-        rng = np.random.default_rng(20)
-        state = random_pair_state(rng, spec)
-        control = (rng.standard_normal((3, 2)) * 0.2, rng.standard_normal((2, 3)) * 0.2)
-        task = pair_task()
-        _, cvjp, _, lgc, a_next = self.check_kind(spec, state, control, task, seed=21)
-
-        from learning_control.dynamics import _rhs
-
-        rng2 = np.random.default_rng(22)
-        eps = 1e-6
-        for ci in range(2):
-            delta = rng2.standard_normal(control[ci].shape)
-            plus = list(control)
-            plus[ci] = control[ci] + eps * delta
-            minus = list(control)
-            minus[ci] = control[ci] - eps * delta
-            fd = (
-                sum(float(np.sum(a * h)) for a, h in zip(a_next, _rhs(spec, state, tuple(plus), task)))
-                - sum(float(np.sum(a * h)) for a, h in zip(a_next, _rhs(spec, state, tuple(minus), task)))
-            ) / (2 * eps)
-            np.testing.assert_allclose(float(np.sum(cvjp[ci] * delta)), fd, rtol=2e-5, atol=1e-7)
-            fd_loss = (expected_loss(state, tuple(plus), task, spec)
-                       - expected_loss(state, tuple(minus), task, spec)) / (2 * eps)
-            np.testing.assert_allclose(float(np.sum(lgc[ci] * delta)), fd_loss, rtol=2e-5, atol=1e-7)
+        self.check_case("gain_mod", seed=20)
 
     def test_engagement_vjps(self):
-        task = compose_block_tasks([two_gaussian_moments(1.0, 0.4), pair_task()])
-        spec = DynamicsSpec(kind="engagement", input_dim=3, output_dim=3, hidden_dim=4,
-                            reg_lambda=0.02)
-        rng = np.random.default_rng(23)
-        state = random_pair_state(rng, spec)
-        self.check_kind(spec, state, np.array([0.8, 1.4]), task, seed=24)
+        self.check_case("engagement", seed=23)
 
     def test_lr_mod_vjps(self):
-        spec = DynamicsSpec(kind="lr_mod", input_dim=2, output_dim=2, hidden_dim=3,
-                            reg_lambda=0.02)
-        rng = np.random.default_rng(25)
-        state = random_pair_state(rng, spec)
-        self.check_kind(spec, state, 0.4, pair_task(), seed=26)
+        self.check_case("lr_mod", seed=25)
 
     def test_nonlinear_taylor_vjps(self):
-        task = class_mixture_moments(np.array([[0.9, 0.1], [-0.2, 1.1]]), 0.5)
-        spec = DynamicsSpec(kind="nonlinear_taylor", input_dim=2, output_dim=2,
-                            hidden_dim=3, reg_lambda=0.01, nonlinearity="tanh")
-        rng = np.random.default_rng(27)
-        state = random_pair_state(rng, spec)
-        control = (rng.standard_normal((3, 2)) * 0.15, rng.standard_normal((2, 3)) * 0.15)
-        self.check_kind(spec, state, control, task, seed=28)
+        self.check_case("nonlinear_taylor", seed=27)
 
 
 class TestExpectedLossFloors:
@@ -571,6 +630,11 @@ class TestIntegrationPlumbing:
         spec = neuron_spec(dt=50.0, n_steps=60, tau_w=0.1)
         with pytest.raises(DivergenceError, match="exceeded"):
             integrate(spec, None, NEURON_TASK)
+
+    def test_sgd_divergence_guard_reports_the_magnitude(self):
+        spec = neuron_spec(dt=50.0, n_steps=60, tau_w=0.1)
+        with pytest.raises(DivergenceError, match="exceeded"):
+            simulate_sgd(spec, None, NEURON_TASK, batch_size=8, seed=0)
 
 
 class TestTaskSwitching:

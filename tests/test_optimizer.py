@@ -4,14 +4,16 @@ These use the single-neuron system (fast, exactly differentiable) so every
 optimizer property can be asserted deterministically.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from learning_control.control import ControlSchedule
 from learning_control.dynamics import DynamicsSpec
-from learning_control.optimizer import OptimizerSpec, maml_objective, optimize
+from learning_control.optimizer import OptimizerSpec, optimize
 from learning_control.tasks import two_gaussian_moments
-from learning_control.value import CostSpec, ValueSpec, evaluate_value, maml_value_and_grad
+from learning_control.value import CostSpec, ValueSpec, evaluate_value
 
 TASK = two_gaussian_moments(1.0, 1.0)
 
@@ -87,6 +89,23 @@ class TestAscent:
         assert np.all(sched.values[0] >= 0.0) and np.all(sched.values[0] <= 0.25)
 
 
+class TestWallTime:
+    def test_wall_ms_covers_the_gradient_pass(self, monkeypatch):
+        """An iteration's wall time runs until its gradient is known."""
+        from learning_control import optimizer
+
+        real = optimizer.grad_value
+
+        def slow_grad_value(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "grad_value", slow_grad_value)
+        _, trace = optimize(neuron_spec(), TASK, VSPEC, OptimizerSpec(alpha_g=0.5, iters=1), neutral())
+        assert len(trace.V) == 2
+        assert trace.wall_ms[1] >= 50
+
+
 class TestStall:
     def test_stall_is_recorded_and_stops_the_loop(self):
         """Near the optimum, a forced full-size jump to the box corner hurts;
@@ -125,18 +144,6 @@ class TestAdaptiveMoments:
 
 
 class TestMamlObjective:
-    def test_wrapper_matches_value_module(self):
-        from learning_control.control import init_weights_control
-
-        spec = DynamicsSpec(kind="two_layer_baseline", input_dim=1, output_dim=1,
-                            hidden_dim=3, dt=0.1, n_steps=4)
-        sched = init_weights_control((np.full((3, 1), 0.3), np.full((1, 3), -0.2)))
-        tasks = [two_gaussian_moments(2.0, 0.8), two_gaussian_moments(1.2, 1.0)]
-        v, g = maml_objective(spec, tasks, sched, steps_ahead=3)
-        v_ref, g_ref, _ = maml_value_and_grad(spec, tasks, sched, steps_ahead=3)
-        assert v == v_ref
-        np.testing.assert_array_equal(g[0], g_ref[0])
-
     def test_optimize_accepts_a_task_list(self):
         from learning_control.control import init_weights_control
 
