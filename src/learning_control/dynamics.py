@@ -180,12 +180,14 @@ def _gains(control):
 
 
 def _linear_map_loss(m_eff, task, weights, lam):
+    # ndarray methods run the same reductions as np.sum/np.trace without the
+    # per-call dispatch of the module-level wrappers
     quad = m_eff @ task.sigma_x
-    loss = 0.5 * float(np.trace(task.sigma_y))
-    loss -= float(np.sum(m_eff * task.sigma_xy.T))
-    loss += 0.5 * float(np.sum(quad * m_eff))
+    loss = 0.5 * float(task.sigma_y.trace())
+    loss -= float((m_eff * task.sigma_xy.T).sum())
+    loss += 0.5 * float((quad * m_eff).sum())
     if lam:
-        loss += 0.5 * lam * sum(float(np.sum(np.square(w))) for w in weights)
+        loss += 0.5 * lam * sum(float(np.square(w).sum()) for w in weights)
     return loss
 
 
@@ -653,7 +655,7 @@ def _divergence(peak, step):
 
 def _check_divergence(state, step):
     for w in state:
-        peak = abs(w) if isinstance(w, float) else float(np.max(np.abs(w))) if w.size else 0.0
+        peak = abs(w) if isinstance(w, float) else float(abs(w).max()) if w.size else 0.0
         if not peak < DIVERGENCE_LIMIT:
             raise _divergence(peak, step)
 

@@ -1,10 +1,11 @@
 """Scenario registry: preset experiments over the controlled learning dynamics.
 
 Each scenario bundles a task family, a dynamics kind, a value functional, and
-an optimizer into a RunConfig; run() rolls out the uncontrolled baseline,
-optimizes the control schedule, rolls out the controlled system, and collects
-scalar summaries (effort integrals, time-to-loss thresholds, switch peaks,
-engagement peak times, plateau counts...).
+an optimizer into a RunConfig; run() optimizes the control schedule, takes
+the uncontrolled baseline and the controlled rollouts from the optimizer's
+first and last iterates, and collects scalar summaries (effort integrals,
+time-to-loss thresholds, switch peaks, engagement peak times, plateau
+counts...).
 
 Horizons here are deliberately short: the phenomena of interest (front-loaded
 control, curricula, post-switch adaptation, rich-regime plateaus) survive
@@ -32,7 +33,7 @@ from .tasks import (
     semantic_moments,
     two_gaussian_moments,
 )
-from .value import CostSpec, ValueSpec, evaluate_value
+from .value import CostSpec, ValueSpec
 
 SCENARIOS = (
     "single_neuron_effort",
@@ -611,10 +612,6 @@ def override_param(config, name, value, run_suffix=""):
 # --- the run pipeline --------------------------------------------------------
 
 
-def _per_step_valuespec():
-    return ValueSpec(gamma=1.0, eta=1.0, cost=CostSpec("none"), mode="per_step_sum")
-
-
 def _loss_integral(traj, dspec):
     return float(np.sum(traj.losses[: dspec.n_steps])) * dspec.dt
 
@@ -641,27 +638,23 @@ def _run_inner(cfg):
     init_sched = init_sched.project()
     multi = isinstance(task, (list, tuple))
 
-    if multi:
-        per_vs = _per_step_valuespec()
-        v_baseline = sum(evaluate_value(dspec, t, init_sched, per_vs) for t in task)
-    else:
-        v_baseline = evaluate_value(dspec, task, init_sched, cfg.value)
-
     sched_opt, trace = optimize(dspec, task, cfg.value, cfg.optimizer, init_sched)
+    v_baseline = trace.V[0]
     v_control = trace.V[-1]
     if cfg.optimizer.backtracking and v_control < v_baseline - 1e-9:
         raise LearningControlError(
             f"value dropped under backtracking ({v_control} < {v_baseline}); optimizer contract broken"
         )
 
+    first, last = trace.rollouts
     trajectories = {}
     if multi:
-        for k, t in enumerate(task):
-            trajectories[f"baseline:{k}"] = dyn.integrate(dspec, init_sched, t)
-            trajectories[f"controlled:{k}"] = dyn.integrate(dspec, sched_opt, t)
+        for k in range(len(task)):
+            trajectories[f"baseline:{k}"] = first[k]
+            trajectories[f"controlled:{k}"] = last[k]
     else:
-        trajectories["baseline"] = dyn.integrate(dspec, init_sched, task)
-        trajectories["controlled"] = dyn.integrate(dspec, sched_opt, task)
+        trajectories["baseline"] = first
+        trajectories["controlled"] = last
 
     summaries = {
         "V_baseline": v_baseline,

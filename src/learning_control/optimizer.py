@@ -4,15 +4,23 @@ The objective V(schedule) and its exact gradient come from the adjoint sweep
 in `value`; this module just climbs.  With backtracking (the default) a
 candidate step is accepted only if it does not decrease V, halving the step
 up to 20 times before declaring a stall, so the recorded V trace is
-non-decreasing by construction.  `adaptive_moments` is a standard Adam
-variant of the ascent direction; projection onto box bounds happens after
-every update.
+non-decreasing by construction.  A trial whose rollout diverges counts as a
+rejection (V = -inf) and is halved like any other; divergence of the initial
+schedule's rollout, or of a step taken without backtracking, still raises.
+`adaptive_moments` is a standard Adam variant of the ascent direction;
+projection onto box bounds happens after every update.
+
+Each rollout is integrated once: a line-search trial keeps its trajectory,
+and the accepted one goes straight to the adjoint sweep for the next
+gradient.  The trace keeps the rollouts of the initial and the final
+schedule for the caller.
 
 A sequence of tasks switches the objective to the multi-task one that treats
 shared initial weights as the control.  Also here: parameter sweeps over run
 configs (process pool, LE_THREADS caps the workers).
 """
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .value import evaluate_value, grad_value, maml_value_and_grad, CostSpec, ValueSpec
+from . import dynamics as dyn
+from .errors import DivergenceError
+from .value import grad_value, maml_value_and_grad, per_step_sum_spec, value
 
 
 @dataclass
@@ -52,13 +62,19 @@ class OptimizerSpec:
 
 @dataclass
 class OptTrace:
-    """Per-iteration record; entry 0 describes the initial schedule."""
+    """Per-iteration record; entry 0 describes the initial schedule.
+
+    rollouts is (first, last): the trajectories of the initial and the final
+    schedule, each a list with one per task for a task sequence.  It is kept
+    in memory only; trace.csv does not write it.
+    """
 
     V: list = field(default_factory=list)
     grad_norm: list = field(default_factory=list)
     alpha_used: list = field(default_factory=list)
     wall_ms: list = field(default_factory=list)
     stalled_at: int | None = None
+    rollouts: tuple = ()
 
 
 def _tree_norm(arrays):
@@ -66,20 +82,30 @@ def _tree_norm(arrays):
 
 
 def _make_objective(dspec, task, vspec):
-    multi = isinstance(task, (list, tuple))
+    """(with_grad, forward) over one schedule; both also return its rollout.
 
-    def with_grad(schedule):
-        if multi:
-            v, g, _ = maml_value_and_grad(dspec, task, schedule)
-            return v, g
-        v, g, _ = grad_value(dspec, task, schedule, vspec)
-        return v, g
+    A rollout is a Trajectory, or a list of them (one per task) for a task
+    sequence.  with_grad(schedule, rollout) runs only the adjoint when handed
+    the schedule's rollout, and integrates it first when given None.
+    """
+    if isinstance(task, (list, tuple)):
+        vs = per_step_sum_spec()
 
-    def forward(schedule):
-        if multi:
-            vs = ValueSpec(gamma=1.0, eta=1.0, cost=CostSpec("none"), mode="per_step_sum")
-            return sum(evaluate_value(dspec, t, schedule, vs) for t in task)
-        return evaluate_value(dspec, task, schedule, vspec)
+        def with_grad(schedule, rollout):
+            return maml_value_and_grad(dspec, task, schedule, trajs=rollout)
+
+        def forward(schedule):
+            trajs = [dyn.integrate(dspec, schedule, t) for t in task]
+            return sum(value(tr, schedule, vs, dspec) for tr in trajs), trajs
+
+    else:
+
+        def with_grad(schedule, rollout):
+            return grad_value(dspec, task, schedule, vspec, traj=rollout)
+
+        def forward(schedule):
+            traj = dyn.integrate(dspec, schedule, task)
+            return value(traj, schedule, vspec, dspec), traj
 
     return with_grad, forward
 
@@ -94,7 +120,8 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
     """
     with_grad, forward = _make_objective(dspec, task, vspec)
     cur = init_schedule.project()
-    v_cur, g_cur = with_grad(cur)
+    v_cur, g_cur, first = with_grad(cur, None)
+    rollout = first
     trace = OptTrace()
     trace.V.append(v_cur)
     trace.grad_norm.append(_tree_norm(g_cur))
@@ -109,6 +136,8 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
 
     for k in range(ospec.iters):
         tick = time.perf_counter()
+        # the adjoint has used the last accepted rollout; `first` keeps the initial one
+        rollout = None
         if ospec.update_rule == "adaptive_moments":
             t = k + 1
             m_state = tuple(ospec.beta1 * m + (1 - ospec.beta1) * g for m, g in zip(m_state, g_cur))
@@ -122,7 +151,6 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
         alpha = ospec.alpha_g
         accepted = False
         cand = None
-        v_cand = None
         for _ in range(ospec.max_halvings + 1):
             cand = cur.with_values(
                 tuple(val + alpha * d for val, d in zip(cur.values, direction))
@@ -130,21 +158,29 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
             if not ospec.backtracking:
                 accepted = True
                 break
-            v_cand = forward(cand)
+            try:
+                v_cand, rollout = forward(cand)
+            except DivergenceError:
+                v_cand = -math.inf
             if v_cand >= v_cur:
                 accepted = True
                 break
+            rollout = None
             alpha *= 0.5
         if not accepted:
             trace.stalled_at = k
             break
         cur = cand
-        v_cur, g_cur = with_grad(cur)
+        v_cur, g_cur, rollout = with_grad(cur, rollout)
         elapsed = (time.perf_counter() - tick) * 1000.0
         trace.V.append(v_cur)
         trace.grad_norm.append(_tree_norm(g_cur))
         trace.alpha_used.append(alpha)
         trace.wall_ms.append(elapsed + 0.0)
+    if rollout is None:
+        # a stall dropped the last accepted rollout
+        rollout = forward(cur)[1]
+    trace.rollouts = (first, rollout)
     return cur, trace
 
 

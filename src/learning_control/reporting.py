@@ -30,7 +30,7 @@ def _norms(w):
     if w is None:
         return 0.0, 0.0
     arr = np.asarray(w, dtype=float)
-    return float(np.sum(np.abs(arr))), float(np.sqrt(np.sum(arr * arr)))
+    return float(abs(arr).sum()), float(np.sqrt((arr * arr).sum()))
 
 
 def write_trajectory_csv(path, traj, schedule=None, vspec=None):

@@ -11,7 +11,9 @@ when the control is the initial weights and the horizon is a handful of steps.
 
 Gradients come from one reverse (adjoint) sweep through the recorded states:
 exact for the discretized system, one forward plus one backward pass per
-evaluation regardless of how many control degrees of freedom there are.
+evaluation regardless of how many control degrees of freedom there are.  A
+caller that already holds the schedule's trajectory (the optimizer's line
+search does) hands it over and pays for the backward pass alone.
 fd_check probes that gradient against central finite differences and is wired
 into the CLI, so a broken derivative is loud.
 """
@@ -129,6 +131,11 @@ class ValueSpec:
             raise ValueError(f"unknown value mode '{self.mode}'")
 
 
+def per_step_sum_spec():
+    """The undiscounted, cost-free per-step-sum objective of the multi-task runs."""
+    return ValueSpec(gamma=1.0, eta=1.0, cost=CostSpec("none"), mode="per_step_sum")
+
+
 def _value_weights(vspec, dspec):
     """(pw, cw): performance weights on states 0..N, cost weights on steps 0..N-1."""
     n = dspec.n_steps
@@ -187,14 +194,17 @@ def _slice_scale(x, factor):
     return factor * x
 
 
-def grad_value(dspec, task, schedule, vspec, state0=None):
+def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
     """V and dV/d(schedule) by one adjoint sweep; also returns the trajectory.
 
     The gradient has exactly the structure of schedule.values (segment sums
     for series kinds, weight arrays for init_weights).  Bounds on the
     schedule do not enter: the derivative is of the unconstrained objective.
+    `traj`, when given, must be the rollout of this schedule and task (from
+    `state0`); the forward pass is then skipped and only the adjoint runs.
     """
-    traj = dyn.integrate(dspec, schedule, task, state0=state0)
+    if traj is None:
+        traj = dyn.integrate(dspec, schedule, task, state0=state0)
     total = value(traj, schedule, vspec, dspec)
     pw, cw = _value_weights(vspec, dspec)
     n = dspec.n_steps
@@ -240,24 +250,25 @@ def grad_value(dspec, task, schedule, vspec, state0=None):
     return total, tuple(np.asarray(a, dtype=float) for a in adj), traj
 
 
-def maml_value_and_grad(dspec, tasks, schedule, steps_ahead=None):
+def maml_value_and_grad(dspec, tasks, schedule, steps_ahead=None, trajs=None):
     """Per-step-sum value over a task set, controlled through shared initial weights.
 
     Each task is rolled out independently from the same starting state;
     V = -sum_tasks sum_{i=1..steps} <loss_i>, and the gradient is the sum of
-    the per-task adjoints at time zero.
+    the per-task adjoints at time zero.  `trajs`, when given, holds each
+    task's rollout in task order, and only the adjoint sweeps run.
     """
     spec = dspec if steps_ahead is None else replace(dspec, n_steps=int(steps_ahead))
-    vspec = ValueSpec(gamma=1.0, eta=1.0, cost=CostSpec("none"), mode="per_step_sum")
+    vspec = per_step_sum_spec()
     total = 0.0
     grads = None
-    trajs = []
-    for task in tasks:
-        v, g, traj = grad_value(spec, task, schedule, vspec)
+    rollouts = []
+    for k, task in enumerate(tasks):
+        v, g, traj = grad_value(spec, task, schedule, vspec, traj=None if trajs is None else trajs[k])
         total += v
         grads = g if grads is None else tuple(ga + gb for ga, gb in zip(grads, g))
-        trajs.append(traj)
-    return total, grads, trajs
+        rollouts.append(traj)
+    return total, grads, rollouts
 
 
 @dataclass
@@ -293,7 +304,7 @@ def fd_check(dspec, task, schedule, vspec, coords=None, h=1e-6, rng=0):
 
     def objective(s):
         if multi:
-            vs = ValueSpec(gamma=1.0, eta=1.0, cost=CostSpec("none"), mode="per_step_sum")
+            vs = per_step_sum_spec()
             return sum(evaluate_value(dspec, t, s, vs) for t in task)
         return evaluate_value(dspec, task, s, vspec)
 

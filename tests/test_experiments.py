@@ -7,11 +7,13 @@ scenario claims live in test_acceptance.py.
 
 import math
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from learning_control import dynamics, experiments, optimizer
 from learning_control.control import ControlSchedule, init_weights_control
 from learning_control.dynamics import DynamicsSpec, initial_state
 from learning_control.errors import ConfigError, DivergenceError
@@ -321,6 +323,124 @@ class TestRunPipeline:
         assert res.summaries["sgd_checked_steps"] == 51
         assert math.isfinite(res.summaries["sgd_max_z"])
         assert res.summaries["sgd_max_z"] >= 0.0
+
+
+class TestTrialDivergence:
+    def test_diverging_line_search_trial_does_not_kill_the_run(self):
+        """The full-size first step of this run blows up; halving recovers."""
+        cfg = preset("lr_bilevel", g_hi=50)
+        cfg = override_param(cfg, "optimizer.alpha_g", 50.0)
+        res = run(override_param(cfg, "optimizer.iters", 5))
+        assert len(res.trace.V) == 6
+        assert res.V_control > res.V_baseline
+        assert all(b >= a for a, b in zip(res.trace.V, res.trace.V[1:]))
+
+
+def count_passes(monkeypatch):
+    """Count forward and adjoint passes, wrapping every binding in the package.
+
+    integrate calls made inside optimize() are counted; those outside it are
+    listed by horizon (n_steps).  backward_step calls are counted everywhere.
+    """
+    counts = {"integrate": 0, "outside": [], "backward_step": 0}
+    inside = []
+    real = {"integrate": dynamics.integrate, "backward_step": dynamics.backward_step,
+            "optimize": optimizer.optimize}
+
+    def integrate(spec, *args, **kwargs):
+        if inside:
+            counts["integrate"] += 1
+        else:
+            counts["outside"].append(spec.n_steps)
+        return real["integrate"](spec, *args, **kwargs)
+
+    def backward_step(*args, **kwargs):
+        counts["backward_step"] += 1
+        return real["backward_step"](*args, **kwargs)
+
+    def optimize(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real["optimize"](*args, **kwargs)
+        finally:
+            inside.pop()
+
+    fakes = {"integrate": integrate, "backward_step": backward_step, "optimize": optimize}
+    for name, module in list(sys.modules.items()):
+        if name == "learning_control" or name.startswith("learning_control."):
+            for attr, fake in fakes.items():
+                if getattr(module, attr, None) is real[attr]:
+                    monkeypatch.setattr(module, attr, fake)
+    return counts
+
+
+def line_search_trials(trace, ospec):
+    """Forward trials read off the trace: h halvings cost h + 1 trials."""
+    trials = sum(round(math.log2(ospec.alpha_g / a)) + 1 for a in trace.alpha_used[1:])
+    return trials + (ospec.max_halvings + 1 if trace.stalled_at is not None else 0)
+
+
+def stalling_neuron_config():
+    """tiny_neuron_config run long enough to stall (at iteration 19)."""
+    return override_param(tiny_neuron_config(), "optimizer.iters", 60)
+
+
+def two_task_maml_config():
+    cfg = preset("maml_multistep", tasks=((2.0, 0.8), (1.2, 1.0)))
+    return override_param(cfg, "optimizer.iters", 5)
+
+
+class TestRolloutReuse:
+    """Each rollout is integrated once, and run() reuses the optimizer's."""
+
+    @pytest.mark.parametrize("make_config", [tiny_neuron_config, stalling_neuron_config])
+    def test_single_task_passes(self, monkeypatch, make_config):
+        cfg = make_config()
+        counts = count_passes(monkeypatch)
+        res = run(cfg)
+        trials = line_search_trials(res.trace, cfg.optimizer)
+        stalled = res.trace.stalled_at is not None
+        assert stalled == (make_config is stalling_neuron_config)
+        assert counts["integrate"] == 1 + trials + stalled
+        assert counts["outside"] == []
+        # one adjoint sweep per point on the trace; the discounted value puts
+        # no weight on the terminal state, so a sweep is n_steps calls
+        assert counts["backward_step"] == len(res.trace.V) * cfg.dynamics.n_steps
+
+    def test_multi_task_passes(self, monkeypatch):
+        cfg = two_task_maml_config()
+        counts = count_passes(monkeypatch)
+        res = run(cfg)
+        trials = line_search_trials(res.trace, cfg.optimizer)
+        assert res.trace.stalled_at is None
+        assert counts["integrate"] == 2 * (1 + trials)
+        # only the summary's evaluation rollouts, which have their own horizon
+        assert counts["outside"] == [cfg.params["eval_steps"]] * 4
+        # the per-step sum scores the terminal state too: n_steps + 1 calls a sweep
+        assert counts["backward_step"] == len(res.trace.V) * 2 * (cfg.dynamics.n_steps + 1)
+
+    @pytest.mark.parametrize("make_config", [
+        tiny_neuron_config,
+        stalling_neuron_config,
+        lambda: override_param(tiny_neuron_config(), "optimizer.iters", 0),
+        lambda: override_param(tiny_neuron_config(), "optimizer.backtracking", False),
+        two_task_maml_config,
+    ], ids=["normal", "stalled", "iters_0", "no_backtracking", "multi_task"])
+    def test_trajectories_equal_a_fresh_integrate(self, make_config):
+        cfg = make_config()
+        res = run(cfg)
+        dspec, task, init = experiments._BUILDERS[cfg.scenario](cfg)
+        init = init.project()
+        tasks = task if isinstance(task, list) else [task]
+        for k, t in enumerate(tasks):
+            suffix = f":{k}" if isinstance(task, list) else ""
+            for side, sched in (("baseline", init), ("controlled", res.schedule)):
+                got = res.trajectories[side + suffix]
+                want = dynamics.integrate(dspec, sched, t)
+                assert np.array_equal(got.losses, want.losses)
+                assert len(got.states) == len(want.states)
+                for sg, sw in zip(got.states, want.states):
+                    assert all(np.array_equal(a, b) for a, b in zip(sg, sw))
 
 
 class TestSweep:

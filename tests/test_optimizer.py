@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from learning_control.control import ControlSchedule
-from learning_control.dynamics import DynamicsSpec
+from learning_control.dynamics import DynamicsSpec, integrate
+from learning_control.errors import DivergenceError
 from learning_control.optimizer import OptimizerSpec, optimize
 from learning_control.tasks import two_gaussian_moments
-from learning_control.value import CostSpec, ValueSpec, evaluate_value
+from learning_control.value import CostSpec, ValueSpec, evaluate_value, grad_value
 
 TASK = two_gaussian_moments(1.0, 1.0)
 
@@ -124,6 +125,28 @@ class TestStall:
         _, trace = optimize(neuron_spec(), TASK, VSPEC, ospec, neutral(bounds=(-0.5, 0.5)))
         assert trace.stalled_at is None
         assert trace.alpha_used[1:] == [0.05] * 4
+
+
+class TestTrialDivergence:
+    """A line-search trial so large that its rollout blows up is a rejection."""
+
+    def test_diverging_trial_is_halved_not_fatal(self):
+        init = neutral(bounds=(0.0, 1e3))
+        ospec = OptimizerSpec(alpha_g=1e4, iters=3)
+        sched, trace = optimize(neuron_spec(), TASK, VSPEC, ospec, init)
+        assert trace.stalled_at is None and len(trace.V) == 4
+        assert np.all(np.diff(trace.V) >= 0)
+        assert 0 < trace.alpha_used[1] < 1e4
+        # the full-size first step really diverges
+        _, g, _ = grad_value(neuron_spec(), TASK, init, VSPEC)
+        full = init.with_values(tuple(v + 1e4 * d for v, d in zip(init.values, g))).project()
+        with pytest.raises(DivergenceError):
+            integrate(neuron_spec(), full, TASK)
+
+    def test_divergence_without_backtracking_still_raises(self):
+        ospec = OptimizerSpec(alpha_g=1e4, iters=3, backtracking=False)
+        with pytest.raises(DivergenceError, match="exceeded"):
+            optimize(neuron_spec(), TASK, VSPEC, ospec, neutral(bounds=(0.0, 1e3)))
 
 
 class TestAdaptiveMoments:
