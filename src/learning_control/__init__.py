@@ -37,10 +37,11 @@ from .experiments import (
     export_class_schedule,
     preset,
     run,
+    sweep,
     task_switch_schedule,
 )
 from .idx import estimate_moments, load_idx, parse_idx, read_moments_json, serialize_idx, write_moments_json
-from .optimizer import OptimizerSpec, OptTrace, optimize, sweep
+from .optimizer import OptimizerSpec, OptTrace, optimize
 from .tasks import (
     BlockMap,
     TaskMoments,

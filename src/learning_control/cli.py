@@ -158,7 +158,7 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
-    from .optimizer import sweep
+    from .experiments import sweep
 
     cfg = _load_config(args)
     values = [_literal(v) for v in args.values.split(",")]
@@ -169,13 +169,13 @@ def _cmd_sweep(args):
 
 
 def _cmd_grad_check(args):
-    from .experiments import _BUILDERS
+    from .experiments import build
     from .value import fd_check
 
     if not args.preset and not args.config:
         args.preset = "single_neuron_effort"
     cfg = _load_config(args)
-    dspec, task, sched = _BUILDERS[cfg.scenario](cfg)
+    dspec, task, sched = build(cfg)
     report = fd_check(dspec, task, sched, cfg.value, coords=args.coords, h=args.fd_step, rng=cfg.seed)
     for (ai, fi), analytic, numeric, rel in report.entries:
         print(f"  coord ({ai},{fi:5d})  adjoint {analytic: .10e}  fd {numeric: .10e}  rel {rel:.3e}")

@@ -1,6 +1,6 @@
 """Run-config text format: a minimal sectioned key-value grammar.
 
-    # full-line comments and blank lines are ignored
+    # full-line comments (starting with # or ;) and blank lines are ignored
     [scenario]
     name = task_switch
     seed = 3
@@ -27,7 +27,7 @@ from dataclasses import fields as dataclass_fields
 
 from .dynamics import DynamicsSpec
 from .errors import ConfigError
-from .experiments import _PARAMS, SCENARIOS, RunConfig
+from .experiments import SCENARIOS, RunConfig, preset
 from .optimizer import OptimizerSpec
 from .value import CostSpec, ValueSpec
 
@@ -118,7 +118,7 @@ def parse_config(text, path="<config>"):
     current = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.strip()
-        if not line or line.startswith("#"):
+        if not line or line.startswith(("#", ";")):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
@@ -148,7 +148,7 @@ def parse_config(text, path="<config>"):
             f"unknown scenario '{scenario}'", path=path, line=scen_raw["name"][1]
         )
 
-    param_defaults = _PARAMS[scenario]
+    base = preset(scenario)
     seed = 0
     run_name = scenario
     params = {}
@@ -164,9 +164,9 @@ def parse_config(text, path="<config>"):
                 seed = val
             else:
                 run_name = val
-        elif key in param_defaults:
+        elif key in base.params:
             try:
-                params[key] = _parse_param(raw, param_defaults[key], key)
+                params[key] = _parse_param(raw, base.params[key], key)
             except ConfigError as err:
                 raise ConfigError(err.args[0], path=path, line=lineno) from None
         else:
@@ -190,9 +190,6 @@ def parse_config(text, path="<config>"):
     opt_kw = build_section("optimizer", _OPTIMIZER_KEYS)
     out_kw = build_section("output", _OUTPUT_KEYS)
 
-    from .experiments import preset
-
-    base = preset(scenario)
     try:
         dynamics = DynamicsSpec(**{**_spec_dict(base.dynamics, _DYNAMICS_KEYS), **dyn_kw})
         cost = CostSpec(

@@ -491,11 +491,11 @@ def _taylor_cache(state, gain1, gain2, task, spec):
 def _taylor_loss(state, control, task, spec):
     lam = spec.reg_lambda
     c = _taylor_cache(state, *_gains(control), task, spec)
-    loss = 0.5 * float(np.trace(task.sigma_y))
-    loss -= float(np.sum(c["b"] * c["fy"]))
-    loss += 0.5 * float(np.sum((c["b"] @ c["ff"]) * c["b"]))
+    loss = 0.5 * float(task.sigma_y.trace())
+    loss -= float((c["b"] * c["fy"]).sum())
+    loss += 0.5 * float(((c["b"] @ c["ff"]) * c["b"]).sum())
     if lam:
-        loss += 0.5 * lam * sum(float(np.sum(np.square(w))) for w in state)
+        loss += 0.5 * lam * sum(float(np.square(w).sum()) for w in state)
     return loss
 
 

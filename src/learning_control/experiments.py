@@ -1,22 +1,27 @@
 """Scenario registry: preset experiments over the controlled learning dynamics.
 
-Each scenario bundles a task family, a dynamics kind, a value functional, and
-an optimizer into a RunConfig; run() optimizes the control schedule, takes
-the uncontrolled baseline and the controlled rollouts from the optimizer's
-first and last iterates, and collects scalar summaries (effort integrals,
-time-to-loss thresholds, switch peaks, engagement peak times, plateau
-counts...).
+Each scenario is one entry of the `_SCENARIOS` table at the end of this
+module: its parameter defaults, its preset dynamics/value/optimizer specs, a
+task function, its control kind and its summary function.  Adding a scenario
+means adding one entry.  build() turns a RunConfig into the seeded dynamics,
+the task and the neutral control schedule; run() optimizes the schedule from
+there, takes the uncontrolled baseline and the controlled rollouts from the
+optimizer's first and last iterates, and collects scalar summaries (effort
+integrals, time-to-loss thresholds, switch peaks, engagement peak times,
+plateau counts...).  sweep() runs one config per value of a parameter.
 
 Horizons here are deliberately short: the phenomena of interest (front-loaded
 control, curricula, post-switch adaptation, rich-regime plateaus) survive
 rescaling of the time axis, and short unrolls keep the whole registry
-runnable in minutes on a laptop.  Docstrings on the individual presets say
-what was rescaled.
+runnable in minutes on a laptop.
 """
 
+import copy
 import math
 import os
 import warnings
+from collections import namedtuple
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,19 +39,6 @@ from .tasks import (
     two_gaussian_moments,
 )
 from .value import CostSpec, ValueSpec
-
-SCENARIOS = (
-    "single_neuron_effort",
-    "effort_allocation",
-    "task_switch",
-    "task_engagement",
-    "category_engagement",
-    "class_proportion",
-    "maml_multistep",
-    "lr_bilevel",
-    "nonlinear_approx",
-    "sgd_validation",
-)
 
 
 # --- derived analyses --------------------------------------------------------
@@ -189,75 +181,6 @@ def total_control_effort(schedule, dspec):
 
 # --- configuration -----------------------------------------------------------
 
-_CORR5 = ("mu1", "mu2", "sigma1", "sigma2", "flip_p")
-
-_PARAMS = {
-    "single_neuron_effort": {"mu": 1.0, "sigma": 1.0, "segment": 30, "g_lo": 0.0, "g_hi": 0.5},
-    "sgd_validation": {
-        "mu": 1.0,
-        "sigma": 1.0,
-        "segment": 25,
-        "g_lo": 0.0,
-        "g_hi": 0.5,
-        "batch_size": 128,
-        "n_seeds": 5,
-        "stride": 10,
-    },
-    "effort_allocation": {
-        "task_easy": (3.0, 1.0, 1.0, 1.0, 0.8),
-        "task_hard": (1.0, 0.5, 1.0, 1.0, 0.62),
-        "segment": 40,
-        "g_lo": -0.5,
-        "g_hi": 1.0,
-    },
-    "task_switch": {
-        # mirror pair: b is a with the input correlation sign flipped, so both
-        # halves of the cycle are equally hard and post-switch peaks compare cleanly
-        "task_a": (3.0, 1.0, 1.0, 1.0, 0.8),
-        "task_b": (3.0, 1.0, 1.0, 1.0, 0.2),
-        "switch_period": 500,
-        "segment": 25,
-        "g_lo": -0.5,
-        "g_hi": 1.0,
-    },
-    "task_engagement": {
-        # speeds fall ~3x per task (whole-input scaling, which leaves the
-        # regression floor alone) while flip_p keeps the floors ranked
-        "tasks": ((3.0, 1.5, 1.0, 1.0, 0.9), (1.65, 0.825, 0.55, 0.55, 0.75), (0.9, 0.45, 0.3, 0.3, 0.62)),
-        "segment": 20,
-        "g_lo": 0.0,
-        "g_hi": 1.5,
-    },
-    "category_engagement": {
-        "class_means": ((3.0, 0.0), (0.0, 1.5), (-0.8, -0.8)),
-        "class_sigma": 1.0,
-        "segment": 40,
-        "g_lo": 0.0,
-        "g_hi": 2.0,
-    },
-    "class_proportion": {
-        "class_means": ((3.0, 0.0), (0.0, 1.5), (-0.8, -0.8)),
-        "class_sigma": 1.0,
-        "segment": 40,
-        "g_lo": 0.0,
-        "g_hi": 2.0,
-        "batch_size": 256,
-    },
-    "maml_multistep": {
-        "tasks": ((2.0, 0.8), (1.2, 1.0), (0.7, 1.2)),
-        "steps_ahead": 0,
-        "eval_steps": 20,
-    },
-    "lr_bilevel": {"levels": 4, "segment": 30, "g_lo": -0.5, "g_hi": 4.0},
-    "nonlinear_approx": {
-        "task": (2.0, 1.0, 1.0, 1.0, 0.85),
-        "segment": 20,
-        "g_lo": -0.5,
-        "g_hi": 1.0,
-        "batch_size": 256,
-    },
-}
-
 
 @dataclass
 class RunConfig:
@@ -281,9 +204,7 @@ class RunConfig:
     force: bool = False
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario '{self.scenario}' (choose from {', '.join(SCENARIOS)})")
-        defaults = _PARAMS[self.scenario]
+        defaults = _scenario(self.scenario).params
         unknown = set(self.params) - set(defaults)
         if unknown:
             raise ConfigError(f"scenario '{self.scenario}' does not take parameter(s) {sorted(unknown)}")
@@ -303,142 +224,10 @@ class RunResult:
     out_dir: str | None = None
 
 
-# --- scenario builders -------------------------------------------------------
-
-
-def _corr(p, name="correlated_gaussian"):
-    return correlated_gaussian_moments(*p, name=name)
-
-
-def _seeded(cfg):
-    return replace(cfg.dynamics, init_seed=cfg.seed)
-
-
-def _gain_shapes(d):
-    return ((d.hidden_dim, d.input_dim), (d.output_dim, d.hidden_dim))
-
-
-def _build_neuron(cfg):
-    d = _seeded(cfg)
-    p = cfg.params
-    task = two_gaussian_moments(p["mu"], p["sigma"])
-    sched = ControlSchedule.neutral(
-        "scalar_series", d.n_steps, segment=int(p["segment"]), bounds=(p["g_lo"], p["g_hi"])
-    )
-    return d, task, sched
-
-
-def _build_allocation(cfg):
-    d = _seeded(cfg)
-    p = cfg.params
-    task = compose_block_tasks([_corr(p["task_easy"], "easy"), _corr(p["task_hard"], "hard")])
-    sched = ControlSchedule.neutral(
-        "matrix_pair_series",
-        d.n_steps,
-        segment=int(p["segment"]),
-        shapes=_gain_shapes(d),
-        bounds=(p["g_lo"], p["g_hi"]),
-    )
-    return d, task, sched
-
-
-def _build_switch(cfg):
-    d = _seeded(cfg)
-    p = cfg.params
-    tasks = [_corr(p["task_a"], "task_a"), _corr(p["task_b"], "task_b")]
-    selector = task_switch_schedule(tasks, int(p["switch_period"]), d.n_steps)
-    sched = ControlSchedule.neutral(
-        "matrix_pair_series",
-        d.n_steps,
-        segment=int(p["segment"]),
-        shapes=_gain_shapes(d),
-        bounds=(p["g_lo"], p["g_hi"]),
-    )
-    return d, selector, sched
-
-
-def _build_engagement(cfg):
-    d = _seeded(cfg)
-    p = cfg.params
-    task = compose_block_tasks([_corr(t, f"task{k}") for k, t in enumerate(p["tasks"])])
-    sched = ControlSchedule.neutral(
-        "engagement_series",
-        d.n_steps,
-        segment=int(p["segment"]),
-        n_channels=task.blocks.n_tasks,
-        bounds=(p["g_lo"], p["g_hi"]),
-    )
-    return d, task, sched
-
-
-def _build_category(cfg):
-    d = _seeded(cfg)
-    p = cfg.params
-    task = class_mixture_moments([list(m) for m in p["class_means"]], p["class_sigma"])
-    sched = ControlSchedule.neutral(
-        "category_series",
-        d.n_steps,
-        segment=int(p["segment"]),
-        n_channels=task.output_dim,
-        bounds=(p["g_lo"], p["g_hi"]),
-    )
-    return d, task, sched
-
-
-def _build_maml(cfg):
-    d = _seeded(cfg)
-    p = cfg.params
-    if int(p["steps_ahead"]) > 0:
-        d = replace(d, n_steps=int(p["steps_ahead"]))
-    tasks = [two_gaussian_moments(mu, s, name=f"pair{k}") for k, (mu, s) in enumerate(p["tasks"])]
-    sched = init_weights_control(dyn.initial_state(d))
-    return d, tasks, sched
-
-
-def _build_bilevel(cfg):
-    d = _seeded(cfg)
-    p = cfg.params
-    task = semantic_moments(int(p["levels"]))
-    if (d.input_dim, d.output_dim) != (task.input_dim, task.output_dim):
-        raise ConfigError(
-            f"dynamics dims {d.input_dim}x{d.output_dim} do not fit the depth-{p['levels']} "
-            f"hierarchy ({task.input_dim}x{task.output_dim})"
-        )
-    sched = ControlSchedule.neutral(
-        "scalar_series", d.n_steps, segment=int(p["segment"]), bounds=(p["g_lo"], p["g_hi"])
-    )
-    return d, task, sched
-
-
-def _build_nonlinear(cfg):
-    d = _seeded(cfg)
-    p = cfg.params
-    task = _corr(p["task"])
-    sched = ControlSchedule.neutral(
-        "matrix_pair_series",
-        d.n_steps,
-        segment=int(p["segment"]),
-        shapes=_gain_shapes(d),
-        bounds=(p["g_lo"], p["g_hi"]),
-    )
-    return d, task, sched
-
-
-_BUILDERS = {
-    "single_neuron_effort": _build_neuron,
-    "sgd_validation": _build_neuron,
-    "effort_allocation": _build_allocation,
-    "task_switch": _build_switch,
-    "task_engagement": _build_engagement,
-    "category_engagement": _build_category,
-    "class_proportion": _build_category,
-    "maml_multistep": _build_maml,
-    "lr_bilevel": _build_bilevel,
-    "nonlinear_approx": _build_nonlinear,
-}
-
-
-# --- presets -----------------------------------------------------------------
+def _scenario(name):
+    if name not in _SCENARIOS:
+        raise ConfigError(f"unknown scenario '{name}' (choose from {', '.join(SCENARIOS)})")
+    return _SCENARIOS[name]
 
 
 def preset(name, seed=0, out_dir=None, run_name=None, **param_overrides):
@@ -449,10 +238,8 @@ def preset(name, seed=0, out_dir=None, run_name=None, **param_overrides):
     dynamics/value/optimizer fields are best adjusted on the returned config
     with dataclasses.replace or override_param.
     """
-    if name not in SCENARIOS:
-        raise ConfigError(f"unknown scenario '{name}' (choose from {', '.join(SCENARIOS)})")
-    builder = _PRESET_SPECS[name]
-    dspec, vspec, ospec = builder()
+    # copies, so a caller editing a spec in place cannot change the table
+    dspec, vspec, ospec = copy.deepcopy(_scenario(name).specs)
     return RunConfig(
         scenario=name,
         dynamics=dspec,
@@ -463,117 +250,6 @@ def preset(name, seed=0, out_dir=None, run_name=None, **param_overrides):
         out_dir=out_dir,
         run_name=name if run_name is None else run_name,
     )
-
-
-def _preset_single_neuron():
-    d = dyn.DynamicsSpec(kind="single_neuron", input_dim=1, output_dim=1, dt=0.01, n_steps=3000, tau_w=1.0, reg_lambda=0.1)
-    v = ValueSpec(gamma=0.99, eta=1.0, cost=CostSpec("quadratic", beta=0.3))
-    o = OptimizerSpec(alpha_g=10.0, iters=60)
-    return d, v, o
-
-
-def _preset_sgd_validation():
-    d = dyn.DynamicsSpec(kind="single_neuron", input_dim=1, output_dim=1, dt=0.01, n_steps=500, tau_w=1.0, reg_lambda=0.1)
-    v = ValueSpec(gamma=0.99, eta=1.0, cost=CostSpec("quadratic", beta=0.3))
-    o = OptimizerSpec(alpha_g=10.0, iters=20)
-    return d, v, o
-
-
-def _preset_allocation():
-    d = dyn.DynamicsSpec(
-        kind="gain_mod", input_dim=4, output_dim=4, hidden_dim=4, dt=0.02, n_steps=800, reg_lambda=0.01, init_std=0.1
-    )
-    v = ValueSpec(gamma=0.99, eta=1.0, cost=CostSpec("quadratic", beta=0.05))
-    o = OptimizerSpec(alpha_g=2.0, iters=30)
-    return d, v, o
-
-
-def _preset_switch():
-    d = dyn.DynamicsSpec(
-        kind="gain_mod", input_dim=2, output_dim=2, hidden_dim=4, dt=0.02, n_steps=3000, reg_lambda=0.01, init_std=0.1
-    )
-    v = ValueSpec(gamma=0.995, eta=1.0, cost=CostSpec("quadratic", beta=0.05))
-    o = OptimizerSpec(alpha_g=2.0, iters=40)
-    return d, v, o
-
-
-def _preset_engagement():
-    # init well below the regression solution so every block has a visible
-    # rise phase, and an exp-of-total cost so engaging tasks one at a time
-    # beats engaging them all at once
-    d = dyn.DynamicsSpec(
-        kind="engagement", input_dim=6, output_dim=6, hidden_dim=6, dt=0.025, n_steps=600, tau_w=2.0, init_std=0.08
-    )
-    v = ValueSpec(gamma=0.9, eta=1.0, cost=CostSpec("exp_frobenius", beta=0.4))
-    o = OptimizerSpec(alpha_g=0.04, iters=150, update_rule="adaptive_moments")
-    return d, v, o
-
-
-def _preset_category():
-    d = dyn.DynamicsSpec(
-        kind="category_engagement", input_dim=2, output_dim=3, hidden_dim=4, dt=0.02, n_steps=800, init_std=0.1
-    )
-    v = ValueSpec(gamma=0.99, eta=1.0, cost=CostSpec("anchored_norm", beta=0.1, anchor=1.0))
-    o = OptimizerSpec(alpha_g=1.5, iters=25)
-    return d, v, o
-
-
-def _preset_class_proportion():
-    d = dyn.DynamicsSpec(
-        kind="category_engagement", input_dim=2, output_dim=3, hidden_dim=4, dt=0.02, n_steps=800, init_std=0.1
-    )
-    v = ValueSpec(gamma=0.99, eta=1.0, cost=CostSpec("fixed_norm", beta=0.05, target_norm=3.0))
-    o = OptimizerSpec(alpha_g=1.5, iters=25)
-    return d, v, o
-
-
-def _preset_maml():
-    d = dyn.DynamicsSpec(
-        kind="two_layer_baseline", input_dim=1, output_dim=1, hidden_dim=3, dt=0.1, n_steps=5, init_std=0.3
-    )
-    v = ValueSpec(gamma=1.0, eta=1.0, cost=CostSpec("none"), mode="per_step_sum")
-    o = OptimizerSpec(alpha_g=0.05, iters=120)
-    return d, v, o
-
-
-def _preset_bilevel():
-    d = dyn.DynamicsSpec(
-        kind="lr_mod", input_dim=8, output_dim=15, hidden_dim=8, dt=0.02, n_steps=600, init_std=1e-4
-    )
-    v = ValueSpec(gamma=1.0, eta=1.0, cost=CostSpec("quadratic", beta=1e-3))
-    o = OptimizerSpec(alpha_g=0.5, iters=30)
-    return d, v, o
-
-
-def _preset_nonlinear():
-    d = dyn.DynamicsSpec(
-        kind="nonlinear_taylor",
-        input_dim=2,
-        output_dim=2,
-        hidden_dim=4,
-        dt=0.05,
-        n_steps=320,
-        reg_lambda=0.01,
-        init_std=0.1,
-        nonlinearity="tanh",
-    )
-    v = ValueSpec(gamma=0.99, eta=1.0, cost=CostSpec("quadratic", beta=0.05))
-    o = OptimizerSpec(alpha_g=1.0, iters=30)
-    return d, v, o
-
-
-_PRESET_SPECS = {
-    "single_neuron_effort": _preset_single_neuron,
-    "sgd_validation": _preset_sgd_validation,
-    "effort_allocation": _preset_allocation,
-    "task_switch": _preset_switch,
-    "task_engagement": _preset_engagement,
-    "category_engagement": _preset_category,
-    "class_proportion": _preset_class_proportion,
-    "maml_multistep": _preset_maml,
-    "lr_bilevel": _preset_bilevel,
-    "nonlinear_approx": _preset_nonlinear,
-}
 
 
 def override_param(config, name, value, run_suffix=""):
@@ -620,6 +296,35 @@ def _segment_mid_times(schedule, dspec, seg_indices):
     return [float((i * schedule.segment + 0.5 * schedule.segment) * dspec.dt) for i in seg_indices]
 
 
+def build(cfg):
+    """(dynamics, task, schedule) a run starts from.
+
+    The dynamics spec takes cfg.seed as its init_seed and goes through the
+    scenario's task function.  The schedule is the scenario's control kind at
+    its neutral value, with the params' segment and (g_lo, g_hi) bounds; for
+    the init_weights kind it holds the seeded initial weights.
+    """
+    entry = _scenario(cfg.scenario)
+    p = cfg.params
+    d, task = entry.task(replace(cfg.dynamics, init_seed=cfg.seed), p)
+    if entry.control == "init_weights":
+        return d, task, init_weights_control(dyn.initial_state(d))
+    n_channels = None
+    if entry.control == "engagement_series":
+        n_channels = task.blocks.n_tasks
+    elif entry.control == "category_series":
+        n_channels = task.output_dim
+    sched = ControlSchedule.neutral(
+        entry.control,
+        d.n_steps,
+        segment=int(p["segment"]),
+        shapes=((d.hidden_dim, d.input_dim), (d.output_dim, d.hidden_dim)),
+        n_channels=n_channels,
+        bounds=(p["g_lo"], p["g_hi"]),
+    )
+    return d, task, sched
+
+
 def run(config):
     """Execute one scenario: baseline, optimization, controlled rollout, summaries.
 
@@ -634,7 +339,7 @@ def run(config):
 
 
 def _run_inner(cfg):
-    dspec, task, init_sched = _BUILDERS[cfg.scenario](cfg)
+    dspec, task, init_sched = build(cfg)
     init_sched = init_sched.project()
     multi = isinstance(task, (list, tuple))
 
@@ -672,9 +377,7 @@ def _run_inner(cfg):
         summaries["loss_integral_baseline"] = _loss_integral(base, dspec)
         summaries["loss_integral_controlled"] = _loss_integral(ctrl, dspec)
 
-    extra = _EXTRA_SUMMARIES.get(cfg.scenario)
-    if extra is not None:
-        summaries.update(extra(cfg, dspec, task, init_sched, sched_opt, trajectories))
+    summaries.update(_SCENARIOS[cfg.scenario].summarize(cfg, dspec, task, init_sched, sched_opt, trajectories))
 
     result = RunResult(
         scenario=cfg.scenario,
@@ -691,6 +394,25 @@ def _run_inner(cfg):
 
         result.out_dir = write_run_outputs(result, cfg)
     return result
+
+
+def sweep(base_config, param_name, values, parallelism=None):
+    """Run the scenario once per value of one dotted config parameter.
+
+    Results come back in input order.  Output directories (when configured)
+    get a per-value subdirectory so parallel runs never collide.  Worker
+    count: `parallelism` if given, else one per value, capped by the
+    LE_THREADS environment variable and the machine.
+    """
+    configs = [override_param(base_config, param_name, v, run_suffix=f"{param_name}={v}") for v in values]
+    workers = parallelism if parallelism else min(len(configs), os.cpu_count() or 1)
+    cap = os.environ.get("LE_THREADS")
+    if cap:
+        workers = max(1, min(workers, int(cap)))
+    if workers <= 1 or len(configs) <= 1:
+        return [run(c) for c in configs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, configs))
 
 
 # --- scenario-specific summaries ---------------------------------------------
@@ -844,15 +566,181 @@ def _sum_nonlinear(cfg, dspec, task, init_sched, sched, trajs):
     }
 
 
-_EXTRA_SUMMARIES = {
-    "single_neuron_effort": _sum_neuron,
-    "sgd_validation": _sum_sgd_validation,
-    "effort_allocation": _sum_allocation,
-    "task_switch": _sum_switch,
-    "task_engagement": _sum_engagement,
-    "category_engagement": _sum_category,
-    "class_proportion": _sum_class_proportion,
-    "maml_multistep": _sum_maml,
-    "lr_bilevel": _sum_bilevel,
-    "nonlinear_approx": _sum_nonlinear,
+# --- the scenario table ------------------------------------------------------
+
+
+def _corr(p, name="correlated_gaussian"):
+    return correlated_gaussian_moments(*p, name=name)
+
+
+def _neuron_task(d, p):
+    return d, two_gaussian_moments(p["mu"], p["sigma"])
+
+
+def _switch_task(d, p):
+    tasks = [_corr(p["task_a"], "task_a"), _corr(p["task_b"], "task_b")]
+    return d, task_switch_schedule(tasks, int(p["switch_period"]), d.n_steps)
+
+
+def _category_task(d, p):
+    return d, class_mixture_moments([list(m) for m in p["class_means"]], p["class_sigma"])
+
+
+def _maml_task(d, p):
+    if int(p["steps_ahead"]) > 0:
+        d = replace(d, n_steps=int(p["steps_ahead"]))
+    return d, [two_gaussian_moments(mu, s, name=f"pair{k}") for k, (mu, s) in enumerate(p["tasks"])]
+
+
+def _bilevel_task(d, p):
+    task = semantic_moments(int(p["levels"]))
+    if (d.input_dim, d.output_dim) != (task.input_dim, task.output_dim):
+        raise ConfigError(
+            f"dynamics dims {d.input_dim}x{d.output_dim} do not fit the depth-{p['levels']} "
+            f"hierarchy ({task.input_dim}x{task.output_dim})"
+        )
+    return d, task
+
+
+# params: defaults of the scenario's knobs (their types also type config-file
+# values); specs: the preset (DynamicsSpec, ValueSpec, OptimizerSpec);
+# task(seeded dynamics, params) -> (dynamics, task); control: the schedule
+# kind build() starts from; summarize(cfg, dspec, task, init_sched, sched,
+# trajectories) -> the scenario's extra summaries.
+_Scenario = namedtuple("_Scenario", "params specs task control summarize")
+
+_SCENARIOS = {
+    "single_neuron_effort": _Scenario(
+        params={"mu": 1.0, "sigma": 1.0, "segment": 30, "g_lo": 0.0, "g_hi": 0.5},
+        specs=(
+            dyn.DynamicsSpec(
+                kind="single_neuron", input_dim=1, output_dim=1, dt=0.01, n_steps=3000, tau_w=1.0, reg_lambda=0.1
+            ),
+            ValueSpec(gamma=0.99, eta=1.0, cost=CostSpec("quadratic", beta=0.3)),
+            OptimizerSpec(alpha_g=10.0, iters=60),
+        ),
+        task=_neuron_task, control="scalar_series", summarize=_sum_neuron,
+    ),
+    "effort_allocation": _Scenario(
+        params={"task_easy": (3.0, 1.0, 1.0, 1.0, 0.8), "task_hard": (1.0, 0.5, 1.0, 1.0, 0.62), "segment": 40,
+                "g_lo": -0.5, "g_hi": 1.0},
+        specs=(
+            dyn.DynamicsSpec(
+                kind="gain_mod", input_dim=4, output_dim=4, hidden_dim=4, dt=0.02, n_steps=800, reg_lambda=0.01,
+                init_std=0.1,
+            ),
+            ValueSpec(gamma=0.99, eta=1.0, cost=CostSpec("quadratic", beta=0.05)),
+            OptimizerSpec(alpha_g=2.0, iters=30),
+        ),
+        task=lambda d, p: (d, compose_block_tasks([_corr(p["task_easy"], "easy"), _corr(p["task_hard"], "hard")])),
+        control="matrix_pair_series", summarize=_sum_allocation,
+    ),
+    "task_switch": _Scenario(
+        # mirror pair: b is a with the input correlation sign flipped, so both
+        # halves of the cycle are equally hard and post-switch peaks compare cleanly
+        params={"task_a": (3.0, 1.0, 1.0, 1.0, 0.8), "task_b": (3.0, 1.0, 1.0, 1.0, 0.2), "switch_period": 500,
+                "segment": 25, "g_lo": -0.5, "g_hi": 1.0},
+        specs=(
+            dyn.DynamicsSpec(
+                kind="gain_mod", input_dim=2, output_dim=2, hidden_dim=4, dt=0.02, n_steps=3000, reg_lambda=0.01,
+                init_std=0.1,
+            ),
+            ValueSpec(gamma=0.995, eta=1.0, cost=CostSpec("quadratic", beta=0.05)),
+            OptimizerSpec(alpha_g=2.0, iters=40),
+        ),
+        task=_switch_task, control="matrix_pair_series", summarize=_sum_switch,
+    ),
+    "task_engagement": _Scenario(
+        # speeds fall ~3x per task (whole-input scaling, which leaves the
+        # regression floor alone) while flip_p keeps the floors ranked
+        params={"tasks": ((3.0, 1.5, 1.0, 1.0, 0.9), (1.65, 0.825, 0.55, 0.55, 0.75), (0.9, 0.45, 0.3, 0.3, 0.62)),
+                "segment": 20, "g_lo": 0.0, "g_hi": 1.5},
+        # init well below the regression solution so every block has a visible
+        # rise phase, and an exp-of-total cost so engaging tasks one at a time
+        # beats engaging them all at once
+        specs=(
+            dyn.DynamicsSpec(
+                kind="engagement", input_dim=6, output_dim=6, hidden_dim=6, dt=0.025, n_steps=600, tau_w=2.0,
+                init_std=0.08,
+            ),
+            ValueSpec(gamma=0.9, eta=1.0, cost=CostSpec("exp_frobenius", beta=0.4)),
+            OptimizerSpec(alpha_g=0.04, iters=150, update_rule="adaptive_moments"),
+        ),
+        task=lambda d, p: (d, compose_block_tasks([_corr(t, f"task{k}") for k, t in enumerate(p["tasks"])])),
+        control="engagement_series", summarize=_sum_engagement,
+    ),
+    "category_engagement": _Scenario(
+        params={"class_means": ((3.0, 0.0), (0.0, 1.5), (-0.8, -0.8)), "class_sigma": 1.0, "segment": 40,
+                "g_lo": 0.0, "g_hi": 2.0},
+        specs=(
+            dyn.DynamicsSpec(
+                kind="category_engagement", input_dim=2, output_dim=3, hidden_dim=4, dt=0.02, n_steps=800,
+                init_std=0.1,
+            ),
+            ValueSpec(gamma=0.99, eta=1.0, cost=CostSpec("anchored_norm", beta=0.1, anchor=1.0)),
+            OptimizerSpec(alpha_g=1.5, iters=25),
+        ),
+        task=_category_task, control="category_series", summarize=_sum_category,
+    ),
+    "class_proportion": _Scenario(
+        params={"class_means": ((3.0, 0.0), (0.0, 1.5), (-0.8, -0.8)), "class_sigma": 1.0, "segment": 40,
+                "g_lo": 0.0, "g_hi": 2.0, "batch_size": 256},
+        specs=(
+            dyn.DynamicsSpec(
+                kind="category_engagement", input_dim=2, output_dim=3, hidden_dim=4, dt=0.02, n_steps=800,
+                init_std=0.1,
+            ),
+            ValueSpec(gamma=0.99, eta=1.0, cost=CostSpec("fixed_norm", beta=0.05, target_norm=3.0)),
+            OptimizerSpec(alpha_g=1.5, iters=25),
+        ),
+        task=_category_task, control="category_series", summarize=_sum_class_proportion,
+    ),
+    "maml_multistep": _Scenario(
+        params={"tasks": ((2.0, 0.8), (1.2, 1.0), (0.7, 1.2)), "steps_ahead": 0, "eval_steps": 20},
+        specs=(
+            dyn.DynamicsSpec(
+                kind="two_layer_baseline", input_dim=1, output_dim=1, hidden_dim=3, dt=0.1, n_steps=5, init_std=0.3
+            ),
+            ValueSpec(gamma=1.0, eta=1.0, cost=CostSpec("none"), mode="per_step_sum"),
+            OptimizerSpec(alpha_g=0.05, iters=120),
+        ),
+        task=_maml_task, control="init_weights", summarize=_sum_maml,
+    ),
+    "lr_bilevel": _Scenario(
+        params={"levels": 4, "segment": 30, "g_lo": -0.5, "g_hi": 4.0},
+        specs=(
+            dyn.DynamicsSpec(
+                kind="lr_mod", input_dim=8, output_dim=15, hidden_dim=8, dt=0.02, n_steps=600, init_std=1e-4
+            ),
+            ValueSpec(gamma=1.0, eta=1.0, cost=CostSpec("quadratic", beta=1e-3)),
+            OptimizerSpec(alpha_g=0.5, iters=30),
+        ),
+        task=_bilevel_task, control="scalar_series", summarize=_sum_bilevel,
+    ),
+    "nonlinear_approx": _Scenario(
+        params={"task": (2.0, 1.0, 1.0, 1.0, 0.85), "segment": 20, "g_lo": -0.5, "g_hi": 1.0, "batch_size": 256},
+        specs=(
+            dyn.DynamicsSpec(
+                kind="nonlinear_taylor", input_dim=2, output_dim=2, hidden_dim=4, dt=0.05, n_steps=320,
+                reg_lambda=0.01, init_std=0.1, nonlinearity="tanh",
+            ),
+            ValueSpec(gamma=0.99, eta=1.0, cost=CostSpec("quadratic", beta=0.05)),
+            OptimizerSpec(alpha_g=1.0, iters=30),
+        ),
+        task=lambda d, p: (d, _corr(p["task"])), control="matrix_pair_series", summarize=_sum_nonlinear,
+    ),
+    "sgd_validation": _Scenario(
+        params={"mu": 1.0, "sigma": 1.0, "segment": 25, "g_lo": 0.0, "g_hi": 0.5, "batch_size": 128, "n_seeds": 5,
+                "stride": 10},
+        specs=(
+            dyn.DynamicsSpec(
+                kind="single_neuron", input_dim=1, output_dim=1, dt=0.01, n_steps=500, tau_w=1.0, reg_lambda=0.1
+            ),
+            ValueSpec(gamma=0.99, eta=1.0, cost=CostSpec("quadratic", beta=0.3)),
+            OptimizerSpec(alpha_g=10.0, iters=20),
+        ),
+        task=_neuron_task, control="scalar_series", summarize=_sum_sgd_validation,
+    ),
 }
+
+SCENARIOS = tuple(_SCENARIOS)

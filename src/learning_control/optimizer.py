@@ -16,14 +16,11 @@ gradient.  The trace keeps the rollouts of the initial and the final
 schedule for the caller.
 
 A sequence of tasks switches the objective to the multi-task one that treats
-shared initial weights as the control.  Also here: parameter sweeps over run
-configs (process pool, LE_THREADS caps the workers).
+shared initial weights as the control.
 """
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +37,7 @@ class OptimizerSpec:
     alpha_g is the base step size, iters the number of updates, update_rule
     one of {plain, adaptive_moments}.  max_halvings caps the backtracking
     halvings per update; beta1, beta2 and eps configure adaptive_moments.
+    The float fields are stored as floats whatever numeric type they are given.
     """
 
     alpha_g: float = 0.1
@@ -52,6 +50,8 @@ class OptimizerSpec:
     eps: float = 1e-8
 
     def __post_init__(self):
+        for name in ("alpha_g", "beta1", "beta2", "eps"):
+            setattr(self, name, float(getattr(self, name)))
         if self.update_rule not in ("plain", "adaptive_moments"):
             raise ValueError(f"unknown update rule '{self.update_rule}'")
         if self.alpha_g <= 0:
@@ -178,37 +178,8 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
         trace.alpha_used.append(alpha)
         trace.wall_ms.append(elapsed + 0.0)
     if rollout is None:
-        # a stall dropped the last accepted rollout
-        rollout = forward(cur)[1]
+        # a stall dropped the last accepted rollout; with none accepted, cur is the initial schedule
+        rollout = first if trace.stalled_at == 0 else forward(cur)[1]
     trace.rollouts = (first, rollout)
     return cur, trace
 
-
-def _sweep_worker(config):
-    from .experiments import run
-
-    return run(config)
-
-
-def sweep(base_config, param_name, values, parallelism=None):
-    """Run the scenario once per value of one dotted config parameter.
-
-    Results come back in input order.  Output directories (when configured)
-    get a per-value subdirectory so parallel runs never collide.  Worker
-    count: `parallelism` if given, else one per value, capped by the
-    LE_THREADS environment variable and the machine.
-    """
-    from .experiments import override_param
-
-    configs = []
-    for i, v in enumerate(values):
-        cfg = override_param(base_config, param_name, v, run_suffix=f"{param_name}={v}")
-        configs.append(cfg)
-    workers = parallelism if parallelism else min(len(configs), os.cpu_count() or 1)
-    cap = os.environ.get("LE_THREADS")
-    if cap:
-        workers = max(1, min(workers, int(cap)))
-    if workers <= 1 or len(configs) <= 1:
-        return [_sweep_worker(c) for c in configs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_worker, configs))

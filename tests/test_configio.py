@@ -76,6 +76,10 @@ class TestParsing:
         )
         assert cfg.seed == 2
 
+    def test_semicolon_lines_are_comments_too(self):
+        cfg = parse_config("; sweep base\n[scenario]\nname = single_neuron_effort\n; note\nseed = 2\n")
+        assert cfg.seed == 2
+
     def test_value_may_itself_contain_an_equals_sign(self):
         cfg = parse_config("[scenario]\nname = single_neuron_effort\nrun_name = sweep=1\n")
         assert cfg.run_name == "sweep=1"

@@ -13,13 +13,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from learning_control import dynamics, experiments, optimizer
+from learning_control import dynamics, optimizer
 from learning_control.control import ControlSchedule, init_weights_control
 from learning_control.dynamics import DynamicsSpec, initial_state
 from learning_control.errors import ConfigError, DivergenceError
 from learning_control.experiments import (
     SCENARIOS,
     RunResult,
+    build,
     detect_plateaus,
     difficulty_order,
     export_class_schedule,
@@ -27,11 +28,11 @@ from learning_control.experiments import (
     post_switch_peaks,
     preset,
     run,
+    sweep,
     task_switch_schedule,
     time_to_fraction,
     total_control_effort,
 )
-from learning_control.optimizer import sweep
 from learning_control.tasks import TaskMoments, linear_regression_floor
 
 
@@ -240,6 +241,39 @@ class TestPresets:
         assert cfg.run_name == "sw1"
         assert cfg.seed == 7
 
+    def test_scenario_order_is_fixed(self):
+        # `presets list` prints this order
+        assert SCENARIOS == (
+            "single_neuron_effort",
+            "effort_allocation",
+            "task_switch",
+            "task_engagement",
+            "category_engagement",
+            "class_proportion",
+            "maml_multistep",
+            "lr_bilevel",
+            "nonlinear_approx",
+            "sgd_validation",
+        )
+
+
+class TestBuild:
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_schedule_is_neutral_bit_for_bit(self, name):
+        dspec, task, sched = build(preset(name, seed=3))
+        assert dspec.init_seed == 3
+        for t in task if isinstance(task, list) else [task]:
+            got = dynamics.integrate(dspec, sched, t)
+            want = dynamics.integrate(dspec, None, t)
+            assert np.array_equal(got.losses, want.losses)
+            for sg, sw in zip(got.states, want.states):
+                assert all(np.array_equal(a, b) for a, b in zip(sg, sw))
+
+    def test_maml_schedule_holds_the_seeded_initial_weights(self):
+        dspec, _, sched = build(preset("maml_multistep", seed=3))
+        assert sched.kind == "init_weights"
+        assert all(np.array_equal(v, w) for v, w in zip(sched.values, initial_state(dspec)))
+
 
 class TestOverrideParam:
     def test_dotted_path_replaces_a_nested_field(self):
@@ -429,7 +463,7 @@ class TestRolloutReuse:
     def test_trajectories_equal_a_fresh_integrate(self, make_config):
         cfg = make_config()
         res = run(cfg)
-        dspec, task, init = experiments._BUILDERS[cfg.scenario](cfg)
+        dspec, task, init = build(cfg)
         init = init.project()
         tasks = task if isinstance(task, list) else [task]
         for k, t in enumerate(tasks):

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from learning_control import dynamics
 from learning_control.control import ControlSchedule
 from learning_control.dynamics import DynamicsSpec, integrate
 from learning_control.errors import DivergenceError
@@ -41,6 +42,12 @@ class TestSpecValidation:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError, match="alpha_g"):
             OptimizerSpec(alpha_g=0.0)
+
+    def test_float_fields_are_stored_as_floats(self):
+        spec = OptimizerSpec(alpha_g=50, beta1=0, beta2=1, eps=0)
+        assert [type(getattr(spec, f)) for f in ("alpha_g", "beta1", "beta2", "eps")] == [float] * 4
+        _, trace = optimize(neuron_spec(), TASK, VSPEC, OptimizerSpec(alpha_g=1, iters=2), neutral())
+        assert [type(a) for a in trace.alpha_used] == [float] * 3
 
 
 class TestAscent:
@@ -119,6 +126,26 @@ class TestStall:
         assert trace.stalled_at == 0
         assert len(trace.V) == 1
         np.testing.assert_array_equal(sched.values[0], warm.values[0])
+
+    def test_stall_at_zero_reuses_the_initial_rollout(self, monkeypatch):
+        spec = neuron_spec()
+        warm, _ = optimize(spec, TASK, VSPEC, OptimizerSpec(alpha_g=0.5, iters=60),
+                           neutral(bounds=(0.0, 0.5)))
+        calls = []
+        real = dynamics.integrate
+
+        def integrate(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate", integrate)
+        ospec = OptimizerSpec(alpha_g=1e6, iters=5, max_halvings=0)
+        _, trace = optimize(spec, TASK, VSPEC, ospec, warm)
+        assert trace.stalled_at == 0
+        # the initial rollout and one line-search trial, nothing at the end
+        assert len(calls) == 1 + (ospec.max_halvings + 1)
+        first, last = trace.rollouts
+        assert last is first
 
     def test_no_stall_without_backtracking(self):
         ospec = OptimizerSpec(alpha_g=0.05, iters=4, backtracking=False)
