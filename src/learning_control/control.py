@@ -131,6 +131,13 @@ class ControlSchedule:
             return tuple(v[s] for v in self.values)
         return self.values[0][s]
 
+    def per_step(self):
+        """[at(i) for i in range(n_steps)] by one at() per segment, whose steps share its object."""
+        out = []
+        for start in range(0, self.n_steps, self.segment):
+            out += [self.at(start)] * (min(start + self.segment, self.n_steps) - start)
+        return out
+
     def expand(self):
         """Per-step arrays (leading axis n_steps); mostly for tests and CSV."""
         idx = np.minimum(np.arange(self.n_steps) // self.segment, self.n_segments - 1)

@@ -108,6 +108,9 @@ class TaskSchedule:
     def task_at(self, step):
         return self.tasks[(step // self.period_steps) % len(self.tasks)]
 
+    def per_step(self, n):
+        return [self.task_at(i) for i in range(n)]
+
     @property
     def switch_steps(self):
         return list(range(self.period_steps, self.n_steps, self.period_steps))
@@ -117,10 +120,10 @@ class TaskSchedule:
 class Trajectory:
     """Recorded rollout: states and exact expected losses on the step grid.
 
-    states has n_steps+1 entries (tuples of arrays, or of floats for the
-    single neuron); losses[i] is the expected loss at states[i], evaluated
-    with the control slice governing step min(i, n_steps-1) so the terminal
-    state is scored under the last control.
+    states has n_steps+1 entries (tuples of arrays, or 1-tuples of Python
+    floats for the single neuron); losses[i] is the expected loss at
+    states[i], evaluated with the control slice governing step
+    min(i, n_steps-1) so the terminal state is scored under the last control.
     """
 
     times: np.ndarray
@@ -194,34 +197,39 @@ def _linear_map_loss(m_eff, task, weights, lam):
 # --- single neuron ----------------------------------------------------------
 
 
-def _neuron_loss(state, control, task, spec):
-    w = state[0]
-    gt = 1.0 + (0.0 if control is None else control)
-    mu = task.sigma_xy[0, 0]
-    x2 = task.sigma_x[0, 0]
-    sy = task.sigma_y[0, 0]
-    return 0.5 * (sy - 2.0 * gt * w * mu + x2 * (gt * w) ** 2) + 0.5 * spec.reg_lambda * w * w
+def _neuron_moments(task):
+    """(mu, x2, sy) of a one-dimensional task as Python floats."""
+    return float(task.sigma_xy[0, 0]), float(task.sigma_x[0, 0]), float(task.sigma_y[0, 0])
 
 
-def _neuron_flow(w, control, task, spec):
+def _neuron_args(state, control, task, spec):
+    """(w, g~ = 1 + g, mu, x2, sy, lambda): the arguments of the float helpers below."""
+    return (state[0], 1.0 + (0.0 if control is None else control), *_neuron_moments(task), spec.reg_lambda)
+
+
+# The float helpers serve the kind-table entries and the float loop in
+# integrate alike.  `** 2` is libm pow for floats and np.float64 alike; x * x
+# would round differently on some inputs.
+def _neuron_loss_f(w, gt, mu, x2, sy, lam):
+    return 0.5 * (sy - 2.0 * gt * w * mu + x2 * (gt * w) ** 2) + 0.5 * lam * w * w
+
+
+def _neuron_flow(w, gt, mu, x2, sy, lam):
     """Flow of a single weight under gain control: dw*tau = mu*g~ - w*(x2*g~^2 + lambda)."""
-    gt = 1.0 + (0.0 if control is None else control)
-    mu = task.sigma_xy[0, 0]
-    x2 = task.sigma_x[0, 0]
-    return mu * gt - w * (x2 * gt * gt + spec.reg_lambda)
+    return mu * gt - w * (x2 * gt * gt + lam)
+
+
+def _neuron_loss(state, control, task, spec):
+    return _neuron_loss_f(*_neuron_args(state, control, task, spec))
 
 
 def _neuron_rhs(state, control, task, spec):
-    return (_neuron_flow(state[0], control, task, spec),)
+    return (_neuron_flow(*_neuron_args(state, control, task, spec)),)
 
 
 def _neuron_backward(state, control, task, spec, a_next):
-    lam = spec.reg_lambda
-    w = state[0]
+    w, gt, mu, x2, _, lam = _neuron_args(state, control, task, spec)
     a = a_next[0]
-    gt = 1.0 + (0.0 if control is None else control)
-    mu = task.sigma_xy[0, 0]
-    x2 = task.sigma_x[0, 0]
     dhdw = -(x2 * gt * gt + lam)
     dhdg = mu - 2.0 * w * x2 * gt
     dldw = -mu * gt + x2 * w * gt * gt + lam * w
@@ -640,10 +648,14 @@ def backward_step(spec, state, control, task, a_next):
 # --- integration ------------------------------------------------------------
 
 
-def _control_for(spec, schedule, step):
-    if schedule is None or schedule.kind == "init_weights":
-        return None
-    return schedule.at(step)
+def per_step_inputs(schedule, task, n):
+    """Lists of the control slice and the task of each of `n` steps, built once per pass.
+
+    Controls are None without a schedule and for init_weights (it acts through the state).
+    """
+    ctrls = [None] * n if schedule is None or schedule.kind == "init_weights" else schedule.per_step()
+    tasks = task.per_step(n) if isinstance(task, TaskSchedule) else [task] * n
+    return ctrls, tasks
 
 
 def _divergence(peak, step):
@@ -684,41 +696,41 @@ def integrate(spec, schedule, task, state0=None):
         state = initial_state(spec, override=schedule.values)
     else:
         state = initial_state(spec, override=state0)
-    task_at = task.task_at if isinstance(task, TaskSchedule) else (lambda i: task)
     n = spec.n_steps
+    ctrls, tasks = per_step_inputs(schedule, task, n)
     scale = spec.dt / spec.tau_w
     times = np.arange(n + 1) * spec.dt
-    entry = _KIND_TABLE[spec.kind]
-    loss, rhs = entry.loss, entry.rhs
 
     if spec.kind == "single_neuron":
-        # pure-float loop on the scalar flow: several times cheaper per step
-        # than the tuple loop below
+        # Python floats throughout, with the moments read when the task changes:
+        # several times cheaper per step than the tuple loop below
+        lam = spec.reg_lambda
         w = state[0]
-        ws = [w]
-        losses = np.empty(n + 1)
-        for i in range(n):
-            ctrl = _control_for(spec, schedule, i)
-            tsk = task_at(i)
-            losses[i] = loss((w,), ctrl, tsk, spec)
-            w = w + scale * _neuron_flow(w, ctrl, tsk, spec)
+        states = [(w,)]
+        losses = []
+        prev = None
+        for i, (ctrl, tsk) in enumerate(zip(ctrls, tasks)):
+            if tsk is not prev:
+                prev, (mu, x2, sy) = tsk, _neuron_moments(tsk)
+            gt = 1.0 if ctrl is None else 1.0 + ctrl
+            losses.append(_neuron_loss_f(w, gt, mu, x2, sy, lam))
+            w = w + scale * _neuron_flow(w, gt, mu, x2, sy, lam)
             if not abs(w) < DIVERGENCE_LIMIT:
                 raise _divergence(abs(w), i)
-            ws.append(w)
-        losses[n] = loss((w,), _control_for(spec, schedule, n - 1), task_at(n - 1), spec)
-        return Trajectory(times=times, states=[(v,) for v in ws], losses=losses, kind=spec.kind)
+            states.append((w,))
+        losses.append(_neuron_loss_f(w, gt, mu, x2, sy, lam))
+        return Trajectory(times=times, states=states, losses=np.array(losses), kind=spec.kind)
 
+    loss, rhs = _KIND_TABLE[spec.kind].loss, _KIND_TABLE[spec.kind].rhs
     states = [state]
     losses = np.empty(n + 1)
-    for i in range(n):
-        ctrl = _control_for(spec, schedule, i)
-        tsk = task_at(i)
+    for i, (ctrl, tsk) in enumerate(zip(ctrls, tasks)):
         losses[i] = loss(state, ctrl, tsk, spec)
         hs = rhs(state, ctrl, tsk, spec)
         state = tuple(w + scale * h for w, h in zip(state, hs))
         _check_divergence(state, i)
         states.append(state)
-    losses[n] = loss(state, _control_for(spec, schedule, n - 1), task_at(n - 1), spec)
+    losses[n] = loss(state, ctrls[-1], tasks[-1], spec)
     return Trajectory(times=times, states=states, losses=losses, kind=spec.kind)
 
 
@@ -787,9 +799,9 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
         def score(state, ctrl):
             return expected_loss(state, ctrl, task, spec)
 
+    ctrls, _ = per_step_inputs(schedule, task, n)
     states = [state]
-    for i in range(n):
-        ctrl = _control_for(spec, schedule, i)
+    for i, ctrl in enumerate(ctrls):
         losses[i] = score(state, ctrl)
         if class_counts is not None:
             x, y = sample_class_batch(task, class_counts[i], rng)
@@ -816,7 +828,7 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
         state = tuple(w + scale * h for w, h in zip(state, hs))
         _check_divergence(state, i)
         states.append(state)
-    losses[n] = score(state, _control_for(spec, schedule, n - 1))
+    losses[n] = score(state, ctrls[-1])
     return Trajectory(times=times, states=states, losses=losses, kind=spec.kind)
 
 

@@ -257,6 +257,7 @@ def override_param(config, name, value, run_suffix=""):
 
     A bare name that is not a RunConfig field is looked up in the scenario
     params.  `run_suffix` extends run_name so sweep outputs never collide.
+    A value its spec rejects raises ConfigError.
     """
     parts = name.split(".")
     suffix = run_suffix.replace(os.sep, "_")
@@ -275,11 +276,14 @@ def override_param(config, name, value, run_suffix=""):
             return replace(obj, **{head: value})
         return replace(obj, **{head: rebuild(getattr(obj, head), path[1:])})
 
-    if len(parts) == 1 and parts[0] not in RunConfig.__dataclass_fields__:
-        # falls into scenario params; the config's own validation rejects unknown keys
-        cfg = replace(config, params={**config.params, parts[0]: value})
-    else:
-        cfg = rebuild(config, parts)
+    try:
+        if len(parts) == 1 and parts[0] not in RunConfig.__dataclass_fields__:
+            # falls into scenario params; the config's own validation rejects unknown keys
+            cfg = replace(config, params={**config.params, parts[0]: value})
+        else:
+            cfg = rebuild(config, parts)
+    except (ValueError, TypeError) as err:  # a spec's own validation, worded as configio words it
+        raise ConfigError(f"invalid configuration: {err}") from err
     if suffix:
         cfg = replace(cfg, run_name=os.path.join(cfg.run_name, suffix) if cfg.run_name else suffix)
     return cfg

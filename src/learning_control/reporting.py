@@ -44,22 +44,25 @@ def write_trajectory_csv(path, traj, schedule=None, vspec=None):
     n = traj.n_steps
     usable = schedule is not None and schedule.kind != "init_weights" and schedule.n_steps == n
     eta = vspec.eta if vspec is not None else 1.0
+    # one cost and one control norm per segment, which the rows index
+    seg = schedule.segment if usable else n
+    seg_ctrls = schedule.per_step()[::seg] if usable else [None]
+    costs = [0.0 if c is None or vspec is None else control_cost(c, vspec.cost) for c in seg_ctrls]
+    norms = [schedule.control_norm_at(k * seg) if usable else 0.0 for k in range(len(seg_ctrls))]
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(TRAJECTORY_COLUMNS)
         for i in range(n + 1):
-            ci = min(i, n - 1)
-            ctrl = schedule.at(ci) if usable else None
-            cost = control_cost(ctrl, vspec.cost) if (usable and vspec is not None and ctrl is not None) else 0.0
+            k = min(i, n - 1) // seg
+            cost = costs[k]
             loss = float(traj.losses[i])
             reward = -eta * loss
             state = traj.states[i]
             l1_1, l2_1 = _norms(state[0])
             l1_2, l2_2 = _norms(state[1] if len(state) > 1 else None)
-            g_l2 = schedule.control_norm_at(ci) if usable else 0.0
             out.writerow(
                 [i, _f(traj.times[i]), _f(loss), _f(reward), _f(cost), _f(reward - cost),
-                 _f(l1_1), _f(l2_1), _f(l1_2), _f(l2_2), _f(g_l2)]
+                 _f(l1_1), _f(l2_1), _f(l1_2), _f(l2_2), _f(norms[k])]
             )
     return path
 

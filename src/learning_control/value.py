@@ -62,7 +62,7 @@ def _ctrl_arrays(control):
 
 
 def _sumsq(arrays):
-    return sum(float(np.sum(a * a)) for a in arrays)
+    return sum(float((a * a).sum()) for a in arrays)
 
 
 def control_cost(control, cspec):
@@ -75,7 +75,7 @@ def control_cost(control, cspec):
     if cspec.kind == "exp_frobenius":
         return math.exp(cspec.beta * _sumsq(arrays)) - 1.0
     if cspec.kind == "anchored_norm":
-        return cspec.beta * sum(float(np.sum((a - cspec.anchor) ** 2)) for a in arrays)
+        return cspec.beta * sum(float(((a - cspec.anchor) ** 2).sum()) for a in arrays)
     if cspec.kind == "fixed_norm":
         gap = _sumsq(arrays) - cspec.target_norm
         return cspec.beta * gap * gap
@@ -150,20 +150,23 @@ def _value_weights(vspec, dspec):
     return pw, dspec.dt * disc
 
 
+def _segment_total(losses, seg_ctrls, seg, vspec, pw, cw):
+    """V from the losses and the control slice of each `seg`-step segment."""
+    total = -float(np.dot(pw, losses))
+    if vspec.cost.kind != "none":
+        for k, ctrl in enumerate(seg_ctrls):
+            c = control_cost(ctrl, vspec.cost)
+            if c != 0.0:
+                total -= c * float(cw[k * seg : (k + 1) * seg].sum())
+    return total
+
+
 def value(trajectory, schedule, vspec, dspec):
     """V for a recorded trajectory under its schedule."""
-    pw, cw = _value_weights(vspec, dspec)
-    total = -float(np.dot(pw, trajectory.losses))
-    if schedule is not None and schedule.kind != "init_weights" and vspec.cost.kind != "none":
-        n = dspec.n_steps
-        start = 0
-        while start < n:
-            stop = min(start + schedule.segment, n)
-            c = control_cost(schedule.at(start), vspec.cost)
-            if c != 0.0:
-                total -= c * float(np.sum(cw[start:stop]))
-            start = stop
-    return total
+    per_step = schedule is not None and schedule.kind != "init_weights"
+    seg = schedule.segment if per_step else None
+    seg_ctrls = [schedule.at(start) for start in range(0, dspec.n_steps, seg)] if per_step else []
+    return _segment_total(trajectory.losses, seg_ctrls, seg, vspec, *_value_weights(vspec, dspec))
 
 
 def evaluate_value(dspec, task, schedule, vspec, state0=None):
@@ -205,41 +208,46 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
     """
     if traj is None:
         traj = dyn.integrate(dspec, schedule, task, state0=state0)
-    total = value(traj, schedule, vspec, dspec)
-    pw, cw = _value_weights(vspec, dspec)
     n = dspec.n_steps
     states = traj.states
-    task_at = task.task_at if isinstance(task, dyn.TaskSchedule) else (lambda i: task)
+    ctrls, tasks = dyn.per_step_inputs(schedule, task, n)
     scale = dspec.dt / dspec.tau_w
     per_step = schedule is not None and schedule.kind != "init_weights"
+    seg = schedule.segment if per_step else n
+    seg_ctrls = ctrls[::seg] if per_step else []  # at() of each segment's first step
+    pw, cw = _value_weights(vspec, dspec)
+    total = _segment_total(traj.losses, seg_ctrls, seg, vspec, pw, cw)
+    pw, cw = pw.tolist(), cw.tolist()
     buffers = schedule.zero_grads() if per_step else None
-    cost_active = per_step and vspec.cost.kind != "none"
+    cost_grads = [control_cost_grad(c, vspec.cost) for c in seg_ctrls] if vspec.cost.kind != "none" else None
+
+    def add_grad(i, g):
+        # ControlSchedule.add_grad without its per-step kind and segment lookups
+        for buf, part in zip(buffers, g if isinstance(g, tuple) else (g,)):
+            buf[i // seg] += part
 
     def zero_like_state(s):
         return tuple(0.0 if isinstance(w, float) else np.zeros_like(w) for w in s)
 
     # terminal contribution: the state at N is scored with the last control slice
-    last_ctrl = schedule.at(n - 1) if per_step else None
     if pw[n] != 0.0:
-        _, _, lgs, lgc = dyn.backward_step(dspec, states[n], last_ctrl, task_at(n - 1), zero_like_state(states[n]))
+        _, _, lgs, lgc = dyn.backward_step(dspec, states[n], ctrls[-1], tasks[-1], zero_like_state(states[n]))
         adj = tuple(-pw[n] * g for g in lgs)
         if per_step and lgc is not None:
-            schedule.add_grad(buffers, n - 1, _slice_scale(lgc, -pw[n]))
+            add_grad(n - 1, _slice_scale(lgc, -pw[n]))
     else:
         adj = zero_like_state(states[n])
 
     for i in range(n - 1, -1, -1):
-        ctrl = schedule.at(i) if per_step else None
-        tsk = task_at(i)
-        svjp, cvjp, lgs, lgc = dyn.backward_step(dspec, states[i], ctrl, tsk, adj)
+        svjp, cvjp, lgs, lgc = dyn.backward_step(dspec, states[i], ctrls[i], tasks[i], adj)
         if per_step:
             g = _slice_scale(cvjp, scale)
             if pw[i] != 0.0:
                 g = _slice_axpy(g, lgc, -pw[i])
-            if cost_active and cw[i] != 0.0:
-                g = _slice_axpy(g, control_cost_grad(ctrl, vspec.cost), -cw[i])
+            if cost_grads is not None and cw[i] != 0.0:
+                g = _slice_axpy(g, cost_grads[i // seg], -cw[i])
             if g is not None:
-                schedule.add_grad(buffers, i, g)
+                add_grad(i, g)
         adj = tuple(
             a + scale * sv - (pw[i] * lg if pw[i] != 0.0 else 0.0)
             for a, sv, lg in zip(adj, svjp, lgs)

@@ -7,6 +7,7 @@ point wires up.
 
 import gzip
 import json
+import os
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+import learning_control
 from learning_control.cli import _build_parser, _literal, _load_config, main
 from learning_control.configio import parse_config, serialize_config
 from learning_control.experiments import SCENARIOS, preset
@@ -64,6 +66,21 @@ class TestConfigLoading:
         code = main(["run", "--preset", "single_neuron_effort", "-p", "value.gamma"])
         assert code == 2
         assert "NAME=VALUE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("optimizer.iters=-1", "iters must be nonnegative"),
+            ("dynamics.dt=-1", "dt and tau_w must be positive"),
+            ("optimizer.alpha_g=abc", "could not convert"),
+        ],
+    )
+    def test_a_value_the_spec_rejects_is_a_config_error(self, override, message, capsys):
+        code = main(["run", "--preset", "single_neuron_effort", "-p", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: invalid configuration: {message}" in err
+        assert "Traceback" not in err
 
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit):
@@ -228,9 +245,12 @@ class TestPresetsCommand:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_works(self):
+        # the child imports the package from where this process found it
+        src = os.path.dirname(os.path.dirname(learning_control.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "learning_control.cli", "presets", "list"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "single_neuron_effort" in proc.stdout.splitlines()

@@ -87,6 +87,59 @@ class TestScheduleIndexing:
         assert sched.control_norm_at(1) == 4.0
 
 
+def random_schedule(kind, n_steps, segment, rng):
+    n_seg = -(-n_steps // segment)
+    shapes = {
+        "scalar_series": [(n_seg,)],
+        "matrix_pair_series": [(n_seg, 3, 2), (n_seg, 2, 3)],
+        "engagement_series": [(n_seg, 2)],
+        "category_series": [(n_seg, 4)],
+    }[kind]
+    values = tuple(rng.standard_normal(s) for s in shapes)
+    return ControlSchedule(kind=kind, values=values, n_steps=n_steps, segment=segment)
+
+
+def assert_same_slice(a, b):
+    if isinstance(a, tuple):
+        assert isinstance(b, tuple) and len(a) == len(b)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+    else:
+        assert type(a) is type(b)
+        np.testing.assert_array_equal(a, b)
+
+
+SERIES_KINDS = ("scalar_series", "matrix_pair_series", "engagement_series", "category_series")
+
+
+class TestPerStepTable:
+    @pytest.mark.parametrize("n_steps, segment", [(12, 3), (11, 3), (5, 7), (4, 1)])
+    @pytest.mark.parametrize("kind", SERIES_KINDS)
+    def test_matches_at_stepwise(self, kind, n_steps, segment):
+        sched = random_schedule(kind, n_steps, segment, np.random.default_rng(4))
+        table = sched.per_step()
+        assert len(table) == n_steps
+        for step, entry in enumerate(table):
+            assert_same_slice(entry, sched.at(step))
+
+    def test_steps_of_a_segment_share_one_object(self):
+        sched = random_schedule("matrix_pair_series", 11, 3, np.random.default_rng(0))
+        table = sched.per_step()
+        assert all(table[i] is table[i - i % 3] for i in range(11))
+
+    def test_init_weights_table_is_its_at(self):
+        sched = init_weights_control((np.ones((2, 2)), np.zeros((1, 2))))
+        assert sched.per_step() == [sched.at(i) for i in range(sched.n_steps)] == [None]
+
+    def test_one_at_call_per_segment(self, monkeypatch):
+        sched = random_schedule("scalar_series", 100, 7, np.random.default_rng(1))
+        calls = []
+        original = ControlSchedule.at
+        monkeypatch.setattr(ControlSchedule, "at", lambda self, step: calls.append(step) or original(self, step))
+        sched.per_step()
+        assert calls == list(range(0, 100, 7))
+
+
 class TestGradBuffers:
     def test_scalar_accumulation_by_segment(self):
         sched = ControlSchedule(kind="scalar_series", values=(np.zeros(2),), n_steps=4, segment=2)

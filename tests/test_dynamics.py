@@ -664,6 +664,49 @@ class TestTaskSwitching:
         with pytest.raises(UnsupportedOperationError, match="switching"):
             simulate_sgd(spec, None, sched, batch_size=8, seed=0)
 
+    @pytest.mark.parametrize("n", [12, 11, 3, 1])
+    def test_per_step_tasks_follow_task_at(self, n):
+        t1, t2 = two_gaussian_moments(1.0, 0.3), two_gaussian_moments(2.0, 0.3)
+        sched = TaskSchedule(tasks=[t1, t2], period_steps=3, n_steps=12)
+        table = sched.per_step(n)
+        assert len(table) == n
+        assert all(t is sched.task_at(i) for i, t in enumerate(table))
+
+
+class TestNeuronFloatLoop:
+    """The single-neuron path of integrate against the kind table, step by step."""
+
+    def setup_method(self):
+        t1, t2 = two_gaussian_moments(1.0, 0.3), two_gaussian_moments(2.5, 0.7)
+        self.spec = neuron_spec(dt=0.05, n_steps=23, reg_lambda=0.1)
+        self.tasks = TaskSchedule(tasks=[t1, t2], period_steps=5, n_steps=23)
+        gains = np.random.default_rng(2).uniform(-0.4, 0.4, size=6)
+        self.sched = ControlSchedule(kind="scalar_series", values=(gains,), n_steps=23, segment=4,
+                                     bounds=(-0.5, 0.5))
+
+    def roll_through_the_kind_table(self):
+        spec, n = self.spec, self.spec.n_steps
+        scale = spec.dt / spec.tau_w
+        state = initial_state(spec)
+        states, losses = [state], []
+        for i in range(n):
+            ctrl, task = self.sched.at(i), self.tasks.task_at(i)
+            losses.append(expected_loss(state, ctrl, task, spec))
+            state = tuple(w + scale * h for w, h in zip(state, _rhs(spec, state, ctrl, task)))
+            states.append(state)
+        losses.append(expected_loss(state, self.sched.at(n - 1), self.tasks.task_at(n - 1), spec))
+        return states, losses
+
+    def test_states_and_losses_equal_the_kind_table_roll(self):
+        traj = integrate(self.spec, self.sched, self.tasks)
+        states, losses = self.roll_through_the_kind_table()
+        assert traj.states == states
+        assert traj.losses.tolist() == losses
+
+    def test_states_are_python_floats(self):
+        traj = integrate(self.spec, self.sched, self.tasks)
+        assert all(type(s[0]) is float for s in traj.states)
+
 
 class TestSampledTwin:
     def test_same_seed_is_deterministic(self):

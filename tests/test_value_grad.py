@@ -307,6 +307,35 @@ class TestEvaluateValue:
         np.testing.assert_allclose(total, evaluate_value(spec, task, sched, vspec), rtol=0)
 
 
+
+class TestPerStepTables:
+    """A pass builds its per-step controls once: one at() call per segment."""
+
+    def setup_method(self):
+        self.spec = neuron_spec(dt=0.01, n_steps=3000, tau_w=1.0)
+        gains = np.random.default_rng(5).uniform(0.0, 0.5, size=100)
+        self.sched = ControlSchedule(kind="scalar_series", values=(gains,), n_steps=3000, segment=30)
+        self.vspec = ValueSpec(gamma=0.99, cost=CostSpec("quadratic", beta=0.3))
+
+    def count_at_calls(self, monkeypatch, fn):
+        calls = []
+        original = ControlSchedule.at
+        monkeypatch.setattr(ControlSchedule, "at", lambda sched, step: calls.append(step) or original(sched, step))
+        fn()
+        monkeypatch.setattr(ControlSchedule, "at", original)
+        return len(calls)
+
+    def test_integrate_calls_at_once_per_segment(self, monkeypatch):
+        count = self.count_at_calls(monkeypatch, lambda: integrate(self.spec, self.sched, NEURON_TASK))
+        assert count <= self.sched.n_segments
+
+    def test_grad_value_calls_at_once_per_segment(self, monkeypatch):
+        traj = integrate(self.spec, self.sched, NEURON_TASK)
+        count = self.count_at_calls(
+            monkeypatch, lambda: grad_value(self.spec, NEURON_TASK, self.sched, self.vspec, traj=traj)
+        )
+        assert count <= self.sched.n_segments
+
 class TestCategoryScheduleGradient:
     def test_category_engagement_fd(self):
         means = np.array([[1.2, 0.0], [0.0, 1.2], [0.8, 0.8]])
