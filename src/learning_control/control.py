@@ -131,12 +131,16 @@ class ControlSchedule:
             return tuple(v[s] for v in self.values)
         return self.values[0][s]
 
-    def per_step(self):
-        """[at(i) for i in range(n_steps)] by one at() per segment, whose steps share its object."""
+    def segment_controls(self):
+        """The slice of each segment in order: one at() per segment."""
+        return [self.at(start) for start in range(0, self.n_steps, self.segment)]
+
+    def per_step(self, seg_ctrls=None):
+        """[at(i) for i in range(n_steps)]: segment_controls() (or `seg_ctrls`), each over its steps."""
         out = []
-        for start in range(0, self.n_steps, self.segment):
-            out += [self.at(start)] * (min(start + self.segment, self.n_steps) - start)
-        return out
+        for ctrl in self.segment_controls() if seg_ctrls is None else seg_ctrls:
+            out += [ctrl] * self.segment
+        return out[: self.n_steps]
 
     def expand(self):
         """Per-step arrays (leading axis n_steps); mostly for tests and CSV."""
@@ -160,16 +164,13 @@ class ControlSchedule:
     def add_grad(self, buffers, step, grad):
         """Accumulate a per-step control gradient into segment-shaped buffers.
 
-        `grad` mirrors the structure of at(step).
+        `grad` mirrors the structure of at(step), for a step below n_steps.
         """
         if self.kind == "init_weights":
             raise ValueError("init_weights gradients are not per-step")
-        s = self.segment_index(step)
-        if self.kind == "matrix_pair_series":
-            for buf, g in zip(buffers, grad):
-                buf[s] += g
-        else:
-            buffers[0][s] += grad
+        s = step // self.segment
+        for buf, g in zip(buffers, grad if isinstance(grad, tuple) else (grad,)):
+            buf[s] += g
 
     # --- projection ---------------------------------------------------------
 

@@ -202,9 +202,14 @@ def _neuron_moments(task):
     return float(task.sigma_xy[0, 0]), float(task.sigma_x[0, 0]), float(task.sigma_y[0, 0])
 
 
+def _neuron_gain(control):
+    """g~ = 1 + g; no control is g = 0."""
+    return 1.0 + (0.0 if control is None else control)
+
+
 def _neuron_args(state, control, task, spec):
-    """(w, g~ = 1 + g, mu, x2, sy, lambda): the arguments of the float helpers below."""
-    return (state[0], 1.0 + (0.0 if control is None else control), *_neuron_moments(task), spec.reg_lambda)
+    """(w, g~, mu, x2, sy, lambda): the arguments of the float helpers below."""
+    return (state[0], _neuron_gain(control), *_neuron_moments(task), spec.reg_lambda)
 
 
 # The float helpers serve the kind-table entries and the float loop in
@@ -648,12 +653,13 @@ def backward_step(spec, state, control, task, a_next):
 # --- integration ------------------------------------------------------------
 
 
-def per_step_inputs(schedule, task, n):
+def per_step_inputs(schedule, task, n, seg_ctrls=None):
     """Lists of the control slice and the task of each of `n` steps, built once per pass.
 
     Controls are None without a schedule and for init_weights (it acts through the state).
+    `seg_ctrls`, when given, is the schedule's segment_controls().
     """
-    ctrls = [None] * n if schedule is None or schedule.kind == "init_weights" else schedule.per_step()
+    ctrls = [None] * n if schedule is None or schedule.kind == "init_weights" else schedule.per_step(seg_ctrls)
     tasks = task.per_step(n) if isinstance(task, TaskSchedule) else [task] * n
     return ctrls, tasks
 
@@ -712,7 +718,7 @@ def integrate(spec, schedule, task, state0=None):
         for i, (ctrl, tsk) in enumerate(zip(ctrls, tasks)):
             if tsk is not prev:
                 prev, (mu, x2, sy) = tsk, _neuron_moments(tsk)
-            gt = 1.0 if ctrl is None else 1.0 + ctrl
+            gt = _neuron_gain(ctrl)
             losses.append(_neuron_loss_f(w, gt, mu, x2, sy, lam))
             w = w + scale * _neuron_flow(w, gt, mu, x2, sy, lam)
             if not abs(w) < DIVERGENCE_LIMIT:

@@ -282,7 +282,7 @@ def override_param(config, name, value, run_suffix=""):
             cfg = replace(config, params={**config.params, parts[0]: value})
         else:
             cfg = rebuild(config, parts)
-    except (ValueError, TypeError) as err:  # a spec's own validation, worded as configio words it
+    except ValueError as err:  # a spec's own validation, worded as configio words it
         raise ConfigError(f"invalid configuration: {err}") from err
     if suffix:
         cfg = replace(cfg, run_name=os.path.join(cfg.run_name, suffix) if cfg.run_name else suffix)

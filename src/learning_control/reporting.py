@@ -46,7 +46,7 @@ def write_trajectory_csv(path, traj, schedule=None, vspec=None):
     eta = vspec.eta if vspec is not None else 1.0
     # one cost and one control norm per segment, which the rows index
     seg = schedule.segment if usable else n
-    seg_ctrls = schedule.per_step()[::seg] if usable else [None]
+    seg_ctrls = schedule.segment_controls() if usable else [None]
     costs = [0.0 if c is None or vspec is None else control_cost(c, vspec.cost) for c in seg_ctrls]
     norms = [schedule.control_norm_at(k * seg) if usable else 0.0 for k in range(len(seg_ctrls))]
     with open(path, "w", newline="") as fh:

@@ -164,8 +164,8 @@ def _segment_total(losses, seg_ctrls, seg, vspec, pw, cw):
 def value(trajectory, schedule, vspec, dspec):
     """V for a recorded trajectory under its schedule."""
     per_step = schedule is not None and schedule.kind != "init_weights"
+    seg_ctrls = schedule.segment_controls() if per_step and vspec.cost.kind != "none" else []
     seg = schedule.segment if per_step else None
-    seg_ctrls = [schedule.at(start) for start in range(0, dspec.n_steps, seg)] if per_step else []
     return _segment_total(trajectory.losses, seg_ctrls, seg, vspec, *_value_weights(vspec, dspec))
 
 
@@ -210,21 +210,16 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
         traj = dyn.integrate(dspec, schedule, task, state0=state0)
     n = dspec.n_steps
     states = traj.states
-    ctrls, tasks = dyn.per_step_inputs(schedule, task, n)
     scale = dspec.dt / dspec.tau_w
     per_step = schedule is not None and schedule.kind != "init_weights"
     seg = schedule.segment if per_step else n
-    seg_ctrls = ctrls[::seg] if per_step else []  # at() of each segment's first step
+    seg_ctrls = schedule.segment_controls() if per_step else []
+    ctrls, tasks = dyn.per_step_inputs(schedule, task, n, seg_ctrls)
     pw, cw = _value_weights(vspec, dspec)
     total = _segment_total(traj.losses, seg_ctrls, seg, vspec, pw, cw)
     pw, cw = pw.tolist(), cw.tolist()
     buffers = schedule.zero_grads() if per_step else None
     cost_grads = [control_cost_grad(c, vspec.cost) for c in seg_ctrls] if vspec.cost.kind != "none" else None
-
-    def add_grad(i, g):
-        # ControlSchedule.add_grad without its per-step kind and segment lookups
-        for buf, part in zip(buffers, g if isinstance(g, tuple) else (g,)):
-            buf[i // seg] += part
 
     def zero_like_state(s):
         return tuple(0.0 if isinstance(w, float) else np.zeros_like(w) for w in s)
@@ -234,7 +229,7 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
         _, _, lgs, lgc = dyn.backward_step(dspec, states[n], ctrls[-1], tasks[-1], zero_like_state(states[n]))
         adj = tuple(-pw[n] * g for g in lgs)
         if per_step and lgc is not None:
-            add_grad(n - 1, _slice_scale(lgc, -pw[n]))
+            schedule.add_grad(buffers, n - 1, _slice_scale(lgc, -pw[n]))
     else:
         adj = zero_like_state(states[n])
 
@@ -247,7 +242,7 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
             if cost_grads is not None and cw[i] != 0.0:
                 g = _slice_axpy(g, cost_grads[i // seg], -cw[i])
             if g is not None:
-                add_grad(i, g)
+                schedule.add_grad(buffers, i, g)
         adj = tuple(
             a + scale * sv - (pw[i] * lg if pw[i] != 0.0 else 0.0)
             for a, sv, lg in zip(adj, svjp, lgs)

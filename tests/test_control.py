@@ -138,6 +138,18 @@ class TestPerStepTable:
         monkeypatch.setattr(ControlSchedule, "at", lambda self, step: calls.append(step) or original(self, step))
         sched.per_step()
         assert calls == list(range(0, 100, 7))
+        calls.clear()
+        sched.per_step(sched.segment_controls())
+        assert calls == list(range(0, 100, 7))
+
+    @pytest.mark.parametrize("kind", SERIES_KINDS)
+    def test_segment_controls_are_the_first_steps_of_the_table(self, kind):
+        sched = random_schedule(kind, 11, 3, np.random.default_rng(6))
+        seg_ctrls = sched.segment_controls()
+        assert len(seg_ctrls) == sched.n_segments
+        for k, entry in enumerate(seg_ctrls):
+            assert_same_slice(entry, sched.at(3 * k))
+        assert all(a is b for a, b in zip(sched.per_step(seg_ctrls), [c for c in seg_ctrls for _ in range(3)]))
 
 
 class TestGradBuffers:
@@ -148,6 +160,15 @@ class TestGradBuffers:
         sched.add_grad(buffers, 1, 2.0)
         sched.add_grad(buffers, 2, 10.0)
         np.testing.assert_array_equal(buffers[0], [3.0, 10.0])
+
+    def test_tuple_grads_accumulate_per_layer(self):
+        sched = ControlSchedule(kind="matrix_pair_series", values=(np.zeros((2, 1, 2)), np.zeros((2, 2, 1))),
+                                n_steps=3, segment=2)
+        buffers = sched.zero_grads()
+        for step in range(3):
+            sched.add_grad(buffers, step, (np.full((1, 2), step + 1.0), np.full((2, 1), -1.0)))
+        np.testing.assert_array_equal(buffers[0][:, 0, :], [[3.0, 3.0], [3.0, 3.0]])
+        np.testing.assert_array_equal(buffers[1][:, :, 0], [[-2.0, -2.0], [-1.0, -1.0]])
 
     def test_init_weights_has_no_per_step_grads(self):
         sched = init_weights_control((np.ones((1, 1)),))

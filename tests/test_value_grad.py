@@ -336,6 +336,12 @@ class TestPerStepTables:
         )
         assert count <= self.sched.n_segments
 
+    def test_value_calls_at_once_per_segment(self, monkeypatch):
+        traj = integrate(self.spec, self.sched, NEURON_TASK)
+        count = self.count_at_calls(monkeypatch, lambda: value(traj, self.sched, self.vspec, self.spec))
+        assert count == self.sched.n_segments
+
+
 class TestCategoryScheduleGradient:
     def test_category_engagement_fd(self):
         means = np.array([[1.2, 0.0], [0.0, 1.2], [0.8, 0.8]])
