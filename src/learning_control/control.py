@@ -78,6 +78,8 @@ class ControlSchedule:
         Gains and rate boosts are neutral at 0, engagement weights at 1.
         For init_weights pass the baseline starting state in `state0`.
         """
+        if int(segment) < 1:
+            raise ValueError("segment must be positive")
         n_seg = -(-int(n_steps) // int(segment))
         if kind == "scalar_series":
             values = (np.zeros(n_seg),)
@@ -166,11 +168,27 @@ class ControlSchedule:
 
         `grad` mirrors the structure of at(step), for a step below n_steps.
         """
+        parts = grad if isinstance(grad, tuple) else (grad,)
+        self.add_grads(buffers, step, [np.asarray(g, dtype=float)[None] for g in parts])
+
+    def add_grads(self, buffers, lo, grads):
+        """Accumulate the gradients of steps lo, lo+1, ... (one stack per buffer) into the buffers.
+
+        Each entry adds its steps one at a time, last step first, as add_grad
+        calls in a reverse sweep do; from +0.0 the zero padding adds nothing.
+        """
         if self.kind == "init_weights":
             raise ValueError("init_weights gradients are not per-step")
-        s = step // self.segment
-        for buf, g in zip(buffers, grad if isinstance(grad, tuple) else (grad,)):
-            buf[s] += g
+        steps = np.arange(lo, lo + len(grads[0]))
+        segs = steps // self.segment
+        s0, s1 = segs[0], segs[-1] + 1
+        # column 0 holds the buffer, then each segment's steps in descending order
+        cols = np.minimum(segs * self.segment + self.segment, steps[-1] + 1) - steps
+        for buf, g in zip(buffers, grads):
+            table = np.zeros((s1 - s0, cols.max() + 1, *buf.shape[1:]))
+            table[:, 0] = buf[s0:s1]
+            table[segs - s0, cols] = g
+            buf[s0:s1] = np.add.accumulate(table, axis=1)[:, -1]
 
     # --- projection ---------------------------------------------------------
 

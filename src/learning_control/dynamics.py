@@ -22,16 +22,24 @@ Control kinds and their knobs:
   nonlinear_taylor     two-layer net with elementwise nonlinearity, propagated
                        through a first-order expansion around the mean input
 
-Each kind is one entry of `_KIND_TABLE` holding its expected loss, flow and
-adjoint step; `expected_loss`, `_rhs` and `backward_step` look the kind up
-once, so adding a kind means adding one entry.  The linear two-layer entries
-share one kernel and hold only two maps: forward from a control slice to the
-kernel's channels (g1, g2, dvec, rate) -- layer gains, error-row scales, a
-boost of the whole right-hand side -- and back from the channel gradients to
-the control-shaped VJP.  In that kernel an absent channel skips its
-multiplication and a neutral one multiplies by exactly 1.0, which IEEE makes
-exact, so neutral schedules reproduce the baseline bit for bit; tests rely on
-that.
+Each kind is one entry of `_KIND_TABLE`.  A rollout is stored per layer, one
+array with a leading step axis each (Python floats for the single neuron).
+Only the recurrence, `step`, loops per step in Python; the other slots act on
+a stack of steps: `losses` scores every state, and `sweep` is the reverse
+mode, whose construction does batched all that does not read the adjoint,
+leaving `adjoint(j, a_next)` as step j's recurrence and `contract()` as the
+batched control VJPs.  `args`, what they read, is made once per run of steps
+sharing a control slice and task.  `expected_loss`, `_rhs` and
+`backward_step` apply the slots to a one-step stack.  The linear two-layer
+kinds share one kernel, written for a state and a stack alike, and hold only
+two maps: forward from a control slice to the kernel's channels (g1, g2,
+dvec, rate) -- layer gains, error-row scales, a boost of the whole right-hand
+side -- and back from a swept stack to the control-shaped VJPs.  In that
+kernel an absent channel skips its multiplication and a neutral one
+multiplies by exactly 1.0, which IEEE makes exact, so neutral schedules
+reproduce the baseline bit for bit; tests rely on that.  A stack runs the
+same products and reductions on the same operands as its steps one at a
+time, so it gives their bits.
 """
 
 import warnings
@@ -44,6 +52,7 @@ from .errors import DivergenceError, UnsupportedOperationError
 from .linalg import phi1, propagate_affine
 
 DIVERGENCE_LIMIT = 1e6
+DIVERGENCE_BLOCK = 32  # steps integrate runs between divergence checks
 EXPONENT_NORM_WARN = 1e3
 
 
@@ -99,9 +108,10 @@ class TaskSchedule:
     n_steps: int
 
     def __post_init__(self):
-        dims = {(t.input_dim, t.output_dim) for t in self.tasks}
+        # one block layout, so a stack of steps reduces engagement VJPs per block at once
+        dims = {(t.input_dim, t.output_dim, t.blocks and tuple(t.blocks.output_sizes())) for t in self.tasks}
         if len(dims) != 1:
-            raise ValueError("all tasks in a schedule must share dimensions")
+            raise ValueError("all tasks in a schedule must share dimensions and blocks")
         if self.period_steps < 1:
             raise ValueError("period_steps must be positive")
 
@@ -118,22 +128,28 @@ class TaskSchedule:
 
 @dataclass
 class Trajectory:
-    """Recorded rollout: states and exact expected losses on the step grid.
+    """Recorded rollout: per-layer state stacks and exact expected losses on the step grid.
 
-    states has n_steps+1 entries (tuples of arrays, or 1-tuples of Python
-    floats for the single neuron); losses[i] is the expected loss at
-    states[i], evaluated with the control slice governing step
-    min(i, n_steps-1) so the terminal state is scored under the last control.
+    layers holds one stack per layer with n_steps+1 entries, entry i the layer
+    at step i: an array whose leading axis is the step, or a list of Python
+    floats for the single neuron.  losses[i] is the expected loss at state i,
+    evaluated with the control slice governing step min(i, n_steps-1) so the
+    terminal state is scored under the last control.
     """
 
     times: np.ndarray
-    states: list
+    layers: tuple
     losses: np.ndarray
     kind: str
 
     @property
     def n_steps(self):
-        return len(self.states) - 1
+        return len(self.layers[0]) - 1
+
+    @property
+    def states(self):
+        """Every state in step order, a tuple of layers (views into the stacks) each."""
+        return list(zip(*self.layers))
 
 
 def initial_state(spec, override=None):
@@ -182,15 +198,16 @@ def _gains(control):
     return control if control is not None else (None, None)
 
 
-def _linear_map_loss(m_eff, task, weights, lam):
-    # ndarray methods run the same reductions as np.sum/np.trace without the
-    # per-call dispatch of the module-level wrappers
-    quad = m_eff @ task.sigma_x
-    loss = 0.5 * float(task.sigma_y.trace())
-    loss -= float((m_eff * task.sigma_xy.T).sum())
-    loss += 0.5 * float((quad * m_eff).sum())
+def _mT(x):
+    """Transpose of the last two axes: .T of one matrix, per step on a stack."""
+    return x.swapaxes(-1, -2)
+
+
+def _map_losses(m_eff, sx, sxy_t, tr_sy, weights, lam):
+    """0.5 tr(Sy) - <M, Sxy^T> + 0.5 <M Sx, M> + 0.5 lambda sum |W|^2 of a map M or a stack of them."""
+    loss = 0.5 * tr_sy - (m_eff * sxy_t).sum(axis=(-2, -1)) + 0.5 * ((m_eff @ sx) * m_eff).sum(axis=(-2, -1))
     if lam:
-        loss += 0.5 * lam * sum(float(np.square(w).sum()) for w in weights)
+        loss = loss + 0.5 * lam * sum(np.square(w).sum(axis=(-2, -1)) for w in weights)
     return loss
 
 
@@ -252,7 +269,7 @@ def _layer_gain(control):
 def _layer_loss(state, control, task, spec):
     gain = _layer_gain(control)
     eff = state[0] if gain is None else (1.0 + gain) * state[0]
-    return _linear_map_loss(eff, task, state, spec.reg_lambda)
+    return float(_map_losses(eff, task.sigma_x, task.sigma_xy.T, float(task.sigma_y.trace()), state, spec.reg_lambda))
 
 
 def _layer_rhs(state, control, task, spec):
@@ -273,150 +290,144 @@ def _layer_backward(state, control, task, spec, a_next):
 
 # --- linear two-layer kernel ------------------------------------------------
 
-
-def _linear_pair_rhs(w1, w2, gain1, gain2, dvec, rate_gain, task, lam):
-    """Shared two-layer kernel; see module docstring for the neutrality contract."""
-    a_mat = w1 if gain1 is None else (1.0 + gain1) * w1
-    b_mat = w2 if gain2 is None else (1.0 + gain2) * w2
-    err = task.sigma_xy.T - b_mat @ (a_mat @ task.sigma_x)
-    err_d = err if dvec is None else dvec[:, None] * err
-    up1 = b_mat.T @ err_d
-    up2 = err_d @ a_mat.T
-    if gain1 is not None:
-        up1 = up1 * (1.0 + gain1)
-    if gain2 is not None:
-        up2 = up2 * (1.0 + gain2)
-    h1 = up1 - lam * w1
-    h2 = up2 - lam * w2
-    if rate_gain is not None:
-        boost = 1.0 + rate_gain
-        h1 = boost * h1
-        h2 = boost * h2
-    return h1, h2
+# The kernel's args: channels g~ = 1 + g, dvec as a column and the boost 1 + rate
+# as a 1x1 array (None where absent), task moments, lambda, and for the VJPs the
+# raw control slice and task.
+_PairArgs = namedtuple("_PairArgs", "g1t g2t dcol boost sx sxy_t tr_sy lam ctrl task")
 
 
-def _linear_pair_backward(state, channels, task, lam, a_next):
-    """Reverse mode of the shared kernel and of the pair's loss at one step.
+def _gather(args, *fields):
+    """Named fields of per-step args (one object per run of steps) stacked by step.
 
-    Returns (state_vjp, loss_grad_state, cbar, lbar): cbar = (g1b, g2b, dvb,
-    rate_bar) is the channel VJP and lbar = (lg1, lg2) the loss gradient wrt
-    the gains, with None for an absent channel.
+    A field every step shares is returned as is, to broadcast; None stays None.
     """
-    g1, g2, dvec, rate = channels
-    w1, w2 = state
-    a1, a2 = a_next
-    sx = task.sigma_x
-    sxy_t = task.sigma_xy.T
-    g1t = None if g1 is None else 1.0 + g1
-    g2t = None if g2 is None else 1.0 + g2
+    runs, idx = [args[0]], []
+    for a in args:
+        if a is not runs[-1]:
+            runs.append(a)
+        idx.append(len(runs) - 1)
+    if len(runs) == 1:
+        return tuple(getattr(runs[0], f) for f in fields)
+    idx = np.array(idx)
+    return tuple(
+        None if getattr(runs[0], f) is None else np.stack([getattr(a, f) for a in runs])[idx] for f in fields
+    )
+
+
+def _pair_kernel(w1, w2, g1t, g2t, dcol, sx, sxy_t, lam):
+    """The shared kernel at a state or a stack: (a_mat, b_mat, x1, err, err_d, up1, up2, p1, p2).
+
+    p1, p2 is the flow before the rate boost.
+    """
     a_mat = w1 if g1t is None else g1t * w1
     b_mat = w2 if g2t is None else g2t * w2
     x1 = a_mat @ sx
     err = sxy_t - b_mat @ x1
-    err_d = err if dvec is None else dvec[:, None] * err
-    up1 = b_mat.T @ err_d
-    up2 = err_d @ a_mat.T
+    err_d = err if dcol is None else dcol * err
+    up1 = _mT(b_mat) @ err_d
+    up2 = err_d @ _mT(a_mat)
     p1 = (up1 if g1t is None else up1 * g1t) - lam * w1
     p2 = (up2 if g2t is None else up2 * g2t) - lam * w2
-
-    # dynamics vjp
-    if rate is not None:
-        boost = 1.0 + rate
-        rate_bar = float(np.sum(a1 * p1) + np.sum(a2 * p2))
-        gp1 = boost * a1
-        gp2 = boost * a2
-    else:
-        rate_bar = None
-        gp1, gp2 = a1, a2
-    u1b = gp1 if g1t is None else gp1 * g1t
-    u2b = gp2 if g2t is None else gp2 * g2t
-    g1b = None if g1t is None else gp1 * up1
-    g2b = None if g2t is None else gp2 * up2
-    w1b = -lam * gp1
-    w2b = -lam * gp2
-    bb = err_d @ u1b.T
-    edb = b_mat @ u1b + u2b @ a_mat
-    ab = u2b.T @ err_d
-    if dvec is None:
-        dvb = None
-        eb = edb
-    else:
-        dvb = np.sum(edb * err, axis=1)
-        eb = dvec[:, None] * edb
-    bb = bb - eb @ x1.T
-    x1b = -(b_mat.T @ eb)
-    ab = ab + x1b @ sx
-    if g1t is None:
-        w1b = w1b + ab
-    else:
-        w1b = w1b + ab * g1t
-        g1b = g1b + ab * w1
-    if g2t is None:
-        w2b = w2b + bb
-    else:
-        w2b = w2b + bb * g2t
-        g2b = g2b + bb * w2
-
-    # loss gradients (the map ignores dvec and rate; err is the same object)
-    la = b_mat.T @ (-err)
-    lb = (-err) @ a_mat.T
-    if g1t is None:
-        lw1 = la + lam * w1
-        lg1 = None
-    else:
-        lw1 = la * g1t + lam * w1
-        lg1 = la * w1
-    if g2t is None:
-        lw2 = lb + lam * w2
-        lg2 = None
-    else:
-        lw2 = lb * g2t + lam * w2
-        lg2 = lb * w2
-    return (w1b, w2b), (lw1, lw2), (g1b, g2b, dvb, rate_bar), (lg1, lg2)
+    return a_mat, b_mat, x1, err, err_d, up1, up2, p1, p2
 
 
-# One dynamics kind: its layer count, then its expected loss, flow h (shaped
-# like the state) and adjoint step, each a function of (state, control, task,
-# spec); the adjoint also takes a_next and returns what backward_step does.
-_Kind = namedtuple("_Kind", "layers loss rhs backward")
+def _linear_pair_rhs(state, a):
+    """One step's flow of the linear two-layer kinds: the recurrence of integrate."""
+    *_, p1, p2 = _pair_kernel(state[0], state[1], a.g1t, a.g2t, a.dcol, a.sx, a.sxy_t, a.lam)
+    return (p1, p2) if a.boost is None else (a.boost * p1, a.boost * p2)
 
 
-def _linear_kind(channels, control_vjp, gained=False):
-    """Entry for a linear two-layer kind from its two maps.
+def _pair_losses(layers, args, spec):
+    g1t, g2t, sx, sxy_t, tr_sy = _gather(args, "g1t", "g2t", "sx", "sxy_t", "tr_sy")
+    w1, w2 = layers
+    a_mat = w1 if g1t is None else g1t * w1
+    b_mat = w2 if g2t is None else g2t * w2
+    return _map_losses(b_mat @ a_mat, sx, sxy_t, tr_sy, layers, spec.reg_lambda)
 
-    channels(control, task) -> (g1, g2, dvec, rate) feeds the shared kernel;
-    control_vjp(cbar, lbar, control, state, task) -> (ctrl_vjp, loss_grad_ctrl)
-    maps the kernel's channel and gain-loss gradients onto the control slice.
-    Only gains enter the map, so only a `gained` kind's loss reads its control.
+
+def _rows(x, k):
+    """Per-step entries of a gathered field: its rows, or the shared value (or None) k times."""
+    return list(x) if x is not None and x.ndim == 3 else [x] * k
+
+
+class _PairSweep:
+    """Reverse mode of the shared kernel and of the pair's loss over a stack of steps.
+
+    adjoint(j, a_next) returns step j's (state_vjp, loss_grad_state); once
+    every step is swept, contract() returns the control VJPs and loss
+    gradients as tuples of stacks, None where the control has none.
     """
 
-    def loss(state, control, task, spec):
-        g1, g2 = channels(control, task)[:2] if gained else (None, None)
-        a_mat = state[0] if g1 is None else (1.0 + g1) * state[0]
-        b_mat = state[1] if g2 is None else (1.0 + g2) * state[1]
-        return _linear_map_loss(b_mat @ a_mat, task, state, spec.reg_lambda)
-
-    def rhs(state, control, task, spec):
-        return _linear_pair_rhs(state[0], state[1], *channels(control, task), task, spec.reg_lambda)
-
-    def backward(state, control, task, spec, a_next):
-        state_vjp, loss_state, cbar, lbar = _linear_pair_backward(
-            state, channels(control, task), task, spec.reg_lambda, a_next
+    def __init__(self, layers, args, control_vjp):
+        g1t, g2t, dcol, boost, sx, sxy_t = _gather(args, "g1t", "g2t", "dcol", "boost", "sx", "sxy_t")
+        self.args, self.control_vjp, self.saved = args, control_vjp, []
+        self.lam = lam = args[0].lam
+        w1, w2 = self.w1, self.w2 = layers
+        a_mat, b_mat, x1, self.err, err_d, self.up1, self.up2, self.p1, self.p2 = _pair_kernel(
+            w1, w2, g1t, g2t, dcol, sx, sxy_t, lam
         )
-        ctrl_vjp, loss_ctrl = control_vjp(cbar, lbar, control, state, task)
-        return state_vjp, ctrl_vjp, loss_state, loss_ctrl
+        # the map ignores dvec and rate; b^T (-err) is -(b^T err) bit for bit
+        la = -self.up1 if dcol is None else _mT(b_mat) @ -self.err
+        lb = -self.up2 if dcol is None else -self.err @ _mT(a_mat)
+        lw1 = (la if g1t is None else la * g1t) + lam * w1
+        lw2 = (lb if g2t is None else lb * g2t) + lam * w2
+        self.lg = None if g1t is None else (la * w1, lb * w2)
+        k = len(w1)
+        self.rows = list(zip(
+            a_mat, b_mat, _mT(b_mat), _mT(x1), err_d, lw1, lw2,
+            *(_rows(x, k) for x in (g1t, g2t, dcol, boost, sx)),
+        ))
 
-    return _Kind(2, loss, rhs, backward)
+    def adjoint(self, j, a_next):
+        a_mat, b_mat, b_t, x1_t, err_d, lw1, lw2, g1t, g2t, dcol, boost, sx = self.rows[j]
+        a1, a2 = a_next
+        gp1, gp2 = (a1, a2) if boost is None else (boost * a1, boost * a2)
+        u1b = gp1 if g1t is None else gp1 * g1t
+        u2b = gp2 if g2t is None else gp2 * g2t
+        bb = err_d @ u1b.T
+        edb = b_mat @ u1b + u2b @ a_mat
+        ab = u2b.T @ err_d
+        eb = edb if dcol is None else dcol * edb
+        bb = bb - eb @ x1_t
+        x1b = -(b_t @ eb)
+        ab = ab + x1b @ sx
+        w1b = -self.lam * gp1 + (ab if g1t is None else ab * g1t)
+        w2b = -self.lam * gp2 + (bb if g2t is None else bb * g2t)
+        self.saved.append((a1, a2, ab, bb, edb))
+        return (w1b, w2b), (lw1, lw2)
+
+    def contract(self):
+        if self.args[0].ctrl is None or self.control_vjp is None:
+            return None, None
+        saved = self.saved[::-1]
+        return self.control_vjp(self, lambda m: np.stack([s[m] for s in saved])), self.lg
+
+
+def _pair_kind(channels, control_vjp=None):
+    """Entry of a linear two-layer kind from its two maps.
+
+    channels(control, task) -> (g~1, g~2, dcol, boost) feeds the kernel;
+    control_vjp(sweep, saved) -> per-step stacks of the control's arrays,
+    where saved(m) stacks the m-th of the (a1, a2, ab, bb, edb) adjoint keeps.
+    """
+
+    def args(control, task, spec):
+        return _PairArgs(*channels(control, task), task.sigma_x, task.sigma_xy.T, float(task.sigma_y.trace()),
+                         spec.reg_lambda, control, task)
+
+    return _Kind(2, args, _linear_pair_rhs, _pair_losses, lambda layers, a, spec: _PairSweep(layers, a, control_vjp))
 
 
 _NO_CHANNELS = (None, None, None, None)
 
 
-def _gain_vjp(cbar, lbar, control, state, task):
-    def dense(grads):
-        return tuple(g if g is not None else np.zeros_like(w) for g, w in zip(grads, state))
+def _gain_channels(control, task):
+    return _NO_CHANNELS if control is None else (1.0 + control[0], 1.0 + control[1], None, None)
 
-    return dense(cbar[:2]), dense(lbar)
+
+def _gain_vjp(sweep, saved):
+    # no boost here, so the adjoints a1, a2 are gp1, gp2
+    return saved(0) * sweep.up1 + saved(2) * sweep.w1, saved(1) * sweep.up2 + saved(3) * sweep.w2
 
 
 def _engagement_channels(control, task):
@@ -434,16 +445,17 @@ def _engagement_channels(control, task):
     sizes = task.blocks.output_sizes()
     if len(control) != len(sizes):
         raise ValueError(f"engagement vector length {len(control)} != task count {len(sizes)}")
-    return None, None, np.repeat(np.asarray(control, dtype=float), sizes), None
+    return None, None, np.repeat(np.asarray(control, dtype=float), sizes)[:, None], None
 
 
-def _engagement_vjp(cbar, lbar, control, state, task):
-    dvb = cbar[2]
-    sizes = task.blocks.output_sizes()
-    if dvb is None:
-        return np.zeros(len(sizes)), None
-    bounds = np.cumsum([0] + sizes)
-    return np.add.reduceat(dvb, bounds[:-1]), None
+def _row_vjp(sweep, saved):
+    """Gradient wrt the error-row scales dvec at each step."""
+    return (saved(4) * sweep.err).sum(axis=-1)
+
+
+def _engagement_vjp(sweep, saved):
+    bounds = np.cumsum([0] + sweep.args[0].task.blocks.output_sizes())
+    return (np.add.reduceat(_row_vjp(sweep, saved), bounds[:-1], axis=-1),)
 
 
 def _category_channels(control, task):
@@ -452,19 +464,20 @@ def _category_channels(control, task):
     phi = np.asarray(control, dtype=float)
     if len(phi) != task.output_dim:
         raise ValueError(f"class engagement length {len(phi)} != output dim {task.output_dim}")
-    return None, None, phi * phi, None
+    return None, None, (phi * phi)[:, None], None
 
 
-def _category_vjp(cbar, lbar, control, state, task):
-    dvb = cbar[2]
-    if dvb is None:
-        return np.zeros(task.output_dim), None
-    return 2.0 * np.asarray(control, dtype=float) * dvb, None
+def _category_vjp(sweep, saved):
+    (phi,) = _gather(sweep.args, "ctrl")
+    return (2.0 * np.asarray(phi, dtype=float) * _row_vjp(sweep, saved),)
 
 
 def _rate_channels(control, task):
-    # an absent boost is an exact 1.0, so the adjoint still yields a rate gradient
-    return None, None, None, 0.0 if control is None else float(control)
+    return _NO_CHANNELS if control is None else (None, None, None, np.full((1, 1), 1.0 + float(control)))
+
+
+def _rate_vjp(sweep, saved):
+    return ((saved(0) * sweep.p1).sum(axis=(-2, -1)) + (saved(1) * sweep.p2).sum(axis=(-2, -1)),)
 
 
 # --- nonlinear Taylor expansion ---------------------------------------------
@@ -603,21 +616,75 @@ def _taylor_backward(state, control, task, spec, a_next):
 
 # --- the kind table ---------------------------------------------------------
 
+# One dynamics kind: its layer count and the slots the module docstring
+# describes.  step(state, args) is the flow h of one step, shaped like the state.
+_Kind = namedtuple("_Kind", "layers args step losses sweep")
+
+
+def stack_slices(slices):
+    """Per-step slices (floats, arrays or tuples of arrays) as a tuple of stacks; None stays None."""
+    if slices[0] is None:
+        return None
+    if isinstance(slices[0], tuple):
+        return tuple(np.array(part) for part in zip(*slices))
+    return (np.array(slices),)
+
+
+class _StepSweep:
+    """The sweep of a kind whose adjoint is a per-step function shaped like backward_step."""
+
+    def __init__(self, backward, layers, args):
+        self.backward, self.states, self.args, self.ctrl_grads = backward, list(zip(*layers)), args, []
+
+    def adjoint(self, j, a_next):
+        svjp, cvjp, lgs, lgc = self.backward(self.states[j], *self.args[j], a_next)
+        self.ctrl_grads.append((cvjp, lgc))
+        return svjp, lgs
+
+    def contract(self):
+        cvjps, lgcs = zip(*self.ctrl_grads[::-1])
+        return stack_slices(cvjps), stack_slices(lgcs)
+
+
+def _stepwise_kind(layers, loss, rhs, backward):
+    """Entry of a kind computed one step at a time; its args are (control, task, spec)."""
+    return _Kind(
+        layers,
+        lambda control, task, spec: (control, task, spec),
+        lambda state, a: rhs(state, *a),
+        lambda stack, args, spec: np.array([loss(s, *a) for s, a in zip(zip(*stack), args)]),
+        lambda stack, args, spec: _StepSweep(backward, stack, args),
+    )
+
+
 _KIND_TABLE = {
-    "single_neuron": _Kind(1, _neuron_loss, _neuron_rhs, _neuron_backward),
-    "single_layer": _Kind(1, _layer_loss, _layer_rhs, _layer_backward),
-    "two_layer_baseline": _linear_kind(
-        lambda control, task: _NO_CHANNELS, lambda cbar, lbar, control, state, task: (None, None)
-    ),
-    "gain_mod": _linear_kind(lambda control, task: (*_gains(control), None, None), _gain_vjp, gained=True),
-    "engagement": _linear_kind(_engagement_channels, _engagement_vjp),
-    "category_engagement": _linear_kind(_category_channels, _category_vjp),
-    "lr_mod": _linear_kind(_rate_channels, lambda cbar, lbar, control, state, task: (cbar[3], None)),
-    "nonlinear_taylor": _Kind(2, _taylor_loss, _taylor_rhs, _taylor_backward),
+    "single_neuron": _stepwise_kind(1, _neuron_loss, _neuron_rhs, _neuron_backward),
+    "single_layer": _stepwise_kind(1, _layer_loss, _layer_rhs, _layer_backward),
+    "two_layer_baseline": _pair_kind(lambda control, task: _NO_CHANNELS),
+    "gain_mod": _pair_kind(_gain_channels, _gain_vjp),
+    "engagement": _pair_kind(_engagement_channels, _engagement_vjp),
+    "category_engagement": _pair_kind(_category_channels, _category_vjp),
+    "lr_mod": _pair_kind(_rate_channels, _rate_vjp),
+    "nonlinear_taylor": _stepwise_kind(2, _taylor_loss, _taylor_rhs, _taylor_backward),
 }
 
 KINDS = tuple(_KIND_TABLE)
 _TWO_LAYER_KINDS = tuple(k for k, entry in _KIND_TABLE.items() if entry.layers == 2)
+
+
+def _one_step(state):
+    """A state as a stack of one step."""
+    return tuple([w] if isinstance(w, float) else np.asarray(w)[None] for w in state)
+
+
+def _first(stacks, control):
+    """Entry 0 of per-step stacks, shaped like the control slice."""
+    if stacks is None:
+        return None
+    if isinstance(control, tuple) or len(stacks) > 1:
+        return tuple(s[0] for s in stacks)
+    row = stacks[0][0]
+    return float(row) if np.ndim(row) == 0 else row
 
 
 def expected_loss(state, control, task, spec):
@@ -626,12 +693,14 @@ def expected_loss(state, control, task, spec):
     `control` mirrors ControlSchedule.at(step) for the spec's kind; None means
     neutral.  Engagement-style controls never alter the loss, only learning.
     """
-    return _KIND_TABLE[spec.kind].loss(state, control, task, spec)
+    kind = _KIND_TABLE[spec.kind]
+    return float(kind.losses(_one_step(state), [kind.args(control, task, spec)], spec)[0])
 
 
 def _rhs(spec, state, control, task):
     """Flow h(state, control) of the spec's kind, same structure as the state."""
-    return _KIND_TABLE[spec.kind].rhs(state, control, task, spec)
+    kind = _KIND_TABLE[spec.kind]
+    return kind.step(state, kind.args(control, task, spec))
 
 
 def backward_step(spec, state, control, task, a_next):
@@ -645,12 +714,18 @@ def backward_step(spec, state, control, task, a_next):
       loss_grad_ctrl  dL/dcontrol (None where the loss ignores the control)
     Everything is exact for the discretized system; finite differences agree
     to first order in the probe step.  single_layer has no adjoint and raises
-    UnsupportedOperationError.
+    UnsupportedOperationError.  This is the kind's sweep over a one-step stack.
     """
-    return _KIND_TABLE[spec.kind].backward(state, control, task, spec, a_next)
+    kind = _KIND_TABLE[spec.kind]
+    sweep = kind.sweep(_one_step(state), [kind.args(control, task, spec)], spec)
+    state_vjp, loss_state = sweep.adjoint(0, a_next)
+    ctrl_vjp, loss_ctrl = sweep.contract()
+    return state_vjp, _first(ctrl_vjp, control), loss_state, _first(loss_ctrl, control)
 
 
 # --- integration ------------------------------------------------------------
+
+SWEEP_CHUNK = 256  # steps per stack in the reverse sweep, which bounds its memory
 
 
 def per_step_inputs(schedule, task, n, seg_ctrls=None):
@@ -664,6 +739,16 @@ def per_step_inputs(schedule, task, n, seg_ctrls=None):
     return ctrls, tasks
 
 
+def _step_args(kind, ctrls, tasks, spec):
+    """kind.args of each step, computed once per run of steps sharing a control slice and task."""
+    out, prev, a = [], None, None
+    for c, t in zip(ctrls, tasks):
+        if prev is None or c is not prev[0] or t is not prev[1]:
+            prev, a = (c, t), kind.args(c, t, spec)
+        out.append(a)
+    return out
+
+
 def _divergence(peak, step):
     return DivergenceError(
         f"weight magnitude {peak:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at step {step}; "
@@ -671,11 +756,17 @@ def _divergence(peak, step):
     )
 
 
-def _check_divergence(state, step):
-    for w in state:
-        peak = abs(w) if isinstance(w, float) else float(abs(w).max()) if w.size else 0.0
-        if not peak < DIVERGENCE_LIMIT:
-            raise _divergence(peak, step)
+def _check_divergence(layers, lo):
+    """Raise DivergenceError as a check after each of steps lo, lo+1, ... would.
+
+    `layers` holds per-layer stacks of the states those steps made.
+    """
+    if all(np.abs(layer).max(initial=0.0) < DIVERGENCE_LIMIT for layer in layers):
+        return
+    peaks = np.array([np.abs(np.asarray(layer)).reshape(len(layer), -1).max(axis=1, initial=0.0) for layer in layers])
+    bad = ~(peaks < DIVERGENCE_LIMIT)
+    j = int(bad.any(axis=0).argmax())
+    raise _divergence(float(peaks[bad[:, j].argmax(), j]), lo + j)
 
 
 def _prepare_schedule(spec, schedule):
@@ -695,7 +786,8 @@ def integrate(spec, schedule, task, state0=None):
     `task` is a TaskMoments or a TaskSchedule (for switching); `schedule` may
     be None for an uncontrolled run.  An init_weights schedule supplies the
     starting state; otherwise `state0` (if given) or the spec's init does.
-    Raises DivergenceError when any weight magnitude passes DIVERGENCE_LIMIT.
+    The step loop only fills the layer stacks; the losses are batched after
+    it.  Raises DivergenceError when any weight magnitude passes DIVERGENCE_LIMIT.
     """
     schedule = _prepare_schedule(spec, schedule)
     if schedule is not None and schedule.kind == "init_weights":
@@ -709,10 +801,10 @@ def integrate(spec, schedule, task, state0=None):
 
     if spec.kind == "single_neuron":
         # Python floats throughout, with the moments read when the task changes:
-        # several times cheaper per step than the tuple loop below
+        # several times cheaper per step than the array loop below
         lam = spec.reg_lambda
         w = state[0]
-        states = [(w,)]
+        ws = [w]
         losses = []
         prev = None
         for i, (ctrl, tsk) in enumerate(zip(ctrls, tasks)):
@@ -723,21 +815,36 @@ def integrate(spec, schedule, task, state0=None):
             w = w + scale * _neuron_flow(w, gt, mu, x2, sy, lam)
             if not abs(w) < DIVERGENCE_LIMIT:
                 raise _divergence(abs(w), i)
-            states.append((w,))
+            ws.append(w)
         losses.append(_neuron_loss_f(w, gt, mu, x2, sy, lam))
-        return Trajectory(times=times, states=states, losses=np.array(losses), kind=spec.kind)
+        return Trajectory(times=times, layers=(ws,), losses=np.array(losses), kind=spec.kind)
 
-    loss, rhs = _KIND_TABLE[spec.kind].loss, _KIND_TABLE[spec.kind].rhs
-    states = [state]
-    losses = np.empty(n + 1)
-    for i, (ctrl, tsk) in enumerate(zip(ctrls, tasks)):
-        losses[i] = loss(state, ctrl, tsk, spec)
-        hs = rhs(state, ctrl, tsk, spec)
-        state = tuple(w + scale * h for w, h in zip(state, hs))
-        _check_divergence(state, i)
-        states.append(state)
-    losses[n] = loss(state, ctrls[-1], tasks[-1], spec)
-    return Trajectory(times=times, states=states, losses=losses, kind=spec.kind)
+    kind = _KIND_TABLE[spec.kind]
+    args = _step_args(kind, ctrls, tasks, spec)
+    layers = tuple(np.empty((n + 1, *w.shape)) for w in state)
+    for layer, w in zip(layers, state):
+        layer[0] = w
+    step = kind.step
+    # checked once per block of steps: a diverging rollout runs on to the end
+    # of its block, where overflow is expected and kept silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, DIVERGENCE_BLOCK):
+            for i in range(lo, min(lo + DIVERGENCE_BLOCK, n)):
+                state = tuple(w + scale * h for w, h in zip(state, step(state, args[i])))
+                for layer, w in zip(layers, state):
+                    layer[i + 1] = w
+            _check_divergence(tuple(layer[lo + 1 : i + 2] for layer in layers), lo)
+    losses = kind.losses(layers, args + args[-1:], spec)
+    return Trajectory(times=times, layers=layers, losses=losses, kind=spec.kind)
+
+
+def sweeps(spec, traj, ctrls, tasks):
+    """(lo, hi, sweep) over stacks of SWEEP_CHUNK steps, last first, each built when reached."""
+    kind = _KIND_TABLE[spec.kind]
+    args = _step_args(kind, ctrls, tasks, spec)
+    for hi in range(len(args), 0, -SWEEP_CHUNK):
+        lo = max(hi - SWEEP_CHUNK, 0)
+        yield lo, hi, kind.sweep(tuple(layer[lo:hi] for layer in traj.layers), args[lo:hi], spec)
 
 
 # --- sampled-SGD twins ------------------------------------------------------
@@ -812,7 +919,7 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
         if class_counts is not None:
             x, y = sample_class_batch(task, class_counts[i], rng)
             emp = _EmpiricalMoments(x, y, blocks=task.blocks)
-            hs = _linear_pair_rhs(state[0], state[1], None, None, None, None, emp, spec.reg_lambda)
+            hs = _linear_pair_rhs(state, _KIND_TABLE["two_layer_baseline"].args(None, emp, spec))
         elif nonlinear:
             x, y = sample_batch(task, batch_size, rng)
             g1, g2 = _gains(ctrl)
@@ -832,10 +939,11 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
             x, y = sample_batch(task, batch_size, rng)
             hs = _rhs(spec, state, ctrl, _EmpiricalMoments(x, y, blocks=task.blocks))
         state = tuple(w + scale * h for w, h in zip(state, hs))
-        _check_divergence(state, i)
+        _check_divergence(_one_step(state), i)
         states.append(state)
     losses[n] = score(state, ctrls[-1])
-    return Trajectory(times=times, states=states, losses=losses, kind=spec.kind)
+    layers = tuple(list(ws) if isinstance(ws[0], float) else np.array(ws) for ws in zip(*states))
+    return Trajectory(times=times, layers=layers, losses=losses, kind=spec.kind)
 
 
 # --- closed forms -----------------------------------------------------------

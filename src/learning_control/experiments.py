@@ -52,6 +52,8 @@ def task_switch_schedule(tasks, period_steps, n_steps):
     """
     period_steps = int(period_steps)
     n_steps = int(n_steps)
+    if period_steps < 1:
+        raise ValueError(f"switch period must be positive, got {period_steps}")
     if period_steps > n_steps:
         raise ValueError(f"switch period {period_steps} exceeds the horizon {n_steps}")
     if n_steps % period_steps != 0:
@@ -310,22 +312,25 @@ def build(cfg):
     """
     entry = _scenario(cfg.scenario)
     p = cfg.params
-    d, task = entry.task(replace(cfg.dynamics, init_seed=cfg.seed), p)
-    if entry.control == "init_weights":
-        return d, task, init_weights_control(dyn.initial_state(d))
-    n_channels = None
-    if entry.control == "engagement_series":
-        n_channels = task.blocks.n_tasks
-    elif entry.control == "category_series":
-        n_channels = task.output_dim
-    sched = ControlSchedule.neutral(
-        entry.control,
-        d.n_steps,
-        segment=int(p["segment"]),
-        shapes=((d.hidden_dim, d.input_dim), (d.output_dim, d.hidden_dim)),
-        n_channels=n_channels,
-        bounds=(p["g_lo"], p["g_hi"]),
-    )
+    try:
+        d, task = entry.task(replace(cfg.dynamics, init_seed=cfg.seed), p)
+        if entry.control == "init_weights":
+            return d, task, init_weights_control(dyn.initial_state(d))
+        n_channels = None
+        if entry.control == "engagement_series":
+            n_channels = task.blocks.n_tasks
+        elif entry.control == "category_series":
+            n_channels = task.output_dim
+        sched = ControlSchedule.neutral(
+            entry.control,
+            d.n_steps,
+            segment=int(p["segment"]),
+            shapes=((d.hidden_dim, d.input_dim), (d.output_dim, d.hidden_dim)),
+            n_channels=n_channels,
+            bounds=(p["g_lo"], p["g_hi"]),
+        )
+    except ValueError as err:  # a scenario parameter out of range, worded as configio words it
+        raise ConfigError(f"invalid configuration: {err}") from err
     return d, task, sched
 
 

@@ -26,11 +26,11 @@ def _f(x):
     return format(float(x), ".17g")
 
 
-def _norms(w):
-    if w is None:
-        return 0.0, 0.0
-    arr = np.asarray(w, dtype=float)
-    return float(abs(arr).sum()), float(np.sqrt((arr * arr).sum()))
+def _norms(layer):
+    """L1 and L2 norms of every entry of a layer stack, as lists of floats."""
+    arr = np.asarray(layer, dtype=float)
+    axes = tuple(range(1, arr.ndim))
+    return abs(arr).sum(axis=axes).tolist(), np.sqrt((arr * arr).sum(axis=axes)).tolist()
 
 
 def write_trajectory_csv(path, traj, schedule=None, vspec=None):
@@ -49,6 +49,9 @@ def write_trajectory_csv(path, traj, schedule=None, vspec=None):
     seg_ctrls = schedule.segment_controls() if usable else [None]
     costs = [0.0 if c is None or vspec is None else control_cost(c, vspec.cost) for c in seg_ctrls]
     norms = [schedule.control_norm_at(k * seg) if usable else 0.0 for k in range(len(seg_ctrls))]
+    # one pass per layer; a network without a second layer has zero norms there
+    l1_1, l2_1 = _norms(traj.layers[0])
+    l1_2, l2_2 = _norms(traj.layers[1]) if len(traj.layers) > 1 else ([0.0] * (n + 1),) * 2
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(TRAJECTORY_COLUMNS)
@@ -57,12 +60,9 @@ def write_trajectory_csv(path, traj, schedule=None, vspec=None):
             cost = costs[k]
             loss = float(traj.losses[i])
             reward = -eta * loss
-            state = traj.states[i]
-            l1_1, l2_1 = _norms(state[0])
-            l1_2, l2_2 = _norms(state[1] if len(state) > 1 else None)
             out.writerow(
                 [i, _f(traj.times[i]), _f(loss), _f(reward), _f(cost), _f(reward - cost),
-                 _f(l1_1), _f(l2_1), _f(l1_2), _f(l2_2), _f(norms[k])]
+                 _f(l1_1[i]), _f(l2_1[i]), _f(l1_2[i]), _f(l2_2[i]), _f(norms[k])]
             )
     return path
 

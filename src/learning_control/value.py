@@ -205,11 +205,14 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
     schedule do not enter: the derivative is of the unconstrained objective.
     `traj`, when given, must be the rollout of this schedule and task (from
     `state0`); the forward pass is then skipped and only the adjoint runs.
+
+    The sweep goes over stacks of steps, last first: only the adjoint
+    recurrence loops per step, and each stack's control gradients are formed
+    batched and added into the buffers in descending step order.
     """
     if traj is None:
         traj = dyn.integrate(dspec, schedule, task, state0=state0)
     n = dspec.n_steps
-    states = traj.states
     scale = dspec.dt / dspec.tau_w
     per_step = schedule is not None and schedule.kind != "init_weights"
     seg = schedule.segment if per_step else n
@@ -217,36 +220,42 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
     ctrls, tasks = dyn.per_step_inputs(schedule, task, n, seg_ctrls)
     pw, cw = _value_weights(vspec, dspec)
     total = _segment_total(traj.losses, seg_ctrls, seg, vspec, pw, cw)
-    pw, cw = pw.tolist(), cw.tolist()
+    pws = pw.tolist()
     buffers = schedule.zero_grads() if per_step else None
-    cost_grads = [control_cost_grad(c, vspec.cost) for c in seg_ctrls] if vspec.cost.kind != "none" else None
+    cost_grads = None
+    if per_step and vspec.cost.kind != "none":
+        cost_grads = dyn.stack_slices([control_cost_grad(c, vspec.cost) for c in seg_ctrls])
+    # per-step weights, shaped to broadcast over a stack of control slices
+    weights_shape = (-1,) + (1,) * (schedule.values[0].ndim - 1) if per_step else None
 
     def zero_like_state(s):
         return tuple(0.0 if isinstance(w, float) else np.zeros_like(w) for w in s)
 
     # terminal contribution: the state at N is scored with the last control slice
-    if pw[n] != 0.0:
-        _, _, lgs, lgc = dyn.backward_step(dspec, states[n], ctrls[-1], tasks[-1], zero_like_state(states[n]))
-        adj = tuple(-pw[n] * g for g in lgs)
+    state_n = tuple(layer[n] for layer in traj.layers)
+    if pws[n] != 0.0:
+        _, _, lgs, lgc = dyn.backward_step(dspec, state_n, ctrls[-1], tasks[-1], zero_like_state(state_n))
+        adj = tuple(-pws[n] * g for g in lgs)
         if per_step and lgc is not None:
-            schedule.add_grad(buffers, n - 1, _slice_scale(lgc, -pw[n]))
+            schedule.add_grad(buffers, n - 1, _slice_scale(lgc, -pws[n]))
     else:
-        adj = zero_like_state(states[n])
+        adj = zero_like_state(state_n)
 
-    for i in range(n - 1, -1, -1):
-        svjp, cvjp, lgs, lgc = dyn.backward_step(dspec, states[i], ctrls[i], tasks[i], adj)
+    for lo, hi, sweep in dyn.sweeps(dspec, traj, ctrls, tasks):
+        for i in range(hi - 1, lo - 1, -1):
+            svjp, lgs = sweep.adjoint(i - lo, adj)
+            p = pws[i]
+            adj = tuple(a + scale * sv - (p * lg if p != 0.0 else 0.0) for a, sv, lg in zip(adj, svjp, lgs))
         if per_step:
-            g = _slice_scale(cvjp, scale)
-            if pw[i] != 0.0:
-                g = _slice_axpy(g, lgc, -pw[i])
-            if cost_grads is not None and cw[i] != 0.0:
-                g = _slice_axpy(g, cost_grads[i // seg], -cw[i])
+            # as step by step, but a zero weight adds a signed zero, which the
+            # buffers, summed from +0.0, absorb
+            cvjp, lgc = sweep.contract()
+            g = _slice_axpy(_slice_scale(cvjp, scale), lgc, -pw[lo:hi].reshape(weights_shape))
+            if cost_grads is not None:
+                seg_of = np.arange(lo, hi) // seg
+                g = _slice_axpy(g, tuple(c[seg_of] for c in cost_grads), -cw[lo:hi].reshape(weights_shape))
             if g is not None:
-                schedule.add_grad(buffers, i, g)
-        adj = tuple(
-            a + scale * sv - (pw[i] * lg if pw[i] != 0.0 else 0.0)
-            for a, sv, lg in zip(adj, svjp, lgs)
-        )
+                schedule.add_grads(buffers, lo, g)
 
     if per_step:
         return total, buffers, traj

@@ -82,6 +82,24 @@ class TestConfigLoading:
         assert f"error: invalid configuration: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, param, message",
+        [
+            ("single_neuron_effort", "segment=-1", "segment must be positive"),
+            ("single_neuron_effort", "segment=0", "segment must be positive"),
+            ("task_switch", "switch_period=0", "switch period must be positive"),
+        ],
+    )
+    def test_a_scenario_parameter_out_of_range_is_a_config_error(self, name, param, message, tmp_path, capsys):
+        key, value = param.split("=")
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"[scenario]\nname = {name}\n{key} = {value}\n")
+        for argv in (["run", "--preset", name, "-p", param], ["run", "--config", str(cfg_file)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"invalid configuration: {message}" in err
+            assert "Traceback" not in err
+
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from learning_control import dynamics
 from learning_control.control import ControlSchedule, init_weights_control
 from learning_control.dynamics import (
     KINDS,
@@ -27,6 +28,7 @@ from learning_control.dynamics import (
     simulate_sgd,
 )
 from learning_control.errors import DivergenceError, UnsupportedOperationError
+from learning_control.experiments import build, override_param, preset
 from learning_control.tasks import (
     TaskMoments,
     class_mixture_moments,
@@ -764,3 +766,153 @@ class TestSampledTwin:
         np.testing.assert_array_equal(a.losses, b.losses)
         c = simulate_sgd(spec, None, task, batch_size=64, seed=[3, 2], eval_batch=256)
         assert not np.array_equal(a.losses, c.losses)
+
+
+# --- stacked kernels against the one-step API --------------------------------
+
+# kind -> (input, output, control kind, bounds, two tasks sharing dims and blocks)
+STACK_KINDS = {
+    "single_layer": (2, 2, "matrix_pair_series", (-0.5, 1.0), lambda: [pair_task(0.8), pair_task(0.6)]),
+    "two_layer_baseline": (2, 2, None, None, lambda: [pair_task(0.8), pair_task(0.6)]),
+    "gain_mod": (2, 2, "matrix_pair_series", (-0.5, 1.0), lambda: [pair_task(0.8), pair_task(0.6)]),
+    "engagement": (3, 3, "engagement_series", (0.0, 1.5), lambda: [
+        compose_block_tasks([two_gaussian_moments(1.0, 0.4), pair_task(0.8)]),
+        compose_block_tasks([two_gaussian_moments(1.5, 0.6), pair_task(0.6)]),
+    ]),
+    "category_engagement": (2, 2, "category_series", (0.0, 1.5), lambda: [
+        class_mixture_moments(np.array([[0.9, 0.1], [-0.2, 1.1]]), 0.5),
+        class_mixture_moments(np.array([[1.2, -0.3], [0.1, 0.7]]), 0.6),
+    ]),
+    "lr_mod": (2, 2, "scalar_series", (-0.5, 1.0), lambda: [pair_task(0.8), pair_task(0.6)]),
+    "nonlinear_taylor": (2, 2, "matrix_pair_series", (-0.5, 1.0), lambda: [
+        class_mixture_moments(np.array([[0.9, 0.1], [-0.2, 1.1]]), 0.5),
+        class_mixture_moments(np.array([[1.2, -0.3], [0.1, 0.7]]), 0.6),
+    ]),
+}
+
+# variant -> (n_steps, segment, switch period or None for one task, reg_lambda, neutral)
+STACK_VARIANTS = {
+    "switching": (23, 3, 7, 0.05, False),  # 3 divides neither 7 nor 23
+    "one_task": (22, 4, None, 0.0, False),
+    "neutral": (22, 4, 5, 0.05, True),
+}
+
+
+def stack_case(kind, variant):
+    """(spec, task, schedule) of a stacking case; the schedule is None for the baseline."""
+    in_dim, out_dim, control, bounds, make_tasks = STACK_KINDS[kind]
+    n, segment, period, lam, neutral = STACK_VARIANTS[variant]
+    spec = DynamicsSpec(kind=kind, input_dim=in_dim, output_dim=out_dim,
+                        hidden_dim=0 if kind == "single_layer" else 3, dt=0.05, n_steps=n,
+                        reg_lambda=lam, init_std=0.3, init_seed=1)
+    tasks = make_tasks()
+    task = tasks[0] if period is None else TaskSchedule(tasks=tasks, period_steps=period, n_steps=n)
+    if control is None:
+        return spec, task, None
+    shapes = ((out_dim, in_dim),) if kind == "single_layer" else ((3, in_dim), (out_dim, 3))
+    sched = ControlSchedule.neutral(control, n, segment=segment, shapes=shapes,
+                                    n_channels=2 if control == "engagement_series" else out_dim,
+                                    bounds=bounds)
+    if not neutral:
+        rng = np.random.default_rng(5)
+        sched = sched.with_values(tuple(rng.uniform(*bounds, v.shape) for v in sched.values))
+    return spec, task, sched
+
+
+def task_at(task, step):
+    return task.task_at(step) if isinstance(task, TaskSchedule) else task
+
+
+class TestStackedKernels:
+    """integrate's batched losses and stored states against the one-step API, bit for bit.
+
+    A small divergence block makes the step loop cross several blocks.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "DIVERGENCE_BLOCK", 5)
+
+    @pytest.mark.parametrize("variant", STACK_VARIANTS)
+    @pytest.mark.parametrize("kind", STACK_KINDS)
+    def test_rollout_equals_a_roll_through_the_one_step_api(self, kind, variant):
+        spec, task, sched = stack_case(kind, variant)
+        traj = integrate(spec, sched, task)
+        n, scale = spec.n_steps, spec.dt / spec.tau_w
+
+        def ctrl(i):
+            return None if sched is None else sched.at(min(i, n - 1))
+
+        state, states = initial_state(spec), traj.states
+        for i in range(n + 1):
+            assert all(np.array_equal(a, b) for a, b in zip(states[i], state))
+            assert traj.losses[i] == expected_loss(state, ctrl(i), task_at(task, min(i, n - 1)), spec)
+            if i < n:
+                hs = _rhs(spec, state, ctrl(i), task_at(task, i))
+                state = tuple(w + scale * h for w, h in zip(state, hs))
+
+    @pytest.mark.parametrize("kind", [k for k, entry in STACK_KINDS.items() if entry[2] is not None])
+    def test_neutral_schedules_reproduce_the_uncontrolled_rollout(self, kind):
+        spec, task, neutral = stack_case(kind, "neutral")
+        a, b = integrate(spec, neutral, task), integrate(spec, None, task)
+        for la, lb in zip(a.layers, b.layers):
+            assert np.array_equal(la, lb)
+        assert np.array_equal(a.losses, b.losses)
+
+    def test_divergence_is_reported_at_its_step_inside_a_block(self):
+        spec = DynamicsSpec(kind="gain_mod", input_dim=2, output_dim=2, hidden_dim=3,
+                            dt=2.0, n_steps=40, init_std=0.5, init_seed=1)
+        step_by_step = None
+        state, scale = initial_state(spec), spec.dt / spec.tau_w
+        for i in range(spec.n_steps):
+            state = tuple(w + scale * h for w, h in zip(state, _rhs(spec, state, None, pair_task())))
+            peak = next((float(abs(w).max()) for w in state if not abs(w).max() < 1e6), None)
+            if peak is not None:
+                step_by_step = f"weight magnitude {peak:.3e} exceeded 1e+06 at step {i};"
+                break
+        assert step_by_step is not None and not step_by_step.endswith(" 0;")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                integrate(spec, None, pair_task())
+        assert str(err.value).startswith(step_by_step)
+
+
+def _relative_gap(a, b):
+    """Norm-based relative difference of two rollouts' layers (a's scaled by `scale`) and losses."""
+    return max(
+        max(float(np.linalg.norm(la - lb) / np.linalg.norm(lb)) for la, lb in zip(a[0], b.layers)),
+        float(np.linalg.norm(a[1] - b.losses) / np.linalg.norm(b.losses)),
+    )
+
+
+class TestConstantControlsRescaleTime:
+    """Whole-trajectory oracles (lambda = 0): a constant uniform control is a change of time scale."""
+
+    def case(self, name, **changes):
+        spec, task, sched = build(override_param(preset(name), "dynamics.reg_lambda", 0.0))
+        return replace(spec, **changes), task, sched
+
+    def test_lr_mod_boost_divides_tau(self):
+        c = 0.7
+        spec, task, sched = self.case("lr_bilevel")
+        boosted = integrate(spec, sched.with_values((np.full_like(sched.values[0], c),)), task)
+        base = integrate(replace(spec, kind="two_layer_baseline", tau_w=spec.tau_w / (1 + c)), None, task)
+        assert _relative_gap((boosted.layers, boosted.losses), base) < 1e-12
+
+    def test_engagement_weight_divides_tau(self):
+        c = 1.3
+        spec, task, sched = self.case("task_engagement")
+        engaged = integrate(spec, sched.with_values((np.full_like(sched.values[0], c),)), task)
+        base = integrate(replace(spec, kind="two_layer_baseline", tau_w=spec.tau_w / c), None, task)
+        assert _relative_gap((engaged.layers, engaged.losses), base) < 1e-12
+
+    def test_uniform_gain_rescales_weights_and_tau(self):
+        g = 0.4
+        spec, task, sched = self.case("effort_allocation")
+        gained = integrate(spec, sched.with_values(tuple(np.full_like(v, g) for v in sched.values)), task)
+        start = tuple((1 + g) * w for w in initial_state(spec))
+        base = integrate(replace(spec, kind="two_layer_baseline", tau_w=spec.tau_w / (1 + g) ** 2),
+                         None, task, state0=start)
+        effective = tuple((1 + g) * layer for layer in gained.layers)
+        assert _relative_gap((effective, gained.losses), base) < 1e-12

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from learning_control import dynamics, optimizer
+from learning_control import dynamics, optimizer, value
 from learning_control.control import ControlSchedule, init_weights_control
 from learning_control.dynamics import DynamicsSpec, initial_state
 from learning_control.errors import ConfigError, DivergenceError
@@ -374,12 +374,13 @@ def count_passes(monkeypatch):
     """Count forward and adjoint passes, wrapping every binding in the package.
 
     integrate calls made inside optimize() are counted; those outside it are
-    listed by horizon (n_steps).  backward_step calls are counted everywhere.
+    listed by horizon (n_steps).  backward_step calls, and the steps the
+    grad_value sweeps cover, are counted everywhere.
     """
-    counts = {"integrate": 0, "outside": [], "backward_step": 0}
+    counts = {"integrate": 0, "outside": [], "backward_step": 0, "swept": 0}
     inside = []
     real = {"integrate": dynamics.integrate, "backward_step": dynamics.backward_step,
-            "optimize": optimizer.optimize}
+            "optimize": optimizer.optimize, "grad_value": value.grad_value}
 
     def integrate(spec, *args, **kwargs):
         if inside:
@@ -399,7 +400,12 @@ def count_passes(monkeypatch):
         finally:
             inside.pop()
 
-    fakes = {"integrate": integrate, "backward_step": backward_step, "optimize": optimize}
+    def grad_value(spec, *args, **kwargs):
+        counts["swept"] += spec.n_steps
+        return real["grad_value"](spec, *args, **kwargs)
+
+    fakes = {"integrate": integrate, "backward_step": backward_step, "optimize": optimize,
+             "grad_value": grad_value}
     for name, module in list(sys.modules.items()):
         if name == "learning_control" or name.startswith("learning_control."):
             for attr, fake in fakes.items():
@@ -437,9 +443,11 @@ class TestRolloutReuse:
         assert stalled == (make_config is stalling_neuron_config)
         assert counts["integrate"] == 1 + trials + stalled
         assert counts["outside"] == []
-        # one adjoint sweep per point on the trace; the discounted value puts
-        # no weight on the terminal state, so a sweep is n_steps calls
-        assert counts["backward_step"] == len(res.trace.V) * cfg.dynamics.n_steps
+        # one adjoint sweep over the horizon per point on the trace; the sweep
+        # runs through the kind table, and the discounted value puts no weight
+        # on the terminal state, so no sweep calls the one-step backward_step
+        assert counts["swept"] == len(res.trace.V) * cfg.dynamics.n_steps
+        assert counts["backward_step"] == 0
 
     def test_multi_task_passes(self, monkeypatch):
         cfg = two_task_maml_config()
@@ -450,8 +458,9 @@ class TestRolloutReuse:
         assert counts["integrate"] == 2 * (1 + trials)
         # only the summary's evaluation rollouts, which have their own horizon
         assert counts["outside"] == [cfg.params["eval_steps"]] * 4
-        # the per-step sum scores the terminal state too: n_steps + 1 calls a sweep
-        assert counts["backward_step"] == len(res.trace.V) * 2 * (cfg.dynamics.n_steps + 1)
+        # the per-step sum scores the terminal state too: one one-step call a sweep
+        assert counts["swept"] == len(res.trace.V) * 2 * cfg.dynamics.n_steps
+        assert counts["backward_step"] == len(res.trace.V) * 2
 
     @pytest.mark.parametrize("make_config", [
         tiny_neuron_config,

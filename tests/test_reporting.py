@@ -38,7 +38,7 @@ def toy_traj():
     """Two-step single-neuron rollout with easy norms."""
     return Trajectory(
         times=np.array([0.0, 0.1, 0.2]),
-        states=[(0.5,), (0.4,), (0.3,)],
+        layers=([0.5, 0.4, 0.3],),
         losses=np.array([1.0, 0.8, 0.7]),
         kind="single_neuron",
     )

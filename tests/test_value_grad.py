@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from test_dynamics import STACK_KINDS, stack_case, task_at
 
+from learning_control import dynamics
 from learning_control.control import ControlSchedule, init_weights_control
-from learning_control.dynamics import DynamicsSpec, Trajectory, integrate
+from learning_control.dynamics import DynamicsSpec, Trajectory, backward_step, initial_state, integrate
 from learning_control.tasks import (
     class_mixture_moments,
     compose_block_tasks,
@@ -27,7 +29,11 @@ from learning_control.value import (
     evaluate_value,
     fd_check,
     grad_value,
+    _slice_axpy,
+    _slice_scale,
+    _value_weights,
     maml_value_and_grad,
+    per_step_sum_spec,
     value,
 )
 
@@ -115,7 +121,7 @@ class TestControlCostGrad:
 def fake_traj(losses, dt):
     losses = np.asarray(losses, dtype=float)
     n = len(losses) - 1
-    return Trajectory(times=np.arange(n + 1) * dt, states=[(0.0,)] * (n + 1),
+    return Trajectory(times=np.arange(n + 1) * dt, layers=([0.0] * (n + 1),),
                       losses=losses, kind="single_neuron")
 
 
@@ -355,3 +361,65 @@ class TestCategoryScheduleGradient:
         vspec = ValueSpec(gamma=0.95, cost=CostSpec("anchored_norm", beta=0.1, anchor=1.0))
         report = fd_check(spec, task, sched, vspec, coords=6)
         assert report.max_rel < 1e-5
+
+
+class TestBatchedSweep:
+    """grad_value against the step-by-step sweep through the one-step API, bit for bit.
+
+    The reference adds each step's gradient with add_grad as it goes; grad_value
+    sweeps stacks of steps (made small here, so segments straddle stacks) and
+    adds each stack's gradients at once.
+    """
+
+    VSPECS = {
+        "discounted_with_cost": ValueSpec(gamma=0.9, eta=1.3, cost=CostSpec("quadratic", beta=0.2)),
+        "per_step_sum": per_step_sum_spec(),  # scores the terminal state too
+    }
+
+    @pytest.fixture(autouse=True)
+    def small_stacks(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "SWEEP_CHUNK", 5)
+
+    def step_by_step(self, spec, task, sched, vspec, traj):
+        n, scale = spec.n_steps, spec.dt / spec.tau_w
+        per_step = sched is not None and sched.kind != "init_weights"
+        ctrls = [sched.at(i) if per_step else None for i in range(n)]
+        tasks = [task_at(task, i) for i in range(n)]
+        pw, cw = (w.tolist() for w in _value_weights(vspec, spec))
+        buffers = sched.zero_grads() if per_step else None
+        states = traj.states
+        zero = tuple(np.zeros_like(w) for w in states[n])
+        adj = zero
+        if pw[n] != 0.0:
+            _, _, lgs, lgc = backward_step(spec, states[n], ctrls[-1], tasks[-1], zero)
+            adj = tuple(-pw[n] * g for g in lgs)
+            if per_step and lgc is not None:
+                sched.add_grad(buffers, n - 1, _slice_scale(lgc, -pw[n]))
+        for i in range(n - 1, -1, -1):
+            svjp, cvjp, lgs, lgc = backward_step(spec, states[i], ctrls[i], tasks[i], adj)
+            if per_step:
+                g = _slice_scale(cvjp, scale)
+                if pw[i] != 0.0:
+                    g = _slice_axpy(g, lgc, -pw[i])
+                if vspec.cost.kind != "none" and cw[i] != 0.0:
+                    g = _slice_axpy(g, control_cost_grad(ctrls[i], vspec.cost), -cw[i])
+                if g is not None:
+                    sched.add_grad(buffers, i, g)
+            adj = tuple(a + scale * sv - (pw[i] * lg if pw[i] != 0.0 else 0.0)
+                        for a, sv, lg in zip(adj, svjp, lgs))
+        return buffers if per_step else adj
+
+    @pytest.mark.parametrize("vspec", VSPECS)
+    @pytest.mark.parametrize("variant", ["switching", "one_task", "neutral"])
+    @pytest.mark.parametrize("kind", [k for k in STACK_KINDS if k != "single_layer"])
+    def test_gradients_equal_the_step_by_step_sweep(self, kind, variant, vspec):
+        spec, task, sched = stack_case(kind, variant)
+        if sched is None:  # the baseline is controlled through its initial weights
+            sched = init_weights_control(initial_state(spec))
+        vspec = self.VSPECS[vspec]
+        total, grads, traj = grad_value(spec, task, sched, vspec)
+        assert total == value(traj, sched, vspec, spec)
+        want = self.step_by_step(spec, task, sched, vspec, traj)
+        assert len(grads) == len(want)
+        for got, ref in zip(grads, want):
+            assert np.array_equal(got, ref)
