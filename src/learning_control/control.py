@@ -133,15 +133,11 @@ class ControlSchedule:
             return tuple(v[s] for v in self.values)
         return self.values[0][s]
 
-    def segment_controls(self):
-        """The slice of each segment in order: one at() per segment."""
-        return [self.at(start) for start in range(0, self.n_steps, self.segment)]
-
-    def per_step(self, seg_ctrls=None):
-        """[at(i) for i in range(n_steps)]: segment_controls() (or `seg_ctrls`), each over its steps."""
+    def per_step(self):
+        """[at(i) for i in range(n_steps)] from one at() per segment; a segment's steps share its object."""
         out = []
-        for ctrl in self.segment_controls() if seg_ctrls is None else seg_ctrls:
-            out += [ctrl] * self.segment
+        for start in range(0, self.n_steps, self.segment):
+            out += [self.at(start)] * self.segment
         return out[: self.n_steps]
 
     def expand(self):
@@ -150,13 +146,6 @@ class ControlSchedule:
         if self.kind == "init_weights":
             return tuple(v.copy() for v in self.values)
         return tuple(v[idx] for v in self.values)
-
-    def control_norm_at(self, step):
-        """Euclidean norm of the raw control vector at a step (0 for init_weights)."""
-        if self.kind == "init_weights":
-            return 0.0
-        s = self.segment_index(step)
-        return float(np.sqrt(sum(float(np.sum(np.square(v[s]))) for v in self.values)))
 
     # --- gradient plumbing --------------------------------------------------
 
@@ -232,6 +221,11 @@ class ControlSchedule:
             segment=int(doc["segment"]),
             bounds=tuple(doc["bounds"]) if doc.get("bounds") is not None else None,
         )
+
+
+def segment_sumsq(values):
+    """Sum of squares of each segment's control over all parts of a series' values, one entry per segment."""
+    return sum((v * v).reshape(len(v), -1).sum(axis=1) for v in values)
 
 
 def init_weights_control(state0):

@@ -728,13 +728,12 @@ def backward_step(spec, state, control, task, a_next):
 SWEEP_CHUNK = 256  # steps per stack in the reverse sweep, which bounds its memory
 
 
-def per_step_inputs(schedule, task, n, seg_ctrls=None):
+def per_step_inputs(schedule, task, n):
     """Lists of the control slice and the task of each of `n` steps, built once per pass.
 
     Controls are None without a schedule and for init_weights (it acts through the state).
-    `seg_ctrls`, when given, is the schedule's segment_controls().
     """
-    ctrls = [None] * n if schedule is None or schedule.kind == "init_weights" else schedule.per_step(seg_ctrls)
+    ctrls = [None] * n if schedule is None or schedule.kind == "init_weights" else schedule.per_step()
     tasks = task.per_step(n) if isinstance(task, TaskSchedule) else [task] * n
     return ctrls, tasks
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dynamics as dyn
-from .control import ControlSchedule, init_weights_control
+from .control import ControlSchedule, init_weights_control, segment_sumsq
 from .errors import ConfigError, LearningControlError
 from .optimizer import OptimizerSpec, OptTrace, optimize
 from .tasks import (
@@ -172,12 +172,11 @@ def total_control_effort(schedule, dspec):
     """Time integral of the control vector norm over the horizon."""
     if schedule is None or schedule.kind == "init_weights":
         return 0.0
+    norms = np.sqrt(segment_sumsq(schedule.values)).tolist()
     total = 0.0
-    step = 0
-    while step < dspec.n_steps:
+    for step in range(0, dspec.n_steps, schedule.segment):
         run_len = min(schedule.segment, dspec.n_steps - step)
-        total += schedule.control_norm_at(step) * run_len * dspec.dt
-        step += run_len
+        total += norms[min(step // schedule.segment, len(norms) - 1)] * run_len * dspec.dt
     return total
 
 
@@ -314,6 +313,14 @@ def build(cfg):
     p = cfg.params
     try:
         d, task = entry.task(replace(cfg.dynamics, init_seed=cfg.seed), p)
+        # every task the run sees must fit the network: a schedule's, a task set's or the one task
+        tasks = task.tasks if isinstance(task, dyn.TaskSchedule) else task if isinstance(task, list) else [task]
+        for t in tasks:
+            if (t.input_dim, t.output_dim) != (d.input_dim, d.output_dim):
+                raise ValueError(
+                    f"dynamics dims {d.input_dim}x{d.output_dim} do not fit task '{t.name}' "
+                    f"({t.input_dim}x{t.output_dim})"
+                )
         if entry.control == "init_weights":
             return d, task, init_weights_control(dyn.initial_state(d))
         n_channels = None
@@ -579,7 +586,13 @@ def _sum_nonlinear(cfg, dspec, task, init_sched, sched, trajs):
 
 
 def _corr(p, name="correlated_gaussian"):
-    return correlated_gaussian_moments(*p, name=name)
+    try:
+        mu1, mu2, sigma1, sigma2, flip_p = (float(v) for v in p)
+    except (TypeError, ValueError) as err:
+        raise ValueError(
+            f"a correlated-Gaussian task takes 5 numbers (mu1, mu2, sigma1, sigma2, flip_p), got {p!r}"
+        ) from err
+    return correlated_gaussian_moments(mu1, mu2, sigma1, sigma2, flip_p, name=name)
 
 
 def _neuron_task(d, p):
@@ -596,19 +609,15 @@ def _category_task(d, p):
 
 
 def _maml_task(d, p):
+    if int(p["steps_ahead"]) < 0:
+        raise ValueError(f"steps_ahead must be nonnegative (0 keeps the preset horizon), got {p['steps_ahead']}")
     if int(p["steps_ahead"]) > 0:
         d = replace(d, n_steps=int(p["steps_ahead"]))
     return d, [two_gaussian_moments(mu, s, name=f"pair{k}") for k, (mu, s) in enumerate(p["tasks"])]
 
 
 def _bilevel_task(d, p):
-    task = semantic_moments(int(p["levels"]))
-    if (d.input_dim, d.output_dim) != (task.input_dim, task.output_dim):
-        raise ConfigError(
-            f"dynamics dims {d.input_dim}x{d.output_dim} do not fit the depth-{p['levels']} "
-            f"hierarchy ({task.input_dim}x{task.output_dim})"
-        )
-    return d, task
+    return d, semantic_moments(int(p["levels"]))
 
 
 # params: defaults of the scenario's knobs (their types also type config-file

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControlSchedule
+from .control import ControlSchedule, segment_sumsq
 from .errors import ConfigError, DataFormatError
 from .idx import _emit as _emit17
-from .value import control_cost
+from .value import segment_costs
 
 TRAJECTORY_COLUMNS = ("step", "time", "loss", "reward", "cost", "net_reward", "w1_l1", "w1_l2", "w2_l1", "w2_l2", "g_l2")
 TRACE_COLUMNS = ("iter", "V", "grad_norm", "alpha_used", "ms")
@@ -46,9 +46,10 @@ def write_trajectory_csv(path, traj, schedule=None, vspec=None):
     eta = vspec.eta if vspec is not None else 1.0
     # one cost and one control norm per segment, which the rows index
     seg = schedule.segment if usable else n
-    seg_ctrls = schedule.segment_controls() if usable else [None]
-    costs = [0.0 if c is None or vspec is None else control_cost(c, vspec.cost) for c in seg_ctrls]
-    norms = [schedule.control_norm_at(k * seg) if usable else 0.0 for k in range(len(seg_ctrls))]
+    costs = norms = [0.0]
+    if usable:
+        norms = np.sqrt(segment_sumsq(schedule.values)).tolist()
+        costs = segment_costs(schedule.values, vspec.cost).tolist() if vspec is not None else [0.0] * len(norms)
     # one pass per layer; a network without a second layer has zero norms there
     l1_1, l2_1 = _norms(traj.layers[0])
     l1_2, l2_2 = _norms(traj.layers[1]) if len(traj.layers) > 1 else ([0.0] * (n + 1),) * 2

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dynamics as dyn
-from .control import ControlSchedule
+from .control import ControlSchedule, segment_sumsq
 
 COST_KINDS = ("none", "quadratic", "exp_frobenius", "anchored_norm", "fixed_norm")
 
@@ -51,62 +51,39 @@ class CostSpec:
             raise ValueError(f"unknown cost kind '{self.kind}'")
 
 
-def _ctrl_arrays(control):
-    if control is None:
-        return []
-    if isinstance(control, tuple):
-        return [np.asarray(c, dtype=float) for c in control]
-    if np.isscalar(control):
-        return [np.array([float(control)])]
-    return [np.asarray(control, dtype=float)]
+def _exp(x):
+    """math.exp of each entry: np.exp can differ from it in the last bit."""
+    return np.array([math.exp(v) for v in x.tolist()])
 
 
-def _sumsq(arrays):
-    return sum(float((a * a).sum()) for a in arrays)
-
-
-def control_cost(control, cspec):
-    """C(g) for one control slice (float, vector, or tuple of matrices)."""
+def segment_costs(values, cspec):
+    """C(g) of each segment of a series' values (its parts pool their squares), as an array."""
     if cspec.kind == "none":
-        return 0.0
-    arrays = _ctrl_arrays(control)
-    if cspec.kind == "quadratic":
-        return cspec.beta * _sumsq(arrays)
-    if cspec.kind == "exp_frobenius":
-        return math.exp(cspec.beta * _sumsq(arrays)) - 1.0
+        return np.zeros(len(values[0]))
     if cspec.kind == "anchored_norm":
-        return cspec.beta * sum(float(((a - cspec.anchor) ** 2).sum()) for a in arrays)
-    if cspec.kind == "fixed_norm":
-        gap = _sumsq(arrays) - cspec.target_norm
-        return cspec.beta * gap * gap
-    raise ValueError(f"unknown cost kind '{cspec.kind}'")
+        return cspec.beta * segment_sumsq(tuple(v - cspec.anchor for v in values))
+    sumsq = segment_sumsq(values)
+    if cspec.kind == "quadratic":
+        return cspec.beta * sumsq
+    if cspec.kind == "exp_frobenius":
+        return _exp(cspec.beta * sumsq) - 1.0
+    gap = sumsq - cspec.target_norm  # fixed_norm
+    return cspec.beta * gap * gap
 
 
-def control_cost_grad(control, cspec):
-    """dC/dg with the same structure as the control slice."""
-    scalar = np.isscalar(control)
-    arrays = _ctrl_arrays(control)
+def segment_cost_grads(values, cspec):
+    """dC/dg of each segment, shaped like the values."""
     if cspec.kind == "none":
-        grads = [np.zeros_like(a) for a in arrays]
-    elif cspec.kind == "quadratic":
-        grads = [2.0 * cspec.beta * a for a in arrays]
-    elif cspec.kind == "exp_frobenius":
-        factor = 2.0 * cspec.beta * math.exp(cspec.beta * _sumsq(arrays))
-        grads = [factor * a for a in arrays]
-    elif cspec.kind == "anchored_norm":
-        grads = [2.0 * cspec.beta * (a - cspec.anchor) for a in arrays]
-    elif cspec.kind == "fixed_norm":
-        factor = 4.0 * cspec.beta * (_sumsq(arrays) - cspec.target_norm)
-        grads = [factor * a for a in arrays]
-    else:
-        raise ValueError(f"unknown cost kind '{cspec.kind}'")
-    if control is None:
-        return None
-    if isinstance(control, tuple):
-        return tuple(grads)
-    if scalar:
-        return float(grads[0][0])
-    return grads[0]
+        return tuple(np.zeros_like(v) for v in values)
+    if cspec.kind == "quadratic":
+        return tuple(2.0 * cspec.beta * v for v in values)
+    if cspec.kind == "anchored_norm":
+        return tuple(2.0 * cspec.beta * (v - cspec.anchor) for v in values)
+    if cspec.kind == "exp_frobenius":
+        factor = 2.0 * cspec.beta * _exp(cspec.beta * segment_sumsq(values))
+    else:  # fixed_norm
+        factor = 4.0 * cspec.beta * (segment_sumsq(values) - cspec.target_norm)
+    return tuple(factor.reshape((-1,) + (1,) * (v.ndim - 1)) * v for v in values)
 
 
 @dataclass
@@ -150,23 +127,26 @@ def _value_weights(vspec, dspec):
     return pw, dspec.dt * disc
 
 
-def _segment_total(losses, seg_ctrls, seg, vspec, pw, cw):
-    """V from the losses and the control slice of each `seg`-step segment."""
+def _segment_total(losses, schedule, vspec, pw, cw):
+    """V from the losses and, for a series schedule, the cost of each segment."""
     total = -float(np.dot(pw, losses))
-    if vspec.cost.kind != "none":
-        for k, ctrl in enumerate(seg_ctrls):
-            c = control_cost(ctrl, vspec.cost)
-            if c != 0.0:
-                total -= c * float(cw[k * seg : (k + 1) * seg].sum())
+    if schedule is None or schedule.kind == "init_weights" or vspec.cost.kind == "none":
+        return total
+    # each segment's cost weights: one reshape over the whole segments, a slice for a ragged last one
+    seg = schedule.segment
+    whole = len(cw) // seg * seg
+    weights = cw[:whole].reshape(-1, seg).sum(axis=1).tolist()
+    if whole < len(cw):
+        weights.append(float(cw[whole:].sum()))
+    for c, w in zip(segment_costs(schedule.values, vspec.cost).tolist(), weights):
+        if c != 0.0:
+            total -= c * w
     return total
 
 
 def value(trajectory, schedule, vspec, dspec):
     """V for a recorded trajectory under its schedule."""
-    per_step = schedule is not None and schedule.kind != "init_weights"
-    seg_ctrls = schedule.segment_controls() if per_step and vspec.cost.kind != "none" else []
-    seg = schedule.segment if per_step else None
-    return _segment_total(trajectory.losses, seg_ctrls, seg, vspec, *_value_weights(vspec, dspec))
+    return _segment_total(trajectory.losses, schedule, vspec, *_value_weights(vspec, dspec))
 
 
 def evaluate_value(dspec, task, schedule, vspec, state0=None):
@@ -215,16 +195,14 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
     n = dspec.n_steps
     scale = dspec.dt / dspec.tau_w
     per_step = schedule is not None and schedule.kind != "init_weights"
-    seg = schedule.segment if per_step else n
-    seg_ctrls = schedule.segment_controls() if per_step else []
-    ctrls, tasks = dyn.per_step_inputs(schedule, task, n, seg_ctrls)
+    ctrls, tasks = dyn.per_step_inputs(schedule, task, n)
     pw, cw = _value_weights(vspec, dspec)
-    total = _segment_total(traj.losses, seg_ctrls, seg, vspec, pw, cw)
+    total = _segment_total(traj.losses, schedule, vspec, pw, cw)
     pws = pw.tolist()
     buffers = schedule.zero_grads() if per_step else None
     cost_grads = None
     if per_step and vspec.cost.kind != "none":
-        cost_grads = dyn.stack_slices([control_cost_grad(c, vspec.cost) for c in seg_ctrls])
+        cost_grads = segment_cost_grads(schedule.values, vspec.cost)
     # per-step weights, shaped to broadcast over a stack of control slices
     weights_shape = (-1,) + (1,) * (schedule.values[0].ndim - 1) if per_step else None
 
@@ -252,7 +230,7 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
             cvjp, lgc = sweep.contract()
             g = _slice_axpy(_slice_scale(cvjp, scale), lgc, -pw[lo:hi].reshape(weights_shape))
             if cost_grads is not None:
-                seg_of = np.arange(lo, hi) // seg
+                seg_of = np.arange(lo, hi) // schedule.segment
                 g = _slice_axpy(g, tuple(c[seg_of] for c in cost_grads), -cw[lo:hi].reshape(weights_shape))
             if g is not None:
                 schedule.add_grads(buffers, lo, g)

@@ -88,6 +88,13 @@ class TestConfigLoading:
             ("single_neuron_effort", "segment=-1", "segment must be positive"),
             ("single_neuron_effort", "segment=0", "segment must be positive"),
             ("task_switch", "switch_period=0", "switch period must be positive"),
+            ("task_switch", "task_a=1,2", "a correlated-Gaussian task takes 5 numbers"),
+            ("task_switch", "task_a=1,2,3,4,5,6", "a correlated-Gaussian task takes 5 numbers"),
+            ("effort_allocation", "task_hard=1", "a correlated-Gaussian task takes 5 numbers"),
+            ("nonlinear_approx", "task=1,2", "a correlated-Gaussian task takes 5 numbers"),
+            ("task_engagement", "tasks=1,2;3,4", "a correlated-Gaussian task takes 5 numbers"),
+            ("category_engagement", "class_means=1,2,3;4,5,6", "dynamics dims 2x3 do not fit task 'class_mixture'"),
+            ("maml_multistep", "steps_ahead=-2", "steps_ahead must be nonnegative"),
         ],
     )
     def test_a_scenario_parameter_out_of_range_is_a_config_error(self, name, param, message, tmp_path, capsys):

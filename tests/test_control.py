@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from learning_control.control import ControlSchedule, init_weights_control
+from learning_control.control import ControlSchedule, init_weights_control, segment_sumsq
 
 
 class TestScheduleConstruction:
@@ -82,9 +82,12 @@ class TestScheduleIndexing:
         for step in range(7):
             np.testing.assert_array_equal(per_step[step], sched.at(step))
 
-    def test_control_norm(self):
-        sched = ControlSchedule(kind="scalar_series", values=(np.array([3.0, -4.0]),), n_steps=2)
-        assert sched.control_norm_at(1) == 4.0
+    def test_segment_norms(self):
+        assert np.sqrt(segment_sumsq((np.array([3.0, -4.0]),))).tolist() == [3.0, 4.0]
+
+    def test_segment_sumsq_pools_the_parts_of_a_segment(self):
+        values = (np.array([[[1.0, 2.0]], [[0.0, 1.0]]]), np.array([[[2.0]], [[-3.0]]]))
+        assert segment_sumsq(values).tolist() == [9.0, 10.0]
 
 
 def random_schedule(kind, n_steps, segment, rng):
@@ -138,18 +141,6 @@ class TestPerStepTable:
         monkeypatch.setattr(ControlSchedule, "at", lambda self, step: calls.append(step) or original(self, step))
         sched.per_step()
         assert calls == list(range(0, 100, 7))
-        calls.clear()
-        sched.per_step(sched.segment_controls())
-        assert calls == list(range(0, 100, 7))
-
-    @pytest.mark.parametrize("kind", SERIES_KINDS)
-    def test_segment_controls_are_the_first_steps_of_the_table(self, kind):
-        sched = random_schedule(kind, 11, 3, np.random.default_rng(6))
-        seg_ctrls = sched.segment_controls()
-        assert len(seg_ctrls) == sched.n_segments
-        for k, entry in enumerate(seg_ctrls):
-            assert_same_slice(entry, sched.at(3 * k))
-        assert all(a is b for a, b in zip(sched.per_step(seg_ctrls), [c for c in seg_ctrls for _ in range(3)]))
 
 
 class TestGradBuffers:

@@ -24,8 +24,6 @@ from learning_control.value import (
     CostSpec,
     FdReport,
     ValueSpec,
-    control_cost,
-    control_cost_grad,
     evaluate_value,
     fd_check,
     grad_value,
@@ -34,6 +32,8 @@ from learning_control.value import (
     _value_weights,
     maml_value_and_grad,
     per_step_sum_spec,
+    segment_cost_grads,
+    segment_costs,
     value,
 )
 
@@ -47,35 +47,142 @@ def neuron_spec(**kw):
     return DynamicsSpec(**base)
 
 
+# --- C(g) and dC/dg of one control slice, computed slice by slice: the reference
+
+
+def ref_arrays(control):
+    if isinstance(control, tuple):
+        return [np.asarray(c, dtype=float) for c in control]
+    if np.isscalar(control):
+        return [np.array([float(control)])]
+    return [np.asarray(control, dtype=float)]
+
+
+def ref_sumsq(arrays):
+    return sum(float((a * a).sum()) for a in arrays)
+
+
+def ref_cost(control, cspec):
+    if cspec.kind == "none":
+        return 0.0
+    arrays = ref_arrays(control)
+    if cspec.kind == "quadratic":
+        return cspec.beta * ref_sumsq(arrays)
+    if cspec.kind == "exp_frobenius":
+        return math.exp(cspec.beta * ref_sumsq(arrays)) - 1.0
+    if cspec.kind == "anchored_norm":
+        return cspec.beta * sum(float(((a - cspec.anchor) ** 2).sum()) for a in arrays)
+    gap = ref_sumsq(arrays) - cspec.target_norm
+    return cspec.beta * gap * gap
+
+
+def ref_cost_grad(control, cspec):
+    """dC/dg with the structure of the slice: a float, a vector or a tuple of matrices."""
+    arrays = ref_arrays(control)
+    if cspec.kind == "none":
+        grads = [np.zeros_like(a) for a in arrays]
+    elif cspec.kind == "quadratic":
+        grads = [2.0 * cspec.beta * a for a in arrays]
+    elif cspec.kind == "exp_frobenius":
+        factor = 2.0 * cspec.beta * math.exp(cspec.beta * ref_sumsq(arrays))
+        grads = [factor * a for a in arrays]
+    elif cspec.kind == "anchored_norm":
+        grads = [2.0 * cspec.beta * (a - cspec.anchor) for a in arrays]
+    else:
+        factor = 4.0 * cspec.beta * (ref_sumsq(arrays) - cspec.target_norm)
+        grads = [factor * a for a in arrays]
+    if isinstance(control, tuple):
+        return tuple(grads)
+    if np.isscalar(control):
+        return float(grads[0][0])
+    return grads[0]
+
+
+class TestSegmentCostsAgainstTheSliceReference:
+    """segment_costs and segment_cost_grads over a whole series equal the slice-by-slice reference, bit for bit."""
+
+    CSPECS = {
+        "none": CostSpec(),
+        "quadratic": CostSpec("quadratic", beta=0.3),
+        "exp_frobenius": CostSpec("exp_frobenius", beta=0.4),
+        "anchored_norm": CostSpec("anchored_norm", beta=0.3, anchor=0.7),
+        "fixed_norm": CostSpec("fixed_norm", beta=0.3, target_norm=1.0),
+    }
+    # kind and the per-segment shape of each part; 11 steps in segments of 3 leave a ragged last one
+    SERIES = {
+        "scalar": ("scalar_series", [()]),
+        "one_layer": ("matrix_pair_series", [(2, 3)]),
+        "two_layers": ("matrix_pair_series", [(3, 2), (2, 3)]),
+        "engagement": ("engagement_series", [(2,)]),
+        "category": ("category_series", [(4,)]),
+    }
+
+    def schedule(self, series):
+        kind, shapes = self.SERIES[series]
+        rng = np.random.default_rng(8)
+        values = tuple(rng.uniform(-1.5, 1.5, (4, *s)) for s in shapes)
+        return ControlSchedule(kind=kind, values=values, n_steps=11, segment=3)
+
+    @pytest.mark.parametrize("cost", CSPECS)
+    @pytest.mark.parametrize("series", SERIES)
+    def test_costs_and_grads(self, series, cost):
+        sched, cspec = self.schedule(series), self.CSPECS[cost]
+        slices = [sched.at(k * sched.segment) for k in range(sched.n_segments)]
+        assert segment_costs(sched.values, cspec).tolist() == [ref_cost(c, cspec) for c in slices]
+        grads = segment_cost_grads(sched.values, cspec)
+        assert len(grads) == len(sched.values)
+        for k, c in enumerate(slices):
+            want = ref_cost_grad(c, cspec)
+            for got, ref in zip(grads, want if isinstance(want, tuple) else (want,)):
+                assert got.shape[1:] == np.shape(ref)
+                assert (got[k] == ref).all()
+
+    @pytest.mark.parametrize("cost", CSPECS)
+    @pytest.mark.parametrize("series", SERIES)
+    def test_value(self, series, cost):
+        sched, cspec = self.schedule(series), self.CSPECS[cost]
+        dspec = neuron_spec(dt=0.1, n_steps=11)
+        vspec = ValueSpec(gamma=0.9, eta=1.3, cost=cspec)
+        traj = fake_traj(np.random.default_rng(2).uniform(0.0, 2.0, 12), dt=0.1)
+        pw, cw = _value_weights(vspec, dspec)
+        want = -float(np.dot(pw, traj.losses))
+        seg = sched.segment
+        for k in range(sched.n_segments):
+            c = ref_cost(sched.at(k * seg), cspec)
+            if c != 0.0:
+                want -= c * float(cw[k * seg : (k + 1) * seg].sum())
+        assert value(traj, sched, vspec, dspec) == want
+
+
 class TestControlCost:
-    G = np.array([0.2, -0.1])  # sum of squares 0.05
+    G = (np.array([[0.2, -0.1]]),)  # one segment; sum of squares 0.05
 
     def test_quadratic(self):
-        np.testing.assert_allclose(control_cost(self.G, CostSpec("quadratic", beta=0.3)),
-                                   0.015, rtol=1e-15)
+        np.testing.assert_allclose(segment_costs(self.G, CostSpec("quadratic", beta=0.3)),
+                                   [0.015], rtol=1e-15)
 
     def test_exp_frobenius(self):
-        np.testing.assert_allclose(control_cost(self.G, CostSpec("exp_frobenius", beta=0.3)),
-                                   math.exp(0.015) - 1.0, rtol=1e-15)
+        np.testing.assert_allclose(segment_costs(self.G, CostSpec("exp_frobenius", beta=0.3)),
+                                   [math.exp(0.015) - 1.0], rtol=1e-15)
 
     def test_anchored_norm(self):
         # (0.2-1)^2 + (-0.1-1)^2 = 0.64 + 1.21
         np.testing.assert_allclose(
-            control_cost(self.G, CostSpec("anchored_norm", beta=0.3, anchor=1.0)),
-            0.3 * 1.85, rtol=1e-15)
+            segment_costs(self.G, CostSpec("anchored_norm", beta=0.3, anchor=1.0)),
+            [0.3 * 1.85], rtol=1e-15)
 
     def test_fixed_norm(self):
         np.testing.assert_allclose(
-            control_cost(self.G, CostSpec("fixed_norm", beta=0.3, target_norm=1.0)),
-            0.3 * 0.95**2, rtol=1e-15)
+            segment_costs(self.G, CostSpec("fixed_norm", beta=0.3, target_norm=1.0)),
+            [0.3 * 0.95**2], rtol=1e-15)
 
     def test_none_is_free(self):
-        assert control_cost(self.G, CostSpec()) == 0.0
+        assert segment_costs(self.G, CostSpec()).tolist() == [0.0]
 
     def test_tuple_slices_pool_their_squares(self):
-        pair = (np.array([[0.2]]), np.array([[-0.1]]))
-        np.testing.assert_allclose(control_cost(pair, CostSpec("quadratic", beta=0.3)),
-                                   0.015, rtol=1e-15)
+        pair = (np.array([[[0.2]]]), np.array([[[-0.1]]]))
+        np.testing.assert_allclose(segment_costs(pair, CostSpec("quadratic", beta=0.3)),
+                                   [0.015], rtol=1e-15)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="cost kind"):
@@ -91,30 +198,23 @@ class TestControlCostGrad:
     ])
     def test_matches_finite_differences(self, kind, kw):
         cspec = CostSpec(kind, beta=0.4, **kw)
-        g = np.array([0.3, -0.2, 0.5])
-        grad = control_cost_grad(g, cspec)
+        g = np.array([[0.3, -0.2, 0.5]])  # one segment
+        (grad,) = segment_cost_grads((g,), cspec)
         eps = 1e-7
         for j in range(3):
             bumped = g.copy()
-            bumped[j] += eps
+            bumped[0, j] += eps
             dipped = g.copy()
-            dipped[j] -= eps
-            fd = (control_cost(bumped, cspec) - control_cost(dipped, cspec)) / (2 * eps)
-            np.testing.assert_allclose(grad[j], fd, rtol=1e-6, atol=1e-10)
-
-    def test_structure_preserved(self):
-        cspec = CostSpec("quadratic", beta=1.0)
-        assert isinstance(control_cost_grad(0.5, cspec), float)
-        assert control_cost_grad(None, cspec) is None
-        pair = control_cost_grad((np.ones((2, 2)), np.ones((1, 2))), cspec)
-        assert isinstance(pair, tuple) and pair[0].shape == (2, 2)
+            dipped[0, j] -= eps
+            fd = (segment_costs((bumped,), cspec)[0] - segment_costs((dipped,), cspec)[0]) / (2 * eps)
+            np.testing.assert_allclose(grad[0, j], fd, rtol=1e-6, atol=1e-10)
 
     def test_exp_cost_couples_channels(self):
         """The exponential penalty's gradient on one channel grows with the
         total squared norm, unlike the separable quadratic."""
         cspec = CostSpec("exp_frobenius", beta=0.5)
-        lone = control_cost_grad(np.array([0.3, 0.0]), cspec)[0]
-        crowded = control_cost_grad(np.array([0.3, 2.0]), cspec)[0]
+        lone = segment_cost_grads((np.array([[0.3, 0.0]]),), cspec)[0][0, 0]
+        crowded = segment_cost_grads((np.array([[0.3, 2.0]]),), cspec)[0][0, 0]
         assert crowded > lone
 
 
@@ -342,10 +442,10 @@ class TestPerStepTables:
         )
         assert count <= self.sched.n_segments
 
-    def test_value_calls_at_once_per_segment(self, monkeypatch):
+    def test_value_reads_no_per_step_slices(self, monkeypatch):
         traj = integrate(self.spec, self.sched, NEURON_TASK)
         count = self.count_at_calls(monkeypatch, lambda: value(traj, self.sched, self.vspec, self.spec))
-        assert count == self.sched.n_segments
+        assert count == 0
 
 
 class TestCategoryScheduleGradient:
@@ -402,7 +502,7 @@ class TestBatchedSweep:
                 if pw[i] != 0.0:
                     g = _slice_axpy(g, lgc, -pw[i])
                 if vspec.cost.kind != "none" and cw[i] != 0.0:
-                    g = _slice_axpy(g, control_cost_grad(ctrls[i], vspec.cost), -cw[i])
+                    g = _slice_axpy(g, ref_cost_grad(ctrls[i], vspec.cost), -cw[i])
                 if g is not None:
                     sched.add_grad(buffers, i, g)
             adj = tuple(a + scale * sv - (pw[i] * lg if pw[i] != 0.0 else 0.0)
