@@ -165,14 +165,16 @@ class ControlSchedule:
 
         Each entry adds its steps one at a time, last step first, as add_grad
         calls in a reverse sweep do; from +0.0 the zero padding adds nothing.
+        Step n_steps, the terminal state scored under the last control, adds
+        into the last segment, before the steps of that segment.
         """
         if self.kind == "init_weights":
             raise ValueError("init_weights gradients are not per-step")
         steps = np.arange(lo, lo + len(grads[0]))
-        segs = steps // self.segment
+        segs = np.minimum(steps // self.segment, self.n_segments - 1)
         s0, s1 = segs[0], segs[-1] + 1
         # column 0 holds the buffer, then each segment's steps in descending order
-        cols = np.minimum(segs * self.segment + self.segment, steps[-1] + 1) - steps
+        cols = np.searchsorted(segs, segs, side="right") - np.arange(len(steps))
         for buf, g in zip(buffers, grads):
             table = np.zeros((s1 - s0, cols.max() + 1, *buf.shape[1:]))
             table[:, 0] = buf[s0:s1]

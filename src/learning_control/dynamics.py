@@ -39,7 +39,10 @@ kernel an absent channel skips its multiplication and a neutral one
 multiplies by exactly 1.0, which IEEE makes exact, so neutral schedules
 reproduce the baseline bit for bit; tests rely on that.  A stack runs the
 same products and reductions on the same operands as its steps one at a
-time, so it gives their bits.
+time, so it gives their bits.  A task set (same-shape tasks from the same
+start) is one rollout on a batch axis after the step axis: the kernel reads
+its moments stacked, and the per-task bits are those of a lone task.  The
+kinds without a stack kernel roll a task set out one task at a time.
 """
 
 import warnings
@@ -135,6 +138,10 @@ class Trajectory:
     floats for the single neuron.  losses[i] is the expected loss at state i,
     evaluated with the control slice governing step min(i, n_steps-1) so the
     terminal state is scored under the last control.
+
+    A task set of B tasks is one rollout with a batch axis after the step
+    axis: layers (n_steps+1, B, ...) and losses (n_steps+1, B).  per_task()
+    gives each task's rollout.
     """
 
     times: np.ndarray
@@ -150,6 +157,20 @@ class Trajectory:
     def states(self):
         """Every state in step order, a tuple of layers (views into the stacks) each."""
         return list(zip(*self.layers))
+
+    def per_task(self):
+        """The rollout of each task of a task set, in task order, as contiguous copies."""
+
+        def column(layer, k):
+            return layer[:, k].tolist() if self.kind == "single_neuron" else layer[:, k].copy()
+
+        layers = [tuple(column(layer, k) for layer in self.layers) for k in range(self.losses.shape[1])]
+        return [Trajectory(self.times, ls, self.losses[:, k].copy(), self.kind) for k, ls in enumerate(layers)]
+
+
+def is_task_set(task):
+    """A task set is a sequence of same-shape tasks, rolled out from one start on a batch axis."""
+    return isinstance(task, (list, tuple))
 
 
 def initial_state(spec, override=None):
@@ -292,7 +313,9 @@ def _layer_backward(state, control, task, spec, a_next):
 
 # The kernel's args: channels g~ = 1 + g, dvec as a column and the boost 1 + rate
 # as a 1x1 array (None where absent), task moments, lambda, and for the VJPs the
-# raw control slice and task.
+# raw control slice and task.  For a task set the moments are stacked on a batch
+# axis, the control fields get a length-1 axis to broadcast over it, and task is
+# the set's first (all share shapes and blocks).
 _PairArgs = namedtuple("_PairArgs", "g1t g2t dcol boost sx sxy_t tr_sy lam ctrl task")
 
 
@@ -345,9 +368,9 @@ def _pair_losses(layers, args, spec):
     return _map_losses(b_mat @ a_mat, sx, sxy_t, tr_sy, layers, spec.reg_lambda)
 
 
-def _rows(x, k):
-    """Per-step entries of a gathered field: its rows, or the shared value (or None) k times."""
-    return list(x) if x is not None and x.ndim == 3 else [x] * k
+def _rows(x, k, ndim):
+    """Per-step entries of a gathered field: its rows if stacked like the layers (ndim), else the shared value k times."""
+    return list(x) if x is not None and x.ndim == ndim else [x] * k
 
 
 class _PairSweep:
@@ -355,7 +378,8 @@ class _PairSweep:
 
     adjoint(j, a_next) returns step j's (state_vjp, loss_grad_state); once
     every step is swept, contract() returns the control VJPs and loss
-    gradients as tuples of stacks, None where the control has none.
+    gradients as tuples of stacks, None where the control has none, summed
+    over a task set's batch axis.
     """
 
     def __init__(self, layers, args, control_vjp):
@@ -375,7 +399,7 @@ class _PairSweep:
         k = len(w1)
         self.rows = list(zip(
             a_mat, b_mat, _mT(b_mat), _mT(x1), err_d, lw1, lw2,
-            *(_rows(x, k) for x in (g1t, g2t, dcol, boost, sx)),
+            *(_rows(x, k, w1.ndim) for x in (g1t, g2t, dcol, boost, sx)),
         ))
 
     def adjoint(self, j, a_next):
@@ -384,9 +408,9 @@ class _PairSweep:
         gp1, gp2 = (a1, a2) if boost is None else (boost * a1, boost * a2)
         u1b = gp1 if g1t is None else gp1 * g1t
         u2b = gp2 if g2t is None else gp2 * g2t
-        bb = err_d @ u1b.T
+        bb = err_d @ _mT(u1b)
         edb = b_mat @ u1b + u2b @ a_mat
-        ab = u2b.T @ err_d
+        ab = _mT(u2b) @ err_d
         eb = edb if dcol is None else dcol * edb
         bb = bb - eb @ x1_t
         x1b = -(b_t @ eb)
@@ -400,7 +424,10 @@ class _PairSweep:
         if self.args[0].ctrl is None or self.control_vjp is None:
             return None, None
         saved = self.saved[::-1]
-        return self.control_vjp(self, lambda m: np.stack([s[m] for s in saved])), self.lg
+        vjp, lg = self.control_vjp(self, lambda m: np.stack([s[m] for s in saved])), self.lg
+        if self.w1.ndim == 4:  # a task set's stacks (step, task, ...)
+            vjp, lg = (None if x is None else tuple(v.sum(axis=1) for v in x) for x in (vjp, lg))
+        return vjp, lg
 
 
 def _pair_kind(channels, control_vjp=None):
@@ -412,6 +439,12 @@ def _pair_kind(channels, control_vjp=None):
     """
 
     def args(control, task, spec):
+        if is_task_set(task):
+            return _PairArgs(
+                *map(_on_batch, channels(control, task[0])), np.array([t.sigma_x for t in task]),
+                _mT(np.array([t.sigma_xy for t in task])), np.array([t.sigma_y.trace() for t in task]),
+                spec.reg_lambda, _on_batch(control), task[0],
+            )
         return _PairArgs(*channels(control, task), task.sigma_x, task.sigma_xy.T, float(task.sigma_y.trace()),
                          spec.reg_lambda, control, task)
 
@@ -419,6 +452,11 @@ def _pair_kind(channels, control_vjp=None):
 
 
 _NO_CHANNELS = (None, None, None, None)
+
+
+def _on_batch(x):
+    """A control field of a task set's args: an array gets a length-1 batch axis."""
+    return x[None] if isinstance(x, np.ndarray) else x
 
 
 def _gain_channels(control, task):
@@ -779,15 +817,25 @@ def _prepare_schedule(spec, schedule):
     return schedule
 
 
+def runs_per_task(spec, task):
+    """Whether `task` is a task set that runs one task at a time: the kinds without a stack kernel."""
+    return is_task_set(task) and _KIND_TABLE[spec.kind].step is not _linear_pair_rhs
+
+
 def integrate(spec, schedule, task, state0=None):
     """Roll out the Euler discretization and record states and losses.
 
-    `task` is a TaskMoments or a TaskSchedule (for switching); `schedule` may
-    be None for an uncontrolled run.  An init_weights schedule supplies the
-    starting state; otherwise `state0` (if given) or the spec's init does.
-    The step loop only fills the layer stacks; the losses are batched after
-    it.  Raises DivergenceError when any weight magnitude passes DIVERGENCE_LIMIT.
+    `task` is a TaskMoments, a TaskSchedule (for switching) or a task set,
+    rolled out as one batched Trajectory; `schedule` may be None for an
+    uncontrolled run.  An init_weights schedule supplies the starting state;
+    otherwise `state0` (if given) or the spec's init does.  The step loop
+    only fills the layer stacks; the losses are batched after it.  Raises
+    DivergenceError when any weight magnitude passes DIVERGENCE_LIMIT.
     """
+    if runs_per_task(spec, task):
+        trajs = [integrate(spec, schedule, t, state0) for t in task]
+        layers = tuple(np.stack(layer, axis=1) for layer in zip(*(t.layers for t in trajs)))
+        return Trajectory(trajs[0].times, layers, np.stack([t.losses for t in trajs], axis=1), spec.kind)
     schedule = _prepare_schedule(spec, schedule)
     if schedule is not None and schedule.kind == "init_weights":
         state = initial_state(spec, override=schedule.values)
@@ -820,9 +868,11 @@ def integrate(spec, schedule, task, state0=None):
 
     kind = _KIND_TABLE[spec.kind]
     args = _step_args(kind, ctrls, tasks, spec)
-    layers = tuple(np.empty((n + 1, *w.shape)) for w in state)
+    batch = (len(task),) if is_task_set(task) else ()
+    layers = tuple(np.empty((n + 1, *batch, *w.shape)) for w in state)
     for layer, w in zip(layers, state):
         layer[0] = w
+    state = tuple(layer[0] for layer in layers)  # a task set's start, one per task
     step = kind.step
     # checked once per block of steps: a diverging rollout runs on to the end
     # of its block, where overflow is expected and kept silent
@@ -838,9 +888,14 @@ def integrate(spec, schedule, task, state0=None):
 
 
 def sweeps(spec, traj, ctrls, tasks):
-    """(lo, hi, sweep) over stacks of SWEEP_CHUNK steps, last first, each built when reached."""
+    """(lo, hi, sweep) over stacks of SWEEP_CHUNK states, last first, each built when reached.
+
+    The last stack ends at the terminal state n (hi = n + 1), scored under the
+    last control like the rollout's last loss.
+    """
     kind = _KIND_TABLE[spec.kind]
     args = _step_args(kind, ctrls, tasks, spec)
+    args += args[-1:]
     for hi in range(len(args), 0, -SWEEP_CHUNK):
         lo = max(hi - SWEEP_CHUNK, 0)
         yield lo, hi, kind.sweep(tuple(layer[lo:hi] for layer in traj.layers), args[lo:hi], spec)

@@ -314,7 +314,7 @@ def build(cfg):
     try:
         d, task = entry.task(replace(cfg.dynamics, init_seed=cfg.seed), p)
         # every task the run sees must fit the network: a schedule's, a task set's or the one task
-        tasks = task.tasks if isinstance(task, dyn.TaskSchedule) else task if isinstance(task, list) else [task]
+        tasks = task.tasks if isinstance(task, dyn.TaskSchedule) else task if dyn.is_task_set(task) else [task]
         for t in tasks:
             if (t.input_dim, t.output_dim) != (d.input_dim, d.output_dim):
                 raise ValueError(
@@ -357,7 +357,7 @@ def run(config):
 def _run_inner(cfg):
     dspec, task, init_sched = build(cfg)
     init_sched = init_sched.project()
-    multi = isinstance(task, (list, tuple))
+    multi = dyn.is_task_set(task)
 
     sched_opt, trace = optimize(dspec, task, cfg.value, cfg.optimizer, init_sched)
     v_baseline = trace.V[0]
@@ -370,9 +370,9 @@ def _run_inner(cfg):
     first, last = trace.rollouts
     trajectories = {}
     if multi:
-        for k in range(len(task)):
-            trajectories[f"baseline:{k}"] = first[k]
-            trajectories[f"controlled:{k}"] = last[k]
+        for k, (base, ctrl) in enumerate(zip(first.per_task(), last.per_task())):
+            trajectories[f"baseline:{k}"] = base
+            trajectories[f"controlled:{k}"] = ctrl
     else:
         trajectories["baseline"] = first
         trajectories["controlled"] = last
@@ -528,21 +528,12 @@ def _sum_class_proportion(cfg, dspec, task, init_sched, sched, trajs):
 def _sum_maml(cfg, dspec, tasks, init_sched, sched, trajs):
     eval_steps = int(cfg.params["eval_steps"])
     espec = replace(dspec, n_steps=eval_steps)
-    finals = []
-    cumulative = 0.0
-    for t in tasks:
-        traj = dyn.integrate(espec, sched, t)
-        finals.append(float(traj.losses[-1]))
-        cumulative += float(np.sum(traj.losses[1:]))
-    base_cumulative = 0.0
-    for t in tasks:
-        traj = dyn.integrate(espec, init_sched, t)
-        base_cumulative += float(np.sum(traj.losses[1:]))
+    ctrl, base = (dyn.integrate(espec, s, tasks).per_task() for s in (sched, init_sched))
     return {
         "eval_steps": eval_steps,
-        "eval_final_losses": finals,
-        "eval_cumulative_loss": cumulative,
-        "eval_cumulative_loss_baseline": base_cumulative,
+        "eval_final_losses": [float(t.losses[-1]) for t in ctrl],
+        "eval_cumulative_loss": sum(float(np.sum(t.losses[1:])) for t in ctrl),
+        "eval_cumulative_loss_baseline": sum(float(np.sum(t.losses[1:])) for t in base),
         "train_steps_ahead": dspec.n_steps,
     }
 
@@ -599,6 +590,12 @@ def _neuron_task(d, p):
     return d, two_gaussian_moments(p["mu"], p["sigma"])
 
 
+def _sgd_task(d, p):
+    if int(p["stride"]) < 1:
+        raise ValueError(f"stride must be positive, got {p['stride']}")
+    return _neuron_task(d, p)
+
+
 def _switch_task(d, p):
     tasks = [_corr(p["task_a"], "task_a"), _corr(p["task_b"], "task_b")]
     return d, task_switch_schedule(tasks, int(p["switch_period"]), d.n_steps)
@@ -611,6 +608,8 @@ def _category_task(d, p):
 def _maml_task(d, p):
     if int(p["steps_ahead"]) < 0:
         raise ValueError(f"steps_ahead must be nonnegative (0 keeps the preset horizon), got {p['steps_ahead']}")
+    if int(p["eval_steps"]) < 1:
+        raise ValueError(f"eval_steps must be positive, got {p['eval_steps']}")
     if int(p["steps_ahead"]) > 0:
         d = replace(d, n_steps=int(p["steps_ahead"]))
     return d, [two_gaussian_moments(mu, s, name=f"pair{k}") for k, (mu, s) in enumerate(p["tasks"])]
@@ -757,7 +756,7 @@ _SCENARIOS = {
             ValueSpec(gamma=0.99, eta=1.0, cost=CostSpec("quadratic", beta=0.3)),
             OptimizerSpec(alpha_g=10.0, iters=20),
         ),
-        task=_neuron_task, control="scalar_series", summarize=_sum_sgd_validation,
+        task=_sgd_task, control="scalar_series", summarize=_sum_sgd_validation,
     ),
 }
 

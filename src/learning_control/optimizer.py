@@ -15,8 +15,10 @@ and the accepted one goes straight to the adjoint sweep for the next
 gradient.  The trace keeps the rollouts of the initial and the final
 schedule for the caller.
 
-A sequence of tasks switches the objective to the multi-task one that treats
-shared initial weights as the control.
+A task set, a sequence of same-shape tasks, switches the objective to the
+per-step sum over the set, one batched rollout and one adjoint sweep per
+evaluation.  Its control is usually the shared initial weights (the MAML
+objective), but a series schedule works too.
 """
 
 import math
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .errors import DivergenceError
-from .value import grad_value, maml_value_and_grad, per_step_sum_spec, value
+from .value import grad_value, per_step_sum_spec, value
 
 
 @dataclass
@@ -65,8 +67,8 @@ class OptTrace:
     """Per-iteration record; entry 0 describes the initial schedule.
 
     rollouts is (first, last): the trajectories of the initial and the final
-    schedule, each a list with one per task for a task sequence.  It is kept
-    in memory only; trace.csv does not write it.
+    schedule, batched for a task set.  It is kept in memory only; trace.csv
+    does not write it.
     """
 
     V: list = field(default_factory=list)
@@ -84,28 +86,19 @@ def _tree_norm(arrays):
 def _make_objective(dspec, task, vspec):
     """(with_grad, forward) over one schedule; both also return its rollout.
 
-    A rollout is a Trajectory, or a list of them (one per task) for a task
-    sequence.  with_grad(schedule, rollout) runs only the adjoint when handed
-    the schedule's rollout, and integrates it first when given None.
+    with_grad(schedule, rollout) runs only the adjoint when handed the
+    schedule's rollout, and integrates it first when given None.  A task set
+    is scored by the per-step sum whatever `vspec` says.
     """
-    if isinstance(task, (list, tuple)):
-        vs = per_step_sum_spec()
+    if dyn.is_task_set(task):
+        vspec = per_step_sum_spec()
 
-        def with_grad(schedule, rollout):
-            return maml_value_and_grad(dspec, task, schedule, trajs=rollout)
+    def with_grad(schedule, rollout):
+        return grad_value(dspec, task, schedule, vspec, traj=rollout)
 
-        def forward(schedule):
-            trajs = [dyn.integrate(dspec, schedule, t) for t in task]
-            return sum(value(tr, schedule, vs, dspec) for tr in trajs), trajs
-
-    else:
-
-        def with_grad(schedule, rollout):
-            return grad_value(dspec, task, schedule, vspec, traj=rollout)
-
-        def forward(schedule):
-            traj = dyn.integrate(dspec, schedule, task)
-            return value(traj, schedule, vspec, dspec), traj
+    def forward(schedule):
+        traj = dyn.integrate(dspec, schedule, task)
+        return value(traj, schedule, vspec, dspec), traj
 
     return with_grad, forward
 
@@ -113,8 +106,8 @@ def _make_objective(dspec, task, vspec):
 def optimize(dspec, task, vspec, ospec, init_schedule):
     """Maximize V over the schedule's values; returns (schedule, trace).
 
-    `task` may be a TaskMoments, a TaskSchedule, or a sequence of tasks (the
-    latter switches to the shared-initial-weights objective).  trace.V[0] is
+    `task` may be a TaskMoments, a TaskSchedule, or a task set (the latter
+    switches to the per-step-sum objective over the set).  trace.V[0] is
     the value of the initial schedule, computed by the same code path as
     every later evaluation.
     """

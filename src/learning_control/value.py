@@ -14,11 +14,15 @@ exact for the discretized system, one forward plus one backward pass per
 evaluation regardless of how many control degrees of freedom there are.  A
 caller that already holds the schedule's trajectory (the optimizer's line
 search does) hands it over and pays for the backward pass alone.
+A task set is rolled out once on a batch axis and swept once; its V and
+gradient are the sum of its tasks', in task order.
 fd_check probes that gradient against central finite differences and is wired
 into the CLI, so a broken derivative is loud.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -128,7 +132,13 @@ def _value_weights(vspec, dspec):
 
 
 def _segment_total(losses, schedule, vspec, pw, cw):
-    """V from the losses and, for a series schedule, the cost of each segment."""
+    """V from the losses and, for a series schedule, the cost of each segment.
+
+    A task set's V is its tasks' values summed in task order, each from a
+    contiguous row of losses, as a lone task's would be.
+    """
+    if losses.ndim == 2:
+        return sum(_segment_total(row, schedule, vspec, pw, cw) for row in losses.T.copy())
     total = -float(np.dot(pw, losses))
     if schedule is None or schedule.kind == "init_weights" or vspec.cost.kind == "none":
         return total
@@ -145,12 +155,12 @@ def _segment_total(losses, schedule, vspec, pw, cw):
 
 
 def value(trajectory, schedule, vspec, dspec):
-    """V for a recorded trajectory under its schedule."""
+    """V for a recorded trajectory under its schedule (a task set's: its tasks' values, summed)."""
     return _segment_total(trajectory.losses, schedule, vspec, *_value_weights(vspec, dspec))
 
 
 def evaluate_value(dspec, task, schedule, vspec, state0=None):
-    """Forward-only objective evaluation (integrate + value)."""
+    """Forward-only objective evaluation (integrate + value); `task` may be a task set."""
     traj = dyn.integrate(dspec, schedule, task, state0=state0)
     return value(traj, schedule, vspec, dspec)
 
@@ -177,6 +187,11 @@ def _slice_scale(x, factor):
     return factor * x
 
 
+def _task_sum(parts):
+    """Sum in task order from the first part, so a lone part keeps its bits (a 0.0 start would not keep -0.0)."""
+    return functools.reduce(operator.add, parts)
+
+
 def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
     """V and dV/d(schedule) by one adjoint sweep; also returns the trajectory.
 
@@ -186,12 +201,19 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
     `traj`, when given, must be the rollout of this schedule and task (from
     `state0`); the forward pass is then skipped and only the adjoint runs.
 
-    The sweep goes over stacks of steps, last first: only the adjoint
-    recurrence loops per step, and each stack's control gradients are formed
-    batched and added into the buffers in descending step order.
+    The sweep goes over stacks of steps, last first, the last one ending at
+    the terminal state: only the adjoint recurrence loops per step, and each
+    stack's control gradients are formed batched and added into the buffers
+    in descending step order.  A task set is swept once on its batch axis: V
+    is its tasks' values and the gradient their gradients, each summed in
+    task order (per step for a series schedule).  A kind without a stack
+    kernel sweeps the tasks one at a time.
     """
     if traj is None:
         traj = dyn.integrate(dspec, schedule, task, state0=state0)
+    if dyn.runs_per_task(dspec, task):
+        parts = [grad_value(dspec, t, schedule, vspec, traj=tr) for t, tr in zip(task, traj.per_task())]
+        return sum(p[0] for p in parts), tuple(map(_task_sum, zip(*(p[1] for p in parts)))), traj
     n = dspec.n_steps
     scale = dspec.dt / dspec.tau_w
     per_step = schedule is not None and schedule.kind != "init_weights"
@@ -199,6 +221,8 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
     pw, cw = _value_weights(vspec, dspec)
     total = _segment_total(traj.losses, schedule, vspec, pw, cw)
     pws = pw.tolist()
+    # the terminal state costs no control; each task of a task set pays it
+    cw = np.append(cw, 0.0) * (len(task) if dyn.is_task_set(task) else 1)
     buffers = schedule.zero_grads() if per_step else None
     cost_grads = None
     if per_step and vspec.cost.kind != "none":
@@ -206,19 +230,8 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
     # per-step weights, shaped to broadcast over a stack of control slices
     weights_shape = (-1,) + (1,) * (schedule.values[0].ndim - 1) if per_step else None
 
-    def zero_like_state(s):
-        return tuple(0.0 if isinstance(w, float) else np.zeros_like(w) for w in s)
-
-    # terminal contribution: the state at N is scored with the last control slice
-    state_n = tuple(layer[n] for layer in traj.layers)
-    if pws[n] != 0.0:
-        _, _, lgs, lgc = dyn.backward_step(dspec, state_n, ctrls[-1], tasks[-1], zero_like_state(state_n))
-        adj = tuple(-pws[n] * g for g in lgs)
-        if per_step and lgc is not None:
-            schedule.add_grad(buffers, n - 1, _slice_scale(lgc, -pws[n]))
-    else:
-        adj = zero_like_state(state_n)
-
+    # from the terminal state, scored under the last control slice, down to state 0
+    adj = tuple(0.0 if isinstance(layer, list) else np.zeros_like(layer[n]) for layer in traj.layers)
     for lo, hi, sweep in dyn.sweeps(dspec, traj, ctrls, tasks):
         for i in range(hi - 1, lo - 1, -1):
             svjp, lgs = sweep.adjoint(i - lo, adj)
@@ -230,35 +243,30 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
             cvjp, lgc = sweep.contract()
             g = _slice_axpy(_slice_scale(cvjp, scale), lgc, -pw[lo:hi].reshape(weights_shape))
             if cost_grads is not None:
-                seg_of = np.arange(lo, hi) // schedule.segment
+                seg_of = np.minimum(np.arange(lo, hi) // schedule.segment, schedule.n_segments - 1)
                 g = _slice_axpy(g, tuple(c[seg_of] for c in cost_grads), -cw[lo:hi].reshape(weights_shape))
             if g is not None:
                 schedule.add_grads(buffers, lo, g)
 
     if per_step:
         return total, buffers, traj
+    if dyn.is_task_set(task):
+        return total, tuple(_task_sum(a) for a in adj), traj
     return total, tuple(np.asarray(a, dtype=float) for a in adj), traj
 
 
-def maml_value_and_grad(dspec, tasks, schedule, steps_ahead=None, trajs=None):
+def maml_value_and_grad(dspec, tasks, schedule, steps_ahead=None, traj=None):
     """Per-step-sum value over a task set, controlled through shared initial weights.
 
-    Each task is rolled out independently from the same starting state;
-    V = -sum_tasks sum_{i=1..steps} <loss_i>, and the gradient is the sum of
-    the per-task adjoints at time zero.  `trajs`, when given, holds each
-    task's rollout in task order, and only the adjoint sweeps run.
+    The tasks are rolled out from the same starting state as one batched
+    rollout and swept once; V = -sum_tasks sum_{i=1..steps} <loss_i>, and
+    the gradient is the per-task adjoints at time zero summed in task order.
+    `traj`, when given, is the task set's batched rollout, and only the
+    adjoint sweep runs.  Returns (V, gradient, each task's Trajectory).
     """
     spec = dspec if steps_ahead is None else replace(dspec, n_steps=int(steps_ahead))
-    vspec = per_step_sum_spec()
-    total = 0.0
-    grads = None
-    rollouts = []
-    for k, task in enumerate(tasks):
-        v, g, traj = grad_value(spec, task, schedule, vspec, traj=None if trajs is None else trajs[k])
-        total += v
-        grads = g if grads is None else tuple(ga + gb for ga, gb in zip(grads, g))
-        rollouts.append(traj)
-    return total, grads, rollouts
+    total, grads, traj = grad_value(spec, list(tasks), schedule, per_step_sum_spec(), traj=traj)
+    return total, grads, traj.per_task()
 
 
 @dataclass
@@ -276,8 +284,9 @@ class FdReport:
 def fd_check(dspec, task, schedule, vspec, coords=None, h=1e-6, rng=0):
     """Compare the adjoint gradient against central finite differences.
 
-    `task` may be a TaskMoments (plain objective) or a sequence of them
-    (per-step-sum objective through shared init weights).  `coords` is a list
+    `task` may be a TaskMoments (plain objective) or a task set, a sequence
+    of them (the per-step-sum objective, usually through shared init
+    weights).  `coords` is a list
     of (array_index, flat_index) pairs into schedule.values, or a count of
     coordinates to sample; by default up to twelve are sampled at random.  Bounds are stripped for the probe: the
     gradient is of the unconstrained objective and clamping would corrupt the
@@ -290,18 +299,9 @@ def fd_check(dspec, task, schedule, vspec, coords=None, h=1e-6, rng=0):
         segment=schedule.segment,
         bounds=None,
     )
-    multi = isinstance(task, (list, tuple))
-
-    def objective(s):
-        if multi:
-            vs = per_step_sum_spec()
-            return sum(evaluate_value(dspec, t, s, vs) for t in task)
-        return evaluate_value(dspec, task, s, vspec)
-
-    if multi:
-        _, grads, _ = maml_value_and_grad(dspec, task, probe)
-    else:
-        _, grads, _ = grad_value(dspec, task, probe, vspec)
+    if dyn.is_task_set(task):
+        vspec = per_step_sum_spec()
+    _, grads, _ = grad_value(dspec, task, probe, vspec)
 
     gen = np.random.default_rng(rng)
     if coords is None or isinstance(coords, int):
@@ -327,8 +327,8 @@ def fd_check(dspec, task, schedule, vspec, coords=None, h=1e-6, rng=0):
             vals[ai].flat[fi] = base + delta
             return probe.with_values(vals)
 
-        up = objective(with_delta(step))
-        down = objective(with_delta(-step))
+        up = evaluate_value(dspec, task, with_delta(step), vspec)
+        down = evaluate_value(dspec, task, with_delta(-step), vspec)
         numeric = (up - down) / (2.0 * step)
         analytic = float(grads[ai].flat[fi])
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)

@@ -95,6 +95,11 @@ class TestConfigLoading:
             ("task_engagement", "tasks=1,2;3,4", "a correlated-Gaussian task takes 5 numbers"),
             ("category_engagement", "class_means=1,2,3;4,5,6", "dynamics dims 2x3 do not fit task 'class_mixture'"),
             ("maml_multistep", "steps_ahead=-2", "steps_ahead must be nonnegative"),
+            # read only by the summaries, after the optimization, yet checked before it
+            ("maml_multistep", "eval_steps=-1", "eval_steps must be positive"),
+            ("maml_multistep", "eval_steps=0", "eval_steps must be positive"),
+            ("sgd_validation", "stride=0", "stride must be positive"),
+            ("sgd_validation", "stride=-3", "stride must be positive"),
         ],
     )
     def test_a_scenario_parameter_out_of_range_is_a_config_error(self, name, param, message, tmp_path, capsys):
@@ -143,6 +148,11 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(p)]) == 0
         assert "V_control" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["single_neuron", "nonlinear_taylor"])
+    def test_a_task_set_runs_with_a_kind_without_a_stack_kernel(self, kind, capsys):
+        assert main(["run", "--preset", "maml_multistep", "-p", f"dynamics.kind={kind}"]) == 0
+        assert "eval_cumulative_loss" in capsys.readouterr().out
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/no/such/file.cfg"]) == 2

@@ -161,6 +161,20 @@ class TestGradBuffers:
         np.testing.assert_array_equal(buffers[0][:, 0, :], [[3.0, 3.0], [3.0, 3.0]])
         np.testing.assert_array_equal(buffers[1][:, :, 0], [[-2.0, -2.0], [-1.0, -1.0]])
 
+    @pytest.mark.parametrize("n_steps", [6, 7])
+    def test_the_terminal_step_adds_into_the_last_segment_first(self, n_steps):
+        # steps 2..n_steps at once against add_grad from the terminal state (at step n_steps - 1) down
+        rng = np.random.default_rng(3)
+        sched = ControlSchedule(kind="scalar_series", values=(np.zeros(-(-n_steps // 3)),), n_steps=n_steps, segment=3)
+        grads = rng.normal(size=n_steps - 1) * 10.0 ** rng.integers(-8, 9, size=n_steps - 1)
+        want = sched.zero_grads()
+        sched.add_grad(want, n_steps - 1, grads[-1])
+        for step in range(n_steps - 1, 1, -1):
+            sched.add_grad(want, step, grads[step - 2])
+        got = sched.zero_grads()
+        sched.add_grads(got, 2, (grads,))
+        assert np.array_equal(got[0], want[0])
+
     def test_init_weights_has_no_per_step_grads(self):
         sched = init_weights_control((np.ones((1, 1)),))
         with pytest.raises(ValueError, match="per-step"):

@@ -351,6 +351,19 @@ class TestRunPipeline:
         assert res.schedule.kind == "init_weights"
         assert math.isfinite(res.summaries["eval_cumulative_loss"])
 
+    # recorded from the per-task loop that preceded the batched rollout
+    @pytest.mark.parametrize("kind, v_baseline, v_control, finals, cumulative", [
+        ("single_neuron", -3.8621982977464273, -3.2477139955072514,
+         [0.06896551724137989, 0.20491810338718552, 0.3730577492090943], 12.953112154168988),
+        ("nonlinear_taylor", -6.170955784803234, -3.249783955054434,
+         [0.06896551724138461, 0.20491812713793622, 0.3730631581259809], 12.956312681876774),
+    ])
+    def test_a_task_set_of_a_kind_without_a_stack_kernel(self, kind, v_baseline, v_control, finals, cumulative):
+        res = run(override_param(preset("maml_multistep"), "dynamics.kind", kind))
+        assert (res.V_baseline, res.V_control) == (v_baseline, v_control)
+        assert res.summaries["eval_final_losses"] == finals
+        assert res.summaries["eval_cumulative_loss"] == cumulative
+
     def test_sgd_validation_reports_its_agreement_score(self):
         res = run(preset("sgd_validation"))
         assert res.summaries["sgd_seeds"] == 5
@@ -455,12 +468,13 @@ class TestRolloutReuse:
         res = run(cfg)
         trials = line_search_trials(res.trace, cfg.optimizer)
         assert res.trace.stalled_at is None
-        assert counts["integrate"] == 2 * (1 + trials)
+        # the task set is one batched rollout and one sweep per point
+        assert counts["integrate"] == 1 + trials
         # only the summary's evaluation rollouts, which have their own horizon
-        assert counts["outside"] == [cfg.params["eval_steps"]] * 4
-        # the per-step sum scores the terminal state too: one one-step call a sweep
-        assert counts["swept"] == len(res.trace.V) * 2 * cfg.dynamics.n_steps
-        assert counts["backward_step"] == len(res.trace.V) * 2
+        assert counts["outside"] == [cfg.params["eval_steps"]] * 2
+        # the per-step sum scores the terminal state too, from the sweep's own last stack
+        assert counts["swept"] == len(res.trace.V) * cfg.dynamics.n_steps
+        assert counts["backward_step"] == 0
 
     @pytest.mark.parametrize("make_config", [
         tiny_neuron_config,

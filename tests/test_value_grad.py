@@ -6,6 +6,7 @@ Fake trajectories with made-up losses pin the Riemann weighting itself.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -523,3 +524,169 @@ class TestBatchedSweep:
         assert len(grads) == len(want)
         for got, ref in zip(grads, want):
             assert np.array_equal(got, ref)
+
+
+# --- task sets: one batched rollout and one sweep ------------------------------
+
+PAIR_KINDS = ["two_layer_baseline", "gain_mod", "engagement", "category_engagement", "lr_mod"]
+MAML_TASKS = [two_gaussian_moments(2.0, 0.8), two_gaussian_moments(1.2, 1.0), two_gaussian_moments(0.7, 1.2)]
+
+
+def task_set_case(kind, reg_lambda=0.05):
+    """(spec, three same-shape tasks, the kind's random series schedule or None) from the stacking cases."""
+    spec, _, sched = stack_case(kind, "one_task")
+    tasks = STACK_KINDS[kind][4]()
+    return replace(spec, reg_lambda=reg_lambda), tasks + tasks[:1], sched
+
+
+def per_task_loop(spec, tasks, sched, vspec):
+    """V, gradients and rollouts of a task set, one grad_value per task, summed in task order."""
+    parts = [grad_value(spec, t, sched, vspec) for t in tasks]
+    total = 0.0
+    for v, _, _ in parts:
+        total += v
+    grads = parts[0][1]
+    for _, g, _ in parts[1:]:
+        grads = tuple(a + b for a, b in zip(grads, g))
+    return total, grads, [p[2] for p in parts]
+
+
+def assert_same_rollouts(batched, trajs):
+    n, b = len(trajs[0].losses) - 1, len(trajs)
+    assert batched.losses.shape == (n + 1, b)
+    assert all(layer.shape[:2] == (n + 1, b) for layer in batched.layers)
+    for got, want in zip(batched.per_task(), trajs):
+        assert np.array_equal(got.losses, want.losses)
+        assert all(np.array_equal(a, b) for a, b in zip(got.layers, want.layers))
+
+
+class TestTaskSets:
+    """A task set is one rollout with a batch axis after the step axis, and one adjoint sweep."""
+
+    @pytest.fixture(autouse=True)
+    def small_stacks(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "SWEEP_CHUNK", 5)  # stacks straddle segments and the terminal state
+
+    @pytest.mark.parametrize("vspec", ["per_step_sum", "discounted_with_cost"])
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_init_weights_batched_equals_the_per_task_loop_bitwise(self, kind, vspec):
+        spec, tasks, _ = task_set_case(kind)
+        sched = init_weights_control(initial_state(spec))
+        vspec = TestBatchedSweep.VSPECS[vspec]
+        total, grads, traj = grad_value(spec, tasks, sched, vspec)
+        want_total, want_grads, want_trajs = per_task_loop(spec, tasks, sched, vspec)
+        assert_same_rollouts(traj, want_trajs)
+        assert total == want_total
+        assert total == value(traj, sched, vspec, spec) == evaluate_value(spec, tasks, sched, vspec)
+        assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+
+    @pytest.mark.parametrize("vspec", ["per_step_sum", "discounted_with_cost"])
+    @pytest.mark.parametrize("kind", [k for k in PAIR_KINDS if k != "two_layer_baseline"])
+    def test_series_batched_equals_the_per_task_loop(self, kind, vspec):
+        # the rollouts and V are bit for bit the per-task ones; the gradient sums the
+        # tasks per step before the steps, which reorders additions: 1e-12 relative
+        spec, tasks, sched = task_set_case(kind)
+        vspec = TestBatchedSweep.VSPECS[vspec]
+        total, grads, traj = grad_value(spec, tasks, sched, vspec)
+        want_total, want_grads, want_trajs = per_task_loop(spec, tasks, sched, vspec)
+        assert_same_rollouts(traj, want_trajs)
+        assert total == want_total
+        for g, w in zip(grads, want_grads):
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+    @pytest.mark.parametrize("kind", [k for k in PAIR_KINDS if k != "two_layer_baseline"])
+    def test_neutral_controls_stay_bitwise_in_the_batched_layout(self, kind):
+        spec, tasks, sched = task_set_case(kind)
+        neutral = sched.with_values(tuple(np.full_like(v, 0.0 if kind in ("gain_mod", "lr_mod") else 1.0)
+                                          for v in sched.values))
+        base = integrate(replace(spec, kind="two_layer_baseline"), None, tasks)
+        ctrl = integrate(spec, neutral, tasks)
+        assert np.array_equal(base.losses, ctrl.losses)
+        assert all(np.array_equal(a, b) for a, b in zip(base.layers, ctrl.layers))
+
+    @pytest.mark.parametrize("kind", ["single_neuron", "nonlinear_taylor"])
+    def test_kinds_without_a_stack_kernel_roll_out_one_task_at_a_time(self, kind):
+        spec = DynamicsSpec(kind=kind, input_dim=1, output_dim=1, hidden_dim=3, dt=0.1, n_steps=5,
+                            reg_lambda=0.05, init_mean=0.3, init_std=0.0 if kind == "single_neuron" else 0.3)
+        sched = init_weights_control(initial_state(spec))
+        total, grads, traj = grad_value(spec, MAML_TASKS, sched, per_step_sum_spec())
+        want_total, want_grads, want_trajs = per_task_loop(spec, MAML_TASKS, sched, per_step_sum_spec())
+        assert_same_rollouts(traj, want_trajs)
+        if kind == "single_neuron":
+            assert all(type(w) is float for w in traj.per_task()[0].layers[0])
+        assert total == want_total
+        assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+
+
+# Values recorded from the per-task loop that preceded the batched rollout
+# (grad_value once per task, summed in task order).
+PINNED_TASK_SETS = {
+    "gain_mod": (
+        -4.015347769020978,
+        [[0.15113780180157435, 0.23393339688207954, 0.08887806895887326, 0.1381849148858832,
+          0.04329487202286153, 0.06634566286352117],
+         [0.09672819315300762, 0.1799487668323689, 0.08153951280630575, 0.15049842215294212,
+          0.05586435099724068, 0.10146983732067945]],
+        [((0, 3), 0.1381849148858832, 0.13818491482388914), ((0, 5), 0.06634566286352117, 0.06634566298056545),
+         ((1, 0), 0.09672819315300762, 0.09672819381023602), ((1, 1), 0.1799487668323689, 0.17994876661888667)],
+        [0.06896551734948564, 0.20541126607469878, 0.3735174968818759],
+    ),
+    "single_neuron": (
+        -3.3728430301543098,
+        [[0.9550484703921038]],
+        [((0, 0), 0.9550484703921038, 0.9550484707350375)],
+        [0.07362757917320821, 0.21319498962887948, 0.37657498972453357],
+    ),
+    "nonlinear_taylor": (
+        -6.170955784803234,
+        [[1.0735519623334269, -3.5409934119999127, 4.488623807789091],
+         [1.1124030508676905, -2.788288550462269, 5.008676690429459]],
+        [((1, 0), 1.1124030508676905, 1.1124030506915006), ((1, 1), -2.788288550462269, -2.7882885505076698),
+         ((1, 2), 5.008676690429459, 5.00867669046341)],
+        [0.2410968001191779, 0.39955453407106645, 0.4620172388341057],
+    ),
+}
+
+
+def pinned_case(kind):
+    if kind == "gain_mod":
+        spec = DynamicsSpec(kind="gain_mod", input_dim=1, output_dim=1, hidden_dim=2, dt=0.1, n_steps=6,
+                            init_std=0.3, init_seed=3)
+        sched = ControlSchedule.neutral("matrix_pair_series", 6, segment=2, shapes=((2, 1), (1, 2)))
+        return spec, sched.with_values((np.linspace(-0.2, 0.3, 6).reshape(3, 2, 1),
+                                        np.linspace(0.25, -0.15, 6).reshape(3, 1, 2)))
+    if kind == "single_neuron":
+        spec = DynamicsSpec(kind="single_neuron", input_dim=1, output_dim=1, dt=0.1, n_steps=5,
+                            reg_lambda=0.05, init_mean=0.3)
+    else:
+        spec = DynamicsSpec(kind="nonlinear_taylor", input_dim=1, output_dim=1, hidden_dim=3, dt=0.1, n_steps=5,
+                            init_std=0.3, init_seed=0)
+    return spec, init_weights_control(initial_state(spec))
+
+
+class TestPinnedTaskSets:
+    """maml_value_and_grad and fd_check on task sets, against recorded values.
+
+    Bit for bit, except the gradient under a series schedule (gain_mod), which
+    now sums the tasks per step before the steps: 1e-12 relative there.
+    """
+
+    @pytest.mark.parametrize("kind", PINNED_TASK_SETS)
+    def test_values_gradients_and_fd_entries(self, kind):
+        want_v, want_g, want_fd, want_finals = PINNED_TASK_SETS[kind]
+        spec, sched = pinned_case(kind)
+        total, grads, trajs = maml_value_and_grad(spec, MAML_TASKS, sched)
+        assert total == want_v
+        assert [float(t.losses[-1]) for t in trajs] == want_finals
+        report = fd_check(spec, MAML_TASKS, sched, per_step_sum_spec(), coords=len(want_fd), rng=0)
+        got_fd = [(c, a, float(nu)) for c, a, nu, _ in report.entries]
+        got_g = [np.asarray(g).ravel().tolist() for g in grads]
+        if kind == "gain_mod":
+            for got, want in zip(got_g, want_g):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            assert [(c, nu) for c, _, nu in got_fd] == [(c, nu) for c, _, nu in want_fd]
+            np.testing.assert_allclose([a for _, a, _ in got_fd], [a for _, a, _ in want_fd], rtol=1e-12, atol=0.0)
+        else:
+            assert got_g == want_g
+            assert got_fd == want_fd
