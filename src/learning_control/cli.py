@@ -85,8 +85,15 @@ def _build_parser():
     return top
 
 
+def _override(name, raw):
+    """(config path, value) of a -p override: a spec field typed as a config file types it, else a literal."""
+    from .configio import override_value
+
+    return override_value(name, raw) or (name, _literal(raw))
+
+
 def _literal(text):
-    """Best-effort typed parse of a -p override value."""
+    """Best-effort typed parse of a -p override value outside the spec sections (a scenario parameter)."""
     s = text.strip()
     low = s.lower()
     if low in ("true", "false"):
@@ -127,7 +134,7 @@ def _load_config(args):
         name, sep, raw = item.partition("=")
         if not sep:
             raise ConfigError(f"-p expects NAME=VALUE, got '{item}'")
-        cfg = override_param(cfg, name.strip(), _literal(raw))
+        cfg = override_param(cfg, *_override(name.strip(), raw))
     return cfg
 
 
@@ -161,8 +168,9 @@ def _cmd_sweep(args):
     from .experiments import sweep
 
     cfg = _load_config(args)
-    values = [_literal(v) for v in args.values.split(",")]
-    results = sweep(cfg, args.sweep_param, values, parallelism=args.parallel)
+    typed = [_override(args.sweep_param, v) for v in args.values.split(",")]
+    values = [v for _, v in typed]
+    results = sweep(cfg, typed[0][0], values, parallelism=args.parallel)
     for v, res in zip(values, results):
         print(f"{args.sweep_param}={v}: V_baseline={_fmt17(res.V_baseline)} V_control={_fmt17(res.V_control)}")
     return 0
@@ -172,6 +180,10 @@ def _cmd_grad_check(args):
     from .experiments import build
     from .value import fd_check
 
+    if args.coords < 1:
+        raise ConfigError("--coords must be >= 1")
+    if not args.fd_step > 0:  # also rejects nan
+        raise ConfigError("--fd-step must be positive")
     if not args.preset and not args.config:
         args.preset = "single_neuron_effort"
     cfg = _load_config(args)

@@ -73,6 +73,26 @@ _OUTPUT_KEYS = {"out_dir": str, "force": bool}
 _SCENARIO_FIXED = {"name": str, "seed": int, "run_name": str}
 
 
+def _override_keys():
+    """{-p name: (RunConfig path, type)} of every [dynamics], [value], [optimizer] and [output] key.
+
+    A key goes by its section.key name and by its dotted RunConfig path:
+    value.beta is value.cost.beta, output.force is force.
+    """
+    keys = {}
+    for section, table in (("dynamics", _DYNAMICS_KEYS), ("optimizer", _OPTIMIZER_KEYS)):
+        keys.update({f"{section}.{k}": (f"{section}.{k}", t) for k, t in table.items()})
+    for k, t in _VALUE_KEYS.items():
+        path = f"value.{k}" if k in ("gamma", "eta", "mode") else "value.cost." + k.removeprefix("cost_")
+        keys[f"value.{k}"] = keys[path] = (path, t)
+    for k, t in _OUTPUT_KEYS.items():
+        keys[f"output.{k}"] = keys[k] = (k, t)
+    return keys
+
+
+_OVERRIDE_KEYS = _override_keys()
+
+
 def _parse_bool(raw, where):
     low = raw.strip().lower()
     if low in ("true", "yes", "1", "on"):
@@ -94,6 +114,18 @@ def _parse_scalar(raw, typ, where):
     except ValueError:
         raise ConfigError(f"expected {typ.__name__} for {where}, got '{raw}'") from None
     return raw
+
+
+def override_value(name, raw):
+    """(RunConfig path, value) of a -p NAME=VALUE override of a [dynamics], [value], [optimizer] or [output] key.
+
+    The value is typed as a config file types that key, so a bad one is a
+    ConfigError; any other name (a scenario parameter) gives None.
+    """
+    if name not in _OVERRIDE_KEYS:
+        return None
+    path, typ = _OVERRIDE_KEYS[name]
+    return path, _parse_scalar(raw, typ, name)
 
 
 def _parse_param(raw, default, where):

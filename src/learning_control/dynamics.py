@@ -37,7 +37,11 @@ dvec, rate) -- layer gains, error-row scales, a boost of the whole right-hand
 side -- and back from a swept stack to the control-shaped VJPs.  In that
 kernel an absent channel skips its multiplication and a neutral one
 multiplies by exactly 1.0, which IEEE makes exact, so neutral schedules
-reproduce the baseline bit for bit; tests rely on that.  A stack runs the
+reproduce the baseline bit for bit; tests rely on that.  The single neuron
+bypasses the table in `integrate` and in `value.grad_value`: both are
+Python-float loops over `step_runs`, stretches of steps that share one
+control slice and task, with each run's constants hoisted; its entry serves
+the one-step API, whose bits the loops keep.  A stack runs the
 same products and reductions on the same operands as its steps one at a
 time, so it gives their bits.  A task set (same-shape tasks from the same
 start) is one rollout on a batch axis after the step axis: the kernel reads
@@ -250,9 +254,10 @@ def _neuron_args(state, control, task, spec):
     return (state[0], _neuron_gain(control), *_neuron_moments(task), spec.reg_lambda)
 
 
-# The float helpers serve the kind-table entries and the float loop in
-# integrate alike.  `** 2` is libm pow for floats and np.float64 alike; x * x
-# would round differently on some inputs.
+# The float helpers serve the kind-table entries; the float loops in integrate
+# and value._neuron_sweep repeat their products in their order, the leading
+# ones hoisted per run.  `** 2` is libm pow for floats and np.float64 alike;
+# x * x would round differently on some inputs.
 def _neuron_loss_f(w, gt, mu, x2, sy, lam):
     return 0.5 * (sy - 2.0 * gt * w * mu + x2 * (gt * w) ** 2) + 0.5 * lam * w * w
 
@@ -776,6 +781,23 @@ def per_step_inputs(schedule, task, n):
     return ctrls, tasks
 
 
+def step_runs(schedule, task, n):
+    """(lo, hi, control, task) of each run of the `n` steps, built once per pass from per_step_inputs.
+
+    A run is a stretch of steps sharing one control slice and one task: a
+    segment, cut again at each task switch.  The single neuron's forward and
+    adjoint loops go over it.
+    """
+    ctrls, tasks = per_step_inputs(schedule, task, n)
+    cuts = {0, n}
+    if ctrls[0] is not None:
+        cuts.update(range(0, n, schedule.segment))
+    if isinstance(task, TaskSchedule):
+        cuts.update(range(0, n, task.period_steps))
+    cuts = sorted(cuts)
+    return [(lo, hi, ctrls[lo], tasks[lo]) for lo, hi in zip(cuts, cuts[1:])]
+
+
 def _step_args(kind, ctrls, tasks, spec):
     """kind.args of each step, computed once per run of steps sharing a control slice and task."""
     out, prev, a = [], None, None
@@ -842,30 +864,31 @@ def integrate(spec, schedule, task, state0=None):
     else:
         state = initial_state(spec, override=state0)
     n = spec.n_steps
-    ctrls, tasks = per_step_inputs(schedule, task, n)
     scale = spec.dt / spec.tau_w
     times = np.arange(n + 1) * spec.dt
 
     if spec.kind == "single_neuron":
-        # Python floats throughout, with the moments read when the task changes:
-        # several times cheaper per step than the array loop below
+        # Python floats, run by run: each run hoists the leading products of
+        # _neuron_loss_f and _neuron_flow, which Python evaluates first anyway,
+        # so the bits are theirs
         lam = spec.reg_lambda
+        half_lam = 0.5 * lam
         w = state[0]
-        ws = [w]
-        losses = []
-        prev = None
-        for i, (ctrl, tsk) in enumerate(zip(ctrls, tasks)):
-            if tsk is not prev:
-                prev, (mu, x2, sy) = tsk, _neuron_moments(tsk)
+        ws, losses = [w], []
+        for lo, hi, ctrl, tsk in step_runs(schedule, task, n):
+            mu, x2, sy = _neuron_moments(tsk)
             gt = _neuron_gain(ctrl)
-            losses.append(_neuron_loss_f(w, gt, mu, x2, sy, lam))
-            w = w + scale * _neuron_flow(w, gt, mu, x2, sy, lam)
-            if not abs(w) < DIVERGENCE_LIMIT:
-                raise _divergence(abs(w), i)
-            ws.append(w)
+            gt2, drive, decay = 2.0 * gt, mu * gt, x2 * gt * gt + lam
+            for i in range(lo, hi):
+                losses.append(0.5 * (sy - gt2 * w * mu + x2 * (gt * w) ** 2) + half_lam * w * w)
+                w = w + scale * (drive - w * decay)
+                if not abs(w) < DIVERGENCE_LIMIT:
+                    raise _divergence(abs(w), i)
+                ws.append(w)
         losses.append(_neuron_loss_f(w, gt, mu, x2, sy, lam))
         return Trajectory(times=times, layers=(ws,), losses=np.array(losses), kind=spec.kind)
 
+    ctrls, tasks = per_step_inputs(schedule, task, n)
     kind = _KIND_TABLE[spec.kind]
     args = _step_args(kind, ctrls, tasks, spec)
     batch = (len(task),) if is_task_set(task) else ()

@@ -417,15 +417,20 @@ def sweep(base_config, param_name, values, parallelism=None):
 
     Results come back in input order.  Output directories (when configured)
     get a per-value subdirectory so parallel runs never collide.  Worker
-    count: `parallelism` if given, else one per value, capped by the
-    LE_THREADS environment variable and the machine.
+    count: `parallelism` if given (0 or None: one per value), capped by the
+    number of values, the machine's cores and the LE_THREADS environment
+    variable; a pool starts all its workers at once.
     """
+    if parallelism is not None and parallelism < 0:
+        raise ConfigError(f"parallelism must be nonnegative, got {parallelism}")
     configs = [override_param(base_config, param_name, v, run_suffix=f"{param_name}={v}") for v in values]
-    workers = parallelism if parallelism else min(len(configs), os.cpu_count() or 1)
+    workers = min(parallelism or len(configs), len(configs), os.cpu_count() or 1)
     cap = os.environ.get("LE_THREADS")
     if cap:
-        workers = max(1, min(workers, int(cap)))
-    if workers <= 1 or len(configs) <= 1:
+        if not cap.strip().isdigit():
+            raise ConfigError(f"LE_THREADS must be a nonnegative integer, got '{cap}'")
+        workers = min(workers, int(cap))
+    if workers <= 1:
         return [run(c) for c in configs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, configs))

@@ -15,7 +15,9 @@ evaluation regardless of how many control degrees of freedom there are.  A
 caller that already holds the schedule's trajectory (the optimizer's line
 search does) hands it over and pays for the backward pass alone.
 A task set is rolled out once on a batch axis and swept once; its V and
-gradient are the sum of its tasks', in task order.
+gradient are the sum of its tasks', in task order.  The single neuron's
+sweep is a loop on Python floats over the rollout's runs of constant
+control and task, like its forward loop in dynamics.integrate.
 fd_check probes that gradient against central finite differences and is wired
 into the CLI, so a broken derivative is loud.
 """
@@ -207,7 +209,8 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
     in descending step order.  A task set is swept once on its batch axis: V
     is its tasks' values and the gradient their gradients, each summed in
     task order (per step for a series schedule).  A kind without a stack
-    kernel sweeps the tasks one at a time.
+    kernel sweeps the tasks one at a time.  The single neuron takes the
+    float sweep `_neuron_sweep` instead of the stacks, with the same bits.
     """
     if traj is None:
         traj = dyn.integrate(dspec, schedule, task, state0=state0)
@@ -217,22 +220,24 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
     n = dspec.n_steps
     scale = dspec.dt / dspec.tau_w
     per_step = schedule is not None and schedule.kind != "init_weights"
-    ctrls, tasks = dyn.per_step_inputs(schedule, task, n)
     pw, cw = _value_weights(vspec, dspec)
     total = _segment_total(traj.losses, schedule, vspec, pw, cw)
     pws = pw.tolist()
     # the terminal state costs no control; each task of a task set pays it
     cw = np.append(cw, 0.0) * (len(task) if dyn.is_task_set(task) else 1)
-    buffers = schedule.zero_grads() if per_step else None
     cost_grads = None
     if per_step and vspec.cost.kind != "none":
         cost_grads = segment_cost_grads(schedule.values, vspec.cost)
+    if dspec.kind == "single_neuron":
+        adj, sums = _neuron_sweep(dspec, traj, schedule, task, pws, cw.tolist(), cost_grads)
+        return total, (np.array(sums),) if per_step else (np.asarray(adj, dtype=float),), traj
+    buffers = schedule.zero_grads() if per_step else None
     # per-step weights, shaped to broadcast over a stack of control slices
     weights_shape = (-1,) + (1,) * (schedule.values[0].ndim - 1) if per_step else None
 
     # from the terminal state, scored under the last control slice, down to state 0
-    adj = tuple(0.0 if isinstance(layer, list) else np.zeros_like(layer[n]) for layer in traj.layers)
-    for lo, hi, sweep in dyn.sweeps(dspec, traj, ctrls, tasks):
+    adj = tuple(np.zeros_like(layer[n]) for layer in traj.layers)
+    for lo, hi, sweep in dyn.sweeps(dspec, traj, *dyn.per_step_inputs(schedule, task, n)):
         for i in range(hi - 1, lo - 1, -1):
             svjp, lgs = sweep.adjoint(i - lo, adj)
             p = pws[i]
@@ -253,6 +258,39 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
     if dyn.is_task_set(task):
         return total, tuple(_task_sum(a) for a in adj), traj
     return total, tuple(np.asarray(a, dtype=float) for a in adj), traj
+
+
+def _neuron_sweep(dspec, traj, schedule, task, pws, cws, cost_grads):
+    """The single neuron's adjoint sweep on Python floats, run by run, last first.
+
+    Returns the adjoint at state 0 and the gradient of each segment (one sum
+    without a series schedule).  A step takes the products of
+    _neuron_backward and the stack sweep in their order, so their bits, and
+    adds its control gradient into its segment's float from 0.0 in descending
+    step order, as add_grads does.  Without a cost every cost gradient is
+    0.0, and a sum from +0.0 is never -0.0, so the signed zeros this adds
+    change none of its bits.
+    """
+    n, ws, scale, lam = dspec.n_steps, traj.layers[0], dspec.dt / dspec.tau_w, dspec.reg_lambda
+    runs = dyn.step_runs(schedule, task, n)
+    segment = n if runs[0][2] is None else schedule.segment  # no control slices: one sum, never read
+    sums = [0.0] * -(-n // segment)
+    cgs = [0.0] * len(sums) if cost_grads is None else cost_grads[0].tolist()
+    lo, hi, ctrl, tsk = runs[-1]
+    runs[-1] = lo, hi + 1, ctrl, tsk  # the terminal state, scored under the last control
+    a = 0.0
+    for lo, hi, ctrl, tsk in reversed(runs):
+        mu, x2, _ = dyn._neuron_moments(tsk)
+        gt = dyn._neuron_gain(ctrl)
+        dhdw, mgt, s = -(x2 * gt * gt + lam), -mu * gt, lo // segment
+        acc, cg = sums[s], cgs[s]
+        for i in range(hi - 1, lo - 1, -1):
+            w, p = ws[i], pws[i]
+            xw = x2 * w
+            acc += scale * ((mu - 2.0 * w * x2 * gt) * a) + (-p) * (-mu * w + xw * w * gt) + (-cws[i]) * cg
+            a = a + scale * (dhdw * a) - (p * (mgt + xw * gt * gt + lam * w) if p != 0.0 else 0.0)
+        sums[s] = acc
+    return a, sums
 
 
 def maml_value_and_grad(dspec, tasks, schedule, steps_ahead=None, traj=None):

@@ -17,7 +17,7 @@ import pytest
 
 import learning_control
 from learning_control.cli import _build_parser, _literal, _load_config, main
-from learning_control.configio import parse_config, serialize_config
+from learning_control.configio import parse_config, parse_config_file, serialize_config
 from learning_control.experiments import SCENARIOS, preset
 from learning_control.idx import IdxTensor, read_moments_json, serialize_idx
 
@@ -72,7 +72,6 @@ class TestConfigLoading:
         [
             ("optimizer.iters=-1", "iters must be nonnegative"),
             ("dynamics.dt=-1", "dt and tau_w must be positive"),
-            ("optimizer.alpha_g=abc", "could not convert"),
         ],
     )
     def test_a_value_the_spec_rejects_is_a_config_error(self, override, message, capsys):
@@ -81,6 +80,53 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert f"error: invalid configuration: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("optimizer.iters=abc", "expected int for optimizer.iters, got 'abc'"),
+            ("optimizer.max_halvings=abc", "expected int for optimizer.max_halvings, got 'abc'"),
+            ("optimizer.alpha_g=abc", "expected float for optimizer.alpha_g, got 'abc'"),
+            ("optimizer.backtracking=maybe", "expected a boolean for optimizer.backtracking, got 'maybe'"),
+            ("dynamics.n_steps=abc", "expected int for dynamics.n_steps, got 'abc'"),
+            ("dynamics.n_steps=3e3", "expected int for dynamics.n_steps, got '3e3'"),
+            ("value.gamma=abc", "expected float for value.gamma, got 'abc'"),
+            ("value.cost.beta=", "expected float for value.cost.beta, got ''"),
+            ("output.force=2", "expected a boolean for output.force, got '2'"),
+        ],
+    )
+    def test_a_spec_field_is_typed_as_a_config_file_types_it(self, override, message, capsys):
+        code = main(["run", "--preset", "single_neuron_effort", "-p", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "override, section, key, value",
+        [
+            ("optimizer.backtracking=no", "optimizer", "backtracking", False),
+            ("optimizer.backtracking=on", "optimizer", "backtracking", True),
+            ("dynamics.n_steps=300", "dynamics", "n_steps", 300),
+            ("dynamics.tau_w=2", "dynamics", "tau_w", 2.0),
+            ("value.gamma=1", "value", "gamma", 1.0),
+            ("value.cost.beta=0.5", "value", "beta", 0.5),
+            ("value.beta=0.5", "value", "beta", 0.5),
+            ("value.cost_kind=none", "value", "cost_kind", "none"),
+            ("output.force=yes", "output", "force", True),
+            ("output.out_dir=somewhere", "output", "out_dir", "somewhere"),
+        ],
+    )
+    def test_an_override_equals_the_same_key_in_a_config_file(self, override, section, key, value, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"[scenario]\nname = single_neuron_effort\n[{section}]\n{key} = {override.split('=')[1]}\n")
+        args = _build_parser().parse_args(["run", "--preset", "single_neuron_effort", "-p", override])
+        got = _load_config(args)
+        assert got == parse_config_file(str(cfg_file))
+        owner = {"output": got, "dynamics": got.dynamics, "optimizer": got.optimizer,
+                 "value": got.value.cost if key in ("beta", "cost_kind") else got.value}[section]
+        field = getattr(owner, key.removeprefix("cost_"))
+        assert field == value and type(field) is type(value)
 
     @pytest.mark.parametrize(
         "name, param, message",
@@ -176,7 +222,40 @@ class TestSweepCommand:
         assert lines[1].startswith("value.gamma=0.9: ")
 
 
+    @pytest.mark.parametrize("values", ["", "0.5,", "abc"])
+    def test_a_value_of_the_wrong_type_is_a_config_error(self, values, capsys):
+        code = main(["sweep", "--preset", "single_neuron_effort", *SMALL,
+                     "--sweep-param", "value.gamma", "--values", values, "--parallel", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: expected float for value.gamma" in captured.err
+        assert captured.out == ""
+
+    def test_a_negative_worker_count_is_a_config_error(self, capsys):
+        code = main(["sweep", "--preset", "single_neuron_effort", *SMALL,
+                     "--sweep-param", "value.gamma", "--values", "0.5,0.9", "--parallel", "-1"])
+        assert code == 2
+        assert "error: parallelism must be nonnegative" in capsys.readouterr().err
+
+
 class TestGradCheckCommand:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--coords", "0"], "--coords must be >= 1"),
+            (["--coords", "-3"], "--coords must be >= 1"),
+            (["--fd-step", "0"], "--fd-step must be positive"),
+            (["--fd-step=-1e-6"], "--fd-step must be positive"),
+            (["--fd-step", "nan"], "--fd-step must be positive"),
+        ],
+    )
+    def test_a_bad_probe_setting_is_a_config_error(self, flags, message, capsys):
+        assert main(["grad-check", *flags]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_defaults_to_the_single_neuron_scenario(self, capsys):
         assert main(["grad-check", "--coords", "4"]) == 0
         lines = capsys.readouterr().out.splitlines()

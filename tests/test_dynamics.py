@@ -26,6 +26,7 @@ from learning_control.dynamics import (
     initial_state,
     integrate,
     simulate_sgd,
+    step_runs,
 )
 from learning_control.errors import DivergenceError, UnsupportedOperationError
 from learning_control.experiments import build, override_param, preset
@@ -708,6 +709,19 @@ class TestNeuronFloatLoop:
     def test_states_are_python_floats(self):
         traj = integrate(self.spec, self.sched, self.tasks)
         assert all(type(s[0]) is float for s in traj.states)
+
+    @pytest.mark.parametrize("segment, period", [(4, 5), (3, 7), (6, 4), (5, 5), (1, 3), (23, 2), (7, 30)])
+    def test_run_table_forward_equals_the_kind_table_roll(self, segment, period):
+        n = self.spec.n_steps
+        gains = np.random.default_rng(segment).uniform(-0.4, 0.4, size=-(-n // segment))
+        self.sched = ControlSchedule(kind="scalar_series", values=(gains,), n_steps=n, segment=segment)
+        self.tasks = replace(self.tasks, period_steps=period)
+        # a run ends at every segment boundary and at every task switch
+        cuts = sorted({0, n, *range(0, n, segment), *range(0, n, period)})
+        runs = step_runs(self.sched, self.tasks, n)
+        assert [(lo, hi) for lo, hi, _, _ in runs] == list(zip(cuts, cuts[1:]))
+        assert all(c == self.sched.at(lo) and t is self.tasks.task_at(lo) for lo, _, c, t in runs)
+        self.test_states_and_losses_equal_the_kind_table_roll()
 
 
 class TestSampledTwin:

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from learning_control import dynamics, optimizer, value
+from learning_control import dynamics, experiments, optimizer, value
 from learning_control.control import ControlSchedule, init_weights_control
 from learning_control.dynamics import DynamicsSpec, initial_state
 from learning_control.errors import ConfigError, DivergenceError
@@ -509,6 +509,59 @@ class TestSweep:
         monkeypatch.setenv("LE_THREADS", "1")
         res = sweep(tiny_neuron_config(), "dynamics.n_steps", [100, 140])
         assert [r.trajectories["baseline"].losses.size for r in res] == [101, 141]
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """max_workers of every process pool sweep asks for; the pool runs nothing and starts no process."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [None for _ in items]
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments, "run", lambda cfg: None)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.delenv("LE_THREADS", raising=False)
+        return sizes
+
+    @pytest.mark.parametrize("parallelism, n_values, env, want", [
+        (64, 2, None, [2]),      # never more workers than values
+        (64, 20, None, [8]),     # nor than the machine's cores
+        (6, 20, "3", [3]),       # nor than LE_THREADS
+        (None, 5, None, [5]),
+        (None, 20, "4", [4]),
+        (1, 5, None, []),        # one worker runs in process
+        (4, 1, None, []),
+    ])
+    def test_the_worker_count_is_capped(self, pool_sizes, monkeypatch, parallelism, n_values, env, want):
+        if env is not None:
+            monkeypatch.setenv("LE_THREADS", env)
+        values = [0.5 + 0.01 * k for k in range(n_values)]
+        sweep(tiny_neuron_config(), "value.gamma", values, parallelism=parallelism)
+        assert pool_sizes == want
+
+    @pytest.mark.parametrize("cap", ["abc", "-2", "1.5"])
+    def test_a_bad_thread_cap_is_a_config_error(self, pool_sizes, monkeypatch, cap):
+        monkeypatch.setenv("LE_THREADS", cap)
+        with pytest.raises(ConfigError, match="LE_THREADS must be a nonnegative integer"):
+            sweep(tiny_neuron_config(), "value.gamma", [0.5, 0.9])
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("parallelism", [-1, -64])
+    def test_a_negative_worker_count_is_a_config_error(self, pool_sizes, parallelism):
+        with pytest.raises(ConfigError, match="parallelism must be nonnegative"):
+            sweep(tiny_neuron_config(), "value.gamma", [0.5, 0.9], parallelism=parallelism)
+        assert pool_sizes == []
 
     def test_parallel_results_match_sequential(self, monkeypatch):
         monkeypatch.delenv("LE_THREADS", raising=False)

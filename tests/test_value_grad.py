@@ -14,7 +14,7 @@ from test_dynamics import STACK_KINDS, stack_case, task_at
 
 from learning_control import dynamics
 from learning_control.control import ControlSchedule, init_weights_control
-from learning_control.dynamics import DynamicsSpec, Trajectory, backward_step, initial_state, integrate
+from learning_control.dynamics import DynamicsSpec, TaskSchedule, Trajectory, backward_step, initial_state, integrate
 from learning_control.tasks import (
     class_mixture_moments,
     compose_block_tasks,
@@ -22,6 +22,7 @@ from learning_control.tasks import (
     two_gaussian_moments,
 )
 from learning_control.value import (
+    COST_KINDS,
     CostSpec,
     FdReport,
     ValueSpec,
@@ -464,6 +465,37 @@ class TestCategoryScheduleGradient:
         assert report.max_rel < 1e-5
 
 
+def step_by_step_sweep(spec, task, sched, vspec, traj):
+    """The reference sweep: backward_step per step, last first, each step's gradient added with add_grad."""
+    n, scale = spec.n_steps, spec.dt / spec.tau_w
+    per_step = sched is not None and sched.kind != "init_weights"
+    ctrls = [sched.at(i) if per_step else None for i in range(n)]
+    tasks = [task_at(task, i) for i in range(n)]
+    pw, cw = (w.tolist() for w in _value_weights(vspec, spec))
+    buffers = sched.zero_grads() if per_step else None
+    states = traj.states
+    zero = tuple(np.zeros_like(w) for w in states[n])
+    adj = zero
+    if pw[n] != 0.0:
+        _, _, lgs, lgc = backward_step(spec, states[n], ctrls[-1], tasks[-1], zero)
+        adj = tuple(-pw[n] * g for g in lgs)
+        if per_step and lgc is not None:
+            sched.add_grad(buffers, n - 1, _slice_scale(lgc, -pw[n]))
+    for i in range(n - 1, -1, -1):
+        svjp, cvjp, lgs, lgc = backward_step(spec, states[i], ctrls[i], tasks[i], adj)
+        if per_step:
+            g = _slice_scale(cvjp, scale)
+            if pw[i] != 0.0:
+                g = _slice_axpy(g, lgc, -pw[i])
+            if vspec.cost.kind != "none" and cw[i] != 0.0:
+                g = _slice_axpy(g, ref_cost_grad(ctrls[i], vspec.cost), -cw[i])
+            if g is not None:
+                sched.add_grad(buffers, i, g)
+        adj = tuple(a + scale * sv - (pw[i] * lg if pw[i] != 0.0 else 0.0)
+                    for a, sv, lg in zip(adj, svjp, lgs))
+    return buffers if per_step else adj
+
+
 class TestBatchedSweep:
     """grad_value against the step-by-step sweep through the one-step API, bit for bit.
 
@@ -481,35 +513,6 @@ class TestBatchedSweep:
     def small_stacks(self, monkeypatch):
         monkeypatch.setattr(dynamics, "SWEEP_CHUNK", 5)
 
-    def step_by_step(self, spec, task, sched, vspec, traj):
-        n, scale = spec.n_steps, spec.dt / spec.tau_w
-        per_step = sched is not None and sched.kind != "init_weights"
-        ctrls = [sched.at(i) if per_step else None for i in range(n)]
-        tasks = [task_at(task, i) for i in range(n)]
-        pw, cw = (w.tolist() for w in _value_weights(vspec, spec))
-        buffers = sched.zero_grads() if per_step else None
-        states = traj.states
-        zero = tuple(np.zeros_like(w) for w in states[n])
-        adj = zero
-        if pw[n] != 0.0:
-            _, _, lgs, lgc = backward_step(spec, states[n], ctrls[-1], tasks[-1], zero)
-            adj = tuple(-pw[n] * g for g in lgs)
-            if per_step and lgc is not None:
-                sched.add_grad(buffers, n - 1, _slice_scale(lgc, -pw[n]))
-        for i in range(n - 1, -1, -1):
-            svjp, cvjp, lgs, lgc = backward_step(spec, states[i], ctrls[i], tasks[i], adj)
-            if per_step:
-                g = _slice_scale(cvjp, scale)
-                if pw[i] != 0.0:
-                    g = _slice_axpy(g, lgc, -pw[i])
-                if vspec.cost.kind != "none" and cw[i] != 0.0:
-                    g = _slice_axpy(g, ref_cost_grad(ctrls[i], vspec.cost), -cw[i])
-                if g is not None:
-                    sched.add_grad(buffers, i, g)
-            adj = tuple(a + scale * sv - (pw[i] * lg if pw[i] != 0.0 else 0.0)
-                        for a, sv, lg in zip(adj, svjp, lgs))
-        return buffers if per_step else adj
-
     @pytest.mark.parametrize("vspec", VSPECS)
     @pytest.mark.parametrize("variant", ["switching", "one_task", "neutral"])
     @pytest.mark.parametrize("kind", [k for k in STACK_KINDS if k != "single_layer"])
@@ -520,10 +523,64 @@ class TestBatchedSweep:
         vspec = self.VSPECS[vspec]
         total, grads, traj = grad_value(spec, task, sched, vspec)
         assert total == value(traj, sched, vspec, spec)
-        want = self.step_by_step(spec, task, sched, vspec, traj)
+        want = step_by_step_sweep(spec, task, sched, vspec, traj)
         assert len(grads) == len(want)
         for got, ref in zip(grads, want):
             assert np.array_equal(got, ref)
+
+
+class TestNeuronFloatAdjoint:
+    """The single neuron's float sweep in grad_value against the step-by-step sweep, bit for bit.
+
+    The adjoint twin of TestNeuronFloatLoop: a task switch every 5 steps cuts
+    the 4-step segments, and the last segment is ragged (23 steps).
+    """
+
+    VSPECS = {
+        **{kind: ValueSpec(gamma=0.9, eta=1.3, cost=CostSpec(kind, beta=0.2, anchor=0.1, target_norm=0.05))
+           for kind in COST_KINDS},
+        "per_step_sum": per_step_sum_spec(),  # scores the terminal state too
+    }
+
+    def setup_method(self):
+        self.task_list = [two_gaussian_moments(1.0, 0.3), two_gaussian_moments(2.5, 0.7)]
+        self.spec = neuron_spec(dt=0.05, n_steps=23, reg_lambda=0.1)
+        gains = np.random.default_rng(2).uniform(-0.4, 0.4, size=6)
+        self.series = ControlSchedule(kind="scalar_series", values=(gains,), n_steps=23, segment=4)
+
+    def task(self, name):
+        if name == "switching":
+            return TaskSchedule(tasks=self.task_list, period_steps=5, n_steps=23)
+        return self.task_list[0]
+
+    def schedule(self, name):
+        return {"series": self.series, "none": None, "init_weights": init_weights_control((0.3,))}[name]
+
+    def assert_equal_grads(self, got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w) and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("vspec", VSPECS)
+    @pytest.mark.parametrize("task", ["switching", "one_task"])
+    @pytest.mark.parametrize("sched", ["series", "none", "init_weights"])
+    def test_gradients_equal_the_step_by_step_sweep(self, sched, task, vspec):
+        task, sched, vspec = self.task(task), self.schedule(sched), self.VSPECS[vspec]
+        total, grads, traj = grad_value(self.spec, task, sched, vspec)
+        assert total == value(traj, sched, vspec, self.spec)
+        self.assert_equal_grads(grads, step_by_step_sweep(self.spec, task, sched, vspec, traj))
+
+    @pytest.mark.parametrize("sched", ["series", "init_weights"])
+    def test_a_task_set_sums_the_tasks_step_by_step_sweeps(self, sched):
+        sched, vspec = self.schedule(sched), self.VSPECS["quadratic"]
+        total, grads, traj = grad_value(self.spec, self.task_list, sched, vspec)
+        wants = [step_by_step_sweep(self.spec, t, sched, vspec, tr) for t, tr in zip(self.task_list, traj.per_task())]
+        self.assert_equal_grads(grads, tuple(a + b for a, b in zip(*wants)))
+        assert total == sum(value(tr, sched, vspec, self.spec) for tr in traj.per_task())
+
+    def test_takes_the_float_branch_not_the_stack_sweeps(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "sweeps", None)
+        grad_value(self.spec, self.task("switching"), self.series, self.VSPECS["quadratic"])
 
 
 # --- task sets: one batched rollout and one sweep ------------------------------
