@@ -85,35 +85,10 @@ def _build_parser():
     return top
 
 
-def _override(name, raw):
-    """(config path, value) of a -p override: a spec field typed as a config file types it, else a literal."""
-    from .configio import override_value
-
-    return override_value(name, raw) or (name, _literal(raw))
-
-
-def _literal(text):
-    """Best-effort typed parse of a -p override value outside the spec sections (a scenario parameter)."""
-    s = text.strip()
-    low = s.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if ";" in s:
-        return tuple(tuple(float(v) for v in grp.split(",")) for grp in s.split(";") if grp.strip())
-    if "," in s:
-        return tuple(float(v) for v in s.split(","))
-    for typ in (int, float):
-        try:
-            return typ(s)
-        except ValueError:
-            pass
-    return s
-
-
 def _load_config(args):
     from dataclasses import replace
 
-    from .configio import parse_config_file
+    from .configio import override_value, parse_config_file
     from .experiments import override_param, preset
 
     if bool(args.preset) == bool(args.config):
@@ -134,7 +109,7 @@ def _load_config(args):
         name, sep, raw = item.partition("=")
         if not sep:
             raise ConfigError(f"-p expects NAME=VALUE, got '{item}'")
-        cfg = override_param(cfg, *_override(name.strip(), raw))
+        cfg = override_param(cfg, *override_value(cfg, name.strip(), raw))
     return cfg
 
 
@@ -165,10 +140,11 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
+    from .configio import override_value
     from .experiments import sweep
 
     cfg = _load_config(args)
-    typed = [_override(args.sweep_param, v) for v in args.values.split(",")]
+    typed = [override_value(cfg, args.sweep_param, v) for v in args.values.split(",")]
     values = [v for _, v in typed]
     results = sweep(cfg, typed[0][0], values, parallelism=args.parallel)
     for v, res in zip(values, results):

@@ -116,16 +116,22 @@ def _parse_scalar(raw, typ, where):
     return raw
 
 
-def override_value(name, raw):
-    """(RunConfig path, value) of a -p NAME=VALUE override of a [dynamics], [value], [optimizer] or [output] key.
+def override_value(cfg, name, raw):
+    """(RunConfig path, value) of a -p NAME=VALUE override of `cfg`, typed as a config file types that key.
 
-    The value is typed as a config file types that key, so a bad one is a
-    ConfigError; any other name (a scenario parameter) gives None.
+    A [dynamics], [value], [optimizer] or [output] key goes by its key table,
+    seed and run_name as under [scenario], and a scenario parameter after its
+    value in cfg.params, so a bad value is a ConfigError.  Any other name
+    keeps its text, for override_param to reject.
     """
-    if name not in _OVERRIDE_KEYS:
-        return None
-    path, typ = _OVERRIDE_KEYS[name]
-    return path, _parse_scalar(raw, typ, name)
+    if name in _OVERRIDE_KEYS:
+        path, typ = _OVERRIDE_KEYS[name]
+        return path, _parse_scalar(raw, typ, name)
+    if name in _SCENARIO_FIXED:
+        return name, _parse_scalar(raw, _SCENARIO_FIXED[name], name)
+    if name in cfg.params:
+        return name, _parse_param(raw, cfg.params[name], name)
+    return name, raw
 
 
 def _parse_param(raw, default, where):

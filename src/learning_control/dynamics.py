@@ -28,20 +28,22 @@ Only the recurrence, `step`, loops per step in Python; the other slots act on
 a stack of steps: `losses` scores every state, and `sweep` is the reverse
 mode, whose construction does batched all that does not read the adjoint,
 leaving `adjoint(j, a_next)` as step j's recurrence and `contract()` as the
-batched control VJPs.  `args`, what they read, is made once per run of steps
-sharing a control slice and task.  `expected_loss`, `_rhs` and
-`backward_step` apply the slots to a one-step stack.  The linear two-layer
-kinds share one kernel, written for a state and a stack alike, and hold only
-two maps: forward from a control slice to the kernel's channels (g1, g2,
-dvec, rate) -- layer gains, error-row scales, a boost of the whole right-hand
-side -- and back from a swept stack to the control-shaped VJPs.  In that
+batched control VJPs.  Every pass -- the rollout, the sweeps, the sampled
+twin and the closed forms -- is cut by `step_runs` into runs, stretches of
+steps sharing one control slice and task (a segment, cut again at each task
+switch); `args`, what the slots read, is made once per run.
+`expected_loss`, `_rhs` and `backward_step` apply the slots to a one-step
+stack.  The linear two-layer kinds share one kernel, written for a state and
+a stack alike, and hold only two maps: forward from a control slice to the
+kernel's channels (g1, g2, dvec, rate) -- layer gains, error-row scales, a
+boost of the whole right-hand side -- and back from a swept stack to the
+control-shaped VJPs.  In that
 kernel an absent channel skips its multiplication and a neutral one
 multiplies by exactly 1.0, which IEEE makes exact, so neutral schedules
 reproduce the baseline bit for bit; tests rely on that.  The single neuron
 bypasses the table in `integrate` and in `value.grad_value`: both are
-Python-float loops over `step_runs`, stretches of steps that share one
-control slice and task, with each run's constants hoisted; its entry serves
-the one-step API, whose bits the loops keep.  A stack runs the
+Python-float loops over the runs, with each run's constants hoisted; its
+entry serves the one-step API, whose bits the loops keep.  A stack runs the
 same products and reductions on the same operands as its steps one at a
 time, so it gives their bits.  A task set (same-shape tasks from the same
 start) is one rollout on a batch axis after the step axis: the kernel reads
@@ -124,9 +126,6 @@ class TaskSchedule:
 
     def task_at(self, step):
         return self.tasks[(step // self.period_steps) % len(self.tasks)]
-
-    def per_step(self, n):
-        return [self.task_at(i) for i in range(n)]
 
     @property
     def switch_steps(self):
@@ -771,41 +770,32 @@ def backward_step(spec, state, control, task, a_next):
 SWEEP_CHUNK = 256  # steps per stack in the reverse sweep, which bounds its memory
 
 
-def per_step_inputs(schedule, task, n):
-    """Lists of the control slice and the task of each of `n` steps, built once per pass.
-
-    Controls are None without a schedule and for init_weights (it acts through the state).
-    """
-    ctrls = [None] * n if schedule is None or schedule.kind == "init_weights" else schedule.per_step()
-    tasks = task.per_step(n) if isinstance(task, TaskSchedule) else [task] * n
-    return ctrls, tasks
-
-
 def step_runs(schedule, task, n):
-    """(lo, hi, control, task) of each run of the `n` steps, built once per pass from per_step_inputs.
+    """(lo, hi, control, task) of each run of the `n` steps: the one place a pass is cut.
 
     A run is a stretch of steps sharing one control slice and one task: a
-    segment, cut again at each task switch.  The single neuron's forward and
-    adjoint loops go over it.
+    segment, cut again at each task switch.  Each segment takes one
+    schedule.at(), whose object its runs share, and each run one task_at().
+    The control is None without a schedule and for init_weights (it acts
+    through the state).  A series schedule must cover the `n` steps.
     """
-    ctrls, tasks = per_step_inputs(schedule, task, n)
-    cuts = {0, n}
-    if ctrls[0] is not None:
-        cuts.update(range(0, n, schedule.segment))
-    if isinstance(task, TaskSchedule):
-        cuts.update(range(0, n, task.period_steps))
-    cuts = sorted(cuts)
-    return [(lo, hi, ctrls[lo], tasks[lo]) for lo, hi in zip(cuts, cuts[1:])]
+    series = schedule is not None and schedule.kind != "init_weights"
+    if series and schedule.n_steps != n:
+        raise ValueError(f"schedule covers {schedule.n_steps} steps but dynamics run {n}")
+    switching = isinstance(task, TaskSchedule)
+    segment = schedule.segment if series else n
+    cuts = sorted({n, *range(0, n, segment), *range(0, n, task.period_steps if switching else n)})
+    runs, ctrl = [], None
+    for lo, hi in zip(cuts, cuts[1:]):
+        if series and lo % segment == 0:
+            ctrl = schedule.at(lo)
+        runs.append((lo, hi, ctrl, task.task_at(lo) if switching else task))
+    return runs
 
 
-def _step_args(kind, ctrls, tasks, spec):
-    """kind.args of each step, computed once per run of steps sharing a control slice and task."""
-    out, prev, a = [], None, None
-    for c, t in zip(ctrls, tasks):
-        if prev is None or c is not prev[0] or t is not prev[1]:
-            prev, a = (c, t), kind.args(c, t, spec)
-        out.append(a)
-    return out
+def _step_args(kind, runs, spec):
+    """kind.args of each step, computed once per run and shared by its steps."""
+    return [a for lo, hi, c, t in runs for a in [kind.args(c, t, spec)] * (hi - lo)]
 
 
 def _divergence(peak, step):
@@ -828,14 +818,10 @@ def _check_divergence(layers, lo):
     raise _divergence(float(peaks[bad[:, j].argmax(), j]), lo + j)
 
 
-def _prepare_schedule(spec, schedule):
-    if schedule is None:
-        return None
-    if schedule.kind != "init_weights" and schedule.n_steps != spec.n_steps:
-        raise ValueError(f"schedule covers {schedule.n_steps} steps but dynamics run {spec.n_steps}")
-    if schedule.out_of_bounds():
+def _prepare_schedule(schedule):
+    if schedule is not None and schedule.out_of_bounds():
         warnings.warn("control schedule leaves its bounds; clamping for integration")
-        schedule = schedule.project()
+        return schedule.project()
     return schedule
 
 
@@ -851,14 +837,15 @@ def integrate(spec, schedule, task, state0=None):
     rolled out as one batched Trajectory; `schedule` may be None for an
     uncontrolled run.  An init_weights schedule supplies the starting state;
     otherwise `state0` (if given) or the spec's init does.  The step loop
-    only fills the layer stacks; the losses are batched after it.  Raises
-    DivergenceError when any weight magnitude passes DIVERGENCE_LIMIT.
+    goes over step_runs, with each run's args made once, and only fills the
+    layer stacks; the losses are batched after it.  Raises DivergenceError
+    when any weight magnitude passes DIVERGENCE_LIMIT.
     """
     if runs_per_task(spec, task):
         trajs = [integrate(spec, schedule, t, state0) for t in task]
         layers = tuple(np.stack(layer, axis=1) for layer in zip(*(t.layers for t in trajs)))
         return Trajectory(trajs[0].times, layers, np.stack([t.losses for t in trajs], axis=1), spec.kind)
-    schedule = _prepare_schedule(spec, schedule)
+    schedule = _prepare_schedule(schedule)
     if schedule is not None and schedule.kind == "init_weights":
         state = initial_state(spec, override=schedule.values)
     else:
@@ -888,9 +875,8 @@ def integrate(spec, schedule, task, state0=None):
         losses.append(_neuron_loss_f(w, gt, mu, x2, sy, lam))
         return Trajectory(times=times, layers=(ws,), losses=np.array(losses), kind=spec.kind)
 
-    ctrls, tasks = per_step_inputs(schedule, task, n)
     kind = _KIND_TABLE[spec.kind]
-    args = _step_args(kind, ctrls, tasks, spec)
+    args = _step_args(kind, step_runs(schedule, task, n), spec)
     batch = (len(task),) if is_task_set(task) else ()
     layers = tuple(np.empty((n + 1, *batch, *w.shape)) for w in state)
     for layer, w in zip(layers, state):
@@ -910,14 +896,15 @@ def integrate(spec, schedule, task, state0=None):
     return Trajectory(times=times, layers=layers, losses=losses, kind=spec.kind)
 
 
-def sweeps(spec, traj, ctrls, tasks):
-    """(lo, hi, sweep) over stacks of SWEEP_CHUNK states, last first, each built when reached.
+def sweeps(spec, traj, schedule, task):
+    """(lo, hi, sweep) over stacks of SWEEP_CHUNK states of `traj`, last first, each built when reached.
 
-    The last stack ends at the terminal state n (hi = n + 1), scored under the
-    last control like the rollout's last loss.
+    `traj` is the rollout of `schedule` and `task`, whose step_runs give each
+    step's args.  The last stack ends at the terminal state n (hi = n + 1),
+    scored under the last control like the rollout's last loss.
     """
     kind = _KIND_TABLE[spec.kind]
-    args = _step_args(kind, ctrls, tasks, spec)
+    args = _step_args(kind, step_runs(schedule, task, spec.n_steps), spec)
     args += args[-1:]
     for hi in range(len(args), 0, -SWEEP_CHUNK):
         lo = max(hi - SWEEP_CHUNK, 0)
@@ -952,10 +939,11 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
     class_counts, when given, is an (n_steps, n_classes) integer array: each
     step's batch is drawn with exactly those per-class counts and the update
     uses the plain uncontrolled kernel (batch composition is the control).
+    Each step takes the control slice of its run of step_runs.
     """
     from .tasks import sample_batch, sample_class_batch
 
-    schedule = _prepare_schedule(spec, schedule)
+    schedule = _prepare_schedule(schedule)
     if schedule is not None and schedule.kind == "init_weights":
         state = initial_state(spec, override=schedule.values)
     else:
@@ -989,7 +977,7 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
         def score(state, ctrl):
             return expected_loss(state, ctrl, task, spec)
 
-    ctrls, _ = per_step_inputs(schedule, task, n)
+    ctrls = [c for lo, hi, c, _ in step_runs(schedule, task, n) for _ in range(lo, hi)]
     states = [state]
     for i, ctrl in enumerate(ctrls):
         losses[i] = score(state, ctrl)
@@ -1026,18 +1014,40 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
 # --- closed forms -----------------------------------------------------------
 
 
+def _walk(pieces, times, w0, advance):
+    """The state at each probe time, walking the (duration, control) pieces once in time order.
+
+    advance(w, control, duration) carries a state `duration` into a piece.
+    Probes past the last piece get the final state.
+    """
+    times = np.asarray(times, dtype=float)
+    out = [None] * len(times)
+    w, t_cur, into_piece, piece_idx = w0, 0.0, 0.0, 0
+    for k in np.argsort(times, kind="stable"):
+        target = times[k]
+        if target < -1e-12:
+            raise ValueError("probe times must be nonnegative")
+        while piece_idx < len(pieces):
+            duration, ctrl = pieces[piece_idx]
+            remaining = duration - into_piece
+            step_needed = target - t_cur
+            if step_needed <= remaining + 1e-15:
+                # stay positioned where this probe landed so later probes continue forward
+                w = advance(w, ctrl, step_needed)
+                into_piece += step_needed
+                t_cur = target
+                break
+            w = advance(w, ctrl, remaining)
+            t_cur += remaining
+            into_piece = 0.0
+            piece_idx += 1
+        out[k] = w
+    return out
+
+
 def _schedule_segments(schedule, spec):
-    """Yield (duration, control) pieces covering [0, horizon] in order."""
-    n = spec.n_steps
-    if schedule is None:
-        yield n * spec.dt, None
-        return
-    seg = schedule.segment
-    start = 0
-    while start < n:
-        stop = min(start + seg, n)
-        yield (stop - start) * spec.dt, schedule.at(start)
-        start = stop
+    """(duration, control) of each run of the horizon, in order; a schedule short of it is a ValueError."""
+    return [((hi - lo) * spec.dt, c) for lo, hi, c, _ in step_runs(schedule, None, spec.n_steps)]
 
 
 def closed_form_single_neuron(g_schedule, task, spec, times):
@@ -1048,18 +1058,10 @@ def closed_form_single_neuron(g_schedule, task, spec, times):
     a = (x2 g~^2 + lambda)/tau and b = mu g~ / tau.  Degenerate a -> 0 is
     covered by phi1's series branch.
     """
-    times = np.asarray(times, dtype=float)
-    order = np.argsort(times, kind="stable")
     mu = task.sigma_xy[0, 0]
     x2 = task.sigma_x[0, 0]
     lam = spec.reg_lambda
     tau = spec.tau_w
-    out = np.empty(times.shape)
-    w = initial_state(spec)[0]
-    t_cur = 0.0
-    pieces = list(_schedule_segments(g_schedule, spec))
-    piece_idx = 0
-    into_piece = 0.0
 
     def advance(w, gain, duration):
         gt = 1.0 + (0.0 if gain is None else gain)
@@ -1067,29 +1069,8 @@ def closed_form_single_neuron(g_schedule, task, spec, times):
         b = mu * gt / tau
         return w + (b - a * w) * duration * phi1(-a * duration)
 
-    for k in order:
-        target = times[k]
-        if target < -1e-12:
-            raise ValueError("probe times must be nonnegative")
-        while piece_idx < len(pieces):
-            duration, gain = pieces[piece_idx]
-            remaining = duration - into_piece
-            step_needed = target - t_cur
-            if step_needed <= remaining + 1e-15:
-                out[k] = advance(w, gain, step_needed)
-                break
-            w = advance(w, gain, remaining)
-            t_cur += remaining
-            into_piece = 0.0
-            piece_idx += 1
-        else:
-            out[k] = w
-            continue
-        # stay positioned where this probe landed so later probes continue forward
-        w = out[k]
-        into_piece += target - t_cur
-        t_cur = target
-    return out
+    pieces = _schedule_segments(g_schedule, spec)
+    return np.array(_walk(pieces, times, initial_state(spec)[0], advance), dtype=float)
 
 
 def closed_form_single_layer(g_schedule, task, spec, times):
@@ -1100,8 +1081,6 @@ def closed_form_single_layer(g_schedule, task, spec, times):
     each constant-gain segment is then an exact matrix-exponential propagation.
     Warns when an exponent norm passes 1e3, where the result may lose digits.
     """
-    times = np.asarray(times, dtype=float)
-    order = np.argsort(times, kind="stable")
     o_dim, i_dim = spec.output_dim, spec.input_dim
     base = np.kron(np.eye(o_dim), task.sigma_x)
     sxy_flat_base = task.sigma_xy.T
@@ -1133,37 +1112,10 @@ def closed_form_single_layer(g_schedule, task, spec, times):
         prop_cache[key] = ops
         return ops
 
-    w = initial_state(spec)[0].reshape(-1).copy()
-    out = np.empty((times.shape[0], o_dim, i_dim))
-    t_cur = 0.0
-    pieces = list(_schedule_segments(g_schedule, spec))
-    piece_idx = 0
-    into_piece = 0.0
+    def advance(w, ctrl, duration):
+        phi, off = segment_ops(_layer_gain(ctrl), duration)
+        return phi @ w + off
 
-    for k in order:
-        target = times[k]
-        if target < -1e-12:
-            raise ValueError("probe times must be nonnegative")
-        landed = None
-        while piece_idx < len(pieces):
-            duration, ctrl = pieces[piece_idx]
-            gain = _layer_gain(ctrl)
-            remaining = duration - into_piece
-            step_needed = target - t_cur
-            if step_needed <= remaining + 1e-15:
-                phi, off = segment_ops(gain, step_needed)
-                landed = phi @ w + off
-                break
-            phi, off = segment_ops(gain, remaining)
-            w = phi @ w + off
-            t_cur += remaining
-            into_piece = 0.0
-            piece_idx += 1
-        if landed is None:
-            landed = w
-        else:
-            w = landed
-            into_piece += target - t_cur
-            t_cur = target
-        out[k] = landed.reshape(o_dim, i_dim)
-    return out
+    w0 = initial_state(spec)[0].reshape(-1).copy()
+    landed = _walk(_schedule_segments(g_schedule, spec), times, w0, advance)
+    return np.array(landed).reshape(len(landed), o_dim, i_dim)

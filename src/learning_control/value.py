@@ -237,7 +237,7 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
 
     # from the terminal state, scored under the last control slice, down to state 0
     adj = tuple(np.zeros_like(layer[n]) for layer in traj.layers)
-    for lo, hi, sweep in dyn.sweeps(dspec, traj, *dyn.per_step_inputs(schedule, task, n)):
+    for lo, hi, sweep in dyn.sweeps(dspec, traj, schedule, task):
         for i in range(hi - 1, lo - 1, -1):
             svjp, lgs = sweep.adjoint(i - lo, adj)
             p = pws[i]

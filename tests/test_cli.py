@@ -16,30 +16,10 @@ import numpy as np
 import pytest
 
 import learning_control
-from learning_control.cli import _build_parser, _literal, _load_config, main
+from learning_control.cli import _build_parser, _load_config, main
 from learning_control.configio import parse_config, parse_config_file, serialize_config
 from learning_control.experiments import SCENARIOS, preset
 from learning_control.idx import IdxTensor, read_moments_json, serialize_idx
-
-
-class TestLiteralValues:
-    def test_booleans(self):
-        assert _literal("true") is True
-        assert _literal("False") is False
-
-    def test_numbers_prefer_int(self):
-        assert _literal("3") == 3
-        assert isinstance(_literal("3"), int)
-        assert _literal("2.5") == 2.5
-
-    def test_commas_make_tuples(self):
-        assert _literal("1,2") == (1.0, 2.0)
-
-    def test_semicolons_make_tuple_groups(self):
-        assert _literal("1,2;3,4") == ((1.0, 2.0), (3.0, 4.0))
-
-    def test_everything_else_stays_text(self):
-        assert _literal("tanh") == "tanh"
 
 
 class TestConfigLoading:
@@ -158,6 +138,44 @@ class TestConfigLoading:
             assert f"invalid configuration: {message}" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, param, want",
+        [
+            ("single_neuron_effort", "segment=20", 20),
+            ("single_neuron_effort", "g_hi=1", 1.0),
+            ("task_switch", "task_a=1,2,3,4,0.5", (1.0, 2.0, 3.0, 4.0, 0.5)),
+            ("task_engagement", "tasks=1,1,1,1,0.5;2,2,2,2,0.6", ((1.0, 1.0, 1.0, 1.0, 0.5), (2.0, 2.0, 2.0, 2.0, 0.6))),
+        ],
+    )
+    def test_a_scenario_parameter_is_typed_as_a_config_file_types_it(self, name, param, want, tmp_path):
+        key, value = param.split("=")
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"[scenario]\nname = {name}\n{key} = {value}\n")
+        got = _load_config(_build_parser().parse_args(["run", "--preset", name, "-p", param]))
+        assert got == parse_config_file(str(cfg_file))
+        assert got.params[key] == want and repr(got.params[key]) == repr(want)
+
+    @pytest.mark.parametrize(
+        "param, message",
+        [
+            ("segment=2.5", "expected int for segment, got '2.5'"),
+            ("g_hi=true", "expected float for g_hi, got 'true'"),
+        ],
+    )
+    def test_a_scenario_parameter_of_the_wrong_type_is_a_config_error(self, param, message, tmp_path, capsys):
+        key, value = param.split("=")
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"[scenario]\nname = single_neuron_effort\n{key} = {value}\n")
+        for argv in (["run", "--preset", "single_neuron_effort", "-p", param], ["run", "--config", str(cfg_file)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert message in err
+            assert "Traceback" not in err
+
+    def test_an_unknown_name_is_a_config_error(self, capsys):
+        assert main(["run", "--preset", "single_neuron_effort", "-p", "bogus=1"]) == 2
+        assert "error: scenario 'single_neuron_effort' does not take parameter(s) ['bogus']" in capsys.readouterr().err
+
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -229,6 +247,14 @@ class TestSweepCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert "error: expected float for value.gamma" in captured.err
+        assert captured.out == ""
+
+    def test_a_scenario_parameter_of_the_wrong_type_is_a_config_error(self, capsys):
+        code = main(["sweep", "--preset", "single_neuron_effort", *SMALL,
+                     "--sweep-param", "segment", "--values", "2,2.5", "--parallel", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: expected int for segment, got '2.5'" in captured.err
         assert captured.out == ""
 
     def test_a_negative_worker_count_is_a_config_error(self, capsys):

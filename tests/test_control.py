@@ -1,9 +1,17 @@
 """Control-schedule mechanics: construction, indexing, gradients, projection, JSON."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from learning_control.control import ControlSchedule, init_weights_control, segment_sumsq
+from learning_control.dynamics import TaskSchedule, step_runs
+from learning_control.tasks import two_gaussian_moments
+
+TASK = two_gaussian_moments(1.0, 0.3)
+# task switches every 2 steps, so they cut segments of 3 and 7 steps
+SWITCHING = TaskSchedule(tasks=[TASK, two_gaussian_moments(2.0, 0.3)], period_steps=2, n_steps=11)
 
 
 class TestScheduleConstruction:
@@ -115,31 +123,37 @@ def assert_same_slice(a, b):
 SERIES_KINDS = ("scalar_series", "matrix_pair_series", "engagement_series", "category_series")
 
 
-class TestPerStepTable:
+class TestStepRuns:
+    """dynamics.step_runs, the one cut of a pass into runs, against at() and task_at()."""
+
     @pytest.mark.parametrize("n_steps, segment", [(12, 3), (11, 3), (5, 7), (4, 1)])
     @pytest.mark.parametrize("kind", SERIES_KINDS)
     def test_matches_at_stepwise(self, kind, n_steps, segment):
         sched = random_schedule(kind, n_steps, segment, np.random.default_rng(4))
-        table = sched.per_step()
-        assert len(table) == n_steps
-        for step, entry in enumerate(table):
-            assert_same_slice(entry, sched.at(step))
+        runs = step_runs(sched, TASK, n_steps)
+        assert [(lo, hi) for lo, hi, _, _ in runs] == [(lo, min(lo + segment, n_steps)) for lo in range(0, n_steps, segment)]
+        for lo, hi, ctrl, task in runs:
+            assert task is TASK
+            for step in range(lo, hi):
+                assert_same_slice(ctrl, sched.at(step))
 
-    def test_steps_of_a_segment_share_one_object(self):
+    def test_runs_of_a_segment_share_one_object(self):
         sched = random_schedule("matrix_pair_series", 11, 3, np.random.default_rng(0))
-        table = sched.per_step()
-        assert all(table[i] is table[i - i % 3] for i in range(11))
+        runs = step_runs(sched, SWITCHING, 11)
+        assert len(runs) > sched.n_segments  # the task switches cut segments
+        first = {}
+        assert all(first.setdefault(lo // 3, ctrl) is ctrl for lo, _, ctrl, _ in runs)
 
-    def test_init_weights_table_is_its_at(self):
+    def test_init_weights_and_no_schedule_give_none(self):
         sched = init_weights_control((np.ones((2, 2)), np.zeros((1, 2))))
-        assert sched.per_step() == [sched.at(i) for i in range(sched.n_steps)] == [None]
+        assert step_runs(sched, TASK, 5) == step_runs(None, TASK, 5) == [(0, 5, None, TASK)]
 
     def test_one_at_call_per_segment(self, monkeypatch):
         sched = random_schedule("scalar_series", 100, 7, np.random.default_rng(1))
         calls = []
         original = ControlSchedule.at
         monkeypatch.setattr(ControlSchedule, "at", lambda self, step: calls.append(step) or original(self, step))
-        sched.per_step()
+        step_runs(sched, replace(SWITCHING, n_steps=100), 100)
         assert calls == list(range(0, 100, 7))
 
 

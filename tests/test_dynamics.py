@@ -327,24 +327,6 @@ class TestClosedFormSingleNeuron:
         got = closed_form_single_neuron(sched, NEURON_TASK, spec, np.array([0.8]))
         np.testing.assert_allclose(got[0], w_end, rtol=1e-12)
 
-    def test_unsorted_and_duplicate_probes(self):
-        spec = neuron_spec(dt=0.01, n_steps=100)
-        times = np.array([0.9, 0.1, 0.9, 0.4])
-        got = closed_form_single_neuron(None, NEURON_TASK, spec, times)
-        ordered = closed_form_single_neuron(None, NEURON_TASK, spec, np.sort(times))
-        np.testing.assert_allclose(got, [ordered[3], ordered[0], ordered[3], ordered[1]],
-                                   rtol=1e-13)
-
-    def test_probe_beyond_horizon_returns_final_weight(self):
-        spec = neuron_spec(dt=0.01, n_steps=50)
-        got = closed_form_single_neuron(None, NEURON_TASK, spec, np.array([0.5, 99.0]))
-        np.testing.assert_allclose(got[1], got[0], rtol=1e-13)
-
-    def test_negative_probe_rejected(self):
-        spec = neuron_spec()
-        with pytest.raises(ValueError, match="nonnegative"):
-            closed_form_single_neuron(None, NEURON_TASK, spec, np.array([-0.5]))
-
     def test_euler_error_halves_with_the_step(self):
         """First-order convergence of the explicit scheme toward the exact flow."""
         sched = None
@@ -356,6 +338,42 @@ class TestClosedFormSingleNeuron:
             errs.append(abs(traj.states[-1][0] - exact))
         ratio = errs[0] / errs[1]
         assert 1.7 < ratio < 2.3
+
+
+CLOSED_FORMS = (closed_form_single_neuron, closed_form_single_layer)
+
+
+@pytest.mark.parametrize("closed_form", CLOSED_FORMS, ids=lambda f: f.__name__)
+class TestClosedFormProbes:
+    """The probe-time walk both closed forms share, on a 1x1 network of each kind."""
+
+    def spec(self, closed_form, **kw):
+        return neuron_spec(kind=closed_form.__name__.removeprefix("closed_form_"), **kw)
+
+    def test_unsorted_and_duplicate_probes(self, closed_form):
+        spec = self.spec(closed_form, dt=0.01, n_steps=100)
+        times = np.array([0.9, 0.1, 0.9, 0.4])
+        got = closed_form(None, NEURON_TASK, spec, times)
+        ordered = closed_form(None, NEURON_TASK, spec, np.sort(times))
+        np.testing.assert_allclose(got, [ordered[3], ordered[0], ordered[3], ordered[1]],
+                                   rtol=1e-13)
+
+    def test_probe_beyond_horizon_returns_final_weight(self, closed_form):
+        spec = self.spec(closed_form, dt=0.01, n_steps=50)
+        got = closed_form(None, NEURON_TASK, spec, np.array([0.5, 99.0]))
+        np.testing.assert_allclose(got[1], got[0], rtol=1e-13)
+
+    def test_negative_probe_rejected(self, closed_form):
+        spec = self.spec(closed_form)
+        with pytest.raises(ValueError, match="nonnegative"):
+            closed_form(None, NEURON_TASK, spec, np.array([-0.5]))
+
+    def test_a_schedule_short_of_the_horizon_is_rejected(self, closed_form):
+        spec = self.spec(closed_form, dt=0.01, n_steps=20)
+        sched = ControlSchedule(kind="scalar_series", values=(np.full(10, 0.2),), n_steps=10, segment=1)
+        for call in (lambda: integrate(spec, sched, NEURON_TASK), lambda: closed_form(sched, NEURON_TASK, spec, [0.1])):
+            with pytest.raises(ValueError, match="schedule covers 10 steps but dynamics run 20"):
+                call()
 
 
 class TestClosedFormSingleLayer:
@@ -668,12 +686,12 @@ class TestTaskSwitching:
             simulate_sgd(spec, None, sched, batch_size=8, seed=0)
 
     @pytest.mark.parametrize("n", [12, 11, 3, 1])
-    def test_per_step_tasks_follow_task_at(self, n):
+    def test_runs_take_task_at_of_their_first_step(self, n):
         t1, t2 = two_gaussian_moments(1.0, 0.3), two_gaussian_moments(2.0, 0.3)
         sched = TaskSchedule(tasks=[t1, t2], period_steps=3, n_steps=12)
-        table = sched.per_step(n)
-        assert len(table) == n
-        assert all(t is sched.task_at(i) for i, t in enumerate(table))
+        runs = step_runs(None, sched, n)
+        assert [(lo, hi) for lo, hi, _, _ in runs] == [(lo, min(lo + 3, n)) for lo in range(0, n, 3)]
+        assert all(t is sched.task_at(lo) and c is None for lo, _, c, t in runs)
 
 
 class TestNeuronFloatLoop:
