@@ -11,11 +11,11 @@
     kind = gain_mod
     ...
 
-Sections are [scenario], [dynamics], [value], [optimizer], [output]; keys are
-fixed per section except inside [scenario], which also accepts that scenario's
-parameters (typed by their registered defaults; lists are comma-separated and
-lists of lists use semicolons between groups).  Errors carry the file path and
-line number.  serialize_config is the exact inverse: parse(serialize(cfg))
+Sections are [scenario], [dynamics], [value], [optimizer], [output]; the keys
+of the last four are the KEYS table, and [scenario] takes name, seed, run_name
+and that scenario's parameters (typed by their registered defaults; lists are
+comma-separated and lists of lists use semicolons between groups).  Errors
+carry the file path and line number.  serialize_config is the exact inverse: parse(serialize(cfg))
 reproduces cfg, with floats printed at 17 significant digits.
 
 Hand-rolled instead of configparser because the error contract here wants
@@ -23,74 +23,63 @@ line numbers on unknown keys and the writer wants stable float formatting;
 neither is available there without more glue than this file.
 """
 
-from dataclasses import fields as dataclass_fields
+from contextlib import contextmanager
+from functools import reduce
 
-from .dynamics import DynamicsSpec
 from .errors import ConfigError
-from .experiments import SCENARIOS, RunConfig, preset
-from .optimizer import OptimizerSpec
-from .value import CostSpec, ValueSpec
+from .experiments import SCENARIOS, RunConfig, preset, set_fields
 
 _SECTIONS = ("scenario", "dynamics", "value", "optimizer", "output")
 
-_DYNAMICS_KEYS = {
-    "kind": str,
-    "input_dim": int,
-    "output_dim": int,
-    "hidden_dim": int,
-    "tau_w": float,
-    "dt": float,
-    "n_steps": int,
-    "reg_lambda": float,
-    "init_std": float,
-    "init_mean": float,
-    "nonlinearity": str,
+# The only list of [dynamics], [value], [optimizer] and [output] keys, in file
+# order: (section, key, type, RunConfig path).  The parser, the writer, -p and
+# result.json all read it.  DynamicsSpec.init_seed has no key: [scenario] seed
+# sets it.
+KEYS = (
+    ("dynamics", "kind", str, "dynamics.kind"),
+    ("dynamics", "input_dim", int, "dynamics.input_dim"),
+    ("dynamics", "output_dim", int, "dynamics.output_dim"),
+    ("dynamics", "hidden_dim", int, "dynamics.hidden_dim"),
+    ("dynamics", "tau_w", float, "dynamics.tau_w"),
+    ("dynamics", "dt", float, "dynamics.dt"),
+    ("dynamics", "n_steps", int, "dynamics.n_steps"),
+    ("dynamics", "reg_lambda", float, "dynamics.reg_lambda"),
+    ("dynamics", "init_std", float, "dynamics.init_std"),
+    ("dynamics", "init_mean", float, "dynamics.init_mean"),
+    ("dynamics", "nonlinearity", str, "dynamics.nonlinearity"),
+    ("value", "gamma", float, "value.gamma"),
+    ("value", "eta", float, "value.eta"),
+    ("value", "mode", str, "value.mode"),
+    ("value", "cost_kind", str, "value.cost.kind"),
+    ("value", "beta", float, "value.cost.beta"),
+    ("value", "anchor", float, "value.cost.anchor"),
+    ("value", "target_norm", float, "value.cost.target_norm"),
+    ("optimizer", "alpha_g", float, "optimizer.alpha_g"),
+    ("optimizer", "iters", int, "optimizer.iters"),
+    ("optimizer", "update_rule", str, "optimizer.update_rule"),
+    ("optimizer", "backtracking", bool, "optimizer.backtracking"),
+    ("optimizer", "max_halvings", int, "optimizer.max_halvings"),
+    ("optimizer", "beta1", float, "optimizer.beta1"),
+    ("optimizer", "beta2", float, "optimizer.beta2"),
+    ("optimizer", "eps", float, "optimizer.eps"),
+    ("output", "out_dir", str, "out_dir"),
+    ("output", "force", bool, "force"),
+)
+
+_SCENARIO_FIXED = {"seed": int, "run_name": str}
+
+# {section.key: (path, type)}; -p also takes a key by its path (value.cost.beta, force), seed and run_name
+_BY_KEY = {f"{section}.{key}": (path, typ) for section, key, typ, path in KEYS}
+_BY_NAME = {
+    **_BY_KEY,
+    **{path: (path, typ) for _, _, typ, path in KEYS},
+    **{key: (key, typ) for key, typ in _SCENARIO_FIXED.items()},
 }
 
-_VALUE_KEYS = {
-    "gamma": float,
-    "eta": float,
-    "mode": str,
-    "cost_kind": str,
-    "beta": float,
-    "anchor": float,
-    "target_norm": float,
-}
 
-_OPTIMIZER_KEYS = {
-    "alpha_g": float,
-    "iters": int,
-    "update_rule": str,
-    "backtracking": bool,
-    "max_halvings": int,
-    "beta1": float,
-    "beta2": float,
-    "eps": float,
-}
-
-_OUTPUT_KEYS = {"out_dir": str, "force": bool}
-
-_SCENARIO_FIXED = {"name": str, "seed": int, "run_name": str}
-
-
-def _override_keys():
-    """{-p name: (RunConfig path, type)} of every [dynamics], [value], [optimizer] and [output] key.
-
-    A key goes by its section.key name and by its dotted RunConfig path:
-    value.beta is value.cost.beta, output.force is force.
-    """
-    keys = {}
-    for section, table in (("dynamics", _DYNAMICS_KEYS), ("optimizer", _OPTIMIZER_KEYS)):
-        keys.update({f"{section}.{k}": (f"{section}.{k}", t) for k, t in table.items()})
-    for k, t in _VALUE_KEYS.items():
-        path = f"value.{k}" if k in ("gamma", "eta", "mode") else "value.cost." + k.removeprefix("cost_")
-        keys[f"value.{k}"] = keys[path] = (path, t)
-    for k, t in _OUTPUT_KEYS.items():
-        keys[f"output.{k}"] = keys[k] = (k, t)
-    return keys
-
-
-_OVERRIDE_KEYS = _override_keys()
+def config_value(cfg, path):
+    """The value at a dotted RunConfig path, e.g. config_value(cfg, "value.cost.beta")."""
+    return reduce(getattr, path.split("."), cfg)
 
 
 def _parse_bool(raw, where):
@@ -119,18 +108,21 @@ def _parse_scalar(raw, typ, where):
 def override_value(cfg, name, raw):
     """(RunConfig path, value) of a -p NAME=VALUE override of `cfg`, typed as a config file types that key.
 
-    A [dynamics], [value], [optimizer] or [output] key goes by its key table,
-    seed and run_name as under [scenario], and a scenario parameter after its
-    value in cfg.params, so a bad value is a ConfigError.  Any other name
-    keeps its text, for override_param to reject.
+    NAME is a key of KEYS (as section.key or by its path), seed, run_name or
+    a scenario parameter, typed after its value in cfg.params.  A bad value
+    or any other dotted or RunConfig-field name is a ConfigError; any other
+    bare name keeps its text, for the config's params check to reject.
     """
-    if name in _OVERRIDE_KEYS:
-        path, typ = _OVERRIDE_KEYS[name]
+    if name in _BY_NAME:
+        path, typ = _BY_NAME[name]
         return path, _parse_scalar(raw, typ, name)
-    if name in _SCENARIO_FIXED:
-        return name, _parse_scalar(raw, _SCENARIO_FIXED[name], name)
     if name in cfg.params:
         return name, _parse_param(raw, cfg.params[name], name)
+    if "." in name or name in RunConfig.__dataclass_fields__:
+        raise ConfigError(
+            f"unknown name '{name}': -p takes a config key as section.key, seed, run_name "
+            f"or a parameter of scenario '{cfg.scenario}'"
+        )
     return name, raw
 
 
@@ -187,75 +179,36 @@ def parse_config(text, path="<config>"):
         )
 
     base = preset(scenario)
-    seed = 0
-    run_name = scenario
-    params = {}
+    fixed, params = {}, {}
     for key, (raw, lineno) in scen_raw.items():
-        if key == "name":
-            continue
-        if key in _SCENARIO_FIXED:
-            try:
-                val = _parse_scalar(raw, _SCENARIO_FIXED[key], key)
-            except ConfigError as err:
-                raise ConfigError(err.args[0], path=path, line=lineno) from None
-            if key == "seed":
-                seed = val
-            else:
-                run_name = val
-        elif key in base.params:
-            try:
+        with _at(path, lineno):
+            if key in _SCENARIO_FIXED:
+                fixed[key] = _parse_scalar(raw, _SCENARIO_FIXED[key], key)
+            elif key in base.params:
                 params[key] = _parse_param(raw, base.params[key], key)
-            except ConfigError as err:
-                raise ConfigError(err.args[0], path=path, line=lineno) from None
-        else:
-            raise ConfigError(
-                f"unknown key '{key}' for scenario '{scenario}'", path=path, line=lineno
-            )
-
-    def build_section(name, keyspec):
-        out = {}
+            elif key != "name":
+                raise ConfigError(f"unknown key '{key}' for scenario '{scenario}'")
+    changes = {}
+    for name in _SECTIONS[1:]:
         for key, (raw, lineno) in sections.get(name, {}).items():
-            if key not in keyspec:
-                raise ConfigError(f"unknown key '{key}' in [{name}]", path=path, line=lineno)
-            try:
-                out[key] = _parse_scalar(raw, keyspec[key], key)
-            except ConfigError as err:
-                raise ConfigError(err.args[0], path=path, line=lineno) from None
-        return out
-
-    dyn_kw = build_section("dynamics", _DYNAMICS_KEYS)
-    val_kw = build_section("value", _VALUE_KEYS)
-    opt_kw = build_section("optimizer", _OPTIMIZER_KEYS)
-    out_kw = build_section("output", _OUTPUT_KEYS)
-
+            with _at(path, lineno):
+                if f"{name}.{key}" not in _BY_KEY:
+                    raise ConfigError(f"unknown key '{key}' in [{name}]")
+                field, typ = _BY_KEY[f"{name}.{key}"]
+                changes[field] = _parse_scalar(raw, typ, key)
     try:
-        dynamics = DynamicsSpec(**{**_spec_dict(base.dynamics, _DYNAMICS_KEYS), **dyn_kw})
-        cost = CostSpec(
-            kind=val_kw.pop("cost_kind", base.value.cost.kind),
-            beta=val_kw.pop("beta", base.value.cost.beta),
-            anchor=val_kw.pop("anchor", base.value.cost.anchor),
-            target_norm=val_kw.pop("target_norm", base.value.cost.target_norm),
-        )
-        value = ValueSpec(**{**{"gamma": base.value.gamma, "eta": base.value.eta, "mode": base.value.mode}, **val_kw, "cost": cost})
-        optimizer = OptimizerSpec(**{**_spec_dict(base.optimizer, _OPTIMIZER_KEYS), **opt_kw})
-        return RunConfig(
-            scenario=scenario,
-            dynamics=dynamics,
-            value=value,
-            optimizer=optimizer,
-            seed=seed,
-            params=params,
-            out_dir=out_kw.get("out_dir"),
-            run_name=run_name,
-            force=out_kw.get("force", False),
-        )
-    except (ValueError, ConfigError) as err:
-        raise ConfigError(f"invalid configuration: {err}", path=path) from err
+        return set_fields(preset(scenario, **fixed, **params), changes)
+    except ConfigError as err:
+        raise ConfigError(str(err), path=path) from err
 
 
-def _spec_dict(spec, keyspec):
-    known = {f.name for f in dataclass_fields(type(spec))}
-    return {k: getattr(spec, k) for k in keyspec if k in known}
+@contextmanager
+def _at(path, line):
+    """Re-raise a ConfigError with the file path and line it came from."""
+    try:
+        yield
+    except ConfigError as err:
+        raise ConfigError(str(err), path=path, line=line) from None
 
 
 def parse_config_file(path):
@@ -282,39 +235,15 @@ def _fmt_value(val):
 
 
 def serialize_config(cfg):
-    """Config text that parses back to an equal RunConfig."""
+    """Config text that parses back to an equal RunConfig; an unset out_dir is left out."""
     lines = ["[scenario]", f"name = {cfg.scenario}", f"seed = {cfg.seed}", f"run_name = {cfg.run_name}"]
-    for key in sorted(cfg.params):
-        lines.append(f"{key} = {_fmt_value(cfg.params[key])}")
-    lines.append("")
-
-    lines.append("[dynamics]")
-    for key in _DYNAMICS_KEYS:
-        lines.append(f"{key} = {_fmt_value(getattr(cfg.dynamics, key))}")
-    lines.append("")
-
-    lines.append("[value]")
-    v = cfg.value
-    for key, val in (
-        ("gamma", v.gamma),
-        ("eta", v.eta),
-        ("mode", v.mode),
-        ("cost_kind", v.cost.kind),
-        ("beta", v.cost.beta),
-        ("anchor", v.cost.anchor),
-        ("target_norm", v.cost.target_norm),
-    ):
-        lines.append(f"{key} = {_fmt_value(val)}")
-    lines.append("")
-
-    lines.append("[optimizer]")
-    for key in _OPTIMIZER_KEYS:
-        lines.append(f"{key} = {_fmt_value(getattr(cfg.optimizer, key))}")
-    lines.append("")
-
-    lines.append("[output]")
-    if cfg.out_dir is not None:
-        lines.append(f"out_dir = {cfg.out_dir}")
-    lines.append(f"force = {_fmt_value(cfg.force)}")
-    lines.append("")
-    return "\n".join(lines)
+    lines += [f"{key} = {_fmt_value(cfg.params[key])}" for key in sorted(cfg.params)]
+    section = "scenario"
+    for name, key, _, path in KEYS:
+        if name != section:
+            lines += ["", f"[{name}]"]
+            section = name
+        val = config_value(cfg, path)
+        if val is not None:
+            lines.append(f"{key} = {_fmt_value(val)}")
+    return "\n".join(lines) + "\n"

@@ -237,7 +237,7 @@ def preset(name, seed=0, out_dir=None, run_name=None, **param_overrides):
     Horizons are rescaled from the much longer originals; every preset runs
     in seconds to low minutes.  `param_overrides` update the scenario params;
     dynamics/value/optimizer fields are best adjusted on the returned config
-    with dataclasses.replace or override_param.
+    with dataclasses.replace, override_param or set_fields.
     """
     # copies, so a caller editing a spec in place cannot change the table
     dspec, vspec, ospec = copy.deepcopy(_scenario(name).specs)
@@ -253,6 +253,36 @@ def preset(name, seed=0, out_dir=None, run_name=None, **param_overrides):
     )
 
 
+def set_fields(config, changes):
+    """Copy of `config` with each dotted path of `changes` set, e.g. {"value.cost.beta": 0.1, "force": True}.
+
+    Every dataclass on the way is replaced once with all of its new fields,
+    so fields checked against each other (a dynamics kind and its dims) are
+    set together.  A dict (the scenario params) takes only keys it has.  A
+    value its spec rejects raises ConfigError.
+    """
+
+    def apply(obj, items):
+        own, nested = {}, {}
+        for (head, *rest), value, name in items:
+            if isinstance(obj, dict) and head not in obj:
+                raise ConfigError(f"unknown parameter '{head}' in '{name}'")
+            if not isinstance(obj, dict) and head not in getattr(obj, "__dataclass_fields__", ()):
+                raise ConfigError(f"'{type(obj).__name__}' has no field '{head}' (from '{name}')")
+            if rest:
+                nested.setdefault(head, []).append((rest, value, name))
+            else:
+                own[head] = value
+        for head, sub in nested.items():
+            own[head] = apply(obj[head] if isinstance(obj, dict) else getattr(obj, head), sub)
+        return {**obj, **own} if isinstance(obj, dict) else replace(obj, **own)
+
+    try:
+        return apply(config, [(name.split("."), value, name) for name, value in changes.items()])
+    except ValueError as err:  # a spec's own validation, worded as configio words it
+        raise ConfigError(f"invalid configuration: {err}") from err
+
+
 def override_param(config, name, value, run_suffix=""):
     """New config with one dotted field replaced, e.g. "value.gamma" or "sigma".
 
@@ -260,31 +290,12 @@ def override_param(config, name, value, run_suffix=""):
     params.  `run_suffix` extends run_name so sweep outputs never collide.
     A value its spec rejects raises ConfigError.
     """
-    parts = name.split(".")
+    if "." not in name and name not in RunConfig.__dataclass_fields__:
+        # a scenario parameter; the config's own validation rejects unknown names
+        cfg = replace(config, params={**config.params, name: value})
+    else:
+        cfg = set_fields(config, {name: value})
     suffix = run_suffix.replace(os.sep, "_")
-
-    def rebuild(obj, path):
-        head = path[0]
-        if isinstance(obj, dict):
-            if head not in obj:
-                raise ConfigError(f"unknown parameter '{head}' in '{name}'")
-            new = dict(obj)
-            new[head] = value if len(path) == 1 else rebuild(obj[head], path[1:])
-            return new
-        if not hasattr(obj, head):
-            raise ConfigError(f"'{type(obj).__name__}' has no field '{head}' (from '{name}')")
-        if len(path) == 1:
-            return replace(obj, **{head: value})
-        return replace(obj, **{head: rebuild(getattr(obj, head), path[1:])})
-
-    try:
-        if len(parts) == 1 and parts[0] not in RunConfig.__dataclass_fields__:
-            # falls into scenario params; the config's own validation rejects unknown keys
-            cfg = replace(config, params={**config.params, parts[0]: value})
-        else:
-            cfg = rebuild(config, parts)
-    except ValueError as err:  # a spec's own validation, worded as configio words it
-        raise ConfigError(f"invalid configuration: {err}") from err
     if suffix:
         cfg = replace(cfg, run_name=os.path.join(cfg.run_name, suffix) if cfg.run_name else suffix)
     return cfg

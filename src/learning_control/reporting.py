@@ -9,7 +9,7 @@ they survive a parse round trip exactly.
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,31 +78,21 @@ def write_trace_csv(path, trace):
 
 
 def _config_doc(cfg):
-    from .configio import serialize_config
+    """The run's config as JSON sections of the config keys, and as config text without its out_dir."""
+    from .configio import KEYS, config_value, serialize_config
 
-    d, v, o = cfg.dynamics, cfg.value, cfg.optimizer
-    return {
+    doc = {
         "scenario": cfg.scenario,
         "seed": cfg.seed,
         "run_name": cfg.run_name,
         "params": {k: list(val) if isinstance(val, tuple) else val for k, val in cfg.params.items()},
-        "dynamics": {
-            "kind": d.kind, "input_dim": d.input_dim, "output_dim": d.output_dim,
-            "hidden_dim": d.hidden_dim, "tau_w": d.tau_w, "dt": d.dt, "n_steps": d.n_steps,
-            "reg_lambda": d.reg_lambda, "init_std": d.init_std, "init_mean": d.init_mean,
-            "nonlinearity": d.nonlinearity,
-        },
-        "value": {
-            "gamma": v.gamma, "eta": v.eta, "mode": v.mode,
-            "cost_kind": v.cost.kind, "beta": v.cost.beta, "anchor": v.cost.anchor,
-            "target_norm": v.cost.target_norm,
-        },
-        "optimizer": {
-            "alpha_g": o.alpha_g, "iters": o.iters, "update_rule": o.update_rule,
-            "backtracking": o.backtracking, "max_halvings": o.max_halvings,
-        },
-        "config_text": serialize_config(cfg),
     }
+    for section, key, _, path in KEYS:
+        if section != "output":
+            doc.setdefault(section, {})[key] = config_value(cfg, path)
+    # where a run is written is no part of it: the same run gives the same bytes in any directory
+    doc["config_text"] = serialize_config(replace(cfg, out_dir=None))
+    return doc
 
 
 def write_result_json(path, result, cfg):

@@ -269,50 +269,6 @@ def compose_block_tasks(tasks, cross_means=True, name="composite"):
     )
 
 
-def extract_block_task(task, index):
-    """Recover constituent `index` of a block-composed task (moments only)."""
-    if task.blocks is None:
-        raise ValueError("task has no block structure")
-    i0, i1 = task.blocks.input_slices[index]
-    o0, o1 = task.blocks.output_slices[index]
-    return TaskMoments(
-        sigma_x=task.sigma_x[i0:i1, i0:i1].copy(),
-        sigma_xy=task.sigma_xy[i0:i1, o0:o1].copy(),
-        sigma_y=task.sigma_y[o0:o1, o0:o1].copy(),
-        mean_x=task.mean_x[i0:i1].copy(),
-        mean_y=task.mean_y[o0:o1].copy(),
-        name=f"{task.name}[{index}]",
-    )
-
-
-def append_bias(task):
-    """Return a copy of the task with a constant-1 input appended.
-
-    The new second-moment row/column is the input mean (and 1 in the corner),
-    which is exactly <x * 1> and <1 * 1>.  Lets linear readouts carry an
-    affine offset without special-casing the dynamics.
-    """
-    i_dim = task.input_dim
-    sigma_x = np.zeros((i_dim + 1, i_dim + 1))
-    sigma_x[:i_dim, :i_dim] = task.sigma_x
-    sigma_x[:i_dim, i_dim] = task.mean_x
-    sigma_x[i_dim, :i_dim] = task.mean_x
-    sigma_x[i_dim, i_dim] = 1.0
-    sigma_xy = np.vstack([task.sigma_xy, task.mean_y[None, :]])
-    sampling = None
-    if task.sampling is not None:
-        sampling = SamplingSpec("with_bias", {"child": task.sampling})
-    return TaskMoments(
-        sigma_x=sigma_x,
-        sigma_xy=sigma_xy,
-        sigma_y=task.sigma_y.copy(),
-        mean_x=np.concatenate([task.mean_x, [1.0]]),
-        mean_y=task.mean_y.copy(),
-        name=f"{task.name}+bias",
-        sampling=sampling,
-    )
-
-
 # --- sampling ---------------------------------------------------------------
 
 
@@ -361,18 +317,12 @@ def _sample_composite(params, n, rng):
     return np.hstack(xs), np.hstack(ys)
 
 
-def _sample_with_bias(params, n, rng):
-    x, y = _sample_spec(params["child"], n, rng)
-    return np.hstack([x, np.ones((n, 1))]), y
-
-
 _SAMPLERS = {
     "two_gaussian": _sample_two_gaussian,
     "correlated_gaussian": _sample_correlated_gaussian,
     "semantic": _sample_semantic,
     "class_mixture": _sample_class_mixture,
     "composite": _sample_composite,
-    "with_bias": _sample_with_bias,
 }
 
 

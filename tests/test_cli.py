@@ -176,6 +176,33 @@ class TestConfigLoading:
         assert main(["run", "--preset", "single_neuron_effort", "-p", "bogus=1"]) == 2
         assert "error: scenario 'single_neuron_effort' does not take parameter(s) ['bogus']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, override",
+        [
+            ("single_neuron_effort", "dynamics.init_seed=abc"),
+            ("maml_multistep", "dynamics.init_seed=3"),
+            ("single_neuron_effort", "scenario=sgd_validation"),
+            ("single_neuron_effort", "dynamics=3"),
+            ("single_neuron_effort", "value.cost=abc"),
+            ("single_neuron_effort", "optimizer=1"),
+            ("single_neuron_effort", "params.sigma=2"),
+            ("single_neuron_effort", "value.wibble=1"),
+        ],
+    )
+    def test_a_name_no_config_file_takes_is_a_config_error(self, name, override, capsys):
+        """-p takes a config key (section.key or its path), seed, run_name or a scenario parameter."""
+        assert main(["run", "--preset", name, "-p", override]) == 2
+        captured = capsys.readouterr()
+        assert f"error: unknown name '{override.split('=')[0]}'" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("override, field, value", [("seed=3", "seed", 3), ("run_name=r", "run_name", "r"),
+                                                        ("force=on", "force", True)])
+    def test_seed_run_name_and_key_paths_are_names(self, override, field, value):
+        got = _load_config(_build_parser().parse_args(["run", "--preset", "single_neuron_effort", "-p", override]))
+        assert getattr(got, field) == value
+
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -255,6 +282,14 @@ class TestSweepCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert "error: expected int for segment, got '2.5'" in captured.err
+        assert captured.out == ""
+
+    def test_a_name_no_config_file_takes_is_a_config_error(self, capsys):
+        code = main(["sweep", "--preset", "single_neuron_effort", *SMALL,
+                     "--sweep-param", "dynamics.init_seed", "--values", "1,abc", "--parallel", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: unknown name 'dynamics.init_seed'" in captured.err
         assert captured.out == ""
 
     def test_a_negative_worker_count_is_a_config_error(self, capsys):

@@ -4,13 +4,16 @@ The writer is checked as the exact inverse of the parser, so most value
 coverage comes from round-tripping every scenario preset.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from learning_control.configio import parse_config, parse_config_file, serialize_config
+from learning_control.configio import KEYS, parse_config, parse_config_file, serialize_config
+from learning_control.dynamics import DynamicsSpec
 from learning_control.errors import ConfigError
 from learning_control.experiments import SCENARIOS, preset
+from learning_control.optimizer import OptimizerSpec
+from learning_control.value import CostSpec, ValueSpec
 
 
 class TestRoundTrip:
@@ -35,6 +38,24 @@ class TestRoundTrip:
         p = tmp_path / "run.cfg"
         p.write_text(serialize_config(cfg))
         assert parse_config_file(p) == cfg
+
+
+class TestKeyTable:
+    def test_every_spec_field_has_a_key(self):
+        """A new spec field cannot miss the config file, -p and result.json.
+
+        init_seed has no key because [scenario] seed sets it.
+        """
+        want = {("output", "out_dir"), ("output", "force")}
+        for section, spec, prefix in (
+            ("dynamics", DynamicsSpec, "dynamics."),
+            ("value", ValueSpec, "value."),
+            ("value", CostSpec, "value.cost."),
+            ("optimizer", OptimizerSpec, "optimizer."),
+        ):
+            want |= {(section, prefix + f.name) for f in fields(spec) if f.name not in ("cost", "init_seed")}
+        assert {(section, path) for section, _, _, path in KEYS} == want
+        assert len({path for _, _, _, path in KEYS}) == len({(s, k) for s, k, _, _ in KEYS}) == len(KEYS)
 
 
 class TestParsing:
@@ -83,6 +104,13 @@ class TestParsing:
     def test_value_may_itself_contain_an_equals_sign(self):
         cfg = parse_config("[scenario]\nname = single_neuron_effort\nrun_name = sweep=1\n")
         assert cfg.run_name == "sweep=1"
+
+    def test_a_kind_and_its_dims_are_checked_together(self):
+        cfg = parse_config(
+            "[scenario]\nname = task_switch\n"
+            "[dynamics]\nkind = single_neuron\ninput_dim = 1\noutput_dim = 1\n"
+        )
+        assert (cfg.dynamics.kind, cfg.dynamics.input_dim, cfg.dynamics.output_dim) == ("single_neuron", 1, 1)
 
     def test_boolean_spellings(self):
         for raw, want in (("yes", True), ("on", True), ("0", False), ("FALSE", False)):

@@ -28,6 +28,7 @@ from learning_control.experiments import (
     post_switch_peaks,
     preset,
     run,
+    set_fields,
     sweep,
     task_switch_schedule,
     time_to_fraction,
@@ -302,6 +303,17 @@ class TestOverrideParam:
         """A bare name outside both RunConfig and the scenario params fails."""
         with pytest.raises(ConfigError, match="does not take parameter"):
             override_param(preset("single_neuron_effort"), "bogus", 1)
+
+    def test_set_fields_replaces_each_spec_once(self):
+        """A kind and the dims it needs are checked together, not one field at a time."""
+        cfg = preset("task_switch")
+        out = set_fields(cfg, {"dynamics.kind": "single_neuron", "dynamics.input_dim": 1,
+                               "dynamics.output_dim": 1, "value.cost.beta": 0.5, "force": True})
+        assert (out.dynamics.kind, out.dynamics.input_dim, out.dynamics.output_dim) == ("single_neuron", 1, 1)
+        assert out.value.cost.beta == 0.5 and out.force is True
+        assert cfg.dynamics.kind == "gain_mod"
+        with pytest.raises(ConfigError, match="invalid configuration: single_neuron dynamics are one-dimensional"):
+            override_param(cfg, "dynamics.kind", "single_neuron")
 
     def test_run_suffix_extends_run_name(self):
         out = override_param(preset("single_neuron_effort"), "value.gamma", 0.5,

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from learning_control.configio import parse_config
+from learning_control.configio import KEYS, parse_config
 from learning_control.control import ControlSchedule, init_weights_control
 from learning_control.dynamics import Trajectory
 from learning_control.errors import ConfigError, DataFormatError
@@ -151,7 +151,7 @@ class TestRunOutputBundle:
             doc = json.load(fh)
         assert doc["scenario"] == "single_neuron_effort"
         assert doc["V_baseline"] == res.V_baseline
-        assert parse_config(doc["config"]["config_text"]) == cfg
+        assert parse_config(doc["config"]["config_text"]) == replace(cfg, out_dir=None)
 
     def test_schedule_json_is_valid(self, tmp_path):
         cfg = bundle_config(tmp_path)
@@ -175,6 +175,20 @@ class TestRunOutputBundle:
         write_result_json(a, res, cfg)
         write_result_json(b, res, cfg)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_result_json_bytes_do_not_depend_on_the_output_directory(self, tmp_path):
+        docs = [os.path.join(run(bundle_config(tmp_path / d)).out_dir, "result.json") for d in ("a", "b")]
+        with open(docs[0], "rb") as fa, open(docs[1], "rb") as fb:
+            assert fa.read() == fb.read()
+
+    def test_result_json_holds_every_config_key(self, tmp_path):
+        cfg = bundle_config(tmp_path)
+        with open(os.path.join(run(cfg).out_dir, "result.json")) as fh:
+            doc = json.load(fh)["config"]
+        assert doc["optimizer"]["beta2"] == cfg.optimizer.beta2
+        assert {(s, k) for s, k, _, _ in KEYS if s != "output"} == {
+            (s, k) for s in ("dynamics", "value", "optimizer") for k in doc[s]
+        }
 
 
 class TestCharts:

@@ -11,11 +11,9 @@ from learning_control.errors import UnsupportedOperationError
 from learning_control.tasks import (
     BlockMap,
     TaskMoments,
-    append_bias,
     class_mixture_moments,
     compose_block_tasks,
     correlated_gaussian_moments,
-    extract_block_task,
     hierarchy_matrix,
     linear_regression_floor,
     sample_batch,
@@ -206,19 +204,6 @@ class TestBlockComposition:
             joint.sigma_x[:2, 2:], np.outer(a.mean_x, b.mean_x), rtol=1e-15
         )
 
-    def test_round_trip_extraction(self):
-        a = two_gaussian_moments(0.9, 0.3)
-        b = correlated_gaussian_moments(1.1, 0.6, 0.2, 0.2, 0.8)
-        joint = compose_block_tasks([a, b])
-        back = extract_block_task(joint, 1)
-        np.testing.assert_allclose(back.sigma_x, b.sigma_x, rtol=1e-15)
-        np.testing.assert_allclose(back.sigma_xy, b.sigma_xy, rtol=1e-15)
-        np.testing.assert_allclose(back.sigma_y, b.sigma_y, rtol=1e-15)
-
-    def test_extract_requires_block_structure(self):
-        with pytest.raises(ValueError, match="block"):
-            extract_block_task(two_gaussian_moments(), 0)
-
     def test_block_map_bookkeeping(self):
         a = two_gaussian_moments(1.0, 0.2)
         b = correlated_gaussian_moments(1.5, 0.5, 0.3, 0.3, 0.9)
@@ -236,19 +221,6 @@ class TestBlockComposition:
 
 
 class TestBiasAndFloor:
-    def test_append_bias_moments(self):
-        task = semantic_moments(2)
-        with_bias = append_bias(task)
-        assert with_bias.input_dim == 3
-        np.testing.assert_allclose(with_bias.sigma_x[2, 2], 1.0)
-        np.testing.assert_allclose(with_bias.sigma_x[0, 2], task.mean_x[0])
-        np.testing.assert_allclose(with_bias.sigma_xy[2], task.mean_y)
-
-    def test_append_bias_sampling(self):
-        task = two_gaussian_moments(0.8, 0.3)
-        x, y = sample_batch(append_bias(task), 16, np.random.default_rng(2))
-        np.testing.assert_array_equal(x[:, 1], np.ones(16))
-
     def test_floor_via_direct_residual_arithmetic(self):
         """Half the residual trace at the least-squares solution."""
         task = correlated_gaussian_moments(1.3, 0.9, 0.4, 0.4, 0.85)
