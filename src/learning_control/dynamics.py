@@ -22,33 +22,36 @@ Control kinds and their knobs:
   nonlinear_taylor     two-layer net with elementwise nonlinearity, propagated
                        through a first-order expansion around the mean input
 
-Each kind is one entry of `_KIND_TABLE`.  A rollout is stored per layer, one
-array with a leading step axis each (Python floats for the single neuron).
-Only the recurrence, `step`, loops per step in Python; the other slots act on
-a stack of steps: `losses` scores every state, and `sweep` is the reverse
-mode, whose construction does batched all that does not read the adjoint,
-leaving `adjoint(j, a_next)` as step j's recurrence and `contract()` as the
-batched control VJPs.  Every pass -- the rollout, the sweeps, the sampled
-twin and the closed forms -- is cut by `step_runs` into runs, stretches of
-steps sharing one control slice and task (a segment, cut again at each task
-switch); `args`, what the slots read, is made once per run.
-`expected_loss`, `_rhs` and `backward_step` apply the slots to a one-step
-stack.  The linear two-layer kinds share one kernel, written for a state and
-a stack alike, and hold only two maps: forward from a control slice to the
-kernel's channels (g1, g2, dvec, rate) -- layer gains, error-row scales, a
-boost of the whole right-hand side -- and back from a swept stack to the
-control-shaped VJPs.  In that
-kernel an absent channel skips its multiplication and a neutral one
-multiplies by exactly 1.0, which IEEE makes exact, so neutral schedules
-reproduce the baseline bit for bit; tests rely on that.  The single neuron
-bypasses the table in `integrate` and in `value.grad_value`: both are
-Python-float loops over the runs, with each run's constants hoisted; its
-entry serves the one-step API, whose bits the loops keep.  A stack runs the
-same products and reductions on the same operands as its steps one at a
-time, so it gives their bits.  A task set (same-shape tasks from the same
-start) is one rollout on a batch axis after the step axis: the kernel reads
-its moments stacked, and the per-task bits are those of a lone task.  The
-kinds without a stack kernel roll a task set out one task at a time.
+Each kind is one entry of `_KIND_TABLE`.  A rollout is one buffer of packed
+rows [W1.ravel() | W2.ravel()] with a leading step axis, and its per-layer
+stacks are reshaped views of it (Python floats for the single neuron).  Only
+the recurrence loops per step in Python: `flow` makes, once per run of
+steps, the step h(w) on a packed row, and integrate writes w + (dt/tau) h
+straight into the next row.  The other slots act on a stack of steps:
+`losses` scores every state, and `sweep` is the reverse mode, whose
+construction does batched all that does not read the adjoint, leaving
+`adjoint(j, a)` as step j's recurrence on the packed adjoint row and
+`contract()` as the batched control VJPs.  Every pass -- the rollout, the
+sweeps, the sampled twin and the closed forms -- is cut by `step_runs` into
+runs, stretches of steps sharing one control slice and task (a segment, cut
+again at each task switch); `args`, what the slots read, is made once per
+run.  `expected_loss`, `_rhs` and `backward_step` apply the slots to a
+one-step stack.  The linear two-layer kinds share one kernel, for a row and
+a stack of rows alike, which fills fixed buffers and runs each elementwise
+op once on the packed row, not once per layer.  They hold only two maps:
+forward from a control slice to the kernel's channels (packed gains, dvec,
+rate) -- layer gains, error-row scales, a boost of the whole right-hand
+side -- and back from a swept stack to the control-shaped VJPs.  An absent
+channel skips its multiplication or multiplies by 1.0, as a neutral one
+does, which IEEE makes exact, so neutral schedules reproduce the baseline
+bit for bit; tests rely on that.  The single neuron bypasses the table in
+`integrate` and `value.grad_value` for Python-float loops over the runs,
+each run's constants hoisted; its entry serves the one-step API, whose bits
+the loops keep.  A stack runs the same products and reductions on the same
+operands as its steps one at a time, so it gives their bits.  A task set
+(same-shape tasks from one start; a TaskSet stacks their moments once) is
+one rollout on a batch axis after the step axis, with a lone task's bits
+per task.  Kinds without a stack kernel roll it out one task at a time.
 """
 
 import warnings
@@ -174,6 +177,18 @@ class Trajectory:
 def is_task_set(task):
     """A task set is a sequence of same-shape tasks, rolled out from one start on a batch axis."""
     return isinstance(task, (list, tuple))
+
+
+class TaskSet(tuple):
+    """A task set with its moments stacked once, when made: sx, sxy_t (Sxy^T), tr_sy; TaskSet(a TaskSet) is it."""
+
+    def __new__(cls, tasks):
+        if type(tasks) is cls:
+            return tasks
+        self = super().__new__(cls, tasks)
+        self.sx, self.sxy_t = np.array([t.sigma_x for t in self]), _mT(np.array([t.sigma_xy for t in self]))
+        self.tr_sy = np.array([t.sigma_y.trace() for t in self])
+        return self
 
 
 def initial_state(spec, override=None):
@@ -315,18 +330,35 @@ def _layer_backward(state, control, task, spec, a_next):
 
 # --- linear two-layer kernel ------------------------------------------------
 
-# The kernel's args: channels g~ = 1 + g, dvec as a column and the boost 1 + rate
-# as a 1x1 array (None where absent), task moments, lambda, and for the VJPs the
-# raw control slice and task.  For a task set the moments are stacked on a batch
-# axis, the control fields get a length-1 axis to broadcast over it, and task is
-# the set's first (all share shapes and blocks).
-_PairArgs = namedtuple("_PairArgs", "g1t g2t dcol boost sx sxy_t tr_sy lam ctrl task")
+# The kernel's args: the gains g~ = 1 + g of both layers packed like the state,
+# dvec as a column and the boost 1 + rate as a length-1 array (None where absent),
+# task moments, lambda, and for the VJPs the raw control slice and task.  For a task
+# set: its stacked moments, the control fields on a length-1 batch axis, its first task.
+_PairArgs = namedtuple("_PairArgs", "g dcol boost sx sxy_t tr_sy lam ctrl task")
+
+
+def _shapes(layers):
+    """The matrix shape of each layer of a state or of a stack of states."""
+    return tuple(w.shape[-2:] for w in layers)
+
+
+def _pack(layers):
+    """Layers (of a state or of stacks of states) as packed rows [W1.ravel() | W2.ravel()], a copy."""
+    return np.concatenate([w.reshape(*w.shape[:-2], -1) for w in layers], axis=-1)
+
+
+def _split(rows, shapes):
+    """The one or two layers of packed rows (..., K), as views of them, in layer order."""
+    lead, cut = rows.shape[:-1], shapes[0][0] * shapes[0][1]
+    if len(shapes) == 1:
+        return (rows.reshape(lead + shapes[0]),)
+    return rows[..., :cut].reshape(lead + shapes[0]), rows[..., cut:].reshape(lead + shapes[1])
 
 
 def _gather(args, *fields):
-    """Named fields of per-step args (one object per run of steps) stacked by step.
+    """Per-step args (one object per run of steps) with the named fields stacked by step.
 
-    A field every step shares is returned as is, to broadcast; None stays None.
+    A field every step shares is kept as is, to broadcast; None stays None.
     """
     runs, idx = [args[0]], []
     for a in args:
@@ -334,102 +366,119 @@ def _gather(args, *fields):
             runs.append(a)
         idx.append(len(runs) - 1)
     if len(runs) == 1:
-        return tuple(getattr(runs[0], f) for f in fields)
+        return args[0]
     idx = np.array(idx)
-    return tuple(
-        None if getattr(runs[0], f) is None else np.stack([getattr(a, f) for a in runs])[idx] for f in fields
-    )
+    return args[0]._replace(**{
+        f: None if getattr(args[0], f) is None else np.stack([getattr(a, f) for a in runs])[idx] for f in fields
+    })
 
 
-def _pair_kernel(w1, w2, g1t, g2t, dcol, sx, sxy_t, lam):
-    """The shared kernel at a state or a stack: (a_mat, b_mat, x1, err, err_d, up1, up2, p1, p2).
+def _pair_flow(a, shapes, lead):
+    """The shared kernel at packed rows (*lead, K) under args `a`, its fixed buffers made once.
 
-    p1, p2 is the flow before the rate boost.
+    Returns h(w), the flow boost (UP o G~ - lambda W) with UP = B^T E_d | E_d A^T,
+    every elementwise op done once on the packed row.  h.bufs holds what a call
+    leaves in the buffers: the gained maps A, B (views of G~ o W), x1 = A Sx,
+    the error E = Sxy^T - B x1, E_d = dvec o E, and UP.
     """
-    a_mat = w1 if g1t is None else g1t * w1
-    b_mat = w2 if g2t is None else g2t * w2
-    x1 = a_mat @ sx
-    err = sxy_t - b_mat @ x1
-    err_d = err if dcol is None else dcol * err
-    up1 = _mT(b_mat) @ err_d
-    up2 = err_d @ _mT(a_mat)
-    p1 = (up1 if g1t is None else up1 * g1t) - lam * w1
-    p2 = (up2 if g2t is None else up2 * g2t) - lam * w2
-    return a_mat, b_mat, x1, err, err_d, up1, up2, p1, p2
+    (hid, inp), (out, _) = shapes
+    ab, up = np.empty((2, *lead, hid * inp + out * hid))
+    (a_mat, b_mat), (up1, up2) = _split(ab, shapes), _split(up, shapes)
+    a_t, b_t = _mT(a_mat), _mT(b_mat)
+    x1, err = np.empty((*lead, hid, inp)), np.empty((*lead, out, inp))
+    bx, err_d = np.empty_like(err), err if a.dcol is None else np.empty_like(err)
+    g, dcol, boost, sx, sxy_t, lam = a.g, a.dcol, a.boost, a.sx, a.sxy_t, a.lam
+    gains = 1.0 if g is None else g  # x * 1.0 is x: a copy
+
+    def flow(w):
+        np.multiply(gains, w, out=ab)
+        np.matmul(a_mat, sx, out=x1)
+        np.matmul(b_mat, x1, out=bx)
+        np.subtract(sxy_t, bx, out=err)
+        if dcol is not None:
+            np.multiply(dcol, err, out=err_d)
+        np.matmul(b_t, err_d, out=up1)
+        np.matmul(err_d, a_t, out=up2)
+        p = (up if g is None else up * g) - lam * w
+        return p if boost is None else boost * p
+
+    flow.bufs = a_mat, b_mat, x1, err, err_d, up
+    return flow
 
 
 def _linear_pair_rhs(state, a):
-    """One step's flow of the linear two-layer kinds: the recurrence of integrate."""
-    *_, p1, p2 = _pair_kernel(state[0], state[1], a.g1t, a.g2t, a.dcol, a.sx, a.sxy_t, a.lam)
-    return (p1, p2) if a.boost is None else (a.boost * p1, a.boost * p2)
+    """One step's flow of the linear two-layer kinds, layer by layer: the kernel at the state's packed row."""
+    return _split(_pair_flow(a, _shapes(state), ())(_pack(state)), _shapes(state))
 
 
 def _pair_losses(layers, args, spec):
-    g1t, g2t, sx, sxy_t, tr_sy = _gather(args, "g1t", "g2t", "sx", "sxy_t", "tr_sy")
-    w1, w2 = layers
-    a_mat = w1 if g1t is None else g1t * w1
-    b_mat = w2 if g2t is None else g2t * w2
-    return _map_losses(b_mat @ a_mat, sx, sxy_t, tr_sy, layers, spec.reg_lambda)
+    a = _gather(args, "g", "sx", "sxy_t", "tr_sy")
+    a_mat, b_mat = layers if a.g is None else (g * w for g, w in zip(_split(a.g, _shapes(layers)), layers))
+    return _map_losses(b_mat @ a_mat, a.sx, a.sxy_t, a.tr_sy, layers, spec.reg_lambda)
 
 
 def _rows(x, k, ndim):
-    """Per-step entries of a gathered field: its rows if stacked like the layers (ndim), else the shared value k times."""
+    """Per-step entries of a gathered field: its rows if stacked by step (ndim), else the shared value k times."""
     return list(x) if x is not None and x.ndim == ndim else [x] * k
 
 
 class _PairSweep:
-    """Reverse mode of the shared kernel and of the pair's loss over a stack of steps.
+    """Reverse mode of the shared kernel and of the pair's loss over a stack of steps, on packed rows.
 
-    adjoint(j, a_next) returns step j's (state_vjp, loss_grad_state); once
-    every step is swept, contract() returns the control VJPs and loss
+    The construction runs the kernel on the stack (`p` is its flow before the
+    boost) and forms dL/dW and pw_i dL/dW batched, pw_i the value weight of
+    state i.  vjp(j, a) gives step j's [dh/dW]^T a and dL/dW for the adjoint
+    row a of state j+1, and keeps a, the gained maps' adjoints and the
+    error's in per-stack arrays.  adjoint(j, a) is step j's recurrence,
+    a + scale [dh/dW]^T a - pw_j dL/dW, which subtracts nothing at pw_j = 0.
+    Once every step is swept, contract() returns the control VJPs and loss
     gradients as tuples of stacks, None where the control has none, summed
     over a task set's batch axis.
     """
 
-    def __init__(self, layers, args, control_vjp):
-        g1t, g2t, dcol, boost, sx, sxy_t = _gather(args, "g1t", "g2t", "dcol", "boost", "sx", "sxy_t")
-        self.args, self.control_vjp, self.saved = args, control_vjp, []
-        self.lam = lam = args[0].lam
-        w1, w2 = self.w1, self.w2 = layers
-        a_mat, b_mat, x1, self.err, err_d, self.up1, self.up2, self.p1, self.p2 = _pair_kernel(
-            w1, w2, g1t, g2t, dcol, sx, sxy_t, lam
-        )
+    def __init__(self, layers, args, spec, pw, control_vjp):
+        a = _gather(args, "g", "dcol", "boost", "sx", "sxy_t")
+        self.args, self.control_vjp, self.shapes = args, control_vjp, _shapes(layers)
+        self.scale, self.neg_lam = spec.dt / spec.tau_w, -a.lam
+        w = self.w = _pack(layers)
+        flow = _pair_flow(a._replace(boost=None), self.shapes, w.shape[:-1])
+        self.p = flow(w)
+        a_mat, b_mat, x1, self.err, err_d, self.up = flow.bufs
         # the map ignores dvec and rate; b^T (-err) is -(b^T err) bit for bit
-        la = -self.up1 if dcol is None else _mT(b_mat) @ -self.err
-        lb = -self.up2 if dcol is None else -self.err @ _mT(a_mat)
-        lw1 = (la if g1t is None else la * g1t) + lam * w1
-        lw2 = (lb if g2t is None else lb * g2t) + lam * w2
-        self.lg = None if g1t is None else (la * w1, lb * w2)
-        k = len(w1)
+        la = -self.up if a.dcol is None else _pack((_mT(b_mat) @ -self.err, -self.err @ _mT(a_mat)))
+        lw = (la if a.g is None else la * a.g) + a.lam * w
+        self.lg = None if a.g is None else _split(la * w, self.shapes)
+        self.pl = [None if p == 0.0 else r for p, r in zip(pw.tolist(), pw.reshape(-1, *(1,) * (w.ndim - 1)) * lw)]
+        self.sa, self.sabb, self.edb = np.empty_like(w), np.empty_like(w), np.empty_like(self.err)
+        ub = np.empty(w.shape[1:])
+        self.ub = (ub, *_split(ub, self.shapes), *(_mT(u) for u in _split(ub, self.shapes)))
+        k = len(w)
         self.rows = list(zip(
-            a_mat, b_mat, _mT(b_mat), _mT(x1), err_d, lw1, lw2,
-            *(_rows(x, k, w1.ndim) for x in (g1t, g2t, dcol, boost, sx)),
+            a_mat, b_mat, _mT(b_mat), _mT(x1), err_d, lw, self.sabb, *_split(self.sabb, self.shapes), self.edb,
+            *(_rows(x, k, w.ndim) for x in (a.g, a.boost)), *(_rows(x, k, w.ndim + 1) for x in (a.dcol, a.sx)),
         ))
 
-    def adjoint(self, j, a_next):
-        a_mat, b_mat, b_t, x1_t, err_d, lw1, lw2, g1t, g2t, dcol, boost, sx = self.rows[j]
-        a1, a2 = a_next
-        gp1, gp2 = (a1, a2) if boost is None else (boost * a1, boost * a2)
-        u1b = gp1 if g1t is None else gp1 * g1t
-        u2b = gp2 if g2t is None else gp2 * g2t
-        bb = err_d @ _mT(u1b)
-        edb = b_mat @ u1b + u2b @ a_mat
-        ab = _mT(u2b) @ err_d
+    def vjp(self, j, a):
+        a_mat, b_mat, b_t, x1_t, err_d, lw, abb, ab, bb, edb, g, boost, dcol, sx = self.rows[j]
+        ub, u1b, u2b, u1b_t, u2b_t = self.ub
+        self.sa[j] = a
+        gp = a if boost is None else boost * a
+        np.multiply(gp, 1.0 if g is None else g, out=ub)  # x * 1.0 is x: a copy
+        np.add(b_mat @ u1b, u2b @ a_mat, out=edb)
         eb = edb if dcol is None else dcol * edb
-        bb = bb - eb @ x1_t
-        x1b = -(b_t @ eb)
-        ab = ab + x1b @ sx
-        w1b = -self.lam * gp1 + (ab if g1t is None else ab * g1t)
-        w2b = -self.lam * gp2 + (bb if g2t is None else bb * g2t)
-        self.saved.append((a1, a2, ab, bb, edb))
-        return (w1b, w2b), (lw1, lw2)
+        np.subtract(err_d @ u1b_t, eb @ x1_t, out=bb)
+        np.add(u2b_t @ err_d, -(b_t @ eb) @ sx, out=ab)
+        return self.neg_lam * gp + (abb if g is None else abb * g), lw
+
+    def adjoint(self, j, a):
+        a, pl = a + self.scale * self.vjp(j, a)[0], self.pl[j]
+        return a if pl is None else a - pl
 
     def contract(self):
         if self.args[0].ctrl is None or self.control_vjp is None:
             return None, None
-        saved = self.saved[::-1]
-        vjp, lg = self.control_vjp(self, lambda m: np.stack([s[m] for s in saved])), self.lg
-        if self.w1.ndim == 4:  # a task set's stacks (step, task, ...)
+        vjp, lg = self.control_vjp(self), self.lg
+        if self.w.ndim == 3:  # a task set's stacks (step, task, K)
             vjp, lg = (None if x is None else tuple(v.sum(axis=1) for v in x) for x in (vjp, lg))
         return vjp, lg
 
@@ -437,25 +486,25 @@ class _PairSweep:
 def _pair_kind(channels, control_vjp=None):
     """Entry of a linear two-layer kind from its two maps.
 
-    channels(control, task) -> (g~1, g~2, dcol, boost) feeds the kernel;
-    control_vjp(sweep, saved) -> per-step stacks of the control's arrays,
-    where saved(m) stacks the m-th of the (a1, a2, ab, bb, edb) adjoint keeps.
+    channels(control, task) -> (packed g~, dcol, boost) feeds the kernel;
+    control_vjp(sweep) -> per-step stacks of the control's arrays, read from
+    the sweep's kernel buffers and the adjoint keeps (`sa` the adjoints a,
+    `sabb` the gained maps' adjoints, `edb` the error's).
     """
 
     def args(control, task, spec):
         if is_task_set(task):
-            return _PairArgs(
-                *map(_on_batch, channels(control, task[0])), np.array([t.sigma_x for t in task]),
-                _mT(np.array([t.sigma_xy for t in task])), np.array([t.sigma_y.trace() for t in task]),
-                spec.reg_lambda, _on_batch(control), task[0],
-            )
+            ts = TaskSet(task)
+            return _PairArgs(*map(_on_batch, channels(control, task[0])), ts.sx, ts.sxy_t, ts.tr_sy,
+                             spec.reg_lambda, _on_batch(control), task[0])
         return _PairArgs(*channels(control, task), task.sigma_x, task.sigma_xy.T, float(task.sigma_y.trace()),
                          spec.reg_lambda, control, task)
 
-    return _Kind(2, args, _linear_pair_rhs, _pair_losses, lambda layers, a, spec: _PairSweep(layers, a, control_vjp))
+    return _Kind(2, args, _linear_pair_rhs, _pair_flow, _pair_losses,
+                 lambda layers, a, spec, pw: _PairSweep(layers, a, spec, pw, control_vjp))
 
 
-_NO_CHANNELS = (None, None, None, None)
+_NO_CHANNELS = (None, None, None)
 
 
 def _on_batch(x):
@@ -464,12 +513,12 @@ def _on_batch(x):
 
 
 def _gain_channels(control, task):
-    return _NO_CHANNELS if control is None else (1.0 + control[0], 1.0 + control[1], None, None)
+    return _NO_CHANNELS if control is None else (_pack((1.0 + control[0], 1.0 + control[1])), None, None)
 
 
-def _gain_vjp(sweep, saved):
-    # no boost here, so the adjoints a1, a2 are gp1, gp2
-    return saved(0) * sweep.up1 + saved(2) * sweep.w1, saved(1) * sweep.up2 + saved(3) * sweep.w2
+def _gain_vjp(sweep):
+    # no boost here, so the adjoints a are gp
+    return _split(sweep.sa * sweep.up + sweep.sabb * sweep.w, sweep.shapes)
 
 
 def _engagement_channels(control, task):
@@ -487,17 +536,17 @@ def _engagement_channels(control, task):
     sizes = task.blocks.output_sizes()
     if len(control) != len(sizes):
         raise ValueError(f"engagement vector length {len(control)} != task count {len(sizes)}")
-    return None, None, np.repeat(np.asarray(control, dtype=float), sizes)[:, None], None
+    return None, np.repeat(np.asarray(control, dtype=float), sizes)[:, None], None
 
 
-def _row_vjp(sweep, saved):
+def _row_vjp(sweep):
     """Gradient wrt the error-row scales dvec at each step."""
-    return (saved(4) * sweep.err).sum(axis=-1)
+    return (sweep.edb * sweep.err).sum(axis=-1)
 
 
-def _engagement_vjp(sweep, saved):
+def _engagement_vjp(sweep):
     bounds = np.cumsum([0] + sweep.args[0].task.blocks.output_sizes())
-    return (np.add.reduceat(_row_vjp(sweep, saved), bounds[:-1], axis=-1),)
+    return (np.add.reduceat(_row_vjp(sweep), bounds[:-1], axis=-1),)
 
 
 def _category_channels(control, task):
@@ -506,20 +555,21 @@ def _category_channels(control, task):
     phi = np.asarray(control, dtype=float)
     if len(phi) != task.output_dim:
         raise ValueError(f"class engagement length {len(phi)} != output dim {task.output_dim}")
-    return None, None, (phi * phi)[:, None], None
+    return None, (phi * phi)[:, None], None
 
 
-def _category_vjp(sweep, saved):
-    (phi,) = _gather(sweep.args, "ctrl")
-    return (2.0 * np.asarray(phi, dtype=float) * _row_vjp(sweep, saved),)
+def _category_vjp(sweep):
+    phi = _gather(sweep.args, "ctrl").ctrl
+    return (2.0 * np.asarray(phi, dtype=float) * _row_vjp(sweep),)
 
 
 def _rate_channels(control, task):
-    return _NO_CHANNELS if control is None else (None, None, None, np.full((1, 1), 1.0 + float(control)))
+    return _NO_CHANNELS if control is None else (None, None, np.full(1, 1.0 + float(control)))
 
 
-def _rate_vjp(sweep, saved):
-    return ((saved(0) * sweep.p1).sum(axis=(-2, -1)) + (saved(1) * sweep.p2).sum(axis=(-2, -1)),)
+def _rate_vjp(sweep):
+    (a1, a2), (p1, p2) = _split(sweep.sa, sweep.shapes), _split(sweep.p, sweep.shapes)
+    return ((a1 * p1).sum(axis=(-2, -1)) + (a2 * p2).sum(axis=(-2, -1)),)
 
 
 # --- nonlinear Taylor expansion ---------------------------------------------
@@ -617,50 +667,23 @@ def _taylor_backward(state, control, task, spec, a_next):
     w1, w2 = state
     gz1 = a1 if c["g1t"] is None else a1 * c["g1t"]
     gz2 = a2 if c["g2t"] is None else a2 * c["g2t"]
-    # dynamics vjp
-    kb = c["d1"][:, None] * gz1
-    d1b_seed = np.sum(gz1 * c["k"], axis=1)
-    fyb = gz2
-    ffb = -(c["b"].T @ gz2)
-    bb_direct = -(gz2 @ c["ff"])
-    ab, bb_tail = _taylor_tail(c, fyb, ffb, kb, d1b_seed)
-    bb = bb_direct + bb_tail
-    if c["g1t"] is None:
-        w1b = -lam * a1 + ab
-        g1b = np.zeros_like(w1)
-    else:
-        w1b = -lam * a1 + ab * c["g1t"]
-        g1b = a1 * c["z1"] + ab * w1
-    if c["g2t"] is None:
-        w2b = -lam * a2 + bb
-        g2b = np.zeros_like(w2)
-    else:
-        w2b = -lam * a2 + bb * c["g2t"]
-        g2b = a2 * c["z2"] + bb * w2
-    # loss gradients
+    # dynamics vjp, then the loss gradients
+    ab, bb_tail = _taylor_tail(c, gz2, -(c["b"].T @ gz2), c["d1"][:, None] * gz1, np.sum(gz1 * c["k"], axis=1))
+    bb = -(gz2 @ c["ff"]) + bb_tail
     lab, lbb_tail = _taylor_tail(c, -c["b"], 0.5 * c["c2"], None, None)
-    lz2 = -c["z2"]
-    if c["g1t"] is None:
-        lw1 = lab + lam * w1
-        lg1 = np.zeros_like(w1)
-    else:
-        lw1 = lab * c["g1t"] + lam * w1
-        lg1 = lab * w1
-    lbb = lz2 + lbb_tail
-    if c["g2t"] is None:
-        lw2 = lbb + lam * w2
-        lg2 = np.zeros_like(w2)
-    else:
-        lw2 = lbb * c["g2t"] + lam * w2
-        lg2 = lbb * w2
-    return (w1b, w2b), (g1b, g2b), (lw1, lw2), (lg1, lg2)
+    lbb = -c["z2"] + lbb_tail
+    per_layer = []
+    for a, w, g, z, xb, lxb in ((a1, w1, c["g1t"], c["z1"], ab, lab), (a2, w2, c["g2t"], c["z2"], bb, lbb)):
+        per_layer.append((-lam * a + (xb if g is None else xb * g), np.zeros_like(w) if g is None else a * z + xb * w,
+                          (lxb if g is None else lxb * g) + lam * w, np.zeros_like(w) if g is None else lxb * w))
+    return tuple(zip(*per_layer))
 
 
 # --- the kind table ---------------------------------------------------------
 
-# One dynamics kind: its layer count and the slots the module docstring
-# describes.  step(state, args) is the flow h of one step, shaped like the state.
-_Kind = namedtuple("_Kind", "layers args step losses sweep")
+# One dynamics kind: its layer count and the slots the module docstring describes:
+# step(state, args) is h of one step, shaped like the state; flow(args, shapes, lead) a run's h on packed rows.
+_Kind = namedtuple("_Kind", "layers args step flow losses sweep")
 
 
 def stack_slices(slices):
@@ -673,15 +696,24 @@ def stack_slices(slices):
 
 
 class _StepSweep:
-    """The sweep of a kind whose adjoint is a per-step function shaped like backward_step."""
+    """The sweep of a kind whose adjoint is a per-step function shaped like backward_step.
 
-    def __init__(self, backward, layers, args):
+    vjp(j, a) takes and gives tuples of layers; adjoint(j, a) runs _PairSweep's
+    recurrence layer by layer, on the packed rows _PairSweep's takes.
+    """
+
+    def __init__(self, backward, layers, args, spec, pw):
         self.backward, self.states, self.args, self.ctrl_grads = backward, list(zip(*layers)), args, []
+        self.scale, self.pw = spec.dt / spec.tau_w, pw.tolist()
 
-    def adjoint(self, j, a_next):
-        svjp, cvjp, lgs, lgc = self.backward(self.states[j], *self.args[j], a_next)
+    def vjp(self, j, a):
+        svjp, cvjp, lgs, lgc = self.backward(self.states[j], *self.args[j], a)
         self.ctrl_grads.append((cvjp, lgc))
         return svjp, lgs
+
+    def adjoint(self, j, a):
+        a, p = _split(a, _shapes(self.states[j])), self.pw[j]
+        return _pack([x + self.scale * sv - (p * lg if p != 0.0 else 0.0) for x, sv, lg in zip(a, *self.vjp(j, a))])
 
     def contract(self):
         cvjps, lgcs = zip(*self.ctrl_grads[::-1])
@@ -694,8 +726,9 @@ def _stepwise_kind(layers, loss, rhs, backward):
         layers,
         lambda control, task, spec: (control, task, spec),
         lambda state, a: rhs(state, *a),
+        lambda a, shapes, lead: lambda w: _pack(rhs(_split(w, shapes), *a)),
         lambda stack, args, spec: np.array([loss(s, *a) for s, a in zip(zip(*stack), args)]),
-        lambda stack, args, spec: _StepSweep(backward, stack, args),
+        lambda stack, args, spec, pw: _StepSweep(backward, stack, args, spec, pw),
     )
 
 
@@ -759,8 +792,11 @@ def backward_step(spec, state, control, task, a_next):
     UnsupportedOperationError.  This is the kind's sweep over a one-step stack.
     """
     kind = _KIND_TABLE[spec.kind]
-    sweep = kind.sweep(_one_step(state), [kind.args(control, task, spec)], spec)
-    state_vjp, loss_state = sweep.adjoint(0, a_next)
+    sweep = kind.sweep(_one_step(state), [kind.args(control, task, spec)], spec, np.zeros(1))
+    if isinstance(sweep, _PairSweep):  # packed rows in and out
+        state_vjp, loss_state = (_split(x, sweep.shapes) for x in sweep.vjp(0, _pack(a_next)))
+    else:
+        state_vjp, loss_state = sweep.vjp(0, a_next)
     ctrl_vjp, loss_ctrl = sweep.contract()
     return state_vjp, _first(ctrl_vjp, control), loss_state, _first(loss_ctrl, control)
 
@@ -793,9 +829,9 @@ def step_runs(schedule, task, n):
     return runs
 
 
-def _step_args(kind, runs, spec):
-    """kind.args of each step, computed once per run and shared by its steps."""
-    return [a for lo, hi, c, t in runs for a in [kind.args(c, t, spec)] * (hi - lo)]
+def _per_step(runs, items):
+    """Each run's item once per step of the run, shared by its steps."""
+    return [x for (lo, hi, _, _), x in zip(runs, items) for _ in range(lo, hi)]
 
 
 def _divergence(peak, step):
@@ -836,10 +872,11 @@ def integrate(spec, schedule, task, state0=None):
     `task` is a TaskMoments, a TaskSchedule (for switching) or a task set,
     rolled out as one batched Trajectory; `schedule` may be None for an
     uncontrolled run.  An init_weights schedule supplies the starting state;
-    otherwise `state0` (if given) or the spec's init does.  The step loop
-    goes over step_runs, with each run's args made once, and only fills the
-    layer stacks; the losses are batched after it.  Raises DivergenceError
-    when any weight magnitude passes DIVERGENCE_LIMIT.
+    otherwise `state0` (if given) or the spec's init does.  The rollout is one
+    buffer of packed rows, the layers views of it; each run of step_runs makes
+    its args and its step h once, and step i writes w + (dt/tau) h(w) into row
+    i+1.  The losses are batched after the loop.  Raises DivergenceError when
+    any weight magnitude passes DIVERGENCE_LIMIT.
     """
     if runs_per_task(spec, task):
         trajs = [integrate(spec, schedule, t, state0) for t in task]
@@ -876,39 +913,43 @@ def integrate(spec, schedule, task, state0=None):
         return Trajectory(times=times, layers=(ws,), losses=np.array(losses), kind=spec.kind)
 
     kind = _KIND_TABLE[spec.kind]
-    args = _step_args(kind, step_runs(schedule, task, n), spec)
-    batch = (len(task),) if is_task_set(task) else ()
-    layers = tuple(np.empty((n + 1, *batch, *w.shape)) for w in state)
-    for layer, w in zip(layers, state):
-        layer[0] = w
-    state = tuple(layer[0] for layer in layers)  # a task set's start, one per task
-    step = kind.step
+    runs = step_runs(schedule, task, n)
+    args = [kind.args(c, t, spec) for _, _, c, t in runs]
+    batch, shapes = (len(task),) if is_task_set(task) else (), _shapes(state)
+    rows = np.empty((n + 1, *batch, sum(w.size for w in state)))
+    rows[0] = _pack(state)  # a task set's start, one per task
+    layers = _split(rows, shapes)
+    flows = _per_step(runs, [kind.flow(a, shapes, batch) for a in args])
     # checked once per block of steps: a diverging rollout runs on to the end
     # of its block, where overflow is expected and kept silent
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, DIVERGENCE_BLOCK):
-            for i in range(lo, min(lo + DIVERGENCE_BLOCK, n)):
-                state = tuple(w + scale * h for w, h in zip(state, step(state, args[i])))
-                for layer, w in zip(layers, state):
-                    layer[i + 1] = w
-            _check_divergence(tuple(layer[lo + 1 : i + 2] for layer in layers), lo)
+            hi = min(lo + DIVERGENCE_BLOCK, n)
+            for i in range(lo, hi):
+                w = rows[i]
+                np.add(w, scale * flows[i](w), out=rows[i + 1])
+            if not np.abs(rows[lo + 1 : hi + 1]).max() < DIVERGENCE_LIMIT:
+                _check_divergence(tuple(layer[lo + 1 : hi + 1] for layer in layers), lo)
+    args = _per_step(runs, args)
     losses = kind.losses(layers, args + args[-1:], spec)
     return Trajectory(times=times, layers=layers, losses=losses, kind=spec.kind)
 
 
-def sweeps(spec, traj, schedule, task):
+def sweeps(spec, traj, schedule, task, pw):
     """(lo, hi, sweep) over stacks of SWEEP_CHUNK states of `traj`, last first, each built when reached.
 
     `traj` is the rollout of `schedule` and `task`, whose step_runs give each
-    step's args.  The last stack ends at the terminal state n (hi = n + 1),
-    scored under the last control like the rollout's last loss.
+    step's args, and pw[i] the value weight of state i.  The last stack ends
+    at the terminal state n (hi = n + 1), scored under the last control like
+    the rollout's last loss.
     """
     kind = _KIND_TABLE[spec.kind]
-    args = _step_args(kind, step_runs(schedule, task, spec.n_steps), spec)
+    runs = step_runs(schedule, task, spec.n_steps)
+    args = _per_step(runs, [kind.args(c, t, spec) for _, _, c, t in runs])
     args += args[-1:]
     for hi in range(len(args), 0, -SWEEP_CHUNK):
         lo = max(hi - SWEEP_CHUNK, 0)
-        yield lo, hi, kind.sweep(tuple(layer[lo:hi] for layer in traj.layers), args[lo:hi], spec)
+        yield lo, hi, kind.sweep(tuple(layer[lo:hi] for layer in traj.layers), args[lo:hi], spec, pw[lo:hi])
 
 
 # --- sampled-SGD twins ------------------------------------------------------

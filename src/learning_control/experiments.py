@@ -259,8 +259,11 @@ def set_fields(config, changes):
     Every dataclass on the way is replaced once with all of its new fields,
     so fields checked against each other (a dynamics kind and its dims) are
     set together.  A dict (the scenario params) takes only keys it has.  A
-    value its spec rejects raises ConfigError.
+    value its spec rejects raises ConfigError, and so does dynamics.init_seed,
+    which build() sets from seed.
     """
+    if "dynamics.init_seed" in changes:
+        raise ConfigError("'dynamics.init_seed' would be overwritten by build(); set it through 'seed'")
 
     def apply(obj, items):
         own, nested = {}, {}
@@ -324,6 +327,7 @@ def build(cfg):
     p = cfg.params
     try:
         d, task = entry.task(replace(cfg.dynamics, init_seed=cfg.seed), p)
+        task = dyn.TaskSet(task) if dyn.is_task_set(task) else task  # its moments stacked once
         # every task the run sees must fit the network: a schedule's, a task set's or the one task
         tasks = task.tasks if isinstance(task, dyn.TaskSchedule) else task if dyn.is_task_set(task) else [task]
         for t in tasks:

@@ -204,9 +204,10 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
     `state0`); the forward pass is then skipped and only the adjoint runs.
 
     The sweep goes over stacks of steps, last first, the last one ending at
-    the terminal state: only the adjoint recurrence loops per step, and each
-    stack's control gradients are formed batched and added into the buffers
-    in descending step order.  A task set is swept once on its batch axis: V
+    the terminal state: only the adjoint recurrence loops per step, one
+    sweep.adjoint call on the packed adjoint row, and each stack's control
+    gradients are formed batched and added into the buffers in descending
+    step order.  A task set is swept once on its batch axis: V
     is its tasks' values and the gradient their gradients, each summed in
     task order (per step for a series schedule).  A kind without a stack
     kernel sweeps the tasks one at a time.  The single neuron takes the
@@ -217,31 +218,27 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
     if dyn.runs_per_task(dspec, task):
         parts = [grad_value(dspec, t, schedule, vspec, traj=tr) for t, tr in zip(task, traj.per_task())]
         return sum(p[0] for p in parts), tuple(map(_task_sum, zip(*(p[1] for p in parts)))), traj
-    n = dspec.n_steps
     scale = dspec.dt / dspec.tau_w
     per_step = schedule is not None and schedule.kind != "init_weights"
     pw, cw = _value_weights(vspec, dspec)
     total = _segment_total(traj.losses, schedule, vspec, pw, cw)
-    pws = pw.tolist()
     # the terminal state costs no control; each task of a task set pays it
     cw = np.append(cw, 0.0) * (len(task) if dyn.is_task_set(task) else 1)
     cost_grads = None
     if per_step and vspec.cost.kind != "none":
         cost_grads = segment_cost_grads(schedule.values, vspec.cost)
     if dspec.kind == "single_neuron":
-        adj, sums = _neuron_sweep(dspec, traj, schedule, task, pws, cw.tolist(), cost_grads)
+        adj, sums = _neuron_sweep(dspec, traj, schedule, task, pw.tolist(), cw.tolist(), cost_grads)
         return total, (np.array(sums),) if per_step else (np.asarray(adj, dtype=float),), traj
     buffers = schedule.zero_grads() if per_step else None
     # per-step weights, shaped to broadcast over a stack of control slices
     weights_shape = (-1,) + (1,) * (schedule.values[0].ndim - 1) if per_step else None
 
-    # from the terminal state, scored under the last control slice, down to state 0
-    adj = tuple(np.zeros_like(layer[n]) for layer in traj.layers)
-    for lo, hi, sweep in dyn.sweeps(dspec, traj, schedule, task):
-        for i in range(hi - 1, lo - 1, -1):
-            svjp, lgs = sweep.adjoint(i - lo, adj)
-            p = pws[i]
-            adj = tuple(a + scale * sv - (p * lg if p != 0.0 else 0.0) for a, sv, lg in zip(adj, svjp, lgs))
+    # from the terminal state, scored under the last control slice, down to state 0, on packed rows
+    adj = np.zeros_like(dyn._pack([layer[-1] for layer in traj.layers]))
+    for lo, hi, sweep in dyn.sweeps(dspec, traj, schedule, task, pw):
+        for j in range(hi - lo - 1, -1, -1):
+            adj = sweep.adjoint(j, adj)
         if per_step:
             # as step by step, but a zero weight adds a signed zero, which the
             # buffers, summed from +0.0, absorb
@@ -255,9 +252,7 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
 
     if per_step:
         return total, buffers, traj
-    if dyn.is_task_set(task):
-        return total, tuple(_task_sum(a) for a in adj), traj
-    return total, tuple(np.asarray(a, dtype=float) for a in adj), traj
+    return total, dyn._split(_task_sum(adj) if dyn.is_task_set(task) else adj, dyn._shapes(traj.layers)), traj
 
 
 def _neuron_sweep(dspec, traj, schedule, task, pws, cws, cost_grads):
@@ -303,7 +298,7 @@ def maml_value_and_grad(dspec, tasks, schedule, steps_ahead=None, traj=None):
     adjoint sweep runs.  Returns (V, gradient, each task's Trajectory).
     """
     spec = dspec if steps_ahead is None else replace(dspec, n_steps=int(steps_ahead))
-    total, grads, traj = grad_value(spec, list(tasks), schedule, per_step_sum_spec(), traj=traj)
+    total, grads, traj = grad_value(spec, dyn.TaskSet(tasks), schedule, per_step_sum_spec(), traj=traj)
     return total, grads, traj.per_task()
 
 

@@ -909,6 +909,49 @@ class TestStackedKernels:
                 integrate(spec, None, pair_task())
         assert str(err.value).startswith(step_by_step)
 
+    def test_when_both_layers_pass_the_limit_at_once_the_first_layers_peak_is_reported(self):
+        spec = DynamicsSpec(kind="gain_mod", input_dim=2, output_dim=2, hidden_dim=3,
+                            dt=2.0, n_steps=40, init_std=0.5, init_seed=0)
+        step_by_step, peaks = first_divergence(spec, [pair_task()])
+        assert 1e6 <= peaks[0] < peaks[1]  # the second layer's peak, or the row's, would be the larger
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                integrate(spec, None, pair_task())
+        assert str(err.value).startswith(step_by_step)
+
+    def test_a_task_set_reports_the_first_bad_step_over_its_tasks(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "DIVERGENCE_BLOCK", 3)
+        spec = DynamicsSpec(kind="gain_mod", input_dim=2, output_dim=2, hidden_dim=3,
+                            dt=1.0, n_steps=40, init_std=0.5, init_seed=1)
+        tasks = [pair_task(0.8), pair_task(0.2), pair_task(0.5)]
+        step_by_step, _ = first_divergence(spec, tasks)
+        # the second task diverges first, in the second block; the first task later
+        assert step_by_step.endswith(" at step 5;")
+        assert first_divergence(spec, tasks[:1])[0].endswith(" at step 6;")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                integrate(spec, None, tasks)
+        assert str(err.value).startswith(step_by_step)
+
+
+def first_divergence(spec, tasks):
+    """The start of the divergence message, and each layer's peak over the tasks, at the first bad step.
+
+    From rollouts of each task step by step through the one-step API: the
+    first layer, in layer order, past the limit at the first step where any
+    layer of any task is.
+    """
+    states, scale = [initial_state(spec)] * len(tasks), spec.dt / spec.tau_w
+    for i in range(spec.n_steps):
+        states = [tuple(w + scale * h for w, h in zip(s, _rhs(spec, s, None, t))) for s, t in zip(states, tasks)]
+        peaks = [max(float(abs(s[k]).max()) for s in states) for k in range(2)]
+        bad = [p for p in peaks if not p < 1e6]
+        if bad:
+            return f"weight magnitude {bad[0]:.3e} exceeded 1e+06 at step {i};", peaks
+    raise AssertionError("no divergence")
+
 
 def _relative_gap(a, b):
     """Norm-based relative difference of two rollouts' layers (a's scaled by `scale`) and losses."""

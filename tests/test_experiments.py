@@ -263,7 +263,7 @@ class TestBuild:
     def test_schedule_is_neutral_bit_for_bit(self, name):
         dspec, task, sched = build(preset(name, seed=3))
         assert dspec.init_seed == 3
-        for t in task if isinstance(task, list) else [task]:
+        for t in task if dynamics.is_task_set(task) else [task]:
             got = dynamics.integrate(dspec, sched, t)
             want = dynamics.integrate(dspec, None, t)
             assert np.array_equal(got.losses, want.losses)
@@ -271,7 +271,8 @@ class TestBuild:
                 assert all(np.array_equal(a, b) for a, b in zip(sg, sw))
 
     def test_maml_schedule_holds_the_seeded_initial_weights(self):
-        dspec, _, sched = build(preset("maml_multistep", seed=3))
+        dspec, task, sched = build(preset("maml_multistep", seed=3))
+        assert isinstance(task, dynamics.TaskSet)  # its moments stacked once for the whole run
         assert sched.kind == "init_weights"
         assert all(np.array_equal(v, w) for v, w in zip(sched.values, initial_state(dspec)))
 
@@ -314,6 +315,17 @@ class TestOverrideParam:
         assert cfg.dynamics.kind == "gain_mod"
         with pytest.raises(ConfigError, match="invalid configuration: single_neuron dynamics are one-dimensional"):
             override_param(cfg, "dynamics.kind", "single_neuron")
+
+    @pytest.mark.parametrize("change", [
+        lambda cfg: override_param(cfg, "dynamics.init_seed", 3),
+        lambda cfg: set_fields(cfg, {"dynamics.init_seed": 3, "value.gamma": 0.5}),
+        lambda cfg: sweep(cfg, "dynamics.init_seed", [1, 2], parallelism=1),
+    ], ids=["override_param", "set_fields", "sweep"])
+    def test_the_init_seed_is_rejected_because_build_sets_it_from_seed(self, change):
+        """build() overwrites dynamics.init_seed with cfg.seed, so setting it would do nothing."""
+        cfg = preset("maml_multistep")
+        with pytest.raises(ConfigError, match="dynamics.init_seed.*set it through 'seed'"):
+            change(cfg)
 
     def test_run_suffix_extends_run_name(self):
         out = override_param(preset("single_neuron_effort"), "value.gamma", 0.5,
@@ -500,9 +512,9 @@ class TestRolloutReuse:
         res = run(cfg)
         dspec, task, init = build(cfg)
         init = init.project()
-        tasks = task if isinstance(task, list) else [task]
-        for k, t in enumerate(tasks):
-            suffix = f":{k}" if isinstance(task, list) else ""
+        multi = dynamics.is_task_set(task)
+        for k, t in enumerate(task if multi else [task]):
+            suffix = f":{k}" if multi else ""
             for side, sched in (("baseline", init), ("controlled", res.schedule)):
                 got = res.trajectories[side + suffix]
                 want = dynamics.integrate(dspec, sched, t)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from learning_control import dynamics
+from learning_control import dynamics, optimizer
 from learning_control.control import ControlSchedule
 from learning_control.dynamics import DynamicsSpec, integrate
 from learning_control.errors import DivergenceError
@@ -205,3 +205,52 @@ class TestMamlObjective:
         _, trace = optimize(spec, tasks, ValueSpec(mode="per_step_sum"), ospec, sched)
         assert trace.V[-1] > trace.V[0]
         assert np.all(np.diff(trace.V) >= 0)
+
+
+class TestRolloutsOwnTheirStates:
+    """Rollouts an optimize run keeps hold their states and losses through later passes.
+
+    Kept are the trace's first and last rollouts and every trial rollout the
+    line search handed to the adjoint; later integrate and grad_value calls on
+    other schedules must not write into them (no step buffer is shared
+    between passes).
+    """
+
+    @staticmethod
+    def gain_mod_case():
+        spec = DynamicsSpec(kind="gain_mod", input_dim=1, output_dim=1, hidden_dim=3, dt=0.1, n_steps=30,
+                            init_std=0.3, init_seed=2)
+        sched = ControlSchedule.neutral("matrix_pair_series", 30, segment=5, shapes=((3, 1), (1, 3)),
+                                        bounds=(-0.5, 0.5))
+        return spec, TASK, VSPEC, sched
+
+    @staticmethod
+    def task_set_case():
+        from learning_control.control import init_weights_control
+
+        spec = DynamicsSpec(kind="two_layer_baseline", input_dim=1, output_dim=1, hidden_dim=3, dt=0.1, n_steps=6)
+        sched = init_weights_control((np.full((3, 1), 0.3), np.full((1, 3), -0.2)))
+        tasks = dynamics.TaskSet([two_gaussian_moments(2.0, 0.8), two_gaussian_moments(1.2, 1.0)])
+        return spec, tasks, ValueSpec(mode="per_step_sum"), sched
+
+    @pytest.mark.parametrize("case", ["gain_mod_case", "task_set_case"])
+    def test_later_passes_leave_kept_rollouts_alone(self, case, monkeypatch):
+        spec, task, vspec, sched = getattr(self, case)()
+        handed, real = [], optimizer.grad_value
+
+        def recording(dspec, task, schedule, vspec, state0=None, traj=None):
+            if traj is not None:
+                handed.append((traj, [a.copy() for a in (*traj.layers, traj.losses)]))
+            return real(dspec, task, schedule, vspec, state0=state0, traj=traj)
+
+        monkeypatch.setattr(optimizer, "grad_value", recording)
+        _, trace = optimize(spec, task, vspec, OptimizerSpec(alpha_g=0.5, iters=3), sched)
+        kept = handed + [(t, [a.copy() for a in (*t.layers, t.losses)]) for t in trace.rollouts]
+        assert len(handed) >= 2 and trace.rollouts[1] is handed[-1][0]
+        rng = np.random.default_rng(4)
+        for _ in range(2):
+            other = sched.with_values(tuple(v + rng.uniform(-0.3, 0.3, v.shape) for v in sched.values))
+            integrate(spec, other, task)
+            grad_value(spec, task, other, vspec)
+        for traj, copies in kept:
+            assert all(np.array_equal(a, b) for a, b in zip((*traj.layers, traj.losses), copies))

@@ -676,6 +676,24 @@ class TestTaskSets:
         assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
 
 
+class TestTaskSetMoments:
+    """A TaskSet stacks its tasks' moments once; the pair kinds' args read them as they are."""
+
+    def test_a_task_set_stacks_its_moments_once(self):
+        spec, tasks, sched = task_set_case("gain_mod")
+        ts = dynamics.TaskSet(tasks)
+        assert dynamics.TaskSet(ts) is ts and list(ts) == tasks
+        assert np.array_equal(ts.sx, np.array([t.sigma_x for t in tasks]))
+        assert np.array_equal(ts.sxy_t, np.array([t.sigma_xy.T for t in tasks]))
+        assert np.array_equal(ts.tr_sy, np.array([t.sigma_y.trace() for t in tasks]))
+        args = dynamics._KIND_TABLE["gain_mod"].args(sched.at(0), ts, spec)
+        assert args.sx is ts.sx and args.sxy_t is ts.sxy_t and args.tr_sy is ts.tr_sy
+        vspec = TestBatchedSweep.VSPECS["discounted_with_cost"]
+        (v_set, g_set, t_set), (v_list, g_list, t_list) = (grad_value(spec, t, sched, vspec) for t in (ts, tasks))
+        assert v_set == v_list and all(np.array_equal(a, b) for a, b in zip(g_set, g_list))
+        assert_same_rollouts(t_set, t_list.per_task())
+
+
 # Values recorded from the per-task loop that preceded the batched rollout
 # (grad_value once per task, summed in task order).
 PINNED_TASK_SETS = {
