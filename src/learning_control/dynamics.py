@@ -6,7 +6,7 @@ module integrates that ODE with explicit Euler steps `w <- w + (dt/tau) h(w, g)`
 for every supported flavor of control signal, evaluates exact expected losses
 along the way, and provides closed-form solutions for the two analytically
 solvable cases (a single neuron, and a one-layer network with elementwise
-gains frozen per segment) plus sampled-SGD twins for validation.
+gains frozen per segment) plus a sampled-SGD twin for validation.
 
 Control kinds and their knobs:
 
@@ -32,13 +32,16 @@ straight into the next row.  The other slots act on a stack of steps:
 construction does batched all that does not read the adjoint, leaving
 `adjoint(j, a)` as step j's recurrence on the packed adjoint row and
 `contract()` as the batched control VJPs.  Every pass -- the rollout, the
-sweeps, the sampled twin and the closed forms -- is cut by `step_runs` into
-runs, stretches of steps sharing one control slice and task (a segment, cut
-again at each task switch); `args`, what the slots read, is made once per
-run.  `expected_loss`, `_rhs` and `backward_step` apply the slots to a
-one-step stack.  The linear two-layer kinds share one kernel, for a row and
-a stack of rows alike, which fills fixed buffers and runs each elementwise
-op once on the packed row, not once per layer.  They hold only two maps:
+sweeps, the sampled twin's score and the closed forms -- is cut by
+`step_runs` into runs, stretches of steps sharing one control slice and task
+(a segment, cut again at each task switch); `args`, what the slots read, is
+made once per run.  The sampled twin is integrate over per-step batch
+moments, except for nonlinear_taylor's sampled tanh network.  The one-step
+API, `expected_loss`, `_rhs` and `backward_step`, applies the slots to a
+one-step stack; tests check the passes against it.  The linear two-layer
+kinds share one kernel, for a row and a stack of rows alike, which fills
+fixed buffers and runs each elementwise op once on the packed row, not once
+per layer.  They hold only two maps:
 forward from a control slice to the kernel's channels (packed gains, dvec,
 rate) -- layer gains, error-row scales, a boost of the whole right-hand
 side -- and back from a swept stack to the control-shaped VJPs.  An absent
@@ -56,7 +59,7 @@ per task.  Kinds without a stack kernel roll it out one task at a time.
 
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -575,13 +578,18 @@ def _rate_vjp(sweep):
 # --- nonlinear Taylor expansion ---------------------------------------------
 
 
+def _gained(w, gain):
+    """(G~ o W, G~) with G~ = 1 + gain: the gained map of a layer; no gain is (W, None)."""
+    if gain is None:
+        return w, None
+    gt = 1.0 + gain
+    return gt * w, gt
+
+
 def _taylor_cache(state, gain1, gain2, task, spec):
     f, fp, fpp = _nonlin(spec.nonlinearity)
     w1, w2 = state
-    g1t = None if gain1 is None else 1.0 + gain1
-    g2t = None if gain2 is None else 1.0 + gain2
-    a_mat = w1 if g1t is None else g1t * w1
-    b_mat = w2 if g2t is None else g2t * w2
+    (a_mat, g1t), (b_mat, g2t) = _gained(w1, gain1), _gained(w2, gain2)
     m = task.mean_x
     u = a_mat @ m
     f0 = f(u)
@@ -834,6 +842,14 @@ def _per_step(runs, items):
     return [x for (lo, hi, _, _), x in zip(runs, items) for _ in range(lo, hi)]
 
 
+def _state_args(spec, schedule, task):
+    """The kind's args of each of the n+1 states of a pass, one object per run; the terminal state takes the last."""
+    kind = _KIND_TABLE[spec.kind]
+    runs = step_runs(schedule, task, spec.n_steps)
+    args = _per_step(runs, [kind.args(c, t, spec) for _, _, c, t in runs])
+    return args + args[-1:]
+
+
 def _divergence(peak, step):
     return DivergenceError(
         f"weight magnitude {peak:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at step {step}; "
@@ -854,11 +870,14 @@ def _check_divergence(layers, lo):
     raise _divergence(float(peaks[bad[:, j].argmax(), j]), lo + j)
 
 
-def _prepare_schedule(schedule):
+def _start(spec, schedule, state0=None):
+    """(schedule, state): the schedule, clamped with a warning if it leaves its bounds, and the starting state --
+    an init_weights schedule's values, else `state0` or the spec's init."""
     if schedule is not None and schedule.out_of_bounds():
         warnings.warn("control schedule leaves its bounds; clamping for integration")
-        return schedule.project()
-    return schedule
+        schedule = schedule.project()
+    init = schedule is not None and schedule.kind == "init_weights"
+    return schedule, initial_state(spec, override=schedule.values if init else state0)
 
 
 def runs_per_task(spec, task):
@@ -882,11 +901,7 @@ def integrate(spec, schedule, task, state0=None):
         trajs = [integrate(spec, schedule, t, state0) for t in task]
         layers = tuple(np.stack(layer, axis=1) for layer in zip(*(t.layers for t in trajs)))
         return Trajectory(trajs[0].times, layers, np.stack([t.losses for t in trajs], axis=1), spec.kind)
-    schedule = _prepare_schedule(schedule)
-    if schedule is not None and schedule.kind == "init_weights":
-        state = initial_state(spec, override=schedule.values)
-    else:
-        state = initial_state(spec, override=state0)
+    schedule, state = _start(spec, schedule, state0)
     n = spec.n_steps
     scale = spec.dt / spec.tau_w
     times = np.arange(n + 1) * spec.dt
@@ -943,10 +958,7 @@ def sweeps(spec, traj, schedule, task, pw):
     at the terminal state n (hi = n + 1), scored under the last control like
     the rollout's last loss.
     """
-    kind = _KIND_TABLE[spec.kind]
-    runs = step_runs(schedule, task, spec.n_steps)
-    args = _per_step(runs, [kind.args(c, t, spec) for _, _, c, t in runs])
-    args += args[-1:]
+    kind, args = _KIND_TABLE[spec.kind], _state_args(spec, schedule, task)
     for hi in range(len(args), 0, -SWEEP_CHUNK):
         lo = max(hi - SWEEP_CHUNK, 0)
         yield lo, hi, kind.sweep(tuple(layer[lo:hi] for layer in traj.layers), args[lo:hi], spec, pw[lo:hi])
@@ -958,7 +970,7 @@ def sweeps(spec, traj, schedule, task, pw):
 class _EmpiricalMoments:
     """Duck-typed stand-in for TaskMoments built from one batch."""
 
-    __slots__ = ("sigma_x", "sigma_xy", "sigma_y", "blocks")
+    __slots__ = ("sigma_x", "sigma_xy", "sigma_y", "blocks", "input_dim", "output_dim")
 
     def __init__(self, x, y, blocks=None):
         n = x.shape[0]
@@ -966,90 +978,76 @@ class _EmpiricalMoments:
         self.sigma_xy = x.T @ y / n
         self.sigma_y = y.T @ y / n
         self.blocks = blocks
+        self.input_dim, self.output_dim = x.shape[1], y.shape[1]
 
 
 def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval_batch=2048):
     """Stochastic twin of integrate(): batch estimates replace exact moments.
 
-    Linear kinds record the exact expected loss evaluated at the noisy
-    weights (a deterministic function of the iterate, so seed-to-seed spread
-    reflects weight noise only).  The nonlinear kind runs the true sampled
-    tanh network and records loss on a frozen evaluation batch, since its
-    expected loss has no closed form.
+    Each step's batch is drawn up front, in step order, from the generator of
+    `seed`.  The moment-driven kinds run integrate() over a task schedule of
+    the batches' moments, one per step, and record the exact expected loss
+    under `task` at the noisy weights (a deterministic function of the
+    iterate, so seed-to-seed spread reflects weight noise only), scored in
+    one pass.  The nonlinear kind runs the true sampled tanh network and
+    records loss on a frozen evaluation batch, since its expected loss has
+    no closed form.
 
     class_counts, when given, is an (n_steps, n_classes) integer array: each
     step's batch is drawn with exactly those per-class counts and the update
-    uses the plain uncontrolled kernel (batch composition is the control).
-    Each step takes the control slice of its run of step_runs.
+    uses the plain uncontrolled linear kernel (batch composition is the
+    control).  Each step takes the control slice of its run of step_runs.
     """
     from .tasks import sample_batch, sample_class_batch
 
-    schedule = _prepare_schedule(schedule)
-    if schedule is not None and schedule.kind == "init_weights":
-        state = initial_state(spec, override=schedule.values)
-    else:
-        state = initial_state(spec)
-    if isinstance(task, TaskSchedule):
-        raise UnsupportedOperationError("simulate_sgd does not support task switching")
-    rng = np.random.default_rng(seed)
+    if isinstance(task, TaskSchedule) or is_task_set(task):
+        raise UnsupportedOperationError("simulate_sgd samples one task: no task switching, no task set")
     n = spec.n_steps
-    scale = spec.dt / spec.tau_w
-    times = np.arange(n + 1) * spec.dt
-    losses = np.empty(n + 1)
-
-    nonlinear = spec.kind == "nonlinear_taylor"
-    if nonlinear:
-        f, fp, _ = _nonlin(spec.nonlinearity)
-        key = [int(s) for s in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
-        ex, ey = sample_batch(task, eval_batch, np.random.default_rng(key + [0x5EED]))
-
-        def score(state, ctrl):
-            g1, g2 = _gains(ctrl)
-            a_mat = state[0] if g1 is None else (1.0 + g1) * state[0]
-            b_mat = state[1] if g2 is None else (1.0 + g2) * state[1]
-            resid = ey - f(ex @ a_mat.T) @ b_mat.T
-            loss = 0.5 * float(np.mean(np.sum(resid * resid, axis=1)))
-            if spec.reg_lambda:
-                loss += 0.5 * spec.reg_lambda * sum(float(np.sum(np.square(w))) for w in state)
-            return loss
-
+    if class_counts is None and batch_size < 1:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    if class_counts is not None and _KIND_TABLE[spec.kind].step is not _linear_pair_rhs:
+        raise UnsupportedOperationError(f"class_counts drive a linear two-layer kind, not {spec.kind}")
+    if class_counts is not None and len(class_counts) != n:
+        raise ValueError(f"class_counts has {len(class_counts)} rows but dynamics run {n} steps")
+    schedule, state = _start(spec, schedule)
+    rng = np.random.default_rng(seed)
+    if class_counts is None:
+        batches = [sample_batch(task, batch_size, rng) for _ in range(n)]
     else:
+        batches = [sample_class_batch(task, counts, rng) for counts in class_counts]
 
-        def score(state, ctrl):
-            return expected_loss(state, ctrl, task, spec)
+    if spec.kind != "nonlinear_taylor":
+        moments = TaskSchedule([_EmpiricalMoments(x, y, task.blocks) for x, y in batches], 1, n)
+        rollout = (spec, schedule) if class_counts is None else (replace(spec, kind="two_layer_baseline"), None)
+        traj = integrate(*rollout, moments, state)
+        losses = _KIND_TABLE[spec.kind].losses(traj.layers, _state_args(spec, schedule, task), spec)
+        return Trajectory(traj.times, traj.layers, losses, spec.kind)
 
+    f, fp, _ = _nonlin(spec.nonlinearity)
+    key = [int(s) for s in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
+    ex, ey = sample_batch(task, eval_batch, np.random.default_rng(key + [0x5EED]))
+    lam, scale = spec.reg_lambda, spec.dt / spec.tau_w
     ctrls = [c for lo, hi, c, _ in step_runs(schedule, task, n) for _ in range(lo, hi)]
     states = [state]
-    for i, ctrl in enumerate(ctrls):
-        losses[i] = score(state, ctrl)
-        if class_counts is not None:
-            x, y = sample_class_batch(task, class_counts[i], rng)
-            emp = _EmpiricalMoments(x, y, blocks=task.blocks)
-            hs = _linear_pair_rhs(state, _KIND_TABLE["two_layer_baseline"].args(None, emp, spec))
-        elif nonlinear:
-            x, y = sample_batch(task, batch_size, rng)
-            g1, g2 = _gains(ctrl)
-            g1t = None if g1 is None else 1.0 + g1
-            g2t = None if g2 is None else 1.0 + g2
-            a_mat = state[0] if g1t is None else g1t * state[0]
-            b_mat = state[1] if g2t is None else g2t * state[1]
-            u = x @ a_mat.T
-            fu = f(u)
-            resid = y - fu @ b_mat.T
-            gb = resid.T @ fu / x.shape[0]
-            ga = ((resid @ b_mat) * fp(u)).T @ x / x.shape[0]
-            h1 = ga if g1t is None else ga * g1t
-            h2 = gb if g2t is None else gb * g2t
-            hs = (h1 - spec.reg_lambda * state[0], h2 - spec.reg_lambda * state[1])
-        else:
-            x, y = sample_batch(task, batch_size, rng)
-            hs = _rhs(spec, state, ctrl, _EmpiricalMoments(x, y, blocks=task.blocks))
-        state = tuple(w + scale * h for w, h in zip(state, hs))
+    for i, ((x, y), ctrl) in enumerate(zip(batches, ctrls)):
+        (a_mat, g1t), (b_mat, g2t) = (_gained(w, g) for w, g in zip(state, _gains(ctrl)))
+        u = x @ a_mat.T
+        fu = f(u)
+        resid = y - fu @ b_mat.T
+        grads = (((resid @ b_mat) * fp(u)).T @ x / x.shape[0], resid.T @ fu / x.shape[0])
+        hs = (h if gt is None else h * gt for h, gt in zip(grads, (g1t, g2t)))
+        state = tuple(w + scale * (h - lam * w) for w, h in zip(state, hs))
         _check_divergence(_one_step(state), i)
         states.append(state)
-    losses[n] = score(state, ctrls[-1])
-    layers = tuple(list(ws) if isinstance(ws[0], float) else np.array(ws) for ws in zip(*states))
-    return Trajectory(times=times, layers=layers, losses=losses, kind=spec.kind)
+
+    def score(state, ctrl):
+        a_mat, b_mat = (_gained(w, g)[0] for w, g in zip(state, _gains(ctrl)))
+        resid = ey - f(ex @ a_mat.T) @ b_mat.T
+        loss = 0.5 * float(np.mean(np.sum(resid * resid, axis=1)))
+        return loss + 0.5 * lam * sum(float(np.sum(np.square(w))) for w in state) if lam else loss
+
+    losses = np.array([score(s, c) for s, c in zip(states, ctrls + ctrls[-1:])])
+    return Trajectory(np.arange(n + 1) * spec.dt, tuple(np.array(ws) for ws in zip(*states)), losses, spec.kind)
 
 
 # --- closed forms -----------------------------------------------------------

@@ -326,6 +326,9 @@ def build(cfg):
     entry = _scenario(cfg.scenario)
     p = cfg.params
     try:
+        for key, least in _LEAST.items():
+            if key in p and int(p[key]) < least:
+                raise ValueError(f"{key} must be {'positive' if least else 'nonnegative'}, got {p[key]}")
         d, task = entry.task(replace(cfg.dynamics, init_seed=cfg.seed), p)
         task = dyn.TaskSet(task) if dyn.is_task_set(task) else task  # its moments stacked once
         # every task the run sees must fit the network: a schedule's, a task set's or the one task
@@ -610,12 +613,6 @@ def _neuron_task(d, p):
     return d, two_gaussian_moments(p["mu"], p["sigma"])
 
 
-def _sgd_task(d, p):
-    if int(p["stride"]) < 1:
-        raise ValueError(f"stride must be positive, got {p['stride']}")
-    return _neuron_task(d, p)
-
-
 def _switch_task(d, p):
     tasks = [_corr(p["task_a"], "task_a"), _corr(p["task_b"], "task_b")]
     return d, task_switch_schedule(tasks, int(p["switch_period"]), d.n_steps)
@@ -626,10 +623,6 @@ def _category_task(d, p):
 
 
 def _maml_task(d, p):
-    if int(p["steps_ahead"]) < 0:
-        raise ValueError(f"steps_ahead must be nonnegative (0 keeps the preset horizon), got {p['steps_ahead']}")
-    if int(p["eval_steps"]) < 1:
-        raise ValueError(f"eval_steps must be positive, got {p['eval_steps']}")
     if int(p["steps_ahead"]) > 0:
         d = replace(d, n_steps=int(p["steps_ahead"]))
     return d, [two_gaussian_moments(mu, s, name=f"pair{k}") for k, (mu, s) in enumerate(p["tasks"])]
@@ -638,6 +631,10 @@ def _maml_task(d, p):
 def _bilevel_task(d, p):
     return d, semantic_moments(int(p["levels"]))
 
+
+# least values of integer scenario parameters, checked by build() before the task
+# function runs (steps_ahead = 0 keeps the preset horizon)
+_LEAST = {"batch_size": 1, "n_seeds": 0, "stride": 1, "steps_ahead": 0, "eval_steps": 1}
 
 # params: defaults of the scenario's knobs (their types also type config-file
 # values); specs: the preset (DynamicsSpec, ValueSpec, OptimizerSpec);
@@ -776,7 +773,7 @@ _SCENARIOS = {
             ValueSpec(gamma=0.99, eta=1.0, cost=CostSpec("quadratic", beta=0.3)),
             OptimizerSpec(alpha_g=10.0, iters=20),
         ),
-        task=_sgd_task, control="scalar_series", summarize=_sum_sgd_validation,
+        task=_neuron_task, control="scalar_series", summarize=_sum_sgd_validation,
     ),
 }
 

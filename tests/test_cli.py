@@ -126,6 +126,11 @@ class TestConfigLoading:
             ("maml_multistep", "eval_steps=0", "eval_steps must be positive"),
             ("sgd_validation", "stride=0", "stride must be positive"),
             ("sgd_validation", "stride=-3", "stride must be positive"),
+            ("sgd_validation", "n_seeds=-1", "n_seeds must be nonnegative"),
+            ("sgd_validation", "batch_size=0", "batch_size must be positive"),
+            ("nonlinear_approx", "batch_size=0", "batch_size must be positive"),
+            ("class_proportion", "batch_size=0", "batch_size must be positive"),
+            ("class_proportion", "batch_size=-4", "batch_size must be positive"),
         ],
     )
     def test_a_scenario_parameter_out_of_range_is_a_config_error(self, name, param, message, tmp_path, capsys):

@@ -36,6 +36,7 @@ from learning_control.tasks import (
     compose_block_tasks,
     correlated_gaussian_moments,
     linear_regression_floor,
+    sample_batch,
     two_gaussian_moments,
 )
 
@@ -742,7 +743,118 @@ class TestNeuronFloatLoop:
         self.test_states_and_losses_equal_the_kind_table_roll()
 
 
+def sgd_case(kind):
+    """(spec, schedule, task, class_counts) of a 12-step sampled twin of `kind`, its controls drawn in bounds."""
+    rng = np.random.default_rng(len(kind))
+    n, seg = 12, 5
+    dims = {"single_neuron": (1, 1, 0), "engagement": (4, 4, 2)}.get(kind, (2, 2, 2))
+    spec = DynamicsSpec(kind=kind, input_dim=dims[0], output_dim=dims[1], hidden_dim=dims[2], dt=0.05, n_steps=n,
+                        reg_lambda=0.01, init_std=0.3, init_seed=3)
+    task, counts = pair_task(), None
+
+    def series(ctrl, *shapes, lo=-0.5, hi=1.0):
+        values = tuple(rng.uniform(lo, hi, (3, *s)) for s in shapes)
+        return ControlSchedule(kind=ctrl, values=values, n_steps=n, segment=seg, bounds=(lo, hi))
+
+    sched = None
+    if kind == "single_neuron":
+        task, sched = two_gaussian_moments(1.0, 1.0), series("scalar_series", ())
+    elif kind == "single_layer":
+        sched = series("matrix_pair_series", (2, 2))
+    elif kind in ("gain_mod", "nonlinear_taylor"):
+        sched = series("matrix_pair_series", (2, 2), (2, 2))
+    elif kind == "lr_mod":
+        sched = series("scalar_series", ())
+    elif kind == "engagement":
+        task, sched = compose_block_tasks([pair_task(0.8), pair_task(0.6)]), series("engagement_series", (2,), lo=0.0)
+    elif kind == "category_engagement":
+        task = class_mixture_moments(np.array([[1.5, 0.0], [0.0, 1.5]]), 0.3)
+        sched = series("category_series", (2,), lo=0.0)
+        counts = np.stack([rng.multinomial(16, [0.5, 0.5]) for _ in range(n)])
+    return spec, sched, task, counts
+
+
 class TestSampledTwin:
+    # recorded from the twin's own step loop, before the moment kinds ran through integrate
+    @pytest.mark.parametrize("kind, loss, final", [
+        ("single_neuron", 0.25074887505867177, [0.2802916777034583]),
+        ("single_layer", 0.3470247309717913,
+         [[[0.403594522004642, -0.17476036355678937], [-0.2387533192345907, 0.23389208757592148]]]),
+        ("two_layer_baseline", 0.33873109840682847,
+         [[[0.5901861968062692, -0.8244721634120793], [0.10607383685347078, -0.17021417025300056]],
+          [[0.38192515874724003, 0.0391548351649927], [-0.5800752857593029, -0.06618757378133752]]]),
+        ("gain_mod", 0.39004074877832456,
+         [[[0.5638412917109478, -0.6606841567365203], [0.11163220714556556, -0.15833537250213725]],
+          [[0.33476845868777255, 0.047475919370811456], [-0.37079770889239133, -0.04747256679631303]]]),
+        ("engagement", 1.367485234515897,
+         [[[0.5940454877775145, -0.7720319614186797, 0.11072521508299873, -0.18092678860621034],
+           [0.3043359396816447, -0.2060033430915868, -0.2493626031065411, -0.15470267020994877]],
+          [[0.15838028553417216, 0.8605649552497656], [-0.3406485963194681, -0.15310367758899526],
+           [-0.033475835625675965, -0.23830257288330012], [-0.27879440107112236, -0.1012721330404988]]]),
+        ("lr_mod", 0.3267209078003738,
+         [[[0.5927249391671403, -0.8311463040829962], [0.10577724041300257, -0.17082553966938552]],
+          [[0.41180602031380714, 0.044698348092968535], [-0.5778055067936074, -0.06607980852513475]]]),
+        ("category_engagement", 0.2981765711158858,  # with class_counts
+         [[[0.4687518966265249, -0.8174452271476139], [0.09074056139812547, -0.1755653891916805]],
+          [[0.1192291776725116, -0.013429106139959929], [-0.5547346305614115, -0.06104888487358087]]]),
+        ("nonlinear_taylor", 0.330798755522912,
+         [[[0.5295712985136507, -0.8250146590206], [0.12219849633369306, -0.18667725743607844]],
+          [[0.26580516901506485, 0.07778605566770737], [-0.6143393150551055, -0.11356693862446336]]]),
+    ])
+    def test_final_loss_and_weights_are_pinned(self, kind, loss, final):
+        spec, sched, task, counts = sgd_case(kind)
+        traj = simulate_sgd(spec, sched, task, 16, [5, 1], class_counts=counts, eval_batch=64)
+        assert traj.losses[-1] == loss
+        assert [w if isinstance(w, float) else w.tolist() for w in traj.states[-1]] == final
+
+    def test_category_kind_on_sampled_moments_equals_a_roll_through_the_one_step_api(self):
+        spec, task, sched = build(preset("class_proportion"))
+        sched = sched.with_values((np.random.default_rng(1).uniform(0.0, 2.0, sched.values[0].shape),))
+        traj = simulate_sgd(spec, sched, task, 16, 0)
+        rng, scale, n = np.random.default_rng(0), spec.dt / spec.tau_w, spec.n_steps
+        state = initial_state(spec)
+        states, losses = [state], []
+        for i in range(n):
+            emp = dynamics._EmpiricalMoments(*sample_batch(task, 16, rng), task.blocks)
+            losses.append(expected_loss(state, sched.at(i), task, spec))
+            state = tuple(w + scale * h for w, h in zip(state, _rhs(spec, state, sched.at(i), emp)))
+            states.append(state)
+        losses.append(expected_loss(state, sched.at(n - 1), task, spec))
+        assert traj.losses.tolist() == losses
+        assert all(np.array_equal(a, b) for s, t in zip(traj.states, states) for a, b in zip(s, t))
+
+    @pytest.mark.parametrize("rows", [11, 13])
+    def test_class_counts_need_one_row_per_step(self, rows):
+        spec, _, task, counts = sgd_case("category_engagement")
+        with pytest.raises(ValueError, match=f"class_counts has {rows} rows but dynamics run 12 steps"):
+            simulate_sgd(spec, None, task, 16, 0, class_counts=np.resize(counts, (rows, 2)))
+
+    def test_class_counts_need_a_linear_two_layer_kind(self):
+        spec, _, task, counts = sgd_case("category_engagement")
+        with pytest.raises(UnsupportedOperationError, match="class_counts drive a linear two-layer kind"):
+            simulate_sgd(replace(spec, kind="nonlinear_taylor"), None, task, 16, 0, class_counts=counts)
+
+    def test_a_task_set_is_unsupported(self):
+        spec, _, _, _ = sgd_case("two_layer_baseline")
+        with pytest.raises(UnsupportedOperationError, match="no task set"):
+            simulate_sgd(spec, None, [pair_task(0.8), pair_task(0.6)], 16, 0)
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_size_must_be_positive(self, batch):
+        spec, sched, task, _ = sgd_case("gain_mod")
+        with pytest.raises(ValueError, match=f"batch_size must be positive, got {batch}"):
+            simulate_sgd(spec, sched, task, batch, 0)
+
+    def test_an_out_of_bounds_schedule_warns_once(self):
+        spec, sched, task, _ = sgd_case("gain_mod")
+        wild = sched.with_values(tuple(3.0 * v for v in sched.values))
+        assert wild.out_of_bounds()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = simulate_sgd(spec, wild, task, 16, 0)
+        assert [str(w.message) for w in caught] == ["control schedule leaves its bounds; clamping for integration"]
+        np.testing.assert_array_equal(traj.losses, simulate_sgd(spec, wild.project(), task, 16, 0).losses)
+
     def test_same_seed_is_deterministic(self):
         spec = DynamicsSpec(kind="gain_mod", input_dim=2, output_dim=2, hidden_dim=3,
                             dt=0.05, n_steps=20, init_std=0.1, init_seed=3)
