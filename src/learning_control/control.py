@@ -191,8 +191,9 @@ class ControlSchedule:
 
     # --- serialization ------------------------------------------------------
 
-    def to_json(self):
-        doc = {
+    def to_doc(self):
+        """The schedule as a JSON document of lists, numbers and strings."""
+        return {
             "kind": self.kind,
             "n_steps": self.n_steps,
             "segment": self.segment,
@@ -200,7 +201,9 @@ class ControlSchedule:
             "shapes": [list(v.shape) for v in self.values],
             "values": [v.tolist() for v in self.values],
         }
-        return json.dumps(doc, indent=1)
+
+    def to_json(self):
+        return json.dumps(self.to_doc(), indent=1)
 
     @classmethod
     def from_json(cls, text):

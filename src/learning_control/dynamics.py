@@ -25,12 +25,12 @@ Control kinds and their knobs:
 Each kind is one entry of `_KIND_TABLE`.  A rollout is one buffer of packed
 rows [W1.ravel() | W2.ravel()] with a leading step axis, and its per-layer
 stacks are reshaped views of it (Python floats for the single neuron).  Only
-the recurrence loops per step in Python: `flow` makes, once per run of
-steps, the step h(w) on a packed row, and integrate writes w + (dt/tau) h
-straight into the next row.  The other slots act on a stack of steps:
-`losses` scores every state, and `sweep` is the reverse mode, whose
-construction does batched all that does not read the adjoint, leaving
-`adjoint(j, a)` as step j's recurrence on the packed adjoint row and
+the recurrence loops per step in Python: `flow` makes a pass's buffers once
+and, once per run of steps, the step h(w) on a packed row, and integrate
+writes w + (dt/tau) h straight into the next row.  The other slots act on a
+stack of steps: `losses` scores every state, and `sweep` is the reverse
+mode, whose construction does batched all that does not read the adjoint,
+leaving `adjoint(j, a)` as step j's recurrence on the packed adjoint row and
 `contract()` as the batched control VJPs.  Every pass -- the rollout, the
 sweeps, the sampled twin's score and the closed forms -- is cut by
 `step_runs` into runs, stretches of steps sharing one control slice and task
@@ -376,42 +376,48 @@ def _gather(args, *fields):
     })
 
 
-def _pair_flow(a, shapes, lead):
-    """The shared kernel at packed rows (*lead, K) under args `a`, its fixed buffers made once.
+def _pair_flows(shapes, lead):
+    """The shared kernel at packed rows (*lead, K): bind(a) gives its flow h(w) under args `a`.
 
-    Returns h(w), the flow boost (UP o G~ - lambda W) with UP = B^T E_d | E_d A^T,
-    every elementwise op done once on the packed row.  h.bufs holds what a call
-    leaves in the buffers: the gained maps A, B (views of G~ o W), x1 = A Sx,
-    the error E = Sxy^T - B x1, E_d = dvec o E, and UP.
+    Every h writes the buffers, made once here, in full before it reads them,
+    so one set serves every run of a pass.  h(w) is the flow boost
+    (UP o G~ - lambda W) with UP = B^T E_d | E_d A^T, every elementwise op
+    done once on the packed row.  h.bufs holds what a call leaves in the
+    buffers: the gained maps A, B (views of G~ o W), x1 = A Sx, the error
+    E = Sxy^T - B x1, E_d = dvec o E, and UP.
     """
     (hid, inp), (out, _) = shapes
     ab, up = np.empty((2, *lead, hid * inp + out * hid))
     (a_mat, b_mat), (up1, up2) = _split(ab, shapes), _split(up, shapes)
     a_t, b_t = _mT(a_mat), _mT(b_mat)
-    x1, err = np.empty((*lead, hid, inp)), np.empty((*lead, out, inp))
-    bx, err_d = np.empty_like(err), err if a.dcol is None else np.empty_like(err)
-    g, dcol, boost, sx, sxy_t, lam = a.g, a.dcol, a.boost, a.sx, a.sxy_t, a.lam
-    gains = 1.0 if g is None else g  # x * 1.0 is x: a copy
+    x1, err, bx, err_dcol = np.empty((*lead, hid, inp)), *np.empty((3, *lead, out, inp))
 
-    def flow(w):
-        np.multiply(gains, w, out=ab)
-        np.matmul(a_mat, sx, out=x1)
-        np.matmul(b_mat, x1, out=bx)
-        np.subtract(sxy_t, bx, out=err)
-        if dcol is not None:
-            np.multiply(dcol, err, out=err_d)
-        np.matmul(b_t, err_d, out=up1)
-        np.matmul(err_d, a_t, out=up2)
-        p = (up if g is None else up * g) - lam * w
-        return p if boost is None else boost * p
+    def bind(a):
+        g, dcol, boost, sx, sxy_t, lam = a.g, a.dcol, a.boost, a.sx, a.sxy_t, a.lam
+        gains = 1.0 if g is None else g  # x * 1.0 is x: a copy
+        err_d = err if dcol is None else err_dcol
 
-    flow.bufs = a_mat, b_mat, x1, err, err_d, up
-    return flow
+        def flow(w):
+            np.multiply(gains, w, out=ab)
+            np.matmul(a_mat, sx, out=x1)
+            np.matmul(b_mat, x1, out=bx)
+            np.subtract(sxy_t, bx, out=err)
+            if dcol is not None:
+                np.multiply(dcol, err, out=err_d)
+            np.matmul(b_t, err_d, out=up1)
+            np.matmul(err_d, a_t, out=up2)
+            p = (up if g is None else up * g) - lam * w
+            return p if boost is None else boost * p
+
+        flow.bufs = a_mat, b_mat, x1, err, err_d, up
+        return flow
+
+    return bind
 
 
 def _linear_pair_rhs(state, a):
     """One step's flow of the linear two-layer kinds, layer by layer: the kernel at the state's packed row."""
-    return _split(_pair_flow(a, _shapes(state), ())(_pack(state)), _shapes(state))
+    return _split(_pair_flows(_shapes(state), ())(a)(_pack(state)), _shapes(state))
 
 
 def _pair_losses(layers, args, spec):
@@ -444,7 +450,7 @@ class _PairSweep:
         self.args, self.control_vjp, self.shapes = args, control_vjp, _shapes(layers)
         self.scale, self.neg_lam = spec.dt / spec.tau_w, -a.lam
         w = self.w = _pack(layers)
-        flow = _pair_flow(a._replace(boost=None), self.shapes, w.shape[:-1])
+        flow = _pair_flows(self.shapes, w.shape[:-1])(a._replace(boost=None))
         self.p = flow(w)
         a_mat, b_mat, x1, self.err, err_d, self.up = flow.bufs
         # the map ignores dvec and rate; b^T (-err) is -(b^T err) bit for bit
@@ -470,7 +476,7 @@ class _PairSweep:
         np.add(b_mat @ u1b, u2b @ a_mat, out=edb)
         eb = edb if dcol is None else dcol * edb
         np.subtract(err_d @ u1b_t, eb @ x1_t, out=bb)
-        np.add(u2b_t @ err_d, -(b_t @ eb) @ sx, out=ab)
+        np.subtract(u2b_t @ err_d, (b_t @ eb) @ sx, out=ab)
         return self.neg_lam * gp + (abb if g is None else abb * g), lw
 
     def adjoint(self, j, a):
@@ -503,7 +509,7 @@ def _pair_kind(channels, control_vjp=None):
         return _PairArgs(*channels(control, task), task.sigma_x, task.sigma_xy.T, float(task.sigma_y.trace()),
                          spec.reg_lambda, control, task)
 
-    return _Kind(2, args, _linear_pair_rhs, _pair_flow, _pair_losses,
+    return _Kind(2, args, _linear_pair_rhs, _pair_flows, _pair_losses,
                  lambda layers, a, spec, pw: _PairSweep(layers, a, spec, pw, control_vjp))
 
 
@@ -690,7 +696,7 @@ def _taylor_backward(state, control, task, spec, a_next):
 # --- the kind table ---------------------------------------------------------
 
 # One dynamics kind: its layer count and the slots the module docstring describes:
-# step(state, args) is h of one step, shaped like the state; flow(args, shapes, lead) a run's h on packed rows.
+# step(state, args) is h of one step, shaped like the state; flow(shapes, lead)(args) a run's h on packed rows.
 _Kind = namedtuple("_Kind", "layers args step flow losses sweep")
 
 
@@ -734,7 +740,7 @@ def _stepwise_kind(layers, loss, rhs, backward):
         layers,
         lambda control, task, spec: (control, task, spec),
         lambda state, a: rhs(state, *a),
-        lambda a, shapes, lead: lambda w: _pack(rhs(_split(w, shapes), *a)),
+        lambda shapes, lead: lambda a: lambda w: _pack(rhs(_split(w, shapes), *a)),
         lambda stack, args, spec: np.array([loss(s, *a) for s, a in zip(zip(*stack), args)]),
         lambda stack, args, spec, pw: _StepSweep(backward, stack, args, spec, pw),
     )
@@ -934,7 +940,8 @@ def integrate(spec, schedule, task, state0=None):
     rows = np.empty((n + 1, *batch, sum(w.size for w in state)))
     rows[0] = _pack(state)  # a task set's start, one per task
     layers = _split(rows, shapes)
-    flows = _per_step(runs, [kind.flow(a, shapes, batch) for a in args])
+    bind = kind.flow(shapes, batch)
+    flows = _per_step(runs, [bind(a) for a in args])
     # checked once per block of steps: a diverging rollout runs on to the end
     # of its block, where overflow is expected and kept silent
     with np.errstate(over="ignore", invalid="ignore"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import ControlSchedule, segment_sumsq
+from .control import segment_sumsq
 from .errors import ConfigError, DataFormatError
 from .idx import _emit as _emit17
 from .value import segment_costs
@@ -22,15 +22,29 @@ TRAJECTORY_COLUMNS = ("step", "time", "loss", "reward", "cost", "net_reward", "w
 TRACE_COLUMNS = ("iter", "V", "grad_norm", "alpha_used", "ms")
 
 
-def _f(x):
-    return format(float(x), ".17g")
+_BLOCK = 256  # rows per write: neither the file's text nor a table of all its rows is held in memory
+
+
+def _write_rows(path, header, columns):
+    """A CSV of the `header` line and one CRLF line per row of `columns`, a tuple of float columns.
+
+    Column 0 (the step or iteration) is written as an int and the rest with
+    17 significant digits, as csv.writer would write them: no cell needs quoting.
+    """
+    row = "%d" + ",%.17g" * (len(header) - 1) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), _BLOCK):
+            block = np.column_stack([c[lo : lo + _BLOCK] for c in columns]).tolist()
+            fh.write("".join([row % tuple(r) for r in block]))
+    return path
 
 
 def _norms(layer):
-    """L1 and L2 norms of every entry of a layer stack, as lists of floats."""
+    """L1 and L2 norms of every entry of a layer stack, one per step."""
     arr = np.asarray(layer, dtype=float)
     axes = tuple(range(1, arr.ndim))
-    return abs(arr).sum(axis=axes).tolist(), np.sqrt((arr * arr).sum(axis=axes)).tolist()
+    return abs(arr).sum(axis=axes), np.sqrt((arr * arr).sum(axis=axes))
 
 
 def write_trajectory_csv(path, traj, schedule=None, vspec=None):
@@ -46,35 +60,24 @@ def write_trajectory_csv(path, traj, schedule=None, vspec=None):
     eta = vspec.eta if vspec is not None else 1.0
     # one cost and one control norm per segment, which the rows index
     seg = schedule.segment if usable else n
-    costs = norms = [0.0]
+    costs = norms = np.zeros(1)
     if usable:
-        norms = np.sqrt(segment_sumsq(schedule.values)).tolist()
-        costs = segment_costs(schedule.values, vspec.cost).tolist() if vspec is not None else [0.0] * len(norms)
+        norms = np.sqrt(segment_sumsq(schedule.values))
+        costs = segment_costs(schedule.values, vspec.cost) if vspec is not None else np.zeros_like(norms)
+    k = np.minimum(np.arange(n + 1), n - 1) // seg
     # one pass per layer; a network without a second layer has zero norms there
-    l1_1, l2_1 = _norms(traj.layers[0])
-    l1_2, l2_2 = _norms(traj.layers[1]) if len(traj.layers) > 1 else ([0.0] * (n + 1),) * 2
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(TRAJECTORY_COLUMNS)
-        for i in range(n + 1):
-            k = min(i, n - 1) // seg
-            cost = costs[k]
-            loss = float(traj.losses[i])
-            reward = -eta * loss
-            out.writerow(
-                [i, _f(traj.times[i]), _f(loss), _f(reward), _f(cost), _f(reward - cost),
-                 _f(l1_1[i]), _f(l2_1[i]), _f(l1_2[i]), _f(l2_2[i]), _f(norms[k])]
-            )
-    return path
+    second = _norms(traj.layers[1]) if len(traj.layers) > 1 else (np.zeros(n + 1),) * 2
+    with np.errstate(over="ignore", invalid="ignore"):  # nan and inf pass through, as Python floats do
+        reward = -eta * np.asarray(traj.losses, dtype=float)
+        cost = costs[k]
+        columns = (np.arange(n + 1), traj.times, traj.losses, reward, cost, reward - cost,
+                   *_norms(traj.layers[0]), *second, norms[k])
+    return _write_rows(path, TRAJECTORY_COLUMNS, columns)
 
 
 def write_trace_csv(path, trace):
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(TRACE_COLUMNS)
-        for k in range(len(trace.V)):
-            out.writerow([k, _f(trace.V[k]), _f(trace.grad_norm[k]), _f(trace.alpha_used[k]), _f(trace.wall_ms[k])])
-    return path
+    columns = (np.arange(len(trace.V)), trace.V, trace.grad_norm, trace.alpha_used, trace.wall_ms)
+    return _write_rows(path, TRACE_COLUMNS, columns)
 
 
 def _config_doc(cfg):
@@ -111,11 +114,8 @@ def write_result_json(path, result, cfg):
 
 
 def write_schedule_json(path, schedule):
-    import json
-
-    doc = json.loads(schedule.to_json())
     with open(path, "w") as fh:
-        fh.write(_emit17(doc) + "\n")
+        fh.write(_emit17(schedule.to_doc()) + "\n")
     return path
 
 

@@ -5,6 +5,7 @@ written twice must come out byte-identical, because diffability is part of
 the contract here.
 """
 
+import csv
 import json
 import os
 import re
@@ -14,12 +15,14 @@ import numpy as np
 import pytest
 
 from learning_control.configio import KEYS, parse_config
-from learning_control.control import ControlSchedule, init_weights_control
+from learning_control.control import ControlSchedule, init_weights_control, segment_sumsq
 from learning_control.dynamics import Trajectory
 from learning_control.errors import ConfigError, DataFormatError
+from learning_control.idx import _emit
 from learning_control.experiments import override_param, preset, run
 from learning_control.optimizer import OptTrace
 from learning_control.reporting import (
+    _BLOCK,
     TRACE_COLUMNS,
     TRAJECTORY_COLUMNS,
     ChartSpec,
@@ -28,10 +31,11 @@ from learning_control.reporting import (
     render_chart,
     write_result_json,
     write_run_outputs,
+    write_schedule_json,
     write_trace_csv,
     write_trajectory_csv,
 )
-from learning_control.value import CostSpec, ValueSpec
+from learning_control.value import CostSpec, ValueSpec, segment_costs
 
 
 def toy_traj():
@@ -107,6 +111,147 @@ class TestTraceCsv:
         np.testing.assert_array_equal(cols["iter"], [0.0, 1.0])
         np.testing.assert_array_equal(cols["V"], [1.0, 2.5])
         np.testing.assert_array_equal(cols["alpha_used"], [0.0, 1.5])
+
+
+# --- the csv-module writers the row writer replaced, kept as the byte reference ---
+
+
+def _f(x):
+    return format(float(x), ".17g")
+
+
+def _norms(layer):
+    """L1 and L2 norms of every entry of a layer stack, as lists of floats."""
+    arr = np.asarray(layer, dtype=float)
+    axes = tuple(range(1, arr.ndim))
+    return abs(arr).sum(axis=axes).tolist(), np.sqrt((arr * arr).sum(axis=axes)).tolist()
+
+
+def reference_trajectory_csv(path, traj, schedule=None, vspec=None):
+    n = traj.n_steps
+    usable = schedule is not None and schedule.kind != "init_weights" and schedule.n_steps == n
+    eta = vspec.eta if vspec is not None else 1.0
+    # one cost and one control norm per segment, which the rows index
+    seg = schedule.segment if usable else n
+    costs = norms = [0.0]
+    if usable:
+        norms = np.sqrt(segment_sumsq(schedule.values)).tolist()
+        costs = segment_costs(schedule.values, vspec.cost).tolist() if vspec is not None else [0.0] * len(norms)
+    # one pass per layer; a network without a second layer has zero norms there
+    l1_1, l2_1 = _norms(traj.layers[0])
+    l1_2, l2_2 = _norms(traj.layers[1]) if len(traj.layers) > 1 else ([0.0] * (n + 1),) * 2
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(TRAJECTORY_COLUMNS)
+        for i in range(n + 1):
+            k = min(i, n - 1) // seg
+            cost = costs[k]
+            loss = float(traj.losses[i])
+            reward = -eta * loss
+            out.writerow(
+                [i, _f(traj.times[i]), _f(loss), _f(reward), _f(cost), _f(reward - cost),
+                 _f(l1_1[i]), _f(l2_1[i]), _f(l1_2[i]), _f(l2_2[i]), _f(norms[k])]
+            )
+    return path
+
+
+def reference_trace_csv(path, trace):
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(TRACE_COLUMNS)
+        for k in range(len(trace.V)):
+            out.writerow([k, _f(trace.V[k]), _f(trace.grad_norm[k]), _f(trace.alpha_used[k]), _f(trace.wall_ms[k])])
+    return path
+
+
+EDGES = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e22, 3.0, -7.0, 0.1]
+
+
+def edged(rng, shape):
+    """Random floats with the edge values in their first entries."""
+    x = rng.standard_normal(shape).ravel()
+    x[: len(EDGES)] = EDGES[: x.size]
+    return x.reshape(shape)
+
+
+def pair_traj(rng, n, shapes=((4, 2), (2, 4)), kind="gain_mod"):
+    return Trajectory(np.arange(n + 1) * 0.01, tuple(edged(rng, (n + 1, *s)) for s in shapes),
+                      edged(rng, n + 1), kind)
+
+
+def assert_same_bytes(write, reference, tmp_path, *args):
+    # nan and inf rewards and costs are the point here, not a fault
+    with np.errstate(all="ignore"):
+        write(tmp_path / "new.csv", *args)
+        reference(tmp_path / "ref.csv", *args)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestWritersMatchTheCsvModule:
+    """The row writer gives the bytes csv.writer gave, on every column source and edge value."""
+
+    @pytest.mark.parametrize("vspec", [TOY_VSPEC, None])
+    def test_single_neuron_with_list_layers(self, tmp_path, vspec):
+        for sched in (toy_schedule(), None):
+            assert_same_bytes(write_trajectory_csv, reference_trajectory_csv, tmp_path, toy_traj(), sched, vspec)
+
+    def test_edge_values_in_every_column(self, tmp_path):
+        rng = np.random.default_rng(0)
+        traj = pair_traj(rng, 20)
+        traj.times[: len(EDGES)] = EDGES
+        sched = ControlSchedule("matrix_pair_series", (edged(rng, (7, 4, 2)), rng.standard_normal((7, 2, 4))), 20, 3)
+        vspec = ValueSpec(gamma=0.9, eta=1e22, cost=CostSpec("quadratic", beta=0.5))
+        assert_same_bytes(write_trajectory_csv, reference_trajectory_csv, tmp_path, traj, sched, vspec)
+
+    def test_one_layer(self, tmp_path):
+        rng = np.random.default_rng(1)
+        traj = pair_traj(rng, 30, shapes=((3, 5),), kind="single_layer")
+        sched = ControlSchedule("matrix_pair_series", (rng.standard_normal((6, 3, 5)),), 30, 5)
+        assert_same_bytes(write_trajectory_csv, reference_trajectory_csv, tmp_path, traj, sched, TOY_VSPEC)
+
+    def test_two_layer_under_each_cost(self, tmp_path):
+        rng = np.random.default_rng(2)
+        traj = pair_traj(rng, 40)
+        sched = ControlSchedule("scalar_series", (rng.standard_normal(14),), 40, 3)
+        for cost in (CostSpec("none"), CostSpec("quadratic", beta=0.3), CostSpec("exp_frobenius", beta=0.2)):
+            vspec = ValueSpec(gamma=1.0, eta=3, cost=cost)
+            assert_same_bytes(write_trajectory_csv, reference_trajectory_csv, tmp_path, traj, sched, vspec)
+
+    def test_each_task_of_a_task_set(self, tmp_path):
+        rng = np.random.default_rng(3)
+        stacked = Trajectory(np.arange(6) * 0.1, (rng.standard_normal((6, 3, 4, 2)), rng.standard_normal((6, 3, 2, 4))),
+                             rng.standard_normal((6, 3)), "two_layer_baseline")
+        for traj in stacked.per_task():
+            assert_same_bytes(write_trajectory_csv, reference_trajectory_csv, tmp_path, traj, None, TOY_VSPEC)
+
+    def test_schedules_that_label_no_rows(self, tmp_path):
+        rng = np.random.default_rng(4)
+        traj = pair_traj(rng, 12)
+        for sched in (None, init_weights_control((np.ones((4, 2)), np.ones((2, 4)))),
+                      ControlSchedule.neutral("scalar_series", 13, segment=2)):
+            assert_same_bytes(write_trajectory_csv, reference_trajectory_csv, tmp_path, traj, sched, TOY_VSPEC)
+
+    @pytest.mark.parametrize("rows", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 37])
+    def test_row_counts_around_the_block_size(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        if rows > 1:
+            traj = pair_traj(rng, rows - 1)
+            sched = ControlSchedule("scalar_series", (rng.standard_normal(-(-(rows - 1) // 10)),), rows - 1, 10)
+            assert_same_bytes(write_trajectory_csv, reference_trajectory_csv, tmp_path, traj, sched, TOY_VSPEC)
+        trace = OptTrace(V=edged(rng, rows).tolist(), grad_norm=rng.random(rows).tolist(),
+                         alpha_used=[0, *rng.random(rows - 1).tolist()], wall_ms=rng.random(rows).tolist())
+        assert_same_bytes(write_trace_csv, reference_trace_csv, tmp_path, trace)
+
+    def test_empty_trace(self, tmp_path):
+        assert_same_bytes(write_trace_csv, reference_trace_csv, tmp_path, OptTrace())
+
+    @pytest.mark.parametrize("bounds", [None, (0, 2), (-np.inf, np.inf)])
+    def test_schedule_json_skips_the_json_round_trip(self, tmp_path, bounds):
+        rng = np.random.default_rng(5)
+        values = (edged(rng, (5, 4, 2)), rng.standard_normal((5, 2, 4)))
+        sched = ControlSchedule("matrix_pair_series", values, 13, 3, bounds=bounds)
+        write_schedule_json(tmp_path / "schedule.json", sched)
+        assert (tmp_path / "schedule.json").read_text() == _emit(json.loads(sched.to_json())) + "\n"
 
 
 class TestReadCsvColumns:
