@@ -54,7 +54,9 @@ the loops keep.  A stack runs the same products and reductions on the same
 operands as its steps one at a time, so it gives their bits.  A task set
 (same-shape tasks from one start; a TaskSet stacks their moments once) is
 one rollout on a batch axis after the step axis, with a lone task's bits
-per task.  Kinds without a stack kernel roll it out one task at a time.
+per task: its products take np.matmul (ndarray.dot does not broadcast), a
+lone task's the cheaper ndarray.dot, and both make the same BLAS call.
+Kinds without a stack kernel roll it out one task at a time.
 """
 
 import warnings
@@ -384,13 +386,17 @@ def _pair_flows(shapes, lead):
     (UP o G~ - lambda W) with UP = B^T E_d | E_d A^T, every elementwise op
     done once on the packed row.  h.bufs holds what a call leaves in the
     buffers: the gained maps A, B (views of G~ o W), x1 = A Sx, the error
-    E = Sxy^T - B x1, E_d = dvec o E, and UP.
+    E = Sxy^T - B x1, E_d = dvec o E, and UP.  The four products go through
+    ndarray.dot at a lone row (no `lead`) and np.matmul over batch axes,
+    which dot does not broadcast.  Both make the same BLAS call, so the
+    bits agree, and dot costs about a third of matmul's ufunc dispatch.
     """
     (hid, inp), (out, _) = shapes
     ab, up = np.empty((2, *lead, hid * inp + out * hid))
     (a_mat, b_mat), (up1, up2) = _split(ab, shapes), _split(up, shapes)
     a_t, b_t = _mT(a_mat), _mT(b_mat)
     x1, err, bx, err_dcol = np.empty((*lead, hid, inp)), *np.empty((3, *lead, out, inp))
+    mm = np.matmul if lead else np.ndarray.dot
 
     def bind(a):
         g, dcol, boost, sx, sxy_t, lam = a.g, a.dcol, a.boost, a.sx, a.sxy_t, a.lam
@@ -399,13 +405,13 @@ def _pair_flows(shapes, lead):
 
         def flow(w):
             np.multiply(gains, w, out=ab)
-            np.matmul(a_mat, sx, out=x1)
-            np.matmul(b_mat, x1, out=bx)
+            mm(a_mat, sx, x1)
+            mm(b_mat, x1, bx)
             np.subtract(sxy_t, bx, out=err)
             if dcol is not None:
                 np.multiply(dcol, err, out=err_d)
-            np.matmul(b_t, err_d, out=up1)
-            np.matmul(err_d, a_t, out=up2)
+            mm(b_t, err_d, up1)
+            mm(err_d, a_t, up2)
             p = (up if g is None else up * g) - lam * w
             return p if boost is None else boost * p
 
@@ -440,9 +446,11 @@ class _PairSweep:
     row a of state j+1, and keeps a, the gained maps' adjoints and the
     error's in per-stack arrays.  adjoint(j, a) is step j's recurrence,
     a + scale [dh/dW]^T a - pw_j dL/dW, which subtracts nothing at pw_j = 0.
-    Once every step is swept, contract() returns the control VJPs and loss
-    gradients as tuples of stacks, None where the control has none, summed
-    over a task set's batch axis.
+    Its seven products (dot or matmul, as in _pair_flows) write into the
+    destination rows and `tmp`, made once per sweep.  Once every step is
+    swept, contract() returns the control VJPs and loss gradients as tuples
+    of stacks, None where the control has none, summed over a task set's
+    batch axis.
     """
 
     def __init__(self, layers, args, spec, pw, control_vjp):
@@ -459,6 +467,9 @@ class _PairSweep:
         self.lg = None if a.g is None else _split(la * w, self.shapes)
         self.pl = [None if p == 0.0 else r for p, r in zip(pw.tolist(), pw.reshape(-1, *(1,) * (w.ndim - 1)) * lw)]
         self.sa, self.sabb, self.edb = np.empty_like(w), np.empty_like(w), np.empty_like(self.err)
+        lead, ((hid, inp), (out, _)) = w.shape[1:-1], self.shapes
+        self.mm = np.matmul if lead else np.ndarray.dot
+        self.tmp = np.empty((*lead, out, inp)), np.empty((*lead, out, hid)), *np.empty((2, *lead, hid, inp))
         ub = np.empty(w.shape[1:])
         self.ub = (ub, *_split(ub, self.shapes), *(_mT(u) for u in _split(ub, self.shapes)))
         k = len(w)
@@ -470,13 +481,14 @@ class _PairSweep:
     def vjp(self, j, a):
         a_mat, b_mat, b_t, x1_t, err_d, lw, abb, ab, bb, edb, g, boost, dcol, sx = self.rows[j]
         ub, u1b, u2b, u1b_t, u2b_t = self.ub
+        mm, (te, tb, ta, tas) = self.mm, self.tmp
         self.sa[j] = a
         gp = a if boost is None else boost * a
         np.multiply(gp, 1.0 if g is None else g, out=ub)  # x * 1.0 is x: a copy
-        np.add(b_mat @ u1b, u2b @ a_mat, out=edb)
+        np.add(mm(b_mat, u1b, edb), mm(u2b, a_mat, te), out=edb)
         eb = edb if dcol is None else dcol * edb
-        np.subtract(err_d @ u1b_t, eb @ x1_t, out=bb)
-        np.subtract(u2b_t @ err_d, (b_t @ eb) @ sx, out=ab)
+        np.subtract(mm(err_d, u1b_t, bb), mm(eb, x1_t, tb), out=bb)
+        np.subtract(mm(u2b_t, err_d, ab), mm(mm(b_t, eb, ta), sx, tas), out=ab)
         return self.neg_lam * gp + (abb if g is None else abb * g), lw
 
     def adjoint(self, j, a):

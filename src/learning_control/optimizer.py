@@ -38,7 +38,8 @@ class OptimizerSpec:
 
     alpha_g is the base step size, iters the number of updates, update_rule
     one of {plain, adaptive_moments}.  max_halvings caps the backtracking
-    halvings per update; beta1, beta2 and eps configure adaptive_moments.
+    halvings per update (nonnegative); beta1 and beta2, both in [0, 1), and
+    eps > 0 configure adaptive_moments.
     The float fields are stored as floats whatever numeric type they are given.
     """
 
@@ -60,6 +61,13 @@ class OptimizerSpec:
             raise ValueError("alpha_g must be positive")
         if self.iters < 0:
             raise ValueError("iters must be nonnegative")
+        if self.max_halvings < 0:
+            raise ValueError("max_halvings must be nonnegative")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError("eps must be positive")
 
 
 @dataclass

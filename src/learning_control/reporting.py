@@ -123,11 +123,17 @@ def write_run_outputs(result, cfg):
     """Write the full output bundle; returns the directory used.
 
     Refuses to reuse an existing directory unless cfg.force is set (the CLI
-    surfaces that as an I/O error and tells the user about --force).
+    surfaces that as an I/O error and tells the user about --force).  With
+    force, the trajectory CSVs of an earlier bundle are removed first, since
+    their names depend on the scenario; other files stay.
     """
     out = os.path.join(cfg.out_dir, cfg.run_name) if cfg.run_name else cfg.out_dir
-    if os.path.exists(out) and not cfg.force:
-        raise FileExistsError(f"output directory '{out}' exists; pass --force to overwrite")
+    if os.path.exists(out):
+        if not cfg.force:
+            raise FileExistsError(f"output directory '{out}' exists; pass --force to overwrite")
+        for name in os.listdir(out):
+            if name.startswith(("baseline", "controlled", "sgd_")) and name.endswith(".csv"):
+                os.remove(os.path.join(out, name))
     os.makedirs(out, exist_ok=True)
     write_result_json(os.path.join(out, "result.json"), result, cfg)
     write_schedule_json(os.path.join(out, "schedule.json"), result.schedule)

@@ -109,6 +109,27 @@ class TestConfigLoading:
         assert field == value and type(field) is type(value)
 
     @pytest.mark.parametrize(
+        "name, key, value, message",
+        [
+            ("single_neuron_effort", "max_halvings", "-1", "max_halvings must be nonnegative"),
+            ("task_engagement", "beta1", "1.0", "beta1 must lie in [0, 1)"),
+            ("task_engagement", "beta1", "-0.5", "beta1 must lie in [0, 1)"),
+            ("task_engagement", "beta2", "1.0", "beta2 must lie in [0, 1)"),
+            ("task_engagement", "beta2", "1.5", "beta2 must lie in [0, 1)"),
+            ("task_engagement", "eps", "0", "eps must be positive"),
+            ("task_engagement", "eps", "-1e-8", "eps must be positive"),
+        ],
+    )
+    def test_an_optimizer_field_out_of_range_is_a_config_error(self, name, key, value, message, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"[scenario]\nname = {name}\n[optimizer]\n{key} = {value}\n")
+        for argv in (["run", "--preset", name, "-p", f"optimizer.{key}={value}"], ["run", "--config", str(cfg_file)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"invalid configuration: {message}" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "name, param, message",
         [
             ("single_neuron_effort", "segment=-1", "segment must be positive"),

@@ -5,6 +5,7 @@ against an independent computation (explicit arithmetic, an eigenbasis
 solution, a finite difference, or a sampled twin), never against itself.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -37,6 +38,7 @@ from learning_control.tasks import (
     correlated_gaussian_moments,
     linear_regression_floor,
     sample_batch,
+    semantic_moments,
     two_gaussian_moments,
 )
 
@@ -1103,3 +1105,89 @@ class TestConstantControlsRescaleTime:
                          None, task, state0=start)
         effective = tuple((1 + g) * layer for layer in gained.layers)
         assert _relative_gap((effective, gained.losses), base) < 1e-12
+
+
+def _layouts(rng, rows, cols):
+    """A rows x cols operand in each layout the pair kernel passes: C order, a transposed view,
+    a slice of a packed row (at an offset) and a transposed slice of one."""
+    return {
+        "C": rng.standard_normal((rows, cols)),
+        "T": rng.standard_normal((cols, rows)).T,
+        "row": rng.standard_normal(3 + rows * cols)[3:].reshape(rows, cols),
+        "row.T": rng.standard_normal(5 + rows * cols)[5:].reshape(cols, rows).T,
+    }
+
+
+class TestDotMatchesMatmul:
+    """The pair kernel multiplies lone rows with ndarray.dot and a task set's with np.matmul.
+
+    Both make the same BLAS call, so a task set keeps a lone task's bits.  If a
+    numpy or BLAS upgrade breaks that, these fail instead of preset bits moving.
+    Sizes run to 15, the largest layer dimension of the presets (lr_bilevel's 15 x 8).
+    """
+
+    @pytest.mark.parametrize("m", range(1, 16))
+    def test_every_layout_up_to_the_largest_preset_layer(self, m):
+        rng = np.random.default_rng(m)
+        for n in range(1, 16):
+            for p in range(1, 16):
+                for (ka, a), (kb, b) in itertools.product(_layouts(rng, m, n).items(), _layouts(rng, n, p).items()):
+                    got, want = np.empty((m, p)), np.empty((m, p))
+                    assert np.ndarray.dot(a, b, got) is got
+                    assert np.array_equal(got, np.matmul(a, b, want)), (m, n, p, ka, kb)
+
+    @pytest.mark.parametrize("m", range(1, 16))
+    def test_a_matrix_times_its_own_transpose(self, m):
+        rng = np.random.default_rng(100 + m)
+        for n in range(1, 16):
+            for a in _layouts(rng, m, n).values():
+                got, want = np.empty((m, m)), np.empty((m, m))
+                assert np.array_equal(np.ndarray.dot(a, a.T, got), np.matmul(a, a.T, want)), (m, n)
+
+
+def closed_form_two_layer_modes(s, u0, times, tau):
+    """Mode strengths u(t) = s e^{2st/tau} / (e^{2st/tau} - 1 + s/u0) of a two-layer linear net.
+
+    Saxe, McClelland & Ganguli (2014, arXiv:1312.6120): gradient flow from a
+    balanced start aligned with the SVD of Sxy^T, with Sx = I and no weight
+    decay, keeps the modes decoupled, each a logistic curve.  Rows are times.
+    """
+    e = np.exp(2.0 * np.outer(times, s) / tau)
+    return s * e / (e - 1.0 + s / u0)
+
+
+class TestTwoLayerModesClosedForm:
+    """Euler on the two-layer kernel converges to the exact mode dynamics at first order."""
+
+    U0, TAU, T = 0.01, 1.0, 6.0
+
+    def rollout(self, dt):
+        """(times, mode strengths U^T (W2 W1) V, largest off-mode entry) of a balanced, aligned start."""
+        task = semantic_moments(3)  # 4 items, 7 features; singular values sqrt 7, sqrt 3, 1, 1
+        u, s, vt = np.linalg.svd(task.sigma_xy.T, full_matrices=False)
+        spec = DynamicsSpec(kind="two_layer_baseline", input_dim=4, output_dim=7, hidden_dim=len(s),
+                            tau_w=self.TAU, dt=dt, n_steps=round(self.T / dt))
+        start = (math.sqrt(self.U0) * vt, math.sqrt(self.U0) * u)  # W2 W1 = U (u0 I) V^T, W1 W1^T = W2^T W2
+        traj = integrate(spec, None, task, state0=start)
+        maps = traj.layers[1] @ traj.layers[0]
+        modes = u.T @ maps @ vt.T
+        off = np.abs(modes - modes * np.eye(len(s))).max()
+        return traj.times, np.diagonal(modes, axis1=1, axis2=2), s, off
+
+    def test_the_task_and_start_fit_the_closed_form(self):
+        task = semantic_moments(3)
+        assert np.array_equal(task.sigma_x, np.eye(4))
+        times, modes, s, off = self.rollout(0.02)
+        np.testing.assert_allclose(modes[0], self.U0, rtol=1e-14)
+        assert off < 1e-12  # the modes stay decoupled along the Euler path
+        np.testing.assert_allclose(modes[-1], s, rtol=1e-3)  # every mode is learned by T
+
+    def test_euler_converges_at_first_order(self):
+        errors = []
+        for dt in (0.02, 0.01):
+            times, modes, s, off = self.rollout(dt)
+            k = round(0.02 / dt)  # compare on the coarse grid
+            errors.append(np.abs(modes[::k] - closed_form_two_layer_modes(s, self.U0, times[::k], self.TAU)).max())
+            assert off < 1e-12
+        assert errors[1] < 0.04
+        assert 1.9 < errors[0] / errors[1] < 2.1

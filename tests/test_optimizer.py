@@ -43,8 +43,30 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="alpha_g"):
             OptimizerSpec(alpha_g=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_halvings", -1, "max_halvings must be nonnegative"),
+            ("beta1", 1.0, r"beta1 must lie in \[0, 1\)"),
+            ("beta1", -0.1, r"beta1 must lie in \[0, 1\)"),
+            ("beta1", float("nan"), r"beta1 must lie in \[0, 1\)"),
+            ("beta2", 1.0, r"beta2 must lie in \[0, 1\)"),
+            ("beta2", -1e-9, r"beta2 must lie in \[0, 1\)"),
+            ("eps", 0.0, "eps must be positive"),
+            ("eps", -1e-8, "eps must be positive"),
+            ("eps", float("nan"), "eps must be positive"),
+        ],
+    )
+    def test_rejects_out_of_range_fields(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            OptimizerSpec(**{field: value})
+
+    def test_range_edges_are_accepted(self):
+        spec = OptimizerSpec(max_halvings=0, beta1=0.0, beta2=0.0, eps=5e-324)
+        assert (spec.max_halvings, spec.beta1, spec.beta2, spec.eps) == (0, 0.0, 0.0, 5e-324)
+
     def test_float_fields_are_stored_as_floats(self):
-        spec = OptimizerSpec(alpha_g=50, beta1=0, beta2=1, eps=0)
+        spec = OptimizerSpec(alpha_g=50, beta1=0, beta2=0, eps=1)
         assert [type(getattr(spec, f)) for f in ("alpha_g", "beta1", "beta2", "eps")] == [float] * 4
         _, trace = optimize(neuron_spec(), TASK, VSPEC, OptimizerSpec(alpha_g=1, iters=2), neutral())
         assert [type(a) for a in trace.alpha_used] == [float] * 3

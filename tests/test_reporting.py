@@ -312,6 +312,19 @@ class TestRunOutputBundle:
             run(cfg)
         run(replace(cfg, force=True))
 
+    def test_force_removes_an_earlier_bundles_trajectories(self, tmp_path):
+        maml = override_param(preset("maml_multistep", out_dir=str(tmp_path), run_name="x"), "optimizer.iters", 1)
+        out = run(maml).out_dir
+        (tmp_path / "x" / "notes.txt").write_text("kept")
+        (tmp_path / "x" / "sgd_baseline.csv").write_text("stale")
+        assert "controlled_2.csv" in os.listdir(out)
+        cfg = replace(bundle_config(tmp_path), run_name="x", force=True)
+        assert run(cfg).out_dir == out
+        assert sorted(os.listdir(out)) == [
+            "baseline.csv", "controlled.csv", "notes.txt", "result.json", "schedule.json", "trace.csv",
+        ]
+        assert (tmp_path / "x" / "notes.txt").read_text() == "kept"
+
     def test_result_json_bytes_are_deterministic(self, tmp_path):
         cfg = bundle_config(tmp_path)
         res = run(replace(cfg, out_dir=None))

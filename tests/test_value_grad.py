@@ -15,6 +15,7 @@ from test_dynamics import STACK_KINDS, stack_case, task_at
 from learning_control import dynamics
 from learning_control.control import ControlSchedule, init_weights_control
 from learning_control.dynamics import DynamicsSpec, TaskSchedule, Trajectory, backward_step, initial_state, integrate
+from learning_control.experiments import build, preset
 from learning_control.tasks import (
     class_mixture_moments,
     compose_block_tasks,
@@ -674,6 +675,35 @@ class TestTaskSets:
             assert all(type(w) is float for w in traj.per_task()[0].layers[0])
         assert total == want_total
         assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+
+
+TWO_LAYER_PRESETS = ("task_switch", "effort_allocation", "category_engagement", "class_proportion",
+                     "task_engagement", "lr_bilevel", "maml_multistep")
+
+
+class TestOneTaskSetsAtPresetShapes:
+    """A one-task set multiplies through np.matmul, a lone task through ndarray.dot: the same bits.
+
+    Each two-layer preset's spec, value spec and layer shapes, a random
+    schedule inside its bounds (the preset's own for init_weights), and one
+    task of the preset's (the first of a switching schedule or a set).
+    """
+
+    @pytest.mark.parametrize("name", TWO_LAYER_PRESETS)
+    def test_rollout_and_gradient_equal_the_lone_task_bitwise(self, name):
+        cfg = preset(name)
+        spec, task, sched = build(cfg)
+        task = task.task_at(0) if isinstance(task, TaskSchedule) else task[0] if dynamics.is_task_set(task) else task
+        if sched.kind != "init_weights":
+            rng = np.random.default_rng(15)
+            sched = sched.with_values(tuple(v + rng.uniform(-0.5, 0.5, v.shape) for v in sched.values)).project()
+        lone = grad_value(spec, task, sched, cfg.value)
+        one = grad_value(spec, [task], sched, cfg.value)
+        assert_same_rollouts(one[2], [lone[2]])
+        assert_same_rollouts(integrate(spec, sched, [task]), [integrate(spec, sched, task)])
+        assert one[0] == lone[0]
+        assert len(one[1]) == len(lone[1])
+        assert all(np.array_equal(g, w) for g, w in zip(one[1], lone[1]))
 
 
 class TestTaskSetMoments:
