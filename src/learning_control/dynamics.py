@@ -24,13 +24,14 @@ Control kinds and their knobs:
 
 Each kind is one entry of `_KIND_TABLE`.  A rollout is one buffer of packed
 rows [W1.ravel() | W2.ravel()] with a leading step axis, and its per-layer
-stacks are reshaped views of it (Python floats for the single neuron).  Only
-the recurrence loops per step in Python: `flow` makes a pass's buffers once
-and, once per run of steps, the step h(w) on a packed row, and integrate
-writes w + (dt/tau) h straight into the next row.  The other slots act on a
-stack of steps: `losses` scores every state, and `sweep` is the reverse
-mode, whose construction does batched all that does not read the adjoint,
-leaving `adjoint(j, a)` as step j's recurrence on the packed adjoint row and
+stacks are reshaped views of it (Python floats for the single neuron).  Every
+array kind fills the same slots.  Only the recurrence loops per step in
+Python: `flow` makes a pass's buffers once and, once per run of steps, the
+step h(w) on a packed row, and integrate writes w + (dt/tau) h straight into
+the next row.  The other slots act on a stack of steps: `losses` scores every
+state, and `sweep` is the reverse mode, one protocol (`_Sweep`) whose
+construction does batched all that does not read the adjoint, leaving
+`adjoint(j, a)` as step j's recurrence on the packed adjoint row and
 `contract()` as the batched control VJPs.  Every pass -- the rollout, the
 sweeps, the sampled twin's score and the closed forms -- is cut by
 `step_runs` into runs, stretches of steps sharing one control slice and task
@@ -41,22 +42,22 @@ API, `expected_loss`, `_rhs` and `backward_step`, applies the slots to a
 one-step stack; tests check the passes against it.  The linear two-layer
 kinds share one kernel, for a row and a stack of rows alike, which fills
 fixed buffers and runs each elementwise op once on the packed row, not once
-per layer.  They hold only two maps:
-forward from a control slice to the kernel's channels (packed gains, dvec,
-rate) -- layer gains, error-row scales, a boost of the whole right-hand
-side -- and back from a swept stack to the control-shaped VJPs.  An absent
-channel skips its multiplication or multiplies by 1.0, as a neutral one
-does, which IEEE makes exact, so neutral schedules reproduce the baseline
-bit for bit; tests rely on that.  The single neuron bypasses the table in
-`integrate` and `value.grad_value` for Python-float loops over the runs,
-each run's constants hoisted; its entry serves the one-step API, whose bits
-the loops keep.  A stack runs the same products and reductions on the same
-operands as its steps one at a time, so it gives their bits.  A task set
-(same-shape tasks from one start; a TaskSet stacks their moments once) is
-one rollout on a batch axis after the step axis, with a lone task's bits
-per task: its products take np.matmul (ndarray.dot does not broadcast), a
-lone task's the cheaper ndarray.dot, and both make the same BLAS call.
-Kinds without a stack kernel roll it out one task at a time.
+per layer.  They hold only two maps: forward from a control slice to the
+kernel's channels (packed gains, dvec, rate) -- layer gains, error-row
+scales, a boost of the whole right-hand side -- and back from a swept stack
+to the control-shaped VJPs.  An absent channel skips its multiplication or
+multiplies by 1.0, as a neutral one does, which IEEE makes exact, so neutral
+schedules reproduce the baseline bit for bit; tests rely on that.  The
+single neuron bypasses the table in `integrate` and `value.grad_value` for
+Python-float loops over the runs, each run's constants hoisted; its entry
+holds only float args and losses, and its one-step API the float helpers,
+whose bits the loops keep.  A stack runs the same products and reductions
+on the same operands as its steps one at a time, so it gives their bits.  A
+task set (same-shape tasks from one start; a TaskSet stacks their moments
+once) is one rollout on a batch axis after the step axis, with a lone
+task's bits per task: the pair kernel's products take np.matmul there and
+the cheaper ndarray.dot on a lone task, the same BLAS call.  Only the single
+neuron rolls a task set out one task at a time.
 """
 
 import warnings
@@ -108,7 +109,7 @@ class DynamicsSpec:
             raise ValueError("dt and tau_w must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.nonlinearity not in ("tanh", "identity"):
+        if self.nonlinearity not in _NONLIN:
             raise ValueError(f"unknown nonlinearity '{self.nonlinearity}'")
 
     @property
@@ -217,29 +218,11 @@ def initial_state(spec, override=None):
     return tuple(spec.init_mean + spec.init_std * rng.standard_normal(s) for s in shapes)
 
 
-def _nonlin(name):
-    if name == "tanh":
-
-        def f(u):
-            return np.tanh(u)
-
-        def fp(u):
-            t = np.tanh(u)
-            return 1.0 - t * t
-
-        def fpp(u):
-            t = np.tanh(u)
-            return -2.0 * t * (1.0 - t * t)
-
-        return f, fp, fpp
-    if name == "identity":
-        return (lambda u: u), (lambda u: np.ones_like(u)), (lambda u: np.zeros_like(u))
-    raise ValueError(f"unknown nonlinearity '{name}'")
-
-
-def _gains(control):
-    """(g1, g2) of a two-layer gain slice; None means no gains."""
-    return control if control is not None else (None, None)
+# (f, fp, fpp) of each elementwise nonlinearity: f(u), f'(u) from f0 = f(u), and f''(u) from f0 and f'(u)
+_NONLIN = {
+    "tanh": (np.tanh, lambda t: 1.0 - t * t, lambda t, d1: -2.0 * t * d1),
+    "identity": (lambda u: u, np.ones_like, lambda t, d1: np.zeros_like(t)),
+}
 
 
 def _mT(x):
@@ -258,22 +241,16 @@ def _map_losses(m_eff, sx, sxy_t, tr_sy, weights, lam):
 # --- single neuron ----------------------------------------------------------
 
 
-def _neuron_moments(task):
-    """(mu, x2, sy) of a one-dimensional task as Python floats."""
-    return float(task.sigma_xy[0, 0]), float(task.sigma_x[0, 0]), float(task.sigma_y[0, 0])
+def _neuron_args(control, task, spec):
+    """(g~, mu, x2, sy, lambda), g~ = 1 + g (no control is g = 0) and the task's moments as Python floats.
+
+    They are the arguments of the float helpers below after the weight.
+    """
+    return (1.0 + (0.0 if control is None else control), float(task.sigma_xy[0, 0]), float(task.sigma_x[0, 0]),
+            float(task.sigma_y[0, 0]), spec.reg_lambda)
 
 
-def _neuron_gain(control):
-    """g~ = 1 + g; no control is g = 0."""
-    return 1.0 + (0.0 if control is None else control)
-
-
-def _neuron_args(state, control, task, spec):
-    """(w, g~, mu, x2, sy, lambda): the arguments of the float helpers below."""
-    return (state[0], _neuron_gain(control), *_neuron_moments(task), spec.reg_lambda)
-
-
-# The float helpers serve the kind-table entries; the float loops in integrate
+# The float helpers are the single neuron's entry; the float loops in integrate
 # and value._neuron_sweep repeat their products in their order, the leading
 # ones hoisted per run.  `** 2` is libm pow for floats and np.float64 alike;
 # x * x would round differently on some inputs.
@@ -286,17 +263,7 @@ def _neuron_flow(w, gt, mu, x2, sy, lam):
     return mu * gt - w * (x2 * gt * gt + lam)
 
 
-def _neuron_loss(state, control, task, spec):
-    return _neuron_loss_f(*_neuron_args(state, control, task, spec))
-
-
-def _neuron_rhs(state, control, task, spec):
-    return (_neuron_flow(*_neuron_args(state, control, task, spec)),)
-
-
-def _neuron_backward(state, control, task, spec, a_next):
-    w, gt, mu, x2, _, lam = _neuron_args(state, control, task, spec)
-    a = a_next[0]
+def _neuron_backward(w, gt, mu, x2, sy, lam, a):
     dhdw = -(x2 * gt * gt + lam)
     dhdg = mu - 2.0 * w * x2 * gt
     dldw = -mu * gt + x2 * w * gt * gt + lam * w
@@ -304,40 +271,11 @@ def _neuron_backward(state, control, task, spec, a_next):
     return (dhdw * a,), dhdg * a, (dldw,), dldg
 
 
-# --- single layer -----------------------------------------------------------
+# --- packed rows and task moments -------------------------------------------
 
-
-def _layer_gain(control):
-    return control[0] if isinstance(control, tuple) else control
-
-
-def _layer_loss(state, control, task, spec):
-    gain = _layer_gain(control)
-    eff = state[0] if gain is None else (1.0 + gain) * state[0]
-    return float(_map_losses(eff, task.sigma_x, task.sigma_xy.T, float(task.sigma_y.trace()), state, spec.reg_lambda))
-
-
-def _layer_rhs(state, control, task, spec):
-    """One-layer flow with elementwise gains: ((Sxy^T - A Sx) o G~) - lambda W, A = G~ o W."""
-    weight = state[0]
-    gain = _layer_gain(control)
-    if gain is None:
-        err = task.sigma_xy.T - weight @ task.sigma_x
-        return (err - spec.reg_lambda * weight,)
-    gt = 1.0 + gain
-    err = task.sigma_xy.T - (gt * weight) @ task.sigma_x
-    return (err * gt - spec.reg_lambda * weight,)
-
-
-def _layer_backward(state, control, task, spec, a_next):
-    raise UnsupportedOperationError("no adjoint for single_layer dynamics; use the closed form")
-
-
-# --- linear two-layer kernel ------------------------------------------------
-
-# The kernel's args: the gains g~ = 1 + g of both layers packed like the state,
-# dvec as a column and the boost 1 + rate as a length-1 array (None where absent),
-# task moments, lambda, and for the VJPs the raw control slice and task.  For a task
+# The moment kinds' args: the gains g~ = 1 + g packed like the state, dvec as a
+# column and the boost 1 + rate as a length-1 array (None where absent), task
+# moments, lambda, and for the VJPs the raw control slice and task.  For a task
 # set: its stacked moments, the control fields on a length-1 batch axis, its first task.
 _PairArgs = namedtuple("_PairArgs", "g dcol boost sx sxy_t tr_sy lam ctrl task")
 
@@ -360,6 +298,11 @@ def _split(rows, shapes):
     return rows[..., :cut].reshape(lead + shapes[0]), rows[..., cut:].reshape(lead + shapes[1])
 
 
+def _gained(layers, g):
+    """The gained maps G~ o W of layers (or of stacks of them) under packed gains g; None leaves them as they are."""
+    return layers if g is None else tuple(gl * w for gl, w in zip(_split(g, _shapes(layers)), layers))
+
+
 def _gather(args, *fields):
     """Per-step args (one object per run of steps) with the named fields stacked by step.
 
@@ -376,6 +319,67 @@ def _gather(args, *fields):
     return args[0]._replace(**{
         f: None if getattr(args[0], f) is None else np.stack([getattr(a, f) for a in runs])[idx] for f in fields
     })
+
+
+def _rows(x, k, ndim):
+    """Per-step entries of a gathered field: its rows if stacked by step (ndim), else the shared value k times."""
+    return list(x) if x is not None and x.ndim == ndim else [x] * k
+
+
+def _on_batch(x):
+    """A control field of a task set's args: an array gets a length-1 batch axis."""
+    return x[None] if isinstance(x, np.ndarray) else x
+
+
+def _moment_args(channels):
+    """The args maker of a kind driven by the task's moments, from channels(control, task) -> (g, dcol, boost)."""
+
+    def args(control, task, spec):
+        if is_task_set(task):
+            ts = TaskSet(task)
+            return _PairArgs(*map(_on_batch, channels(control, task[0])), ts.sx, ts.sxy_t, ts.tr_sy,
+                             spec.reg_lambda, _on_batch(control), task[0])
+        return _PairArgs(*channels(control, task), task.sigma_x, task.sigma_xy.T, float(task.sigma_y.trace()),
+                         spec.reg_lambda, control, task)
+
+    return args
+
+
+class _Sweep:
+    """Reverse mode of a kind's flow and loss over a stack of steps, on packed rows: the protocol of every array kind.
+
+    A kind's construction does batched all that does not read the adjoint,
+    and calls _weigh with the loss gradients dL/dW of the stack, lw.
+    vjp(j, a) gives step j's [dh/dW]^T a and dL/dW for the adjoint row a of
+    state j+1.  adjoint(j, a) is step j's recurrence,
+    a + scale [dh/dW]^T a - pw_j dL/dW, which subtracts nothing at pw_j = 0.
+    Once every step is swept, contract() returns the control VJPs and loss
+    gradients that _control_grads forms, tuples of stacks, None where the
+    control has none, summed over a task set's batch axis.
+    """
+
+    def __init__(self, layers, args, spec, lam):
+        self.args, self.shapes, self.w = args, _shapes(layers), _pack(layers)
+        self.scale, self.neg_lam = spec.dt / spec.tau_w, -lam
+
+    def _weigh(self, pw, lw):
+        """Keep pw_i dL/dW of each state i, pw_i its value weight; None where pw_i = 0."""
+        self.pl = [None if p == 0.0 else r for p, r in zip(pw.tolist(), pw.reshape(-1, *(1,) * (lw.ndim - 1)) * lw)]
+
+    def adjoint(self, j, a):
+        a, pl = a + self.scale * self.vjp(j, a)[0], self.pl[j]
+        return a if pl is None else a - pl
+
+    def contract(self):
+        grads = None if self.args[0].ctrl is None else self._control_grads()
+        if grads is None:
+            return None, None
+        if self.w.ndim == 3:  # a task set's stacks (step, task, K)
+            grads = (None if x is None else tuple(v.sum(axis=1) for v in x) for x in grads)
+        return tuple(grads)
+
+
+# --- linear two-layer kernel ------------------------------------------------
 
 
 def _pair_flows(shapes, lead):
@@ -421,43 +425,26 @@ def _pair_flows(shapes, lead):
     return bind
 
 
-def _linear_pair_rhs(state, a):
-    """One step's flow of the linear two-layer kinds, layer by layer: the kernel at the state's packed row."""
-    return _split(_pair_flows(_shapes(state), ())(a)(_pack(state)), _shapes(state))
-
-
 def _pair_losses(layers, args, spec):
     a = _gather(args, "g", "sx", "sxy_t", "tr_sy")
-    a_mat, b_mat = layers if a.g is None else (g * w for g, w in zip(_split(a.g, _shapes(layers)), layers))
+    a_mat, b_mat = _gained(layers, a.g)
     return _map_losses(b_mat @ a_mat, a.sx, a.sxy_t, a.tr_sy, layers, spec.reg_lambda)
 
 
-def _rows(x, k, ndim):
-    """Per-step entries of a gathered field: its rows if stacked by step (ndim), else the shared value k times."""
-    return list(x) if x is not None and x.ndim == ndim else [x] * k
-
-
-class _PairSweep:
-    """Reverse mode of the shared kernel and of the pair's loss over a stack of steps, on packed rows.
+class _PairSweep(_Sweep):
+    """The sweep of the shared kernel and of the pair's loss.
 
     The construction runs the kernel on the stack (`p` is its flow before the
-    boost) and forms dL/dW and pw_i dL/dW batched, pw_i the value weight of
-    state i.  vjp(j, a) gives step j's [dh/dW]^T a and dL/dW for the adjoint
-    row a of state j+1, and keeps a, the gained maps' adjoints and the
-    error's in per-stack arrays.  adjoint(j, a) is step j's recurrence,
-    a + scale [dh/dW]^T a - pw_j dL/dW, which subtracts nothing at pw_j = 0.
-    Its seven products (dot or matmul, as in _pair_flows) write into the
-    destination rows and `tmp`, made once per sweep.  Once every step is
-    swept, contract() returns the control VJPs and loss gradients as tuples
-    of stacks, None where the control has none, summed over a task set's
-    batch axis.
+    boost) and forms dL/dW batched.  vjp keeps a, the gained maps' adjoints
+    and the error's in per-stack arrays, and its seven products (dot or
+    matmul, as in _pair_flows) write into the destination rows and `tmp`,
+    made once per sweep.  _control_grads hands them to the kind's control_vjp.
     """
 
     def __init__(self, layers, args, spec, pw, control_vjp):
         a = _gather(args, "g", "dcol", "boost", "sx", "sxy_t")
-        self.args, self.control_vjp, self.shapes = args, control_vjp, _shapes(layers)
-        self.scale, self.neg_lam = spec.dt / spec.tau_w, -a.lam
-        w = self.w = _pack(layers)
+        super().__init__(layers, args, spec, a.lam)
+        self.control_vjp, w = control_vjp, self.w
         flow = _pair_flows(self.shapes, w.shape[:-1])(a._replace(boost=None))
         self.p = flow(w)
         a_mat, b_mat, x1, self.err, err_d, self.up = flow.bufs
@@ -465,7 +452,7 @@ class _PairSweep:
         la = -self.up if a.dcol is None else _pack((_mT(b_mat) @ -self.err, -self.err @ _mT(a_mat)))
         lw = (la if a.g is None else la * a.g) + a.lam * w
         self.lg = None if a.g is None else _split(la * w, self.shapes)
-        self.pl = [None if p == 0.0 else r for p, r in zip(pw.tolist(), pw.reshape(-1, *(1,) * (w.ndim - 1)) * lw)]
+        self._weigh(pw, lw)
         self.sa, self.sabb, self.edb = np.empty_like(w), np.empty_like(w), np.empty_like(self.err)
         lead, ((hid, inp), (out, _)) = w.shape[1:-1], self.shapes
         self.mm = np.matmul if lead else np.ndarray.dot
@@ -491,17 +478,8 @@ class _PairSweep:
         np.subtract(mm(u2b_t, err_d, ab), mm(mm(b_t, eb, ta), sx, tas), out=ab)
         return self.neg_lam * gp + (abb if g is None else abb * g), lw
 
-    def adjoint(self, j, a):
-        a, pl = a + self.scale * self.vjp(j, a)[0], self.pl[j]
-        return a if pl is None else a - pl
-
-    def contract(self):
-        if self.args[0].ctrl is None or self.control_vjp is None:
-            return None, None
-        vjp, lg = self.control_vjp(self), self.lg
-        if self.w.ndim == 3:  # a task set's stacks (step, task, K)
-            vjp, lg = (None if x is None else tuple(v.sum(axis=1) for v in x) for x in (vjp, lg))
-        return vjp, lg
+    def _control_grads(self):
+        return None if self.control_vjp is None else (self.control_vjp(self), self.lg)
 
 
 def _pair_kind(channels, control_vjp=None):
@@ -512,25 +490,11 @@ def _pair_kind(channels, control_vjp=None):
     the sweep's kernel buffers and the adjoint keeps (`sa` the adjoints a,
     `sabb` the gained maps' adjoints, `edb` the error's).
     """
-
-    def args(control, task, spec):
-        if is_task_set(task):
-            ts = TaskSet(task)
-            return _PairArgs(*map(_on_batch, channels(control, task[0])), ts.sx, ts.sxy_t, ts.tr_sy,
-                             spec.reg_lambda, _on_batch(control), task[0])
-        return _PairArgs(*channels(control, task), task.sigma_x, task.sigma_xy.T, float(task.sigma_y.trace()),
-                         spec.reg_lambda, control, task)
-
-    return _Kind(2, args, _linear_pair_rhs, _pair_flows, _pair_losses,
+    return _Kind(2, _moment_args(channels), _pair_flows, _pair_losses,
                  lambda layers, a, spec, pw: _PairSweep(layers, a, spec, pw, control_vjp))
 
 
 _NO_CHANNELS = (None, None, None)
-
-
-def _on_batch(x):
-    """A control field of a task set's args: an array gets a length-1 batch axis."""
-    return x[None] if isinstance(x, np.ndarray) else x
 
 
 def _gain_channels(control, task):
@@ -593,180 +557,206 @@ def _rate_vjp(sweep):
     return ((a1 * p1).sum(axis=(-2, -1)) + (a2 * p2).sum(axis=(-2, -1)),)
 
 
+# --- single layer -----------------------------------------------------------
+
+
+def _layer_gain(control):
+    return control[0] if isinstance(control, tuple) else control
+
+
+def _layer_channels(control, task):
+    gain = _layer_gain(control)
+    g = None if gain is None else np.broadcast_to(1.0 + gain, (task.output_dim, task.input_dim)).reshape(-1)
+    return g, None, None
+
+
+def _layer_flows(shapes, lead):
+    """One-layer flow with elementwise gains at packed rows: ((Sxy^T - A Sx) o G~) - lambda W, A = G~ o W."""
+
+    def bind(a):
+        def flow(w):
+            err = (a.sxy_t - _split(w if a.g is None else a.g * w, shapes)[0] @ a.sx).reshape(w.shape)
+            return (err if a.g is None else err * a.g) - a.lam * w
+
+        return flow
+
+    return bind
+
+
+def _layer_losses(layers, args, spec):
+    a = _gather(args, "g", "sx", "sxy_t", "tr_sy")
+    return _map_losses(_gained(layers, a.g)[0], a.sx, a.sxy_t, a.tr_sy, layers, spec.reg_lambda)
+
+
+def _layer_sweep(layers, args, spec, pw):
+    raise UnsupportedOperationError("no adjoint for single_layer dynamics; use the closed form")
+
+
 # --- nonlinear Taylor expansion ---------------------------------------------
 
-
-def _gained(w, gain):
-    """(G~ o W, G~) with G~ = 1 + gain: the gained map of a layer; no gain is (W, None)."""
-    if gain is None:
-        return w, None
-    gt = 1.0 + gain
-    return gt * w, gt
+# nonlinear_taylor's args: packed gains g~ (None where absent), the nonlinearity's
+# (f, fp, fpp), the means <x> and <y> as columns, the input covariance
+# S = Sx - <x><x>^T, R = Sxy^T - <y><x>^T, Sxy, tr Sy, lambda, the control slice
+# and task; a task set's stacked on a batch axis, as _moment_args does.
+_TaylorArgs = namedtuple("_TaylorArgs", "g nl mcol ycol s r sxy tr_sy lam ctrl task")
 
 
-def _taylor_cache(state, gain1, gain2, task, spec):
-    f, fp, fpp = _nonlin(spec.nonlinearity)
-    w1, w2 = state
-    (a_mat, g1t), (b_mat, g2t) = _gained(w1, gain1), _gained(w2, gain2)
-    m = task.mean_x
-    u = a_mat @ m
-    f0 = f(u)
-    d1 = fp(u)
-    d2 = fpp(u)
-    jmat = d1[:, None] * a_mat
-    s_cov = task.sigma_x - np.outer(m, m)
-    sxy_t = task.sigma_xy.T
-    r_mat = sxy_t - np.outer(task.mean_y, m)
-    ff = np.outer(f0, f0) + jmat @ s_cov @ jmat.T
-    fy = np.outer(task.mean_y, f0) + r_mat @ jmat.T
-    z2 = fy - b_mat @ ff
-    q_mat = np.outer(f0, m) + jmat @ s_cov
-    c2 = b_mat.T @ b_mat
-    k_mat = b_mat.T @ sxy_t - c2 @ q_mat
-    z1 = d1[:, None] * k_mat
-    return {
-        "w1": w1, "w2": w2, "g1t": g1t, "g2t": g2t, "a": a_mat, "b": b_mat,
-        "m": m, "u": u, "f0": f0, "d1": d1, "d2": d2, "j": jmat, "s": s_cov,
-        "sxy_t": sxy_t, "r": r_mat, "ff": ff, "fy": fy, "z2": z2, "q": q_mat,
-        "c2": c2, "k": k_mat, "z1": z1, "task": task,
-    }
+def _taylor_args(control, task, spec):
+    a = _moment_args(_gain_channels)(control, task, spec)
+    m, my = (np.array([getattr(t, f) for t in task]) if is_task_set(task) else getattr(task, f)
+             for f in ("mean_x", "mean_y"))
+    mcol, ycol, mrow = m[..., :, None], my[..., :, None], m[..., None, :]
+    return _TaylorArgs(a.g, _NONLIN[spec.nonlinearity], mcol, ycol, a.sx - mcol * mrow, a.sxy_t - ycol * mrow,
+                       _mT(a.sxy_t), a.tr_sy, a.lam, a.ctrl, a.task)
 
 
-def _taylor_loss(state, control, task, spec):
-    lam = spec.reg_lambda
-    c = _taylor_cache(state, *_gains(control), task, spec)
-    loss = 0.5 * float(task.sigma_y.trace())
-    loss -= float((c["b"] * c["fy"]).sum())
-    loss += 0.5 * float(((c["b"] @ c["ff"]) * c["b"]).sum())
-    if lam:
-        loss += 0.5 * lam * sum(float(np.square(w).sum()) for w in state)
-    return loss
+def _expand(a_mat, a):
+    """First-order expansion of f(A x) around u = A <x> at a gained map A or a stack of them.
 
-
-def _taylor_rhs(state, control, task, spec):
-    """First-order propagation of a two-layer net with an elementwise nonlinearity.
-
-    The hidden activation f(A x) is expanded around u = A <x>; fluctuations
-    enter through J = diag(f'(u)) A and the input covariance.  With the
-    identity nonlinearity this collapses algebraically onto the linear
-    gain_mod flow.
+    Returns (f0, f'(u), J, J S, Ff, Fy): J = diag f'(u) A carries the input
+    covariance, Ff = f0 f0^T + J S J^T stands for <f f^T> and
+    Fy = <y> f0^T + R J^T for <y f^T>.  With the identity nonlinearity this
+    collapses algebraically onto the linear gain_mod flow.
     """
-    c = _taylor_cache(state, *_gains(control), task, spec)
-    lam = spec.reg_lambda
-    h1 = c["z1"] if c["g1t"] is None else c["z1"] * c["g1t"]
-    h2 = c["z2"] if c["g2t"] is None else c["z2"] * c["g2t"]
-    return h1 - lam * state[0], h2 - lam * state[1]
+    f, fp, _ = a.nl
+    f0 = f((a_mat @ a.mcol)[..., 0])
+    d1 = fp(f0)
+    j = d1[..., None] * a_mat
+    js, j_t = j @ a.s, _mT(j)
+    return f0, d1, j, js, f0[..., :, None] * f0[..., None, :] + js @ j_t, a.ycol * f0[..., None, :] + a.r @ j_t
 
 
-def _taylor_tail(c, fyb, ffb, kb, d1b_seed):
-    """Shared reverse chain Fy/Ff/K -> (f0, J, u) -> gradient wrt the gained layers."""
-    h_dim, i_dim = c["j"].shape
-    f0b = np.zeros(h_dim)
-    jb = np.zeros((h_dim, i_dim))
-    bb = np.zeros_like(c["b"])
-    d1b = np.array(d1b_seed, copy=True) if d1b_seed is not None else np.zeros(h_dim)
-    if fyb is not None:
-        f0b += fyb.T @ c["task"].mean_y
-        jb += fyb.T @ c["r"]
-    if ffb is not None:
-        sym = ffb + ffb.T
-        f0b += sym @ c["f0"]
-        jb += sym @ c["j"] @ c["s"]
+def _taylor_z(b_mat, a, e, z1, z2):
+    """Write the flow before gains and decay into z1 = diag f'(u) K and z2 = Fy - B Ff; return (Q, B^T B, K).
+
+    Q = f0 <x>^T + J S and K = B^T Sxy^T - B^T B Q, for the expansion e of _expand.
+    """
+    f0, d1, _, js, ff, fy = e
+    np.subtract(fy, b_mat @ ff, out=z2)
+    q = f0[..., :, None] * _mT(a.mcol) + js
+    c2 = _mT(b_mat) @ b_mat
+    k = _mT(b_mat) @ _mT(a.sxy) - c2 @ q
+    np.multiply(d1[..., None], k, out=z1)
+    return q, c2, k
+
+
+def _taylor_flows(shapes, lead):
+    """nonlinear_taylor's flow at packed rows (*lead, K), as _pair_flows gives the pair's.
+
+    h(w) = Z o G~ - lambda W, Z = [diag f'(u) K | Fy - B Ff] from _taylor_z;
+    the gained maps and Z fill buffers made once here.
+    """
+    ab, zz = np.empty((2, *lead, sum(r * c for r, c in shapes)))
+    (a_mat, b_mat), (z1, z2) = _split(ab, shapes), _split(zz, shapes)
+
+    def bind(a):
+        gains = 1.0 if a.g is None else a.g  # x * 1.0 is x: a copy
+
+        def flow(w):
+            np.multiply(gains, w, out=ab)
+            _taylor_z(b_mat, a, _expand(a_mat, a), z1, z2)
+            return (zz if a.g is None else zz * a.g) - a.lam * w
+
+        return flow
+
+    return bind
+
+
+def _taylor_losses(layers, args, spec):
+    a = _gather(args, "g", "mcol", "ycol", "s", "r", "tr_sy")
+    a_mat, b_mat = _gained(layers, a.g)
+    *_, ff, fy = _expand(a_mat, a)
+    return _map_losses(b_mat, ff, fy, a.tr_sy, layers, spec.reg_lambda)
+
+
+# What the Taylor reverse chain reads of a state or of a stack of states: the
+# expansion at the state, then the task's fields, which a run's steps share.
+_Terms = namedtuple("_Terms", "a b f0 d1 d2 j q c2 k ff mcol ycol r s sxy")
+
+
+def _taylor_tail(e, fyb, ffb, kb, d1b):
+    """Reverse chain Fy, Ff, K -> (f0, J, u) -> the gained maps: their adjoints (B's None without kb).
+
+    e holds the _Terms, fyb, ffb and kb the adjoints of Fy, Ff and K (kb
+    None drops the K terms) and d1b f'(u)'s seed (None for none).  Each
+    adjoint sums from +0.0, which makes a -0.0 first term +0.0.
+    """
+    fyb_t, sym = _mT(fyb), ffb + _mT(ffb)
+    f0b = 0.0 + (fyb_t @ e.ycol)[..., 0] + (sym @ e.f0[..., None])[..., 0]
+    jb = 0.0 + fyb_t @ e.r + sym @ e.j @ e.s
+    bb = None
     if kb is not None:
-        bb += (kb @ c["task"].sigma_xy).T
-        c2b = -kb @ c["q"].T
-        qb = -c["c2"] @ kb
-        bb += c["b"] @ (c2b + c2b.T)
-        f0b += qb @ c["m"]
-        jb += qb @ c["s"]
-    d1b += np.sum(jb * c["a"], axis=1)
-    ab = c["d1"][:, None] * jb
-    ub = c["d1"] * f0b + c["d2"] * d1b
-    ab += np.outer(ub, c["m"])
-    return ab, bb
+        c2b, qb = -kb @ _mT(e.q), -e.c2 @ kb
+        bb = 0.0 + _mT(kb @ e.sxy) + e.b @ (c2b + _mT(c2b))
+        f0b = f0b + (qb @ e.mcol)[..., 0]
+        jb = jb + qb @ e.s
+    d1b = (0.0 if d1b is None else d1b) + (jb * e.a).sum(axis=-1)
+    ub = e.d1 * f0b + e.d2 * d1b
+    return e.d1[..., None] * jb + ub[..., :, None] * _mT(e.mcol), bb
 
 
-def _taylor_backward(state, control, task, spec, a_next):
-    c = _taylor_cache(state, *_gains(control), task, spec)
-    lam = spec.reg_lambda
-    a1, a2 = a_next
-    w1, w2 = state
-    gz1 = a1 if c["g1t"] is None else a1 * c["g1t"]
-    gz2 = a2 if c["g2t"] is None else a2 * c["g2t"]
-    # dynamics vjp, then the loss gradients
-    ab, bb_tail = _taylor_tail(c, gz2, -(c["b"].T @ gz2), c["d1"][:, None] * gz1, np.sum(gz1 * c["k"], axis=1))
-    bb = -(gz2 @ c["ff"]) + bb_tail
-    lab, lbb_tail = _taylor_tail(c, -c["b"], 0.5 * c["c2"], None, None)
-    lbb = -c["z2"] + lbb_tail
-    per_layer = []
-    for a, w, g, z, xb, lxb in ((a1, w1, c["g1t"], c["z1"], ab, lab), (a2, w2, c["g2t"], c["z2"], bb, lbb)):
-        per_layer.append((-lam * a + (xb if g is None else xb * g), np.zeros_like(w) if g is None else a * z + xb * w,
-                          (lxb if g is None else lxb * g) + lam * w, np.zeros_like(w) if g is None else lxb * w))
-    return tuple(zip(*per_layer))
+class _TaylorSweep(_Sweep):
+    """The sweep of nonlinear_taylor's flow and loss.
+
+    The construction forms the expansion (_Terms) and the loss gradients on
+    the whole stack, the latter through the tail seeded by the loss alone, so
+    vjp(j, a) runs only the dynamics' reverse chain on step j's terms.  It
+    keeps a and the gained maps' adjoints in per-stack arrays, which
+    _control_grads contracts with the flow's Z and the weights.
+    """
+
+    def __init__(self, layers, args, spec, pw):
+        a = _gather(args, "g", "mcol", "ycol", "s", "r", "sxy")
+        super().__init__(layers, args, spec, a.lam)
+        w = self.w
+        a_mat, b_mat = _split(w if a.g is None else a.g * w, self.shapes)
+        self.zz = np.empty_like(w)
+        z1, z2 = _split(self.zz, self.shapes)
+        e = _expand(a_mat, a)
+        q, c2, k = _taylor_z(b_mat, a, e, z1, z2)
+        f0, d1, j, _, ff, _ = e
+        terms = _Terms(a_mat, b_mat, f0, d1, a.nl[2](f0, d1), j, q, c2, k, ff, a.mcol, a.ycol, a.r, a.s, a.sxy)
+        lab, _ = _taylor_tail(terms, -b_mat, 0.5 * c2, None, None)
+        lxb = _pack((lab, 0.0 - z2))
+        lw = (lxb if a.g is None else lxb * a.g) + a.lam * w
+        self.lg = None if a.g is None else _split(lxb * w, self.shapes)
+        self._weigh(pw, lw)
+        self.sa, self.sxb = np.empty_like(w), np.empty_like(w)
+        n = len(w)
+        fields = [list(x) for x in terms[:10]] + [_rows(x, n, w.ndim + 1) for x in terms[10:]]
+        self.rows = list(zip(map(_Terms._make, zip(*fields)), _rows(a.g, n, w.ndim), lw, self.sxb,
+                             *_split(self.sxb, self.shapes)))
+
+    def vjp(self, j, a):
+        e, g, lw, xb, ab, bb = self.rows[j]
+        self.sa[j] = a
+        gz1, gz2 = _split(a if g is None else a * g, self.shapes)
+        ab[...], tail_b = _taylor_tail(e, gz2, -(_mT(e.b) @ gz2), e.d1[..., None] * gz1, (gz1 * e.k).sum(axis=-1))
+        np.subtract(tail_b, gz2 @ e.ff, out=bb)
+        return self.neg_lam * a + (xb if g is None else xb * g), lw
+
+    def _control_grads(self):
+        return _split(self.sa * self.zz + self.sxb * self.w, self.shapes), self.lg
 
 
 # --- the kind table ---------------------------------------------------------
 
-# One dynamics kind: its layer count and the slots the module docstring describes:
-# step(state, args) is h of one step, shaped like the state; flow(shapes, lead)(args) a run's h on packed rows.
-_Kind = namedtuple("_Kind", "layers args step flow losses sweep")
-
-
-def stack_slices(slices):
-    """Per-step slices (floats, arrays or tuples of arrays) as a tuple of stacks; None stays None."""
-    if slices[0] is None:
-        return None
-    if isinstance(slices[0], tuple):
-        return tuple(np.array(part) for part in zip(*slices))
-    return (np.array(slices),)
-
-
-class _StepSweep:
-    """The sweep of a kind whose adjoint is a per-step function shaped like backward_step.
-
-    vjp(j, a) takes and gives tuples of layers; adjoint(j, a) runs _PairSweep's
-    recurrence layer by layer, on the packed rows _PairSweep's takes.
-    """
-
-    def __init__(self, backward, layers, args, spec, pw):
-        self.backward, self.states, self.args, self.ctrl_grads = backward, list(zip(*layers)), args, []
-        self.scale, self.pw = spec.dt / spec.tau_w, pw.tolist()
-
-    def vjp(self, j, a):
-        svjp, cvjp, lgs, lgc = self.backward(self.states[j], *self.args[j], a)
-        self.ctrl_grads.append((cvjp, lgc))
-        return svjp, lgs
-
-    def adjoint(self, j, a):
-        a, p = _split(a, _shapes(self.states[j])), self.pw[j]
-        return _pack([x + self.scale * sv - (p * lg if p != 0.0 else 0.0) for x, sv, lg in zip(a, *self.vjp(j, a))])
-
-    def contract(self):
-        cvjps, lgcs = zip(*self.ctrl_grads[::-1])
-        return stack_slices(cvjps), stack_slices(lgcs)
-
-
-def _stepwise_kind(layers, loss, rhs, backward):
-    """Entry of a kind computed one step at a time; its args are (control, task, spec)."""
-    return _Kind(
-        layers,
-        lambda control, task, spec: (control, task, spec),
-        lambda state, a: rhs(state, *a),
-        lambda shapes, lead: lambda a: lambda w: _pack(rhs(_split(w, shapes), *a)),
-        lambda stack, args, spec: np.array([loss(s, *a) for s, a in zip(zip(*stack), args)]),
-        lambda stack, args, spec, pw: _StepSweep(backward, stack, args, spec, pw),
-    )
-
+# One dynamics kind: its layer count and the slots the module docstring describes,
+# args(control, task, spec), flow(shapes, lead)(args)(w), losses(stack, args, spec)
+# and sweep(stack, args, spec, pw).  The single neuron's entry holds the float
+# args and losses behind its float loops, and no flow or sweep.
+_Kind = namedtuple("_Kind", "layers args flow losses sweep")
 
 _KIND_TABLE = {
-    "single_neuron": _stepwise_kind(1, _neuron_loss, _neuron_rhs, _neuron_backward),
-    "single_layer": _stepwise_kind(1, _layer_loss, _layer_rhs, _layer_backward),
+    "single_neuron": _Kind(1, _neuron_args, None, lambda layers, args, spec: np.array(
+        [_neuron_loss_f(w, *a) for w, a in zip(layers[0], args)]), None),
+    "single_layer": _Kind(1, _moment_args(_layer_channels), _layer_flows, _layer_losses, _layer_sweep),
     "two_layer_baseline": _pair_kind(lambda control, task: _NO_CHANNELS),
     "gain_mod": _pair_kind(_gain_channels, _gain_vjp),
     "engagement": _pair_kind(_engagement_channels, _engagement_vjp),
     "category_engagement": _pair_kind(_category_channels, _category_vjp),
     "lr_mod": _pair_kind(_rate_channels, _rate_vjp),
-    "nonlinear_taylor": _stepwise_kind(2, _taylor_loss, _taylor_rhs, _taylor_backward),
+    "nonlinear_taylor": _Kind(2, _taylor_args, _taylor_flows, _taylor_losses, _TaylorSweep),
 }
 
 KINDS = tuple(_KIND_TABLE)
@@ -799,9 +789,13 @@ def expected_loss(state, control, task, spec):
 
 
 def _rhs(spec, state, control, task):
-    """Flow h(state, control) of the spec's kind, same structure as the state."""
+    """Flow h(state, control) of the spec's kind, same structure as the state: the kind's flow at its packed row."""
     kind = _KIND_TABLE[spec.kind]
-    return kind.step(state, kind.args(control, task, spec))
+    a = kind.args(control, task, spec)
+    if kind.flow is None:
+        return (_neuron_flow(state[0], *a),)
+    shapes = _shapes(state)
+    return _split(kind.flow(shapes, ())(a)(_pack(state)), shapes)
 
 
 def backward_step(spec, state, control, task, a_next):
@@ -810,19 +804,20 @@ def backward_step(spec, state, control, task, a_next):
     Returns (state_vjp, ctrl_vjp, loss_grad_state, loss_grad_ctrl):
       state_vjp       [dh/dstate]^T a_next, same structure as state
       ctrl_vjp        [dh/dcontrol]^T a_next, structure of the control slice
-                      (None for uncontrolled kinds)
+                      (None without a control)
       loss_grad_state dL/dstate at (state, control)
       loss_grad_ctrl  dL/dcontrol (None where the loss ignores the control)
     Everything is exact for the discretized system; finite differences agree
     to first order in the probe step.  single_layer has no adjoint and raises
-    UnsupportedOperationError.  This is the kind's sweep over a one-step stack.
+    UnsupportedOperationError.  This is the kind's sweep over a one-step
+    stack, on packed rows (the single neuron's float helper).
     """
     kind = _KIND_TABLE[spec.kind]
-    sweep = kind.sweep(_one_step(state), [kind.args(control, task, spec)], spec, np.zeros(1))
-    if isinstance(sweep, _PairSweep):  # packed rows in and out
-        state_vjp, loss_state = (_split(x, sweep.shapes) for x in sweep.vjp(0, _pack(a_next)))
-    else:
-        state_vjp, loss_state = sweep.vjp(0, a_next)
+    a = kind.args(control, task, spec)
+    if kind.sweep is None:
+        return _neuron_backward(state[0], *a, a_next[0])
+    sweep = kind.sweep(_one_step(state), [a], spec, np.zeros(1))
+    state_vjp, loss_state = (_split(x, sweep.shapes) for x in sweep.vjp(0, _pack(a_next)))
     ctrl_vjp, loss_ctrl = sweep.contract()
     return state_vjp, _first(ctrl_vjp, control), loss_state, _first(loss_ctrl, control)
 
@@ -898,11 +893,6 @@ def _start(spec, schedule, state0=None):
     return schedule, initial_state(spec, override=schedule.values if init else state0)
 
 
-def runs_per_task(spec, task):
-    """Whether `task` is a task set that runs one task at a time: the kinds without a stack kernel."""
-    return is_task_set(task) and _KIND_TABLE[spec.kind].step is not _linear_pair_rhs
-
-
 def integrate(spec, schedule, task, state0=None):
     """Roll out the Euler discretization and record states and losses.
 
@@ -915,7 +905,7 @@ def integrate(spec, schedule, task, state0=None):
     i+1.  The losses are batched after the loop.  Raises DivergenceError when
     any weight magnitude passes DIVERGENCE_LIMIT.
     """
-    if runs_per_task(spec, task):
+    if spec.kind == "single_neuron" and is_task_set(task):  # the float loop takes one task at a time
         trajs = [integrate(spec, schedule, t, state0) for t in task]
         layers = tuple(np.stack(layer, axis=1) for layer in zip(*(t.layers for t in trajs)))
         return Trajectory(trajs[0].times, layers, np.stack([t.losses for t in trajs], axis=1), spec.kind)
@@ -933,8 +923,7 @@ def integrate(spec, schedule, task, state0=None):
         w = state[0]
         ws, losses = [w], []
         for lo, hi, ctrl, tsk in step_runs(schedule, task, n):
-            mu, x2, sy = _neuron_moments(tsk)
-            gt = _neuron_gain(ctrl)
+            gt, mu, x2, sy, _ = _neuron_args(ctrl, tsk, spec)
             gt2, drive, decay = 2.0 * gt, mu * gt, x2 * gt * gt + lam
             for i in range(lo, hi):
                 losses.append(0.5 * (sy - gt2 * w * mu + x2 * (gt * w) ** 2) + half_lam * w * w)
@@ -1024,7 +1013,7 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
     n = spec.n_steps
     if class_counts is None and batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    if class_counts is not None and _KIND_TABLE[spec.kind].step is not _linear_pair_rhs:
+    if class_counts is not None and _KIND_TABLE[spec.kind].flow is not _pair_flows:
         raise UnsupportedOperationError(f"class_counts drive a linear two-layer kind, not {spec.kind}")
     if class_counts is not None and len(class_counts) != n:
         raise ValueError(f"class_counts has {len(class_counts)} rows but dynamics run {n} steps")
@@ -1042,31 +1031,37 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
         losses = _KIND_TABLE[spec.kind].losses(traj.layers, _state_args(spec, schedule, task), spec)
         return Trajectory(traj.times, traj.layers, losses, spec.kind)
 
-    f, fp, _ = _nonlin(spec.nonlinearity)
+    f, fp, _ = _NONLIN[spec.nonlinearity]
     key = [int(s) for s in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
     ex, ey = sample_batch(task, eval_batch, np.random.default_rng(key + [0x5EED]))
     lam, scale = spec.reg_lambda, spec.dt / spec.tau_w
     ctrls = [c for lo, hi, c, _ in step_runs(schedule, task, n) for _ in range(lo, hi)]
     states = [state]
     for i, ((x, y), ctrl) in enumerate(zip(batches, ctrls)):
-        (a_mat, g1t), (b_mat, g2t) = (_gained(w, g) for w, g in zip(state, _gains(ctrl)))
+        gts = (None, None) if ctrl is None else [1.0 + g for g in ctrl]
+        a_mat, b_mat = (w if gt is None else gt * w for w, gt in zip(state, gts))
         u = x @ a_mat.T
         fu = f(u)
         resid = y - fu @ b_mat.T
-        grads = (((resid @ b_mat) * fp(u)).T @ x / x.shape[0], resid.T @ fu / x.shape[0])
-        hs = (h if gt is None else h * gt for h, gt in zip(grads, (g1t, g2t)))
+        grads = (((resid @ b_mat) * fp(fu)).T @ x / x.shape[0], resid.T @ fu / x.shape[0])
+        hs = (h if gt is None else h * gt for h, gt in zip(grads, gts))
         state = tuple(w + scale * (h - lam * w) for w, h in zip(state, hs))
         _check_divergence(_one_step(state), i)
         states.append(state)
 
-    def score(state, ctrl):
-        a_mat, b_mat = (_gained(w, g)[0] for w, g in zip(state, _gains(ctrl)))
-        resid = ey - f(ex @ a_mat.T) @ b_mat.T
-        loss = 0.5 * float(np.mean(np.sum(resid * resid, axis=1)))
-        return loss + 0.5 * lam * sum(float(np.sum(np.square(w))) for w in state) if lam else loss
-
-    losses = np.array([score(s, c) for s, c in zip(states, ctrls + ctrls[-1:])])
-    return Trajectory(np.arange(n + 1) * spec.dt, tuple(np.array(ws) for ws in zip(*states)), losses, spec.kind)
+    # the states scored on the evaluation batch DIVERGENCE_BLOCK at a time, which bounds the temporaries
+    layers = tuple(np.array(ws) for ws in zip(*states))
+    ctrls.append(ctrls[-1])
+    gained = layers if ctrls[0] is None else tuple((1.0 + np.array(g)) * w for g, w in zip(zip(*ctrls), layers))
+    losses = []
+    for lo in range(0, n + 1, DIVERGENCE_BLOCK):
+        a_mat, b_mat = (m[lo : lo + DIVERGENCE_BLOCK] for m in gained)
+        resid = ey - f(ex @ _mT(a_mat)) @ _mT(b_mat)
+        losses.append(0.5 * np.mean(np.sum(resid * resid, axis=-1), axis=-1))
+    losses = np.concatenate(losses)
+    if lam:
+        losses = losses + 0.5 * lam * sum(np.square(w).sum(axis=(-2, -1)) for w in layers)
+    return Trajectory(np.arange(n + 1) * spec.dt, layers, losses, spec.kind)
 
 
 # --- closed forms -----------------------------------------------------------

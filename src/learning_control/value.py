@@ -14,10 +14,11 @@ exact for the discretized system, one forward plus one backward pass per
 evaluation regardless of how many control degrees of freedom there are.  A
 caller that already holds the schedule's trajectory (the optimizer's line
 search does) hands it over and pays for the backward pass alone.
-A task set is rolled out once on a batch axis and swept once; its V and
-gradient are the sum of its tasks', in task order.  The single neuron's
-sweep is a loop on Python floats over the rollout's runs of constant
-control and task, like its forward loop in dynamics.integrate.
+Every array kind sweeps stacks of steps through one protocol, and a task
+set is rolled out once on a batch axis and swept once; its V and gradient
+are the sum of its tasks', in task order.  The single neuron's sweep is a
+loop on Python floats over the rollout's runs of constant control and task,
+like its forward loop in dynamics.integrate, one task of a set at a time.
 fd_check probes that gradient against central finite differences and is wired
 into the CLI, so a broken derivative is loud.
 """
@@ -207,15 +208,15 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
     the terminal state: only the adjoint recurrence loops per step, one
     sweep.adjoint call on the packed adjoint row, and each stack's control
     gradients are formed batched and added into the buffers in descending
-    step order.  A task set is swept once on its batch axis: V
-    is its tasks' values and the gradient their gradients, each summed in
-    task order (per step for a series schedule).  A kind without a stack
-    kernel sweeps the tasks one at a time.  The single neuron takes the
-    float sweep `_neuron_sweep` instead of the stacks, with the same bits.
+    step order.  A task set is swept once on its batch axis: V is its
+    tasks' values and the gradient their gradients, each summed in task
+    order (per step for a series schedule).  The single neuron takes the
+    float sweep `_neuron_sweep` instead of the stacks, with the same bits,
+    and the tasks of a set one at a time.
     """
     if traj is None:
         traj = dyn.integrate(dspec, schedule, task, state0=state0)
-    if dyn.runs_per_task(dspec, task):
+    if dspec.kind == "single_neuron" and dyn.is_task_set(task):  # the float sweep takes one task at a time
         parts = [grad_value(dspec, t, schedule, vspec, traj=tr) for t, tr in zip(task, traj.per_task())]
         return sum(p[0] for p in parts), tuple(map(_task_sum, zip(*(p[1] for p in parts)))), traj
     scale = dspec.dt / dspec.tau_w
@@ -275,8 +276,7 @@ def _neuron_sweep(dspec, traj, schedule, task, pws, cws, cost_grads):
     runs[-1] = lo, hi + 1, ctrl, tsk  # the terminal state, scored under the last control
     a = 0.0
     for lo, hi, ctrl, tsk in reversed(runs):
-        mu, x2, _ = dyn._neuron_moments(tsk)
-        gt = dyn._neuron_gain(ctrl)
+        gt, mu, x2, _, _ = dyn._neuron_args(ctrl, tsk, dspec)
         dhdw, mgt, s = -(x2 * gt * gt + lam), -mu * gt, lo // segment
         acc, cg = sums[s], cgs[s]
         for i in range(hi - 1, lo - 1, -1):

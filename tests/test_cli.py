@@ -267,7 +267,7 @@ class TestRunCommand:
         assert "V_control" in capsys.readouterr().out
 
     @pytest.mark.parametrize("kind", ["single_neuron", "nonlinear_taylor"])
-    def test_a_task_set_runs_with_a_kind_without_a_stack_kernel(self, kind, capsys):
+    def test_a_task_set_runs_with_a_kind_outside_the_pair_kernel(self, kind, capsys):
         assert main(["run", "--preset", "maml_multistep", "-p", f"dynamics.kind={kind}"]) == 0
         assert "eval_cumulative_loss" in capsys.readouterr().out
 

@@ -833,8 +833,9 @@ class TestSampledTwin:
 
     def test_class_counts_need_a_linear_two_layer_kind(self):
         spec, _, task, counts = sgd_case("category_engagement")
-        with pytest.raises(UnsupportedOperationError, match="class_counts drive a linear two-layer kind"):
-            simulate_sgd(replace(spec, kind="nonlinear_taylor"), None, task, 16, 0, class_counts=counts)
+        for kind in ("nonlinear_taylor", "single_layer"):
+            with pytest.raises(UnsupportedOperationError, match=f"drive a linear two-layer kind, not {kind}"):
+                simulate_sgd(replace(spec, kind=kind), None, task, 16, 0, class_counts=counts)
 
     def test_a_task_set_is_unsupported(self):
         spec, _, _, _ = sgd_case("two_layer_baseline")
@@ -901,6 +902,18 @@ class TestSampledTwin:
         a = simulate_sgd(spec, None, task, batch_size=16, seed=9, class_counts=only_first)
         b = simulate_sgd(spec, None, task, batch_size=16, seed=9, class_counts=uniform)
         assert not np.array_equal(a.states[-1][0], b.states[-1][0])
+
+    def test_the_tanh_twin_scores_each_state_as_if_alone(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "DIVERGENCE_BLOCK", 5)  # 13 states: the last block is ragged
+        spec, sched, task, _ = sgd_case("nonlinear_taylor")
+        traj = simulate_sgd(spec, sched, task, 16, [5, 1], eval_batch=64)
+        ex, ey = sample_batch(task, 64, np.random.default_rng([5, 1, 0x5EED]))
+        for i, state in enumerate(traj.states):
+            g1, g2 = sched.at(min(i, spec.n_steps - 1))
+            resid = ey - np.tanh(ex @ ((1.0 + g1) * state[0]).T) @ ((1.0 + g2) * state[1]).T
+            loss = 0.5 * float(np.mean(np.sum(resid * resid, axis=1)))
+            loss += 0.5 * spec.reg_lambda * sum(float(np.sum(np.square(w))) for w in state)
+            assert traj.losses[i] == loss
 
     def test_nonlinear_kind_uses_frozen_eval_batch(self):
         task = class_mixture_moments(np.array([[0.9, 0.0], [0.0, 0.9]]), 0.4)

@@ -382,7 +382,7 @@ class TestRunPipeline:
         ("nonlinear_taylor", -6.170955784803234, -3.249783955054434,
          [0.06896551724138461, 0.20491812713793622, 0.3730631581259809], 12.956312681876774),
     ])
-    def test_a_task_set_of_a_kind_without_a_stack_kernel(self, kind, v_baseline, v_control, finals, cumulative):
+    def test_a_task_set_of_a_kind_outside_the_pair_kernel(self, kind, v_baseline, v_control, finals, cumulative):
         res = run(override_param(preset("maml_multistep"), "dynamics.kind", kind))
         assert (res.V_baseline, res.V_control) == (v_baseline, v_control)
         assert res.summaries["eval_final_losses"] == finals

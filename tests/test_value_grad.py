@@ -15,6 +15,7 @@ from test_dynamics import STACK_KINDS, stack_case, task_at
 from learning_control import dynamics
 from learning_control.control import ControlSchedule, init_weights_control
 from learning_control.dynamics import DynamicsSpec, TaskSchedule, Trajectory, backward_step, initial_state, integrate
+from learning_control.errors import UnsupportedOperationError
 from learning_control.experiments import build, preset
 from learning_control.tasks import (
     class_mixture_moments,
@@ -587,6 +588,7 @@ class TestNeuronFloatAdjoint:
 # --- task sets: one batched rollout and one sweep ------------------------------
 
 PAIR_KINDS = ["two_layer_baseline", "gain_mod", "engagement", "category_engagement", "lr_mod"]
+SWEPT_KINDS = [*PAIR_KINDS, "nonlinear_taylor"]  # the array kinds with an adjoint
 MAML_TASKS = [two_gaussian_moments(2.0, 0.8), two_gaussian_moments(1.2, 1.0), two_gaussian_moments(0.7, 1.2)]
 
 
@@ -626,7 +628,7 @@ class TestTaskSets:
         monkeypatch.setattr(dynamics, "SWEEP_CHUNK", 5)  # stacks straddle segments and the terminal state
 
     @pytest.mark.parametrize("vspec", ["per_step_sum", "discounted_with_cost"])
-    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    @pytest.mark.parametrize("kind", SWEPT_KINDS)
     def test_init_weights_batched_equals_the_per_task_loop_bitwise(self, kind, vspec):
         spec, tasks, _ = task_set_case(kind)
         sched = init_weights_control(initial_state(spec))
@@ -639,7 +641,7 @@ class TestTaskSets:
         assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
 
     @pytest.mark.parametrize("vspec", ["per_step_sum", "discounted_with_cost"])
-    @pytest.mark.parametrize("kind", [k for k in PAIR_KINDS if k != "two_layer_baseline"])
+    @pytest.mark.parametrize("kind", [k for k in SWEPT_KINDS if k != "two_layer_baseline"])
     def test_series_batched_equals_the_per_task_loop(self, kind, vspec):
         # the rollouts and V are bit for bit the per-task ones; the gradient sums the
         # tasks per step before the steps, which reorders additions: 1e-12 relative
@@ -663,16 +665,20 @@ class TestTaskSets:
         assert np.array_equal(base.losses, ctrl.losses)
         assert all(np.array_equal(a, b) for a, b in zip(base.layers, ctrl.layers))
 
-    @pytest.mark.parametrize("kind", ["single_neuron", "nonlinear_taylor"])
-    def test_kinds_without_a_stack_kernel_roll_out_one_task_at_a_time(self, kind):
-        spec = DynamicsSpec(kind=kind, input_dim=1, output_dim=1, hidden_dim=3, dt=0.1, n_steps=5,
-                            reg_lambda=0.05, init_mean=0.3, init_std=0.0 if kind == "single_neuron" else 0.3)
+    def test_a_kind_without_an_adjoint_rolls_a_task_set_out_batched(self):
+        spec, tasks, sched = task_set_case("single_layer")
+        assert_same_rollouts(integrate(spec, sched, tasks), [integrate(spec, sched, t) for t in tasks])
+        with pytest.raises(UnsupportedOperationError, match="no adjoint for single_layer"):
+            grad_value(spec, tasks, sched, TestBatchedSweep.VSPECS["discounted_with_cost"])
+
+    def test_the_single_neuron_rolls_a_task_set_out_one_task_at_a_time(self):
+        spec = DynamicsSpec(kind="single_neuron", input_dim=1, output_dim=1, dt=0.1, n_steps=5,
+                            reg_lambda=0.05, init_mean=0.3)
         sched = init_weights_control(initial_state(spec))
         total, grads, traj = grad_value(spec, MAML_TASKS, sched, per_step_sum_spec())
         want_total, want_grads, want_trajs = per_task_loop(spec, MAML_TASKS, sched, per_step_sum_spec())
         assert_same_rollouts(traj, want_trajs)
-        if kind == "single_neuron":
-            assert all(type(w) is float for w in traj.per_task()[0].layers[0])
+        assert all(type(w) is float for w in traj.per_task()[0].layers[0])
         assert total == want_total
         assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
 
@@ -795,3 +801,76 @@ class TestPinnedTaskSets:
         else:
             assert got_g == want_g
             assert got_fd == want_fd
+
+
+# Recorded from the one-step sweep that nonlinear_taylor and single_layer ran
+# before they took stack slots: V, each control array's gradient (raveled) and
+# the rollout's losses of stack_case(kind, "switching") under
+# discounted_with_cost.  single_layer has no adjoint, so only its losses.
+PINNED_SWITCHING = {
+    "nonlinear_taylor": (
+        -1.2799799990485914,
+        [
+            [
+                -0.042604404922508096, -0.03749282202867475, -0.011312727499379657, 0.0050359847921296295,
+                0.025788956111527962, 0.0021238545316529895, -0.006555906048128417, 0.02714478673238087,
+                0.029861183273688665, -0.0591076819667137, -0.02367152654828445, 0.016410603328521824,
+                -0.008745183372438894, -0.053167674126571196, -0.04622630577953756, -0.04341874102918496,
+                0.0001425454774303253, -0.010720311832139883, -0.029019594781868947, 0.026520092033497943,
+                -0.016834467788400777, 0.010459411918537491, -0.039414030633934324, 0.025186149329787175,
+                -0.028866027209706734, -0.04392965775840731, 0.01226344480876259, -0.04676663835325608,
+                -0.03950408813179945, 0.029123843600013806, -0.030772994108529086, 0.03454583290788531,
+                -0.01177138357700448, -0.00395434093885486, 0.01913236141890713, 0.00546257495777369,
+                -0.03836179375339795, 0.0047605940253763225, 0.01922085600160196, -0.03161414004797752,
+                -0.005453967112520809, -0.033135913770011696, 0.005225242789796337, 0.002065735064151067,
+                -0.02536619486251565, -0.005757490095570435, -0.003352781600515226, 0.005037650871443147,
+            ],
+            [
+                0.026738990246682044, -0.05263910412358544, 0.028108759077088194, -0.040127545522188404,
+                0.0022217377515363016, -0.053245204432406344, -0.006482599572263718, -0.057868864830925945,
+                -0.008644755401461736, 0.01034978365948994, -0.027041203102477106, -0.03076526229410957,
+                -0.031089252117912546, -0.008484564040748738, 0.018539873811124128, -0.02230626980572568,
+                0.0252195427706424, -0.02945423591149773, -0.025108773922740867, -0.00069165256869942,
+                -0.03058008342560844, 0.013680193193565636, -0.0007915197194768814, -0.03990871283151552,
+                -0.004590894580050341, -0.03245937925083955, -0.013792654183881968, -0.049319155244771706,
+                -0.05276430908117767, -0.033673143196140745, -0.03931332877504964, 0.016800394185345978,
+                -0.025641551991518387, -0.0403752918407572, 0.0010664598046839925, -0.01610751510447138,
+                -0.012572539771581615, -0.05245269032510928, 0.011676402000590374, -0.0014725216943104677,
+                0.03552845369561968, -0.003856353050779647, -0.015760750159090134, -0.030409171012324175,
+                -0.028629739339601588, 0.0013300691224548584, -0.03485423259601832, 0.010354341805759056,
+            ],
+        ],
+        [
+            0.46758773502829626, 0.4571921380286854, 0.44700520630052826, 0.5001301257051325,
+            0.47500555025508495, 0.4534825181191249, 0.43039945566558546, 0.3982141467656863,
+            0.39183866593231176, 0.3956004180353423, 0.3863813601724597, 0.37753249868826055,
+            0.31780725003719645, 0.30987574114967203, 0.33214372529997105, 0.38788593346190464,
+            0.38126670268596674, 0.37478790557537967, 0.3931568440849764, 0.38632356542046714,
+            0.3798382366162697, 0.30844702821843756, 0.30321104088822176, 0.29865802975744854,
+        ],
+    ),
+    "single_layer": (None, None, [
+        1.6132694544897377, 1.0961110931900204, 0.8296075440051222, 0.8395140785751604,
+        0.7702342063588205, 0.7137243549521954, 0.6825330425906092, 0.8273149281981594,
+        0.7675801735138393, 0.6299001076211852, 0.49546999425529153, 0.40304227960589356,
+        0.4715049921143723, 0.4602533856064366, 0.3862868727546022, 0.3482492978160737,
+        0.33086897219226574, 0.3211024545180557, 0.2182150247305555, 0.19832896845385997,
+        0.18734609341354458, 0.47582134902072737, 0.43753545074863187, 0.41719075868376376,
+    ]),
+}
+
+
+class TestPinnedSwitchingCases:
+    """The switching stack case of the kinds that moved onto stack slots, against recorded values, bit for bit."""
+
+    @pytest.mark.parametrize("kind", PINNED_SWITCHING)
+    def test_value_gradients_and_losses(self, kind):
+        want_v, want_g, want_losses = PINNED_SWITCHING[kind]
+        spec, task, sched = stack_case(kind, "switching")
+        assert integrate(spec, sched, task).losses.tolist() == want_losses
+        if want_v is None:
+            return
+        total, grads, traj = grad_value(spec, task, sched, TestBatchedSweep.VSPECS["discounted_with_cost"])
+        assert total == want_v
+        assert [g.ravel().tolist() for g in grads] == want_g
+        assert traj.losses.tolist() == want_losses
