@@ -482,15 +482,15 @@ class _PairSweep(_Sweep):
         return None if self.control_vjp is None else (self.control_vjp(self), self.lg)
 
 
-def _pair_kind(channels, control_vjp=None):
-    """Entry of a linear two-layer kind from its two maps.
+def _pair_kind(reads, channels, control_vjp=None):
+    """Entry of a linear two-layer kind from the controls it reads and its two maps.
 
     channels(control, task) -> (packed g~, dcol, boost) feeds the kernel;
     control_vjp(sweep) -> per-step stacks of the control's arrays, read from
     the sweep's kernel buffers and the adjoint keeps (`sa` the adjoints a,
     `sabb` the gained maps' adjoints, `edb` the error's).
     """
-    return _Kind(2, _moment_args(channels), _pair_flows, _pair_losses,
+    return _Kind(2, reads, _moment_args(channels), _pair_flows, _pair_losses,
                  lambda layers, a, spec, pw: _PairSweep(layers, a, spec, pw, control_vjp))
 
 
@@ -741,26 +741,34 @@ class _TaylorSweep(_Sweep):
 
 # --- the kind table ---------------------------------------------------------
 
-# One dynamics kind: its layer count and the slots the module docstring describes,
+# One dynamics kind: its layer count, the series control kinds its channels read
+# (None: it reads no control), and the slots the module docstring describes,
 # args(control, task, spec), flow(shapes, lead)(args)(w), losses(stack, args, spec)
 # and sweep(stack, args, spec, pw).  The single neuron's entry holds the float
-# args and losses behind its float loops, and no flow or sweep.
-_Kind = namedtuple("_Kind", "layers args flow losses sweep")
+# args and losses behind its float loops, and no flow or sweep.  single_layer
+# reads none: no scenario builds its one-matrix gains, and it has no adjoint.
+_Kind = namedtuple("_Kind", "layers reads args flow losses sweep")
 
 _KIND_TABLE = {
-    "single_neuron": _Kind(1, _neuron_args, None, lambda layers, args, spec: np.array(
+    "single_neuron": _Kind(1, ("scalar_series",), _neuron_args, None, lambda layers, args, spec: np.array(
         [_neuron_loss_f(w, *a) for w, a in zip(layers[0], args)]), None),
-    "single_layer": _Kind(1, _moment_args(_layer_channels), _layer_flows, _layer_losses, _layer_sweep),
-    "two_layer_baseline": _pair_kind(lambda control, task: _NO_CHANNELS),
-    "gain_mod": _pair_kind(_gain_channels, _gain_vjp),
-    "engagement": _pair_kind(_engagement_channels, _engagement_vjp),
-    "category_engagement": _pair_kind(_category_channels, _category_vjp),
-    "lr_mod": _pair_kind(_rate_channels, _rate_vjp),
-    "nonlinear_taylor": _Kind(2, _taylor_args, _taylor_flows, _taylor_losses, _TaylorSweep),
+    "single_layer": _Kind(1, (), _moment_args(_layer_channels), _layer_flows, _layer_losses, _layer_sweep),
+    "two_layer_baseline": _pair_kind(None, lambda control, task: _NO_CHANNELS),
+    "gain_mod": _pair_kind(("matrix_pair_series",), _gain_channels, _gain_vjp),
+    "engagement": _pair_kind(("engagement_series",), _engagement_channels, _engagement_vjp),
+    "category_engagement": _pair_kind(("category_series",), _category_channels, _category_vjp),
+    "lr_mod": _pair_kind(("scalar_series",), _rate_channels, _rate_vjp),
+    "nonlinear_taylor": _Kind(2, ("matrix_pair_series",), _taylor_args, _taylor_flows, _taylor_losses, _TaylorSweep),
 }
 
 KINDS = tuple(_KIND_TABLE)
 _TWO_LAYER_KINDS = tuple(k for k, entry in _KIND_TABLE.items() if entry.layers == 2)
+
+
+def fits_control(kind, control):
+    """Whether a dynamics kind runs under a control kind: init_weights, a series it reads, or any if it reads none."""
+    reads = _KIND_TABLE[kind].reads
+    return control == "init_weights" or reads is None or control in reads
 
 
 def _one_step(state):
@@ -1111,6 +1119,8 @@ def closed_form_single_neuron(g_schedule, task, spec, times):
     a = (x2 g~^2 + lambda)/tau and b = mu g~ / tau.  Degenerate a -> 0 is
     covered by phi1's series branch.
     """
+    if spec.kind != "single_neuron":
+        raise ValueError(f"closed_form_single_neuron needs single_neuron dynamics, not {spec.kind}")
     mu = task.sigma_xy[0, 0]
     x2 = task.sigma_x[0, 0]
     lam = spec.reg_lambda
@@ -1134,6 +1144,8 @@ def closed_form_single_layer(g_schedule, task, spec, times):
     each constant-gain segment is then an exact matrix-exponential propagation.
     Warns when an exponent norm passes 1e3, where the result may lose digits.
     """
+    if spec.kind != "single_layer":
+        raise ValueError(f"closed_form_single_layer needs single_layer dynamics, not {spec.kind}")
     o_dim, i_dim = spec.output_dim, spec.input_dim
     base = np.kron(np.eye(o_dim), task.sigma_x)
     sxy_flat_base = task.sigma_xy.T

@@ -21,7 +21,6 @@ import math
 import os
 import warnings
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -329,6 +328,8 @@ def build(cfg):
         for key, least in _LEAST.items():
             if key in p and int(p[key]) < least:
                 raise ValueError(f"{key} must be {'positive' if least else 'nonnegative'}, got {p[key]}")
+        if not dyn.fits_control(cfg.dynamics.kind, entry.control):
+            raise ValueError(f"dynamics kind '{cfg.dynamics.kind}' cannot read the scenario's {entry.control} control")
         d, task = entry.task(replace(cfg.dynamics, init_seed=cfg.seed), p)
         task = dyn.TaskSet(task) if dyn.is_task_set(task) else task  # its moments stacked once
         # every task the run sees must fit the network: a schedule's, a task set's or the one task
@@ -450,6 +451,8 @@ def sweep(base_config, param_name, values, parallelism=None):
         workers = min(workers, int(cap))
     if workers <= 1:
         return [run(c) for c in configs]
+    from concurrent.futures import ProcessPoolExecutor  # only here: it costs every import of the package
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, configs))
 

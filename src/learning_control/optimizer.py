@@ -15,10 +15,10 @@ and the accepted one goes straight to the adjoint sweep for the next
 gradient.  The trace keeps the rollouts of the initial and the final
 schedule for the caller.
 
-A task set, a sequence of same-shape tasks, switches the objective to the
-per-step sum over the set, one batched rollout and one adjoint sweep per
-evaluation.  Its control is usually the shared initial weights (the MAML
-objective), but a series schedule works too.
+The ValueSpec given scores every trial and gradient, whatever the task: a
+lone task, a task schedule or a task set (same-shape tasks, one batched
+rollout and one adjoint sweep per evaluation, V the sum of its tasks').  A
+task set's control is usually the shared initial weights, but a series works.
 """
 
 import math
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .errors import DivergenceError
-from .value import grad_value, per_step_sum_spec, value
+from .value import grad_value, value
 
 
 @dataclass
@@ -91,37 +91,19 @@ def _tree_norm(arrays):
     return float(np.sqrt(sum(float(np.sum(a * a)) for a in arrays)))
 
 
-def _make_objective(dspec, task, vspec):
-    """(with_grad, forward) over one schedule; both also return its rollout.
+def optimize(dspec, task, vspec, ospec, init_schedule):
+    """Maximize V over the schedule's values; returns (schedule, trace).
 
-    with_grad(schedule, rollout) runs only the adjoint when handed the
-    schedule's rollout, and integrates it first when given None.  A task set
-    is scored by the per-step sum whatever `vspec` says.
+    `task` may be a TaskMoments, a TaskSchedule, or a task set; `vspec`
+    scores all of them.  trace.V[0] is the value of the initial schedule,
+    computed by the same code path as every later evaluation.
     """
-    if dyn.is_task_set(task):
-        vspec = per_step_sum_spec()
-
-    def with_grad(schedule, rollout):
-        return grad_value(dspec, task, schedule, vspec, traj=rollout)
-
     def forward(schedule):
         traj = dyn.integrate(dspec, schedule, task)
         return value(traj, schedule, vspec, dspec), traj
 
-    return with_grad, forward
-
-
-def optimize(dspec, task, vspec, ospec, init_schedule):
-    """Maximize V over the schedule's values; returns (schedule, trace).
-
-    `task` may be a TaskMoments, a TaskSchedule, or a task set (the latter
-    switches to the per-step-sum objective over the set).  trace.V[0] is
-    the value of the initial schedule, computed by the same code path as
-    every later evaluation.
-    """
-    with_grad, forward = _make_objective(dspec, task, vspec)
     cur = init_schedule.project()
-    v_cur, g_cur, first = with_grad(cur, None)
+    v_cur, g_cur, first = grad_value(dspec, task, cur, vspec)
     rollout = first
     trace = OptTrace()
     trace.V.append(v_cur)
@@ -172,7 +154,7 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
             trace.stalled_at = k
             break
         cur = cand
-        v_cur, g_cur, rollout = with_grad(cur, rollout)
+        v_cur, g_cur, rollout = grad_value(dspec, task, cur, vspec, traj=rollout)
         elapsed = (time.perf_counter() - tick) * 1000.0
         trace.V.append(v_cur)
         trace.grad_norm.append(_tree_norm(g_cur))

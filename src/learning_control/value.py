@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dynamics as dyn
-from .control import ControlSchedule, segment_sumsq
+from .control import segment_sumsq
 
 COST_KINDS = ("none", "quadratic", "exp_frobenius", "anchored_norm", "fixed_norm")
 
@@ -116,7 +116,7 @@ class ValueSpec:
 
 
 def per_step_sum_spec():
-    """The undiscounted, cost-free per-step-sum objective of the multi-task runs."""
+    """The undiscounted, cost-free per-step sum: maml_value_and_grad's objective and maml_multistep's ValueSpec."""
     return ValueSpec(gamma=1.0, eta=1.0, cost=CostSpec("none"), mode="per_step_sum")
 
 
@@ -317,23 +317,15 @@ class FdReport:
 def fd_check(dspec, task, schedule, vspec, coords=None, h=1e-6, rng=0):
     """Compare the adjoint gradient against central finite differences.
 
-    `task` may be a TaskMoments (plain objective) or a task set, a sequence
-    of them (the per-step-sum objective, usually through shared init
-    weights).  `coords` is a list
-    of (array_index, flat_index) pairs into schedule.values, or a count of
-    coordinates to sample; by default up to twelve are sampled at random.  Bounds are stripped for the probe: the
-    gradient is of the unconstrained objective and clamping would corrupt the
-    difference quotient.  Relative error uses an absolute floor of 1e-7.
+    `task` may be a TaskMoments, a TaskSchedule or a task set; `vspec`
+    scores every probe of each.  `coords` is a list of (array_index,
+    flat_index) pairs into schedule.values, or a count of coordinates to
+    sample; by default up to twelve are sampled at random.  Bounds are
+    stripped for the probe: the gradient is of the unconstrained objective
+    and clamping would corrupt the difference quotient.  Relative error uses
+    an absolute floor of 1e-7.
     """
-    probe = ControlSchedule(
-        kind=schedule.kind,
-        values=tuple(v.copy() for v in schedule.values),
-        n_steps=schedule.n_steps,
-        segment=schedule.segment,
-        bounds=None,
-    )
-    if dyn.is_task_set(task):
-        vspec = per_step_sum_spec()
+    probe = replace(schedule, bounds=None)
     _, grads, _ = grad_value(dspec, task, probe, vspec)
 
     gen = np.random.default_rng(rng)

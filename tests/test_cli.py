@@ -16,8 +16,11 @@ import numpy as np
 import pytest
 
 import learning_control
+from learning_control import experiments
 from learning_control.cli import _build_parser, _load_config, main
 from learning_control.configio import parse_config, parse_config_file, serialize_config
+from learning_control.dynamics import KINDS
+from learning_control.errors import LearningControlError
 from learning_control.experiments import SCENARIOS, preset
 from learning_control.idx import IdxTensor, read_moments_json, serialize_idx
 
@@ -280,6 +283,60 @@ class TestRunCommand:
         assert code == 3
         assert "exceeded" in capsys.readouterr().err
 
+    def test_any_other_package_error_maps_to_exit_2(self, monkeypatch, capsys):
+        def refuse(cfg):
+            raise LearningControlError("cannot honor this")
+
+        monkeypatch.setattr(experiments, "run", refuse)
+        assert main(["run", "--preset", "single_neuron_effort"]) == 2
+        assert capsys.readouterr().err == "error: cannot honor this\n"
+
+
+# V_baseline of every preset x dynamics kind pair that runs, recorded before a
+# kind that cannot read its scenario's control became a config error
+RUNNABLE_PAIRS = {
+    ("single_neuron_effort", "single_neuron"): -6.8407265144642615,
+    ("effort_allocation", "two_layer_baseline"): -14.590266057998342,
+    ("effort_allocation", "gain_mod"): -14.590266057998342,
+    ("effort_allocation", "nonlinear_taylor"): -14.590266057998342,
+    ("task_switch", "two_layer_baseline"): -13.877810453123201,
+    ("task_switch", "gain_mod"): -13.877810453123201,
+    ("task_switch", "nonlinear_taylor"): -13.877810453123203,
+    ("task_engagement", "two_layer_baseline"): -27.834631587837993,
+    ("task_engagement", "engagement"): -27.834631587837993,
+    ("category_engagement", "two_layer_baseline"): -4.6652781695043366,
+    ("category_engagement", "category_engagement"): -4.6652781695043366,
+    ("class_proportion", "two_layer_baseline"): -4.6652781695043366,
+    ("class_proportion", "category_engagement"): -4.6652781695043366,
+    ("maml_multistep", "single_neuron"): -3.8621982977464273,
+    ("maml_multistep", "two_layer_baseline"): -6.1709557848032341,
+    ("maml_multistep", "gain_mod"): -6.1709557848032341,
+    ("maml_multistep", "engagement"): -6.1709557848032341,
+    ("maml_multistep", "category_engagement"): -6.1709557848032341,
+    ("maml_multistep", "lr_mod"): -6.1709557848032341,
+    ("maml_multistep", "nonlinear_taylor"): -6.1709557848032341,
+    ("lr_bilevel", "two_layer_baseline"): -62.583135712179946,
+    ("lr_bilevel", "lr_mod"): -62.583135712179946,
+    ("nonlinear_approx", "two_layer_baseline"): -4.842476130725446,
+    ("nonlinear_approx", "gain_mod"): -4.842476130725446,
+    ("nonlinear_approx", "nonlinear_taylor"): -4.842476130725446,
+    ("sgd_validation", "single_neuron"): -1.3343878120259314,
+}
+
+
+class TestScenarioKindPairs:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_a_pair_runs_or_is_a_config_error(self, scenario, kind, capsys):
+        """Every dynamics kind on every preset, at zero iterations: a run, or exit 2 and no traceback."""
+        code = main(["run", "--preset", scenario, "-p", f"dynamics.kind={kind}", "-p", "optimizer.iters=0"])
+        out, err = capsys.readouterr()
+        if (scenario, kind) in RUNNABLE_PAIRS:
+            assert code == 0
+            assert out.splitlines()[1] == f"{'V_baseline':<28}{RUNNABLE_PAIRS[scenario, kind]:.17g}"
+        else:
+            assert code == 2 and err.startswith("error: ")
+
 
 class TestSweepCommand:
     def test_one_line_per_value(self, capsys):
@@ -384,14 +441,25 @@ class TestMomentsCommand:
             doc = json.load(fh)
         assert doc["counts"] == {"0": 4, "1": 4, "2": 4}
 
-    def test_wrong_image_rank_maps_to_exit_4(self, tmp_path, capsys):
-        flat = tmp_path / "flat.idx"
-        flat.write_bytes(float_idx(np.zeros((6, 16))))
-        _, lab = write_archive(tmp_path)
-        code = main(["moments", "--images", str(flat), "--labels", lab,
-                     "--out", str(tmp_path / "m.json")])
+    @pytest.mark.parametrize("which, shape, message", [
+        ("--images", (6, 16), "rank-3 image"),
+        ("--labels", (12, 1), "rank-1 label"),
+    ])
+    def test_a_file_of_the_wrong_rank_maps_to_exit_4(self, which, shape, message, tmp_path, capsys):
+        img, lab = write_archive(tmp_path)
+        files = {"--images": img, "--labels": lab}
+        files[which] = str(tmp_path / "wrong.idx")
+        (tmp_path / "wrong.idx").write_bytes(float_idx(np.zeros(shape)))
+        code = main(["moments", *(x for pair in files.items() for x in pair), "--out", str(tmp_path / "m.json")])
         assert code == 4
-        assert "rank-3" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_digits_keep_only_the_listed_classes(self, tmp_path, capsys):
+        img, lab = write_archive(tmp_path)
+        code = main(["moments", "--images", img, "--labels", lab, "--digits", "0,2",
+                     "--grid", "2", "--out", str(tmp_path / "m.json")])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == "8 samples over 2 classes -> 4x2 moments"
 
     def test_missing_archive_maps_to_exit_4(self, tmp_path):
         assert main(["moments", "--images", "/no/images.idx",
@@ -455,3 +523,12 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "single_neuron_effort" in proc.stdout.splitlines()
+
+    def test_importing_the_package_leaves_the_process_pool_unloaded(self):
+        """sweep imports concurrent.futures when it starts a pool, so no other command pays for it."""
+        src = os.path.dirname(os.path.dirname(learning_control.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = "import sys, learning_control, learning_control.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert (proc.returncode, proc.stdout) == (0, "False\n")

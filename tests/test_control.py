@@ -24,9 +24,16 @@ class TestScheduleConstruction:
         sched = ControlSchedule.neutral("engagement_series", n_steps=6, segment=3, n_channels=4)
         np.testing.assert_array_equal(sched.values[0], np.ones((2, 4)))
 
-    def test_neutral_matrix_pair_needs_shapes(self):
-        with pytest.raises(ValueError, match="shapes"):
-            ControlSchedule.neutral("matrix_pair_series", n_steps=4)
+    @pytest.mark.parametrize("kind, message", [
+        ("matrix_pair_series", "shapes"),
+        ("engagement_series", "engagement_series needs n_channels"),
+        ("category_series", "category_series needs n_channels"),
+        ("init_weights", "init_weights needs the baseline state"),
+        ("gain_waves", "unknown control kind 'gain_waves'"),
+    ])
+    def test_neutral_needs_what_its_kind_is_built_from(self, kind, message):
+        with pytest.raises(ValueError, match=message):
+            ControlSchedule.neutral(kind, n_steps=4)
 
     def test_neutral_init_weights_copies_state(self):
         w = np.ones((2, 2))
@@ -46,6 +53,15 @@ class TestScheduleConstruction:
     def test_rejects_wrong_leading_axis(self):
         with pytest.raises(ValueError, match="leading axis"):
             ControlSchedule(kind="scalar_series", values=(np.zeros(3),), n_steps=8, segment=2)
+
+    @pytest.mark.parametrize("kind, values, n_steps, segment, message", [
+        ("scalar_series", (np.zeros(1),), 0, 1, "n_steps must be positive"),
+        ("scalar_series", (np.zeros(1),), 1, 0, "segment must be positive"),
+        ("init_weights", (), 1, 1, "init_weights schedule needs at least one weight array"),
+    ])
+    def test_rejects_an_empty_horizon_segment_or_state(self, kind, values, n_steps, segment, message):
+        with pytest.raises(ValueError, match=message):
+            ControlSchedule(kind=kind, values=values, n_steps=n_steps, segment=segment)
 
     def test_rejects_empty_bounds(self):
         with pytest.raises(ValueError, match="bounds"):

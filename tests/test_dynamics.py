@@ -72,9 +72,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="hidden_dim"):
             DynamicsSpec(kind="gain_mod", input_dim=2, output_dim=2, hidden_dim=0)
 
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            DynamicsSpec(kind="single_neuron", input_dim=1, output_dim=1, dt=0.0)
+    @pytest.mark.parametrize("field, value, message", [
+        ("dt", 0.0, "dt and tau_w must be positive"),
+        ("kind", "quadratic_mod", "unknown dynamics kind 'quadratic_mod'"),
+        ("n_steps", 0, "n_steps must be >= 1"),
+        ("nonlinearity", "softsign", "unknown nonlinearity 'softsign'"),
+    ])
+    def test_rejects_out_of_range_fields(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            neuron_spec(**{field: value})
 
     def test_horizon(self):
         spec = neuron_spec(dt=0.25, n_steps=8)
@@ -213,6 +219,11 @@ class TestEngagementKinds:
         with pytest.raises(ValueError, match="length"):
             _rhs(self.spec, self.state, [1.0, 1.0, 1.0], self.task)
 
+    def test_category_vector_length_checked(self):
+        spec = DynamicsSpec(kind="category_engagement", input_dim=3, output_dim=3, hidden_dim=4)
+        with pytest.raises(ValueError, match="class engagement length 2 != output dim 3"):
+            _rhs(spec, self.state, np.ones(2), self.task)
+
     def test_engagement_leaves_the_loss_alone(self):
         loss_low = expected_loss(self.state, [0.1, 0.1], self.task, self.spec)
         loss_high = expected_loss(self.state, [5.0, 5.0], self.task, self.spec)
@@ -345,6 +356,12 @@ class TestClosedFormSingleNeuron:
 
 CLOSED_FORMS = (closed_form_single_neuron, closed_form_single_layer)
 
+# a kind each closed form does not solve, with the dims it needs
+OTHER_KIND = {
+    closed_form_single_neuron: dict(kind="lr_mod", hidden_dim=2),
+    closed_form_single_layer: dict(kind="gain_mod", input_dim=2, output_dim=2, hidden_dim=2),
+}
+
 
 @pytest.mark.parametrize("closed_form", CLOSED_FORMS, ids=lambda f: f.__name__)
 class TestClosedFormProbes:
@@ -365,6 +382,11 @@ class TestClosedFormProbes:
         spec = self.spec(closed_form, dt=0.01, n_steps=50)
         got = closed_form(None, NEURON_TASK, spec, np.array([0.5, 99.0]))
         np.testing.assert_allclose(got[1], got[0], rtol=1e-13)
+
+    def test_a_spec_of_another_kind_is_rejected(self, closed_form):
+        spec = neuron_spec(**OTHER_KIND[closed_form])
+        with pytest.raises(ValueError, match=f"{closed_form.__name__} needs .* dynamics, not {spec.kind}"):
+            closed_form(None, NEURON_TASK, spec, np.array([0.1]))
 
     def test_negative_probe_rejected(self, closed_form):
         spec = self.spec(closed_form)
@@ -671,6 +693,10 @@ class TestTaskSwitching:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimensions"):
             TaskSchedule(tasks=[two_gaussian_moments(), pair_task()], period_steps=1, n_steps=2)
+
+    def test_period_below_one_rejected(self):
+        with pytest.raises(ValueError, match="period_steps must be positive"):
+            TaskSchedule(tasks=[two_gaussian_moments()], period_steps=0, n_steps=2)
 
     def test_integrated_losses_follow_the_active_task(self):
         t1, t2 = two_gaussian_moments(1.0, 0.3), two_gaussian_moments(2.5, 0.3)

@@ -5,6 +5,7 @@ sweep tests use shrunk configurations so this file stays quick; the full
 scenario claims live in test_acceptance.py.
 """
 
+import concurrent.futures
 import math
 import os
 import sys
@@ -276,6 +277,18 @@ class TestBuild:
         assert sched.kind == "init_weights"
         assert all(np.array_equal(v, w) for v, w in zip(sched.values, initial_state(dspec)))
 
+    @pytest.mark.parametrize("name, kind, control", [
+        ("task_switch", "lr_mod", "matrix_pair_series"),
+        ("lr_bilevel", "gain_mod", "scalar_series"),
+        ("category_engagement", "gain_mod", "category_series"),
+        ("task_engagement", "nonlinear_taylor", "engagement_series"),
+        ("nonlinear_approx", "single_layer", "matrix_pair_series"),
+    ])
+    def test_a_kind_that_cannot_read_the_control_is_a_config_error(self, name, kind, control):
+        cfg = override_param(preset(name), "dynamics.kind", kind)
+        with pytest.raises(ConfigError, match=f"dynamics kind '{kind}' cannot read the scenario's {control} control"):
+            build(cfg)
+
 
 class TestOverrideParam:
     def test_dotted_path_replaces_a_nested_field(self):
@@ -387,6 +400,15 @@ class TestRunPipeline:
         assert (res.V_baseline, res.V_control) == (v_baseline, v_control)
         assert res.summaries["eval_final_losses"] == finals
         assert res.summaries["eval_cumulative_loss"] == cumulative
+
+    def test_a_task_set_is_scored_by_the_run_s_value_spec(self):
+        """The maml preset's ValueSpec is the per-step sum; another one scores the same task set its own way."""
+        assert preset("maml_multistep").value == value.per_step_sum_spec()
+        cfg = set_fields(preset("maml_multistep"), {"value.mode": "discounted_integral", "optimizer.iters": 0})
+        dspec, task, sched = build(cfg)
+        res = run(cfg)
+        assert res.V_baseline == value.evaluate_value(dspec, task, sched, cfg.value)
+        assert res.V_baseline != run(set_fields(preset("maml_multistep"), {"optimizer.iters": 0})).V_baseline
 
     def test_sgd_validation_reports_its_agreement_score(self):
         res = run(preset("sgd_validation"))
@@ -552,7 +574,7 @@ class TestSweep:
             def map(self, fn, items):
                 return [None for _ in items]
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiments, "run", lambda cfg: None)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.delenv("LE_THREADS", raising=False)

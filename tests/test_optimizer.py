@@ -15,7 +15,7 @@ from learning_control.dynamics import DynamicsSpec, integrate
 from learning_control.errors import DivergenceError
 from learning_control.optimizer import OptimizerSpec, optimize
 from learning_control.tasks import two_gaussian_moments
-from learning_control.value import CostSpec, ValueSpec, evaluate_value, grad_value
+from learning_control.value import CostSpec, ValueSpec, evaluate_value, grad_value, per_step_sum_spec
 
 TASK = two_gaussian_moments(1.0, 1.0)
 
@@ -227,6 +227,21 @@ class TestMamlObjective:
         _, trace = optimize(spec, tasks, ValueSpec(mode="per_step_sum"), ospec, sched)
         assert trace.V[-1] > trace.V[0]
         assert np.all(np.diff(trace.V) >= 0)
+
+    def test_a_task_set_is_scored_by_the_given_value_spec(self):
+        """A discounted ValueSpec scores the initial schedule, the gradients and the trials alike."""
+        from learning_control.control import init_weights_control
+
+        spec = DynamicsSpec(kind="two_layer_baseline", input_dim=1, output_dim=1,
+                            hidden_dim=3, dt=0.1, n_steps=4)
+        sched = init_weights_control((np.full((3, 1), 0.3), np.full((1, 3), -0.2)))
+        tasks = dynamics.TaskSet([two_gaussian_moments(2.0, 0.8), two_gaussian_moments(1.2, 1.0)])
+        vspec = ValueSpec(gamma=0.9, eta=1.5)
+        final, trace = optimize(spec, tasks, vspec, OptimizerSpec(alpha_g=0.05, iters=3), sched)
+        v0, g0, _ = grad_value(spec, tasks, sched, vspec)
+        assert trace.V[0] == v0 and trace.grad_norm[0] == optimizer._tree_norm(g0)
+        assert trace.V[0] != grad_value(spec, tasks, sched, per_step_sum_spec())[0]
+        assert len(trace.V) == 4 and trace.V[-1] == evaluate_value(spec, tasks, final, vspec)
 
 
 class TestRolloutsOwnTheirStates:

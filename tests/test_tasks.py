@@ -10,6 +10,7 @@ import pytest
 from learning_control.errors import UnsupportedOperationError
 from learning_control.tasks import (
     BlockMap,
+    SamplingSpec,
     TaskMoments,
     class_mixture_moments,
     compose_block_tasks,
@@ -51,12 +52,16 @@ class TestTaskMomentsValidation:
         with pytest.raises(ValueError, match="semidefinite"):
             plain_moments(bad, np.ones((2, 1)), np.eye(1))
 
-    def test_rejects_cross_moment_shape_mismatch(self):
-        with pytest.raises(ValueError, match="inconsistent"):
+    @pytest.mark.parametrize("sigma_x, sigma_y, message", [
+        (np.eye(2), np.eye(1), "sigma_x shape"),
+        (np.eye(3), np.eye(2), "sigma_y shape"),
+    ])
+    def test_rejects_cross_moment_shape_mismatch(self, sigma_x, sigma_y, message):
+        with pytest.raises(ValueError, match=f"{message} .* inconsistent"):
             TaskMoments(
-                sigma_x=np.eye(2),
+                sigma_x=sigma_x,
                 sigma_xy=np.ones((3, 1)),
-                sigma_y=np.eye(1),
+                sigma_y=sigma_y,
                 mean_x=np.zeros(3),
                 mean_y=np.zeros(1),
             )
@@ -163,14 +168,20 @@ class TestClassMixture:
         labels = np.argmax(y, axis=1)
         np.testing.assert_array_equal(labels, [0, 0, 0, 0, 2, 2, 2])
 
-    def test_class_batch_rejects_wrong_length(self):
-        task = class_mixture_moments(np.eye(2), 0.1)
-        with pytest.raises(ValueError, match="length"):
+    @pytest.mark.parametrize("task, n_classes", [
+        (class_mixture_moments(np.eye(2), 0.1), 2),
+        (semantic_moments(2), 2),
+    ], ids=["class_mixture", "semantic"])
+    def test_class_batch_rejects_wrong_length(self, task, n_classes):
+        with pytest.raises(ValueError, match=f"counts must have length {n_classes}"):
             sample_class_batch(task, [1, 2, 3], np.random.default_rng(0))
 
-    def test_class_batch_rejects_plain_gaussian_family(self):
-        task = two_gaussian_moments(1.0, 0.3)
-        with pytest.raises(UnsupportedOperationError):
+    @pytest.mark.parametrize("task, message", [
+        (two_gaussian_moments(1.0, 0.3), "not defined for family 'two_gaussian'"),
+        (plain_moments(np.eye(1), np.ones((1, 1)), np.eye(1)), "moment-only task"),
+    ], ids=["two_gaussian", "moment_only"])
+    def test_class_batch_needs_a_classification_family(self, task, message):
+        with pytest.raises(UnsupportedOperationError, match=message):
             sample_class_batch(task, [2], np.random.default_rng(0))
 
     def test_semantic_class_batch(self):
@@ -212,6 +223,10 @@ class TestBlockComposition:
         assert joint.blocks.n_tasks == 2
         assert joint.blocks.output_sizes() == [1, 2]
 
+    def test_composition_needs_a_task(self):
+        with pytest.raises(ValueError, match="needs at least one task"):
+            compose_block_tasks([])
+
     def test_composite_sampling_concatenates(self):
         a = two_gaussian_moments(1.0, 0.2)
         b = correlated_gaussian_moments(1.5, 0.5, 0.3, 0.3, 0.9)
@@ -241,4 +256,10 @@ class TestBiasAndFloor:
     def test_moment_only_task_cannot_be_sampled(self):
         task = plain_moments(np.eye(2), np.ones((2, 1)), np.eye(1))
         with pytest.raises(UnsupportedOperationError, match="moments only"):
+            sample_batch(task, 10, np.random.default_rng(0))
+
+    def test_a_family_without_a_sampler_cannot_be_sampled(self):
+        task = plain_moments(np.eye(2), np.ones((2, 1)), np.eye(1))
+        task.sampling = SamplingSpec("mnist_digits")
+        with pytest.raises(UnsupportedOperationError, match="no sampler for family 'mnist_digits'"):
             sample_batch(task, 10, np.random.default_rng(0))

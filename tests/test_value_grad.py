@@ -371,12 +371,17 @@ class TestInitWeightsGradient:
         assert grads[0].shape == (3, 1) and grads[1].shape == (1, 3)
         np.testing.assert_allclose(total, -np.sum(traj.losses[1:]), rtol=1e-13)
 
-    def test_fd_check_over_a_task_set(self):
+    @pytest.mark.parametrize("vspec", [ValueSpec(mode="per_step_sum"), ValueSpec(gamma=0.9, eta=1.5)],
+                             ids=["per_step_sum", "discounted_integral"])
+    def test_fd_check_over_a_task_set(self, vspec):
+        """The probes and the adjoint both score the task set by the ValueSpec given."""
         spec = self.two_layer()
         sched = init_weights_control((np.full((3, 1), 0.3), np.full((1, 3), -0.2)))
         tasks = [two_gaussian_moments(2.0, 0.8), two_gaussian_moments(1.2, 1.0)]
-        report = fd_check(spec, tasks, sched, ValueSpec(mode="per_step_sum"), coords=5)
+        report = fd_check(spec, tasks, sched, vspec, coords=5)
         assert report.max_rel < 1e-5
+        _, grads, _ = grad_value(spec, tasks, sched, vspec)
+        assert [a for _, a, _, _ in report.entries] == [float(grads[ai].flat[fi]) for (ai, fi), *_ in report.entries]
 
     def test_maml_sums_per_task_contributions(self):
         spec = self.two_layer()
