@@ -86,10 +86,9 @@ def _build_parser():
 
 
 def _load_config(args):
-    from dataclasses import replace
-
+    """The config of --preset or --config with every option and -p override set at once (one set_fields)."""
     from .configio import override_value, parse_config_file
-    from .experiments import override_param, preset
+    from .experiments import preset, set_fields
 
     if bool(args.preset) == bool(args.config):
         raise ConfigError("pass exactly one of --preset or --config")
@@ -97,20 +96,15 @@ def _load_config(args):
         cfg = parse_config_file(args.config)
     else:
         cfg = preset(args.preset)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=int(args.seed))
-    if args.out_dir is not None:
-        cfg = replace(cfg, out_dir=args.out_dir)
-    if args.run_name is not None:
-        cfg = replace(cfg, run_name=args.run_name)
-    if args.force:
-        cfg = replace(cfg, force=True)
+    flags = {"seed": args.seed, "out_dir": args.out_dir, "run_name": args.run_name, "force": args.force or None}
+    changes = {name: val for name, val in flags.items() if val is not None}
     for item in args.param:
         name, sep, raw = item.partition("=")
         if not sep:
             raise ConfigError(f"-p expects NAME=VALUE, got '{item}'")
-        cfg = override_param(cfg, *override_value(cfg, name.strip(), raw))
-    return cfg
+        path, val = override_value(cfg, name.strip(), raw)
+        changes[path] = val
+    return set_fields(cfg, changes)
 
 
 def _fmt17(x):
@@ -174,25 +168,30 @@ def _cmd_grad_check(args):
 def _cmd_moments(args):
     from .idx import DigitFilter, estimate_moments, load_idx, write_moments_json
 
+    if args.grid < 1:
+        raise ConfigError("--grid must be >= 1")
+    if args.limit is not None and args.limit < 1:
+        raise ConfigError("--limit must be >= 1")
     images = load_idx(args.images).data
     labels = load_idx(args.labels).data
     if images.ndim != 3:
         raise DataFormatError(f"expected a rank-3 image tensor, got rank {images.ndim}")
     if labels.ndim != 1:
         raise DataFormatError(f"expected a rank-1 label tensor, got rank {labels.ndim}")
-    digits = None
-    if args.digits is not None:
-        digits = DigitFilter([int(d) for d in args.digits.split(",")])
-    task, counts = estimate_moments(
-        images,
-        labels,
-        digit_filter=digits,
-        encoding=args.encoding,
-        bias=args.bias,
-        balanced=not args.no_balanced,
-        limit=args.limit,
-        out_size=args.grid,
-    )
+    try:
+        digits = None if args.digits is None else DigitFilter([int(d) for d in args.digits.split(",")])
+        task, counts = estimate_moments(
+            images,
+            labels,
+            digit_filter=digits,
+            encoding=args.encoding,
+            bias=args.bias,
+            balanced=not args.no_balanced,
+            limit=args.limit,
+            out_size=args.grid,
+        )
+    except ValueError as err:  # a digit list the filter or the encoding refuses
+        raise ConfigError(f"invalid moments arguments: {err}") from err
     write_moments_json(task, args.out, extras={"counts": {str(k): v for k, v in counts.items()}})
     total = sum(counts.values())
     print(f"{total} samples over {len(counts)} classes -> {task.input_dim}x{task.output_dim} moments")

@@ -57,11 +57,7 @@ KEYS = (
     ("optimizer", "alpha_g", float, "optimizer.alpha_g"),
     ("optimizer", "iters", int, "optimizer.iters"),
     ("optimizer", "update_rule", str, "optimizer.update_rule"),
-    ("optimizer", "backtracking", bool, "optimizer.backtracking"),
     ("optimizer", "max_halvings", int, "optimizer.max_halvings"),
-    ("optimizer", "beta1", float, "optimizer.beta1"),
-    ("optimizer", "beta2", float, "optimizer.beta2"),
-    ("optimizer", "eps", float, "optimizer.eps"),
     ("output", "out_dir", str, "out_dir"),
     ("output", "force", bool, "force"),
 )

@@ -37,7 +37,7 @@ from .tasks import (
     semantic_moments,
     two_gaussian_moments,
 )
-from .value import CostSpec, ValueSpec
+from .value import CostSpec, ValueSpec, per_step_sum_spec
 
 
 # --- derived analyses --------------------------------------------------------
@@ -257,12 +257,17 @@ def set_fields(config, changes):
 
     Every dataclass on the way is replaced once with all of its new fields,
     so fields checked against each other (a dynamics kind and its dims) are
-    set together.  A dict (the scenario params) takes only keys it has.  A
-    value its spec rejects raises ConfigError, and so does dynamics.init_seed,
-    which build() sets from seed.
+    set together, whatever order `changes` lists them in.  A bare name that
+    is not a RunConfig field is a scenario parameter, and a dict (the
+    scenario params) takes only keys it has.  A value its spec rejects raises
+    ConfigError, and so does dynamics.init_seed, which build() sets from seed.
     """
     if "dynamics.init_seed" in changes:
         raise ConfigError("'dynamics.init_seed' would be overwritten by build(); set it through 'seed'")
+    params = {n: v for n, v in changes.items() if "." not in n and n not in RunConfig.__dataclass_fields__}
+    if params:  # RunConfig rejects a parameter its scenario does not take
+        config = replace(config, params={**config.params, **params})
+        changes = {n: v for n, v in changes.items() if n not in params}
 
     def apply(obj, items):
         own, nested = {}, {}
@@ -286,17 +291,11 @@ def set_fields(config, changes):
 
 
 def override_param(config, name, value, run_suffix=""):
-    """New config with one dotted field replaced, e.g. "value.gamma" or "sigma".
+    """New config with one dotted field replaced, e.g. "value.gamma" or "sigma", as set_fields sets it.
 
-    A bare name that is not a RunConfig field is looked up in the scenario
-    params.  `run_suffix` extends run_name so sweep outputs never collide.
-    A value its spec rejects raises ConfigError.
+    `run_suffix` extends run_name so sweep outputs never collide.
     """
-    if "." not in name and name not in RunConfig.__dataclass_fields__:
-        # a scenario parameter; the config's own validation rejects unknown names
-        cfg = replace(config, params={**config.params, name: value})
-    else:
-        cfg = set_fields(config, {name: value})
+    cfg = set_fields(config, {name: value})
     suffix = run_suffix.replace(os.sep, "_")
     if suffix:
         cfg = replace(cfg, run_name=os.path.join(cfg.run_name, suffix) if cfg.run_name else suffix)
@@ -381,10 +380,8 @@ def _run_inner(cfg):
     sched_opt, trace = optimize(dspec, task, cfg.value, cfg.optimizer, init_sched)
     v_baseline = trace.V[0]
     v_control = trace.V[-1]
-    if cfg.optimizer.backtracking and v_control < v_baseline - 1e-9:
-        raise LearningControlError(
-            f"value dropped under backtracking ({v_control} < {v_baseline}); optimizer contract broken"
-        )
+    if v_control < v_baseline - 1e-9:
+        raise LearningControlError(f"value dropped ({v_control} < {v_baseline}); optimizer contract broken")
 
     first, last = trace.rollouts
     trajectories = {}
@@ -462,7 +459,7 @@ def sweep(base_config, param_name, values, parallelism=None):
 
 def _sum_neuron(cfg, dspec, task, init_sched, sched, trajs):
     g = sched.expand()[0]
-    quarter = dspec.n_steps // 4
+    quarter = max(dspec.n_steps // 4, 1)  # a horizon under 4 steps still averages its first and last step
     return {
         "gain_mean_first_quarter": float(np.mean(g[:quarter])),
         "gain_mean_last_quarter": float(np.mean(g[-quarter:])),
@@ -738,7 +735,7 @@ _SCENARIOS = {
             dyn.DynamicsSpec(
                 kind="two_layer_baseline", input_dim=1, output_dim=1, hidden_dim=3, dt=0.1, n_steps=5, init_std=0.3
             ),
-            ValueSpec(gamma=1.0, eta=1.0, cost=CostSpec("none"), mode="per_step_sum"),
+            per_step_sum_spec(),
             OptimizerSpec(alpha_g=0.05, iters=120),
         ),
         task=_maml_task, control="init_weights", summarize=_sum_maml,

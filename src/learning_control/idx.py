@@ -135,18 +135,20 @@ class DigitFilter:
 def estimate_moments(images, labels, digit_filter=None, encoding="onehot", bias=False, balanced=True, limit=None, out_size=5):
     """Empirical TaskMoments from an image archive.
 
-    images: (n, H, W) raw intensities; labels: (n,) integers.  `limit` caps
-    the number of examples considered (taken from the front, before
-    filtering).  With `balanced`, each selected class is truncated to the
-    smallest class count (first occurrences win), which makes one-hot target
-    means exactly uniform.  pm1 encoding needs exactly two digits and maps
-    the first to +1.  Returns (TaskMoments, counts_by_digit).
+    images: (n, H, W) raw intensities; labels: (n,) integers.  `limit`, at
+    least 1, caps the number of examples considered (taken from the front,
+    before filtering).  With `balanced`, each selected class is truncated to
+    the smallest class count (first occurrences win), which makes one-hot
+    target means exactly uniform.  pm1 encoding needs exactly two digits and
+    maps the first to +1.  Returns (TaskMoments, counts_by_digit).
     """
     images = np.asarray(images)
     labels = np.asarray(labels).reshape(-1)
     if images.shape[0] != labels.shape[0]:
         raise DataFormatError(f"{images.shape[0]} images but {labels.shape[0]} labels")
     if limit is not None:
+        if int(limit) < 1:
+            raise ValueError(f"limit must be at least 1, got {limit}")
         images = images[: int(limit)]
         labels = labels[: int(limit)]
     if digit_filter is None:

@@ -1,13 +1,13 @@
 """Projected gradient ascent over control schedules.
 
 The objective V(schedule) and its exact gradient come from the adjoint sweep
-in `value`; this module just climbs.  With backtracking (the default) a
-candidate step is accepted only if it does not decrease V, halving the step
-up to 20 times before declaring a stall, so the recorded V trace is
-non-decreasing by construction.  A trial whose rollout diverges counts as a
-rejection (V = -inf) and is halved like any other; divergence of the initial
-schedule's rollout, or of a step taken without backtracking, still raises.
-`adaptive_moments` is a standard Adam variant of the ascent direction;
+in `value`; this module just climbs.  A candidate step is accepted only if
+it does not decrease V, halving the step up to max_halvings times (20 by
+default) before declaring a stall, so the recorded V trace is non-decreasing
+by construction.  A trial whose rollout diverges counts as a rejection
+(V = -inf) and is halved like any other; divergence of the initial
+schedule's rollout still raises.  `adaptive_moments` is Adam's direction
+with Kingma & Ba's (2015) constants beta1 0.9, beta2 0.999 and eps 1e-8;
 projection onto box bounds happens after every update.
 
 Each rollout is integrated once: a line-search trial keeps its trajectory,
@@ -31,6 +31,8 @@ from . import dynamics as dyn
 from .errors import DivergenceError
 from .value import grad_value, value
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # adaptive_moments' beta1, beta2 and eps
+
 
 @dataclass
 class OptimizerSpec:
@@ -38,23 +40,17 @@ class OptimizerSpec:
 
     alpha_g is the base step size, iters the number of updates, update_rule
     one of {plain, adaptive_moments}.  max_halvings caps the backtracking
-    halvings per update (nonnegative); beta1 and beta2, both in [0, 1), and
-    eps > 0 configure adaptive_moments.
-    The float fields are stored as floats whatever numeric type they are given.
+    halvings per update (nonnegative).  alpha_g is stored as a float whatever
+    numeric type it is given.
     """
 
     alpha_g: float = 0.1
     iters: int = 100
     update_rule: str = "plain"
-    backtracking: bool = True
     max_halvings: int = 20
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
-        for name in ("alpha_g", "beta1", "beta2", "eps"):
-            setattr(self, name, float(getattr(self, name)))
+        self.alpha_g = float(self.alpha_g)
         if self.update_rule not in ("plain", "adaptive_moments"):
             raise ValueError(f"unknown update rule '{self.update_rule}'")
         if self.alpha_g <= 0:
@@ -63,11 +59,6 @@ class OptimizerSpec:
             raise ValueError("iters must be nonnegative")
         if self.max_halvings < 0:
             raise ValueError("max_halvings must be nonnegative")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
 
 
 @dataclass
@@ -123,34 +114,28 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
         rollout = None
         if ospec.update_rule == "adaptive_moments":
             t = k + 1
-            m_state = tuple(ospec.beta1 * m + (1 - ospec.beta1) * g for m, g in zip(m_state, g_cur))
-            v_state = tuple(ospec.beta2 * v + (1 - ospec.beta2) * g * g for v, g in zip(v_state, g_cur))
-            bc1 = 1 - ospec.beta1**t
-            bc2 = 1 - ospec.beta2**t
-            direction = tuple((m / bc1) / (np.sqrt(v / bc2) + ospec.eps) for m, v in zip(m_state, v_state))
+            m_state = tuple(_BETA1 * m + (1 - _BETA1) * g for m, g in zip(m_state, g_cur))
+            v_state = tuple(_BETA2 * v + (1 - _BETA2) * g * g for v, g in zip(v_state, g_cur))
+            bc1 = 1 - _BETA1**t
+            bc2 = 1 - _BETA2**t
+            direction = tuple((m / bc1) / (np.sqrt(v / bc2) + _EPS) for m, v in zip(m_state, v_state))
         else:
             direction = g_cur
 
         alpha = ospec.alpha_g
-        accepted = False
-        cand = None
         for _ in range(ospec.max_halvings + 1):
             cand = cur.with_values(
                 tuple(val + alpha * d for val, d in zip(cur.values, direction))
             ).project()
-            if not ospec.backtracking:
-                accepted = True
-                break
             try:
                 v_cand, rollout = forward(cand)
             except DivergenceError:
                 v_cand = -math.inf
             if v_cand >= v_cur:
-                accepted = True
                 break
             rollout = None
             alpha *= 0.5
-        if not accepted:
+        else:
             trace.stalled_at = k
             break
         cur = cand

@@ -8,6 +8,8 @@ a left-rule Riemann sum over the step grid that includes t_0 and excludes the
 terminal time.  A second mode ("per_step_sum") drops dt and the discount and
 scores the plain sum of losses at steps 1..N, which is the natural objective
 when the control is the initial weights and the horizon is a handful of steps.
+It has no discount, reward scale or cost, so its ValueSpec must say gamma 1,
+eta 1 and cost kind none (per_step_sum_spec()); any other value is refused.
 
 Gradients come from one reverse (adjoint) sweep through the recorded states:
 exact for the discretized system, one forward plus one backward pass per
@@ -100,7 +102,8 @@ class ValueSpec:
     gamma discounts per unit time (gamma^t with t in the dynamics' units);
     eta converts performance into reward units.  The time grid comes from the
     DynamicsSpec.  mode selects the discounted integral (default) or the
-    undiscounted per-step sum described above.
+    undiscounted per-step sum described above, which refuses a gamma, an eta
+    or a cost it would ignore.
     """
 
     gamma: float = 0.99
@@ -113,6 +116,11 @@ class ValueSpec:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.mode not in ("discounted_integral", "per_step_sum"):
             raise ValueError(f"unknown value mode '{self.mode}'")
+        if self.mode == "per_step_sum":
+            fixed = (("gamma", self.gamma, 1.0), ("eta", self.eta, 1.0), ("cost.kind", self.cost.kind, "none"))
+            for name, got, want in fixed:
+                if got != want:
+                    raise ValueError(f"mode per_step_sum ignores {name}: set it to {want!r}, not {got!r}")
 
 
 def per_step_sum_spec():

@@ -70,7 +70,7 @@ class TestConfigLoading:
             ("optimizer.iters=abc", "expected int for optimizer.iters, got 'abc'"),
             ("optimizer.max_halvings=abc", "expected int for optimizer.max_halvings, got 'abc'"),
             ("optimizer.alpha_g=abc", "expected float for optimizer.alpha_g, got 'abc'"),
-            ("optimizer.backtracking=maybe", "expected a boolean for optimizer.backtracking, got 'maybe'"),
+            ("force=maybe", "expected a boolean for force, got 'maybe'"),
             ("dynamics.n_steps=abc", "expected int for dynamics.n_steps, got 'abc'"),
             ("dynamics.n_steps=3e3", "expected int for dynamics.n_steps, got '3e3'"),
             ("value.gamma=abc", "expected float for value.gamma, got 'abc'"),
@@ -88,8 +88,8 @@ class TestConfigLoading:
     @pytest.mark.parametrize(
         "override, section, key, value",
         [
-            ("optimizer.backtracking=no", "optimizer", "backtracking", False),
-            ("optimizer.backtracking=on", "optimizer", "backtracking", True),
+            ("output.force=no", "output", "force", False),
+            ("force=on", "output", "force", True),
             ("dynamics.n_steps=300", "dynamics", "n_steps", 300),
             ("dynamics.tau_w=2", "dynamics", "tau_w", 2.0),
             ("value.gamma=1", "value", "gamma", 1.0),
@@ -115,12 +115,7 @@ class TestConfigLoading:
         "name, key, value, message",
         [
             ("single_neuron_effort", "max_halvings", "-1", "max_halvings must be nonnegative"),
-            ("task_engagement", "beta1", "1.0", "beta1 must lie in [0, 1)"),
-            ("task_engagement", "beta1", "-0.5", "beta1 must lie in [0, 1)"),
-            ("task_engagement", "beta2", "1.0", "beta2 must lie in [0, 1)"),
-            ("task_engagement", "beta2", "1.5", "beta2 must lie in [0, 1)"),
-            ("task_engagement", "eps", "0", "eps must be positive"),
-            ("task_engagement", "eps", "-1e-8", "eps must be positive"),
+            ("single_neuron_effort", "alpha_g", "0", "alpha_g must be positive"),
         ],
     )
     def test_an_optimizer_field_out_of_range_is_a_config_error(self, name, key, value, message, tmp_path, capsys):
@@ -131,6 +126,53 @@ class TestConfigLoading:
             err = capsys.readouterr().err
             assert f"invalid configuration: {message}" in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("backtracking", "no"), ("beta1", "0.5"), ("beta2", "0.9"), ("eps", "1e-6")])
+    def test_a_removed_optimizer_knob_is_an_unknown_name(self, key, value, tmp_path, capsys):
+        """The ascent always backtracks and Adam's constants are fixed: no key may claim otherwise."""
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"[scenario]\nname = task_engagement\n[optimizer]\n{key} = {value}\n")
+        assert main(["run", "--preset", "task_engagement", "-p", f"optimizer.{key}={value}"]) == 2
+        assert f"error: unknown name 'optimizer.{key}'" in capsys.readouterr().err
+        assert main(["run", "--config", str(cfg_file)]) == 2
+        assert f"c.cfg:4: unknown key '{key}' in [optimizer]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, overrides, field",
+        [
+            ("single_neuron_effort", ["value.mode=per_step_sum"], "gamma"),
+            ("maml_multistep", ["value.gamma=0.5"], "gamma"),
+            ("maml_multistep", ["value.eta=2"], "eta"),
+            ("maml_multistep", ["value.cost_kind=quadratic"], "cost.kind"),
+            ("single_neuron_effort", ["value.gamma=1", "value.mode=per_step_sum"], "cost.kind"),
+        ],
+    )
+    def test_a_field_the_per_step_sum_ignores_is_a_config_error(self, name, overrides, field, tmp_path, capsys):
+        lines = [f"{path.split('.')[1]} = {raw}" for path, raw in (o.split("=") for o in overrides)]
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"[scenario]\nname = {name}\n[value]\n" + "\n".join(lines) + "\n")
+        flags = [a for o in overrides for a in ("-p", o)]
+        for argv in (["run", "--preset", name, *flags], ["run", "--config", str(cfg_file)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"invalid configuration: mode per_step_sum ignores {field}" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("maml_multistep", ["value.gamma=0.9", "value.mode=discounted_integral"]),
+            ("single_neuron_effort", ["dynamics.kind=lr_mod", "dynamics.hidden_dim=3"]),
+        ],
+    )
+    def test_overrides_are_set_together_in_either_order(self, name, overrides, capsys):
+        """Fields checked against each other do not depend on the order of their -p flags."""
+        runs = []
+        for order in (overrides, overrides[::-1]):
+            argv = ["run", "--preset", name, "-p", "optimizer.iters=0"] + [a for o in order for a in ("-p", o)]
+            assert main(argv) == 0, capsys.readouterr().err
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize(
         "name, param, message",
@@ -453,6 +495,24 @@ class TestMomentsCommand:
         code = main(["moments", *(x for pair in files.items() for x in pair), "--out", str(tmp_path / "m.json")])
         assert code == 4
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid", "0"], "--grid must be >= 1"),
+        (["--grid", "-2"], "--grid must be >= 1"),
+        (["--limit", "0"], "--limit must be >= 1"),
+        (["--limit", "-4"], "--limit must be >= 1"),
+        (["--digits", "0,0"], "invalid moments arguments: duplicate digits in filter"),
+        (["--digits", "0,x"], "invalid moments arguments: invalid literal for int()"),
+        (["--digits", "0", "--encoding", "pm1"], "invalid moments arguments: pm1 encoding needs exactly two digits"),
+    ])
+    def test_a_bad_argument_is_a_config_error(self, flags, message, tmp_path, capsys):
+        img, lab = write_archive(tmp_path)
+        out = tmp_path / "m.json"
+        assert main(["moments", "--images", img, "--labels", lab, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_digits_keep_only_the_listed_classes(self, tmp_path, capsys):
         img, lab = write_archive(tmp_path)

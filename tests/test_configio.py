@@ -115,9 +115,9 @@ class TestParsing:
     def test_boolean_spellings(self):
         for raw, want in (("yes", True), ("on", True), ("0", False), ("FALSE", False)):
             cfg = parse_config(
-                f"[scenario]\nname = single_neuron_effort\n[optimizer]\nbacktracking = {raw}\n"
+                f"[scenario]\nname = single_neuron_effort\n[output]\nforce = {raw}\n"
             )
-            assert cfg.optimizer.backtracking is want
+            assert cfg.force is want
 
 
 def raises_at(text, line, match):
@@ -166,7 +166,7 @@ class TestErrors:
 
     def test_bad_boolean(self):
         raises_at(
-            "[scenario]\nname = single_neuron_effort\n[optimizer]\nbacktracking = maybe\n",
+            "[scenario]\nname = single_neuron_effort\n[output]\nforce = maybe\n",
             4,
             "expected a boolean",
         )

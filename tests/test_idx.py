@@ -188,6 +188,12 @@ class TestEstimateMoments:
         with pytest.raises(DataFormatError, match="no samples"):
             estimate_moments(images, labels, digit_filter=[2], limit=2, out_size=2)
 
+    @pytest.mark.parametrize("limit", [0, -4])
+    def test_a_limit_below_one_is_rejected(self, limit):
+        images, labels = toy_archive()
+        with pytest.raises(ValueError, match=f"limit must be at least 1, got {limit}"):
+            estimate_moments(images, labels, limit=limit, out_size=2)
+
     def test_rejects_length_mismatch(self):
         images, labels = toy_archive()
         with pytest.raises(DataFormatError, match="labels"):

@@ -5,6 +5,7 @@ optimizer property can be asserted deterministically.
 """
 
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -47,14 +48,7 @@ class TestSpecValidation:
         "field, value, message",
         [
             ("max_halvings", -1, "max_halvings must be nonnegative"),
-            ("beta1", 1.0, r"beta1 must lie in \[0, 1\)"),
-            ("beta1", -0.1, r"beta1 must lie in \[0, 1\)"),
-            ("beta1", float("nan"), r"beta1 must lie in \[0, 1\)"),
-            ("beta2", 1.0, r"beta2 must lie in \[0, 1\)"),
-            ("beta2", -1e-9, r"beta2 must lie in \[0, 1\)"),
-            ("eps", 0.0, "eps must be positive"),
-            ("eps", -1e-8, "eps must be positive"),
-            ("eps", float("nan"), "eps must be positive"),
+            ("iters", -1, "iters must be nonnegative"),
         ],
     )
     def test_rejects_out_of_range_fields(self, field, value, message):
@@ -62,12 +56,17 @@ class TestSpecValidation:
             OptimizerSpec(**{field: value})
 
     def test_range_edges_are_accepted(self):
-        spec = OptimizerSpec(max_halvings=0, beta1=0.0, beta2=0.0, eps=5e-324)
-        assert (spec.max_halvings, spec.beta1, spec.beta2, spec.eps) == (0, 0.0, 0.0, 5e-324)
+        spec = OptimizerSpec(max_halvings=0, iters=0)
+        assert (spec.max_halvings, spec.iters) == (0, 0)
+
+    def test_the_fields_are_the_step_the_budget_and_the_rule(self):
+        """The ascent always backtracks and Adam's beta1, beta2 and eps are constants, not fields."""
+        assert [f.name for f in fields(OptimizerSpec)] == ["alpha_g", "iters", "update_rule", "max_halvings"]
+        assert (optimizer._BETA1, optimizer._BETA2, optimizer._EPS) == (0.9, 0.999, 1e-8)
 
     def test_float_fields_are_stored_as_floats(self):
-        spec = OptimizerSpec(alpha_g=50, beta1=0, beta2=0, eps=1)
-        assert [type(getattr(spec, f)) for f in ("alpha_g", "beta1", "beta2", "eps")] == [float] * 4
+        spec = OptimizerSpec(alpha_g=50)
+        assert type(spec.alpha_g) is float
         _, trace = optimize(neuron_spec(), TASK, VSPEC, OptimizerSpec(alpha_g=1, iters=2), neutral())
         assert [type(a) for a in trace.alpha_used] == [float] * 3
 
@@ -169,12 +168,6 @@ class TestStall:
         first, last = trace.rollouts
         assert last is first
 
-    def test_no_stall_without_backtracking(self):
-        ospec = OptimizerSpec(alpha_g=0.05, iters=4, backtracking=False)
-        _, trace = optimize(neuron_spec(), TASK, VSPEC, ospec, neutral(bounds=(-0.5, 0.5)))
-        assert trace.stalled_at is None
-        assert trace.alpha_used[1:] == [0.05] * 4
-
 
 class TestTrialDivergence:
     """A line-search trial so large that its rollout blows up is a rejection."""
@@ -192,10 +185,11 @@ class TestTrialDivergence:
         with pytest.raises(DivergenceError):
             integrate(neuron_spec(), full, TASK)
 
-    def test_divergence_without_backtracking_still_raises(self):
-        ospec = OptimizerSpec(alpha_g=1e4, iters=3, backtracking=False)
+    def test_divergence_of_the_initial_rollout_still_raises(self):
+        init = neutral(bounds=(0.0, 1e4))
+        init = init.with_values(tuple(np.full_like(v, 1e4) for v in init.values))
         with pytest.raises(DivergenceError, match="exceeded"):
-            optimize(neuron_spec(), TASK, VSPEC, ospec, neutral(bounds=(0.0, 1e3)))
+            optimize(neuron_spec(), TASK, VSPEC, OptimizerSpec(iters=3), init)
 
 
 class TestAdaptiveMoments:
@@ -224,7 +218,7 @@ class TestMamlObjective:
         sched = init_weights_control((np.full((3, 1), 0.3), np.full((1, 3), -0.2)))
         tasks = [two_gaussian_moments(2.0, 0.8), two_gaussian_moments(1.2, 1.0)]
         ospec = OptimizerSpec(alpha_g=0.05, iters=20)
-        _, trace = optimize(spec, tasks, ValueSpec(mode="per_step_sum"), ospec, sched)
+        _, trace = optimize(spec, tasks, per_step_sum_spec(), ospec, sched)
         assert trace.V[-1] > trace.V[0]
         assert np.all(np.diff(trace.V) >= 0)
 
@@ -268,7 +262,7 @@ class TestRolloutsOwnTheirStates:
         spec = DynamicsSpec(kind="two_layer_baseline", input_dim=1, output_dim=1, hidden_dim=3, dt=0.1, n_steps=6)
         sched = init_weights_control((np.full((3, 1), 0.3), np.full((1, 3), -0.2)))
         tasks = dynamics.TaskSet([two_gaussian_moments(2.0, 0.8), two_gaussian_moments(1.2, 1.0)])
-        return spec, tasks, ValueSpec(mode="per_step_sum"), sched
+        return spec, tasks, per_step_sum_spec(), sched
 
     @pytest.mark.parametrize("case", ["gain_mod_case", "task_set_case"])
     def test_later_passes_leave_kept_rollouts_alone(self, case, monkeypatch):

@@ -343,7 +343,7 @@ class TestRunOutputBundle:
         cfg = bundle_config(tmp_path)
         with open(os.path.join(run(cfg).out_dir, "result.json")) as fh:
             doc = json.load(fh)["config"]
-        assert doc["optimizer"]["beta2"] == cfg.optimizer.beta2
+        assert doc["optimizer"]["max_halvings"] == cfg.optimizer.max_halvings
         assert {(s, k) for s, k, _, _ in KEYS if s != "output"} == {
             (s, k) for s in ("dynamics", "value", "optimizer") for k in doc[s]
         }

@@ -248,14 +248,23 @@ class TestValueWeighting:
         expected = -(0.1 * 0.09 * (cw[0] + cw[1]) + 0.1 * 0.04 * cw[2])
         np.testing.assert_allclose(value(traj, sched, vspec, dspec), expected, rtol=1e-14)
 
-    def test_per_step_sum_ignores_dt_discount_and_cost(self):
+    def test_per_step_sum_ignores_dt(self):
         dspec = neuron_spec(dt=0.5, n_steps=2)
-        vspec = ValueSpec(gamma=0.8, eta=2.0, cost=CostSpec("quadratic", beta=5.0),
-                          mode="per_step_sum")
         sched = ControlSchedule(kind="scalar_series", values=(np.array([1.0, 1.0]),),
                                 n_steps=2)
         traj = fake_traj([2.0, 1.0, 0.5], dt=0.5)
-        np.testing.assert_allclose(value(traj, sched, vspec, dspec), -1.5, rtol=1e-15)
+        np.testing.assert_allclose(value(traj, sched, per_step_sum_spec(), dspec), -1.5, rtol=1e-15)
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"gamma": 0.8}, "gamma"),
+        ({}, "gamma"),  # the default gamma, 0.99, discounts
+        ({"gamma": 1.0, "eta": 2.0}, "eta"),
+        ({"gamma": 1.0, "cost": CostSpec("quadratic", beta=5.0)}, "cost.kind"),
+        ({"gamma": 1.0, "cost": CostSpec("quadratic")}, "cost.kind"),
+    ])
+    def test_per_step_sum_refuses_the_fields_it_would_ignore(self, fields, name):
+        with pytest.raises(ValueError, match=f"mode per_step_sum ignores {name}: set it to"):
+            ValueSpec(mode="per_step_sum", **fields)
 
     def test_undiscounted_integral(self):
         dspec = neuron_spec(dt=0.25, n_steps=4)
@@ -371,7 +380,7 @@ class TestInitWeightsGradient:
         assert grads[0].shape == (3, 1) and grads[1].shape == (1, 3)
         np.testing.assert_allclose(total, -np.sum(traj.losses[1:]), rtol=1e-13)
 
-    @pytest.mark.parametrize("vspec", [ValueSpec(mode="per_step_sum"), ValueSpec(gamma=0.9, eta=1.5)],
+    @pytest.mark.parametrize("vspec", [per_step_sum_spec(), ValueSpec(gamma=0.9, eta=1.5)],
                              ids=["per_step_sum", "discounted_integral"])
     def test_fd_check_over_a_task_set(self, vspec):
         """The probes and the adjoint both score the task set by the ValueSpec given."""
