@@ -186,7 +186,7 @@ def is_task_set(task):
 
 
 class TaskSet(tuple):
-    """A task set with its moments stacked once, when made: sx, sxy_t (Sxy^T), tr_sy; TaskSet(a TaskSet) is it."""
+    """A task set, its moments stacked once when made: sx, sxy_t (Sxy^T), tr_sy, mean_x, mean_y; TaskSet(it) is it."""
 
     def __new__(cls, tasks):
         if type(tasks) is cls:
@@ -194,6 +194,7 @@ class TaskSet(tuple):
         self = super().__new__(cls, tasks)
         self.sx, self.sxy_t = np.array([t.sigma_x for t in self]), _mT(np.array([t.sigma_xy for t in self]))
         self.tr_sy = np.array([t.sigma_y.trace() for t in self])
+        self.mean_x, self.mean_y = np.array([t.mean_x for t in self]), np.array([t.mean_y for t in self])
         return self
 
 
@@ -321,11 +322,6 @@ def _gather(args, *fields):
     })
 
 
-def _rows(x, k, ndim):
-    """Per-step entries of a gathered field: its rows if stacked by step (ndim), else the shared value k times."""
-    return list(x) if x is not None and x.ndim == ndim else [x] * k
-
-
 def _on_batch(x):
     """A control field of a task set's args: an array gets a length-1 batch axis."""
     return x[None] if isinstance(x, np.ndarray) else x
@@ -435,14 +431,15 @@ class _PairSweep(_Sweep):
     """The sweep of the shared kernel and of the pair's loss.
 
     The construction runs the kernel on the stack (`p` is its flow before the
-    boost) and forms dL/dW batched.  vjp keeps a, the gained maps' adjoints
-    and the error's in per-stack arrays, and its seven products (dot or
-    matmul, as in _pair_flows) write into the destination rows and `tmp`,
-    made once per sweep.  _control_grads hands them to the kind's control_vjp.
+    boost) and forms dL/dW batched.  vjp(j, a) reads step j's own args, keeps
+    a, the gained maps' adjoints and the error's in per-stack arrays, and its
+    seven products (dot or matmul, as in _pair_flows) write into the
+    destination rows and `tmp`, made once per sweep.  _control_grads hands
+    them to the kind's control_vjp.
     """
 
     def __init__(self, layers, args, spec, pw, control_vjp):
-        a = _gather(args, "g", "dcol", "boost", "sx", "sxy_t")
+        a = _gather(args, "g", "dcol", "sx", "sxy_t")
         super().__init__(layers, args, spec, a.lam)
         self.control_vjp, w = control_vjp, self.w
         flow = _pair_flows(self.shapes, w.shape[:-1])(a._replace(boost=None))
@@ -459,14 +456,13 @@ class _PairSweep(_Sweep):
         self.tmp = np.empty((*lead, out, inp)), np.empty((*lead, out, hid)), *np.empty((2, *lead, hid, inp))
         ub = np.empty(w.shape[1:])
         self.ub = (ub, *_split(ub, self.shapes), *(_mT(u) for u in _split(ub, self.shapes)))
-        k = len(w)
         self.rows = list(zip(
-            a_mat, b_mat, _mT(b_mat), _mT(x1), err_d, lw, self.sabb, *_split(self.sabb, self.shapes), self.edb,
-            *(_rows(x, k, w.ndim) for x in (a.g, a.boost)), *(_rows(x, k, w.ndim + 1) for x in (a.dcol, a.sx)),
+            a_mat, b_mat, _mT(b_mat), _mT(x1), err_d, lw, self.sabb, *_split(self.sabb, self.shapes), self.edb, args,
         ))
 
     def vjp(self, j, a):
-        a_mat, b_mat, b_t, x1_t, err_d, lw, abb, ab, bb, edb, g, boost, dcol, sx = self.rows[j]
+        a_mat, b_mat, b_t, x1_t, err_d, lw, abb, ab, bb, edb, t = self.rows[j]
+        g, dcol, boost, sx = t.g, t.dcol, t.boost, t.sx
         ub, u1b, u2b, u1b_t, u2b_t = self.ub
         mm, (te, tb, ta, tas) = self.mm, self.tmp
         self.sa[j] = a
@@ -602,10 +598,9 @@ _TaylorArgs = namedtuple("_TaylorArgs", "g nl mcol ycol s r sxy tr_sy lam ctrl t
 
 
 def _taylor_args(control, task, spec):
+    task = TaskSet(task) if is_task_set(task) else task
     a = _moment_args(_gain_channels)(control, task, spec)
-    m, my = (np.array([getattr(t, f) for t in task]) if is_task_set(task) else getattr(task, f)
-             for f in ("mean_x", "mean_y"))
-    mcol, ycol, mrow = m[..., :, None], my[..., :, None], m[..., None, :]
+    mcol, ycol, mrow = task.mean_x[..., :, None], task.mean_y[..., :, None], task.mean_x[..., None, :]
     return _TaylorArgs(a.g, _NONLIN[spec.nonlinearity], mcol, ycol, a.sx - mcol * mrow, a.sxy_t - ycol * mrow,
                        _mT(a.sxy_t), a.tr_sy, a.lam, a.ctrl, a.task)
 
@@ -669,30 +664,30 @@ def _taylor_losses(layers, args, spec):
     return _map_losses(b_mat, ff, fy, a.tr_sy, layers, spec.reg_lambda)
 
 
-# What the Taylor reverse chain reads of a state or of a stack of states: the
-# expansion at the state, then the task's fields, which a run's steps share.
-_Terms = namedtuple("_Terms", "a b f0 d1 d2 j q c2 k ff mcol ycol r s sxy")
+# The expansion at a state, or at a stack of states, that the Taylor reverse chain reads.
+_Terms = namedtuple("_Terms", "a b f0 d1 d2 j q c2 k ff")
 
 
-def _taylor_tail(e, fyb, ffb, kb, d1b):
+def _taylor_tail(e, t, fyb, ffb, kb, d1b):
     """Reverse chain Fy, Ff, K -> (f0, J, u) -> the gained maps: their adjoints (B's None without kb).
 
-    e holds the _Terms, fyb, ffb and kb the adjoints of Fy, Ff and K (kb
-    None drops the K terms) and d1b f'(u)'s seed (None for none).  Each
-    adjoint sums from +0.0, which makes a -0.0 first term +0.0.
+    e holds the _Terms, t the args (a stack's gathered, or one step's own)
+    whose mcol, ycol, r, s, sxy it reads, fyb, ffb and kb the adjoints of Fy,
+    Ff and K (kb None drops the K terms) and d1b f'(u)'s seed (None for none).
+    Each adjoint sums from +0.0, which makes a -0.0 first term +0.0.
     """
     fyb_t, sym = _mT(fyb), ffb + _mT(ffb)
-    f0b = 0.0 + (fyb_t @ e.ycol)[..., 0] + (sym @ e.f0[..., None])[..., 0]
-    jb = 0.0 + fyb_t @ e.r + sym @ e.j @ e.s
+    f0b = 0.0 + (fyb_t @ t.ycol)[..., 0] + (sym @ e.f0[..., None])[..., 0]
+    jb = 0.0 + fyb_t @ t.r + sym @ e.j @ t.s
     bb = None
     if kb is not None:
         c2b, qb = -kb @ _mT(e.q), -e.c2 @ kb
-        bb = 0.0 + _mT(kb @ e.sxy) + e.b @ (c2b + _mT(c2b))
-        f0b = f0b + (qb @ e.mcol)[..., 0]
-        jb = jb + qb @ e.s
+        bb = 0.0 + _mT(kb @ t.sxy) + e.b @ (c2b + _mT(c2b))
+        f0b = f0b + (qb @ t.mcol)[..., 0]
+        jb = jb + qb @ t.s
     d1b = (0.0 if d1b is None else d1b) + (jb * e.a).sum(axis=-1)
     ub = e.d1 * f0b + e.d2 * d1b
-    return e.d1[..., None] * jb + ub[..., :, None] * _mT(e.mcol), bb
+    return e.d1[..., None] * jb + ub[..., :, None] * _mT(t.mcol), bb
 
 
 class _TaylorSweep(_Sweep):
@@ -715,25 +710,22 @@ class _TaylorSweep(_Sweep):
         e = _expand(a_mat, a)
         q, c2, k = _taylor_z(b_mat, a, e, z1, z2)
         f0, d1, j, _, ff, _ = e
-        terms = _Terms(a_mat, b_mat, f0, d1, a.nl[2](f0, d1), j, q, c2, k, ff, a.mcol, a.ycol, a.r, a.s, a.sxy)
-        lab, _ = _taylor_tail(terms, -b_mat, 0.5 * c2, None, None)
+        terms = _Terms(a_mat, b_mat, f0, d1, a.nl[2](f0, d1), j, q, c2, k, ff)
+        lab, _ = _taylor_tail(terms, a, -b_mat, 0.5 * c2, None, None)
         lxb = _pack((lab, 0.0 - z2))
         lw = (lxb if a.g is None else lxb * a.g) + a.lam * w
         self.lg = None if a.g is None else _split(lxb * w, self.shapes)
         self._weigh(pw, lw)
         self.sa, self.sxb = np.empty_like(w), np.empty_like(w)
-        n = len(w)
-        fields = [list(x) for x in terms[:10]] + [_rows(x, n, w.ndim + 1) for x in terms[10:]]
-        self.rows = list(zip(map(_Terms._make, zip(*fields)), _rows(a.g, n, w.ndim), lw, self.sxb,
-                             *_split(self.sxb, self.shapes)))
+        self.rows = list(zip(map(_Terms._make, zip(*terms)), args, lw, self.sxb, *_split(self.sxb, self.shapes)))
 
     def vjp(self, j, a):
-        e, g, lw, xb, ab, bb = self.rows[j]
+        e, t, lw, xb, ab, bb = self.rows[j]
         self.sa[j] = a
-        gz1, gz2 = _split(a if g is None else a * g, self.shapes)
-        ab[...], tail_b = _taylor_tail(e, gz2, -(_mT(e.b) @ gz2), e.d1[..., None] * gz1, (gz1 * e.k).sum(axis=-1))
+        gz1, gz2 = _split(a if t.g is None else a * t.g, self.shapes)
+        ab[...], tail_b = _taylor_tail(e, t, gz2, -(_mT(e.b) @ gz2), e.d1[..., None] * gz1, (gz1 * e.k).sum(axis=-1))
         np.subtract(tail_b, gz2 @ e.ff, out=bb)
-        return self.neg_lam * a + (xb if g is None else xb * g), lw
+        return self.neg_lam * a + (xb if t.g is None else xb * t.g), lw
 
     def _control_grads(self):
         return _split(self.sa * self.zz + self.sxb * self.w, self.shapes), self.lg

@@ -137,7 +137,8 @@ def estimate_moments(images, labels, digit_filter=None, encoding="onehot", bias=
 
     images: (n, H, W) raw intensities; labels: (n,) integers.  `limit`, at
     least 1, caps the number of examples considered (taken from the front,
-    before filtering).  With `balanced`, each selected class is truncated to
+    before filtering); `out_size`, at least 1, is the side of the downsampled
+    images.  With `balanced`, each selected class is truncated to
     the smallest class count (first occurrences win), which makes one-hot
     target means exactly uniform.  pm1 encoding needs exactly two digits and
     maps the first to +1.  Returns (TaskMoments, counts_by_digit).
@@ -146,6 +147,8 @@ def estimate_moments(images, labels, digit_filter=None, encoding="onehot", bias=
     labels = np.asarray(labels).reshape(-1)
     if images.shape[0] != labels.shape[0]:
         raise DataFormatError(f"{images.shape[0]} images but {labels.shape[0]} labels")
+    if int(out_size) < 1:
+        raise ValueError(f"out_size must be at least 1, got {out_size}")
     if limit is not None:
         if int(limit) < 1:
             raise ValueError(f"limit must be at least 1, got {limit}")

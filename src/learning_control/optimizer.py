@@ -110,8 +110,6 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
 
     for k in range(ospec.iters):
         tick = time.perf_counter()
-        # the adjoint has used the last accepted rollout; `first` keeps the initial one
-        rollout = None
         if ospec.update_rule == "adaptive_moments":
             t = k + 1
             m_state = tuple(_BETA1 * m + (1 - _BETA1) * g for m, g in zip(m_state, g_cur))
@@ -128,26 +126,22 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
                 tuple(val + alpha * d for val, d in zip(cur.values, direction))
             ).project()
             try:
-                v_cand, rollout = forward(cand)
+                v_cand, trial = forward(cand)
             except DivergenceError:
                 v_cand = -math.inf
             if v_cand >= v_cur:
                 break
-            rollout = None
             alpha *= 0.5
         else:
             trace.stalled_at = k
             break
         cur = cand
-        v_cur, g_cur, rollout = grad_value(dspec, task, cur, vspec, traj=rollout)
+        v_cur, g_cur, rollout = grad_value(dspec, task, cur, vspec, traj=trial)
         elapsed = (time.perf_counter() - tick) * 1000.0
         trace.V.append(v_cur)
         trace.grad_norm.append(_tree_norm(g_cur))
         trace.alpha_used.append(alpha)
         trace.wall_ms.append(elapsed + 0.0)
-    if rollout is None:
-        # a stall dropped the last accepted rollout; with none accepted, cur is the initial schedule
-        rollout = first if trace.stalled_at == 0 else forward(cur)[1]
     trace.rollouts = (first, rollout)
     return cur, trace
 

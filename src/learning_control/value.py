@@ -28,19 +28,22 @@ into the CLI, so a broken derivative is loud.
 import functools
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import dynamics as dyn
 from .control import segment_sumsq
 
-COST_KINDS = ("none", "quadratic", "exp_frobenius", "anchored_norm", "fixed_norm")
+# The fields each cost kind reads; CostSpec refuses any other field off its default
+_COST_FIELDS = {"none": (), "quadratic": ("beta",), "exp_frobenius": ("beta",), "anchored_norm": ("beta", "anchor"),
+                "fixed_norm": ("beta", "target_norm")}
+COST_KINDS = tuple(_COST_FIELDS)
 
 
 @dataclass
 class CostSpec:
-    """Control effort penalty C(g).
+    """Control effort penalty C(g); a field its kind does not read must keep its default.
 
     quadratic       beta * sum g^2
     exp_frobenius   exp(beta * sum g^2) - 1   (couples channels through the total)
@@ -58,6 +61,10 @@ class CostSpec:
     def __post_init__(self):
         if self.kind not in COST_KINDS:
             raise ValueError(f"unknown cost kind '{self.kind}'")
+        for f in fields(self)[1:]:
+            got = getattr(self, f.name)
+            if f.name not in _COST_FIELDS[self.kind] and got != f.default:
+                raise ValueError(f"cost kind {self.kind} ignores {f.name}: set it to {f.default!r}, not {got!r}")
 
 
 def _exp(x):

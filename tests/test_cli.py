@@ -95,7 +95,7 @@ class TestConfigLoading:
             ("value.gamma=1", "value", "gamma", 1.0),
             ("value.cost.beta=0.5", "value", "beta", 0.5),
             ("value.beta=0.5", "value", "beta", 0.5),
-            ("value.cost_kind=none", "value", "cost_kind", "none"),
+            ("value.cost_kind=exp_frobenius", "value", "cost_kind", "exp_frobenius"),  # reads beta alone
             ("output.force=yes", "output", "force", True),
             ("output.out_dir=somewhere", "output", "out_dir", "somewhere"),
         ],
@@ -157,6 +157,31 @@ class TestConfigLoading:
             err = capsys.readouterr().err
             assert f"invalid configuration: mode per_step_sum ignores {field}" in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (["value.anchor=7"], "cost kind quadratic ignores anchor: set it to 1.0, not 7.0"),
+            (["value.target_norm=9"], "cost kind quadratic ignores target_norm: set it to 0.0, not 9.0"),
+            (["value.cost_kind=none"], "cost kind none ignores beta: set it to 0.0, not 0.3"),
+        ],
+    )
+    def test_a_field_the_cost_kind_ignores_is_a_config_error(self, overrides, message, tmp_path, capsys):
+        lines = [f"{path.split('.')[1]} = {raw}" for path, raw in (o.split("=") for o in overrides)]
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("[scenario]\nname = single_neuron_effort\n[value]\n" + "\n".join(lines) + "\n")
+        flags = [a for o in overrides for a in ("-p", o)]
+        for argv in (["run", "--preset", "single_neuron_effort", *flags], ["run", "--config", str(cfg_file)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"invalid configuration: {message}" in err
+            assert "Traceback" not in err
+
+    def test_no_cost_runs_once_beta_is_back_at_its_default(self, capsys):
+        argv = ["run", "--preset", "single_neuron_effort", "-p", "optimizer.iters=0",
+                "-p", "value.cost_kind=none", "-p", "value.beta=0"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1] == f"{'V_baseline':<28}{-6.8407265144642615:.17g}"
 
     @pytest.mark.parametrize(
         "name, overrides",

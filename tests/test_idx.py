@@ -194,6 +194,12 @@ class TestEstimateMoments:
         with pytest.raises(ValueError, match=f"limit must be at least 1, got {limit}"):
             estimate_moments(images, labels, limit=limit, out_size=2)
 
+    @pytest.mark.parametrize("out_size", [0, -2])
+    def test_an_out_size_below_one_is_rejected(self, out_size):
+        images, labels = toy_archive()
+        with pytest.raises(ValueError, match=f"out_size must be at least 1, got {out_size}"):
+            estimate_moments(images, labels, out_size=out_size)
+
     def test_rejects_length_mismatch(self):
         images, labels = toy_archive()
         with pytest.raises(DataFormatError, match="labels"):

@@ -24,7 +24,6 @@ from learning_control.tasks import (
     two_gaussian_moments,
 )
 from learning_control.value import (
-    COST_KINDS,
     CostSpec,
     FdReport,
     ValueSpec,
@@ -191,6 +190,18 @@ class TestControlCost:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="cost kind"):
             CostSpec("cubic")
+
+    @pytest.mark.parametrize("kind, name, value", [
+        ("none", "beta", 5.0), ("none", "anchor", 7.0), ("none", "target_norm", 9.0),
+        ("quadratic", "anchor", 7.0), ("quadratic", "target_norm", 9.0),
+        ("exp_frobenius", "anchor", 7.0), ("exp_frobenius", "target_norm", 9.0),
+        ("anchored_norm", "target_norm", 9.0), ("fixed_norm", "anchor", 7.0),
+    ])
+    def test_a_field_its_kind_does_not_read_is_refused(self, kind, name, value):
+        default = getattr(CostSpec(), name)
+        with pytest.raises(ValueError, match=f"cost kind {kind} ignores {name}: set it to {default!r}, not {value!r}"):
+            CostSpec(kind, **{name: value})
+        assert getattr(CostSpec(kind, **{name: default}), name) == default  # its default is no claim
 
 
 class TestControlCostGrad:
@@ -552,9 +563,15 @@ class TestNeuronFloatAdjoint:
     the 4-step segments, and the last segment is ragged (23 steps).
     """
 
+    COSTS = {
+        "none": CostSpec(),
+        "quadratic": CostSpec("quadratic", beta=0.2),
+        "exp_frobenius": CostSpec("exp_frobenius", beta=0.2),
+        "anchored_norm": CostSpec("anchored_norm", beta=0.2, anchor=0.1),
+        "fixed_norm": CostSpec("fixed_norm", beta=0.2, target_norm=0.05),
+    }
     VSPECS = {
-        **{kind: ValueSpec(gamma=0.9, eta=1.3, cost=CostSpec(kind, beta=0.2, anchor=0.1, target_norm=0.05))
-           for kind in COST_KINDS},
+        **{kind: ValueSpec(gamma=0.9, eta=1.3, cost=cost) for kind, cost in COSTS.items()},
         "per_step_sum": per_step_sum_spec(),  # scores the terminal state too
     }
 
@@ -727,7 +744,7 @@ class TestOneTaskSetsAtPresetShapes:
 
 
 class TestTaskSetMoments:
-    """A TaskSet stacks its tasks' moments once; the pair kinds' args read them as they are."""
+    """A TaskSet stacks its tasks' moments and means once; the kinds' args read them as they are."""
 
     def test_a_task_set_stacks_its_moments_once(self):
         spec, tasks, sched = task_set_case("gain_mod")
@@ -736,8 +753,12 @@ class TestTaskSetMoments:
         assert np.array_equal(ts.sx, np.array([t.sigma_x for t in tasks]))
         assert np.array_equal(ts.sxy_t, np.array([t.sigma_xy.T for t in tasks]))
         assert np.array_equal(ts.tr_sy, np.array([t.sigma_y.trace() for t in tasks]))
+        assert np.array_equal(ts.mean_x, np.array([t.mean_x for t in tasks]))
+        assert np.array_equal(ts.mean_y, np.array([t.mean_y for t in tasks]))
         args = dynamics._KIND_TABLE["gain_mod"].args(sched.at(0), ts, spec)
         assert args.sx is ts.sx and args.sxy_t is ts.sxy_t and args.tr_sy is ts.tr_sy
+        taylor = dynamics._KIND_TABLE["nonlinear_taylor"].args(sched.at(0), ts, spec)
+        assert taylor.mcol.base is ts.mean_x and taylor.ycol.base is ts.mean_y  # the means as the set stacked them
         vspec = TestBatchedSweep.VSPECS["discounted_with_cost"]
         (v_set, g_set, t_set), (v_list, g_list, t_list) = (grad_value(spec, t, sched, vspec) for t in (ts, tasks))
         assert v_set == v_list and all(np.array_equal(a, b) for a, b in zip(g_set, g_list))
@@ -817,10 +838,13 @@ class TestPinnedTaskSets:
             assert got_fd == want_fd
 
 
-# Recorded from the one-step sweep that nonlinear_taylor and single_layer ran
-# before they took stack slots: V, each control array's gradient (raveled) and
-# the rollout's losses of stack_case(kind, "switching") under
-# discounted_with_cost.  single_layer has no adjoint, so only its losses.
+# V, each control array's gradient (raveled) and the rollout's losses of
+# stack_case(kind, "switching") under discounted_with_cost; the baseline is
+# controlled through its initial weights, as in TestBatchedSweep.
+# nonlinear_taylor and single_layer were recorded from the one-step sweep they
+# ran before they took stack slots (single_layer has no adjoint, so only its
+# losses), the linear pair kinds from the sweep that stacked its steps' task
+# and control fields a second time before each step read its own args.
 PINNED_SWITCHING = {
     "nonlinear_taylor": (
         -1.2799799990485914,
@@ -871,16 +895,130 @@ PINNED_SWITCHING = {
         0.33086897219226574, 0.3211024545180557, 0.2182150247305555, 0.19832896845385997,
         0.18734609341354458, 0.47582134902072737, 0.43753545074863187, 0.41719075868376376,
     ]),
+    "two_layer_baseline": (
+        -0.8894187709481548,
+        [
+            [
+                -0.3216563091748127, 0.2285727445716295, 0.5887739724278338, -0.3233932363419398, 0.2827501065972937,
+                0.07091598663064663,
+            ],
+            [
+                -0.14206869320318447, 0.43711127958198653, 0.3675594847942342, 0.3443763771314715,
+                -0.6119046685084659, -0.038490223627739684,
+            ],
+        ],
+        [
+            0.9376966498482646, 0.9101801305206192, 0.8818193906859139, 0.8521465816310414, 0.8208230913479019,
+            0.7876469282470411, 0.7525661826769618, 0.7555515594136271, 0.7278068341959044, 0.699767233564367,
+            0.6716246779077705, 0.6436096190853587, 0.6159785019022884, 0.5889984627450513, 0.4982464795558478,
+            0.4624450939502995, 0.42954799694766305, 0.4000649669758942, 0.3742932973280402, 0.3523055419991242,
+            0.33396843479979477, 0.4265465766881782, 0.41589155444048337, 0.4059657071309439,
+        ],
+    ),
+    "gain_mod": (
+        -1.4434958219810161,
+        [
+            [
+                -0.03874440213488292, -0.019899646553398813, 0.007839955851982616, 0.02678996297731051,
+                0.022279366462076667, 0.002725174179618464, 0.00013560149628310007, 0.03393964984548836,
+                0.049792272995344763, -0.04393943323884056, -0.024522549436934396, 0.017316263022104407,
+                -0.0022050667133788953, -0.04860177198719631, -0.03774283631914593, -0.04271336652446111,
+                0.0025592463394061484, -0.006147145442299225, -0.0255851066452243, 0.032276494524752605,
+                -0.0105782567281464, 0.02128594590466854, -0.03736600024792003, 0.03366176350210934,
+                -0.029965242684348928, -0.05299072024311471, 0.005370484935544767, -0.07032656347747136,
+                -0.03763985785147237, 0.03435026387488333, -0.023816634317354635, 0.04571336349679724,
+                -0.0016267129496888222, 0.00823951550888501, 0.034396534539466346, -0.0026059312425066243,
+                -0.03198232271817985, 0.011917412101102422, 0.038207097117258663, -0.02380724155907825,
+                -0.006463038882989215, -0.031930995586480646, -2.5118528891617973e-05, 0.0017105181850719233,
+                -0.054246525819933576, -0.008134566912099576, -0.011508629762350198, 0.011395928419222578,
+            ],
+            [
+                0.04329893486767636, -0.03695532562519051, 0.030966554942867073, -0.024911942194336498,
+                0.015754302484904247, -0.054979183207852736, -0.0020816768439858558, -0.052255542154577325,
+                -0.00044126566237366, 0.017819512581087694, -0.009959269682951391, -0.038634389602329004,
+                -0.03083557445239406, -0.0031735504181008853, 0.02747152424522848, -0.011675547969871499,
+                0.04049987092815921, -0.02912476277478797, -0.023103650261013298, 0.00036592320181126126,
+                -0.025215109522674504, 0.02083813072746295, 0.014834458413154748, -0.04047542104288764,
+                -0.009816025035554989, -0.05028373410667848, -0.013965838574478626, -0.055947116662820484,
+                -0.06373806434127056, -0.02995511144262589, -0.03398287167921325, 0.03901694354068998,
+                -0.022841093881774008, -0.0362677573893114, 0.010206877508599166, -0.016437101344529283,
+                -0.009412094999143184, -0.04512592132396906, 0.015246329191097502, 0.011074627393305447,
+                0.056502746709868906, -0.007089421442961552, -0.01775472701947408, -0.04208826420758913,
+                -0.03374855330445195, -0.0006349706687338658, -0.049990410709727345, 0.016082758524849305,
+            ],
+        ],
+        [
+            0.8714923524802485, 0.8098634717637658, 0.7383617765495663, 0.738461579768733, 0.6382903234716099,
+            0.5560430493856038, 0.491799134034945, 0.5479551091844084, 0.5036686585074086, 0.5282828599611243,
+            0.489367902788583, 0.4577804958361773, 0.3716847178536273, 0.3279094491529955, 0.23027838388115895,
+            0.4496893503476991, 0.40748140775881697, 0.371988420110733, 0.3994625720198908, 0.3785228991224924,
+            0.35954373384237825, 0.6258567208527653, 0.36072648622351333, 0.3286714185722497,
+        ],
+    ),
+    "engagement": (
+        -2.3606819471758422,
+        [
+            [
+                -0.029415113441289553, -0.012650006236273121, -0.009242158333916143, 0.02243680623575553,
+                0.033829408116130305, 0.003533370755240106, -0.002979326701750218, 0.024320799152581368,
+                0.015587547236105843, -0.0625515336525494, -0.044408147090913, -0.001975039918706248,
+                -0.03039084330130851, -0.07104229807623885, -0.047259477633210756, -0.04446518843867645,
+            ],
+        ],
+        [
+            1.670321583674958, 1.6132614086869066, 1.5670465005234595, 1.5279803390476643, 1.5118980857249935,
+            1.496469576443027, 1.4815861082380979, 1.4616111398755944, 1.451302151085435, 1.44147422908139,
+            1.4281429024746706, 1.4150795785320356, 1.4022280074387738, 1.3815483140698017, 1.3895955840440597,
+            1.3677972038983, 1.3544772655652428, 1.3411922429486562, 1.3279294125170096, 1.2992043258723298,
+            1.268061803379144, 1.217446115362124, 1.1818396523306602, 1.1484261118587953,
+        ],
+    ),
+    "category_engagement": (
+        -0.9908973314095252,
+        [
+            [
+                -0.05726176640545044, -0.0486818326613319, -0.03742365555460654, -0.0184154090793628,
+                -0.003878588711578171, -0.027698897040532418, -0.029869332034766598, -0.0034094991237466968,
+                -0.0036904815957763903, -0.0745002674662322, -0.05071974094544343, -0.017464081351603766,
+                -0.03435890535345445, -0.0760613937815596, -0.04773988952806339, -0.04507868133843847,
+            ],
+        ],
+        [
+            0.49079128704010644, 0.4830786863818779, 0.47562151520836454, 0.46837335921061607, 0.4668899427359817,
+            0.46542779438051407, 0.4639858155045481, 0.4474683872555812, 0.44728589387429046, 0.4471063173623757,
+            0.4464939653880259, 0.44588114113747723, 0.4452677257068124, 0.4428486451223315, 0.45264819166612064,
+            0.44589803948213613, 0.44418362801874617, 0.4424923712619801, 0.4408214336435955, 0.43389358333058603,
+            0.4270106475484216, 0.42010190810717674, 0.4147129877560563, 0.40919993026085133,
+        ],
+    ),
+    "lr_mod": (
+        -0.8069757101053145,
+        [
+            [
+                0.03974348145062349, 0.02287107018527753, 0.02809288182645759, 0.03331915235028616,
+                0.04223972107130247, 0.0056184596395210396, -0.0031509623254250317, 0.015864731127888974,
+            ],
+        ],
+        [
+            0.9376966498482646, 0.8905605103189738, 0.8405425517347408, 0.7857924690910135, 0.7254845959664089,
+            0.660431185385675, 0.5927788102281885, 0.6177407885602277, 0.5849008904986824, 0.5538890472215798,
+            0.53275013916531, 0.5128892440558767, 0.4943638503855103, 0.483539838313407, 0.3806571100250907,
+            0.3671359367312996, 0.3449228632213475, 0.32681812353540607, 0.3123874364375933, 0.3007207504329765,
+            0.2917889989807497, 0.4010455318971323, 0.39679776682085205, 0.39258503218633994,
+        ],
+    ),
 }
 
 
 class TestPinnedSwitchingCases:
-    """The switching stack case of the kinds that moved onto stack slots, against recorded values, bit for bit."""
+    """The switching stack case of the array kinds (runs change inside a stack) against recorded values, bit for bit."""
 
     @pytest.mark.parametrize("kind", PINNED_SWITCHING)
     def test_value_gradients_and_losses(self, kind):
         want_v, want_g, want_losses = PINNED_SWITCHING[kind]
         spec, task, sched = stack_case(kind, "switching")
+        if sched is None:
+            sched = init_weights_control(initial_state(spec))
         assert integrate(spec, sched, task).losses.tolist() == want_losses
         if want_v is None:
             return
