@@ -29,17 +29,25 @@ array kind fills the same slots.  Only the recurrence loops per step in
 Python: `flow` makes a pass's buffers once and, once per run of steps, the
 step h(w) on a packed row, and integrate writes w + (dt/tau) h straight into
 the next row.  The other slots act on a stack of steps: `losses` scores every
-state, and `sweep` is the reverse mode, one protocol (`_Sweep`) whose
+state, and `sweep` is the reverse mode, one protocol (`_Sweep`): it makes a
+stack length's buffers and per-step views once, and each stack's
 construction does batched all that does not read the adjoint, leaving
 `adjoint(j, a)` as step j's recurrence on the packed adjoint row and
 `contract()` as the batched control VJPs.  Every pass -- the rollout, the
-sweeps, the sampled twin's score and the closed forms -- is cut by
-`step_runs` into runs, stretches of steps sharing one control slice and task
-(a segment, cut again at each task switch); `args`, what the slots read, is
-made once per run.  The sampled twin is integrate over per-step batch
-moments, except for nonlinear_taylor's sampled tanh network.  The one-step
-API, `expected_loss`, `_rhs` and `backward_step`, applies the slots to a
-one-step stack; tests check the passes against it.  The linear two-layer
+sweeps, the sampled twin's score and the closed forms -- is cut as
+`step_runs` cuts it, into runs, stretches of steps sharing one control slice
+and task (a segment, cut again at each task switch); `args`, what the slots
+read, is made once per run.  A `_Plan` holds all a pass sets up that the
+control values do not change -- the cuts, the kernel's buffers, the sweep
+workspaces, and the args where no series control varies them -- so
+optimize, which moves only the values, sets up once: it builds one plan and
+hands it to every integrate and value.grad_value call, and a call without
+one builds its own.  A rollout carries its packed rows and each run's args
+to the adjoint sweep.  The sampled twin is the plan's unscored rollout over
+per-step batch moments (integrate for the single neuron), scored once under
+the real task, except for nonlinear_taylor's sampled tanh network.  The
+one-step API, `expected_loss`, `_rhs` and `backward_step`, applies the slots
+to a one-step stack; tests check the passes against it.  The linear two-layer
 kinds share one kernel, for a row and a stack of rows alike, which fills
 fixed buffers and runs each elementwise op once on the packed row, not once
 per layer.  They hold only two maps: forward from a control slice to the
@@ -62,7 +70,8 @@ neuron rolls a task set out one task at a time.
 
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -154,12 +163,19 @@ class Trajectory:
     A task set of B tasks is one rollout with a batch axis after the step
     axis: layers (n_steps+1, B, ...) and losses (n_steps+1, B).  per_task()
     gives each task's rollout.
+
+    integrate's rollout also carries what the adjoint sweep reads of it: rows,
+    the packed buffer (n_steps+1, ..., K) its array layers view, and args,
+    each run's args (see _Plan).  A Trajectory without them (hand-built, or
+    from per_task()) sweeps to the same bits, the sweep making them itself.
     """
 
     times: np.ndarray
     layers: tuple
     losses: np.ndarray
     kind: str
+    rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    args: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_steps(self):
@@ -198,6 +214,13 @@ class TaskSet(tuple):
         return self
 
 
+def _layer_shapes(spec):
+    """The matrix shape of each layer of an array kind's state."""
+    if spec.kind == "single_layer":
+        return ((spec.output_dim, spec.input_dim),)
+    return (spec.hidden_dim, spec.input_dim), (spec.output_dim, spec.hidden_dim)
+
+
 def initial_state(spec, override=None):
     """Starting weights as a tuple of arrays (floats for single_neuron)."""
     if override is not None:
@@ -209,10 +232,7 @@ def initial_state(spec, override=None):
             return (float(spec.init_mean),)
         rng = np.random.default_rng(spec.init_seed)
         return (float(spec.init_mean + spec.init_std * rng.standard_normal()),)
-    if spec.kind == "single_layer":
-        shapes = [(spec.output_dim, spec.input_dim)]
-    else:
-        shapes = [(spec.hidden_dim, spec.input_dim), (spec.output_dim, spec.hidden_dim)]
+    shapes = _layer_shapes(spec)
     if spec.init_std == 0.0:
         return tuple(np.full(s, spec.init_mean) for s in shapes)
     rng = np.random.default_rng(spec.init_seed)
@@ -304,21 +324,27 @@ def _gained(layers, g):
     return layers if g is None else tuple(gl * w for gl, w in zip(_split(g, _shapes(layers)), layers))
 
 
-def _gather(args, *fields):
-    """Per-step args (one object per run of steps) with the named fields stacked by step.
+# The args of a stack of states: `args`, those of each run the stack meets, in
+# order, and each state's run among them, as a list (`pos`) and an int array
+# (`idx`).  State j reads args[pos[j]].
+_Stack = namedtuple("_Stack", "args pos idx")
 
-    A field every step shares is kept as is, to broadcast; None stays None.
+
+def _lone(args):
+    """The _Stack of one state under `args`."""
+    return _Stack([args], [0], np.zeros(1, dtype=int))
+
+
+def _gather(stack, *fields):
+    """A stack's args with the named fields stacked by state.
+
+    A field every state shares is kept as is, to broadcast; None stays None.
     """
-    runs, idx = [args[0]], []
-    for a in args:
-        if a is not runs[-1]:
-            runs.append(a)
-        idx.append(len(runs) - 1)
-    if len(runs) == 1:
+    args = stack.args
+    if len(args) == 1:
         return args[0]
-    idx = np.array(idx)
     return args[0]._replace(**{
-        f: None if getattr(args[0], f) is None else np.stack([getattr(a, f) for a in runs])[idx] for f in fields
+        f: None if getattr(args[0], f) is None else np.stack([getattr(a, f) for a in args])[stack.idx] for f in fields
     })
 
 
@@ -341,30 +367,35 @@ def _moment_args(channels):
     return args
 
 
+def _weights_column(pw, ndim):
+    """The value weights pw shaped to broadcast over a stack of `ndim`-dimensional rows."""
+    return pw.reshape(-1, *(1,) * (ndim - 1))
+
+
 class _Sweep:
     """Reverse mode of a kind's flow and loss over a stack of steps, on packed rows: the protocol of every array kind.
 
-    A kind's construction does batched all that does not read the adjoint,
-    and calls _weigh with the loss gradients dL/dW of the stack, lw.
-    vjp(j, a) gives step j's [dh/dW]^T a and dL/dW for the adjoint row a of
-    state j+1.  adjoint(j, a) is step j's recurrence,
-    a + scale [dh/dW]^T a - pw_j dL/dW, which subtracts nothing at pw_j = 0.
-    Once every step is swept, contract() returns the control VJPs and loss
-    gradients that _control_grads forms, tuples of stacks, None where the
-    control has none, summed over a task set's batch axis.
+    A kind's sweep slot, sweep(shapes, lead), makes what every stack of
+    packed rows (*lead, K) can share and returns the constructor
+    (w, stack, spec, pw, pws) of one stack's sweep: w the rows, stack their
+    _Stack, pw the states' value weights and pws the same as floats.  The
+    construction does batched all that does not read the adjoint and keeps
+    pl, a row of pw_i dL/dW per state i.  vjp(j, a) gives step j's
+    [dh/dW]^T a and dL/dW for the adjoint row a of state j+1.  adjoint(j, a)
+    is step j's recurrence, a + scale [dh/dW]^T a - pw_j dL/dW, which
+    subtracts nothing at pw_j = 0.  Once every step is swept, contract()
+    returns the control VJPs and loss gradients that _control_grads forms,
+    tuples of stacks, None where the control has none, summed over a task
+    set's batch axis.
     """
 
-    def __init__(self, layers, args, spec, lam):
-        self.args, self.shapes, self.w = args, _shapes(layers), _pack(layers)
-        self.scale, self.neg_lam = spec.dt / spec.tau_w, -lam
-
-    def _weigh(self, pw, lw):
-        """Keep pw_i dL/dW of each state i, pw_i its value weight; None where pw_i = 0."""
-        self.pl = [None if p == 0.0 else r for p, r in zip(pw.tolist(), pw.reshape(-1, *(1,) * (lw.ndim - 1)) * lw)]
+    def __init__(self, shapes, w, stack, spec, lam, pws):
+        self.shapes, self.w, self.stack, self.args, self.pos = shapes, w, stack, stack.args, stack.pos
+        self.scale, self.neg_lam, self.pws = spec.dt / spec.tau_w, -lam, pws
 
     def adjoint(self, j, a):
-        a, pl = a + self.scale * self.vjp(j, a)[0], self.pl[j]
-        return a if pl is None else a - pl
+        a = a + self.scale * self.vjp(j, a)[0]
+        return a - self.pl[j] if self.pws[j] else a
 
     def contract(self):
         grads = None if self.args[0].ctrl is None else self._control_grads()
@@ -384,9 +415,10 @@ def _pair_flows(shapes, lead):
     Every h writes the buffers, made once here, in full before it reads them,
     so one set serves every run of a pass.  h(w) is the flow boost
     (UP o G~ - lambda W) with UP = B^T E_d | E_d A^T, every elementwise op
-    done once on the packed row.  h.bufs holds what a call leaves in the
-    buffers: the gained maps A, B (views of G~ o W), x1 = A Sx, the error
-    E = Sxy^T - B x1, E_d = dvec o E, and UP.  The four products go through
+    done once on the packed row.  bind.bufs holds the buffers a call fills:
+    the gained maps A, B (views of G~ o W), x1 = A Sx, the error
+    E = Sxy^T - B x1, E_d = dvec o E (written only under a dvec, E standing
+    for it otherwise), and UP.  The four products go through
     ndarray.dot at a lone row (no `lead`) and np.matmul over batch axes,
     which dot does not broadcast.  Both make the same BLAS call, so the
     bits agree, and dot costs about a third of matmul's ufunc dispatch.
@@ -415,53 +447,73 @@ def _pair_flows(shapes, lead):
             p = (up if g is None else up * g) - lam * w
             return p if boost is None else boost * p
 
-        flow.bufs = a_mat, b_mat, x1, err, err_d, up
         return flow
 
+    bind.bufs = a_mat, b_mat, x1, err, err_dcol, up
     return bind
 
 
-def _pair_losses(layers, args, spec):
-    a = _gather(args, "g", "sx", "sxy_t", "tr_sy")
+def _pair_losses(layers, stack, spec):
+    a = _gather(stack, "g", "sx", "sxy_t", "tr_sy")
     a_mat, b_mat = _gained(layers, a.g)
     return _map_losses(b_mat @ a_mat, a.sx, a.sxy_t, a.tr_sy, layers, spec.reg_lambda)
 
 
+class _PairWork:
+    """What every pair sweep of stacks of rows (*lead, K) shares: its buffers and per-step views, made once.
+
+    The kernel's (bind) with its buffers; the adjoint keeps `sa` (the
+    adjoints a), `sabb` (the gained maps' adjoints) and `edb` (the error's);
+    the loss gradients lw and their value-weighted pl; the products'
+    scratch `tmp` and the adjoint's gained copy `ub` with its layer views;
+    and `rows`, each step's views of them all.  A sweep writes every buffer
+    it reads, so one set serves each stack of this length in turn.
+    """
+
+    def __init__(self, shapes, lead):
+        (hid, inp), (out, _) = self.shapes = shapes
+        self.bind = _pair_flows(shapes, lead)
+        a_mat, b_mat, x1, err, err_dcol, _ = self.bind.bufs
+        self.lw, self.pl, self.sa, self.sabb = np.empty((4, *lead, hid * inp + out * hid))
+        self.edb, inner = np.empty_like(err), lead[1:]
+        self.mm = np.matmul if inner else np.ndarray.dot
+        self.tmp = np.empty((*inner, out, inp)), np.empty((*inner, out, hid)), *np.empty((2, *inner, hid, inp))
+        ub = np.empty(self.lw.shape[1:])
+        self.ub = (ub, *_split(ub, shapes), *(_mT(u) for u in _split(ub, shapes)))
+        self.rows = list(zip(a_mat, b_mat, _mT(b_mat), _mT(x1), err, err_dcol, self.lw, self.sabb,
+                             *_split(self.sabb, shapes), self.edb))
+        self.pl_rows = list(self.pl)
+
+
 class _PairSweep(_Sweep):
-    """The sweep of the shared kernel and of the pair's loss.
+    """The sweep of the shared kernel and of the pair's loss, in a _PairWork's buffers.
 
     The construction runs the kernel on the stack (`p` is its flow before the
     boost) and forms dL/dW batched.  vjp(j, a) reads step j's own args, keeps
-    a, the gained maps' adjoints and the error's in per-stack arrays, and its
-    seven products (dot or matmul, as in _pair_flows) write into the
-    destination rows and `tmp`, made once per sweep.  _control_grads hands
-    them to the kind's control_vjp.
+    a, the gained maps' adjoints and the error's in the work's per-stack
+    arrays, and its seven products (dot or matmul, as in _pair_flows) write
+    into the destination rows and `tmp`.  _control_grads hands them to the
+    kind's control_vjp.
     """
 
-    def __init__(self, layers, args, spec, pw, control_vjp):
-        a = _gather(args, "g", "dcol", "sx", "sxy_t")
-        super().__init__(layers, args, spec, a.lam)
-        self.control_vjp, w = control_vjp, self.w
-        flow = _pair_flows(self.shapes, w.shape[:-1])(a._replace(boost=None))
-        self.p = flow(w)
-        a_mat, b_mat, x1, self.err, err_d, self.up = flow.bufs
+    def __init__(self, work, w, stack, spec, pw, pws, control_vjp):
+        a = _gather(stack, "g", "dcol", "sx", "sxy_t")
+        super().__init__(work.shapes, w, stack, spec, a.lam, pws)
+        self.control_vjp, self.rows, self.ub, self.mm, self.tmp = control_vjp, work.rows, work.ub, work.mm, work.tmp
+        self.sa, self.sabb, self.edb = work.sa, work.sabb, work.edb
+        self.p = work.bind(a._replace(boost=None))(w)
+        a_mat, b_mat, _, self.err, _, self.up = work.bind.bufs
         # the map ignores dvec and rate; b^T (-err) is -(b^T err) bit for bit
         la = -self.up if a.dcol is None else _pack((_mT(b_mat) @ -self.err, -self.err @ _mT(a_mat)))
-        lw = (la if a.g is None else la * a.g) + a.lam * w
+        lw = la if a.g is None else np.multiply(la, a.g, out=work.lw)
+        np.add(lw, a.lam * w, out=work.lw)
         self.lg = None if a.g is None else _split(la * w, self.shapes)
-        self._weigh(pw, lw)
-        self.sa, self.sabb, self.edb = np.empty_like(w), np.empty_like(w), np.empty_like(self.err)
-        lead, ((hid, inp), (out, _)) = w.shape[1:-1], self.shapes
-        self.mm = np.matmul if lead else np.ndarray.dot
-        self.tmp = np.empty((*lead, out, inp)), np.empty((*lead, out, hid)), *np.empty((2, *lead, hid, inp))
-        ub = np.empty(w.shape[1:])
-        self.ub = (ub, *_split(ub, self.shapes), *(_mT(u) for u in _split(ub, self.shapes)))
-        self.rows = list(zip(
-            a_mat, b_mat, _mT(b_mat), _mT(x1), err_d, lw, self.sabb, *_split(self.sabb, self.shapes), self.edb, args,
-        ))
+        np.multiply(_weights_column(pw, w.ndim), work.lw, out=work.pl)
+        self.pl = work.pl_rows
 
     def vjp(self, j, a):
-        a_mat, b_mat, b_t, x1_t, err_d, lw, abb, ab, bb, edb, t = self.rows[j]
+        a_mat, b_mat, b_t, x1_t, err, err_dcol, lw, abb, ab, bb, edb = self.rows[j]
+        t = self.args[self.pos[j]]
         g, dcol, boost, sx = t.g, t.dcol, t.boost, t.sx
         ub, u1b, u2b, u1b_t, u2b_t = self.ub
         mm, (te, tb, ta, tas) = self.mm, self.tmp
@@ -470,6 +522,7 @@ class _PairSweep(_Sweep):
         np.multiply(gp, 1.0 if g is None else g, out=ub)  # x * 1.0 is x: a copy
         np.add(mm(b_mat, u1b, edb), mm(u2b, a_mat, te), out=edb)
         eb = edb if dcol is None else dcol * edb
+        err_d = err if dcol is None else err_dcol
         np.subtract(mm(err_d, u1b_t, bb), mm(eb, x1_t, tb), out=bb)
         np.subtract(mm(u2b_t, err_d, ab), mm(mm(b_t, eb, ta), sx, tas), out=ab)
         return self.neg_lam * gp + (abb if g is None else abb * g), lw
@@ -486,8 +539,12 @@ def _pair_kind(reads, channels, control_vjp=None):
     the sweep's kernel buffers and the adjoint keeps (`sa` the adjoints a,
     `sabb` the gained maps' adjoints, `edb` the error's).
     """
-    return _Kind(2, reads, _moment_args(channels), _pair_flows, _pair_losses,
-                 lambda layers, a, spec, pw: _PairSweep(layers, a, spec, pw, control_vjp))
+
+    def sweep(shapes, lead):
+        work = _PairWork(shapes, lead)
+        return lambda w, stack, spec, pw, pws: _PairSweep(work, w, stack, spec, pw, pws, control_vjp)
+
+    return _Kind(2, reads, _moment_args(channels), _pair_flows, _pair_losses, sweep)
 
 
 _NO_CHANNELS = (None, None, None)
@@ -540,7 +597,7 @@ def _category_channels(control, task):
 
 
 def _category_vjp(sweep):
-    phi = _gather(sweep.args, "ctrl").ctrl
+    phi = _gather(sweep.stack, "ctrl").ctrl
     return (2.0 * np.asarray(phi, dtype=float) * _row_vjp(sweep),)
 
 
@@ -579,12 +636,12 @@ def _layer_flows(shapes, lead):
     return bind
 
 
-def _layer_losses(layers, args, spec):
-    a = _gather(args, "g", "sx", "sxy_t", "tr_sy")
+def _layer_losses(layers, stack, spec):
+    a = _gather(stack, "g", "sx", "sxy_t", "tr_sy")
     return _map_losses(_gained(layers, a.g)[0], a.sx, a.sxy_t, a.tr_sy, layers, spec.reg_lambda)
 
 
-def _layer_sweep(layers, args, spec, pw):
+def _layer_sweep(shapes, lead):
     raise UnsupportedOperationError("no adjoint for single_layer dynamics; use the closed form")
 
 
@@ -657,8 +714,8 @@ def _taylor_flows(shapes, lead):
     return bind
 
 
-def _taylor_losses(layers, args, spec):
-    a = _gather(args, "g", "mcol", "ycol", "s", "r", "tr_sy")
+def _taylor_losses(layers, stack, spec):
+    a = _gather(stack, "g", "mcol", "ycol", "s", "r", "tr_sy")
     a_mat, b_mat = _gained(layers, a.g)
     *_, ff, fy = _expand(a_mat, a)
     return _map_losses(b_mat, ff, fy, a.tr_sy, layers, spec.reg_lambda)
@@ -700,10 +757,9 @@ class _TaylorSweep(_Sweep):
     _control_grads contracts with the flow's Z and the weights.
     """
 
-    def __init__(self, layers, args, spec, pw):
-        a = _gather(args, "g", "mcol", "ycol", "s", "r", "sxy")
-        super().__init__(layers, args, spec, a.lam)
-        w = self.w
+    def __init__(self, shapes, w, stack, spec, pw, pws):
+        a = _gather(stack, "g", "mcol", "ycol", "s", "r", "sxy")
+        super().__init__(shapes, w, stack, spec, a.lam, pws)
         a_mat, b_mat = _split(w if a.g is None else a.g * w, self.shapes)
         self.zz = np.empty_like(w)
         z1, z2 = _split(self.zz, self.shapes)
@@ -715,12 +771,13 @@ class _TaylorSweep(_Sweep):
         lxb = _pack((lab, 0.0 - z2))
         lw = (lxb if a.g is None else lxb * a.g) + a.lam * w
         self.lg = None if a.g is None else _split(lxb * w, self.shapes)
-        self._weigh(pw, lw)
+        self.pl = list(_weights_column(pw, w.ndim) * lw)
         self.sa, self.sxb = np.empty_like(w), np.empty_like(w)
-        self.rows = list(zip(map(_Terms._make, zip(*terms)), args, lw, self.sxb, *_split(self.sxb, self.shapes)))
+        self.rows = list(zip(map(_Terms._make, zip(*terms)), lw, self.sxb, *_split(self.sxb, self.shapes)))
 
     def vjp(self, j, a):
-        e, t, lw, xb, ab, bb = self.rows[j]
+        e, lw, xb, ab, bb = self.rows[j]
+        t = self.args[self.pos[j]]
         self.sa[j] = a
         gz1, gz2 = _split(a if t.g is None else a * t.g, self.shapes)
         ab[...], tail_b = _taylor_tail(e, t, gz2, -(_mT(e.b) @ gz2), e.d1[..., None] * gz1, (gz1 * e.k).sum(axis=-1))
@@ -735,22 +792,24 @@ class _TaylorSweep(_Sweep):
 
 # One dynamics kind: its layer count, the series control kinds its channels read
 # (None: it reads no control), and the slots the module docstring describes,
-# args(control, task, spec), flow(shapes, lead)(args)(w), losses(stack, args, spec)
-# and sweep(stack, args, spec, pw).  The single neuron's entry holds the float
-# args and losses behind its float loops, and no flow or sweep.  single_layer
-# reads none: no scenario builds its one-matrix gains, and it has no adjoint.
+# args(control, task, spec), flow(shapes, lead)(args)(w), losses(layers, stack, spec)
+# (stack a _Stack) and sweep(shapes, lead)(w, stack, spec, pw, pws).  The single
+# neuron's entry holds the float args and losses behind its float loops, and no
+# flow or sweep.  single_layer reads none: no scenario builds its one-matrix
+# gains, and it has no adjoint.
 _Kind = namedtuple("_Kind", "layers reads args flow losses sweep")
 
 _KIND_TABLE = {
-    "single_neuron": _Kind(1, ("scalar_series",), _neuron_args, None, lambda layers, args, spec: np.array(
-        [_neuron_loss_f(w, *a) for w, a in zip(layers[0], args)]), None),
+    "single_neuron": _Kind(1, ("scalar_series",), _neuron_args, None, lambda layers, stack, spec: np.array(
+        [_neuron_loss_f(w, *stack.args[p]) for w, p in zip(layers[0], stack.pos)]), None),
     "single_layer": _Kind(1, (), _moment_args(_layer_channels), _layer_flows, _layer_losses, _layer_sweep),
     "two_layer_baseline": _pair_kind(None, lambda control, task: _NO_CHANNELS),
     "gain_mod": _pair_kind(("matrix_pair_series",), _gain_channels, _gain_vjp),
     "engagement": _pair_kind(("engagement_series",), _engagement_channels, _engagement_vjp),
     "category_engagement": _pair_kind(("category_series",), _category_channels, _category_vjp),
     "lr_mod": _pair_kind(("scalar_series",), _rate_channels, _rate_vjp),
-    "nonlinear_taylor": _Kind(2, ("matrix_pair_series",), _taylor_args, _taylor_flows, _taylor_losses, _TaylorSweep),
+    "nonlinear_taylor": _Kind(2, ("matrix_pair_series",), _taylor_args, _taylor_flows, _taylor_losses,
+                              lambda shapes, lead: partial(_TaylorSweep, shapes)),
 }
 
 KINDS = tuple(_KIND_TABLE)
@@ -785,7 +844,7 @@ def expected_loss(state, control, task, spec):
     neutral.  Engagement-style controls never alter the loss, only learning.
     """
     kind = _KIND_TABLE[spec.kind]
-    return float(kind.losses(_one_step(state), [kind.args(control, task, spec)], spec)[0])
+    return float(kind.losses(_one_step(state), _lone(kind.args(control, task, spec)), spec)[0])
 
 
 def _rhs(spec, state, control, task):
@@ -816,7 +875,8 @@ def backward_step(spec, state, control, task, a_next):
     a = kind.args(control, task, spec)
     if kind.sweep is None:
         return _neuron_backward(state[0], *a, a_next[0])
-    sweep = kind.sweep(_one_step(state), [a], spec, np.zeros(1))
+    w = _pack(_one_step(state))
+    sweep = kind.sweep(_shapes(state), w.shape[:-1])(w, _lone(a), spec, np.zeros(1), [0.0])
     state_vjp, loss_state = (_split(x, sweep.shapes) for x in sweep.vjp(0, _pack(a_next)))
     ctrl_vjp, loss_ctrl = sweep.contract()
     return state_vjp, _first(ctrl_vjp, control), loss_state, _first(loss_ctrl, control)
@@ -825,6 +885,32 @@ def backward_step(spec, state, control, task, a_next):
 # --- integration ------------------------------------------------------------
 
 SWEEP_CHUNK = 256  # steps per stack in the reverse sweep, which bounds its memory
+
+
+def _runs(schedule, task, n):
+    """(lo, hi, starts, task) of each run of the `n` steps: step_runs' cut, `starts` marking a segment's first run.
+
+    No run starts a segment without a series schedule (init_weights acts
+    through the state).  A series schedule must cover the `n` steps.
+    """
+    series = schedule is not None and schedule.kind != "init_weights"
+    if series and schedule.n_steps != n:
+        raise ValueError(f"schedule covers {schedule.n_steps} steps but dynamics run {n}")
+    switching = isinstance(task, TaskSchedule)
+    segment = schedule.segment if series else n
+    cuts = sorted({n, *range(0, n, segment), *range(0, n, task.period_steps if switching else n)})
+    return [(lo, hi, series and lo % segment == 0, task.task_at(lo) if switching else task)
+            for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _controls(runs, schedule):
+    """The control of each of _runs' runs: one schedule.at() per segment, whose object its runs share; else None."""
+    ctrls, ctrl = [], None
+    for lo, _, starts, _ in runs:
+        if starts:
+            ctrl = schedule.at(lo)
+        ctrls.append(ctrl)
+    return ctrls
 
 
 def step_runs(schedule, task, n):
@@ -836,31 +922,98 @@ def step_runs(schedule, task, n):
     The control is None without a schedule and for init_weights (it acts
     through the state).  A series schedule must cover the `n` steps.
     """
-    series = schedule is not None and schedule.kind != "init_weights"
-    if series and schedule.n_steps != n:
-        raise ValueError(f"schedule covers {schedule.n_steps} steps but dynamics run {n}")
-    switching = isinstance(task, TaskSchedule)
-    segment = schedule.segment if series else n
-    cuts = sorted({n, *range(0, n, segment), *range(0, n, task.period_steps if switching else n)})
-    runs, ctrl = [], None
-    for lo, hi in zip(cuts, cuts[1:]):
-        if series and lo % segment == 0:
-            ctrl = schedule.at(lo)
-        runs.append((lo, hi, ctrl, task.task_at(lo) if switching else task))
-    return runs
+    runs = _runs(schedule, task, n)
+    return [(lo, hi, c, t) for (lo, hi, _, t), c in zip(runs, _controls(runs, schedule))]
 
 
-def _per_step(runs, items):
-    """Each run's item once per step of the run, shared by its steps."""
-    return [x for (lo, hi, _, _), x in zip(runs, items) for _ in range(lo, hi)]
+class _Plan:
+    """What every pass of one spec over one task under one schedule layout shares, made once.
 
+    A layout is a schedule's kind, n_steps and segment (or no schedule):
+    passes under a plan differ only in the control values.  optimize builds
+    one plan (value._plan) and hands it to each integrate and grad_value
+    call; a call without one builds its own.  It holds
+      runs       the step cuts and each run's task (_runs), and run_of, the
+                 run of each state, the terminal state taking the last;
+      args       each run's args, made once when no series control varies
+                 them (init_weights or no schedule), else per call;
+      bind       the forward kernel of the kind's flow slot, its buffers
+                 made once (None for the single neuron's float loop);
+      sweeper    per stack length, the kind's sweep slot with its buffers
+                 and per-step views, made at the first stack of that length;
+      stack      per stretch of states, its _Stack layout;
+      weights    the value weights value._plan puts in (None here).
+    Every buffer a pass writes it writes in full before reading it, and
+    the rollout's rows are new per call, so passes under one plan share no
+    state through it.
+    """
 
-def _state_args(spec, schedule, task):
-    """The kind's args of each of the n+1 states of a pass, one object per run; the terminal state takes the last."""
-    kind = _KIND_TABLE[spec.kind]
-    runs = step_runs(schedule, task, spec.n_steps)
-    args = _per_step(runs, [kind.args(c, t, spec) for _, _, c, t in runs])
-    return args + args[-1:]
+    def __init__(self, spec, task, schedule, weights=None):
+        self.spec, self.kind, self.weights = spec, _KIND_TABLE[spec.kind], weights
+        self.runs = _runs(schedule, task, spec.n_steps)
+        self.run_of = [r for r, (lo, hi, _, _) in enumerate(self.runs) for _ in range(lo, hi)] + [len(self.runs) - 1]
+        self._varies, self._args = self.runs[0][2], None
+        self.batch = (len(task),) if is_task_set(task) else ()
+        self.shapes = self.bind = None
+        if self.kind.flow is not None:
+            self.shapes = _layer_shapes(spec)
+            self.width = sum(r * c for r, c in self.shapes)
+            self.bind = self.kind.flow(self.shapes, self.batch)
+        self._sweepers, self._stacks = {}, {}
+
+    def args(self, schedule):
+        """Each run's args under `schedule`'s controls."""
+        if self._args is not None:
+            return self._args
+        args = [self.kind.args(c, t, self.spec) for (*_, t), c in zip(self.runs, _controls(self.runs, schedule))]
+        if not self._varies:
+            self._args = args
+        return args
+
+    def stack(self, args, lo, hi):
+        """The _Stack of states lo..hi-1 under each run's `args`."""
+        got = self._stacks.get((lo, hi))
+        if got is None:
+            r0 = self.run_of[lo]
+            pos = [r - r0 for r in self.run_of[lo:hi]]
+            got = self._stacks[lo, hi] = r0, r0 + pos[-1] + 1, pos, np.array(pos)
+        r0, r1, pos, idx = got
+        return _Stack(args[r0:r1], pos, idx)
+
+    def sweeper(self, length):
+        """The constructor of the kind's sweep over a stack of `length` states."""
+        make = self._sweepers.get(length)
+        if make is None:
+            make = self._sweepers[length] = self.kind.sweep(self.shapes, (length, *self.batch))
+        return make
+
+    def rollout(self, args, state):
+        """(rows, layers): the Euler rollout from `state` under each run's `args`, unscored.
+
+        rows is one new buffer of packed rows (n+1, *batch, K), the layers
+        views of it; step i writes w + (dt/tau) h(w) into row i+1, h the bound
+        flow of its run.  Raises DivergenceError when any weight magnitude
+        passes DIVERGENCE_LIMIT.
+        """
+        if _shapes(state) != self.shapes:
+            raise ValueError(f"starting weights of shapes {_shapes(state)} do not fit the spec's {self.shapes}")
+        n, scale = self.spec.n_steps, self.spec.dt / self.spec.tau_w
+        rows = np.empty((n + 1, *self.batch, self.width))
+        rows[0] = _pack(state)  # a task set's start, one per task
+        layers = _split(rows, self.shapes)
+        flows = [self.bind(a) for a in args]
+        flows = [flows[r] for r in self.run_of]
+        # checked once per block of steps: a diverging rollout runs on to the end
+        # of its block, where overflow is expected and kept silent
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, n, DIVERGENCE_BLOCK):
+                hi = min(lo + DIVERGENCE_BLOCK, n)
+                for i in range(lo, hi):
+                    w = rows[i]
+                    np.add(w, scale * flows[i](w), out=rows[i + 1])
+                if not np.abs(rows[lo + 1 : hi + 1]).max() < DIVERGENCE_LIMIT:
+                    _check_divergence(tuple(layer[lo + 1 : hi + 1] for layer in layers), lo)
+        return rows, layers
 
 
 def _divergence(peak, step):
@@ -893,37 +1046,39 @@ def _start(spec, schedule, state0=None):
     return schedule, initial_state(spec, override=schedule.values if init else state0)
 
 
-def integrate(spec, schedule, task, state0=None):
+def integrate(spec, schedule, task, state0=None, *, plan=None):
     """Roll out the Euler discretization and record states and losses.
 
     `task` is a TaskMoments, a TaskSchedule (for switching) or a task set,
     rolled out as one batched Trajectory; `schedule` may be None for an
     uncontrolled run.  An init_weights schedule supplies the starting state;
-    otherwise `state0` (if given) or the spec's init does.  The rollout is one
-    buffer of packed rows, the layers views of it; each run of step_runs makes
-    its args and its step h once, and step i writes w + (dt/tau) h(w) into row
-    i+1.  The losses are batched after the loop.  Raises DivergenceError when
-    any weight magnitude passes DIVERGENCE_LIMIT.
+    otherwise `state0` (if given) or the spec's init does.  `plan` is the
+    _Plan of this spec, task and schedule layout that optimize builds; a call
+    without one builds its own.  The rollout is _Plan.rollout, one buffer of
+    packed rows, the layers views of it; the losses are batched after it.
+    The Trajectory carries the rows and each run's args for the adjoint
+    sweep.  Raises DivergenceError when any weight magnitude passes
+    DIVERGENCE_LIMIT.
     """
     if spec.kind == "single_neuron" and is_task_set(task):  # the float loop takes one task at a time
         trajs = [integrate(spec, schedule, t, state0) for t in task]
         layers = tuple(np.stack(layer, axis=1) for layer in zip(*(t.layers for t in trajs)))
         return Trajectory(trajs[0].times, layers, np.stack([t.losses for t in trajs], axis=1), spec.kind)
     schedule, state = _start(spec, schedule, state0)
+    plan = plan or _Plan(spec, task, schedule)
+    args = plan.args(schedule)
     n = spec.n_steps
-    scale = spec.dt / spec.tau_w
     times = np.arange(n + 1) * spec.dt
 
     if spec.kind == "single_neuron":
         # Python floats, run by run: each run hoists the leading products of
         # _neuron_loss_f and _neuron_flow, which Python evaluates first anyway,
         # so the bits are theirs
-        lam = spec.reg_lambda
+        scale, lam = spec.dt / spec.tau_w, spec.reg_lambda
         half_lam = 0.5 * lam
         w = state[0]
         ws, losses = [w], []
-        for lo, hi, ctrl, tsk in step_runs(schedule, task, n):
-            gt, mu, x2, sy, _ = _neuron_args(ctrl, tsk, spec)
+        for (lo, hi, _, _), (gt, mu, x2, sy, _) in zip(plan.runs, args):
             gt2, drive, decay = 2.0 * gt, mu * gt, x2 * gt * gt + lam
             for i in range(lo, hi):
                 losses.append(0.5 * (sy - gt2 * w * mu + x2 * (gt * w) ** 2) + half_lam * w * w)
@@ -932,44 +1087,27 @@ def integrate(spec, schedule, task, state0=None):
                     raise _divergence(abs(w), i)
                 ws.append(w)
         losses.append(_neuron_loss_f(w, gt, mu, x2, sy, lam))
-        return Trajectory(times=times, layers=(ws,), losses=np.array(losses), kind=spec.kind)
+        return Trajectory(times, (ws,), np.array(losses), spec.kind, args=args)
 
-    kind = _KIND_TABLE[spec.kind]
-    runs = step_runs(schedule, task, n)
-    args = [kind.args(c, t, spec) for _, _, c, t in runs]
-    batch, shapes = (len(task),) if is_task_set(task) else (), _shapes(state)
-    rows = np.empty((n + 1, *batch, sum(w.size for w in state)))
-    rows[0] = _pack(state)  # a task set's start, one per task
-    layers = _split(rows, shapes)
-    bind = kind.flow(shapes, batch)
-    flows = _per_step(runs, [bind(a) for a in args])
-    # checked once per block of steps: a diverging rollout runs on to the end
-    # of its block, where overflow is expected and kept silent
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, DIVERGENCE_BLOCK):
-            hi = min(lo + DIVERGENCE_BLOCK, n)
-            for i in range(lo, hi):
-                w = rows[i]
-                np.add(w, scale * flows[i](w), out=rows[i + 1])
-            if not np.abs(rows[lo + 1 : hi + 1]).max() < DIVERGENCE_LIMIT:
-                _check_divergence(tuple(layer[lo + 1 : hi + 1] for layer in layers), lo)
-    args = _per_step(runs, args)
-    losses = kind.losses(layers, args + args[-1:], spec)
-    return Trajectory(times=times, layers=layers, losses=losses, kind=spec.kind)
+    rows, layers = plan.rollout(args, state)
+    losses = plan.kind.losses(layers, plan.stack(args, 0, n + 1), spec)
+    return Trajectory(times, layers, losses, spec.kind, rows, args)
 
 
-def sweeps(spec, traj, schedule, task, pw):
+def sweeps(traj, schedule, plan, pw, pws):
     """(lo, hi, sweep) over stacks of SWEEP_CHUNK states of `traj`, last first, each built when reached.
 
-    `traj` is the rollout of `schedule` and `task`, whose step_runs give each
-    step's args, and pw[i] the value weight of state i.  The last stack ends
-    at the terminal state n (hi = n + 1), scored under the last control like
-    the rollout's last loss.
+    `traj` is the rollout of `schedule` under `plan`; its rows and args are
+    read as they are, or made here when it does not carry them.  pw[i] is
+    the value weight of state i, and pws the same as floats.  The last stack
+    ends at the terminal state n (hi = n + 1), scored under the last control
+    like the rollout's last loss.
     """
-    kind, args = _KIND_TABLE[spec.kind], _state_args(spec, schedule, task)
-    for hi in range(len(args), 0, -SWEEP_CHUNK):
+    args = plan.args(schedule) if traj.args is None else traj.args
+    for hi in range(plan.spec.n_steps + 1, 0, -SWEEP_CHUNK):
         lo = max(hi - SWEEP_CHUNK, 0)
-        yield lo, hi, kind.sweep(tuple(layer[lo:hi] for layer in traj.layers), args[lo:hi], spec, pw[lo:hi])
+        w = _pack(tuple(layer[lo:hi] for layer in traj.layers)) if traj.rows is None else traj.rows[lo:hi]
+        yield lo, hi, plan.sweeper(hi - lo)(w, plan.stack(args, lo, hi), plan.spec, pw[lo:hi], pws[lo:hi])
 
 
 # --- sampled-SGD twins ------------------------------------------------------
@@ -993,11 +1131,11 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
     """Stochastic twin of integrate(): batch estimates replace exact moments.
 
     Each step's batch is drawn up front, in step order, from the generator of
-    `seed`.  The moment-driven kinds run integrate() over a task schedule of
-    the batches' moments, one per step, and record the exact expected loss
-    under `task` at the noisy weights (a deterministic function of the
-    iterate, so seed-to-seed spread reflects weight noise only), scored in
-    one pass.  The nonlinear kind runs the true sampled tanh network and
+    `seed`.  The moment-driven kinds roll out over a task schedule of the
+    batches' moments, one per step (the array kinds through the unscored
+    _Plan.rollout), and record the exact expected loss under `task` at the
+    noisy weights (a deterministic function of the iterate, so seed-to-seed
+    spread reflects weight noise only), scored in one pass.  The nonlinear kind runs the true sampled tanh network and
     records loss on a frozen evaluation batch, since its expected loss has
     no closed form.
 
@@ -1026,10 +1164,15 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
 
     if spec.kind != "nonlinear_taylor":
         moments = TaskSchedule([_EmpiricalMoments(x, y, task.blocks) for x, y in batches], 1, n)
-        rollout = (spec, schedule) if class_counts is None else (replace(spec, kind="two_layer_baseline"), None)
-        traj = integrate(*rollout, moments, state)
-        losses = _KIND_TABLE[spec.kind].losses(traj.layers, _state_args(spec, schedule, task), spec)
-        return Trajectory(traj.times, traj.layers, losses, spec.kind)
+        rspec, rsched = (spec, schedule) if class_counts is None else (replace(spec, kind="two_layer_baseline"), None)
+        if spec.kind == "single_neuron":  # its float loop scores as it steps
+            layers = integrate(rspec, rsched, moments, state).layers
+        else:
+            sampled = _Plan(rspec, moments, rsched)
+            _, layers = sampled.rollout(sampled.args(rsched), state)
+        plan = _Plan(spec, task, schedule)
+        losses = plan.kind.losses(layers, plan.stack(plan.args(schedule), 0, n + 1), spec)
+        return Trajectory(np.arange(n + 1) * spec.dt, layers, losses, spec.kind)
 
     f, fp, _ = _NONLIN[spec.nonlinearity]
     key = [int(s) for s in seed] if isinstance(seed, (list, tuple)) else [int(seed)]

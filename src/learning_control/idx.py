@@ -132,14 +132,22 @@ class DigitFilter:
         return np.isin(labels, self.digits)
 
 
+def _check_size(name, size):
+    """A count argument is a Python or numpy integer (not a bool) of at least 1, else a ValueError naming it."""
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {size!r}")
+    if size < 1:
+        raise ValueError(f"{name} must be at least 1, got {size}")
+
+
 def estimate_moments(images, labels, digit_filter=None, encoding="onehot", bias=False, balanced=True, limit=None, out_size=5):
     """Empirical TaskMoments from an image archive.
 
-    images: (n, H, W) raw intensities; labels: (n,) integers.  `limit`, at
-    least 1, caps the number of examples considered (taken from the front,
-    before filtering); `out_size`, at least 1, is the side of the downsampled
-    images.  With `balanced`, each selected class is truncated to
-    the smallest class count (first occurrences win), which makes one-hot
+    images: (n, H, W) raw intensities; labels: (n,) integers.  `limit`, an
+    integer of at least 1, caps the number of examples considered (taken from
+    the front, before filtering); `out_size`, an integer of at least 1, is the
+    side of the downsampled images.  With `balanced`, each selected class is
+    truncated to the smallest class count (first occurrences win), which makes one-hot
     target means exactly uniform.  pm1 encoding needs exactly two digits and
     maps the first to +1.  Returns (TaskMoments, counts_by_digit).
     """
@@ -147,13 +155,11 @@ def estimate_moments(images, labels, digit_filter=None, encoding="onehot", bias=
     labels = np.asarray(labels).reshape(-1)
     if images.shape[0] != labels.shape[0]:
         raise DataFormatError(f"{images.shape[0]} images but {labels.shape[0]} labels")
-    if int(out_size) < 1:
-        raise ValueError(f"out_size must be at least 1, got {out_size}")
+    _check_size("out_size", out_size)
     if limit is not None:
-        if int(limit) < 1:
-            raise ValueError(f"limit must be at least 1, got {limit}")
-        images = images[: int(limit)]
-        labels = labels[: int(limit)]
+        _check_size("limit", limit)
+        images = images[:limit]
+        labels = labels[:limit]
     if digit_filter is None:
         digit_filter = DigitFilter(sorted(np.unique(labels).tolist()))
     elif not isinstance(digit_filter, DigitFilter):

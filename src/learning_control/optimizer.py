@@ -12,7 +12,12 @@ projection onto box bounds happens after every update.
 
 Each rollout is integrated once: a line-search trial keeps its trajectory,
 and the accepted one goes straight to the adjoint sweep for the next
-gradient.  The trace keeps the rollouts of the initial and the final
+gradient, with the packed rows and per-run args it carries.  Every candidate
+shares the initial schedule's layout, so optimize sets up once: one plan
+(value._plan) holds the step cuts and each run's task, the value weights,
+the forward kernel's buffers, the args where the control does not vary them,
+and a sweep workspace per stack length, and every integrate and grad_value
+call takes it.  The trace keeps the rollouts of the initial and the final
 schedule for the caller.
 
 The ValueSpec given scores every trial and gradient, whatever the task: a
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .errors import DivergenceError
-from .value import grad_value, value
+from .value import _plan, grad_value, value
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # adaptive_moments' beta1, beta2 and eps
 
@@ -90,11 +95,12 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
     computed by the same code path as every later evaluation.
     """
     def forward(schedule):
-        traj = dyn.integrate(dspec, schedule, task)
-        return value(traj, schedule, vspec, dspec), traj
+        traj = dyn.integrate(dspec, schedule, task, plan=plan)
+        return value(traj, schedule, vspec, dspec, plan=plan), traj
 
     cur = init_schedule.project()
-    v_cur, g_cur, first = grad_value(dspec, task, cur, vspec)
+    plan = _plan(dspec, task, vspec, cur)  # every candidate keeps cur's layout
+    v_cur, g_cur, first = grad_value(dspec, task, cur, vspec, plan=plan)
     rollout = first
     trace = OptTrace()
     trace.V.append(v_cur)
@@ -136,7 +142,7 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
             trace.stalled_at = k
             break
         cur = cand
-        v_cur, g_cur, rollout = grad_value(dspec, task, cur, vspec, traj=trial)
+        v_cur, g_cur, rollout = grad_value(dspec, task, cur, vspec, traj=trial, plan=plan)
         elapsed = (time.perf_counter() - tick) * 1000.0
         trace.V.append(v_cur)
         trace.grad_norm.append(_tree_norm(g_cur))

@@ -15,7 +15,11 @@ Gradients come from one reverse (adjoint) sweep through the recorded states:
 exact for the discretized system, one forward plus one backward pass per
 evaluation regardless of how many control degrees of freedom there are.  A
 caller that already holds the schedule's trajectory (the optimizer's line
-search does) hands it over and pays for the backward pass alone.
+search does) hands it over and pays for the backward pass alone, which reads
+the packed rows and per-run args the rollout carries.  optimize also hands
+over its plan (`_plan`, a dynamics._Plan with the value weights pw, cw, their
+float lists and each segment's cost weight), made once per optimize; a call
+without one builds its own.
 Every array kind sweeps stacks of steps through one protocol, and a task
 set is rolled out once on a batch axis and swept once; its V and gradient
 are the sum of its tasks', in task order.  The single neuron's sweep is a
@@ -28,6 +32,7 @@ into the CLI, so a broken derivative is loud.
 import functools
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -149,32 +154,58 @@ def _value_weights(vspec, dspec):
     return pw, dspec.dt * disc
 
 
-def _segment_total(losses, schedule, vspec, pw, cw):
+# A pass's value weights: pw (pws as floats) on states 0..N; cw (cws) the cost
+# weights on states 0..N, the terminal one 0, times the task count (each task of
+# a set pays the cost); seg, each segment's cost weight, None where the
+# schedule pays no cost (no series or no cost kind).
+_Weights = namedtuple("_Weights", "pw pws cw cws seg")
+
+
+def _weights(vspec, dspec, schedule, n_tasks=1):
+    """The _Weights of passes of `dspec` under schedules of `schedule`'s layout, scored by `vspec`."""
+    pw, cw = _value_weights(vspec, dspec)
+    seg = None
+    if schedule is not None and schedule.kind != "init_weights" and vspec.cost.kind != "none":
+        # each segment's cost weights: one reshape over the whole segments, a slice for a ragged last one
+        size = schedule.segment
+        whole = len(cw) // size * size
+        seg = cw[:whole].reshape(-1, size).sum(axis=1).tolist()
+        if whole < len(cw):
+            seg.append(float(cw[whole:].sum()))
+    cw = np.append(cw, 0.0) * n_tasks
+    return _Weights(pw, pw.tolist(), cw, cw.tolist(), seg)
+
+
+def _plan(dspec, task, vspec, schedule):
+    """The dynamics._Plan of passes over `task` under schedules of `schedule`'s layout, with vspec's _Weights."""
+    weights = _weights(vspec, dspec, schedule, len(task) if dyn.is_task_set(task) else 1)
+    return dyn._Plan(dspec, task, schedule, weights)
+
+
+def _segment_total(losses, schedule, vspec, weights):
     """V from the losses and, for a series schedule, the cost of each segment.
 
     A task set's V is its tasks' values summed in task order, each from a
     contiguous row of losses, as a lone task's would be.
     """
     if losses.ndim == 2:
-        return sum(_segment_total(row, schedule, vspec, pw, cw) for row in losses.T.copy())
-    total = -float(np.dot(pw, losses))
-    if schedule is None or schedule.kind == "init_weights" or vspec.cost.kind == "none":
+        return sum(_segment_total(row, schedule, vspec, weights) for row in losses.T.copy())
+    total = -float(np.dot(weights.pw, losses))
+    if weights.seg is None:
         return total
-    # each segment's cost weights: one reshape over the whole segments, a slice for a ragged last one
-    seg = schedule.segment
-    whole = len(cw) // seg * seg
-    weights = cw[:whole].reshape(-1, seg).sum(axis=1).tolist()
-    if whole < len(cw):
-        weights.append(float(cw[whole:].sum()))
-    for c, w in zip(segment_costs(schedule.values, vspec.cost).tolist(), weights):
+    for c, w in zip(segment_costs(schedule.values, vspec.cost).tolist(), weights.seg):
         if c != 0.0:
             total -= c * w
     return total
 
 
-def value(trajectory, schedule, vspec, dspec):
-    """V for a recorded trajectory under its schedule (a task set's: its tasks' values, summed)."""
-    return _segment_total(trajectory.losses, schedule, vspec, *_value_weights(vspec, dspec))
+def value(trajectory, schedule, vspec, dspec, *, plan=None):
+    """V for a recorded trajectory under its schedule (a task set's: its tasks' values, summed).
+
+    `plan`, optimize's, holds the value weights; a call without one makes them.
+    """
+    weights = _weights(vspec, dspec, schedule) if plan is None else plan.weights
+    return _segment_total(trajectory.losses, schedule, vspec, weights)
 
 
 def evaluate_value(dspec, task, schedule, vspec, state0=None):
@@ -210,14 +241,17 @@ def _task_sum(parts):
     return functools.reduce(operator.add, parts)
 
 
-def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
+def grad_value(dspec, task, schedule, vspec, state0=None, traj=None, *, plan=None):
     """V and dV/d(schedule) by one adjoint sweep; also returns the trajectory.
 
     The gradient has exactly the structure of schedule.values (segment sums
     for series kinds, weight arrays for init_weights).  Bounds on the
     schedule do not enter: the derivative is of the unconstrained objective.
     `traj`, when given, must be the rollout of this schedule and task (from
-    `state0`); the forward pass is then skipped and only the adjoint runs.
+    `state0`); the forward pass is then skipped and only the adjoint runs,
+    on the packed rows and args the rollout carries.  `plan` is optimize's
+    (_plan): the step cuts, value weights and sweep buffers of this task and
+    schedule layout; a call without one builds its own.
 
     The sweep goes over stacks of steps, last first, the last one ending at
     the terminal state: only the adjoint recurrence loops per step, one
@@ -229,30 +263,30 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
     float sweep `_neuron_sweep` instead of the stacks, with the same bits,
     and the tasks of a set one at a time.
     """
+    plan = plan or _plan(dspec, task, vspec, schedule)
     if traj is None:
-        traj = dyn.integrate(dspec, schedule, task, state0=state0)
+        traj = dyn.integrate(dspec, schedule, task, state0=state0, plan=plan)
     if dspec.kind == "single_neuron" and dyn.is_task_set(task):  # the float sweep takes one task at a time
         parts = [grad_value(dspec, t, schedule, vspec, traj=tr) for t, tr in zip(task, traj.per_task())]
         return sum(p[0] for p in parts), tuple(map(_task_sum, zip(*(p[1] for p in parts)))), traj
     scale = dspec.dt / dspec.tau_w
     per_step = schedule is not None and schedule.kind != "init_weights"
-    pw, cw = _value_weights(vspec, dspec)
-    total = _segment_total(traj.losses, schedule, vspec, pw, cw)
-    # the terminal state costs no control; each task of a task set pays it
-    cw = np.append(cw, 0.0) * (len(task) if dyn.is_task_set(task) else 1)
+    weights = plan.weights
+    pw, cw = weights.pw, weights.cw
+    total = _segment_total(traj.losses, schedule, vspec, weights)
     cost_grads = None
     if per_step and vspec.cost.kind != "none":
         cost_grads = segment_cost_grads(schedule.values, vspec.cost)
     if dspec.kind == "single_neuron":
-        adj, sums = _neuron_sweep(dspec, traj, schedule, task, pw.tolist(), cw.tolist(), cost_grads)
+        adj, sums = _neuron_sweep(plan, traj, schedule, weights.pws, weights.cws, cost_grads)
         return total, (np.array(sums),) if per_step else (np.asarray(adj, dtype=float),), traj
     buffers = schedule.zero_grads() if per_step else None
     # per-step weights, shaped to broadcast over a stack of control slices
     weights_shape = (-1,) + (1,) * (schedule.values[0].ndim - 1) if per_step else None
 
     # from the terminal state, scored under the last control slice, down to state 0, on packed rows
-    adj = np.zeros_like(dyn._pack([layer[-1] for layer in traj.layers]))
-    for lo, hi, sweep in dyn.sweeps(dspec, traj, schedule, task, pw):
+    adj = np.zeros((*plan.batch, plan.width))
+    for lo, hi, sweep in dyn.sweeps(traj, schedule, plan, pw, weights.pws):
         for j in range(hi - lo - 1, -1, -1):
             adj = sweep.adjoint(j, adj)
         if per_step:
@@ -268,11 +302,11 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None):
 
     if per_step:
         return total, buffers, traj
-    return total, dyn._split(_task_sum(adj) if dyn.is_task_set(task) else adj, dyn._shapes(traj.layers)), traj
+    return total, dyn._split(_task_sum(adj) if dyn.is_task_set(task) else adj, plan.shapes), traj
 
 
-def _neuron_sweep(dspec, traj, schedule, task, pws, cws, cost_grads):
-    """The single neuron's adjoint sweep on Python floats, run by run, last first.
+def _neuron_sweep(plan, traj, schedule, pws, cws, cost_grads):
+    """The single neuron's adjoint sweep on Python floats, run by run of the plan, last first.
 
     Returns the adjoint at state 0 and the gradient of each segment (one sum
     without a series schedule).  A step takes the products of
@@ -282,16 +316,17 @@ def _neuron_sweep(dspec, traj, schedule, task, pws, cws, cost_grads):
     0.0, and a sum from +0.0 is never -0.0, so the signed zeros this adds
     change none of its bits.
     """
+    dspec, runs = plan.spec, plan.runs
     n, ws, scale, lam = dspec.n_steps, traj.layers[0], dspec.dt / dspec.tau_w, dspec.reg_lambda
-    runs = dyn.step_runs(schedule, task, n)
-    segment = n if runs[0][2] is None else schedule.segment  # no control slices: one sum, never read
+    args = plan.args(schedule) if traj.args is None else traj.args
+    segment = schedule.segment if runs[0][2] else n  # no control slices: one sum, never read
     sums = [0.0] * -(-n // segment)
     cgs = [0.0] * len(sums) if cost_grads is None else cost_grads[0].tolist()
-    lo, hi, ctrl, tsk = runs[-1]
-    runs[-1] = lo, hi + 1, ctrl, tsk  # the terminal state, scored under the last control
     a = 0.0
-    for lo, hi, ctrl, tsk in reversed(runs):
-        gt, mu, x2, _, _ = dyn._neuron_args(ctrl, tsk, dspec)
+    for r in range(len(runs) - 1, -1, -1):
+        lo, hi, _, _ = runs[r]
+        hi += r == len(runs) - 1  # the terminal state, scored under the last control
+        gt, mu, x2, _, _ = args[r]
         dhdw, mgt, s = -(x2 * gt * gt + lam), -mu * gt, lo // segment
         acc, cg = sums[s], cgs[s]
         for i in range(hi - 1, lo - 1, -1):

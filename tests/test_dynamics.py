@@ -653,6 +653,14 @@ class TestIntegrationPlumbing:
         np.testing.assert_array_equal(traj.states[0][0], w0[0])
         np.testing.assert_array_equal(traj.states[0][1], w0[1])
 
+    @pytest.mark.parametrize("start", ["state0", "init_weights"])
+    def test_a_start_that_does_not_fit_the_spec_is_rejected(self, start):
+        spec = DynamicsSpec(kind="gain_mod", input_dim=2, output_dim=2, hidden_dim=2, dt=0.05, n_steps=3)
+        w0 = (np.full((3, 2), 0.25), np.full((2, 3), -0.5))  # hidden width 3, not 2
+        call = (None, pair_task(), w0) if start == "state0" else (init_weights_control(w0), pair_task())
+        with pytest.raises(ValueError, match=r"shapes \(\(3, 2\), \(2, 3\)\) do not fit the spec's \(\(2, 2\), \(2, 2\)\)"):
+            integrate(spec, *call)
+
     def test_schedule_length_mismatch_rejected(self):
         spec = neuron_spec(n_steps=5)
         sched = ControlSchedule.neutral("scalar_series", n_steps=4)

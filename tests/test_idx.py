@@ -6,6 +6,7 @@ exactly (byte-level for the container, closed-form for the pooling).
 
 import gzip
 import json
+import re
 import struct
 
 import numpy as np
@@ -199,6 +200,19 @@ class TestEstimateMoments:
         images, labels = toy_archive()
         with pytest.raises(ValueError, match=f"out_size must be at least 1, got {out_size}"):
             estimate_moments(images, labels, out_size=out_size)
+
+    @pytest.mark.parametrize("name, bad", [("limit", 2.5), ("limit", "3"), ("limit", True), ("out_size", 2.5),
+                                           ("out_size", "3"), ("out_size", np.float64(2.0))])
+    def test_a_non_integer_size_is_rejected(self, name, bad):
+        images, labels = toy_archive()
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+            estimate_moments(images, labels, **{"out_size": 2, name: bad})
+
+    def test_numpy_integers_are_sizes(self):
+        images, labels = toy_archive()
+        want, counts = estimate_moments(images, labels, limit=6, out_size=2)
+        got, got_counts = estimate_moments(images, labels, limit=np.int64(6), out_size=np.int32(2))
+        assert got_counts == counts and np.array_equal(got.sigma_xy, want.sigma_xy)
 
     def test_rejects_length_mismatch(self):
         images, labels = toy_archive()

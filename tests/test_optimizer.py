@@ -269,10 +269,10 @@ class TestRolloutsOwnTheirStates:
         spec, task, vspec, sched = getattr(self, case)()
         handed, real = [], optimizer.grad_value
 
-        def recording(dspec, task, schedule, vspec, state0=None, traj=None):
+        def recording(dspec, task, schedule, vspec, state0=None, traj=None, **plan):
             if traj is not None:
                 handed.append((traj, [a.copy() for a in (*traj.layers, traj.losses)]))
-            return real(dspec, task, schedule, vspec, state0=state0, traj=traj)
+            return real(dspec, task, schedule, vspec, state0=state0, traj=traj, **plan)
 
         monkeypatch.setattr(optimizer, "grad_value", recording)
         _, trace = optimize(spec, task, vspec, OptimizerSpec(alpha_g=0.5, iters=3), sched)
@@ -285,3 +285,38 @@ class TestRolloutsOwnTheirStates:
             grad_value(spec, task, other, vspec)
         for traj, copies in kept:
             assert all(np.array_equal(a, b) for a, b in zip((*traj.layers, traj.losses), copies))
+
+
+class TestSetUpOnce:
+    """optimize sets up once: it cuts the schedule once per rollout and the adjoint sweeps read the rollout's args.
+
+    Counts only; nothing here times anything.
+    """
+
+    def test_one_task_switch_iteration_takes_one_at_per_segment_per_rollout(self, monkeypatch):
+        from learning_control.experiments import build, preset
+
+        cfg = preset("task_switch")
+        spec, task, sched = build(cfg)
+        calls = {"at": 0, "integrate": 0, "swept": 0}
+        at, real_integrate, real_grad = ControlSchedule.at, dynamics.integrate, optimizer.grad_value
+
+        def counted_at(schedule, step):
+            calls["at"] += 1
+            return at(schedule, step)
+
+        def counted_integrate(*args, **kwargs):
+            calls["integrate"] += 1
+            return real_integrate(*args, **kwargs)
+
+        def counted_grad(*args, **kwargs):
+            calls["swept"] += kwargs.get("traj") is not None
+            return real_grad(*args, **kwargs)
+
+        monkeypatch.setattr(ControlSchedule, "at", counted_at)
+        monkeypatch.setattr(dynamics, "integrate", counted_integrate)
+        monkeypatch.setattr(optimizer, "grad_value", counted_grad)
+        _, trace = optimize(spec, task, cfg.value, OptimizerSpec(alpha_g=cfg.optimizer.alpha_g, iters=1), sched)
+        assert len(trace.V) == 2 and calls["swept"] == 1  # the accepted trial went to the sweep
+        assert calls["integrate"] >= 2
+        assert calls["at"] == sched.n_segments * calls["integrate"]

@@ -30,6 +30,7 @@ from learning_control.value import (
     evaluate_value,
     fd_check,
     grad_value,
+    _plan,
     _slice_axpy,
     _slice_scale,
     _value_weights,
@@ -1026,3 +1027,91 @@ class TestPinnedSwitchingCases:
         assert total == want_v
         assert [g.ravel().tolist() for g in grads] == want_g
         assert traj.losses.tolist() == want_losses
+
+
+# --- optimize's plan -------------------------------------------------------------
+
+
+def plan_case(kind, layout):
+    """(spec, task, schedule) of a swept kind over a task set or a task schedule; the baseline takes init_weights."""
+    spec, task, sched = task_set_case(kind) if layout == "task_set" else stack_case(kind, "switching")
+    return spec, task, init_weights_control(initial_state(spec)) if sched is None else sched
+
+
+def sweep_bits(spec, task, sched, vspec, **kw):
+    """A rollout's layers and losses, then V and the gradient of grad_value on it, as copies."""
+    traj = integrate(spec, sched, task, plan=kw["plan"]) if "plan" in kw else integrate(spec, sched, task)
+    total, grads, _ = grad_value(spec, task, sched, vspec, traj=traj, **kw)
+    return [a.copy() for a in (*traj.layers, traj.losses)], total, [g.copy() for g in grads]
+
+
+def assert_same_bits(got, want):
+    assert len(got[0]) == len(want[0]) and all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+    assert got[1] == want[1]
+    assert len(got[2]) == len(want[2]) and all(np.array_equal(a, b) for a, b in zip(got[2], want[2]))
+
+
+class TestOptimizePlan:
+    """optimize's plan (value._plan) changes no bit of integrate and grad_value, and reusing it leaks nothing.
+
+    Small stacks make one grad_value call reuse a sweep workspace across
+    stacks, and leave a shorter first stack with a workspace of its own.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_stacks(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "SWEEP_CHUNK", 5)
+
+    @pytest.mark.parametrize("vspec", TestBatchedSweep.VSPECS)
+    @pytest.mark.parametrize("layout", ["task_set", "switching"])
+    @pytest.mark.parametrize("kind", SWEPT_KINDS)
+    def test_calls_with_the_plan_equal_calls_without(self, kind, layout, vspec):
+        spec, task, sched = plan_case(kind, layout)
+        vspec = TestBatchedSweep.VSPECS[vspec]
+        plan = _plan(spec, task, vspec, sched)
+        assert_same_bits(sweep_bits(spec, task, sched, vspec, plan=plan), sweep_bits(spec, task, sched, vspec))
+        total, grads, traj = grad_value(spec, task, sched, vspec, plan=plan)
+        assert total == grad_value(spec, task, sched, vspec)[0]
+        assert value(traj, sched, vspec, spec, plan=plan) == value(traj, sched, vspec, spec) == total
+
+    @pytest.mark.parametrize("layout", ["task_set", "switching"])
+    @pytest.mark.parametrize("kind", SWEPT_KINDS)
+    def test_one_plan_over_schedules_a_b_a_gives_a_its_bits_twice(self, kind, layout):
+        spec, task, a = plan_case(kind, layout)
+        vspec = TestBatchedSweep.VSPECS["discounted_with_cost"]
+        rng = np.random.default_rng(9)
+        b = a.with_values(tuple(v + rng.uniform(-0.3, 0.3, v.shape) for v in a.values)).project()
+        plan = _plan(spec, task, vspec, a)
+        first = sweep_bits(spec, task, a, vspec, plan=plan)
+        kept = grad_value(spec, task, a, vspec, plan=plan)
+        kept_bits = [x.copy() for x in (*kept[2].layers, kept[2].losses, *kept[1])]
+        assert_same_bits(sweep_bits(spec, task, b, vspec, plan=plan), sweep_bits(spec, task, b, vspec))
+        # what a call returned is its own: later calls under the plan leave it alone
+        assert all(np.array_equal(x, y) for x, y in zip((*kept[2].layers, kept[2].losses, *kept[1]), kept_bits))
+        assert_same_bits(sweep_bits(spec, task, a, vspec, plan=plan), first)
+
+    @pytest.mark.parametrize("kind", SWEPT_KINDS)
+    def test_per_task_rollouts_carry_no_args_and_sweep_to_the_lone_bits(self, kind):
+        spec, tasks, sched = plan_case(kind, "task_set")
+        vspec = TestBatchedSweep.VSPECS["discounted_with_cost"]
+        for task, traj in zip(tasks, integrate(spec, sched, tasks).per_task()):
+            assert traj.rows is None and traj.args is None
+            got = grad_value(spec, task, sched, vspec, traj=traj)
+            want = grad_value(spec, task, sched, vspec)
+            assert got[0] == want[0] and all(np.array_equal(g, w) for g, w in zip(got[1], want[1]))
+
+    @pytest.mark.parametrize("kind", [*SWEPT_KINDS, "single_neuron"])
+    def test_a_hand_built_trajectory_sweeps_to_the_rollouts_bits(self, kind):
+        if kind == "single_neuron":
+            case = TestNeuronFloatAdjoint()
+            case.setup_method()
+            spec, task, sched = case.spec, case.task("switching"), case.series
+        else:
+            spec, task, sched = plan_case(kind, "switching")
+        vspec = TestBatchedSweep.VSPECS["discounted_with_cost"]
+        rollout = integrate(spec, sched, task)
+        assert rollout.args is not None
+        bare = Trajectory(rollout.times, tuple(list(w) if kind == "single_neuron" else w.copy() for w in rollout.layers),
+                          rollout.losses.copy(), rollout.kind)
+        got, want = (grad_value(spec, task, sched, vspec, traj=t) for t in (bare, rollout))
+        assert got[0] == want[0] and all(np.array_equal(g, w) for g, w in zip(got[1], want[1]))
