@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .idx import _emit
+
 KINDS = (
     "scalar_series",
     "matrix_pair_series",
@@ -203,7 +205,8 @@ class ControlSchedule:
         }
 
     def to_json(self):
-        return json.dumps(self.to_doc(), indent=1)
+        """The schedule as JSON text with 17-significant-digit floats: a bundle's schedule.json, less its newline."""
+        return _emit(self.to_doc())
 
     @classmethod
     def from_json(cls, text):

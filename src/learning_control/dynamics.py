@@ -29,17 +29,17 @@ array kind fills the same slots.  Only the recurrence loops per step in
 Python: `flow` makes a pass's buffers once and, once per run of steps, the
 step h(w) on a packed row, and integrate writes w + (dt/tau) h straight into
 the next row.  The other slots act on a stack of steps: `losses` scores every
-state, and `sweep` is the reverse mode, one protocol (`_Sweep`): it makes a
-stack length's buffers and per-step views once, and each stack's
-construction does batched all that does not read the adjoint, leaving
-`adjoint(j, a)` as step j's recurrence on the packed adjoint row and
-`contract()` as the batched control VJPs.  Every pass -- the rollout, the
-sweeps, the sampled twin's score and the closed forms -- is cut as
-`step_runs` cuts it, into runs, stretches of steps sharing one control slice
-and task (a segment, cut again at each task switch); `args`, what the slots
-read, is made once per run.  A `_Plan` holds all a pass sets up that the
-control values do not change -- the cuts, the kernel's buffers, the sweep
-workspaces, and the args where no series control varies them -- so
+state, and `sweep` is the reverse mode, one protocol (`_Sweep`): one sweep
+per stack length, made once with its buffers and per-step views, whose
+`load` refills them for each stack and does batched all that does not read
+the adjoint, leaving `adjoint(j, a)` as step j's recurrence on the packed
+adjoint row and `contract()` as the batched control VJPs.  Every pass --
+the rollout, the sweeps, the sampled twin's score and the closed forms -- is
+cut as `step_runs` cuts it, into runs, stretches of steps sharing one
+control slice and task (a segment, cut again at each task switch); `args`,
+what the slots read, is made once per run.  A `_Plan` holds all a pass sets
+up that the control values do not change -- the cuts, the kernel's buffers,
+the sweeps, and the args where no series control varies them -- so
 optimize, which moves only the values, sets up once: it builds one plan and
 hands it to every integrate and value.grad_value call, and a call without
 one builds its own.  A rollout carries its packed rows and each run's args
@@ -75,7 +75,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DivergenceError, UnsupportedOperationError
+from .errors import DivergenceError, UnsupportedOperationError, check_finite
 from .linalg import phi1, propagate_affine
 
 DIVERGENCE_LIMIT = 1e6
@@ -110,6 +110,7 @@ class DynamicsSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown dynamics kind '{self.kind}'")
+        check_finite(self)
         if self.kind == "single_neuron" and (self.input_dim, self.output_dim) != (1, 1):
             raise ValueError("single_neuron dynamics are one-dimensional")
         if self.kind in _TWO_LAYER_KINDS and self.hidden_dim < 1:
@@ -118,6 +119,8 @@ class DynamicsSpec:
             raise ValueError("dt and tau_w must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        if self.init_seed < 0:
+            raise ValueError(f"init_seed must be nonnegative, got {self.init_seed}")
         if self.nonlinearity not in _NONLIN:
             raise ValueError(f"unknown nonlinearity '{self.nonlinearity}'")
 
@@ -375,23 +378,27 @@ def _weights_column(pw, ndim):
 class _Sweep:
     """Reverse mode of a kind's flow and loss over a stack of steps, on packed rows: the protocol of every array kind.
 
-    A kind's sweep slot, sweep(shapes, lead), makes what every stack of
-    packed rows (*lead, K) can share and returns the constructor
-    (w, stack, spec, pw, pws) of one stack's sweep: w the rows, stack their
-    _Stack, pw the states' value weights and pws the same as floats.  The
-    construction does batched all that does not read the adjoint and keeps
-    pl, a row of pw_i dL/dW per state i.  vjp(j, a) gives step j's
+    A kind's sweep slot, sweep(shapes, lead, spec), makes the sweep of stacks
+    of packed rows (*lead, K) once, with its buffers and per-step views.
+    load(w, stack, pw, pws) fills them for one stack (w the rows, stack their
+    _Stack, pw the states' value weights, pws the same as floats), doing
+    batched all that does not read the adjoint, and returns the sweep; it
+    keeps pl, a row of pw_i dL/dW per state i.  vjp(j, a) gives step j's
     [dh/dW]^T a and dL/dW for the adjoint row a of state j+1.  adjoint(j, a)
     is step j's recurrence, a + scale [dh/dW]^T a - pw_j dL/dW, which
     subtracts nothing at pw_j = 0.  Once every step is swept, contract()
     returns the control VJPs and loss gradients that _control_grads forms,
     tuples of stacks, None where the control has none, summed over a task
-    set's batch axis.
+    set's batch axis.  A load writes every buffer it later reads, and what
+    adjoint and contract return is new, never a view of a buffer.
     """
 
-    def __init__(self, shapes, w, stack, spec, lam, pws):
-        self.shapes, self.w, self.stack, self.args, self.pos = shapes, w, stack, stack.args, stack.pos
-        self.scale, self.neg_lam, self.pws = spec.dt / spec.tau_w, -lam, pws
+    def __init__(self, shapes, spec):
+        self.shapes, self.scale, self.neg_lam = shapes, spec.dt / spec.tau_w, -spec.reg_lambda
+
+    def load(self, w, stack, pw, pws):
+        self.w, self.stack, self.args, self.pos, self.pws = w, stack, stack.args, stack.pos, pws
+        return self
 
     def adjoint(self, j, a):
         a = a + self.scale * self.vjp(j, a)[0]
@@ -459,57 +466,46 @@ def _pair_losses(layers, stack, spec):
     return _map_losses(b_mat @ a_mat, a.sx, a.sxy_t, a.tr_sy, layers, spec.reg_lambda)
 
 
-class _PairWork:
-    """What every pair sweep of stacks of rows (*lead, K) shares: its buffers and per-step views, made once.
+class _PairSweep(_Sweep):
+    """The sweep of the shared kernel and of the pair's loss.
 
-    The kernel's (bind) with its buffers; the adjoint keeps `sa` (the
-    adjoints a), `sabb` (the gained maps' adjoints) and `edb` (the error's);
-    the loss gradients lw and their value-weighted pl; the products'
-    scratch `tmp` and the adjoint's gained copy `ub` with its layer views;
-    and `rows`, each step's views of them all.  A sweep writes every buffer
-    it reads, so one set serves each stack of this length in turn.
+    Its buffers: the kernel's (bind), the adjoints a (`sa`), the gained maps'
+    (`sabb`) and the error's (`edb`), dL/dW (lw) and pl, the products'
+    scratch `tmp` and the adjoint's gained copy `ub`; `rows` holds each
+    step's views.  load runs the kernel on the stack (`p` is its flow before
+    the boost) and forms dL/dW batched.  vjp(j, a) reads step j's own args,
+    and its seven products (dot or matmul, as in _pair_flows) write into the
+    destination rows and `tmp`.  _control_grads hands the buffers to the
+    kind's control_vjp.
     """
 
-    def __init__(self, shapes, lead):
-        (hid, inp), (out, _) = self.shapes = shapes
-        self.bind = _pair_flows(shapes, lead)
-        a_mat, b_mat, x1, err, err_dcol, _ = self.bind.bufs
-        self.lw, self.pl, self.sa, self.sabb = np.empty((4, *lead, hid * inp + out * hid))
-        self.edb, inner = np.empty_like(err), lead[1:]
+    def __init__(self, shapes, lead, spec, control_vjp=None):
+        super().__init__(shapes, spec)
+        (hid, inp), (out, _) = shapes
+        self.control_vjp, self.bind = control_vjp, _pair_flows(shapes, lead)
+        a_mat, b_mat, x1, self.err, err_dcol, self.up = self.bind.bufs
+        self.lw, self.plb, self.sa, self.sabb = np.empty((4, *lead, hid * inp + out * hid))
+        self.edb, inner = np.empty_like(self.err), lead[1:]
         self.mm = np.matmul if inner else np.ndarray.dot
         self.tmp = np.empty((*inner, out, inp)), np.empty((*inner, out, hid)), *np.empty((2, *inner, hid, inp))
         ub = np.empty(self.lw.shape[1:])
         self.ub = (ub, *_split(ub, shapes), *(_mT(u) for u in _split(ub, shapes)))
-        self.rows = list(zip(a_mat, b_mat, _mT(b_mat), _mT(x1), err, err_dcol, self.lw, self.sabb,
+        self.rows = list(zip(a_mat, b_mat, _mT(b_mat), _mT(x1), self.err, err_dcol, self.lw, self.sabb,
                              *_split(self.sabb, shapes), self.edb))
-        self.pl_rows = list(self.pl)
+        self.pl = list(self.plb)
 
-
-class _PairSweep(_Sweep):
-    """The sweep of the shared kernel and of the pair's loss, in a _PairWork's buffers.
-
-    The construction runs the kernel on the stack (`p` is its flow before the
-    boost) and forms dL/dW batched.  vjp(j, a) reads step j's own args, keeps
-    a, the gained maps' adjoints and the error's in the work's per-stack
-    arrays, and its seven products (dot or matmul, as in _pair_flows) write
-    into the destination rows and `tmp`.  _control_grads hands them to the
-    kind's control_vjp.
-    """
-
-    def __init__(self, work, w, stack, spec, pw, pws, control_vjp):
+    def load(self, w, stack, pw, pws):
+        super().load(w, stack, pw, pws)
         a = _gather(stack, "g", "dcol", "sx", "sxy_t")
-        super().__init__(work.shapes, w, stack, spec, a.lam, pws)
-        self.control_vjp, self.rows, self.ub, self.mm, self.tmp = control_vjp, work.rows, work.ub, work.mm, work.tmp
-        self.sa, self.sabb, self.edb = work.sa, work.sabb, work.edb
-        self.p = work.bind(a._replace(boost=None))(w)
-        a_mat, b_mat, _, self.err, _, self.up = work.bind.bufs
+        self.p = self.bind(a._replace(boost=None))(w)
+        a_mat, b_mat = self.bind.bufs[:2]
         # the map ignores dvec and rate; b^T (-err) is -(b^T err) bit for bit
         la = -self.up if a.dcol is None else _pack((_mT(b_mat) @ -self.err, -self.err @ _mT(a_mat)))
-        lw = la if a.g is None else np.multiply(la, a.g, out=work.lw)
-        np.add(lw, a.lam * w, out=work.lw)
+        lw = la if a.g is None else np.multiply(la, a.g, out=self.lw)
+        np.add(lw, a.lam * w, out=self.lw)
         self.lg = None if a.g is None else _split(la * w, self.shapes)
-        np.multiply(_weights_column(pw, w.ndim), work.lw, out=work.pl)
-        self.pl = work.pl_rows
+        np.multiply(_weights_column(pw, w.ndim), self.lw, out=self.plb)
+        return self
 
     def vjp(self, j, a):
         a_mat, b_mat, b_t, x1_t, err, err_dcol, lw, abb, ab, bb, edb = self.rows[j]
@@ -539,12 +535,8 @@ def _pair_kind(reads, channels, control_vjp=None):
     the sweep's kernel buffers and the adjoint keeps (`sa` the adjoints a,
     `sabb` the gained maps' adjoints, `edb` the error's).
     """
-
-    def sweep(shapes, lead):
-        work = _PairWork(shapes, lead)
-        return lambda w, stack, spec, pw, pws: _PairSweep(work, w, stack, spec, pw, pws, control_vjp)
-
-    return _Kind(2, reads, _moment_args(channels), _pair_flows, _pair_losses, sweep)
+    return _Kind(2, reads, _moment_args(channels), _pair_flows, _pair_losses,
+                 partial(_PairSweep, control_vjp=control_vjp))
 
 
 _NO_CHANNELS = (None, None, None)
@@ -641,7 +633,7 @@ def _layer_losses(layers, stack, spec):
     return _map_losses(_gained(layers, a.g)[0], a.sx, a.sxy_t, a.tr_sy, layers, spec.reg_lambda)
 
 
-def _layer_sweep(shapes, lead):
+def _layer_sweep(shapes, lead, spec):
     raise UnsupportedOperationError("no adjoint for single_layer dynamics; use the closed form")
 
 
@@ -750,33 +742,37 @@ def _taylor_tail(e, t, fyb, ffb, kb, d1b):
 class _TaylorSweep(_Sweep):
     """The sweep of nonlinear_taylor's flow and loss.
 
-    The construction forms the expansion (_Terms) and the loss gradients on
-    the whole stack, the latter through the tail seeded by the loss alone, so
-    vjp(j, a) runs only the dynamics' reverse chain on step j's terms.  It
-    keeps a and the gained maps' adjoints in per-stack arrays, which
-    _control_grads contracts with the flow's Z and the weights.
+    Its buffers: the flow's Z (`zz`), the adjoints a (`sa`) and the gained
+    maps' (`sxb`, with each step's views).  load forms the expansion (_Terms)
+    and the loss gradients on the whole stack, the latter through the tail
+    seeded by the loss alone, so vjp(j, a) runs only the dynamics' reverse
+    chain on step j's terms.  _control_grads contracts them with Z and W.
     """
 
-    def __init__(self, shapes, w, stack, spec, pw, pws):
+    def __init__(self, shapes, lead, spec):
+        super().__init__(shapes, spec)
+        self.zz, self.sa, self.sxb = np.empty((3, *lead, sum(r * c for r, c in shapes)))
+        self.z = _split(self.zz, shapes)
+        self.xb_rows = list(zip(self.sxb, *_split(self.sxb, shapes)))
+
+    def load(self, w, stack, pw, pws):
+        super().load(w, stack, pw, pws)
         a = _gather(stack, "g", "mcol", "ycol", "s", "r", "sxy")
-        super().__init__(shapes, w, stack, spec, a.lam, pws)
         a_mat, b_mat = _split(w if a.g is None else a.g * w, self.shapes)
-        self.zz = np.empty_like(w)
-        z1, z2 = _split(self.zz, self.shapes)
         e = _expand(a_mat, a)
-        q, c2, k = _taylor_z(b_mat, a, e, z1, z2)
+        q, c2, k = _taylor_z(b_mat, a, e, *self.z)
         f0, d1, j, _, ff, _ = e
         terms = _Terms(a_mat, b_mat, f0, d1, a.nl[2](f0, d1), j, q, c2, k, ff)
         lab, _ = _taylor_tail(terms, a, -b_mat, 0.5 * c2, None, None)
-        lxb = _pack((lab, 0.0 - z2))
+        lxb = _pack((lab, 0.0 - self.z[1]))
         lw = (lxb if a.g is None else lxb * a.g) + a.lam * w
         self.lg = None if a.g is None else _split(lxb * w, self.shapes)
         self.pl = list(_weights_column(pw, w.ndim) * lw)
-        self.sa, self.sxb = np.empty_like(w), np.empty_like(w)
-        self.rows = list(zip(map(_Terms._make, zip(*terms)), lw, self.sxb, *_split(self.sxb, self.shapes)))
+        self.rows = list(zip(map(_Terms._make, zip(*terms)), lw, self.xb_rows))
+        return self
 
     def vjp(self, j, a):
-        e, lw, xb, ab, bb = self.rows[j]
+        e, lw, (xb, ab, bb) = self.rows[j]
         t = self.args[self.pos[j]]
         self.sa[j] = a
         gz1, gz2 = _split(a if t.g is None else a * t.g, self.shapes)
@@ -793,7 +789,7 @@ class _TaylorSweep(_Sweep):
 # One dynamics kind: its layer count, the series control kinds its channels read
 # (None: it reads no control), and the slots the module docstring describes,
 # args(control, task, spec), flow(shapes, lead)(args)(w), losses(layers, stack, spec)
-# (stack a _Stack) and sweep(shapes, lead)(w, stack, spec, pw, pws).  The single
+# (stack a _Stack) and sweep(shapes, lead, spec).load(w, stack, pw, pws).  The single
 # neuron's entry holds the float args and losses behind its float loops, and no
 # flow or sweep.  single_layer reads none: no scenario builds its one-matrix
 # gains, and it has no adjoint.
@@ -808,8 +804,7 @@ _KIND_TABLE = {
     "engagement": _pair_kind(("engagement_series",), _engagement_channels, _engagement_vjp),
     "category_engagement": _pair_kind(("category_series",), _category_channels, _category_vjp),
     "lr_mod": _pair_kind(("scalar_series",), _rate_channels, _rate_vjp),
-    "nonlinear_taylor": _Kind(2, ("matrix_pair_series",), _taylor_args, _taylor_flows, _taylor_losses,
-                              lambda shapes, lead: partial(_TaylorSweep, shapes)),
+    "nonlinear_taylor": _Kind(2, ("matrix_pair_series",), _taylor_args, _taylor_flows, _taylor_losses, _TaylorSweep),
 }
 
 KINDS = tuple(_KIND_TABLE)
@@ -876,7 +871,7 @@ def backward_step(spec, state, control, task, a_next):
     if kind.sweep is None:
         return _neuron_backward(state[0], *a, a_next[0])
     w = _pack(_one_step(state))
-    sweep = kind.sweep(_shapes(state), w.shape[:-1])(w, _lone(a), spec, np.zeros(1), [0.0])
+    sweep = kind.sweep(_shapes(state), w.shape[:-1], spec).load(w, _lone(a), np.zeros(1), [0.0])
     state_vjp, loss_state = (_split(x, sweep.shapes) for x in sweep.vjp(0, _pack(a_next)))
     ctrl_vjp, loss_ctrl = sweep.contract()
     return state_vjp, _first(ctrl_vjp, control), loss_state, _first(loss_ctrl, control)
@@ -939,8 +934,8 @@ class _Plan:
                  them (init_weights or no schedule), else per call;
       bind       the forward kernel of the kind's flow slot, its buffers
                  made once (None for the single neuron's float loop);
-      sweeper    per stack length, the kind's sweep slot with its buffers
-                 and per-step views, made at the first stack of that length;
+      sweeper    per stack length, the kind's sweep, made once with its
+                 buffers and per-step views and refilled per stack;
       stack      per stretch of states, its _Stack layout;
       weights    the value weights value._plan puts in (None here).
     Every buffer a pass writes it writes in full before reading it, and
@@ -981,11 +976,11 @@ class _Plan:
         return _Stack(args[r0:r1], pos, idx)
 
     def sweeper(self, length):
-        """The constructor of the kind's sweep over a stack of `length` states."""
-        make = self._sweepers.get(length)
-        if make is None:
-            make = self._sweepers[length] = self.kind.sweep(self.shapes, (length, *self.batch))
-        return make
+        """The kind's sweep over stacks of `length` states, made at the first such stack."""
+        sweep = self._sweepers.get(length)
+        if sweep is None:
+            sweep = self._sweepers[length] = self.kind.sweep(self.shapes, (length, *self.batch), self.spec)
+        return sweep
 
     def rollout(self, args, state):
         """(rows, layers): the Euler rollout from `state` under each run's `args`, unscored.
@@ -1095,7 +1090,7 @@ def integrate(spec, schedule, task, state0=None, *, plan=None):
 
 
 def sweeps(traj, schedule, plan, pw, pws):
-    """(lo, hi, sweep) over stacks of SWEEP_CHUNK states of `traj`, last first, each built when reached.
+    """(lo, hi, sweep) over stacks of SWEEP_CHUNK states of `traj`, last first, each loaded when reached.
 
     `traj` is the rollout of `schedule` under `plan`; its rows and args are
     read as they are, or made here when it does not carry them.  pw[i] is
@@ -1107,7 +1102,7 @@ def sweeps(traj, schedule, plan, pw, pws):
     for hi in range(plan.spec.n_steps + 1, 0, -SWEEP_CHUNK):
         lo = max(hi - SWEEP_CHUNK, 0)
         w = _pack(tuple(layer[lo:hi] for layer in traj.layers)) if traj.rows is None else traj.rows[lo:hi]
-        yield lo, hi, plan.sweeper(hi - lo)(w, plan.stack(args, lo, hi), plan.spec, pw[lo:hi], pws[lo:hi])
+        yield lo, hi, plan.sweeper(hi - lo).load(w, plan.stack(args, lo, hi), pw[lo:hi], pws[lo:hi])
 
 
 # --- sampled-SGD twins ------------------------------------------------------

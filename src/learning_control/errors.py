@@ -1,9 +1,22 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the specs' shared finite-field check.
 
 The CLI maps these onto exit codes (config 2, divergence 3, I/O 4), so library
 code should raise the most specific one that applies instead of bare ValueError
 whenever the condition is user-facing.
 """
+
+import math
+from dataclasses import fields
+
+
+def check_finite(spec):
+    """Raise ValueError naming the first float field of the dataclass `spec` that is nan or infinite.
+
+    A spec's own validation raises ValueError, which set_fields words as a ConfigError.
+    """
+    for f in fields(spec):
+        if f.type is float and not math.isfinite(getattr(spec, f.name)):
+            raise ValueError(f"{f.name} must be finite, got {getattr(spec, f.name)}")
 
 
 class LearningControlError(Exception):

@@ -210,6 +210,8 @@ class RunConfig:
             raise ConfigError(f"scenario '{self.scenario}' does not take parameter(s) {sorted(unknown)}")
         self.params = {**defaults, **self.params}
         self.seed = int(self.seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

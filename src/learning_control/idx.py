@@ -221,7 +221,8 @@ def _emit(obj):
         return "true" if obj else "false"
     if isinstance(obj, float):
         if math.isfinite(obj):
-            return format(obj, ".17g")
+            # json.loads reads "-0" as the integer 0, which drops the sign
+            return "-0.0" if obj == 0.0 and math.copysign(1.0, obj) < 0 else format(obj, ".17g")
         # json.loads understands these spellings; plain 'inf' it does not
         return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
     if isinstance(obj, (int, np.integer)):

@@ -16,7 +16,7 @@ gradient, with the packed rows and per-run args it carries.  Every candidate
 shares the initial schedule's layout, so optimize sets up once: one plan
 (value._plan) holds the step cuts and each run's task, the value weights,
 the forward kernel's buffers, the args where the control does not vary them,
-and a sweep workspace per stack length, and every integrate and grad_value
+and one sweep per stack length, and every integrate and grad_value
 call takes it.  The trace keeps the rollouts of the initial and the final
 schedule for the caller.
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics as dyn
-from .errors import DivergenceError
+from .errors import DivergenceError, check_finite
 from .value import _plan, grad_value, value
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # adaptive_moments' beta1, beta2 and eps
@@ -56,6 +56,7 @@ class OptimizerSpec:
 
     def __post_init__(self):
         self.alpha_g = float(self.alpha_g)
+        check_finite(self)
         if self.update_rule not in ("plain", "adaptive_moments"):
             raise ValueError(f"unknown update rule '{self.update_rule}'")
         if self.alpha_g <= 0:

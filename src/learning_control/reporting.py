@@ -115,7 +115,7 @@ def write_result_json(path, result, cfg):
 
 def write_schedule_json(path, schedule):
     with open(path, "w") as fh:
-        fh.write(_emit17(schedule.to_doc()) + "\n")
+        fh.write(schedule.to_json() + "\n")
     return path
 
 

@@ -71,6 +71,9 @@ class TaskMoments:
         self.sigma_y = np.atleast_2d(np.asarray(self.sigma_y, dtype=float))
         self.mean_x = np.asarray(self.mean_x, dtype=float).reshape(-1)
         self.mean_y = np.asarray(self.mean_y, dtype=float).reshape(-1)
+        for label in ("sigma_x", "sigma_xy", "sigma_y", "mean_x", "mean_y"):
+            if not np.isfinite(getattr(self, label)).all():
+                raise ValueError(f"{label} has a non-finite entry")
         i_dim, o_dim = self.sigma_xy.shape
         if self.sigma_x.shape != (i_dim, i_dim):
             raise ValueError(f"sigma_x shape {self.sigma_x.shape} inconsistent with sigma_xy {self.sigma_xy.shape}")

@@ -39,6 +39,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .control import segment_sumsq
+from .errors import check_finite
 
 # The fields each cost kind reads; CostSpec refuses any other field off its default
 _COST_FIELDS = {"none": (), "quadratic": ("beta",), "exp_frobenius": ("beta",), "anchored_norm": ("beta", "anchor"),
@@ -66,6 +67,7 @@ class CostSpec:
     def __post_init__(self):
         if self.kind not in COST_KINDS:
             raise ValueError(f"unknown cost kind '{self.kind}'")
+        check_finite(self)
         for f in fields(self)[1:]:
             got = getattr(self, f.name)
             if f.name not in _COST_FIELDS[self.kind] and got != f.default:
@@ -124,6 +126,7 @@ class ValueSpec:
     mode: str = "discounted_integral"
 
     def __post_init__(self):
+        check_finite(self)
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.mode not in ("discounted_integral", "per_step_sum"):

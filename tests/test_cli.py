@@ -18,7 +18,7 @@ import pytest
 import learning_control
 from learning_control import experiments
 from learning_control.cli import _build_parser, _load_config, main
-from learning_control.configio import parse_config, parse_config_file, serialize_config
+from learning_control.configio import KEYS, parse_config, parse_config_file, serialize_config
 from learning_control.dynamics import KINDS
 from learning_control.errors import LearningControlError
 from learning_control.experiments import SCENARIOS, preset
@@ -232,6 +232,42 @@ class TestConfigLoading:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert f"invalid configuration: {message}" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("section, key", [(section, key) for section, key, typ, _ in KEYS if typ is float])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_a_non_finite_float_key_is_a_config_error(self, section, key, raw, capsys):
+        """Every float key of the KEYS table, one added later included, refuses nan and +-inf by name."""
+        argv = ["run", "--preset", "single_neuron_effort", "-p", f"{section}.{key}={raw}", "-p", "optimizer.iters=0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"invalid configuration: {key} must be finite, got {raw}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            ("single_neuron_effort", "mu=nan"),
+            ("single_neuron_effort", "sigma=inf"),
+            ("category_engagement", "class_sigma=nan"),
+            ("task_switch", "task_a=1,1,1,nan,0.8"),
+        ],
+    )
+    def test_a_non_finite_scenario_parameter_is_a_config_error(self, name, param, capsys):
+        assert main(["run", "--preset", name, "-p", param, "-p", "optimizer.iters=0"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: sigma_x has a non-finite entry" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["effort_allocation", "sgd_validation", "maml_multistep"])
+    def test_a_negative_seed_is_a_config_error(self, name, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"[scenario]\nname = {name}\nseed = -1\n")
+        for argv in (["--preset", name, "--seed", "-1"], ["--preset", name, "-p", "seed=-1"],
+                     ["--config", str(cfg_file)]):
+            assert main(["run", *argv, "-p", "optimizer.iters=0"]) == 2
+            err = capsys.readouterr().err
+            assert "seed must be nonnegative, got -1" in err
             assert "Traceback" not in err
 
     @pytest.mark.parametrize(

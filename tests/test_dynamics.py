@@ -76,6 +76,7 @@ class TestSpecValidation:
         ("dt", 0.0, "dt and tau_w must be positive"),
         ("kind", "quadratic_mod", "unknown dynamics kind 'quadratic_mod'"),
         ("n_steps", 0, "n_steps must be >= 1"),
+        ("init_seed", -1, "init_seed must be nonnegative, got -1"),
         ("nonlinearity", "softsign", "unknown nonlinearity 'softsign'"),
     ])
     def test_rejects_out_of_range_fields(self, field, value, message):

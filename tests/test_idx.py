@@ -237,6 +237,10 @@ class TestMomentsJson:
         assert _emit(0.1) == format(0.1, ".17g")
         assert _emit([1, 2]) == "[1, 2]"
 
+    def test_emit_keeps_the_sign_of_zero_through_json(self):
+        back = json.loads(_emit([-0.0, 0.0]))
+        assert np.signbit(back).tolist() == [True, False]
+
     def test_emit_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             _emit(object())
@@ -262,4 +266,10 @@ class TestMomentsJson:
         path = tmp_path / "bad.json"
         path.write_text('{"sigma_x": [[1.0]], "sigma_xy": [[1.0]]}')
         with pytest.raises(DataFormatError, match="missing"):
+            read_moments_json(path)
+
+    def test_read_refuses_a_non_finite_moment(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"sigma_x": [[1.0]], "sigma_xy": [[NaN]], "sigma_y": [[1.0]], "mean_x": [0], "mean_y": [0]}')
+        with pytest.raises(ValueError, match="sigma_xy has a non-finite entry"):
             read_moments_json(path)

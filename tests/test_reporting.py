@@ -253,6 +253,18 @@ class TestWritersMatchTheCsvModule:
         write_schedule_json(tmp_path / "schedule.json", sched)
         assert (tmp_path / "schedule.json").read_text() == _emit(json.loads(sched.to_json())) + "\n"
 
+    @pytest.mark.parametrize("bounds", [None, (0, 2), (-np.inf, np.inf)])
+    def test_schedule_json_is_to_json_and_reads_back_bit_for_bit(self, tmp_path, bounds):
+        rng = np.random.default_rng(5)
+        values = (edged(rng, (5, 4, 2)), rng.standard_normal((5, 2, 4)))
+        sched = ControlSchedule("matrix_pair_series", values, 13, 3, bounds=bounds)
+        write_schedule_json(tmp_path / "schedule.json", sched)
+        text = (tmp_path / "schedule.json").read_text()
+        assert text == sched.to_json() + "\n"
+        back = ControlSchedule.from_json(text)
+        assert back.bounds == sched.bounds
+        assert all(np.array_equal(b.view(np.int64), v.view(np.int64)) for b, v in zip(back.values, values))
+
 
 class TestReadCsvColumns:
     def test_empty_file_is_an_error(self, tmp_path):

@@ -66,6 +66,16 @@ class TestTaskMomentsValidation:
                 mean_y=np.zeros(1),
             )
 
+    @pytest.mark.parametrize("label", ["sigma_x", "sigma_xy", "sigma_y", "mean_x", "mean_y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_entry(self, label, bad):
+        fields = dict(sigma_x=np.eye(2), sigma_xy=np.ones((2, 1)), sigma_y=np.eye(1), mean_x=np.zeros(2),
+                      mean_y=np.zeros(1))
+        fields[label] = fields[label].copy()
+        fields[label].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"{label} has a non-finite entry"):
+            TaskMoments(**fields)
+
     def test_rejects_wrong_mean_length(self):
         with pytest.raises(ValueError, match="mean"):
             TaskMoments(
