@@ -14,8 +14,9 @@
 Sections are [scenario], [dynamics], [value], [optimizer], [output]; the keys
 of the last four are the KEYS table, and [scenario] takes name, seed, run_name
 and that scenario's parameters (typed by their registered defaults; lists are
-comma-separated and lists of lists use semicolons between groups).  Errors
-carry the file path and line number.  serialize_config is the exact inverse: parse(serialize(cfg))
+comma-separated and lists of lists use semicolons between groups).  Every key
+is typed by override_value, as -p types it.  Errors carry the file path and
+line number.  serialize_config is the exact inverse: parse(serialize(cfg))
 reproduces cfg, with floats printed at 17 significant digits.
 
 Hand-rolled instead of configparser because the error contract here wants
@@ -78,27 +79,16 @@ def config_value(cfg, path):
     return reduce(getattr, path.split("."), cfg)
 
 
-def _parse_bool(raw, where):
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean for {where}, got '{raw}'")
+_BOOLS = {**dict.fromkeys(("true", "yes", "1", "on"), True), **dict.fromkeys(("false", "no", "0", "off"), False)}
 
 
 def _parse_scalar(raw, typ, where):
     raw = raw.strip()
     try:
-        if typ is bool:
-            return _parse_bool(raw, where)
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"expected {typ.__name__} for {where}, got '{raw}'") from None
-    return raw
+        return _BOOLS[raw.lower()] if typ is bool else typ(raw)
+    except (KeyError, ValueError):
+        expected = "a boolean" if typ is bool else typ.__name__
+        raise ConfigError(f"expected {expected} for {where}, got '{raw}'") from None
 
 
 def override_value(cfg, name, raw):
@@ -124,18 +114,12 @@ def override_value(cfg, name, raw):
 
 def _parse_param(raw, default, where):
     """Type a scenario parameter after its registered default value."""
-    if isinstance(default, bool):
-        return _parse_bool(raw, where)
-    if isinstance(default, int):
-        return _parse_scalar(raw, int, where)
-    if isinstance(default, float):
-        return _parse_scalar(raw, float, where)
-    if isinstance(default, tuple):
-        if default and isinstance(default[0], tuple):
-            groups = [g for g in (part.strip() for part in raw.split(";")) if g]
-            return tuple(tuple(_parse_scalar(v, float, where) for v in g.split(",")) for g in groups)
-        return tuple(_parse_scalar(v, float, where) for v in raw.split(","))
-    return raw.strip()
+    if not isinstance(default, tuple):
+        return _parse_scalar(raw, type(default), where)
+    if default and isinstance(default[0], tuple):
+        groups = [g for g in (part.strip() for part in raw.split(";")) if g]
+        return tuple(tuple(_parse_scalar(v, float, where) for v in g.split(",")) for g in groups)
+    return tuple(_parse_scalar(v, float, where) for v in raw.split(","))
 
 
 def parse_config(text, path="<config>"):
@@ -175,25 +159,21 @@ def parse_config(text, path="<config>"):
         )
 
     base = preset(scenario)
-    fixed, params = {}, {}
-    for key, (raw, lineno) in scen_raw.items():
-        with _at(path, lineno):
-            if key in _SCENARIO_FIXED:
-                fixed[key] = _parse_scalar(raw, _SCENARIO_FIXED[key], key)
-            elif key in base.params:
-                params[key] = _parse_param(raw, base.params[key], key)
-            elif key != "name":
-                raise ConfigError(f"unknown key '{key}' for scenario '{scenario}'")
     changes = {}
-    for name in _SECTIONS[1:]:
-        for key, (raw, lineno) in sections.get(name, {}).items():
+    for section in _SECTIONS:
+        for key, (raw, lineno) in sections.get(section, {}).items():
+            name = key if section == "scenario" else f"{section}.{key}"
+            if name == "name":
+                continue
             with _at(path, lineno):
-                if f"{name}.{key}" not in _BY_KEY:
-                    raise ConfigError(f"unknown key '{key}' in [{name}]")
-                field, typ = _BY_KEY[f"{name}.{key}"]
-                changes[field] = _parse_scalar(raw, typ, key)
+                if section != "scenario" and name not in _BY_KEY:
+                    raise ConfigError(f"unknown key '{key}' in [{section}]")
+                if section == "scenario" and key not in (*_SCENARIO_FIXED, *base.params):
+                    raise ConfigError(f"unknown key '{key}' for scenario '{scenario}'")
+                field, value = override_value(base, name, raw)
+                changes[field] = value
     try:
-        return set_fields(preset(scenario, **fixed, **params), changes)
+        return set_fields(base, changes)
     except ConfigError as err:
         raise ConfigError(str(err), path=path) from err
 

@@ -18,10 +18,11 @@ runnable in minutes on a laptop.
 
 import copy
 import math
+import numbers
 import os
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -208,8 +209,9 @@ class RunConfig:
         unknown = set(self.params) - set(defaults)
         if unknown:
             raise ConfigError(f"scenario '{self.scenario}' does not take parameter(s) {sorted(unknown)}")
-        self.params = {**defaults, **self.params}
-        self.seed = int(self.seed)
+        self.params = {key: _as_param(val, defaults[key], key) for key, val in {**defaults, **self.params}.items()}
+        for f in fields(self):
+            setattr(self, f.name, _as_field(getattr(self, f.name), f.type, f.name))
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
@@ -224,6 +226,38 @@ class RunResult:
     trace: OptTrace
     summaries: dict
     out_dir: str | None = None
+
+
+# what a field declared int, float, bool or str takes; a bool is not taken for a number
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
+
+
+def _as_field(value, typ, name):
+    """`value` as a field declared `typ` holds it, a number as int or float; a refusal is a ConfigError naming `name`.
+
+    A str | None field also takes None; a field of any other declared type takes anything.
+    """
+    if typ == str | None:
+        return None if value is None else _as_field(value, str, name)
+    if typ not in _ACCEPTS:
+        return value
+    if not isinstance(value, _ACCEPTS[typ]) or (isinstance(value, bool) and typ is not bool):
+        raise ConfigError(f"expected {typ.__name__} for {name}, got {value!r}")
+    return typ(value)
+
+
+def _as_param(value, default, name):
+    """Scenario parameter `value` typed after its default, by the rule configio types text by.
+
+    A tuple default takes any non-string sequence, stored as a tuple whose
+    entries are typed after the default's first; a scalar default types
+    `value` as _as_field types a field of its type.
+    """
+    if not isinstance(default, tuple):
+        return _as_field(value, type(default), name)
+    if isinstance(value, str) or not hasattr(value, "__iter__"):
+        raise ConfigError(f"expected a list for {name}, got {value!r}")
+    return tuple(_as_param(v, default[0], name) for v in value)
 
 
 def _scenario(name):
@@ -280,8 +314,10 @@ def set_fields(config, changes):
                 raise ConfigError(f"'{type(obj).__name__}' has no field '{head}' (from '{name}')")
             if rest:
                 nested.setdefault(head, []).append((rest, value, name))
-            else:
+            elif isinstance(obj, dict):
                 own[head] = value
+            else:
+                own[head] = _as_field(value, obj.__dataclass_fields__[head].type, name)
         for head, sub in nested.items():
             own[head] = apply(obj[head] if isinstance(obj, dict) else getattr(obj, head), sub)
         return {**obj, **own} if isinstance(obj, dict) else replace(obj, **own)
@@ -326,6 +362,9 @@ def build(cfg):
     entry = _scenario(cfg.scenario)
     p = cfg.params
     try:
+        for key, val in p.items():  # the bounds may be infinite
+            if key not in ("g_lo", "g_hi") and not _finite(val):
+                raise ValueError(f"{key} must be finite, got {val}")
         for key, least in _LEAST.items():
             if key in p and int(p[key]) < least:
                 raise ValueError(f"{key} must be {'positive' if least else 'nonnegative'}, got {p[key]}")
@@ -359,6 +398,11 @@ def build(cfg):
     except ValueError as err:  # a scenario parameter out of range, worded as configio words it
         raise ConfigError(f"invalid configuration: {err}") from err
     return d, task, sched
+
+
+def _finite(value):
+    """Whether a number, or every number in a (nested) tuple of them, is finite."""
+    return all(map(_finite, value)) if isinstance(value, tuple) else math.isfinite(value)
 
 
 def run(config):
@@ -442,6 +486,10 @@ def sweep(base_config, param_name, values, parallelism=None):
     if parallelism is not None and parallelism < 0:
         raise ConfigError(f"parallelism must be nonnegative, got {parallelism}")
     configs = [override_param(base_config, param_name, v, run_suffix=f"{param_name}={v}") for v in values]
+    names = [c.run_name for c in configs]
+    for v, name in zip(values, names):
+        if names.count(name) > 1:
+            raise ConfigError(f"value {v!r} of '{param_name}' repeats: two runs would share '{name}'")
     workers = min(parallelism or len(configs), len(configs), os.cpu_count() or 1)
     cap = os.environ.get("LE_THREADS")
     if cap:
@@ -602,13 +650,9 @@ def _sum_nonlinear(cfg, dspec, task, init_sched, sched, trajs):
 
 
 def _corr(p, name="correlated_gaussian"):
-    try:
-        mu1, mu2, sigma1, sigma2, flip_p = (float(v) for v in p)
-    except (TypeError, ValueError) as err:
-        raise ValueError(
-            f"a correlated-Gaussian task takes 5 numbers (mu1, mu2, sigma1, sigma2, flip_p), got {p!r}"
-        ) from err
-    return correlated_gaussian_moments(mu1, mu2, sigma1, sigma2, flip_p, name=name)
+    if len(p) != 5:
+        raise ValueError(f"a correlated-Gaussian task takes 5 numbers (mu1, mu2, sigma1, sigma2, flip_p), got {p!r}")
+    return correlated_gaussian_moments(*p, name=name)
 
 
 def _neuron_task(d, p):
@@ -621,10 +665,14 @@ def _switch_task(d, p):
 
 
 def _category_task(d, p):
+    if len({len(m) for m in p["class_means"]}) != 1:
+        raise ValueError(f"class_means must be one or more means of one length, got {p['class_means']}")
     return d, class_mixture_moments([list(m) for m in p["class_means"]], p["class_sigma"])
 
 
 def _maml_task(d, p):
+    if not p["tasks"] or any(len(t) != 2 for t in p["tasks"]):
+        raise ValueError(f"tasks must be one or more (mu, sigma) pairs, got {p['tasks']}")
     if int(p["steps_ahead"]) > 0:
         d = replace(d, n_steps=int(p["steps_ahead"]))
     return d, [two_gaussian_moments(mu, s, name=f"pair{k}") for k, (mu, s) in enumerate(p["tasks"])]

@@ -10,6 +10,7 @@ can be drawn for SGD validation without dragging closures around.
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -217,55 +218,37 @@ def class_mixture_moments(means, sigma, name="class_mixture"):
 def compose_block_tasks(tasks, cross_means=True, name="composite"):
     """Stack independent tasks into one joint task on concatenated vectors.
 
-    Inputs and targets of all tasks are concatenated; diagonal moment blocks
-    are the constituents' own moments, off-diagonal blocks are outer products
-    of means (exact for independent tasks) or zero when cross_means is False.
-    The returned task carries a BlockMap so block-aware dynamics can address
-    each constituent's rows.
+    Inputs and targets of all tasks are concatenated.  Each moment matrix
+    starts as the outer product of the joint means (exact across independent
+    tasks), or as zeros when cross_means is False, and then takes each
+    constituent's own moments on its diagonal block.  The returned task
+    carries a BlockMap so block-aware dynamics can address each
+    constituent's rows.
     """
     tasks = list(tasks)
     if not tasks:
         raise ValueError("compose_block_tasks needs at least one task")
-    in_sizes = [t.input_dim for t in tasks]
-    out_sizes = [t.output_dim for t in tasks]
-    in_offsets = np.concatenate([[0], np.cumsum(in_sizes)])
-    out_offsets = np.concatenate([[0], np.cumsum(out_sizes)])
-    i_tot = int(in_offsets[-1])
-    o_tot = int(out_offsets[-1])
-
-    sigma_x = np.zeros((i_tot, i_tot))
-    sigma_xy = np.zeros((i_tot, o_tot))
-    sigma_y = np.zeros((o_tot, o_tot))
-    for a, ta in enumerate(tasks):
-        ia, ja = int(in_offsets[a]), int(in_offsets[a + 1])
-        oa, pa = int(out_offsets[a]), int(out_offsets[a + 1])
-        sigma_x[ia:ja, ia:ja] = ta.sigma_x
-        sigma_xy[ia:ja, oa:pa] = ta.sigma_xy
-        sigma_y[oa:pa, oa:pa] = ta.sigma_y
-        if not cross_means:
-            continue
-        for b, tb in enumerate(tasks):
-            if b == a:
-                continue
-            ib, jb = int(in_offsets[b]), int(in_offsets[b + 1])
-            ob, pb = int(out_offsets[b]), int(out_offsets[b + 1])
-            sigma_x[ia:ja, ib:jb] = np.outer(ta.mean_x, tb.mean_x)
-            sigma_xy[ia:ja, ob:pb] = np.outer(ta.mean_x, tb.mean_y)
-            sigma_y[oa:pa, ob:pb] = np.outer(ta.mean_y, tb.mean_y)
+    in_offsets = list(accumulate([t.input_dim for t in tasks], initial=0))
+    out_offsets = list(accumulate([t.output_dim for t in tasks], initial=0))
+    blocks = BlockMap(list(zip(in_offsets, in_offsets[1:])), list(zip(out_offsets, out_offsets[1:])))
+    mean_x = np.concatenate([t.mean_x for t in tasks])
+    mean_y = np.concatenate([t.mean_y for t in tasks])
+    outer = np.outer if cross_means else lambda a, b: np.zeros((a.size, b.size))
+    sigma_x, sigma_xy, sigma_y = outer(mean_x, mean_x), outer(mean_x, mean_y), outer(mean_y, mean_y)
+    for t, (i0, i1), (o0, o1) in zip(tasks, blocks.input_slices, blocks.output_slices):
+        sigma_x[i0:i1, i0:i1] = t.sigma_x
+        sigma_xy[i0:i1, o0:o1] = t.sigma_xy
+        sigma_y[o0:o1, o0:o1] = t.sigma_y
 
     sampling = None
     if all(t.sampling is not None for t in tasks):
         sampling = SamplingSpec("composite", {"children": [t.sampling for t in tasks]})
-    blocks = BlockMap(
-        input_slices=[(int(in_offsets[k]), int(in_offsets[k + 1])) for k in range(len(tasks))],
-        output_slices=[(int(out_offsets[k]), int(out_offsets[k + 1])) for k in range(len(tasks))],
-    )
     return TaskMoments(
         sigma_x=sigma_x,
         sigma_xy=sigma_xy,
         sigma_y=sigma_y,
-        mean_x=np.concatenate([t.mean_x for t in tasks]),
-        mean_y=np.concatenate([t.mean_y for t in tasks]),
+        mean_x=mean_x,
+        mean_y=mean_y,
         name=name,
         sampling=sampling,
         blocks=blocks,
@@ -273,12 +256,6 @@ def compose_block_tasks(tasks, cross_means=True, name="composite"):
 
 
 # --- sampling ---------------------------------------------------------------
-
-
-def _as_rng(rng):
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def _sample_two_gaussian(params, n, rng):
@@ -296,19 +273,22 @@ def _sample_correlated_gaussian(params, n, rng):
     return np.column_stack([x1, x2]), np.column_stack([y1, y2])
 
 
-def _sample_semantic(params, n, rng):
+def _semantic_rows(params, cls, rng):
     feat = hierarchy_matrix(params["levels"])
-    n_items = feat.shape[1]
-    idx = rng.integers(0, n_items, size=n)
-    return np.eye(n_items)[idx], feat.T[idx]
+    return np.eye(feat.shape[1])[cls], feat.T[cls]
 
 
-def _sample_class_mixture(params, n, rng):
+def _class_mixture_rows(params, cls, rng):
     means = np.asarray(params["means"], dtype=float)
-    n_classes = means.shape[0]
-    cls = rng.integers(0, n_classes, size=n)
-    x = means[cls] + params["sigma"] * rng.standard_normal((n, means.shape[1]))
-    return x, np.eye(n_classes)[cls]
+    x = means[cls] + params["sigma"] * rng.standard_normal((len(cls), means.shape[1]))
+    return x, np.eye(means.shape[0])[cls]
+
+
+# class-labelled families: (number of classes, (x, y) rows given each row's class)
+_CLASS_FAMILIES = {
+    "semantic": (lambda params: hierarchy_matrix(params["levels"]).shape[1], _semantic_rows),
+    "class_mixture": (lambda params: len(params["means"]), _class_mixture_rows),
+}
 
 
 def _sample_composite(params, n, rng):
@@ -323,13 +303,14 @@ def _sample_composite(params, n, rng):
 _SAMPLERS = {
     "two_gaussian": _sample_two_gaussian,
     "correlated_gaussian": _sample_correlated_gaussian,
-    "semantic": _sample_semantic,
-    "class_mixture": _sample_class_mixture,
     "composite": _sample_composite,
 }
 
 
 def _sample_spec(spec, n, rng):
+    if spec.family in _CLASS_FAMILIES:
+        n_classes, rows = _CLASS_FAMILIES[spec.family]
+        return rows(spec.params, rng.integers(0, n_classes(spec.params), size=n), rng)
     try:
         fn = _SAMPLERS[spec.family]
     except KeyError:
@@ -347,42 +328,30 @@ def sample_batch(task, batch_size, rng):
         raise UnsupportedOperationError(
             f"task '{task.name or '<unnamed>'}' carries moments only and cannot be sampled"
         )
-    return _sample_spec(task.sampling, int(batch_size), _as_rng(rng))
+    return _sample_spec(task.sampling, int(batch_size), np.random.default_rng(rng))
 
 
 def sample_class_batch(task, counts, rng):
-    """Draw a batch with a prescribed number of samples per class.
+    """Draw a batch of counts[c] rows of each class c, ordered by class.
 
-    Only meaningful for classification families (class_mixture, semantic);
-    the returned rows are ordered by class, callers shuffle if they care.
+    Defined for the class-labelled families (class_mixture, semantic): the
+    rows are the family's rows for the classes np.repeat(arange(k), counts),
+    drawn as sample_batch draws them once it has drawn the classes.  Callers
+    shuffle if they care about order.
     """
     if task.sampling is None:
         raise UnsupportedOperationError("moment-only task cannot be sampled per class")
-    rng = _as_rng(rng)
-    counts = np.asarray(counts, dtype=int)
     family = task.sampling.family
-    if family == "class_mixture":
-        means = np.asarray(task.sampling.params["means"], dtype=float)
-        sigma = task.sampling.params["sigma"]
-        n_classes = means.shape[0]
-        if counts.shape != (n_classes,):
-            raise ValueError(f"counts must have length {n_classes}")
-        xs, ys = [], []
-        eye = np.eye(n_classes)
-        for c, k in enumerate(counts):
-            if k == 0:
-                continue
-            xs.append(means[c] + sigma * rng.standard_normal((k, means.shape[1])))
-            ys.append(np.tile(eye[c], (k, 1)))
-        return np.vstack(xs), np.vstack(ys)
-    if family == "semantic":
-        feat = hierarchy_matrix(task.sampling.params["levels"])
-        n_items = feat.shape[1]
-        if counts.shape != (n_items,):
-            raise ValueError(f"counts must have length {n_items}")
-        idx = np.repeat(np.arange(n_items), counts)
-        return np.eye(n_items)[idx], feat.T[idx]
-    raise UnsupportedOperationError(f"per-class sampling not defined for family '{family}'")
+    if family not in _CLASS_FAMILIES:
+        raise UnsupportedOperationError(f"per-class sampling not defined for family '{family}'")
+    n_classes, rows = _CLASS_FAMILIES[family]
+    k = n_classes(task.sampling.params)
+    counts = np.asarray(counts, dtype=int)
+    if counts.shape != (k,):
+        raise ValueError(f"counts must have length {k}")
+    if counts.sum() == 0:
+        raise ValueError("counts must ask for at least one row")
+    return rows(task.sampling.params, np.repeat(np.arange(k), counts), np.random.default_rng(rng))
 
 
 def linear_regression_floor(task):

@@ -18,7 +18,7 @@ import pytest
 import learning_control
 from learning_control import experiments
 from learning_control.cli import _build_parser, _load_config, main
-from learning_control.configio import KEYS, parse_config, parse_config_file, serialize_config
+from learning_control.configio import KEYS, config_value, parse_config, parse_config_file, serialize_config
 from learning_control.dynamics import KINDS
 from learning_control.errors import LearningControlError
 from learning_control.experiments import SCENARIOS, preset
@@ -110,6 +110,23 @@ class TestConfigLoading:
                  "value": got.value.cost if key in ("beta", "cost_kind") else got.value}[section]
         field = getattr(owner, key.removeprefix("cost_"))
         assert field == value and type(field) is type(value)
+
+    @pytest.mark.parametrize("section, key, typ, path", KEYS, ids=[f"{section}.{key}" for section, key, _, _ in KEYS])
+    def test_every_key_overrides_as_a_config_file_sets_it(self, section, key, typ, path, tmp_path):
+        """Each KEYS row, the preset's own value written as text (an unset out_dir as a name), both ways."""
+        val = config_value(preset("single_neuron_effort"), path)
+        if typ is bool:
+            raw, val = "yes", True
+        elif val is None:
+            raw, val = "somewhere", "somewhere"
+        else:
+            raw = format(val, ".17g") if typ is float else str(val)
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"[scenario]\nname = single_neuron_effort\n[{section}]\n{key} = {raw}\n")
+        got = _load_config(_build_parser().parse_args(["run", "--preset", "single_neuron_effort", "-p",
+                                                       f"{section}.{key}={raw}"]))
+        assert got == parse_config_file(str(cfg_file))
+        assert config_value(got, path) == val and type(config_value(got, path)) is typ
 
     @pytest.mark.parametrize(
         "name, key, value, message",
@@ -256,7 +273,23 @@ class TestConfigLoading:
     def test_a_non_finite_scenario_parameter_is_a_config_error(self, name, param, capsys):
         assert main(["run", "--preset", name, "-p", param, "-p", "optimizer.iters=0"]) == 2
         err = capsys.readouterr().err
-        assert "invalid configuration: sigma_x has a non-finite entry" in err
+        assert f"invalid configuration: {param.split('=')[0]} must be finite, got " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, param, message",
+        [
+            ("maml_multistep", "tasks=2,0.8,1; 1,1", "tasks must be one or more (mu, sigma) pairs"),
+            ("maml_multistep", "tasks=2; 1,1", "tasks must be one or more (mu, sigma) pairs"),
+            ("maml_multistep", "tasks=", "tasks must be one or more (mu, sigma) pairs, got ()"),
+            ("category_engagement", "class_means=3,0; 1; 2,2", "class_means must be one or more means of one length"),
+            ("single_neuron_effort", "mu=nan", "mu must be finite, got nan"),
+        ],
+    )
+    def test_a_malformed_scenario_parameter_is_refused_by_name(self, name, param, message, capsys):
+        assert main(["run", "--preset", name, "-p", param, "-p", "optimizer.iters=0"]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid configuration: {message}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", ["effort_allocation", "sgd_validation", "maml_multistep"])
@@ -477,6 +510,14 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert "error: unknown name 'dynamics.init_seed'" in captured.err
         assert captured.out == ""
+
+    def test_a_repeated_value_is_a_config_error_before_any_run(self, tmp_path, capsys):
+        code = main(["sweep", "--preset", "single_neuron_effort", *SMALL, "--sweep-param", "value.gamma",
+                     "--values", "0.9,0.90", "--parallel", "1", "--out-dir", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: value 0.9 of 'value.gamma' repeats" in captured.err
+        assert captured.out == "" and os.listdir(tmp_path) == []
 
     def test_a_negative_worker_count_is_a_config_error(self, capsys):
         code = main(["sweep", "--preset", "single_neuron_effort", *SMALL,

@@ -8,6 +8,7 @@ scenario claims live in test_acceptance.py.
 import concurrent.futures
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -18,6 +19,7 @@ import pytest
 from learning_control import dynamics, experiments, optimizer, value
 from learning_control.control import ControlSchedule, init_weights_control
 from learning_control.dynamics import DynamicsSpec, initial_state
+from learning_control.configio import parse_config, serialize_config
 from learning_control.errors import ConfigError, DivergenceError
 from learning_control.experiments import (
     SCENARIOS,
@@ -227,6 +229,55 @@ class TestRunConfig:
         assert cfg.params["mu"] == 1.0
 
 
+class TestTypedValues:
+    """A value set from Python is typed as a config file types its text, and refused by its dotted name."""
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"force": "no"}, "expected bool for force, got 'no'"),
+        ({"force": 1}, "expected bool for force, got 1"),
+        ({"dynamics.n_steps": 100.5}, "expected int for dynamics.n_steps, got 100.5"),
+        ({"optimizer.iters": 2.5}, "expected int for optimizer.iters, got 2.5"),
+        ({"dynamics.hidden_dim": 2.0}, "expected int for dynamics.hidden_dim, got 2.0"),
+        ({"optimizer.max_halvings": 1.5}, "expected int for optimizer.max_halvings, got 1.5"),
+        ({"value.gamma": "0.9"}, "expected float for value.gamma, got '0.9'"),
+        ({"value.cost.beta": True}, "expected float for value.cost.beta, got True"),
+        ({"seed": 1.7}, "expected int for seed, got 1.7"),
+        ({"run_name": 3}, "expected str for run_name, got 3"),
+        ({"out_dir": 3}, "expected str for out_dir, got 3"),
+    ])
+    def test_a_field_of_the_wrong_type_is_refused(self, changes, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            set_fields(preset("single_neuron_effort"), changes)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: preset("single_neuron_effort", segment=2.5), "expected int for segment, got 2.5"),
+        (lambda: preset("single_neuron_effort", seed=1.7), "expected int for seed, got 1.7"),
+        (lambda: override_param(preset("task_switch"), "switch_period", 250.7),
+         "expected int for switch_period, got 250.7"),
+        (lambda: preset("task_switch", task_a="3, 1, 1, 1, 0.8"), "expected a list for task_a"),
+        (lambda: preset("maml_multistep", tasks=(2.0, 0.8)), "expected a list for tasks, got 2.0"),
+        (lambda: preset("single_neuron_effort", mu=None), "expected float for mu, got None"),
+    ], ids=["int_param", "seed", "override_param", "string_for_list", "flat_for_nested", "none"])
+    def test_a_scenario_value_of_the_wrong_type_is_refused(self, make, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            make()
+
+    def test_numbers_are_stored_as_the_declared_type(self):
+        cfg = set_fields(preset("single_neuron_effort", mu=2, seed=np.int64(3)),
+                         {"value.gamma": 1, "dynamics.n_steps": np.int64(300)})
+        assert type(cfg.value.gamma) is float and type(cfg.dynamics.n_steps) is int and type(cfg.seed) is int
+        assert cfg.params["mu"] == 2.0 and type(cfg.params["mu"]) is float
+
+    @pytest.mark.parametrize("name, key, value, want", [
+        ("nonlinear_approx", "task", [2, 1.0, 1.0, 1.0, 0.85], (2.0, 1.0, 1.0, 1.0, 0.85)),
+        ("maml_multistep", "tasks", np.array([[2, 1], [1, 1]]), ((2.0, 1.0), (1.0, 1.0))),
+    ])
+    def test_a_list_parameter_is_stored_as_a_tuple_of_floats(self, name, key, value, want):
+        cfg = preset(name, **{key: value})
+        assert repr(cfg.params[key]) == repr(want)
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
 class TestPresets:
     def test_every_scenario_has_one(self):
         for name in SCENARIOS:
@@ -289,6 +340,39 @@ class TestBuild:
         cfg = override_param(preset(name), "dynamics.kind", kind)
         with pytest.raises(ConfigError, match=f"dynamics kind '{kind}' cannot read the scenario's {control} control"):
             build(cfg)
+
+
+class TestMalformedParameters:
+    """A parameter the task function cannot use is a ConfigError that names it."""
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("single_neuron_effort", "mu", math.nan),
+        ("sgd_validation", "sigma", math.inf),
+        ("category_engagement", "class_sigma", -math.inf),
+        ("category_engagement", "class_means", ((3.0, 0.0), (0.0, math.nan))),
+        ("task_switch", "task_a", (1.0, 1.0, 1.0, math.nan, 0.8)),
+        ("maml_multistep", "tasks", ((2.0, math.inf),)),
+    ])
+    def test_a_non_finite_parameter_is_refused_by_name(self, name, key, value):
+        with pytest.raises(ConfigError, match=f"invalid configuration: {key} must be finite, got "):
+            build(preset(name, **{key: value}))
+
+    @pytest.mark.parametrize("bounds", [(-math.inf, 0.5), (0.0, math.inf)])
+    def test_the_bounds_may_be_infinite(self, bounds):
+        g_lo, g_hi = bounds
+        assert build(preset("single_neuron_effort", g_lo=g_lo, g_hi=g_hi))[2].bounds == bounds
+
+    @pytest.mark.parametrize("name, key, value, message", [
+        ("maml_multistep", "tasks", (), "tasks must be one or more (mu, sigma) pairs, got ()"),
+        ("maml_multistep", "tasks", ((2.0, 0.8, 1.0), (1.0, 1.0)), "tasks must be one or more (mu, sigma) pairs"),
+        ("maml_multistep", "tasks", ((2.0,), (1.0, 1.0)), "tasks must be one or more (mu, sigma) pairs"),
+        ("category_engagement", "class_means", (), "class_means must be one or more means of one length, got ()"),
+        ("class_proportion", "class_means", ((3.0, 0.0), (1.0,), (2.0, 2.0)),
+         "class_means must be one or more means of one length"),
+    ])
+    def test_a_malformed_task_parameter_is_refused_by_name(self, name, key, value, message):
+        with pytest.raises(ConfigError, match=re.escape(f"invalid configuration: {message}")):
+            build(preset(name, **{key: value}))
 
 
 class TestOverrideParam:
@@ -642,6 +726,14 @@ class TestSweep:
         with pytest.raises(ConfigError, match="LE_THREADS must be a nonnegative integer"):
             sweep(tiny_neuron_config(), "value.gamma", [0.5, 0.9])
         assert pool_sizes == []
+
+    @pytest.mark.parametrize("values", [[0.5, 0.9, 0.5], [0.9, 0.90]])
+    def test_a_repeated_value_is_refused_before_anything_runs(self, monkeypatch, values):
+        ran = []
+        monkeypatch.setattr(experiments, "run", ran.append)
+        with pytest.raises(ConfigError, match=re.escape(f"value {values[-1]} of 'value.gamma' repeats")):
+            sweep(tiny_neuron_config(), "value.gamma", values, parallelism=1)
+        assert ran == []
 
     @pytest.mark.parametrize("parallelism", [-1, -64])
     def test_a_negative_worker_count_is_a_config_error(self, pool_sizes, parallelism):

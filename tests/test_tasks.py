@@ -199,6 +199,46 @@ class TestClassMixture:
         x, y = sample_class_batch(task, [1, 2], np.random.default_rng(0))
         np.testing.assert_array_equal(x, [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("task", [class_mixture_moments(np.eye(2), 0.1), semantic_moments(2)],
+                             ids=["class_mixture", "semantic"])
+    def test_class_batch_rejects_counts_that_ask_for_no_row(self, task):
+        with pytest.raises(ValueError, match="counts must ask for at least one row"):
+            sample_class_batch(task, [0, 0], np.random.default_rng(0))
+
+
+class TestPinnedDraws:
+    """Rows drawn at fixed seeds, recorded once: a change to the samplers must keep every bit."""
+
+    MIXTURE = class_mixture_moments([[1.0, 0.0], [0.0, 2.0], [-1.0, -1.0]], 0.5)
+
+    def test_class_mixture_batch(self):
+        x, y = sample_batch(self.MIXTURE, 5, 7)
+        assert np.array_equal(x, [
+            [-1.445295919378637, -1.2273353925858612], [-0.4958232774982312, 2.0300718012987193],
+            [-0.32989237722273324, -1.246103259275665], [-1.3102374499099703, -0.755078974907401],
+            [0.17844350408003037, 2.052707124498949],
+        ])
+        assert np.array_equal(y, np.eye(3)[[2, 1, 2, 2, 1]])
+
+    def test_class_mixture_class_batch(self):
+        x, y = sample_class_batch(self.MIXTURE, [2, 0, 3], np.random.default_rng(4))
+        assert np.array_equal(x, [
+            [0.6741044236941551, -0.08735864616288858], [1.8318619956955984, 0.3295738749161275],
+            [-1.8206986472923234, -1.002601632085966], [-1.3117318704941967, -0.9256842383739868],
+            [-1.8040938920931944, -0.8791140615615743],
+        ])
+        assert np.array_equal(y, np.eye(3)[[0, 0, 2, 2, 2]])
+
+    def test_semantic_batch(self):
+        x, y = sample_batch(semantic_moments(3), 8, 3)
+        items = [3, 0, 0, 0, 0, 3, 3, 2]
+        assert np.array_equal(x, np.eye(4)[items]) and np.array_equal(y, hierarchy_matrix(3).T[items])
+
+    def test_semantic_class_batch(self):
+        x, y = sample_class_batch(semantic_moments(3), [1, 0, 2, 1], np.random.default_rng(4))
+        items = [0, 2, 2, 3]
+        assert np.array_equal(x, np.eye(4)[items]) and np.array_equal(y, hierarchy_matrix(3).T[items])
+
 
 class TestBlockComposition:
     def test_block_diagonal_layout(self):
@@ -224,6 +264,33 @@ class TestBlockComposition:
         np.testing.assert_allclose(
             joint.sigma_x[:2, 2:], np.outer(a.mean_x, b.mean_x), rtol=1e-15
         )
+
+    @pytest.mark.parametrize("cross_means", [True, False])
+    def test_three_tasks_match_a_pair_by_pair_reference(self, cross_means):
+        """Unequal block sizes and nonzero means: every block, cross blocks included, is the exact product."""
+        tasks = [semantic_moments(1), class_mixture_moments([[1.0, -2.0], [0.5, 3.0], [-1.5, 0.25]], 0.7),
+                 semantic_moments(2)]
+        joint = compose_block_tasks(tasks, cross_means=cross_means)
+        ins = np.cumsum([0] + [t.input_dim for t in tasks])
+        outs = np.cumsum([0] + [t.output_dim for t in tasks])
+        want = [np.zeros((ins[-1], ins[-1])), np.zeros((ins[-1], outs[-1])), np.zeros((outs[-1], outs[-1]))]
+        for a, ta in enumerate(tasks):
+            for b, tb in enumerate(tasks):
+                if a == b:
+                    own = (ta.sigma_x, ta.sigma_xy, ta.sigma_y)
+                elif cross_means:
+                    own = (np.outer(ta.mean_x, tb.mean_x), np.outer(ta.mean_x, tb.mean_y),
+                           np.outer(ta.mean_y, tb.mean_y))
+                else:
+                    continue
+                want[0][ins[a]:ins[a + 1], ins[b]:ins[b + 1]] = own[0]
+                want[1][ins[a]:ins[a + 1], outs[b]:outs[b + 1]] = own[1]
+                want[2][outs[a]:outs[a + 1], outs[b]:outs[b + 1]] = own[2]
+        for got, ref in zip((joint.sigma_x, joint.sigma_xy, joint.sigma_y), want):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(joint.mean_x, np.concatenate([t.mean_x for t in tasks]))
+        assert joint.blocks.input_slices == [(0, 1), (1, 3), (3, 5)]
+        assert joint.blocks.output_slices == [(0, 1), (1, 4), (4, 7)]
 
     def test_block_map_bookkeeping(self):
         a = two_gaussian_moments(1.0, 0.2)
