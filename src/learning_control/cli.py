@@ -251,9 +251,6 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

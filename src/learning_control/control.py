@@ -231,9 +231,4 @@ def segment_sumsq(values):
 
 def init_weights_control(state0):
     """Wrap a starting state as an init_weights schedule (the MAML handle)."""
-    return ControlSchedule(
-        kind="init_weights",
-        values=tuple(np.array(w, dtype=float, copy=True) for w in state0),
-        n_steps=1,
-        segment=1,
-    )
+    return ControlSchedule.neutral("init_weights", 1, state0=state0)

@@ -6,7 +6,10 @@ module integrates that ODE with explicit Euler steps `w <- w + (dt/tau) h(w, g)`
 for every supported flavor of control signal, evaluates exact expected losses
 along the way, and provides closed-form solutions for the two analytically
 solvable cases (a single neuron, and a one-layer network with elementwise
-gains frozen per segment) plus a sampled-SGD twin for validation.
+gains frozen per segment) plus a sampled-SGD twin for validation.  Both
+closed forms are one solver, the single neuron being the 1x1 single layer:
+each segment's flow is affine with a symmetric rate, propagated exactly in
+its eigenbasis (linalg.propagate_affine).
 
 Control kinds and their knobs:
 
@@ -43,9 +46,9 @@ the sweeps, and the args where no series control varies them -- so
 optimize, which moves only the values, sets up once: it builds one plan and
 hands it to every integrate and value.grad_value call, and a call without
 one builds its own.  A rollout carries its packed rows and each run's args
-to the adjoint sweep.  The sampled twin is the plan's unscored rollout over
-per-step batch moments (integrate for the single neuron), scored once under
-the real task, except for nonlinear_taylor's sampled tanh network.  The
+to the adjoint sweep.  The sampled twin integrates over per-step batch
+moments and is scored again under the real task, except for
+nonlinear_taylor's sampled tanh network.  The
 one-step API, `expected_loss`, `_rhs` and `backward_step`, applies the slots
 to a one-step stack; tests check the passes against it.  The linear two-layer
 kinds share one kernel, for a row and a stack of rows alike, which fills
@@ -71,16 +74,15 @@ neuron rolls a task set out one task at a time.
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
 from .errors import DivergenceError, UnsupportedOperationError, check_finite
-from .linalg import phi1, propagate_affine
+from .linalg import propagate_affine
 
 DIVERGENCE_LIMIT = 1e6
 DIVERGENCE_BLOCK = 32  # steps integrate runs between divergence checks
-EXPONENT_NORM_WARN = 1e3
 
 
 @dataclass
@@ -218,28 +220,26 @@ class TaskSet(tuple):
 
 
 def _layer_shapes(spec):
-    """The matrix shape of each layer of an array kind's state."""
+    """The shape of each layer of the spec's state: a matrix, or () for the single neuron's weight."""
+    if spec.kind == "single_neuron":
+        return ((),)
     if spec.kind == "single_layer":
         return ((spec.output_dim, spec.input_dim),)
     return (spec.hidden_dim, spec.input_dim), (spec.output_dim, spec.hidden_dim)
 
 
 def initial_state(spec, override=None):
-    """Starting weights as a tuple of arrays (floats for single_neuron)."""
-    if override is not None:
-        if spec.kind == "single_neuron":
-            return (float(override[0]),)
-        return tuple(np.array(w, dtype=float, copy=True) for w in override)
-    if spec.kind == "single_neuron":
+    """Starting weights as a tuple of arrays (floats for single_neuron): `override`'s, else drawn from the spec."""
+    if override is None:
+        shapes = _layer_shapes(spec)
         if spec.init_std == 0.0:
-            return (float(spec.init_mean),)
-        rng = np.random.default_rng(spec.init_seed)
-        return (float(spec.init_mean + spec.init_std * rng.standard_normal()),)
-    shapes = _layer_shapes(spec)
-    if spec.init_std == 0.0:
-        return tuple(np.full(s, spec.init_mean) for s in shapes)
-    rng = np.random.default_rng(spec.init_seed)
-    return tuple(spec.init_mean + spec.init_std * rng.standard_normal(s) for s in shapes)
+            override = [np.full(s, spec.init_mean) for s in shapes]
+        else:
+            rng = np.random.default_rng(spec.init_seed)
+            override = [spec.init_mean + spec.init_std * rng.standard_normal(s) for s in shapes]
+    if spec.kind == "single_neuron":
+        return (float(override[0]),)
+    return tuple(np.array(w, dtype=float, copy=True) for w in override)
 
 
 # (f, fp, fpp) of each elementwise nonlinearity: f(u), f'(u) from f0 = f(u), and f''(u) from f0 and f'(u)
@@ -382,32 +382,44 @@ class _Sweep:
     of packed rows (*lead, K) once, with its buffers and per-step views.
     load(w, stack, pw, pws) fills them for one stack (w the rows, stack their
     _Stack, pw the states' value weights, pws the same as floats), doing
-    batched all that does not read the adjoint, and returns the sweep; it
-    keeps pl, a row of pw_i dL/dW per state i.  vjp(j, a) gives step j's
-    [dh/dW]^T a and dL/dW for the adjoint row a of state j+1.  adjoint(j, a)
-    is step j's recurrence, a + scale [dh/dW]^T a - pw_j dL/dW, which
-    subtracts nothing at pw_j = 0.  Once every step is swept, contract()
-    returns the control VJPs and loss gradients that _control_grads forms,
-    tuples of stacks, None where the control has none, summed over a task
-    set's batch axis.  A load writes every buffer it later reads, and what
-    adjoint and contract return is new, never a view of a buffer.
+    batched all that does not read the adjoint, and returns the sweep; its
+    _loss_grads keeps dL/dW (`lw`) and pl, a row of pw_i dL/dW per state i.
+    vjp(j, a) gives step j's [dh/dW]^T a and dL/dW for the adjoint row a of
+    state j+1, keeping a in `sa` and the gained maps' adjoint in `sabb`.
+    adjoint(j, a) is step j's recurrence, a + scale [dh/dW]^T a - pw_j dL/dW,
+    which subtracts nothing at pw_j = 0.  Once every step is swept,
+    contract() returns the control VJPs, control_vjp(sweep), and the loss
+    gradients, tuples of stacks, None where the control has none, summed
+    over a task set's batch axis.  A load writes every buffer it later reads,
+    and what adjoint and contract return is new, never a view of a buffer.
     """
 
-    def __init__(self, shapes, spec):
+    def __init__(self, shapes, lead, spec, control_vjp=None):
         self.shapes, self.scale, self.neg_lam = shapes, spec.dt / spec.tau_w, -spec.reg_lambda
+        self.control_vjp = control_vjp
+        self.lw, self.plb, self.sa, self.sabb = np.empty((4, *lead, sum(r * c for r, c in shapes)))
+        self.pl = list(self.plb)
 
     def load(self, w, stack, pw, pws):
         self.w, self.stack, self.args, self.pos, self.pws = w, stack, stack.args, stack.pos, pws
         return self
+
+    def _loss_grads(self, lx, a, pw):
+        """Fill dL/dW = lx o G~ + lambda W and pl from lx, dL/d(G~ o W), and keep lg, dL/dG~ = lx o W."""
+        w = self.w
+        lw = lx if a.g is None else np.multiply(lx, a.g, out=self.lw)
+        np.add(lw, a.lam * w, out=self.lw)
+        self.lg = None if a.g is None else _split(lx * w, self.shapes)
+        np.multiply(_weights_column(pw, w.ndim), self.lw, out=self.plb)
 
     def adjoint(self, j, a):
         a = a + self.scale * self.vjp(j, a)[0]
         return a - self.pl[j] if self.pws[j] else a
 
     def contract(self):
-        grads = None if self.args[0].ctrl is None else self._control_grads()
-        if grads is None:
+        if self.args[0].ctrl is None or self.control_vjp is None:
             return None, None
+        grads = self.control_vjp(self), self.lg
         if self.w.ndim == 3:  # a task set's stacks (step, task, K)
             grads = (None if x is None else tuple(v.sum(axis=1) for v in x) for x in grads)
         return tuple(grads)
@@ -460,31 +472,22 @@ def _pair_flows(shapes, lead):
     return bind
 
 
-def _pair_losses(layers, stack, spec):
-    a = _gather(stack, "g", "sx", "sxy_t", "tr_sy")
-    a_mat, b_mat = _gained(layers, a.g)
-    return _map_losses(b_mat @ a_mat, a.sx, a.sxy_t, a.tr_sy, layers, spec.reg_lambda)
-
-
 class _PairSweep(_Sweep):
     """The sweep of the shared kernel and of the pair's loss.
 
-    Its buffers: the kernel's (bind), the adjoints a (`sa`), the gained maps'
-    (`sabb`) and the error's (`edb`), dL/dW (lw) and pl, the products'
-    scratch `tmp` and the adjoint's gained copy `ub`; `rows` holds each
-    step's views.  load runs the kernel on the stack (`p` is its flow before
-    the boost) and forms dL/dW batched.  vjp(j, a) reads step j's own args,
-    and its seven products (dot or matmul, as in _pair_flows) write into the
-    destination rows and `tmp`.  _control_grads hands the buffers to the
-    kind's control_vjp.
+    Its buffers: _Sweep's, the kernel's (bind), the error's adjoint (`edb`),
+    the products' scratch `tmp` and the adjoint's gained copy `ub`; `rows`
+    holds each step's views.  load runs the kernel on the stack (`p` is its
+    flow before the boost) and forms dL/dW batched.  vjp(j, a) reads step
+    j's own args, and its seven products (dot or matmul, as in _pair_flows)
+    write into the destination rows and `tmp`.
     """
 
     def __init__(self, shapes, lead, spec, control_vjp=None):
-        super().__init__(shapes, spec)
-        (hid, inp), (out, _) = shapes
-        self.control_vjp, self.bind = control_vjp, _pair_flows(shapes, lead)
+        super().__init__(shapes, lead, spec, control_vjp)
+        (_, inp), (out, hid) = shapes
+        self.bind = _pair_flows(shapes, lead)
         a_mat, b_mat, x1, self.err, err_dcol, self.up = self.bind.bufs
-        self.lw, self.plb, self.sa, self.sabb = np.empty((4, *lead, hid * inp + out * hid))
         self.edb, inner = np.empty_like(self.err), lead[1:]
         self.mm = np.matmul if inner else np.ndarray.dot
         self.tmp = np.empty((*inner, out, inp)), np.empty((*inner, out, hid)), *np.empty((2, *inner, hid, inp))
@@ -492,7 +495,6 @@ class _PairSweep(_Sweep):
         self.ub = (ub, *_split(ub, shapes), *(_mT(u) for u in _split(ub, shapes)))
         self.rows = list(zip(a_mat, b_mat, _mT(b_mat), _mT(x1), self.err, err_dcol, self.lw, self.sabb,
                              *_split(self.sabb, shapes), self.edb))
-        self.pl = list(self.plb)
 
     def load(self, w, stack, pw, pws):
         super().load(w, stack, pw, pws)
@@ -501,10 +503,7 @@ class _PairSweep(_Sweep):
         a_mat, b_mat = self.bind.bufs[:2]
         # the map ignores dvec and rate; b^T (-err) is -(b^T err) bit for bit
         la = -self.up if a.dcol is None else _pack((_mT(b_mat) @ -self.err, -self.err @ _mT(a_mat)))
-        lw = la if a.g is None else np.multiply(la, a.g, out=self.lw)
-        np.add(lw, a.lam * w, out=self.lw)
-        self.lg = None if a.g is None else _split(la * w, self.shapes)
-        np.multiply(_weights_column(pw, w.ndim), self.lw, out=self.plb)
+        self._loss_grads(la, a, pw)
         return self
 
     def vjp(self, j, a):
@@ -523,9 +522,6 @@ class _PairSweep(_Sweep):
         np.subtract(mm(u2b_t, err_d, ab), mm(mm(b_t, eb, ta), sx, tas), out=ab)
         return self.neg_lam * gp + (abb if g is None else abb * g), lw
 
-    def _control_grads(self):
-        return None if self.control_vjp is None else (self.control_vjp(self), self.lg)
-
 
 def _pair_kind(reads, channels, control_vjp=None):
     """Entry of a linear two-layer kind from the controls it reads and its two maps.
@@ -535,7 +531,7 @@ def _pair_kind(reads, channels, control_vjp=None):
     the sweep's kernel buffers and the adjoint keeps (`sa` the adjoints a,
     `sabb` the gained maps' adjoints, `edb` the error's).
     """
-    return _Kind(2, reads, _moment_args(channels), _pair_flows, _pair_losses,
+    return _Kind(2, reads, _moment_args(channels), _pair_flows, _moment_losses,
                  partial(_PairSweep, control_vjp=control_vjp))
 
 
@@ -547,7 +543,7 @@ def _gain_channels(control, task):
 
 
 def _gain_vjp(sweep):
-    # no boost here, so the adjoints a are gp
+    # `up` is the flow before gains and decay (nonlinear_taylor's Z); no boost here, so the adjoints a are gp
     return _split(sweep.sa * sweep.up + sweep.sabb * sweep.w, sweep.shapes)
 
 
@@ -628,9 +624,10 @@ def _layer_flows(shapes, lead):
     return bind
 
 
-def _layer_losses(layers, stack, spec):
+def _moment_losses(layers, stack, spec):
+    """The losses of a kind driven by the task's moments, whose map is the gained layers' product, last first."""
     a = _gather(stack, "g", "sx", "sxy_t", "tr_sy")
-    return _map_losses(_gained(layers, a.g)[0], a.sx, a.sxy_t, a.tr_sy, layers, spec.reg_lambda)
+    return _map_losses(reduce(np.matmul, _gained(layers, a.g)[::-1]), a.sx, a.sxy_t, a.tr_sy, layers, spec.reg_lambda)
 
 
 def _layer_sweep(shapes, lead, spec):
@@ -742,18 +739,18 @@ def _taylor_tail(e, t, fyb, ffb, kb, d1b):
 class _TaylorSweep(_Sweep):
     """The sweep of nonlinear_taylor's flow and loss.
 
-    Its buffers: the flow's Z (`zz`), the adjoints a (`sa`) and the gained
-    maps' (`sxb`, with each step's views).  load forms the expansion (_Terms)
-    and the loss gradients on the whole stack, the latter through the tail
-    seeded by the loss alone, so vjp(j, a) runs only the dynamics' reverse
-    chain on step j's terms.  _control_grads contracts them with Z and W.
+    Its buffers: _Sweep's, with each step's views of `sabb`, and the flow's
+    Z (`up`, as the pair kernel names its flow before gains and decay).
+    load forms the expansion (_Terms) and the loss gradients on the whole
+    stack, the latter through the tail seeded by the loss alone, so vjp(j, a)
+    runs only the dynamics' reverse chain on step j's terms.
     """
 
-    def __init__(self, shapes, lead, spec):
-        super().__init__(shapes, spec)
-        self.zz, self.sa, self.sxb = np.empty((3, *lead, sum(r * c for r, c in shapes)))
-        self.z = _split(self.zz, shapes)
-        self.xb_rows = list(zip(self.sxb, *_split(self.sxb, shapes)))
+    def __init__(self, shapes, lead, spec, control_vjp=None):
+        super().__init__(shapes, lead, spec, control_vjp)
+        self.up = np.empty_like(self.sa)
+        self.z = _split(self.up, shapes)
+        self.xb_rows = list(zip(self.sabb, *_split(self.sabb, shapes)))
 
     def load(self, w, stack, pw, pws):
         super().load(w, stack, pw, pws)
@@ -764,11 +761,8 @@ class _TaylorSweep(_Sweep):
         f0, d1, j, _, ff, _ = e
         terms = _Terms(a_mat, b_mat, f0, d1, a.nl[2](f0, d1), j, q, c2, k, ff)
         lab, _ = _taylor_tail(terms, a, -b_mat, 0.5 * c2, None, None)
-        lxb = _pack((lab, 0.0 - self.z[1]))
-        lw = (lxb if a.g is None else lxb * a.g) + a.lam * w
-        self.lg = None if a.g is None else _split(lxb * w, self.shapes)
-        self.pl = list(_weights_column(pw, w.ndim) * lw)
-        self.rows = list(zip(map(_Terms._make, zip(*terms)), lw, self.xb_rows))
+        self._loss_grads(_pack((lab, 0.0 - self.z[1])), a, pw)
+        self.rows = list(zip(map(_Terms._make, zip(*terms)), self.lw, self.xb_rows))
         return self
 
     def vjp(self, j, a):
@@ -779,9 +773,6 @@ class _TaylorSweep(_Sweep):
         ab[...], tail_b = _taylor_tail(e, t, gz2, -(_mT(e.b) @ gz2), e.d1[..., None] * gz1, (gz1 * e.k).sum(axis=-1))
         np.subtract(tail_b, gz2 @ e.ff, out=bb)
         return self.neg_lam * a + (xb if t.g is None else xb * t.g), lw
-
-    def _control_grads(self):
-        return _split(self.sa * self.zz + self.sxb * self.w, self.shapes), self.lg
 
 
 # --- the kind table ---------------------------------------------------------
@@ -798,13 +789,14 @@ _Kind = namedtuple("_Kind", "layers reads args flow losses sweep")
 _KIND_TABLE = {
     "single_neuron": _Kind(1, ("scalar_series",), _neuron_args, None, lambda layers, stack, spec: np.array(
         [_neuron_loss_f(w, *stack.args[p]) for w, p in zip(layers[0], stack.pos)]), None),
-    "single_layer": _Kind(1, (), _moment_args(_layer_channels), _layer_flows, _layer_losses, _layer_sweep),
+    "single_layer": _Kind(1, (), _moment_args(_layer_channels), _layer_flows, _moment_losses, _layer_sweep),
     "two_layer_baseline": _pair_kind(None, lambda control, task: _NO_CHANNELS),
     "gain_mod": _pair_kind(("matrix_pair_series",), _gain_channels, _gain_vjp),
     "engagement": _pair_kind(("engagement_series",), _engagement_channels, _engagement_vjp),
     "category_engagement": _pair_kind(("category_series",), _category_channels, _category_vjp),
     "lr_mod": _pair_kind(("scalar_series",), _rate_channels, _rate_vjp),
-    "nonlinear_taylor": _Kind(2, ("matrix_pair_series",), _taylor_args, _taylor_flows, _taylor_losses, _TaylorSweep),
+    "nonlinear_taylor": _Kind(2, ("matrix_pair_series",), _taylor_args, _taylor_flows, _taylor_losses,
+                              partial(_TaylorSweep, control_vjp=_gain_vjp)),
 }
 
 KINDS = tuple(_KIND_TABLE)
@@ -1126,13 +1118,13 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
     """Stochastic twin of integrate(): batch estimates replace exact moments.
 
     Each step's batch is drawn up front, in step order, from the generator of
-    `seed`.  The moment-driven kinds roll out over a task schedule of the
-    batches' moments, one per step (the array kinds through the unscored
-    _Plan.rollout), and record the exact expected loss under `task` at the
-    noisy weights (a deterministic function of the iterate, so seed-to-seed
-    spread reflects weight noise only), scored in one pass.  The nonlinear kind runs the true sampled tanh network and
-    records loss on a frozen evaluation batch, since its expected loss has
-    no closed form.
+    `seed`.  The moment-driven kinds integrate over a task schedule of the
+    batches' moments, one per step, and record the exact expected loss under
+    `task` at the noisy weights (a deterministic function of the iterate, so
+    seed-to-seed spread reflects weight noise only), scored in one pass.
+    The nonlinear kind runs the true sampled tanh network and records loss
+    on a frozen evaluation batch, since its expected loss has no closed
+    form.
 
     class_counts, when given, is an (n_steps, n_classes) integer array: each
     step's batch is drawn with exactly those per-class counts and the update
@@ -1160,11 +1152,7 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
     if spec.kind != "nonlinear_taylor":
         moments = TaskSchedule([_EmpiricalMoments(x, y, task.blocks) for x, y in batches], 1, n)
         rspec, rsched = (spec, schedule) if class_counts is None else (replace(spec, kind="two_layer_baseline"), None)
-        if spec.kind == "single_neuron":  # its float loop scores as it steps
-            layers = integrate(rspec, rsched, moments, state).layers
-        else:
-            sampled = _Plan(rspec, moments, rsched)
-            _, layers = sampled.rollout(sampled.args(rsched), state)
+        layers = integrate(rspec, rsched, moments, state).layers
         plan = _Plan(spec, task, schedule)
         losses = plan.kind.losses(layers, plan.stack(plan.args(schedule), 0, n + 1), spec)
         return Trajectory(np.arange(n + 1) * spec.dt, layers, losses, spec.kind)
@@ -1242,42 +1230,29 @@ def _schedule_segments(schedule, spec):
 
 
 def closed_form_single_neuron(g_schedule, task, spec, times):
-    """Exact single-neuron weight at the requested times.
+    """Exact single-neuron weight at the requested times: the closed form of the 1x1 single layer.
 
-    The flow is affine within each constant-gain segment, so each segment is
-    solved exactly: w(s) = w0 + (b - a w0) s phi1(-a s) with
-    a = (x2 g~^2 + lambda)/tau and b = mu g~ / tau.  Degenerate a -> 0 is
-    covered by phi1's series branch.
+    Within each constant-gain segment the flow tau dw/dt = mu g~ - (x2 g~^2 + lambda) w
+    is the single layer's, whose solver it shares.
     """
     if spec.kind != "single_neuron":
         raise ValueError(f"closed_form_single_neuron needs single_neuron dynamics, not {spec.kind}")
-    mu = task.sigma_xy[0, 0]
-    x2 = task.sigma_x[0, 0]
-    lam = spec.reg_lambda
-    tau = spec.tau_w
-
-    def advance(w, gain, duration):
-        gt = 1.0 + (0.0 if gain is None else gain)
-        a = (x2 * gt * gt + lam) / tau
-        b = mu * gt / tau
-        return w + (b - a * w) * duration * phi1(-a * duration)
-
-    pieces = _schedule_segments(g_schedule, spec)
-    return np.array(_walk(pieces, times, initial_state(spec)[0], advance), dtype=float)
+    return closed_form_single_layer(g_schedule, task, replace(spec, kind="single_layer"), times)[:, 0, 0]
 
 
 def closed_form_single_layer(g_schedule, task, spec, times):
     """Exact single-layer weights (flattened flow) at the requested times.
 
     Row-major flattening turns the gained flow into dw/dt = (b - A w)/tau with
-    A = D (I kron sigma_x) D + lambda I and D = diag of the flattened gains;
-    each constant-gain segment is then an exact matrix-exponential propagation.
-    Warns when an exponent norm passes 1e3, where the result may lose digits.
+    A = D (I kron sigma_x) D + lambda I and D = diag of the flattened gains.
+    A is symmetric, so each constant-gain segment is propagated exactly in
+    its eigenbasis (linalg.propagate_affine), a stiff segment included.
     """
     if spec.kind != "single_layer":
         raise ValueError(f"closed_form_single_layer needs single_layer dynamics, not {spec.kind}")
     o_dim, i_dim = spec.output_dim, spec.input_dim
-    base = np.kron(np.eye(o_dim), task.sigma_x)
+    # sigma_x symmetrized, which leaves a symmetric one as it is, so A is symmetric to rounding
+    base = np.kron(np.eye(o_dim), 0.5 * (task.sigma_x + task.sigma_x.T))
     sxy_flat_base = task.sigma_xy.T
     lam = spec.reg_lambda
     tau = spec.tau_w
@@ -1297,14 +1272,7 @@ def closed_form_single_layer(g_schedule, task, spec, times):
             return hit
         a_mat = (gflat[:, None] * base * gflat[None, :] + lam * np.eye(o_dim * i_dim)) / tau
         drive = gflat * sxy_flat_base.reshape(-1) / tau
-        growth = np.linalg.norm(a_mat, 1) * duration
-        if growth > EXPONENT_NORM_WARN:
-            warnings.warn(
-                f"closed-form exponent norm {growth:.3e} exceeds {EXPONENT_NORM_WARN:.0e}; "
-                "expect reduced accuracy"
-            )
-        ops = propagate_affine(a_mat, drive, duration)
-        prop_cache[key] = ops
+        ops = prop_cache[key] = propagate_affine(a_mat, drive, duration)
         return ops
 
     def advance(w, ctrl, duration):

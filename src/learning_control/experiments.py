@@ -480,8 +480,8 @@ def sweep(base_config, param_name, values, parallelism=None):
     Results come back in input order.  Output directories (when configured)
     get a per-value subdirectory so parallel runs never collide.  Worker
     count: `parallelism` if given (0 or None: one per value), capped by the
-    number of values, the machine's cores and the LE_THREADS environment
-    variable; a pool starts all its workers at once.
+    number of values and the machine's cores; a pool starts all its workers
+    at once.
     """
     if parallelism is not None and parallelism < 0:
         raise ConfigError(f"parallelism must be nonnegative, got {parallelism}")
@@ -491,11 +491,6 @@ def sweep(base_config, param_name, values, parallelism=None):
         if names.count(name) > 1:
             raise ConfigError(f"value {v!r} of '{param_name}' repeats: two runs would share '{name}'")
     workers = min(parallelism or len(configs), len(configs), os.cpu_count() or 1)
-    cap = os.environ.get("LE_THREADS")
-    if cap:
-        if not cap.strip().isdigit():
-            raise ConfigError(f"LE_THREADS must be a nonnegative integer, got '{cap}'")
-        workers = min(workers, int(cap))
     if workers <= 1:
         return [run(c) for c in configs]
     from concurrent.futures import ProcessPoolExecutor  # only here: it costs every import of the package
@@ -549,7 +544,7 @@ def _sum_allocation(cfg, dspec, task, init_sched, sched, trajs):
         shares.append(float(np.sum(g1[:, :, i0:i1] ** 2) + np.sum(g2[:, o0:o1, :] ** 2)))
     total = sum(shares)
     order, floors = difficulty_order(
-        [_corr(cfg.params["task_easy"]), _corr(cfg.params["task_hard"])]
+        [_corr(cfg.params["task_easy"], "task_easy"), _corr(cfg.params["task_hard"], "task_hard")]
     )
     return {
         "gain_energy_by_task": shares,
@@ -571,7 +566,7 @@ def _sum_switch(cfg, dspec, selector, init_sched, sched, trajs):
 def _sum_engagement(cfg, dspec, task, init_sched, sched, trajs):
     psi = sched.values[0]
     arg = [int(i) for i in np.argmax(psi, axis=0)]
-    order, floors = difficulty_order([_corr(t) for t in cfg.params["tasks"]])
+    order, floors = difficulty_order([_corr(t, f"tasks[{k}]") for k, t in enumerate(cfg.params["tasks"])])
     return {
         "psi_peak_times": _segment_mid_times(sched, dspec, arg),
         "psi_mean": [float(m) for m in np.mean(psi, axis=0)],
@@ -649,9 +644,12 @@ def _sum_nonlinear(cfg, dspec, task, init_sched, sched, trajs):
 # --- the scenario table ------------------------------------------------------
 
 
-def _corr(p, name="correlated_gaussian"):
+def _corr(p, key, name="correlated_gaussian"):
+    """The correlated-Gaussian task of scenario parameter `key`'s five numbers, named `name`."""
     if len(p) != 5:
-        raise ValueError(f"a correlated-Gaussian task takes 5 numbers (mu1, mu2, sigma1, sigma2, flip_p), got {p!r}")
+        raise ValueError(
+            f"a correlated-Gaussian task takes 5 numbers (mu1, mu2, sigma1, sigma2, flip_p), got {p!r} for {key}"
+        )
     return correlated_gaussian_moments(*p, name=name)
 
 
@@ -660,7 +658,7 @@ def _neuron_task(d, p):
 
 
 def _switch_task(d, p):
-    tasks = [_corr(p["task_a"], "task_a"), _corr(p["task_b"], "task_b")]
+    tasks = [_corr(p["task_a"], "task_a", "task_a"), _corr(p["task_b"], "task_b", "task_b")]
     return d, task_switch_schedule(tasks, int(p["switch_period"]), d.n_steps)
 
 
@@ -716,7 +714,8 @@ _SCENARIOS = {
             ValueSpec(gamma=0.99, eta=1.0, cost=CostSpec("quadratic", beta=0.05)),
             OptimizerSpec(alpha_g=2.0, iters=30),
         ),
-        task=lambda d, p: (d, compose_block_tasks([_corr(p["task_easy"], "easy"), _corr(p["task_hard"], "hard")])),
+        task=lambda d, p: (d, compose_block_tasks(
+            [_corr(p["task_easy"], "task_easy", "easy"), _corr(p["task_hard"], "task_hard", "hard")])),
         control="matrix_pair_series", summarize=_sum_allocation,
     ),
     "task_switch": _Scenario(
@@ -750,7 +749,8 @@ _SCENARIOS = {
             ValueSpec(gamma=0.9, eta=1.0, cost=CostSpec("exp_frobenius", beta=0.4)),
             OptimizerSpec(alpha_g=0.04, iters=150, update_rule="adaptive_moments"),
         ),
-        task=lambda d, p: (d, compose_block_tasks([_corr(t, f"task{k}") for k, t in enumerate(p["tasks"])])),
+        task=lambda d, p: (d, compose_block_tasks(
+            [_corr(t, f"tasks[{k}]", f"task{k}") for k, t in enumerate(p["tasks"])])),
         control="engagement_series", summarize=_sum_engagement,
     ),
     "category_engagement": _Scenario(
@@ -811,7 +811,7 @@ _SCENARIOS = {
             ValueSpec(gamma=0.99, eta=1.0, cost=CostSpec("quadratic", beta=0.05)),
             OptimizerSpec(alpha_g=1.0, iters=30),
         ),
-        task=lambda d, p: (d, _corr(p["task"])), control="matrix_pair_series", summarize=_sum_nonlinear,
+        task=lambda d, p: (d, _corr(p["task"], "task")), control="matrix_pair_series", summarize=_sum_nonlinear,
     ),
     "sgd_validation": _Scenario(
         params={"mu": 1.0, "sigma": 1.0, "segment": 25, "g_lo": 0.0, "g_hi": 0.5, "batch_size": 128, "n_seeds": 5,

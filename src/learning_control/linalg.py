@@ -1,98 +1,45 @@
-"""Small dense linear-algebra helpers used by the closed-form solvers.
+"""The exact propagator shared by the closed-form solvers.
 
-Two pieces live here: a scaling-and-squaring matrix exponential (the Pade-13
-recipe from Higham 2005) and an exact propagator for constant-coefficient
-affine flows dx/ds = -R x + b.  Matrices stay tiny in this package (tens of
-rows at most), so the implementations favor clarity and accuracy over speed.
-Hand-rolling the exponential keeps numpy as the only dependency; it is
-oracle-tested against a plain Taylor series.
+propagate_affine solves a constant-coefficient affine flow dx/ds = -R x + b
+with a symmetric rate R in R's eigenbasis (np.linalg.eigh): each mode decays
+as e^{-l s} and takes s phi1(-l s) of its drive, so a zero eigenvalue is
+exact drift and a stiff mode simply decays.  Matrices stay tiny in this
+package (tens of rows at most), so the implementation favors clarity over
+speed.
 """
 
 import math
 
 import numpy as np
 
-# Pade-13 numerator/denominator coefficients, b[0] .. b[13].
-_PADE13 = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-
-# Largest 1-norm for which the (13,13) approximant is accurate without scaling.
-_THETA13 = 5.371920351148152
-
-
-def matrix_exponential(mat):
-    """Compute exp(mat) for a square real matrix.
-
-    Scaling and squaring with a (13,13) Pade approximant; accurate to close
-    to machine precision for the well-conditioned exponents this package
-    produces.
-    """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"matrix_exponential needs a square matrix, got shape {mat.shape}")
-    n = mat.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix_exponential got non-finite entries")
-
-    norm = np.linalg.norm(mat, 1)
-    squarings = 0
-    if norm > _THETA13:
-        squarings = int(math.ceil(math.log2(norm / _THETA13)))
-        mat = mat / (2.0**squarings)
-
-    b = _PADE13
-    ident = np.eye(n)
-    m2 = mat @ mat
-    m4 = m2 @ m2
-    m6 = m2 @ m4
-    u = mat @ (m6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2) + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * ident)
-    v = m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2) + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * ident
-    out = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
 
 def propagate_affine(rate, drive, duration):
-    """Exact solution map of dx/ds = -rate @ x + drive over a time interval.
+    """Exact solution map of dx/ds = -rate @ x + drive over a time interval, `rate` symmetric.
 
-    Returns (phi, offset) with x(s + duration) = phi @ x(s) + offset.  Uses
-    the augmented-matrix trick, so a singular `rate` (pure drift directions)
-    is handled exactly rather than through an explicit inverse.
+    Returns (phi, offset) with x(s + duration) = phi @ x(s) + offset.
+    Non-finite entries are refused, and so is a rate whose asymmetry passes
+    1e-12 of its largest entry.
     """
     rate = np.asarray(rate, dtype=float)
     drive = np.asarray(drive, dtype=float).reshape(-1)
     n = rate.shape[0]
     if rate.shape != (n, n) or drive.shape != (n,):
         raise ValueError("propagate_affine: rate must be n x n and drive length n")
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = -rate * duration
-    aug[:n, n] = drive * duration
-    full = matrix_exponential(aug)
-    return full[:n, :n], full[:n, n]
+    if not (np.isfinite(rate).all() and np.isfinite(drive).all()):
+        raise ValueError("propagate_affine got non-finite entries")
+    if np.abs(rate - rate.T).max(initial=0.0) > 1e-12 * np.abs(rate).max(initial=0.0):
+        raise ValueError("propagate_affine needs a symmetric rate")
+    lam, q = np.linalg.eigh(rate)
+    taken = np.array([duration * phi1(-l * duration) for l in lam])
+    return (q * np.exp(-lam * duration)) @ q.T, q @ (taken * (q.T @ drive))
 
 
 def phi1(z):
     """(e^z - 1)/z with the removable singularity at 0 filled in.
 
-    Shows up in the exact one-dimensional affine step; the series branch keeps
-    full precision where expm1(z)/z would divide two tiny numbers.
+    A mode of decay rate l takes s phi1(-l s) of its drive over a time s in
+    the exact affine step; the series branch keeps full precision where
+    expm1(z)/z would divide two tiny numbers.
     """
     if abs(z) < 1e-6:
         return 1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0

@@ -346,9 +346,12 @@ def sample_class_batch(task, counts, rng):
         raise UnsupportedOperationError(f"per-class sampling not defined for family '{family}'")
     n_classes, rows = _CLASS_FAMILIES[family]
     k = n_classes(task.sampling.params)
-    counts = np.asarray(counts, dtype=int)
-    if counts.shape != (k,):
+    whole = np.asarray(counts, dtype=float)
+    if whole.shape != (k,):
         raise ValueError(f"counts must have length {k}")
+    if not (np.isfinite(whole) & (whole >= 0) & (np.floor(whole) == whole)).all():
+        raise ValueError(f"counts must be nonnegative whole numbers, got {whole.tolist()}")
+    counts = whole.astype(int)
     if counts.sum() == 0:
         raise ValueError("counts must ask for at least one row")
     return rows(task.sampling.params, np.repeat(np.arange(k), counts), np.random.default_rng(rng))

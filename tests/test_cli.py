@@ -251,6 +251,24 @@ class TestConfigLoading:
             assert f"invalid configuration: {message}" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, param, key",
+        [
+            ("task_switch", "task_a=1,2", "task_a"),
+            ("task_switch", "task_b=1,2,3,4,5,6", "task_b"),
+            ("effort_allocation", "task_easy=1,2", "task_easy"),
+            ("effort_allocation", "task_hard=1", "task_hard"),
+            ("nonlinear_approx", "task=1,2", "task"),
+            ("task_engagement", "tasks=1,2;3,4,5,6,7", "tasks[0]"),
+            ("task_engagement", "tasks=1,2,3,4,0.5;3,4", "tasks[1]"),
+        ],
+    )
+    def test_a_correlated_gaussian_task_of_the_wrong_length_is_named(self, name, param, key, capsys):
+        assert main(["run", "--preset", name, "-p", param]) == 2
+        err = capsys.readouterr().err
+        assert "a correlated-Gaussian task takes 5 numbers" in err
+        assert err.rstrip().endswith(f" for {key}")
+
     @pytest.mark.parametrize("section, key", [(section, key) for section, key, typ, _ in KEYS if typ is float])
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     def test_a_non_finite_float_key_is_a_config_error(self, section, key, raw, capsys):

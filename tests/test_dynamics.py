@@ -444,17 +444,122 @@ class TestClosedFormSingleLayer:
         gap = np.max(np.abs(got[0] - traj.states[-1][0]))
         assert gap < 1e-3
 
-    def test_warns_on_stiff_exponent(self):
-        task = two_gaussian_moments(20.0, 0.0)  # sigma_x = 400
-        spec = DynamicsSpec(kind="single_layer", input_dim=1, output_dim=1,
-                            dt=0.1, n_steps=100)
-        with pytest.warns(UserWarning, match="exponent norm"):
-            closed_form_single_layer(None, task, spec, np.array([10.0]))
+    def test_a_stiff_segment_decays_exactly(self):
+        """sigma_x = 400: each probe, t = 10 long after the flow settled, is b/a (1 - e^{-at}) to rounding."""
+        task = two_gaussian_moments(20.0, 0.0)
+        spec = DynamicsSpec(kind="single_layer", input_dim=1, output_dim=1, dt=0.1, n_steps=100)
+        times = np.array([0.01, 0.1, 10.0])
+        got = closed_form_single_layer(None, task, spec, times)[:, 0, 0]
+        a, b = task.sigma_x[0, 0], task.sigma_xy[0, 0]
+        np.testing.assert_allclose(got, b / a * -np.expm1(-a * times), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("gain", [np.full((1, 2, 3), -1.0), np.array([-1.0])], ids=["matrix", "scalar"])
+    def test_a_zero_gain_segment_without_decay_leaves_the_weights_as_they_are(self, gain):
+        """g~ = 0 and lambda = 0 stop the flow: the weights stay where they were, bit for bit."""
+        kind = "scalar_series" if gain.ndim == 1 else "matrix_pair_series"
+        spec = DynamicsSpec(kind="single_layer", input_dim=3, output_dim=2, dt=0.1, n_steps=10, init_std=0.5)
+        sched = ControlSchedule(kind=kind, values=(gain,), n_steps=10, segment=10)
+        got = closed_form_single_layer(sched, _layer_task(3, 2, 11), spec, np.array([0.4, 1.0]))
+        assert np.array_equal(got, np.stack([initial_state(spec)[0]] * 2))
 
     def test_single_layer_has_no_adjoint(self):
         spec = DynamicsSpec(kind="single_layer", input_dim=2, output_dim=1)
         with pytest.raises(UnsupportedOperationError, match="closed form"):
             backward_step(spec, (np.zeros((1, 2)),), None, pair_task(), (np.zeros((1, 2)),))
+
+
+def _layer_task(n_in, n_out, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n_in, n_in))
+    return TaskMoments(sigma_x=scale * (a @ a.T / n_in + 0.5 * np.eye(n_in)),
+                       sigma_xy=rng.standard_normal((n_in, n_out)), sigma_y=np.eye(n_out) * 3.0,
+                       mean_x=np.zeros(n_in), mean_y=np.zeros(n_out))
+
+
+def _series(values, n, segment, kind="scalar_series"):
+    return ControlSchedule(kind=kind, values=(np.asarray(values, dtype=float),), n_steps=n, segment=segment)
+
+
+_NEURON = dict(kind="single_neuron", input_dim=1, output_dim=1)
+
+# (closed form, schedule, task, spec, probe times, the values there), the values recorded from the solvers the
+# eigenbasis propagator replaced: a Pade-13 matrix exponential, and the single neuron's own affine step
+PINNED_CLOSED_FORMS = {
+    "neuron_no_control_lambda0": (
+        closed_form_single_neuron, None, two_gaussian_moments(1.0, 1.0),
+        DynamicsSpec(**_NEURON, tau_w=2.0, dt=0.1, n_steps=20, init_mean=0.1), [0.0, 0.37, 1.1, 2.0],
+        [0.1, 0.22370626774505814, 0.3668515665207682, 0.44586588670535493],
+    ),
+    "neuron_zero_gain_segment": (
+        closed_form_single_neuron, _series([0.4, -1.0, 0.2], 30, 10), two_gaussian_moments(0.8, 0.6),
+        DynamicsSpec(**_NEURON, tau_w=1.5, dt=0.1, n_steps=30, reg_lambda=0.1, init_std=0.4, init_seed=3),
+        [0.5, 1.5, 2.9, 3.0],
+        [0.680914901434732, 0.592659925489476, 0.6034721051253407, 0.6054142341026945],
+    ),
+    "layer_scalar_gain": (
+        closed_form_single_layer, _series([0.3, -0.1], 110, 55), _layer_task(3, 1, 10),
+        DynamicsSpec(kind="single_layer", input_dim=3, output_dim=1, tau_w=1.5, dt=0.01, n_steps=110,
+                     reg_lambda=0.05, init_mean=0.2), [0.0, 0.3, 1.1],
+        [
+            [[0.19999999999999998, 0.19999999999999998, 0.19999999999999998]],
+            [[0.04906525889243604, -0.011803500385620697, -0.017834234202266902]],
+            [[-0.21406816039932935, -0.36266326383733205, -0.3699516679766147]],
+        ],
+    ),
+    "layer_matrix_gain_lambda0": (
+        closed_form_single_layer,
+        _series(np.random.default_rng(12).uniform(-0.4, 0.6, (4, 2, 3)), 100, 25, "matrix_pair_series"),
+        _layer_task(3, 2, 11),
+        DynamicsSpec(kind="single_layer", input_dim=3, output_dim=2, dt=0.02, n_steps=100, init_std=0.3,
+                     init_seed=5), [0.25, 0.5, 1.3, 2.0],
+        [
+            [
+                [-0.5530887429712473, -0.33495820079480765, -0.09575329470080537],
+                [0.39296461205683525, 0.45585641274675176, -0.03999981736896486],
+            ],
+            [
+                [-0.782299010989379, -0.32014052765648354, -0.10017450320296667],
+                [0.6112179147856585, 0.565679635729671, -0.10937297576110061],
+            ],
+            [
+                [-1.0791861429428846, -0.44821853201731077, 0.006890232802335174],
+                [0.923968942669857, 0.8588072990592337, -0.3384135294250482],
+            ],
+            [
+                [-1.29558198566013, -0.5396592914247511, 0.04146830015752613],
+                [0.9122710810127725, 0.9589958846815285, -0.38069833349053744],
+            ],
+        ],
+    ),
+    "layer_stiff": (
+        closed_form_single_layer, None, _layer_task(3, 1, 16, scale=400.0),
+        DynamicsSpec(kind="single_layer", input_dim=3, output_dim=1, dt=0.1, n_steps=100, reg_lambda=0.05,
+                     init_mean=-0.1), [0.01, 0.1, 10.0],
+        [
+            [[-0.015940598285312482, 0.001894937609700796, -0.014206377537648005]],
+            [[-0.003937352092808331, 0.0005386825262455927, -0.003816833822067321]],
+            [[-0.003937351995637374, 0.0005386825149665654, -0.003816833737852584]],
+        ],
+    ),
+    "layer_correlated_matrix_gain": (
+        closed_form_single_layer,
+        _series(np.random.default_rng(14).uniform(-0.5, 0.5, (2, 2, 2)), 40, 20, "matrix_pair_series"),
+        correlated_gaussian_moments(1.4, 0.9, 0.5, 0.5, 0.8),
+        DynamicsSpec(kind="single_layer", input_dim=2, output_dim=2, tau_w=0.7, dt=0.05, n_steps=40, init_std=0.2,
+                     init_seed=2), [0.2, 1.0, 2.0],
+        [
+            [[0.3116826620363085, -0.15689270578565462], [-0.2740168992620308, -0.0687162330059731]],
+            [[0.4418365412753445, -0.1404168887611488], [-0.18115126056362, 0.4247641164425796]],
+            [[0.5189448785603566, -0.1021863253749091], [-0.11544433838984192, 0.5822671992054925]],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_CLOSED_FORMS)
+def test_closed_forms_keep_their_recorded_values(case):
+    closed_form, sched, task, spec, times, want = PINNED_CLOSED_FORMS[case]
+    np.testing.assert_allclose(closed_form(sched, task, spec, np.array(times)), want, rtol=1e-12, atol=0)
 
 
 def _gain_pair(rng, spec, scale):
@@ -865,6 +970,13 @@ class TestSampledTwin:
         spec, _, task, counts = sgd_case("category_engagement")
         with pytest.raises(ValueError, match=f"class_counts has {rows} rows but dynamics run 12 steps"):
             simulate_sgd(spec, None, task, 16, 0, class_counts=np.resize(counts, (rows, 2)))
+
+    def test_class_counts_rows_are_whole_nonnegative_counts(self):
+        spec, _, task, counts = sgd_case("category_engagement")
+        counts = np.array(counts, dtype=float)
+        counts[4, 0] += 0.5
+        with pytest.raises(ValueError, match="counts must be nonnegative whole numbers"):
+            simulate_sgd(spec, None, task, 16, 0, class_counts=counts)
 
     def test_class_counts_need_a_linear_two_layer_kind(self):
         spec, _, task, counts = sgd_case("category_engagement")

@@ -675,11 +675,6 @@ class TestSweep:
         res = sweep(tiny_neuron_config(), "dynamics.n_steps", [100, 140], parallelism=1)
         assert [r.trajectories["baseline"].losses.size for r in res] == [101, 141]
 
-    def test_thread_cap_env_var_is_honored(self, monkeypatch):
-        monkeypatch.setenv("LE_THREADS", "1")
-        res = sweep(tiny_neuron_config(), "dynamics.n_steps", [100, 140])
-        assert [r.trajectories["baseline"].losses.size for r in res] == [101, 141]
-
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         """max_workers of every process pool sweep asks for; the pool runs nothing and starts no process."""
@@ -701,31 +696,19 @@ class TestSweep:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiments, "run", lambda cfg: None)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.delenv("LE_THREADS", raising=False)
         return sizes
 
-    @pytest.mark.parametrize("parallelism, n_values, env, want", [
-        (64, 2, None, [2]),      # never more workers than values
-        (64, 20, None, [8]),     # nor than the machine's cores
-        (6, 20, "3", [3]),       # nor than LE_THREADS
-        (None, 5, None, [5]),
-        (None, 20, "4", [4]),
-        (1, 5, None, []),        # one worker runs in process
-        (4, 1, None, []),
+    @pytest.mark.parametrize("parallelism, n_values, want", [
+        (64, 2, [2]),      # never more workers than values
+        (64, 20, [8]),     # nor than the machine's cores
+        (None, 5, [5]),
+        (1, 5, []),        # one worker runs in process
+        (4, 1, []),
     ])
-    def test_the_worker_count_is_capped(self, pool_sizes, monkeypatch, parallelism, n_values, env, want):
-        if env is not None:
-            monkeypatch.setenv("LE_THREADS", env)
+    def test_the_worker_count_is_capped(self, pool_sizes, parallelism, n_values, want):
         values = [0.5 + 0.01 * k for k in range(n_values)]
         sweep(tiny_neuron_config(), "value.gamma", values, parallelism=parallelism)
         assert pool_sizes == want
-
-    @pytest.mark.parametrize("cap", ["abc", "-2", "1.5"])
-    def test_a_bad_thread_cap_is_a_config_error(self, pool_sizes, monkeypatch, cap):
-        monkeypatch.setenv("LE_THREADS", cap)
-        with pytest.raises(ConfigError, match="LE_THREADS must be a nonnegative integer"):
-            sweep(tiny_neuron_config(), "value.gamma", [0.5, 0.9])
-        assert pool_sizes == []
 
     @pytest.mark.parametrize("values", [[0.5, 0.9, 0.5], [0.9, 0.90]])
     def test_a_repeated_value_is_refused_before_anything_runs(self, monkeypatch, values):
@@ -741,8 +724,7 @@ class TestSweep:
             sweep(tiny_neuron_config(), "value.gamma", [0.5, 0.9], parallelism=parallelism)
         assert pool_sizes == []
 
-    def test_parallel_results_match_sequential(self, monkeypatch):
-        monkeypatch.delenv("LE_THREADS", raising=False)
+    def test_parallel_results_match_sequential(self):
         cfg = tiny_neuron_config()
         seq = sweep(cfg, "value.gamma", [0.5, 0.9], parallelism=1)
         par = sweep(cfg, "value.gamma", [0.5, 0.9], parallelism=2)

@@ -1,9 +1,8 @@
 """Oracle tests for the dense linear-algebra helpers.
 
-matrix_exponential is checked against a plain Taylor series (a different
-algorithm entirely) and against 2x2 cases with textbook closed forms;
-propagate_affine against the scalar/diagonal affine-ODE solution written out
-by hand.
+propagate_affine is checked against the scalar/diagonal affine-ODE solution
+written out by hand and against its own semigroup property; phi1 against
+expm1.
 """
 
 import math
@@ -11,77 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from learning_control.linalg import matrix_exponential, phi1, propagate_affine
-
-
-def taylor_expm(mat, terms=80):
-    """Straightforward series oracle; fine for the norms used in these tests."""
-    out = np.eye(mat.shape[0])
-    term = np.eye(mat.shape[0])
-    for k in range(1, terms):
-        term = term @ mat / k
-        out = out + term
-    return out
-
-
-class TestMatrixExponential:
-    def test_zero_matrix(self):
-        np.testing.assert_allclose(
-            matrix_exponential(np.zeros((3, 3))), np.eye(3), rtol=1e-15, atol=1e-15
-        )
-
-    def test_empty_matrix(self):
-        assert matrix_exponential(np.zeros((0, 0))).shape == (0, 0)
-
-    def test_diagonal(self):
-        d = np.diag([0.3, -1.2, 2.0])
-        expected = np.diag(np.exp([0.3, -1.2, 2.0]))
-        np.testing.assert_allclose(matrix_exponential(d), expected, rtol=1e-14, atol=1e-15)
-
-    def test_rotation_generator(self):
-        """exp of [[0,-t],[t,0]] is the rotation by angle t."""
-        theta = 0.731
-        gen = np.array([[0.0, -theta], [theta, 0.0]])
-        expected = np.array(
-            [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-        )
-        np.testing.assert_allclose(matrix_exponential(gen), expected, rtol=1e-14, atol=1e-15)
-
-    def test_matches_taylor_series_small_norm(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            mat = rng.standard_normal((4, 4)) * 0.6
-            np.testing.assert_allclose(
-                matrix_exponential(mat), taylor_expm(mat), rtol=1e-12, atol=1e-13
-            )
-
-    def test_scaling_and_squaring_branch(self):
-        """A norm far past the Pade threshold still agrees with exp(A/2^k)^(2^k)."""
-        rng = np.random.default_rng(1)
-        mat = rng.standard_normal((3, 3)) * 8.0
-        half = taylor_expm(mat / 16.0)
-        oracle = half
-        for _ in range(4):
-            oracle = oracle @ oracle
-        got = matrix_exponential(mat)
-        np.testing.assert_allclose(got, oracle, rtol=1e-10, atol=1e-10)
-
-    def test_commuting_product_identity(self):
-        a = np.diag([0.5, -0.3]) + np.array([[0.0, 0.2], [0.2, 0.0]])
-        np.testing.assert_allclose(
-            matrix_exponential(2.0 * a),
-            matrix_exponential(a) @ matrix_exponential(a),
-            rtol=1e-12,
-        )
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            matrix_exponential(np.zeros((2, 3)))
-
-    def test_rejects_nonfinite(self):
-        bad = np.array([[0.0, np.inf], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="non-finite"):
-            matrix_exponential(bad)
+from learning_control.linalg import phi1, propagate_affine
 
 
 class TestPropagateAffine:
@@ -103,7 +32,7 @@ class TestPropagateAffine:
         np.testing.assert_allclose(off, expected_off, rtol=1e-12)
 
     def test_singular_rate_is_pure_drift(self):
-        """rate = 0 has no inverse; the augmented form must still be exact."""
+        """rate = 0 has no inverse; its zero eigenvalues must still drift exactly."""
         phi, off = propagate_affine(np.zeros((2, 2)), np.array([0.3, -1.1]), 2.5)
         np.testing.assert_allclose(phi, np.eye(2), rtol=0, atol=1e-15)
         np.testing.assert_allclose(off, np.array([0.75, -2.75]), rtol=1e-14)
@@ -123,6 +52,27 @@ class TestPropagateAffine:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             propagate_affine(np.zeros((2, 2)), np.zeros(3), 1.0)
+
+    @pytest.mark.parametrize("rate, drive", [
+        ([[0.0, np.inf], [np.inf, 0.0]], [0.0, 0.0]),
+        ([[1.0, 0.0], [0.0, np.nan]], [0.0, 0.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 0.0]),
+    ], ids=["inf_rate", "nan_rate", "nan_drive"])
+    def test_rejects_nonfinite(self, rate, drive):
+        with pytest.raises(ValueError, match="non-finite"):
+            propagate_affine(np.array(rate), np.array(drive), 1.0)
+
+    @pytest.mark.parametrize("skew", [1e-9, 1e-3])
+    def test_rejects_a_non_symmetric_rate(self, skew):
+        rate = np.array([[2.0, 0.5 + skew], [0.5, 1.0]])
+        with pytest.raises(ValueError, match="symmetric rate"):
+            propagate_affine(rate, np.ones(2), 1.0)
+
+    def test_rounding_asymmetry_is_accepted(self):
+        """An ulp apart, as products of gains round (i, j) and (j, i), is still symmetric."""
+        rate = np.array([[2.0, 0.5], [np.nextafter(0.5, 1.0), 1.0]])
+        phi, off = propagate_affine(rate, np.ones(2), 1.0)
+        assert np.isfinite(phi).all() and np.isfinite(off).all()
 
 
 class TestPhi1:

@@ -205,6 +205,16 @@ class TestClassMixture:
         with pytest.raises(ValueError, match="counts must ask for at least one row"):
             sample_class_batch(task, [0, 0], np.random.default_rng(0))
 
+    @pytest.mark.parametrize("counts", [[1.7, 1], [3, -1], [2, np.nan], [np.inf, 1]])
+    def test_class_batch_rejects_counts_that_are_not_whole_and_nonnegative(self, counts):
+        with pytest.raises(ValueError, match=r"counts must be nonnegative whole numbers, got \["):
+            sample_class_batch(semantic_moments(2), counts, np.random.default_rng(0))
+
+    def test_class_batch_takes_whole_float_counts(self):
+        x, y = sample_class_batch(semantic_moments(2), [2.0, 1.0], np.random.default_rng(0))
+        want = sample_class_batch(semantic_moments(2), [2, 1], np.random.default_rng(0))
+        assert np.array_equal(x, want[0]) and np.array_equal(y, want[1])
+
 
 class TestPinnedDraws:
     """Rows drawn at fixed seeds, recorded once: a change to the samplers must keep every bit."""
