@@ -125,6 +125,9 @@ class DynamicsSpec:
             raise ValueError(f"init_seed must be nonnegative, got {self.init_seed}")
         if self.nonlinearity not in _NONLIN:
             raise ValueError(f"unknown nonlinearity '{self.nonlinearity}'")
+        if self.kind != "nonlinear_taylor" and self.nonlinearity != "tanh":
+            raise ValueError(f"dynamics kind {self.kind} ignores nonlinearity: "
+                             f"set it to 'tanh', not '{self.nonlinearity}'")
 
     @property
     def horizon(self):
@@ -601,12 +604,8 @@ def _rate_vjp(sweep):
 # --- single layer -----------------------------------------------------------
 
 
-def _layer_gain(control):
-    return control[0] if isinstance(control, tuple) else control
-
-
 def _layer_channels(control, task):
-    gain = _layer_gain(control)
+    gain = control[0] if isinstance(control, tuple) else control
     g = None if gain is None else np.broadcast_to(1.0 + gain, (task.output_dim, task.input_dim)).reshape(-1)
     return g, None, None
 
@@ -1193,42 +1192,6 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
 # --- closed forms -----------------------------------------------------------
 
 
-def _walk(pieces, times, w0, advance):
-    """The state at each probe time, walking the (duration, control) pieces once in time order.
-
-    advance(w, control, duration) carries a state `duration` into a piece.
-    Probes past the last piece get the final state.
-    """
-    times = np.asarray(times, dtype=float)
-    out = [None] * len(times)
-    w, t_cur, into_piece, piece_idx = w0, 0.0, 0.0, 0
-    for k in np.argsort(times, kind="stable"):
-        target = times[k]
-        if target < -1e-12:
-            raise ValueError("probe times must be nonnegative")
-        while piece_idx < len(pieces):
-            duration, ctrl = pieces[piece_idx]
-            remaining = duration - into_piece
-            step_needed = target - t_cur
-            if step_needed <= remaining + 1e-15:
-                # stay positioned where this probe landed so later probes continue forward
-                w = advance(w, ctrl, step_needed)
-                into_piece += step_needed
-                t_cur = target
-                break
-            w = advance(w, ctrl, remaining)
-            t_cur += remaining
-            into_piece = 0.0
-            piece_idx += 1
-        out[k] = w
-    return out
-
-
-def _schedule_segments(schedule, spec):
-    """(duration, control) of each run of the horizon, in order; a schedule short of it is a ValueError."""
-    return [((hi - lo) * spec.dt, c) for lo, hi, c, _ in step_runs(schedule, None, spec.n_steps)]
-
-
 def closed_form_single_neuron(g_schedule, task, spec, times):
     """Exact single-neuron weight at the requested times: the closed form of the 1x1 single layer.
 
@@ -1244,41 +1207,37 @@ def closed_form_single_layer(g_schedule, task, spec, times):
     """Exact single-layer weights (flattened flow) at the requested times.
 
     Row-major flattening turns the gained flow into dw/dt = (b - A w)/tau with
-    A = D (I kron sigma_x) D + lambda I and D = diag of the flattened gains.
-    A is symmetric, so each constant-gain segment is propagated exactly in
-    its eigenbasis (linalg.propagate_affine), a stiff segment included.
+    A = D (I kron sigma_x) D + lambda I and D = diag of the kind's own
+    flattened gains (_layer_channels).  A is symmetric, so each run of
+    constant gain is propagated exactly in its eigenbasis
+    (linalg.propagate_affine), a stiff run included.  One pass over the runs
+    stores the state at each run's start; a probe at time t is carried from
+    the start of its run (np.searchsorted) by t - start, and a probe past the
+    last run gets the final state.
     """
     if spec.kind != "single_layer":
         raise ValueError(f"closed_form_single_layer needs single_layer dynamics, not {spec.kind}")
-    o_dim, i_dim = spec.output_dim, spec.input_dim
+    times = np.asarray(times, dtype=float)
+    if not (times >= 0).all():  # a nan probe too, which searchsorted would send past the horizon
+        raise ValueError("probe times must be nonnegative")
+    size = spec.output_dim * spec.input_dim
     # sigma_x symmetrized, which leaves a symmetric one as it is, so A is symmetric to rounding
-    base = np.kron(np.eye(o_dim), 0.5 * (task.sigma_x + task.sigma_x.T))
-    sxy_flat_base = task.sigma_xy.T
-    lam = spec.reg_lambda
-    tau = spec.tau_w
-
-    prop_cache = {}
-
-    def segment_ops(gain, duration):
-        if gain is None:
-            gflat = np.ones(o_dim * i_dim)
-        elif np.isscalar(gain):
-            gflat = np.full(o_dim * i_dim, 1.0 + gain)
-        else:
-            gflat = (1.0 + np.asarray(gain)).reshape(-1)
-        key = (gflat.tobytes(), float(duration))
-        hit = prop_cache.get(key)
-        if hit is not None:
-            return hit
-        a_mat = (gflat[:, None] * base * gflat[None, :] + lam * np.eye(o_dim * i_dim)) / tau
-        drive = gflat * sxy_flat_base.reshape(-1) / tau
-        ops = prop_cache[key] = propagate_affine(a_mat, drive, duration)
-        return ops
+    base = np.kron(np.eye(spec.output_dim), 0.5 * (task.sigma_x + task.sigma_x.T))
+    drive = task.sigma_xy.T.reshape(-1)
 
     def advance(w, ctrl, duration):
-        phi, off = segment_ops(_layer_gain(ctrl), duration)
+        g = _layer_channels(ctrl, task)[0]
+        g = np.ones(size) if g is None else g
+        rate = (g[:, None] * base * g + spec.reg_lambda * np.eye(size)) / spec.tau_w
+        phi, off = propagate_affine(rate, g * drive / spec.tau_w, duration)
         return phi @ w + off
 
-    w0 = initial_state(spec)[0].reshape(-1).copy()
-    landed = _walk(_schedule_segments(g_schedule, spec), times, w0, advance)
-    return np.array(landed).reshape(len(landed), o_dim, i_dim)
+    runs = step_runs(g_schedule, None, spec.n_steps)
+    starts = np.array([lo for lo, *_ in runs] + [spec.n_steps]) * spec.dt
+    states = [initial_state(spec)[0].reshape(-1)]
+    for lo, hi, ctrl, _ in runs:
+        states.append(advance(states[-1], ctrl, (hi - lo) * spec.dt))
+    at = np.searchsorted(starts, times, side="right") - 1
+    landed = [states[-1] if k == len(runs) else advance(states[k], runs[k][2], t - starts[k])
+              for k, t in zip(at, times)]
+    return np.array(landed).reshape(len(times), spec.output_dim, spec.input_dim)

@@ -75,13 +75,18 @@ def export_class_schedule(phi, batch_size):
     nonnegative weights.  Each row is turned into quotas batch_size*phi/sum(phi)
     and rounded by largest remainder, so every row sums to batch_size exactly;
     remainder ties go to the lower class index.  An all-zero row falls back to
-    the uniform mix with a warning.
+    the uniform mix with a warning.  Non-finite weights and a batch_size that
+    is not a whole number of at least 1 are refused.
     """
     if isinstance(phi, ControlSchedule):
         phi = phi.expand()[0]
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
+    if not np.isfinite(phi).all():
+        raise ValueError("class engagement weights must be finite")
     if np.any(phi < 0):
         raise ValueError("class engagement weights must be nonnegative")
+    if not (float(batch_size).is_integer() and batch_size >= 1):
+        raise ValueError(f"batch_size must be a whole number >= 1, got {batch_size}")
     batch_size = int(batch_size)
     n, c = phi.shape
     counts = np.empty((n, c), dtype=int)
@@ -357,7 +362,8 @@ def build(cfg):
     The dynamics spec takes cfg.seed as its init_seed and goes through the
     scenario's task function.  The schedule is the scenario's control kind at
     its neutral value, with the params' segment and (g_lo, g_hi) bounds; for
-    the init_weights kind it holds the seeded initial weights.
+    the init_weights kind it holds the seeded initial weights, and a cost
+    kind other than none is refused.
     """
     entry = _scenario(cfg.scenario)
     p = cfg.params
@@ -381,6 +387,9 @@ def build(cfg):
                     f"({t.input_dim}x{t.output_dim})"
                 )
         if entry.control == "init_weights":
+            if cfg.value.cost.kind != "none":  # the initial weights are not a control signal and cost nothing
+                raise ValueError(f"the init_weights control pays no cost: set cost_kind to 'none', "
+                                 f"not '{cfg.value.cost.kind}'")
             return d, task, init_weights_control(dyn.initial_state(d))
         n_channels = None
         if entry.control == "engagement_series":

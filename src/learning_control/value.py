@@ -31,6 +31,7 @@ into the CLI, so a broken derivative is loud.
 
 import functools
 import math
+import numbers
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
@@ -376,23 +377,20 @@ def fd_check(dspec, task, schedule, vspec, coords=None, h=1e-6, rng=0):
     sample; by default up to twelve are sampled at random.  Bounds are
     stripped for the probe: the gradient is of the unconstrained objective
     and clamping would corrupt the difference quotient.  Relative error uses
-    an absolute floor of 1e-7.
+    an absolute floor of 1e-7.  A count below 1, an empty list and a step h
+    that is not finite and positive are refused.
     """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"fd_check's step h must be finite and positive, got {h}")
+    if coords is not None and (coords < 1 if isinstance(coords, numbers.Integral) else len(coords) == 0):
+        raise ValueError(f"fd_check's coords must be a count >= 1 or a nonempty list, got {coords!r}")
     probe = replace(schedule, bounds=None)
     _, grads, _ = grad_value(dspec, task, probe, vspec)
 
-    gen = np.random.default_rng(rng)
-    if coords is None or isinstance(coords, int):
-        want = 12 if coords is None else int(coords)
-        coords = []
-        sizes = [v.size for v in probe.values]
-        total = sum(sizes)
-        want = min(want, total)
-        flat_picks = gen.choice(total, size=want, replace=False)
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        for p in sorted(int(v) for v in flat_picks):
-            ai = int(np.searchsorted(offsets, p, side="right") - 1)
-            coords.append((ai, p - int(offsets[ai])))
+    if coords is None or isinstance(coords, numbers.Integral):
+        flat = [(ai, fi) for ai, v in enumerate(probe.values) for fi in range(v.size)]
+        picks = np.random.default_rng(rng).choice(len(flat), size=min(coords or 12, len(flat)), replace=False)
+        coords = [flat[p] for p in sorted(picks)]
 
     entries = []
     floor = 1e-7

@@ -194,6 +194,32 @@ class TestConfigLoading:
             assert f"invalid configuration: {message}" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, overrides, message",
+        [
+            ("task_switch", ["dynamics.nonlinearity=identity"],
+             "dynamics kind gain_mod ignores nonlinearity: set it to 'tanh', not 'identity'"),
+            ("maml_multistep", ["value.mode=discounted_integral", "value.gamma=0.9", "value.cost_kind=quadratic",
+                                "value.beta=5"],
+             "the init_weights control pays no cost: set cost_kind to 'none', not 'quadratic'"),
+        ],
+    )
+    def test_a_key_the_run_would_ignore_is_a_config_error(self, name, overrides, message, tmp_path, capsys):
+        sections = {}
+        for o in overrides:
+            path, raw = o.split("=")
+            section, key = path.split(".")
+            sections.setdefault(section, []).append(f"{key} = {raw}")
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"[scenario]\nname = {name}\n"
+                            + "".join(f"[{sec}]\n" + "\n".join(lines) + "\n" for sec, lines in sections.items()))
+        flags = [a for o in overrides for a in ("-p", o)]
+        for argv in (["run", "--preset", name, *flags], ["run", "--config", str(cfg_file)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"invalid configuration: {message}" in err
+            assert "Traceback" not in err
+
     def test_no_cost_runs_once_beta_is_back_at_its_default(self, capsys):
         argv = ["run", "--preset", "single_neuron_effort", "-p", "optimizer.iters=0",
                 "-p", "value.cost_kind=none", "-p", "value.beta=0"]

@@ -6,9 +6,11 @@ solution, a finite difference, or a sampled twin), never against itself.
 """
 
 import itertools
+import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +80,7 @@ class TestSpecValidation:
         ("n_steps", 0, "n_steps must be >= 1"),
         ("init_seed", -1, "init_seed must be nonnegative, got -1"),
         ("nonlinearity", "softsign", "unknown nonlinearity 'softsign'"),
+        ("nonlinearity", "identity", "dynamics kind single_neuron ignores nonlinearity: set it to 'tanh', not 'identity'"),
     ])
     def test_rejects_out_of_range_fields(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -394,6 +397,10 @@ class TestClosedFormProbes:
         with pytest.raises(ValueError, match="nonnegative"):
             closed_form(None, NEURON_TASK, spec, np.array([-0.5]))
 
+    def test_a_nan_probe_is_rejected(self, closed_form):
+        with pytest.raises(ValueError, match="probe times must be nonnegative"):
+            closed_form(None, NEURON_TASK, self.spec(closed_form, n_steps=10), np.array([0.05, np.nan]))
+
     def test_a_schedule_short_of_the_horizon_is_rejected(self, closed_form):
         spec = self.spec(closed_form, dt=0.01, n_steps=20)
         sched = ControlSchedule(kind="scalar_series", values=(np.full(10, 0.2),), n_steps=10, segment=1)
@@ -560,6 +567,23 @@ PINNED_CLOSED_FORMS = {
 def test_closed_forms_keep_their_recorded_values(case):
     closed_form, sched, task, spec, times, want = PINNED_CLOSED_FORMS[case]
     np.testing.assert_allclose(closed_form(sched, task, spec, np.array(times)), want, rtol=1e-12, atol=0)
+
+
+# 48 random cases: single neuron and 2x2 single layer, 5-59 steps in 1-8 segments of scalar, matrix or no gains,
+# lambda 0 or 0.05, probes at 0, at segment boundaries, at and past the horizon, duplicated and in reverse order.
+# The values were recorded from a walk that carried one state forward from probe to probe in time order.
+RECORDED_CLOSED_FORMS = json.loads(Path(__file__).with_name("recorded_closed_forms.json").read_text())
+
+
+@pytest.mark.parametrize("case", RECORDED_CLOSED_FORMS, ids=lambda c: f"{c['spec']['kind']}-{c['spec']['n_steps']}")
+def test_closed_forms_agree_with_a_probe_by_probe_walk(case):
+    spec = DynamicsSpec(**case["spec"])
+    neuron = spec.kind == "single_neuron"
+    task = two_gaussian_moments(*case["task"]) if neuron else correlated_gaussian_moments(*case["task"])
+    sched = None if case["schedule"] is None else _series(case["gains"], spec.n_steps, case["segment"], case["schedule"])
+    got = (closed_form_single_neuron if neuron else closed_form_single_layer)(sched, task, spec, case["probes"])
+    want = np.array(case["want"])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
 
 
 def _gain_pair(rng, spec, scale):

@@ -124,6 +124,16 @@ class TestExportClassSchedule:
         with pytest.raises(ValueError, match="nonnegative"):
             export_class_schedule(np.array([[0.5, -0.1]]), 8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="class engagement weights must be finite"):
+            export_class_schedule(np.array([[0.5, 0.2], [bad, 0.1]]), 8)
+
+    @pytest.mark.parametrize("batch_size", [-1, 0, 2.5, np.nan, np.inf])
+    def test_rejects_a_batch_size_that_is_not_a_whole_number_of_at_least_one(self, batch_size):
+        with pytest.raises(ValueError, match=f"batch_size must be a whole number >= 1, got {batch_size}"):
+            export_class_schedule(np.array([[0.5, 0.3, 0.2]]), batch_size)
+
     def test_accepts_a_category_schedule_directly(self):
         sched = ControlSchedule.neutral("category_series", 4, segment=2, n_channels=3)
         sched = sched.with_values((np.array([[0.5, 0.3, 0.2], [1.0, 1.0, 1.0]]),))

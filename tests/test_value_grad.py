@@ -379,6 +379,58 @@ class TestAdjointAgainstFiniteDifferences:
         assert len(report.entries) == 3
 
 
+def fd_case(name):
+    """(dynamics, task, neutral schedule) of a small run under each schedule layout fd_check draws from."""
+    pair_task = correlated_gaussian_moments(1.4, 0.9, 0.5, 0.5, 0.8)
+    if name == "scalar":
+        return neuron_spec(dt=0.05, n_steps=20), NEURON_TASK, ControlSchedule.neutral("scalar_series", 20)
+    if name == "matrix_pair":
+        spec = DynamicsSpec(kind="gain_mod", input_dim=2, output_dim=2, hidden_dim=3, dt=0.05, n_steps=10)
+        return spec, pair_task, ControlSchedule.neutral("matrix_pair_series", 10, segment=2, shapes=((3, 2), (2, 3)))
+    if name == "engagement":
+        spec = DynamicsSpec(kind="engagement", input_dim=3, output_dim=3, hidden_dim=4, dt=0.05, n_steps=12)
+        task = compose_block_tasks([two_gaussian_moments(1.0, 0.4), pair_task])
+        return spec, task, ControlSchedule.neutral("engagement_series", 12, segment=2, n_channels=2)
+    spec = DynamicsSpec(kind="two_layer_baseline", input_dim=1, output_dim=1, hidden_dim=3, dt=0.1, n_steps=5,
+                        init_std=0.3)
+    return spec, NEURON_TASK, init_weights_control(initial_state(spec))
+
+
+class TestFdCheckDraws:
+    """The coordinates fd_check draws, recorded from a draw that mapped flat picks back through offsets."""
+
+    @pytest.mark.parametrize("name, coords, rng, want", [
+        ("scalar", None, 0, [(0, i) for i in (0, 1, 2, 3, 4, 5, 6, 7, 12, 14, 15, 18)]),
+        ("scalar", 3, 5, [(0, 0), (0, 12), (0, 15)]),
+        ("scalar", np.int64(3), 5, [(0, 0), (0, 12), (0, 15)]),
+        ("matrix_pair", None, 0, [(0, 0), (0, 2), (0, 4), (0, 9), (0, 14), (0, 16), (0, 26),
+                                  (1, 1), (1, 8), (1, 11), (1, 17), (1, 24)]),
+        ("matrix_pair", 5, 11, [(0, 7), (0, 29), (1, 5), (1, 16), (1, 26)]),
+        ("engagement", 3, 5, [(0, 0), (0, 6), (0, 8)]),
+        ("engagement", 4, 2, [(0, 1), (0, 2), (0, 3), (0, 7)]),
+        ("init_weights", 3, 5, [(0, 0), (0, 2), (1, 1)]),
+        ("init_weights", 4, 2, [(0, 0), (0, 1), (0, 2), (1, 2)]),
+    ])
+    def test_drawn_coordinates_keep_their_recorded_picks(self, name, coords, rng, want):
+        spec, task, sched = fd_case(name)
+        report = fd_check(spec, task, sched, ValueSpec(gamma=0.9), coords=coords, rng=rng)
+        assert [c for c, *_ in report.entries] == want
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(coords=0), "coords must be a count >= 1 or a nonempty list, got 0"),
+        (dict(coords=-3), "coords must be a count >= 1 or a nonempty list, got -3"),
+        (dict(coords=[]), r"coords must be a count >= 1 or a nonempty list, got \[\]"),
+        (dict(h=0.0), "step h must be finite and positive, got 0.0"),
+        (dict(h=-1e-6), "step h must be finite and positive, got -1e-06"),
+        (dict(h=float("nan")), "step h must be finite and positive, got nan"),
+        (dict(h=float("inf")), "step h must be finite and positive, got inf"),
+    ])
+    def test_bad_arguments_are_refused_by_name(self, kw, message):
+        spec, task, sched = fd_case("scalar")
+        with pytest.raises(ValueError, match=f"fd_check's {message}"):
+            fd_check(spec, task, sched, ValueSpec(gamma=0.9), **kw)
+
+
 class TestInitWeightsGradient:
     def two_layer(self):
         return DynamicsSpec(kind="two_layer_baseline", input_dim=1, output_dim=1,
