@@ -152,8 +152,8 @@ def _cmd_grad_check(args):
 
     if args.coords < 1:
         raise ConfigError("--coords must be >= 1")
-    if not args.fd_step > 0:  # also rejects nan
-        raise ConfigError("--fd-step must be positive")
+    if not 0 < args.fd_step < float("inf"):  # also rejects nan
+        raise ConfigError(f"--fd-step must be positive and finite, got {args.fd_step}")
     if not args.preset and not args.config:
         args.preset = "single_neuron_effort"
     cfg = _load_config(args)

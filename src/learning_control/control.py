@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import whole
 from .idx import _emit
 
 KINDS = (
@@ -46,8 +47,7 @@ class ControlSchedule:
         if isinstance(self.values, np.ndarray):
             self.values = (self.values,)
         self.values = tuple(np.asarray(v, dtype=float) for v in self.values)
-        self.n_steps = int(self.n_steps)
-        self.segment = int(self.segment)
+        self.n_steps, self.segment = whole("n_steps", self.n_steps), whole("segment", self.segment)
         if self.n_steps < 1:
             raise ValueError("n_steps must be positive")
         if self.segment < 1:
@@ -80,9 +80,10 @@ class ControlSchedule:
         Gains and rate boosts are neutral at 0, engagement weights at 1.
         For init_weights pass the baseline starting state in `state0`.
         """
-        if int(segment) < 1:
+        n_steps, segment = whole("n_steps", n_steps), whole("segment", segment)
+        if segment < 1:
             raise ValueError("segment must be positive")
-        n_seg = -(-int(n_steps) // int(segment))
+        n_seg = -(-n_steps // segment)
         if kind == "scalar_series":
             values = (np.zeros(n_seg),)
         elif kind == "matrix_pair_series":

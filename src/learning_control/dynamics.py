@@ -40,13 +40,14 @@ adjoint row and `contract()` as the batched control VJPs.  Every pass --
 the rollout, the sweeps, the sampled twin's score and the closed forms -- is
 cut as `step_runs` cuts it, into runs, stretches of steps sharing one
 control slice and task (a segment, cut again at each task switch); `args`,
-what the slots read, is made once per run.  A `_Plan` holds all a pass sets
-up that the control values do not change -- the cuts, the kernel's buffers,
-the sweeps, and the args where no series control varies them -- so
-optimize, which moves only the values, sets up once: it builds one plan and
-hands it to every integrate and value.grad_value call, and a call without
-one builds its own.  A rollout carries its packed rows and each run's args
-to the adjoint sweep.  The sampled twin integrates over per-step batch
+what the slots read, is made once per run from one schedule.at().  A
+`_Plan` holds all a pass sets up that the control values do not change --
+the cuts, the kernel's buffers, the sweeps, and the args where no series
+control varies them -- so optimize, which moves only the values, sets up
+once: it builds one plan and hands it to every integrate and
+value.grad_value call, and a call without one builds its own.  A rollout
+carries its packed rows and each run's args to the adjoint sweep, and a
+sweep lets go of them once swept.  The sampled twin integrates over per-step batch
 moments and is scored again under the real task, except for
 nonlinear_taylor's sampled tanh network.  The
 one-step API, `expected_loss`, `_rhs` and `backward_step`, applies the slots
@@ -78,7 +79,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .errors import DivergenceError, UnsupportedOperationError, check_finite
+from .errors import DivergenceError, UnsupportedOperationError, check_finite, whole
 from .linalg import propagate_affine
 
 DIVERGENCE_LIMIT = 1e6
@@ -395,7 +396,11 @@ class _Sweep:
     gradients, tuples of stacks, None where the control has none, summed
     over a task set's batch axis.  A load writes every buffer it later reads,
     and what adjoint and contract return is new, never a view of a buffer.
+    release() drops what load kept of the stack (`stack_fields`), so a sweep
+    kept between passes holds only its buffers, not a rollout's rows.
     """
+
+    stack_fields = ("w", "stack", "args", "pos", "pws", "lg")
 
     def __init__(self, shapes, lead, spec, control_vjp=None):
         self.shapes, self.scale, self.neg_lam = shapes, spec.dt / spec.tau_w, -spec.reg_lambda
@@ -406,6 +411,10 @@ class _Sweep:
     def load(self, w, stack, pw, pws):
         self.w, self.stack, self.args, self.pos, self.pws = w, stack, stack.args, stack.pos, pws
         return self
+
+    def release(self):
+        for name in self.stack_fields:
+            setattr(self, name, None)
 
     def _loss_grads(self, lx, a, pw):
         """Fill dL/dW = lx o G~ + lambda W and pl from lx, dL/d(G~ o W), and keep lg, dL/dG~ = lx o W."""
@@ -485,6 +494,8 @@ class _PairSweep(_Sweep):
     j's own args, and its seven products (dot or matmul, as in _pair_flows)
     write into the destination rows and `tmp`.
     """
+
+    stack_fields = _Sweep.stack_fields + ("p",)
 
     def __init__(self, shapes, lead, spec, control_vjp=None):
         super().__init__(shapes, lead, spec, control_vjp)
@@ -745,6 +756,8 @@ class _TaylorSweep(_Sweep):
     runs only the dynamics' reverse chain on step j's terms.
     """
 
+    stack_fields = _Sweep.stack_fields + ("rows",)
+
     def __init__(self, shapes, lead, spec, control_vjp=None):
         super().__init__(shapes, lead, spec, control_vjp)
         self.up = np.empty_like(self.sa)
@@ -873,43 +886,32 @@ def backward_step(spec, state, control, task, a_next):
 SWEEP_CHUNK = 256  # steps per stack in the reverse sweep, which bounds its memory
 
 
-def _runs(schedule, task, n):
-    """(lo, hi, starts, task) of each run of the `n` steps: step_runs' cut, `starts` marking a segment's first run.
+def _series(schedule):
+    """Whether `schedule` gives each run a control: a schedule, and not init_weights (it acts through the state)."""
+    return schedule is not None and schedule.kind != "init_weights"
 
-    No run starts a segment without a series schedule (init_weights acts
-    through the state).  A series schedule must cover the `n` steps.
-    """
-    series = schedule is not None and schedule.kind != "init_weights"
+
+def _runs(schedule, task, n):
+    """(lo, hi, task) of each run of the `n` steps: step_runs' cut.  A series schedule must cover the `n` steps."""
+    series = _series(schedule)
     if series and schedule.n_steps != n:
         raise ValueError(f"schedule covers {schedule.n_steps} steps but dynamics run {n}")
     switching = isinstance(task, TaskSchedule)
     segment = schedule.segment if series else n
     cuts = sorted({n, *range(0, n, segment), *range(0, n, task.period_steps if switching else n)})
-    return [(lo, hi, series and lo % segment == 0, task.task_at(lo) if switching else task)
-            for lo, hi in zip(cuts, cuts[1:])]
-
-
-def _controls(runs, schedule):
-    """The control of each of _runs' runs: one schedule.at() per segment, whose object its runs share; else None."""
-    ctrls, ctrl = [], None
-    for lo, _, starts, _ in runs:
-        if starts:
-            ctrl = schedule.at(lo)
-        ctrls.append(ctrl)
-    return ctrls
+    return [(lo, hi, task.task_at(lo) if switching else task) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def step_runs(schedule, task, n):
     """(lo, hi, control, task) of each run of the `n` steps: the one place a pass is cut.
 
     A run is a stretch of steps sharing one control slice and one task: a
-    segment, cut again at each task switch.  Each segment takes one
-    schedule.at(), whose object its runs share, and each run one task_at().
-    The control is None without a schedule and for init_weights (it acts
-    through the state).  A series schedule must cover the `n` steps.
+    segment, cut again at each task switch.  Each run takes one
+    schedule.at() and one task_at().  The control is None without a
+    schedule and for init_weights (it acts through the state).  A series
+    schedule must cover the `n` steps.
     """
-    runs = _runs(schedule, task, n)
-    return [(lo, hi, c, t) for (lo, hi, _, t), c in zip(runs, _controls(runs, schedule))]
+    return [(lo, hi, schedule.at(lo) if _series(schedule) else None, t) for lo, hi, t in _runs(schedule, task, n)]
 
 
 class _Plan:
@@ -921,8 +923,9 @@ class _Plan:
     call; a call without one builds its own.  It holds
       runs       the step cuts and each run's task (_runs), and run_of, the
                  run of each state, the terminal state taking the last;
+      series     whether the schedule gives each run a control (_series);
       args       each run's args, made once when no series control varies
-                 them (init_weights or no schedule), else per call;
+                 them (init_weights or no schedule), else per call, one at() per run;
       bind       the forward kernel of the kind's flow slot, its buffers
                  made once (None for the single neuron's float loop);
       sweeper    per stack length, the kind's sweep, made once with its
@@ -937,8 +940,8 @@ class _Plan:
     def __init__(self, spec, task, schedule, weights=None):
         self.spec, self.kind, self.weights = spec, _KIND_TABLE[spec.kind], weights
         self.runs = _runs(schedule, task, spec.n_steps)
-        self.run_of = [r for r, (lo, hi, _, _) in enumerate(self.runs) for _ in range(lo, hi)] + [len(self.runs) - 1]
-        self._varies, self._args = self.runs[0][2], None
+        self.run_of = [r for r, (lo, hi, _) in enumerate(self.runs) for _ in range(lo, hi)] + [len(self.runs) - 1]
+        self.series, self._args = _series(schedule), None
         self.batch = (len(task),) if is_task_set(task) else ()
         self.shapes = self.bind = None
         if self.kind.flow is not None:
@@ -949,10 +952,9 @@ class _Plan:
 
     def args(self, schedule):
         """Each run's args under `schedule`'s controls."""
-        if self._args is not None:
-            return self._args
-        args = [self.kind.args(c, t, self.spec) for (*_, t), c in zip(self.runs, _controls(self.runs, schedule))]
-        if not self._varies:
+        args = self._args or [self.kind.args(schedule.at(lo) if self.series else None, t, self.spec)
+                              for lo, _, t in self.runs]
+        if not self.series:
             self._args = args
         return args
 
@@ -1044,7 +1046,8 @@ def integrate(spec, schedule, task, state0=None, *, plan=None):
     packed rows, the layers views of it; the losses are batched after it.
     The Trajectory carries the rows and each run's args for the adjoint
     sweep.  Raises DivergenceError when any weight magnitude passes
-    DIVERGENCE_LIMIT.
+    DIVERGENCE_LIMIT, or when a loss of the single neuron's float loop
+    overflows, as its next weight would.
     """
     if spec.kind == "single_neuron" and is_task_set(task):  # the float loop takes one task at a time
         trajs = [integrate(spec, schedule, t, state0) for t in task]
@@ -1064,15 +1067,18 @@ def integrate(spec, schedule, task, state0=None, *, plan=None):
         half_lam = 0.5 * lam
         w = state[0]
         ws, losses = [w], []
-        for (lo, hi, _, _), (gt, mu, x2, sy, _) in zip(plan.runs, args):
-            gt2, drive, decay = 2.0 * gt, mu * gt, x2 * gt * gt + lam
-            for i in range(lo, hi):
-                losses.append(0.5 * (sy - gt2 * w * mu + x2 * (gt * w) ** 2) + half_lam * w * w)
-                w = w + scale * (drive - w * decay)
-                if not abs(w) < DIVERGENCE_LIMIT:
-                    raise _divergence(abs(w), i)
-                ws.append(w)
-        losses.append(_neuron_loss_f(w, gt, mu, x2, sy, lam))
+        try:  # a float square past the float range raises where an array would hold inf
+            for (lo, hi, _), (gt, mu, x2, sy, _) in zip(plan.runs, args):
+                gt2, drive, decay = 2.0 * gt, mu * gt, x2 * gt * gt + lam
+                for i in range(lo, hi):
+                    losses.append(0.5 * (sy - gt2 * w * mu + x2 * (gt * w) ** 2) + half_lam * w * w)
+                    w = w + scale * (drive - w * decay)
+                    if not abs(w) < DIVERGENCE_LIMIT:
+                        raise _divergence(abs(w), i)
+                    ws.append(w)
+            losses.append(_neuron_loss_f(w, gt, mu, x2, sy, lam))
+        except OverflowError:
+            raise _divergence(np.inf, len(losses)) from None  # the step whose loss overflowed
         return Trajectory(times, (ws,), np.array(losses), spec.kind, args=args)
 
     rows, layers = plan.rollout(args, state)
@@ -1087,13 +1093,16 @@ def sweeps(traj, schedule, plan, pw, pws):
     read as they are, or made here when it does not carry them.  pw[i] is
     the value weight of state i, and pws the same as floats.  The last stack
     ends at the terminal state n (hi = n + 1), scored under the last control
-    like the rollout's last loss.
+    like the rollout's last loss.  Each sweep is released when the caller
+    asks for the next stack, so the plan's sweeps keep no rollout alive.
     """
     args = plan.args(schedule) if traj.args is None else traj.args
     for hi in range(plan.spec.n_steps + 1, 0, -SWEEP_CHUNK):
         lo = max(hi - SWEEP_CHUNK, 0)
         w = _pack(tuple(layer[lo:hi] for layer in traj.layers)) if traj.rows is None else traj.rows[lo:hi]
-        yield lo, hi, plan.sweeper(hi - lo).load(w, plan.stack(args, lo, hi), pw[lo:hi], pws[lo:hi])
+        sweep = plan.sweeper(hi - lo).load(w, plan.stack(args, lo, hi), pw[lo:hi], pws[lo:hi])
+        yield lo, hi, sweep
+        sweep.release()
 
 
 # --- sampled-SGD twins ------------------------------------------------------
@@ -1135,7 +1144,7 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
     if isinstance(task, TaskSchedule) or is_task_set(task):
         raise UnsupportedOperationError("simulate_sgd samples one task: no task switching, no task set")
     n = spec.n_steps
-    if class_counts is None and batch_size < 1:
+    if class_counts is None and whole("batch_size", batch_size) < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     if class_counts is not None and _KIND_TABLE[spec.kind].flow is not _pair_flows:
         raise UnsupportedOperationError(f"class_counts drive a linear two-layer kind, not {spec.kind}")
@@ -1232,12 +1241,12 @@ def closed_form_single_layer(g_schedule, task, spec, times):
         phi, off = propagate_affine(rate, g * drive / spec.tau_w, duration)
         return phi @ w + off
 
-    runs = step_runs(g_schedule, None, spec.n_steps)
-    starts = np.array([lo for lo, *_ in runs] + [spec.n_steps]) * spec.dt
+    los, his, ctrls, _ = zip(*step_runs(g_schedule, None, spec.n_steps))
+    starts = np.array(los + (spec.n_steps,)) * spec.dt
     states = [initial_state(spec)[0].reshape(-1)]
-    for lo, hi, ctrl, _ in runs:
+    for lo, hi, ctrl in zip(los, his, ctrls):
         states.append(advance(states[-1], ctrl, (hi - lo) * spec.dt))
     at = np.searchsorted(starts, times, side="right") - 1
-    landed = [states[-1] if k == len(runs) else advance(states[k], runs[k][2], t - starts[k])
+    landed = [states[-1] if k == len(ctrls) else advance(states[k], ctrls[k], t - starts[k])
               for k, t in zip(at, times)]
     return np.array(landed).reshape(len(times), spec.output_dim, spec.input_dim)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the specs' shared finite-field check.
+"""Exception types shared across the package, and the shared finite-field and whole-count checks.
 
 The CLI maps these onto exit codes (config 2, divergence 3, I/O 4), so library
 code should raise the most specific one that applies instead of bare ValueError
@@ -7,6 +7,8 @@ whenever the condition is user-facing.
 
 import math
 from dataclasses import fields
+
+import numpy as np
 
 
 def check_finite(spec):
@@ -17,6 +19,13 @@ def check_finite(spec):
     for f in fields(spec):
         if f.type is float and not math.isfinite(getattr(spec, f.name)):
             raise ValueError(f"{f.name} must be finite, got {getattr(spec, f.name)}")
+
+
+def whole(name, value):
+    """The count `value` as an int; a bool, a fraction or a non-finite number is a ValueError naming `name`."""
+    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(value)
 
 
 class LearningControlError(Exception):

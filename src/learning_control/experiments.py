@@ -85,7 +85,7 @@ def export_class_schedule(phi, batch_size):
         raise ValueError("class engagement weights must be finite")
     if np.any(phi < 0):
         raise ValueError("class engagement weights must be nonnegative")
-    if not (float(batch_size).is_integer() and batch_size >= 1):
+    if isinstance(batch_size, (bool, np.bool_)) or not (float(batch_size).is_integer() and batch_size >= 1):
         raise ValueError(f"batch_size must be a whole number >= 1, got {batch_size}")
     batch_size = int(batch_size)
     n, c = phi.shape

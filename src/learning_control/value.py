@@ -169,13 +169,8 @@ def _weights(vspec, dspec, schedule, n_tasks=1):
     """The _Weights of passes of `dspec` under schedules of `schedule`'s layout, scored by `vspec`."""
     pw, cw = _value_weights(vspec, dspec)
     seg = None
-    if schedule is not None and schedule.kind != "init_weights" and vspec.cost.kind != "none":
-        # each segment's cost weights: one reshape over the whole segments, a slice for a ragged last one
-        size = schedule.segment
-        whole = len(cw) // size * size
-        seg = cw[:whole].reshape(-1, size).sum(axis=1).tolist()
-        if whole < len(cw):
-            seg.append(float(cw[whole:].sum()))
+    if dyn._series(schedule) and vspec.cost.kind != "none":
+        seg = [float(cw[lo : lo + schedule.segment].sum()) for lo in range(0, len(cw), schedule.segment)]
     cw = np.append(cw, 0.0) * n_tasks
     return _Weights(pw, pw.tolist(), cw, cw.tolist(), seg)
 
@@ -274,7 +269,7 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None, *, plan=Non
         parts = [grad_value(dspec, t, schedule, vspec, traj=tr) for t, tr in zip(task, traj.per_task())]
         return sum(p[0] for p in parts), tuple(map(_task_sum, zip(*(p[1] for p in parts)))), traj
     scale = dspec.dt / dspec.tau_w
-    per_step = schedule is not None and schedule.kind != "init_weights"
+    per_step = plan.series
     weights = plan.weights
     pw, cw = weights.pw, weights.cw
     total = _segment_total(traj.losses, schedule, vspec, weights)
@@ -323,12 +318,12 @@ def _neuron_sweep(plan, traj, schedule, pws, cws, cost_grads):
     dspec, runs = plan.spec, plan.runs
     n, ws, scale, lam = dspec.n_steps, traj.layers[0], dspec.dt / dspec.tau_w, dspec.reg_lambda
     args = plan.args(schedule) if traj.args is None else traj.args
-    segment = schedule.segment if runs[0][2] else n  # no control slices: one sum, never read
+    segment = schedule.segment if plan.series else n  # no control slices: one sum, never read
     sums = [0.0] * -(-n // segment)
     cgs = [0.0] * len(sums) if cost_grads is None else cost_grads[0].tolist()
     a = 0.0
     for r in range(len(runs) - 1, -1, -1):
-        lo, hi, _, _ = runs[r]
+        lo, hi, _ = runs[r]
         hi += r == len(runs) - 1  # the terminal state, scored under the last control
         gt, mu, x2, _, _ = args[r]
         dhdw, mgt, s = -(x2 * gt * gt + lam), -mu * gt, lo // segment

@@ -579,6 +579,7 @@ class TestGradCheckCommand:
             (["--fd-step", "0"], "--fd-step must be positive"),
             (["--fd-step=-1e-6"], "--fd-step must be positive"),
             (["--fd-step", "nan"], "--fd-step must be positive"),
+            (["--fd-step", "inf"], "--fd-step must be positive"),
         ],
     )
     def test_a_bad_probe_setting_is_a_config_error(self, flags, message, capsys):

@@ -63,6 +63,24 @@ class TestScheduleConstruction:
         with pytest.raises(ValueError, match=message):
             ControlSchedule(kind=kind, values=values, n_steps=n_steps, segment=segment)
 
+    @pytest.mark.parametrize("n_steps, segment, name, got", [
+        (10.7, 2, "n_steps", "10.7"),
+        (10, 2.9, "segment", "2.9"),
+        (True, 1, "n_steps", "True"),
+        (4, np.True_, "segment", "True"),
+        (np.nan, 1, "n_steps", "nan"),
+    ])
+    def test_rejects_a_fractional_or_bool_count(self, n_steps, segment, name, got):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number, got {got}"):
+            ControlSchedule(kind="scalar_series", values=(np.zeros(5),), n_steps=n_steps, segment=segment)
+        with pytest.raises(ValueError, match=f"{name} must be a whole number, got {got}"):
+            ControlSchedule.neutral("scalar_series", n_steps, segment=segment)
+
+    def test_a_whole_count_of_another_type_is_kept_as_an_int(self):
+        sched = ControlSchedule.neutral("scalar_series", 10.0, segment=np.int64(2))
+        assert (sched.n_steps, sched.segment) == (10, 2)
+        assert type(sched.n_steps) is int and type(sched.segment) is int
+
     def test_rejects_empty_bounds(self):
         with pytest.raises(ValueError, match="bounds"):
             ControlSchedule(kind="scalar_series", values=(np.zeros(2),), n_steps=2, bounds=(1.0, 0.0))
@@ -105,6 +123,15 @@ class TestScheduleIndexing:
         assert per_step.shape == (7, 2)
         for step in range(7):
             np.testing.assert_array_equal(per_step[step], sched.at(step))
+
+    def test_expand_of_init_weights_returns_copies(self):
+        sched = init_weights_control((np.ones((2, 2)), np.zeros((1, 2))))
+        expanded = sched.expand()
+        for got, weights in zip(expanded, sched.values, strict=True):
+            np.testing.assert_array_equal(got, weights)
+            assert not np.shares_memory(got, weights)
+        expanded[0][...] = 5.0
+        assert (sched.values[0] == 1.0).all()
 
     def test_segment_norms(self):
         assert np.sqrt(segment_sumsq((np.array([3.0, -4.0]),))).tolist() == [3.0, 4.0]
@@ -153,24 +180,20 @@ class TestStepRuns:
             for step in range(lo, hi):
                 assert_same_slice(ctrl, sched.at(step))
 
-    def test_runs_of_a_segment_share_one_object(self):
-        sched = random_schedule("matrix_pair_series", 11, 3, np.random.default_rng(0))
-        runs = step_runs(sched, SWITCHING, 11)
-        assert len(runs) > sched.n_segments  # the task switches cut segments
-        first = {}
-        assert all(first.setdefault(lo // 3, ctrl) is ctrl for lo, _, ctrl, _ in runs)
-
     def test_init_weights_and_no_schedule_give_none(self):
         sched = init_weights_control((np.ones((2, 2)), np.zeros((1, 2))))
         assert step_runs(sched, TASK, 5) == step_runs(None, TASK, 5) == [(0, 5, None, TASK)]
 
-    def test_one_at_call_per_segment(self, monkeypatch):
+    def test_one_at_call_per_run(self, monkeypatch):
         sched = random_schedule("scalar_series", 100, 7, np.random.default_rng(1))
         calls = []
         original = ControlSchedule.at
         monkeypatch.setattr(ControlSchedule, "at", lambda self, step: calls.append(step) or original(self, step))
-        step_runs(sched, replace(SWITCHING, n_steps=100), 100)
-        assert calls == list(range(0, 100, 7))
+        runs = step_runs(sched, replace(SWITCHING, n_steps=100), 100)
+        assert any(lo % 7 for lo, *_ in runs)  # task switches cut segments
+        assert calls == [lo for lo, *_ in runs]
+        for lo, _, ctrl, _ in runs:
+            assert_same_slice(ctrl, original(sched, lo // 7 * 7))
 
 
 class TestGradBuffers:

@@ -815,6 +815,14 @@ class TestIntegrationPlumbing:
         with pytest.raises(DivergenceError, match="exceeded"):
             integrate(spec, None, NEURON_TASK)
 
+    def test_a_loss_past_the_float_range_is_a_divergence_at_its_step(self):
+        # (1 + g) w squares past the float range, which Python floats raise as OverflowError
+        spec = neuron_spec(n_steps=5, init_mean=0.1)
+        sched = ControlSchedule(kind="scalar_series", values=(np.array([0.0, 1e200]),), n_steps=5, segment=3,
+                                bounds=(0.0, math.inf))
+        with pytest.raises(DivergenceError, match="weight magnitude inf exceeded 1e\\+06 at step 3"):
+            integrate(spec, sched, NEURON_TASK)
+
     def test_sgd_divergence_guard_reports_the_magnitude(self):
         spec = neuron_spec(dt=50.0, n_steps=60, tau_w=0.1)
         with pytest.raises(DivergenceError, match="exceeded"):
@@ -1018,6 +1026,17 @@ class TestSampledTwin:
         spec, sched, task, _ = sgd_case("gain_mod")
         with pytest.raises(ValueError, match=f"batch_size must be positive, got {batch}"):
             simulate_sgd(spec, sched, task, batch, 0)
+
+    @pytest.mark.parametrize("batch", [2.5, True, np.True_])
+    def test_a_fractional_or_bool_batch_size_is_refused(self, batch):
+        spec, sched, task, _ = sgd_case("gain_mod")
+        with pytest.raises(ValueError, match=f"batch_size must be a whole number, got {batch}"):
+            simulate_sgd(spec, sched, task, batch, 0)
+
+    def test_a_whole_float_batch_size_draws_as_its_int(self):
+        spec, sched, task, _ = sgd_case("gain_mod")
+        np.testing.assert_array_equal(simulate_sgd(spec, sched, task, 4.0, 0).losses,
+                                      simulate_sgd(spec, sched, task, 4, 0).losses)
 
     def test_an_out_of_bounds_schedule_warns_once(self):
         spec, sched, task, _ = sgd_case("gain_mod")

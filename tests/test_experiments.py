@@ -134,6 +134,11 @@ class TestExportClassSchedule:
         with pytest.raises(ValueError, match=f"batch_size must be a whole number >= 1, got {batch_size}"):
             export_class_schedule(np.array([[0.5, 0.3, 0.2]]), batch_size)
 
+    @pytest.mark.parametrize("batch_size", [True, np.True_])
+    def test_rejects_a_bool_batch_size(self, batch_size):
+        with pytest.raises(ValueError, match=f"batch_size must be a whole number >= 1, got {batch_size}"):
+            export_class_schedule(np.array([[0.5, 0.3, 0.2]]), batch_size)
+
     def test_accepts_a_category_schedule_directly(self):
         sched = ControlSchedule.neutral("category_series", 4, segment=2, n_channels=3)
         sched = sched.with_values((np.array([[0.5, 0.3, 0.2], [1.0, 1.0, 1.0]]),))

@@ -184,6 +184,16 @@ class TestEstimateMoments:
         assert task.input_dim == 5
         np.testing.assert_allclose(task.sigma_x[4, 4], 1.0, rtol=1e-15)
 
+    def test_a_requested_digit_without_samples_is_refused(self):
+        images, labels = toy_archive()
+        with pytest.raises(DataFormatError, match="a requested digit has no samples"):
+            estimate_moments(images, labels, digit_filter=[0, 7], out_size=2)
+
+    def test_an_unknown_encoding_is_refused(self):
+        images, labels = toy_archive()
+        with pytest.raises(ValueError, match="unknown encoding 'ordinal'"):
+            estimate_moments(images, labels, encoding="ordinal", out_size=2)
+
     def test_limit_applies_before_filtering(self):
         images, labels = toy_archive()
         with pytest.raises(DataFormatError, match="no samples"):

@@ -4,6 +4,7 @@ These use the single-neuron system (fast, exactly differentiable) so every
 optimizer property can be asserted deterministically.
 """
 
+import math
 import time
 from dataclasses import fields
 
@@ -14,6 +15,7 @@ from learning_control import dynamics, optimizer
 from learning_control.control import ControlSchedule
 from learning_control.dynamics import DynamicsSpec, integrate
 from learning_control.errors import DivergenceError
+from learning_control.experiments import build, preset, set_fields
 from learning_control.optimizer import OptimizerSpec, optimize
 from learning_control.tasks import two_gaussian_moments
 from learning_control.value import CostSpec, ValueSpec, evaluate_value, grad_value, per_step_sum_spec
@@ -184,6 +186,15 @@ class TestTrialDivergence:
         full = init.with_values(tuple(v + 1e4 * d for v, d in zip(init.values, g))).project()
         with pytest.raises(DivergenceError):
             integrate(neuron_spec(), full, TASK)
+
+    def test_a_trial_whose_loss_overflows_is_a_rejection(self):
+        # a gain of ~1e200 squares past the float range in the single neuron's float loop
+        cfg = set_fields(preset("single_neuron_effort", g_hi=math.inf),
+                         {"optimizer.alpha_g": 1e200, "dynamics.init_std": 0.1, "optimizer.iters": 3})
+        dspec, task, sched = build(cfg)
+        _, trace = optimize(dspec, task, cfg.value, cfg.optimizer, sched)
+        assert trace.stalled_at == 0 and len(trace.V) == 1
+        assert np.all(np.diff(trace.V) >= 0)
 
     def test_divergence_of_the_initial_rollout_still_raises(self):
         init = neutral(bounds=(0.0, 1e4))

@@ -395,6 +395,31 @@ class TestCharts:
         assert ">10<" in text
         assert ">100<" in text
 
+    @staticmethod
+    def y_axis(tmp_path, ys, log_y=False):
+        """(y tick labels, polyline y coordinates) of a chart of `ys` against 1, 2, ..."""
+        p = tmp_path / "ys.csv"
+        p.write_text("x,y\n" + "".join(f"{i + 1},{y}\n" for i, y in enumerate(ys)))
+        text = render_chart(ChartSpec(series=[("y", str(p), "x", "y")], log_y=log_y))
+        labels = re.findall(r'text-anchor="end" font-size="12">([^<]*)<', text)
+        pts = re.search(r'<polyline points="([^"]*)"', text).group(1).split()
+        return labels, [pt.split(",")[1] for pt in pts]
+
+    @pytest.mark.parametrize("value, labels", [(3.0, ["2.7", "2.85", "3", "3.15", "3.3"]),
+                                               (0.0, ["-0.5", "-0.25", "0", "0.25", "0.5"])])
+    def test_a_constant_series_on_a_linear_axis_is_padded_around_it(self, tmp_path, value, labels):
+        # a tenth of the value each way, or 0.5 around zero; the line runs mid-plot
+        assert self.y_axis(tmp_path, [value] * 3) == (labels, ["235.00"] * 3)
+
+    def test_a_constant_series_on_a_log_axis_spans_half_to_twice_it(self, tmp_path):
+        # 2..8 holds no power of ten, so its ends are the ticks
+        assert self.y_axis(tmp_path, [4.0] * 3, log_y=True) == (["2", "8"], ["235.00"] * 3)
+
+    def test_a_log_axis_inside_one_decade_ticks_its_ends(self, tmp_path):
+        labels, ys = self.y_axis(tmp_path, [2.0, 3.0, 5.0], log_y=True)
+        assert labels == ["2", "5"]
+        assert (ys[0], ys[-1]) == ("440.00", "30.00")
+
     def test_log_axis_drops_nonpositive_and_nonfinite_points(self, tmp_path):
         p = tmp_path / "holes.csv"
         p.write_text("x,y\n1,1\n2,0\n3,inf\n4,100\n")

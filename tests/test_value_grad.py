@@ -6,6 +6,7 @@ Fake trajectories with made-up losses pin the Riemann weighting itself.
 """
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -497,7 +498,7 @@ class TestEvaluateValue:
 
 
 class TestPerStepTables:
-    """A pass builds its per-step controls once: one at() call per segment."""
+    """A pass builds its per-step controls once: one at() call per run, here one per segment."""
 
     def setup_method(self):
         self.spec = neuron_spec(dt=0.01, n_steps=3000, tau_w=1.0)
@@ -524,10 +525,30 @@ class TestPerStepTables:
         )
         assert count <= self.sched.n_segments
 
+    def test_a_task_switch_inside_a_segment_takes_one_at_call_per_run(self, monkeypatch):
+        tasks = TaskSchedule([NEURON_TASK, two_gaussian_moments(2.0, 1.0)], period_steps=45, n_steps=3000)
+        runs = dynamics.step_runs(self.sched, tasks, 3000)
+        assert len(runs) > self.sched.n_segments
+        for fn in (lambda: integrate(self.spec, self.sched, tasks),
+                   lambda: grad_value(self.spec, tasks, self.sched, self.vspec)):
+            assert self.count_at_calls(monkeypatch, fn) == len(runs)
+
     def test_value_reads_no_per_step_slices(self, monkeypatch):
         traj = integrate(self.spec, self.sched, NEURON_TASK)
         count = self.count_at_calls(monkeypatch, lambda: value(traj, self.sched, self.vspec, self.spec))
         assert count == 0
+
+
+@pytest.mark.parametrize("kind", [kind for kind in STACK_KINDS if kind != "single_layer"])
+def test_a_plan_keeps_no_rollout_alive_between_sweeps(kind):
+    spec, task, sched = stack_case(kind, "switching")
+    vspec = ValueSpec(gamma=0.9)
+    plan = _plan(spec, task, vspec, sched)
+    traj = integrate(spec, sched, task, plan=plan)
+    rows = weakref.ref(traj.rows)
+    grad_value(spec, task, sched, vspec, traj=traj, plan=plan)
+    del traj
+    assert rows() is None
 
 
 class TestCategoryScheduleGradient:
