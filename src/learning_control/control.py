@@ -93,7 +93,7 @@ class ControlSchedule:
         elif kind == "engagement_series" or kind == "category_series":
             if not n_channels:
                 raise ValueError(f"{kind} needs n_channels")
-            values = (np.ones((n_seg, int(n_channels))),)
+            values = (np.ones((n_seg, whole("n_channels", n_channels))),)
         elif kind == "init_weights":
             if state0 is None:
                 raise ValueError("init_weights needs the baseline state")
@@ -118,7 +118,12 @@ class ControlSchedule:
         return -(-self.n_steps // self.segment)
 
     def segment_index(self, step):
+        """The segment of one step, for at(), which runs once per run: np.minimum on an int costs 6x Python's min."""
         return min(step // self.segment, self.n_segments - 1)
+
+    def segment_of(self, steps):
+        """The segment of each step of an int array; step n_steps, the terminal state, is in the last segment."""
+        return np.minimum(steps // self.segment, self.n_segments - 1)
 
     def at(self, step):
         """Control value governing integration step `step`.
@@ -138,10 +143,9 @@ class ControlSchedule:
 
     def expand(self):
         """Per-step arrays (leading axis n_steps); mostly for tests and CSV."""
-        idx = np.minimum(np.arange(self.n_steps) // self.segment, self.n_segments - 1)
         if self.kind == "init_weights":
             return tuple(v.copy() for v in self.values)
-        return tuple(v[idx] for v in self.values)
+        return tuple(v[self.segment_of(np.arange(self.n_steps))] for v in self.values)
 
     # --- gradient plumbing --------------------------------------------------
 
@@ -159,23 +163,16 @@ class ControlSchedule:
     def add_grads(self, buffers, lo, grads):
         """Accumulate the gradients of steps lo, lo+1, ... (one stack per buffer) into the buffers.
 
-        Each entry adds its steps one at a time, last step first, as add_grad
-        calls in a reverse sweep do; from +0.0 the zero padding adds nothing.
-        Step n_steps, the terminal state scored under the last control, adds
-        into the last segment, before the steps of that segment.
+        Each segment adds its steps one at a time, last step first, as add_grad
+        calls in a reverse sweep do: np.add.at adds the reversed stack index by
+        index, in order.  Step n_steps, the terminal state scored under the
+        last control, adds into the last segment, before that segment's steps.
         """
         if self.kind == "init_weights":
             raise ValueError("init_weights gradients are not per-step")
-        steps = np.arange(lo, lo + len(grads[0]))
-        segs = np.minimum(steps // self.segment, self.n_segments - 1)
-        s0, s1 = segs[0], segs[-1] + 1
-        # column 0 holds the buffer, then each segment's steps in descending order
-        cols = np.searchsorted(segs, segs, side="right") - np.arange(len(steps))
+        segs = self.segment_of(np.arange(lo, lo + len(grads[0])))[::-1]
         for buf, g in zip(buffers, grads):
-            table = np.zeros((s1 - s0, cols.max() + 1, *buf.shape[1:]))
-            table[:, 0] = buf[s0:s1]
-            table[segs - s0, cols] = g
-            buf[s0:s1] = np.add.accumulate(table, axis=1)[:, -1]
+            np.add.at(buf, segs, g[::-1])
 
     # --- projection ---------------------------------------------------------
 

@@ -74,7 +74,7 @@ neuron rolls a task set out one task at a time.
 
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial, reduce
 
 import numpy as np
@@ -114,6 +114,9 @@ class DynamicsSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown dynamics kind '{self.kind}'")
         check_finite(self)
+        for f in fields(self):
+            if f.type is int:
+                setattr(self, f.name, whole(f.name, getattr(self, f.name)))
         if self.kind == "single_neuron" and (self.input_dim, self.output_dim) != (1, 1):
             raise ValueError("single_neuron dynamics are one-dimensional")
         if self.kind in _TWO_LAYER_KINDS and self.hidden_dim < 1:

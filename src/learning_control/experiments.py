@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .control import ControlSchedule, init_weights_control, segment_sumsq
-from .errors import ConfigError, LearningControlError
+from .errors import ConfigError, LearningControlError, whole
 from .optimizer import OptimizerSpec, OptTrace, optimize
 from .tasks import (
     class_mixture_moments,
@@ -50,8 +50,7 @@ def task_switch_schedule(tasks, period_steps, n_steps):
     The period must divide the total step count (ragged tails would make the
     per-switch statistics ambiguous) and cannot exceed it.
     """
-    period_steps = int(period_steps)
-    n_steps = int(n_steps)
+    period_steps, n_steps = whole("period_steps", period_steps), whole("n_steps", n_steps)
     if period_steps < 1:
         raise ValueError(f"switch period must be positive, got {period_steps}")
     if period_steps > n_steps:
@@ -80,7 +79,7 @@ def export_class_schedule(phi, batch_size):
     """
     if isinstance(phi, ControlSchedule):
         phi = phi.expand()[0]
-    phi = np.atleast_2d(np.asarray(phi, dtype=float))
+    phi = np.atleast_2d(np.ascontiguousarray(phi, dtype=float))  # C order: a row sums as a lone row does
     if not np.isfinite(phi).all():
         raise ValueError("class engagement weights must be finite")
     if np.any(phi < 0):
@@ -88,26 +87,17 @@ def export_class_schedule(phi, batch_size):
     if isinstance(batch_size, (bool, np.bool_)) or not (float(batch_size).is_integer() and batch_size >= 1):
         raise ValueError(f"batch_size must be a whole number >= 1, got {batch_size}")
     batch_size = int(batch_size)
-    n, c = phi.shape
-    counts = np.empty((n, c), dtype=int)
-    warned = False
-    for i in range(n):
-        row = phi[i]
-        total = row.sum()
-        if total == 0.0:
-            if not warned:
-                warnings.warn("all-zero class weights at some steps; using the uniform mix there")
-                warned = True
-            row = np.ones(c)
-            total = float(c)
-        quota = row * (batch_size / total)
-        base = np.floor(quota).astype(int)
-        short = batch_size - int(base.sum())
-        frac = quota - base
-        order = np.lexsort((np.arange(c), -frac))
-        base[order[:short]] += 1
-        counts[i] = base
-    return counts
+    total = phi.sum(axis=1, keepdims=True)
+    zero = total == 0.0
+    if zero.any():
+        warnings.warn("all-zero class weights at some steps; using the uniform mix there")
+        phi, total = np.where(zero, 1.0, phi), np.where(zero, float(phi.shape[1]), total)
+    quota = phi * (batch_size / total)
+    base = np.floor(quota).astype(int)
+    short = batch_size - base.sum(axis=1, keepdims=True)
+    # each row's rank of its remainders, largest first and ties to the lower class
+    rank = np.argsort(np.argsort(-(quota - base), axis=1, kind="stable"), axis=1, kind="stable")
+    return base + (rank < short)
 
 
 def difficulty_order(tasks):
@@ -149,18 +139,10 @@ def detect_plateaus(times, losses, slope_frac=0.01, min_frac=0.05, smooth_frac=0
         return [(float(times[0]), float(times[-1]))]
     flat = np.abs(slope) < slope_frac * peak
     min_len = min_frac * (times[-1] - times[0])
-    out = []
-    start = None
-    for i, ok in enumerate(flat):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            if times[i - 1] - times[start] >= min_len:
-                out.append((float(times[start]), float(times[i - 1])))
-            start = None
-    if start is not None and times[-1] - times[start] >= min_len:
-        out.append((float(times[start]), float(times[-1])))
-    return out
+    # each flat run's first and last index, from the edges of the zero-padded mask
+    starts, stops = np.flatnonzero(np.diff(np.pad(flat.astype(int), 1))).reshape(-1, 2).T
+    keep = times[stops - 1] - times[starts] >= min_len
+    return list(zip(times[starts[keep]].tolist(), times[stops[keep] - 1].tolist()))
 
 
 def time_to_fraction(times, losses, frac):
@@ -179,9 +161,8 @@ def total_control_effort(schedule, dspec):
         return 0.0
     norms = np.sqrt(segment_sumsq(schedule.values)).tolist()
     total = 0.0
-    for step in range(0, dspec.n_steps, schedule.segment):
-        run_len = min(schedule.segment, dspec.n_steps - step)
-        total += norms[min(step // schedule.segment, len(norms) - 1)] * run_len * dspec.dt
+    for norm, step in zip(norms, range(0, dspec.n_steps, schedule.segment)):
+        total += norm * min(schedule.segment, dspec.n_steps - step) * dspec.dt
     return total
 
 
@@ -526,7 +507,7 @@ def _sum_sgd_validation(cfg, dspec, task, init_sched, sched, trajs):
     n_seeds = int(p["n_seeds"])
     stride = int(p["stride"])
     ode = trajs["baseline"].losses
-    checked = list(range(0, dspec.n_steps + 1, stride))
+    checked = np.arange(0, dspec.n_steps + 1, stride)
     out = {"sgd_seeds": n_seeds, "sgd_stride": stride}
     if n_seeds >= 2:
         runs = np.stack(
@@ -537,10 +518,8 @@ def _sum_sgd_validation(cfg, dspec, task, init_sched, sched, trajs):
         )
         mean = runs.mean(axis=0)
         sd = runs.std(axis=0, ddof=1)
-        z = np.zeros(len(checked))
-        for j, i in enumerate(checked):
-            diff = abs(ode[i] - mean[i])
-            z[j] = 0.0 if diff <= 1e-12 else diff / max(sd[i], 1e-300)
+        diff = abs(ode[checked] - mean[checked])
+        z = np.where(diff <= 1e-12, 0.0, diff / np.maximum(sd[checked], 1e-300))
         out["sgd_max_z"] = float(np.max(z))
         out["sgd_checked_steps"] = len(checked)
     return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, whole
 from .tasks import TaskMoments
 
 _DTYPES = {
@@ -121,7 +121,7 @@ class DigitFilter:
     digits: list
 
     def __post_init__(self):
-        self.digits = [int(d) for d in self.digits]
+        self.digits = [whole("digits", d) for d in self.digits]
         if len(set(self.digits)) != len(self.digits):
             raise ValueError("duplicate digits in filter")
         if not self.digits:

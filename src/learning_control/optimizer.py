@@ -4,9 +4,10 @@ The objective V(schedule) and its exact gradient come from the adjoint sweep
 in `value`; this module just climbs.  A candidate step is accepted only if
 it does not decrease V, halving the step up to max_halvings times (20 by
 default) before declaring a stall, so the recorded V trace is non-decreasing
-by construction.  A trial whose rollout diverges counts as a rejection
-(V = -inf) and is halved like any other; divergence of the initial
-schedule's rollout still raises.  `adaptive_moments` is Adam's direction
+by construction.  A trial whose rollout diverges, or whose V is not finite,
+counts as a rejection (V = -inf) and is halved like any other; divergence
+of the initial schedule's rollout, or a V or gradient of it that is not
+finite, raises a DivergenceError.  `adaptive_moments` is Adam's direction
 with Kingma & Ba's (2015) constants beta1 0.9, beta2 0.999 and eps 1e-8;
 projection onto box bounds happens after every update.
 
@@ -102,6 +103,9 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
     cur = init_schedule.project()
     plan = _plan(dspec, task, vspec, cur)  # every candidate keeps cur's layout
     v_cur, g_cur, first = grad_value(dspec, task, cur, vspec, plan=plan)
+    if not (math.isfinite(v_cur) and all(np.isfinite(g).all() for g in g_cur)):
+        raise DivergenceError(f"the initial schedule's V ({v_cur}) or its gradient is not finite: "
+                              f"the value weights (eta {vspec.eta}, {vspec.cost}) overflow the float range")
     rollout = first
     trace = OptTrace()
     trace.V.append(v_cur)
@@ -136,7 +140,7 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
                 v_cand, trial = forward(cand)
             except DivergenceError:
                 v_cand = -math.inf
-            if v_cand >= v_cur:
+            if math.isfinite(v_cand) and v_cand >= v_cur:
                 break
             alpha *= 0.5
         else:

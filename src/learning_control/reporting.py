@@ -59,12 +59,12 @@ def write_trajectory_csv(path, traj, schedule=None, vspec=None):
     usable = schedule is not None and schedule.kind != "init_weights" and schedule.n_steps == n
     eta = vspec.eta if vspec is not None else 1.0
     # one cost and one control norm per segment, which the rows index
-    seg = schedule.segment if usable else n
     costs = norms = np.zeros(1)
+    k = np.zeros(n + 1, dtype=int)
     if usable:
         norms = np.sqrt(segment_sumsq(schedule.values))
         costs = segment_costs(schedule.values, vspec.cost) if vspec is not None else np.zeros_like(norms)
-    k = np.minimum(np.arange(n + 1), n - 1) // seg
+        k = schedule.segment_of(np.arange(n + 1))
     # one pass per layer; a network without a second layer has zero norms there
     second = _norms(traj.layers[1]) if len(traj.layers) > 1 else (np.zeros(n + 1),) * 2
     with np.errstate(over="ignore", invalid="ignore"):  # nan and inf pass through, as Python floats do

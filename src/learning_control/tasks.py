@@ -160,15 +160,7 @@ def hierarchy_matrix(levels):
     if levels < 1:
         raise ValueError("levels must be >= 1")
     n_items = 2 ** (levels - 1)
-    rows = []
-    for level in range(levels):
-        n_nodes = 2**level
-        width = n_items // n_nodes
-        for k in range(n_nodes):
-            row = np.zeros(n_items)
-            row[k * width : (k + 1) * width] = 1.0
-            rows.append(row)
-    return np.array(rows)
+    return np.vstack([np.repeat(np.eye(2**level), n_items >> level, axis=1) for level in range(levels)])
 
 
 def semantic_moments(levels, name="semantic"):

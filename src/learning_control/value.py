@@ -40,7 +40,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .control import segment_sumsq
-from .errors import check_finite
+from .errors import check_finite, whole
 
 # The fields each cost kind reads; CostSpec refuses any other field off its default
 _COST_FIELDS = {"none": (), "quadratic": ("beta",), "exp_frobenius": ("beta",), "anchored_norm": ("beta", "anchor"),
@@ -294,7 +294,7 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None, *, plan=Non
             cvjp, lgc = sweep.contract()
             g = _slice_axpy(_slice_scale(cvjp, scale), lgc, -pw[lo:hi].reshape(weights_shape))
             if cost_grads is not None:
-                seg_of = np.minimum(np.arange(lo, hi) // schedule.segment, schedule.n_segments - 1)
+                seg_of = schedule.segment_of(np.arange(lo, hi))
                 g = _slice_axpy(g, tuple(c[seg_of] for c in cost_grads), -cw[lo:hi].reshape(weights_shape))
             if g is not None:
                 schedule.add_grads(buffers, lo, g)
@@ -346,7 +346,7 @@ def maml_value_and_grad(dspec, tasks, schedule, steps_ahead=None, traj=None):
     `traj`, when given, is the task set's batched rollout, and only the
     adjoint sweep runs.  Returns (V, gradient, each task's Trajectory).
     """
-    spec = dspec if steps_ahead is None else replace(dspec, n_steps=int(steps_ahead))
+    spec = dspec if steps_ahead is None else replace(dspec, n_steps=whole("steps_ahead", steps_ahead))
     total, grads, traj = grad_value(spec, dyn.TaskSet(tasks), schedule, per_step_sum_spec(), traj=traj)
     return total, grads, traj.per_task()
 

@@ -463,6 +463,15 @@ class TestRunCommand:
         assert code == 3
         assert "exceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["effort_allocation", "single_neuron_effort"])
+    def test_a_value_past_the_float_range_at_the_start_maps_to_exit_3(self, name, capsys):
+        # numpy warns of the overflow on the way; the run ends on one error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", "--preset", name, "-p", "value.eta=1e308", "-p", "optimizer.iters=1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not finite" in err
+
     def test_any_other_package_error_maps_to_exit_2(self, monkeypatch, capsys):
         def refuse(cfg):
             raise LearningControlError("cannot honor this")

@@ -14,6 +14,27 @@ TASK = two_gaussian_moments(1.0, 0.3)
 SWITCHING = TaskSchedule(tasks=[TASK, two_gaussian_moments(2.0, 0.3)], period_steps=2, n_steps=11)
 
 
+def _step_by_step_add_grads(sched, buffers, lo, grads):
+    """add_grads as one addition per step, last step first, each into its segment's row."""
+    for j in range(len(grads[0]) - 1, -1, -1):
+        s = min((lo + j) // sched.segment, sched.n_segments - 1)
+        for buf, g in zip(buffers, grads):
+            buf[s] = buf[s] + g[j]
+
+
+def _padded_table_add_grads(sched, buffers, lo, grads):
+    """add_grads as a padded table per segment (its buffer, then its steps in descending order) summed by np.add.accumulate."""
+    steps = np.arange(lo, lo + len(grads[0]))
+    segs = np.minimum(steps // sched.segment, sched.n_segments - 1)
+    s0, s1 = segs[0], segs[-1] + 1
+    cols = np.searchsorted(segs, segs, side="right") - np.arange(len(steps))
+    for buf, g in zip(buffers, grads):
+        table = np.zeros((s1 - s0, cols.max() + 1, *buf.shape[1:]))
+        table[:, 0] = buf[s0:s1]
+        table[segs - s0, cols] = g
+        buf[s0:s1] = np.add.accumulate(table, axis=1)[:, -1]
+
+
 class TestScheduleConstruction:
     def test_neutral_gains_are_zero(self):
         sched = ControlSchedule.neutral("scalar_series", n_steps=10, segment=2)
@@ -75,6 +96,15 @@ class TestScheduleConstruction:
             ControlSchedule(kind="scalar_series", values=(np.zeros(5),), n_steps=n_steps, segment=segment)
         with pytest.raises(ValueError, match=f"{name} must be a whole number, got {got}"):
             ControlSchedule.neutral("scalar_series", n_steps, segment=segment)
+
+    @pytest.mark.parametrize("n_channels, got", [(2.5, "2.5"), (True, "True"), (np.True_, "True")])
+    def test_rejects_a_fractional_or_bool_channel_count(self, n_channels, got):
+        with pytest.raises(ValueError, match=f"n_channels must be a whole number, got {got}"):
+            ControlSchedule.neutral("engagement_series", 4, n_channels=n_channels)
+
+    def test_a_whole_channel_count_of_another_type_is_accepted(self):
+        sched = ControlSchedule.neutral("category_series", 4, segment=2, n_channels=3.0)
+        assert sched.values[0].shape == (2, 3)
 
     def test_a_whole_count_of_another_type_is_kept_as_an_int(self):
         sched = ControlSchedule.neutral("scalar_series", 10.0, segment=np.int64(2))
@@ -227,6 +257,42 @@ class TestGradBuffers:
         got = sched.zero_grads()
         sched.add_grads(got, 2, (grads,))
         assert np.array_equal(got[0], want[0])
+
+    @pytest.mark.parametrize("lo", [0, 2])
+    @pytest.mark.parametrize("n_steps", [6, 7])
+    @pytest.mark.parametrize("shapes", [[()], [(2, 3), (3, 2)], [(4,)]], ids=["scalar", "pair", "engagement"])
+    def test_a_stack_adds_as_step_by_step_and_as_the_padded_table(self, shapes, n_steps, lo):
+        # steps lo..n_steps, the terminal one included, with signed zeros among the gradients
+        rng = np.random.default_rng(26 + n_steps + lo)
+        sched = ControlSchedule(kind="scalar_series", values=(np.zeros(-(-n_steps // 3)),), n_steps=n_steps, segment=3)
+
+        def draw(shape):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+            return np.where(rng.random(shape) < 0.3, rng.choice([0.0, -0.0], size=shape), x)
+
+        def added(reference, starts):
+            buffers = [b.copy() for b in starts]
+            reference(sched, buffers, lo, grads)
+            return buffers
+
+        def assert_same(got, want):
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+        grads = [draw((n_steps + 1 - lo, *s)) for s in shapes]
+        starts = [draw((sched.n_segments, *s)) for s in shapes]
+        assert_same(added(ControlSchedule.add_grads, starts), added(_step_by_step_add_grads, starts))
+        # the table's zero padding turns a -0.0 buffer entry into +0.0, so it starts from +0.0 ones
+        starts = [b + 0.0 for b in starts]
+        got = added(ControlSchedule.add_grads, starts)
+        assert_same(got, added(_step_by_step_add_grads, starts))
+        assert_same(got, added(_padded_table_add_grads, starts))
+
+    @pytest.mark.parametrize("n_steps", [6, 7])
+    def test_segment_of_maps_every_step_as_segment_index_does(self, n_steps):
+        sched = ControlSchedule.neutral("scalar_series", n_steps, segment=3)
+        want = [sched.segment_index(i) for i in range(n_steps + 1)]
+        assert sched.segment_of(np.arange(n_steps + 1)).tolist() == want
 
     def test_init_weights_has_no_per_step_grads(self):
         sched = init_weights_control((np.ones((1, 1)),))

@@ -81,10 +81,20 @@ class TestSpecValidation:
         ("init_seed", -1, "init_seed must be nonnegative, got -1"),
         ("nonlinearity", "softsign", "unknown nonlinearity 'softsign'"),
         ("nonlinearity", "identity", "dynamics kind single_neuron ignores nonlinearity: set it to 'tanh', not 'identity'"),
+        ("n_steps", 2.5, "n_steps must be a whole number, got 2.5"),
+        ("input_dim", 1.5, "input_dim must be a whole number, got 1.5"),
+        ("output_dim", True, "output_dim must be a whole number, got True"),
+        ("hidden_dim", 0.5, "hidden_dim must be a whole number, got 0.5"),
+        ("init_seed", np.True_, "init_seed must be a whole number, got True"),
     ])
     def test_rejects_out_of_range_fields(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             neuron_spec(**{field: value})
+
+    def test_whole_counts_of_another_type_are_kept_as_ints(self):
+        spec = neuron_spec(n_steps=8.0, input_dim=np.int64(1), init_seed=3.0)
+        assert (spec.n_steps, spec.input_dim, spec.init_seed) == (8, 1, 3)
+        assert all(type(v) is int for v in (spec.n_steps, spec.input_dim, spec.init_seed))
 
     def test_horizon(self):
         spec = neuron_spec(dt=0.25, n_steps=8)

@@ -52,6 +52,61 @@ def scalar_task(c):
     )
 
 
+def _per_row_largest_remainder(phi, batch_size):
+    """export_class_schedule row by row: (counts, whether some row fell back to the uniform mix)."""
+    phi = np.atleast_2d(np.asarray(phi, dtype=float))
+    n, c = phi.shape
+    counts = np.empty((n, c), dtype=int)
+    warned = False
+    for i in range(n):
+        row = phi[i]
+        total = row.sum()
+        if total == 0.0:
+            warned = True
+            row = np.ones(c)
+            total = float(c)
+        quota = row * (batch_size / total)
+        base = np.floor(quota).astype(int)
+        short = batch_size - int(base.sum())
+        frac = quota - base
+        order = np.lexsort((np.arange(c), -frac))
+        base[order[:short]] += 1
+        counts[i] = base
+    return counts, warned
+
+
+def _start_stop_scan(times, losses, slope_frac=0.01, min_frac=0.05, smooth_frac=0.01):
+    """detect_plateaus with its flat intervals found by scanning the mask for starts and stops."""
+    times = np.asarray(times, dtype=float)
+    losses = np.asarray(losses, dtype=float)
+    n = losses.size
+    w = max(1, int(round(n * smooth_frac)))
+    if w > 1:
+        pad = np.pad(losses, (w // 2, w - 1 - w // 2), mode="edge")
+        smooth = np.convolve(pad, np.ones(w) / w, mode="valid")
+    else:
+        smooth = losses
+    slope = np.gradient(smooth, times)
+    peak = float(np.max(np.abs(slope)))
+    swing = float(np.max(smooth) - np.min(smooth))
+    if peak == 0.0 or swing <= 1e-12 * max(1.0, float(np.max(np.abs(smooth)))):
+        return [(float(times[0]), float(times[-1]))]
+    flat = np.abs(slope) < slope_frac * peak
+    min_len = min_frac * (times[-1] - times[0])
+    out = []
+    start = None
+    for i, ok in enumerate(flat):
+        if ok and start is None:
+            start = i
+        elif not ok and start is not None:
+            if times[i - 1] - times[start] >= min_len:
+                out.append((float(times[start]), float(times[i - 1])))
+            start = None
+    if start is not None and times[-1] - times[start] >= min_len:
+        out.append((float(times[start]), float(times[-1])))
+    return out
+
+
 class TestTaskSwitchSchedule:
     def test_switch_steps_follow_the_period(self):
         a, b = scalar_task(0.5), scalar_task(0.2)
@@ -73,6 +128,19 @@ class TestTaskSwitchSchedule:
         """A period that leaves a partial cycle at the end is refused."""
         with pytest.raises(ValueError, match="does not divide"):
             task_switch_schedule([scalar_task(0.5)], 7, 20)
+
+    @pytest.mark.parametrize("period, n_steps, message", [
+        (2.5, 10, "period_steps must be a whole number, got 2.5"),
+        (True, 10, "period_steps must be a whole number, got True"),
+        (5, 10.5, "n_steps must be a whole number, got 10.5"),
+    ])
+    def test_rejects_a_fractional_or_bool_count(self, period, n_steps, message):
+        with pytest.raises(ValueError, match=message):
+            task_switch_schedule([scalar_task(0.5)], period, n_steps)
+
+    def test_whole_counts_of_another_type_are_accepted(self):
+        ts = task_switch_schedule([scalar_task(0.5), scalar_task(0.2)], 5.0, np.int64(20))
+        assert (ts.period_steps, ts.n_steps, ts.switch_steps) == (5, 20, [5, 10, 15])
 
 
 class TestPostSwitchPeaks:
@@ -139,6 +207,33 @@ class TestExportClassSchedule:
         with pytest.raises(ValueError, match=f"batch_size must be a whole number >= 1, got {batch_size}"):
             export_class_schedule(np.array([[0.5, 0.3, 0.2]]), batch_size)
 
+    def test_matches_the_per_row_largest_remainder_loop(self):
+        # random weights (in C and Fortran order), small integer weights (ties and all-zero rows), sparse rows
+        # with -0.0, and 1-D input
+        rng = np.random.default_rng(26)
+        fallbacks = 0
+        for trial in range(1200):
+            n, c = int(rng.integers(1, 7)), int(rng.integers(1, 40))
+            kind = trial % 4
+            if kind == 0:
+                phi = rng.uniform(0.0, 5.0, size=(n, c))
+                phi = np.asfortranarray(phi) if trial % 8 else phi
+            elif kind == 1:
+                phi = rng.integers(0, 3, size=(n, c)).astype(float)
+            elif kind == 2:
+                phi = np.where(rng.random((n, c)) < 0.6, rng.choice([0.0, -0.0], size=(n, c)), rng.random((n, c)))
+            else:
+                phi = rng.integers(0, 4, size=c) * rng.uniform(0.5, 1.5)
+            batch_size = int(rng.integers(1, 300))
+            want, warned = _per_row_largest_remainder(phi, batch_size)
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                counts = export_class_schedule(phi, batch_size)
+            assert counts.dtype == want.dtype and np.array_equal(counts, want)
+            assert len(rec) == warned
+            fallbacks += warned
+        assert fallbacks > 20
+
     def test_accepts_a_category_schedule_directly(self):
         sched = ControlSchedule.neutral("category_series", 4, segment=2, n_channels=3)
         sched = sched.with_values((np.array([[0.5, 0.3, 0.2], [1.0, 1.0, 1.0]]),))
@@ -180,6 +275,22 @@ class TestDetectPlateaus:
     def test_steady_descent_has_none(self):
         times = np.linspace(0.0, 1.0, 201)
         assert detect_plateaus(times, np.exp(-times)) == []
+
+    def test_matches_the_start_stop_scan(self):
+        # curves flat where a seeded mask of runs says, descending elsewhere, on uneven time grids
+        rng = np.random.default_rng(26)
+        found = 0
+        for _ in range(300):
+            k = int(rng.integers(1, 12))
+            mask = np.repeat(rng.random(k) < 0.5, rng.integers(2, 30, size=k))
+            times = np.cumsum(rng.uniform(0.5, 1.5, size=mask.size))
+            losses = np.cumsum(np.where(mask, 0.0, -rng.uniform(0.5, 2.0, size=mask.size)))
+            for min_frac in (0.0, 0.05, 0.2):
+                for smooth_frac in (0.0, 0.05):
+                    got = detect_plateaus(times, losses, min_frac=min_frac, smooth_frac=smooth_frac)
+                    assert got == _start_stop_scan(times, losses, min_frac=min_frac, smooth_frac=smooth_frac)
+                    found += len(got)
+        assert found > 1000
 
 
 class TestTimeToFraction:

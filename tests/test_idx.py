@@ -140,6 +140,15 @@ class TestDigitFilter:
         with pytest.raises(ValueError, match="empty"):
             DigitFilter([])
 
+    @pytest.mark.parametrize("digits, got", [([1.5, 2], "1.5"), ([True, 2], "True")])
+    def test_rejects_a_fractional_or_bool_digit(self, digits, got):
+        with pytest.raises(ValueError, match=f"digits must be a whole number, got {got}"):
+            DigitFilter(digits)
+
+    def test_whole_digits_of_another_type_are_kept_as_ints(self):
+        f = DigitFilter([3.0, np.int64(8)])
+        assert f.digits == [3, 8] and all(type(d) is int for d in f.digits)
+
 
 def toy_archive():
     """Six 4x4 'images' with three labels; class intensity is the label."""

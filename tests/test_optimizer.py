@@ -203,6 +203,24 @@ class TestTrialDivergence:
             optimize(neuron_spec(), TASK, VSPEC, OptimizerSpec(iters=3), init)
 
 
+class TestNonFiniteObjective:
+    """A V or gradient past the float range is a divergence at the start and a rejection in the line search."""
+
+    @pytest.mark.parametrize("name", ["single_neuron_effort", "effort_allocation"])
+    def test_an_initial_value_past_the_float_range_is_a_divergence(self, name):
+        cfg = set_fields(preset(name), {"value.eta": 1e308, "optimizer.iters": 1})
+        dspec, task, sched = build(cfg)
+        # numpy's overflow warnings on the way to -inf are not what this checks
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError, match=r"eta 1e\+308"):
+            optimize(dspec, task, cfg.value, cfg.optimizer, sched)
+
+    def test_a_trial_scored_infinite_is_a_rejection(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "value", lambda *args, **kw: math.inf)
+        sched, trace = optimize(neuron_spec(), TASK, VSPEC, OptimizerSpec(iters=3, max_halvings=2), neutral())
+        assert trace.stalled_at == 0 and len(trace.V) == 1
+        assert np.array_equal(sched.values[0], neutral().values[0])
+
+
 class TestAdaptiveMoments:
     def test_improves_value(self):
         ospec = OptimizerSpec(alpha_g=0.05, iters=60, update_rule="adaptive_moments")

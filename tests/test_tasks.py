@@ -138,6 +138,19 @@ class TestHierarchy:
         gram = h.T @ h
         np.testing.assert_array_equal(np.diag(gram), np.full(8, 4.0))
 
+    @pytest.mark.parametrize("levels", range(1, 6))
+    def test_matches_node_by_node_construction(self, levels):
+        n_items = 2 ** (levels - 1)
+        rows = []
+        for level in range(levels):
+            width = n_items // 2**level
+            for k in range(2**level):
+                row = np.zeros(n_items)
+                row[k * width : (k + 1) * width] = 1.0
+                rows.append(row)
+        h = hierarchy_matrix(levels)
+        assert h.dtype == np.float64 and np.array_equal(h, np.array(rows))
+
     def test_degenerate_depth(self):
         np.testing.assert_array_equal(hierarchy_matrix(1), [[1.0]])
         with pytest.raises(ValueError):

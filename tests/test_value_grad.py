@@ -474,6 +474,12 @@ class TestInitWeightsGradient:
         _, _, trajs = maml_value_and_grad(spec, [NEURON_TASK], sched, steps_ahead=2)
         assert trajs[0].n_steps == 2
 
+    @pytest.mark.parametrize("steps_ahead, got", [(2.5, "2.5"), (True, "True")])
+    def test_rejects_a_fractional_or_bool_steps_ahead(self, steps_ahead, got):
+        sched = init_weights_control((np.full((3, 1), 0.3), np.full((1, 3), -0.2)))
+        with pytest.raises(ValueError, match=f"steps_ahead must be a whole number, got {got}"):
+            maml_value_and_grad(self.two_layer(), [NEURON_TASK], sched, steps_ahead=steps_ahead)
+
 
 class TestEvaluateValue:
     def test_matches_integrate_plus_value(self):
