@@ -176,12 +176,17 @@ class ControlSchedule:
 
     # --- projection ---------------------------------------------------------
 
-    def project(self):
-        """Clamp values into bounds; returns a new schedule (idempotent)."""
-        if self.bounds is None:
-            return self.with_values(tuple(v.copy() for v in self.values))
-        lo, hi = self.bounds
-        return self.with_values(tuple(np.clip(v, lo, hi) for v in self.values))
+    def project(self, values=None):
+        """Clamp this schedule's values, or `values` of its layout, into bounds; returns a new schedule (idempotent).
+
+        The new schedule's arrays are copies, except given values, which it
+        takes as they are where it has no bounds.
+        """
+        if values is None:
+            values = self.values if self.bounds is not None else tuple(v.copy() for v in self.values)
+        if self.bounds is not None:
+            values = tuple(np.clip(v, *self.bounds) for v in values)
+        return self.with_values(values)
 
     def out_of_bounds(self):
         if self.bounds is None:

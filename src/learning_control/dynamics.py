@@ -35,17 +35,20 @@ the next row.  The other slots act on a stack of steps: `losses` scores every
 state, and `sweep` is the reverse mode, one protocol (`_Sweep`): one sweep
 per stack length, made once with its buffers and per-step views, whose
 `load` refills them for each stack and does batched all that does not read
-the adjoint, leaving `adjoint(j, a)` as step j's recurrence on the packed
-adjoint row and `contract()` as the batched control VJPs.  Every pass --
-the rollout, the sweeps, the sampled twin's score and the closed forms -- is
-cut as `step_runs` cuts it, into runs, stretches of steps sharing one
-control slice and task (a segment, cut again at each task switch); `args`,
-what the slots read, is made once per run from one schedule.at().  A
-`_Plan` holds all a pass sets up that the control values do not change --
-the cuts, the kernel's buffers, the sweeps, and the args where no series
-control varies them -- so optimize, which moves only the values, sets up
-once: it builds one plan and hands it to every integrate and
-value.grad_value call, and a call without one builds its own.  A rollout
+the adjoint, leaving `adjoints(a)` as the recurrence over the stack's steps
+on the packed adjoint row, looped in one call, and `contract()` as the
+batched control VJPs.  Every pass -- the rollout, the sweeps, the sampled
+twin's score and the closed forms -- is cut as `step_runs` cuts it, into
+runs, stretches of steps sharing one control slice and task (a segment, cut
+again at each task switch); `args`, what the slots read, is made for every
+run of a pass at once by the `series` slot, from one map of the schedule's
+values over each run's neutral args (the closed forms and the sampled twin
+take one schedule.at() per run, through step_runs).  A `_Plan` holds all a
+pass sets up that the control values do not change -- the cuts, the
+neutral args, the kernel's buffers, the sweeps, and the bound flows where
+no series control varies the args -- so optimize, which moves only the
+values, sets up once: it builds one plan and hands it to every integrate
+and value.grad_value call, and a call without one builds its own.  A rollout
 carries its packed rows and each run's args to the adjoint sweep, and a
 sweep lets go of them once swept.  The sampled twin integrates over per-step batch
 moments and is scored again under the real task, except for
@@ -54,16 +57,16 @@ one-step API, `expected_loss`, `_rhs` and `backward_step`, applies the slots
 to a one-step stack; tests check the passes against it.  The linear two-layer
 kinds share one kernel, for a row and a stack of rows alike, which fills
 fixed buffers and runs each elementwise op once on the packed row, not once
-per layer.  They hold only two maps: forward from a control slice to the
-kernel's channels (packed gains, dvec, rate) -- layer gains, error-row
-scales, a boost of the whole right-hand side -- and back from a swept stack
-to the control-shaped VJPs.  An absent channel skips its multiplication or
+per layer.  They hold only two maps: forward from a control slice (or a
+stack of them) to the kernel's channels (packed gains, dvec, rate) --
+layer gains, error-row scales, a boost of the whole right-hand side -- and
+back from a swept stack to the control-shaped VJPs.  An absent channel skips its multiplication or
 multiplies by 1.0, as a neutral one does, which IEEE makes exact, so neutral
 schedules reproduce the baseline bit for bit; tests rely on that.  The
 single neuron bypasses the table in `integrate` and `value.grad_value` for
 Python-float loops over the runs, each run's constants hoisted; its entry
-holds only float args and losses, and its one-step API the float helpers,
-whose bits the loops keep.  A stack runs the same products and reductions
+holds only float args, series and losses, and its one-step API the float
+helpers, whose bits the loops keep.  A stack runs the same products and reductions
 on the same operands as its steps one at a time, so it gives their bits.  A
 task set (same-shape tasks from one start; a TaskSet stacks their moments
 once) is one rollout on a batch axis after the step axis, with a lone
@@ -302,6 +305,11 @@ def _neuron_backward(w, gt, mu, x2, sy, lam, a):
     return (dhdw * a,), dhdg * a, (dldw,), dldg
 
 
+def _neuron_series(controls, bases, batched):
+    """Each run's float args: its neutral args with the gain g~ = 1 + g, all of them from one tolist()."""
+    return [(gt, mu, x2, sy, lam) for gt, (_, mu, x2, sy, lam) in zip((1.0 + controls).tolist(), bases)]
+
+
 # --- packed rows and task moments -------------------------------------------
 
 # The moment kinds' args: the gains g~ = 1 + g packed like the state, dvec as a
@@ -364,7 +372,10 @@ def _on_batch(x):
 
 
 def _moment_args(channels):
-    """The args maker of a kind driven by the task's moments, from channels(control, task) -> (g, dcol, boost)."""
+    """The args maker of a kind driven by the task's moments, from channels(control, task) -> (g, dcol, boost).
+
+    channels maps a control slice, or a stack of them on leading axes, to the channels of each.
+    """
 
     def args(control, task, spec):
         if is_task_set(task):
@@ -375,6 +386,22 @@ def _moment_args(channels):
                          spec.reg_lambda, control, task)
 
     return args
+
+
+def _series_args(channels):
+    """The series slot of a kind driven by the task's moments, from its channels map: see _Kind."""
+
+    def series(controls, bases, batched):
+        chans = channels(controls, bases[0].task)
+        stacks = {f: c[:, None] if batched else c for f, c in zip(("g", "dcol", "boost"), chans) if c is not None}
+        # each run's control slice as at() gives it, on a task set's batch axis as args puts it
+        if isinstance(controls, tuple):
+            ctrls = list(zip(*controls))
+        else:
+            ctrls = controls.tolist() if controls.ndim == 1 else list(controls[:, None] if batched else controls)
+        return [b._replace(ctrl=c, **dict(zip(stacks, row))) for b, c, *row in zip(bases, ctrls, *stacks.values())]
+
+    return series
 
 
 def _weights_column(pw, ndim):
@@ -391,16 +418,20 @@ class _Sweep:
     _Stack, pw the states' value weights, pws the same as floats), doing
     batched all that does not read the adjoint, and returns the sweep; its
     _loss_grads keeps dL/dW (`lw`) and pl, a row of pw_i dL/dW per state i.
-    vjp(j, a) gives step j's [dh/dW]^T a and dL/dW for the adjoint row a of
-    state j+1, keeping a in `sa` and the gained maps' adjoint in `sabb`.
-    adjoint(j, a) is step j's recurrence, a + scale [dh/dW]^T a - pw_j dL/dW,
-    which subtracts nothing at pw_j = 0.  Once every step is swept,
-    contract() returns the control VJPs, control_vjp(sweep), and the loss
-    gradients, tuples of stacks, None where the control has none, summed
-    over a task set's batch axis.  A load writes every buffer it later reads,
-    and what adjoint and contract return is new, never a view of a buffer.
-    release() drops what load kept of the stack (`stack_fields`), so a sweep
-    kept between passes holds only its buffers, not a rollout's rows.
+    adjoints(a) runs the recurrence a <- a + scale [dh/dW]^T a - pw_j dL/dW
+    over the stack's steps j, last first, from the adjoint row a of the state
+    after the stack, and returns the row of its first state; a step at
+    pw_j = 0 subtracts nothing.  Each step keeps the gained maps' adjoint in
+    `sabb`, and its a in `sa` where load found control VJPs to read it
+    (`vjps`).  adjoints(a, j) is step j alone, the one-step oracle: its
+    [dh/dW]^T a and dL/dW for the adjoint row a of state j+1.  Once every
+    step is swept, contract() returns the control VJPs, control_vjp(sweep),
+    and the loss gradients, tuples of stacks, None where the control has
+    none, summed over a task set's batch axis.  A load writes every buffer
+    it later reads, and what adjoints and contract return is new, never a
+    view of a buffer.  release() drops what load kept of the stack
+    (`stack_fields`), so a sweep kept between passes holds only its buffers
+    (and a pair sweep its last args' bound flow), not a rollout's rows.
     """
 
     stack_fields = ("w", "stack", "args", "pos", "pws", "lg")
@@ -413,6 +444,7 @@ class _Sweep:
 
     def load(self, w, stack, pw, pws):
         self.w, self.stack, self.args, self.pos, self.pws = w, stack, stack.args, stack.pos, pws
+        self.vjps = stack.args[0].ctrl is not None and self.control_vjp is not None
         return self
 
     def release(self):
@@ -427,12 +459,8 @@ class _Sweep:
         self.lg = None if a.g is None else _split(lx * w, self.shapes)
         np.multiply(_weights_column(pw, w.ndim), self.lw, out=self.plb)
 
-    def adjoint(self, j, a):
-        a = a + self.scale * self.vjp(j, a)[0]
-        return a - self.pl[j] if self.pws[j] else a
-
     def contract(self):
-        if self.args[0].ctrl is None or self.control_vjp is None:
+        if not self.vjps:
             return None, None
         grads = self.control_vjp(self), self.lg
         if self.w.ndim == 3:  # a task set's stacks (step, task, K)
@@ -493,9 +521,10 @@ class _PairSweep(_Sweep):
     Its buffers: _Sweep's, the kernel's (bind), the error's adjoint (`edb`),
     the products' scratch `tmp` and the adjoint's gained copy `ub`; `rows`
     holds each step's views.  load runs the kernel on the stack (`p` is its
-    flow before the boost) and forms dL/dW batched.  vjp(j, a) reads step
-    j's own args, and its seven products (dot or matmul, as in _pair_flows)
-    write into the destination rows and `tmp`.
+    flow before the boost, bound again only for args other than the last
+    stack's, `bound`) and forms dL/dW batched.  A step of adjoints
+    reads its own args, and its seven products (dot or matmul, as in
+    _pair_flows) write into the destination rows and `tmp`.
     """
 
     stack_fields = _Sweep.stack_fields + ("p",)
@@ -503,7 +532,7 @@ class _PairSweep(_Sweep):
     def __init__(self, shapes, lead, spec, control_vjp=None):
         super().__init__(shapes, lead, spec, control_vjp)
         (_, inp), (out, hid) = shapes
-        self.bind = _pair_flows(shapes, lead)
+        self.bind, self.bound = _pair_flows(shapes, lead), None
         a_mat, b_mat, x1, self.err, err_dcol, self.up = self.bind.bufs
         self.edb, inner = np.empty_like(self.err), lead[1:]
         self.mm = np.matmul if inner else np.ndarray.dot
@@ -516,28 +545,40 @@ class _PairSweep(_Sweep):
     def load(self, w, stack, pw, pws):
         super().load(w, stack, pw, pws)
         a = _gather(stack, "g", "dcol", "sx", "sxy_t")
-        self.p = self.bind(a._replace(boost=None))(w)
+        if a is not self.bound:  # a one-run stack under a plan's neutral args meets the same args every pass
+            self.bound, self.flow = a, self.bind(a._replace(boost=None))
+        self.p = self.flow(w)
         a_mat, b_mat = self.bind.bufs[:2]
         # the map ignores dvec and rate; b^T (-err) is -(b^T err) bit for bit
         la = -self.up if a.dcol is None else _pack((_mT(b_mat) @ -self.err, -self.err @ _mT(a_mat)))
         self._loss_grads(la, a, pw)
         return self
 
-    def vjp(self, j, a):
-        a_mat, b_mat, b_t, x1_t, err, err_dcol, lw, abb, ab, bb, edb = self.rows[j]
-        t = self.args[self.pos[j]]
-        g, dcol, boost, sx = t.g, t.dcol, t.boost, t.sx
+    def adjoints(self, a, step=None):
+        rows, args, pos, pws, pl, sa, vjps = self.rows, self.args, self.pos, self.pws, self.pl, self.sa, self.vjps
+        scale, neg_lam = self.scale, self.neg_lam
         ub, u1b, u2b, u1b_t, u2b_t = self.ub
         mm, (te, tb, ta, tas) = self.mm, self.tmp
-        self.sa[j] = a
-        gp = a if boost is None else boost * a
-        np.multiply(gp, 1.0 if g is None else g, out=ub)  # x * 1.0 is x: a copy
-        np.add(mm(b_mat, u1b, edb), mm(u2b, a_mat, te), out=edb)
-        eb = edb if dcol is None else dcol * edb
-        err_d = err if dcol is None else err_dcol
-        np.subtract(mm(err_d, u1b_t, bb), mm(eb, x1_t, tb), out=bb)
-        np.subtract(mm(u2b_t, err_d, ab), mm(mm(b_t, eb, ta), sx, tas), out=ab)
-        return self.neg_lam * gp + (abb if g is None else abb * g), lw
+        for j in range(len(pos) - 1, -1, -1) if step is None else (step,):
+            a_mat, b_mat, b_t, x1_t, err, err_dcol, lw, abb, ab, bb, edb = rows[j]
+            t = args[pos[j]]
+            g, dcol, boost, sx = t.g, t.dcol, t.boost, t.sx
+            if vjps:
+                sa[j] = a
+            gp = a if boost is None else boost * a
+            np.multiply(gp, 1.0 if g is None else g, out=ub)  # x * 1.0 is x: a copy
+            np.add(mm(b_mat, u1b, edb), mm(u2b, a_mat, te), out=edb)
+            eb = edb if dcol is None else dcol * edb
+            err_d = err if dcol is None else err_dcol
+            np.subtract(mm(err_d, u1b_t, bb), mm(eb, x1_t, tb), out=bb)
+            np.subtract(mm(u2b_t, err_d, ab), mm(mm(b_t, eb, ta), sx, tas), out=ab)
+            x = neg_lam * gp + (abb if g is None else abb * g)
+            if step is not None:
+                return x, lw
+            a = a + scale * x
+            if pws[j]:
+                a = a - pl[j]
+        return a
 
 
 def _pair_kind(reads, channels, control_vjp=None):
@@ -548,7 +589,7 @@ def _pair_kind(reads, channels, control_vjp=None):
     the sweep's kernel buffers and the adjoint keeps (`sa` the adjoints a,
     `sabb` the gained maps' adjoints, `edb` the error's).
     """
-    return _Kind(2, reads, _moment_args(channels), _pair_flows, _moment_losses,
+    return _Kind(2, reads, _moment_args(channels), _series_args(channels), _pair_flows, _moment_losses,
                  partial(_PairSweep, control_vjp=control_vjp))
 
 
@@ -576,10 +617,10 @@ def _engagement_channels(control, task):
         return _NO_CHANNELS
     if task.blocks is None:
         raise ValueError("engagement dynamics need a block-composed task")
-    sizes = task.blocks.output_sizes()
-    if len(control) != len(sizes):
-        raise ValueError(f"engagement vector length {len(control)} != task count {len(sizes)}")
-    return None, np.repeat(np.asarray(control, dtype=float), sizes)[:, None], None
+    sizes, control = task.blocks.output_sizes(), np.asarray(control, dtype=float)
+    if control.shape[-1] != len(sizes):
+        raise ValueError(f"engagement vector length {control.shape[-1]} != task count {len(sizes)}")
+    return None, np.repeat(control, sizes, axis=-1)[..., None], None
 
 
 def _row_vjp(sweep):
@@ -596,9 +637,9 @@ def _category_channels(control, task):
     if control is None:
         return _NO_CHANNELS
     phi = np.asarray(control, dtype=float)
-    if len(phi) != task.output_dim:
-        raise ValueError(f"class engagement length {len(phi)} != output dim {task.output_dim}")
-    return None, (phi * phi)[:, None], None
+    if phi.shape[-1] != task.output_dim:
+        raise ValueError(f"class engagement length {phi.shape[-1]} != output dim {task.output_dim}")
+    return None, (phi * phi)[..., None], None
 
 
 def _category_vjp(sweep):
@@ -607,7 +648,7 @@ def _category_vjp(sweep):
 
 
 def _rate_channels(control, task):
-    return _NO_CHANNELS if control is None else (None, None, np.full(1, 1.0 + float(control)))
+    return _NO_CHANNELS if control is None else (None, None, (1.0 + np.asarray(control, dtype=float))[..., None])
 
 
 def _rate_vjp(sweep):
@@ -620,8 +661,11 @@ def _rate_vjp(sweep):
 
 def _layer_channels(control, task):
     gain = control[0] if isinstance(control, tuple) else control
-    g = None if gain is None else np.broadcast_to(1.0 + gain, (task.output_dim, task.input_dim)).reshape(-1)
-    return g, None, None
+    if gain is None:
+        return _NO_CHANNELS
+    g = 1.0 + np.asarray(gain, dtype=float)
+    g = g[..., None, None] if g.ndim < 2 else g  # a scalar gain, or a stack of them
+    return np.broadcast_to(g, (*g.shape[:-2], task.output_dim, task.input_dim)).reshape(*g.shape[:-2], -1), None, None
 
 
 def _layer_flows(shapes, lead):
@@ -755,8 +799,8 @@ class _TaylorSweep(_Sweep):
     Its buffers: _Sweep's, with each step's views of `sabb`, and the flow's
     Z (`up`, as the pair kernel names its flow before gains and decay).
     load forms the expansion (_Terms) and the loss gradients on the whole
-    stack, the latter through the tail seeded by the loss alone, so vjp(j, a)
-    runs only the dynamics' reverse chain on step j's terms.
+    stack, the latter through the tail seeded by the loss alone, so a step of
+    adjoints runs only the dynamics' reverse chain on its own terms.
     """
 
     stack_fields = _Sweep.stack_fields + ("rows",)
@@ -780,38 +824,52 @@ class _TaylorSweep(_Sweep):
         self.rows = list(zip(map(_Terms._make, zip(*terms)), self.lw, self.xb_rows))
         return self
 
-    def vjp(self, j, a):
-        e, lw, (xb, ab, bb) = self.rows[j]
-        t = self.args[self.pos[j]]
-        self.sa[j] = a
-        gz1, gz2 = _split(a if t.g is None else a * t.g, self.shapes)
-        ab[...], tail_b = _taylor_tail(e, t, gz2, -(_mT(e.b) @ gz2), e.d1[..., None] * gz1, (gz1 * e.k).sum(axis=-1))
-        np.subtract(tail_b, gz2 @ e.ff, out=bb)
-        return self.neg_lam * a + (xb if t.g is None else xb * t.g), lw
+    def adjoints(self, a, step=None):
+        rows, args, pos, pws, pl, sa, vjps = self.rows, self.args, self.pos, self.pws, self.pl, self.sa, self.vjps
+        scale, neg_lam = self.scale, self.neg_lam
+        for j in range(len(pos) - 1, -1, -1) if step is None else (step,):
+            e, lw, (xb, ab, bb) = rows[j]
+            t = args[pos[j]]
+            if vjps:
+                sa[j] = a
+            gz1, gz2 = _split(a if t.g is None else a * t.g, self.shapes)
+            ab[...], tail_b = _taylor_tail(e, t, gz2, -(_mT(e.b) @ gz2), e.d1[..., None] * gz1,
+                                           (gz1 * e.k).sum(axis=-1))
+            np.subtract(tail_b, gz2 @ e.ff, out=bb)
+            x = neg_lam * a + (xb if t.g is None else xb * t.g)
+            if step is not None:
+                return x, lw
+            a = a + scale * x
+            if pws[j]:
+                a = a - pl[j]
+        return a
 
 
 # --- the kind table ---------------------------------------------------------
 
 # One dynamics kind: its layer count, the series control kinds its channels read
 # (None: it reads no control), and the slots the module docstring describes,
-# args(control, task, spec), flow(shapes, lead)(args)(w), losses(layers, stack, spec)
-# (stack a _Stack) and sweep(shapes, lead, spec).load(w, stack, pw, pws).  The single
-# neuron's entry holds the float args and losses behind its float loops, and no
-# flow or sweep.  single_layer reads none: no scenario builds its one-matrix
-# gains, and it has no adjoint.
-_Kind = namedtuple("_Kind", "layers reads args flow losses sweep")
+# args(control, task, spec), series(controls, bases, batched), flow(shapes, lead)(args)(w),
+# losses(layers, stack, spec) (stack a _Stack) and sweep(shapes, lead, spec).load(w, stack,
+# pw, pws).  series gives every run's args at once, each equal to args(its slice, its task,
+# spec): controls stacks the runs' slices on a leading axis (a tuple of stacks for a matrix
+# pair), bases holds their neutral args(None, task, spec), batched says a task set.  The
+# single neuron's entry holds only float args, series and losses behind its float loops.
+# single_layer reads none: no scenario builds its one-matrix gains, and it has no adjoint.
+_Kind = namedtuple("_Kind", "layers reads args series flow losses sweep")
 
 _KIND_TABLE = {
-    "single_neuron": _Kind(1, ("scalar_series",), _neuron_args, None, lambda layers, stack, spec: np.array(
-        [_neuron_loss_f(w, *stack.args[p]) for w, p in zip(layers[0], stack.pos)]), None),
-    "single_layer": _Kind(1, (), _moment_args(_layer_channels), _layer_flows, _moment_losses, _layer_sweep),
+    "single_neuron": _Kind(1, ("scalar_series",), _neuron_args, _neuron_series, None, lambda layers, stack, spec:
+                           np.array([_neuron_loss_f(w, *stack.args[p]) for w, p in zip(layers[0], stack.pos)]), None),
+    "single_layer": _Kind(1, (), _moment_args(_layer_channels), _series_args(_layer_channels), _layer_flows,
+                          _moment_losses, _layer_sweep),
     "two_layer_baseline": _pair_kind(None, lambda control, task: _NO_CHANNELS),
     "gain_mod": _pair_kind(("matrix_pair_series",), _gain_channels, _gain_vjp),
     "engagement": _pair_kind(("engagement_series",), _engagement_channels, _engagement_vjp),
     "category_engagement": _pair_kind(("category_series",), _category_channels, _category_vjp),
     "lr_mod": _pair_kind(("scalar_series",), _rate_channels, _rate_vjp),
-    "nonlinear_taylor": _Kind(2, ("matrix_pair_series",), _taylor_args, _taylor_flows, _taylor_losses,
-                              partial(_TaylorSweep, control_vjp=_gain_vjp)),
+    "nonlinear_taylor": _Kind(2, ("matrix_pair_series",), _taylor_args, _series_args(_gain_channels), _taylor_flows,
+                              _taylor_losses, partial(_TaylorSweep, control_vjp=_gain_vjp)),
 }
 
 KINDS = tuple(_KIND_TABLE)
@@ -879,7 +937,7 @@ def backward_step(spec, state, control, task, a_next):
         return _neuron_backward(state[0], *a, a_next[0])
     w = _pack(_one_step(state))
     sweep = kind.sweep(_shapes(state), w.shape[:-1], spec).load(w, _lone(a), np.zeros(1), [0.0])
-    state_vjp, loss_state = (_split(x, sweep.shapes) for x in sweep.vjp(0, _pack(a_next)))
+    state_vjp, loss_state = (_split(x, sweep.shapes) for x in sweep.adjoints(_pack(a_next), 0))
     ctrl_vjp, loss_ctrl = sweep.contract()
     return state_vjp, _first(ctrl_vjp, control), loss_state, _first(loss_ctrl, control)
 
@@ -924,13 +982,19 @@ class _Plan:
     passes under a plan differ only in the control values.  optimize builds
     one plan (value._plan) and hands it to each integrate and grad_value
     call; a call without one builds its own.  It holds
-      runs       the step cuts and each run's task (_runs), and run_of, the
-                 run of each state, the terminal state taking the last;
-      series     whether the schedule gives each run a control (_series);
-      args       each run's args, made once when no series control varies
-                 them (init_weights or no schedule), else per call, one at() per run;
+      runs       the step cuts and each run's task (_runs), run_of, the
+                 run of each state, the terminal state taking the last, and
+                 times, the step grid each rollout copies;
+      series     whether the schedule gives each run a control (_series),
+                 and then segs, the segment of each run;
+      bases      each run's neutral args, made at the first call: the args
+                 where no series control varies them (init_weights or no
+                 schedule), else the base that the kind's series slot fills
+                 per call from one map of the schedule's values (args);
       bind       the forward kernel of the kind's flow slot, its buffers
-                 made once (None for the single neuron's float loop);
+                 made once (None for the single neuron's float loop), and
+                 flows, each state's bound flow, kept where the args are
+                 the bases;
       sweeper    per stack length, the kind's sweep, made once with its
                  buffers and per-step views and refilled per stack;
       stack      per stretch of states, its _Stack layout;
@@ -942,9 +1006,10 @@ class _Plan:
 
     def __init__(self, spec, task, schedule, weights=None):
         self.spec, self.kind, self.weights = spec, _KIND_TABLE[spec.kind], weights
-        self.runs = _runs(schedule, task, spec.n_steps)
+        self.runs, self.times = _runs(schedule, task, spec.n_steps), np.arange(spec.n_steps + 1) * spec.dt
         self.run_of = [r for r, (lo, hi, _) in enumerate(self.runs) for _ in range(lo, hi)] + [len(self.runs) - 1]
-        self.series, self._args = _series(schedule), None
+        self.series, self.bases, self.flows = _series(schedule), None, None
+        self.segs = schedule.segment_of(np.array([lo for lo, _, _ in self.runs])) if self.series else None
         self.batch = (len(task),) if is_task_set(task) else ()
         self.shapes = self.bind = None
         if self.kind.flow is not None:
@@ -954,12 +1019,14 @@ class _Plan:
         self._sweepers, self._stacks = {}, {}
 
     def args(self, schedule):
-        """Each run's args under `schedule`'s controls."""
-        args = self._args or [self.kind.args(schedule.at(lo) if self.series else None, t, self.spec)
-                              for lo, _, t in self.runs]
+        """Each run's args under `schedule`'s controls: the bases, filled by one series call under a series."""
+        if self.bases is None:
+            self.bases = [self.kind.args(None, t, self.spec) for _, _, t in self.runs]
         if not self.series:
-            self._args = args
-        return args
+            return self.bases
+        controls = tuple(v[self.segs] for v in schedule.values)
+        controls = controls if schedule.kind == "matrix_pair_series" else controls[0]
+        return self.kind.series(controls, self.bases, bool(self.batch))
 
     def stack(self, args, lo, hi):
         """The _Stack of states lo..hi-1 under each run's `args`."""
@@ -990,10 +1057,15 @@ class _Plan:
             raise ValueError(f"starting weights of shapes {_shapes(state)} do not fit the spec's {self.shapes}")
         n, scale = self.spec.n_steps, self.spec.dt / self.spec.tau_w
         rows = np.empty((n + 1, *self.batch, self.width))
-        rows[0] = _pack(state)  # a task set's start, one per task
         layers = _split(rows, self.shapes)
-        flows = [self.bind(a) for a in args]
-        flows = [flows[r] for r in self.run_of]
+        for layer, w in zip(layers, state):
+            layer[0] = w  # a task set's start, one per task
+        flows = self.flows
+        if flows is None:
+            flows = [self.bind(a) for a in args]
+            flows = [flows[r] for r in self.run_of]
+            if not self.series:
+                self.flows = flows
         # checked once per block of steps: a diverging rollout runs on to the end
         # of its block, where overflow is expected and kept silent
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1060,25 +1132,26 @@ def integrate(spec, schedule, task, state0=None, *, plan=None):
     plan = plan or _Plan(spec, task, schedule)
     args = plan.args(schedule)
     n = spec.n_steps
-    times = np.arange(n + 1) * spec.dt
+    times = plan.times.copy()
 
     if spec.kind == "single_neuron":
         # Python floats, run by run: each run hoists the leading products of
         # _neuron_loss_f and _neuron_flow, which Python evaluates first anyway,
         # so the bits are theirs
-        scale, lam = spec.dt / spec.tau_w, spec.reg_lambda
+        scale, lam, limit = spec.dt / spec.tau_w, spec.reg_lambda, DIVERGENCE_LIMIT
         half_lam = 0.5 * lam
         w = state[0]
         ws, losses = [w], []
+        keep_w, keep_loss = ws.append, losses.append
         try:  # a float square past the float range raises where an array would hold inf
             for (lo, hi, _), (gt, mu, x2, sy, _) in zip(plan.runs, args):
                 gt2, drive, decay = 2.0 * gt, mu * gt, x2 * gt * gt + lam
                 for i in range(lo, hi):
-                    losses.append(0.5 * (sy - gt2 * w * mu + x2 * (gt * w) ** 2) + half_lam * w * w)
+                    keep_loss(0.5 * (sy - gt2 * w * mu + x2 * (gt * w) ** 2) + half_lam * w * w)
                     w = w + scale * (drive - w * decay)
-                    if not abs(w) < DIVERGENCE_LIMIT:
+                    if not -limit < w < limit:  # a nan too
                         raise _divergence(abs(w), i)
-                    ws.append(w)
+                    keep_w(w)
             losses.append(_neuron_loss_f(w, gt, mu, x2, sy, lam))
         except OverflowError:
             raise _divergence(np.inf, len(losses)) from None  # the step whose loss overflowed

@@ -22,8 +22,13 @@ def check_finite(spec):
 
 
 def whole(name, value):
-    """The count `value` as an int; a bool, a fraction or a non-finite number is a ValueError naming `name`."""
-    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
+    """The count `value` as an int; a bool, a fraction, a non-finite number or one past the float range is a
+    ValueError naming `name`."""
+    try:
+        fraction = isinstance(value, (bool, np.bool_)) or not float(value).is_integer()
+    except OverflowError:
+        raise ValueError(f"{name} must be a whole number within the float range") from None
+    if fraction:
         raise ValueError(f"{name} must be a whole number, got {value}")
     return int(value)
 

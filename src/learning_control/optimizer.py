@@ -7,18 +7,19 @@ default) before declaring a stall, so the recorded V trace is non-decreasing
 by construction.  A trial whose rollout diverges, or whose V is not finite,
 counts as a rejection (V = -inf) and is halved like any other; divergence
 of the initial schedule's rollout, or a V or gradient of it that is not
-finite, raises a DivergenceError.  `adaptive_moments` is Adam's direction
-with Kingma & Ba's (2015) constants beta1 0.9, beta2 0.999 and eps 1e-8;
-projection onto box bounds happens after every update.
+finite, raises a DivergenceError, the V before its sweep runs.
+`adaptive_moments` is Adam's direction with Kingma & Ba's (2015) constants
+beta1 0.9, beta2 0.999 and eps 1e-8; projection onto box bounds happens
+after every update.
 
-Each rollout is integrated once: a line-search trial keeps its trajectory,
-and the accepted one goes straight to the adjoint sweep for the next
-gradient, with the packed rows and per-run args it carries.  Every candidate
-shares the initial schedule's layout, so optimize sets up once: one plan
-(value._plan) holds the step cuts and each run's task, the value weights,
-the forward kernel's buffers, the args where the control does not vary them,
-and one sweep per stack length, and every integrate and grad_value
-call takes it.  The trace keeps the rollouts of the initial and the final
+Each rollout is integrated and scored once: a line-search trial keeps its
+trajectory and V, and the accepted one goes straight to the adjoint sweep
+for the next gradient, with the packed rows and per-run args it carries.
+Every candidate shares the initial schedule's layout, so optimize sets up
+once: one plan (value._plan) holds the step cuts and each run's task, the
+value weights, the forward kernel's buffers, each run's neutral args and
+the bound flows where the control does not vary them, and one sweep per
+stack length, and every integrate and grad_value call takes it.  The trace keeps the rollouts of the initial and the final
 schedule for the caller.
 
 The ValueSpec given scores every trial and gradient, whatever the task: a
@@ -86,7 +87,7 @@ class OptTrace:
 
 
 def _tree_norm(arrays):
-    return float(np.sqrt(sum(float(np.sum(a * a)) for a in arrays)))
+    return math.sqrt(sum([float((a * a).sum()) for a in arrays]))
 
 
 def optimize(dspec, task, vspec, ospec, init_schedule):
@@ -102,7 +103,12 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
 
     cur = init_schedule.project()
     plan = _plan(dspec, task, vspec, cur)  # every candidate keeps cur's layout
-    v_cur, g_cur, first = grad_value(dspec, task, cur, vspec, plan=plan)
+    # V first, its overflow silent as the rollout's is: a V that is not finite
+    # is refused before the sweep, which would warn of it on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_cur, first = forward(cur)
+    if math.isfinite(v_cur):
+        v_cur, g_cur, first = grad_value(dspec, task, cur, vspec, traj=first, plan=plan, total=v_cur)
     if not (math.isfinite(v_cur) and all(np.isfinite(g).all() for g in g_cur)):
         raise DivergenceError(f"the initial schedule's V ({v_cur}) or its gradient is not finite: "
                               f"the value weights (eta {vspec.eta}, {vspec.cost}) overflow the float range")
@@ -133,9 +139,7 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
 
         alpha = ospec.alpha_g
         for _ in range(ospec.max_halvings + 1):
-            cand = cur.with_values(
-                tuple(val + alpha * d for val, d in zip(cur.values, direction))
-            ).project()
+            cand = cur.project(tuple(val + alpha * d for val, d in zip(cur.values, direction)))
             try:
                 v_cand, trial = forward(cand)
             except DivergenceError:
@@ -147,7 +151,7 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
             trace.stalled_at = k
             break
         cur = cand
-        v_cur, g_cur, rollout = grad_value(dspec, task, cur, vspec, traj=trial, plan=plan)
+        v_cur, g_cur, rollout = grad_value(dspec, task, cur, vspec, traj=trial, plan=plan, total=v_cand)
         elapsed = (time.perf_counter() - tick) * 1000.0
         trace.V.append(v_cur)
         trace.grad_norm.append(_tree_norm(g_cur))

@@ -15,11 +15,11 @@ Gradients come from one reverse (adjoint) sweep through the recorded states:
 exact for the discretized system, one forward plus one backward pass per
 evaluation regardless of how many control degrees of freedom there are.  A
 caller that already holds the schedule's trajectory (the optimizer's line
-search does) hands it over and pays for the backward pass alone, which reads
-the packed rows and per-run args the rollout carries.  optimize also hands
-over its plan (`_plan`, a dynamics._Plan with the value weights pw, cw, their
-float lists and each segment's cost weight), made once per optimize; a call
-without one builds its own.
+search does) hands it over, with its V, and pays for the backward pass
+alone, which reads the packed rows and per-run args the rollout carries.
+optimize also hands over its plan (`_plan`, a dynamics._Plan with the
+value weights pw, cw, their float lists and each segment's cost weight),
+made once per optimize; a call without one builds its own.
 Every array kind sweeps stacks of steps through one protocol, and a task
 set is rolled out once on a batch axis and swept once; its V and gradient
 are the sum of its tasks', in task order.  The single neuron's sweep is a
@@ -185,17 +185,18 @@ def _segment_total(losses, schedule, vspec, weights):
     """V from the losses and, for a series schedule, the cost of each segment.
 
     A task set's V is its tasks' values summed in task order, each from a
-    contiguous row of losses, as a lone task's would be.
+    contiguous row of losses, as a lone task's would be; the segments' costs
+    are made once for all of them.
     """
-    if losses.ndim == 2:
-        return sum(_segment_total(row, schedule, vspec, weights) for row in losses.T.copy())
-    total = -float(np.dot(weights.pw, losses))
-    if weights.seg is None:
-        return total
-    for c, w in zip(segment_costs(schedule.values, vspec.cost).tolist(), weights.seg):
-        if c != 0.0:
-            total -= c * w
-    return total
+    totals = [-float(np.dot(weights.pw, row)) for row in ((losses,) if losses.ndim == 1 else losses.T.copy())]
+    if weights.seg is not None:
+        costs = segment_costs(schedule.values, vspec.cost).tolist()
+        for k, total in enumerate(totals):
+            for c, w in zip(costs, weights.seg):
+                if c != 0.0:
+                    total -= c * w
+            totals[k] = total
+    return totals[0] if losses.ndim == 1 else sum(totals)
 
 
 def value(trajectory, schedule, vspec, dspec, *, plan=None):
@@ -240,7 +241,7 @@ def _task_sum(parts):
     return functools.reduce(operator.add, parts)
 
 
-def grad_value(dspec, task, schedule, vspec, state0=None, traj=None, *, plan=None):
+def grad_value(dspec, task, schedule, vspec, state0=None, traj=None, *, plan=None, total=None):
     """V and dV/d(schedule) by one adjoint sweep; also returns the trajectory.
 
     The gradient has exactly the structure of schedule.values (segment sums
@@ -248,14 +249,15 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None, *, plan=Non
     schedule do not enter: the derivative is of the unconstrained objective.
     `traj`, when given, must be the rollout of this schedule and task (from
     `state0`); the forward pass is then skipped and only the adjoint runs,
-    on the packed rows and args the rollout carries.  `plan` is optimize's
+    on the packed rows and args the rollout carries, and `total`, when given,
+    must be its V, which is then not scored again.  `plan` is optimize's
     (_plan): the step cuts, value weights and sweep buffers of this task and
     schedule layout; a call without one builds its own.
 
     The sweep goes over stacks of steps, last first, the last one ending at
-    the terminal state: only the adjoint recurrence loops per step, one
-    sweep.adjoint call on the packed adjoint row, and each stack's control
-    gradients are formed batched and added into the buffers in descending
+    the terminal state: only the adjoint recurrence loops per step, inside
+    one sweep.adjoints call per stack on the packed adjoint row, and each
+    stack's control gradients are formed batched and added into the buffers in descending
     step order.  A task set is swept once on its batch axis: V is its
     tasks' values and the gradient their gradients, each summed in task
     order (per step for a series schedule).  The single neuron takes the
@@ -267,12 +269,14 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None, *, plan=Non
         traj = dyn.integrate(dspec, schedule, task, state0=state0, plan=plan)
     if dspec.kind == "single_neuron" and dyn.is_task_set(task):  # the float sweep takes one task at a time
         parts = [grad_value(dspec, t, schedule, vspec, traj=tr) for t, tr in zip(task, traj.per_task())]
-        return sum(p[0] for p in parts), tuple(map(_task_sum, zip(*(p[1] for p in parts)))), traj
+        total = sum(p[0] for p in parts) if total is None else total
+        return total, tuple(map(_task_sum, zip(*(p[1] for p in parts)))), traj
     scale = dspec.dt / dspec.tau_w
     per_step = plan.series
     weights = plan.weights
     pw, cw = weights.pw, weights.cw
-    total = _segment_total(traj.losses, schedule, vspec, weights)
+    if total is None:
+        total = _segment_total(traj.losses, schedule, vspec, weights)
     cost_grads = None
     if per_step and vspec.cost.kind != "none":
         cost_grads = segment_cost_grads(schedule.values, vspec.cost)
@@ -286,8 +290,7 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None, *, plan=Non
     # from the terminal state, scored under the last control slice, down to state 0, on packed rows
     adj = np.zeros((*plan.batch, plan.width))
     for lo, hi, sweep in dyn.sweeps(traj, schedule, plan, pw, weights.pws):
-        for j in range(hi - lo - 1, -1, -1):
-            adj = sweep.adjoint(j, adj)
+        adj = sweep.adjoints(adj)
         if per_step:
             # as step by step, but a zero weight adds a signed zero, which the
             # buffers, summed from +0.0, absorb

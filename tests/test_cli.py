@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -471,6 +472,22 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1 and "not finite" in err
+
+    def test_an_int_past_the_float_range_is_a_config_error(self, capsys):
+        code = main(["run", "--preset", "single_neuron_effort", "-p", f"dynamics.n_steps={10**400}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "n_steps must be a whole number within the float range" in err
+
+    def test_overflowing_value_weights_end_before_any_sweep_warns(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--preset", "task_switch", "-p", "value.eta=1e308", "-p", "optimizer.iters=1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not finite" in err
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_any_other_package_error_maps_to_exit_2(self, monkeypatch, capsys):
         def refuse(cfg):

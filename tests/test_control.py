@@ -7,6 +7,7 @@ import pytest
 
 from learning_control.control import ControlSchedule, init_weights_control, segment_sumsq
 from learning_control.dynamics import TaskSchedule, step_runs
+from learning_control.errors import whole
 from learning_control.tasks import two_gaussian_moments
 
 TASK = two_gaussian_moments(1.0, 0.3)
@@ -101,6 +102,12 @@ class TestScheduleConstruction:
     def test_rejects_a_fractional_or_bool_channel_count(self, n_channels, got):
         with pytest.raises(ValueError, match=f"n_channels must be a whole number, got {got}"):
             ControlSchedule.neutral("engagement_series", 4, n_channels=n_channels)
+
+    def test_an_int_past_the_float_range_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="n_steps must be a whole number within the float range"):
+            whole("n_steps", 10**400)
+        with pytest.raises(ValueError, match="segment must be a whole number within the float range"):
+            ControlSchedule.neutral("scalar_series", 4, segment=-(10**400))
 
     def test_a_whole_channel_count_of_another_type_is_accepted(self):
         sched = ControlSchedule.neutral("category_series", 4, segment=2, n_channels=3.0)

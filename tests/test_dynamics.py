@@ -1263,6 +1263,61 @@ class TestStackedKernels:
         assert str(err.value).startswith(step_by_step)
 
 
+# --- a plan's args: one map of the schedule's values against one at() per run ---
+
+SERIES_KINDS = [kind for kind, entry in dynamics._KIND_TABLE.items() if entry.reads]
+
+
+def series_case(kind, variant):
+    """stack_case's (spec, task, schedule), and the single neuron's under a random scalar series."""
+    if kind != "single_neuron":
+        return stack_case(kind, variant)
+    n, segment, period, lam, _ = STACK_VARIANTS[variant]
+    spec = neuron_spec(n_steps=n, reg_lambda=lam)
+    tasks = [NEURON_TASK, two_gaussian_moments(2.0, 0.5)]
+    task = tasks[0] if period is None else TaskSchedule(tasks=tasks, period_steps=period, n_steps=n)
+    gains = np.random.default_rng(5).uniform(-0.5, 1.0, -(-n // segment))
+    return spec, task, ControlSchedule(kind="scalar_series", values=(gains,), n_steps=n, segment=segment)
+
+
+def assert_same_entry(got, want):
+    """`got` is `want` entry by entry: equal arrays, equal numbers and the same objects, each of want's type."""
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_entry(g, w)
+    elif isinstance(want, np.ndarray):
+        assert got.shape == want.shape and got.dtype == want.dtype and np.array_equal(got, want)
+    else:
+        assert got is want or got == want
+
+
+@pytest.mark.parametrize("variant", ["one_task", "switching"])
+@pytest.mark.parametrize("kind", SERIES_KINDS)
+def test_a_plans_args_are_each_runs_args_of_its_at_slice(kind, variant):
+    spec, task, sched = series_case(kind, variant)
+    plan = dynamics._Plan(spec, task, sched)
+    if variant == "switching":  # a task switch cuts a run inside a segment
+        assert any(lo % sched.segment for lo, _, _ in plan.runs)
+    entry = dynamics._KIND_TABLE[kind]
+    want = [entry.args(sched.at(lo), t, spec) for lo, _, t in plan.runs]
+    got = plan.args(sched)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_entry(g, w)
+
+
+@pytest.mark.parametrize("kind", [kind for kind in SERIES_KINDS if kind != "single_neuron"])
+def test_a_task_sets_plan_args_are_each_runs_args_of_its_at_slice(kind):
+    spec, _, sched = stack_case(kind, "one_task")
+    tasks = dynamics.TaskSet(STACK_KINDS[kind][4]())
+    plan = dynamics._Plan(spec, tasks, sched)
+    entry = dynamics._KIND_TABLE[kind]
+    for g, w in zip(plan.args(sched), [entry.args(sched.at(lo), tasks, spec) for lo, _, _ in plan.runs], strict=True):
+        assert_same_entry(g, w)
+
+
 def first_divergence(spec, tasks):
     """The start of the divergence message, and each layer's peak over the tasks, at the first bad step.
 

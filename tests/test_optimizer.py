@@ -215,7 +215,13 @@ class TestNonFiniteObjective:
             optimize(dspec, task, cfg.value, cfg.optimizer, sched)
 
     def test_a_trial_scored_infinite_is_a_rejection(self, monkeypatch):
-        monkeypatch.setattr(optimizer, "value", lambda *args, **kw: math.inf)
+        scored, real_value = [], optimizer.value
+
+        def infinite_after_the_start(*args, **kw):  # the initial schedule's V is scored first, as it is
+            scored.append(1)
+            return real_value(*args, **kw) if len(scored) == 1 else math.inf
+
+        monkeypatch.setattr(optimizer, "value", infinite_after_the_start)
         sched, trace = optimize(neuron_spec(), TASK, VSPEC, OptimizerSpec(iters=3, max_halvings=2), neutral())
         assert trace.stalled_at == 0 and len(trace.V) == 1
         assert np.array_equal(sched.values[0], neutral().values[0])
@@ -317,12 +323,12 @@ class TestRolloutsOwnTheirStates:
 
 
 class TestSetUpOnce:
-    """optimize sets up once: it cuts the schedule once per rollout and the adjoint sweeps read the rollout's args.
+    """optimize sets up once: it maps the schedule once per rollout and the adjoint sweeps read the rollout's args.
 
     Counts only; nothing here times anything.
     """
 
-    def test_one_task_switch_iteration_takes_one_at_per_segment_per_rollout(self, monkeypatch):
+    def test_one_task_switch_iteration_takes_no_at_call(self, monkeypatch):
         from learning_control.experiments import build, preset
 
         cfg = preset("task_switch")
@@ -346,6 +352,6 @@ class TestSetUpOnce:
         monkeypatch.setattr(dynamics, "integrate", counted_integrate)
         monkeypatch.setattr(optimizer, "grad_value", counted_grad)
         _, trace = optimize(spec, task, cfg.value, OptimizerSpec(alpha_g=cfg.optimizer.alpha_g, iters=1), sched)
-        assert len(trace.V) == 2 and calls["swept"] == 1  # the accepted trial went to the sweep
+        assert len(trace.V) == 2 and calls["swept"] == 2  # the initial rollout and the accepted trial went to the sweep
         assert calls["integrate"] >= 2
-        assert calls["at"] == sched.n_segments * calls["integrate"]
+        assert calls["at"] == 0  # each rollout maps the schedule's values at once

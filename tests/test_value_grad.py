@@ -504,7 +504,7 @@ class TestEvaluateValue:
 
 
 class TestPerStepTables:
-    """A pass builds its per-step controls once: one at() call per run, here one per segment."""
+    """A pass reads its per-run controls from one map of the schedule's values, with no at() call."""
 
     def setup_method(self):
         self.spec = neuron_spec(dt=0.01, n_steps=3000, tau_w=1.0)
@@ -531,13 +531,13 @@ class TestPerStepTables:
         )
         assert count <= self.sched.n_segments
 
-    def test_a_task_switch_inside_a_segment_takes_one_at_call_per_run(self, monkeypatch):
+    def test_a_task_switch_inside_a_segment_takes_no_at_call(self, monkeypatch):
         tasks = TaskSchedule([NEURON_TASK, two_gaussian_moments(2.0, 1.0)], period_steps=45, n_steps=3000)
         runs = dynamics.step_runs(self.sched, tasks, 3000)
         assert len(runs) > self.sched.n_segments
         for fn in (lambda: integrate(self.spec, self.sched, tasks),
                    lambda: grad_value(self.spec, tasks, self.sched, self.vspec)):
-            assert self.count_at_calls(monkeypatch, fn) == len(runs)
+            assert self.count_at_calls(monkeypatch, fn) == 0
 
     def test_value_reads_no_per_step_slices(self, monkeypatch):
         traj = integrate(self.spec, self.sched, NEURON_TASK)
