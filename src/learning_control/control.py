@@ -117,10 +117,6 @@ class ControlSchedule:
     def n_segments(self):
         return -(-self.n_steps // self.segment)
 
-    def segment_index(self, step):
-        """The segment of one step, for at(), which runs once per run: np.minimum on an int costs 6x Python's min."""
-        return min(step // self.segment, self.n_segments - 1)
-
     def segment_of(self, steps):
         """The segment of each step of an int array; step n_steps, the terminal state, is in the last segment."""
         return np.minimum(steps // self.segment, self.n_segments - 1)
@@ -134,7 +130,7 @@ class ControlSchedule:
         """
         if self.kind == "init_weights":
             return None
-        s = self.segment_index(step)
+        s = min(step // self.segment, self.n_segments - 1)
         if self.kind == "scalar_series":
             return float(self.values[0][s])
         if self.kind == "matrix_pair_series":

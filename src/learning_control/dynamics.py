@@ -38,12 +38,12 @@ per stack length, made once with its buffers and per-step views, whose
 the adjoint, leaving `adjoints(a)` as the recurrence over the stack's steps
 on the packed adjoint row, looped in one call, and `contract()` as the
 batched control VJPs.  Every pass -- the rollout, the sweeps, the sampled
-twin's score and the closed forms -- is cut as `step_runs` cuts it, into
-runs, stretches of steps sharing one control slice and task (a segment, cut
+twin and the closed forms -- is cut as `_runs` cuts it, into runs,
+stretches of steps sharing one control slice and task (a segment, cut
 again at each task switch); `args`, what the slots read, is made for every
-run of a pass at once by the `series` slot, from one map of the schedule's
-values over each run's neutral args (the closed forms and the sampled twin
-take one schedule.at() per run, through step_runs).  A `_Plan` holds all a
+run of a pass at once by the `series` slot, the one way a control gets into
+args, from one map of the schedule's values over each run's neutral args
+(the `base` slot's), so no pass calls schedule.at().  A `_Plan` holds all a
 pass sets up that the control values do not change -- the cuts, the
 neutral args, the kernel's buffers, the sweeps, and the bound flows where
 no series control varies the args -- so optimize, which moves only the
@@ -54,18 +54,19 @@ sweep lets go of them once swept.  The sampled twin integrates over per-step bat
 moments and is scored again under the real task, except for
 nonlinear_taylor's sampled tanh network.  The
 one-step API, `expected_loss`, `_rhs` and `backward_step`, applies the slots
-to a one-step stack; tests check the passes against it.  The linear two-layer
+to a one-step stack under the series args of a one-run stack of its control
+slice; tests check the passes against it.  The linear two-layer
 kinds share one kernel, for a row and a stack of rows alike, which fills
 fixed buffers and runs each elementwise op once on the packed row, not once
-per layer.  They hold only two maps: forward from a control slice (or a
-stack of them) to the kernel's channels (packed gains, dvec, rate) --
+per layer.  They hold only two maps: forward from a stack of control
+slices to the kernel's channels (packed gains, dvec, rate) --
 layer gains, error-row scales, a boost of the whole right-hand side -- and
 back from a swept stack to the control-shaped VJPs.  An absent channel skips its multiplication or
 multiplies by 1.0, as a neutral one does, which IEEE makes exact, so neutral
 schedules reproduce the baseline bit for bit; tests rely on that.  The
 single neuron bypasses the table in `integrate` and `value.grad_value` for
 Python-float loops over the runs, each run's constants hoisted; its entry
-holds only float args, series and losses, and its one-step API the float
+holds only float base, series and losses, and its one-step API the float
 helpers, whose bits the loops keep.  A stack runs the same products and reductions
 on the same operands as its steps one at a time, so it gives their bits.  A
 task set (same-shape tasks from one start; a TaskSet stacks their moments
@@ -275,13 +276,12 @@ def _map_losses(m_eff, sx, sxy_t, tr_sy, weights, lam):
 # --- single neuron ----------------------------------------------------------
 
 
-def _neuron_args(control, task, spec):
-    """(g~, mu, x2, sy, lambda), g~ = 1 + g (no control is g = 0) and the task's moments as Python floats.
+def _neuron_base(task, spec):
+    """(g~, mu, x2, sy, lambda) under no control, g~ = 1.0, and the task's moments as Python floats.
 
     They are the arguments of the float helpers below after the weight.
     """
-    return (1.0 + (0.0 if control is None else control), float(task.sigma_xy[0, 0]), float(task.sigma_x[0, 0]),
-            float(task.sigma_y[0, 0]), spec.reg_lambda)
+    return 1.0, float(task.sigma_xy[0, 0]), float(task.sigma_x[0, 0]), float(task.sigma_y[0, 0]), spec.reg_lambda
 
 
 # The float helpers are the single neuron's entry; the float loops in integrate
@@ -366,39 +366,25 @@ def _gather(stack, *fields):
     })
 
 
-def _on_batch(x):
-    """A control field of a task set's args: an array gets a length-1 batch axis."""
-    return x[None] if isinstance(x, np.ndarray) else x
-
-
-def _moment_args(channels):
-    """The args maker of a kind driven by the task's moments, from channels(control, task) -> (g, dcol, boost).
-
-    channels maps a control slice, or a stack of them on leading axes, to the channels of each.
-    """
-
-    def args(control, task, spec):
-        if is_task_set(task):
-            ts = TaskSet(task)
-            return _PairArgs(*map(_on_batch, channels(control, task[0])), ts.sx, ts.sxy_t, ts.tr_sy,
-                             spec.reg_lambda, _on_batch(control), task[0])
-        return _PairArgs(*channels(control, task), task.sigma_x, task.sigma_xy.T, float(task.sigma_y.trace()),
-                         spec.reg_lambda, control, task)
-
-    return args
+def _moment_base(task, spec):
+    """The neutral args of a kind driven by the task's moments: no channels and no control slice."""
+    if is_task_set(task):
+        ts = TaskSet(task)
+        return _PairArgs(None, None, None, ts.sx, ts.sxy_t, ts.tr_sy, spec.reg_lambda, None, task[0])
+    return _PairArgs(None, None, None, task.sigma_x, task.sigma_xy.T, float(task.sigma_y.trace()), spec.reg_lambda,
+                     None, task)
 
 
 def _series_args(channels):
-    """The series slot of a kind driven by the task's moments, from its channels map: see _Kind."""
+    """The series slot of a kind driven by the task's moments, from channels(controls, task) -> (g, dcol, boost).
+
+    channels maps a stack of slices to a stack per channel (None where absent); a run's ctrl is its row of the stack.
+    """
 
     def series(controls, bases, batched):
         chans = channels(controls, bases[0].task)
         stacks = {f: c[:, None] if batched else c for f, c in zip(("g", "dcol", "boost"), chans) if c is not None}
-        # each run's control slice as at() gives it, on a task set's batch axis as args puts it
-        if isinstance(controls, tuple):
-            ctrls = list(zip(*controls))
-        else:
-            ctrls = controls.tolist() if controls.ndim == 1 else list(controls[:, None] if batched else controls)
+        ctrls = list(zip(*controls)) if isinstance(controls, tuple) else list(controls[:, None] if batched else controls)
         return [b._replace(ctrl=c, **dict(zip(stacks, row))) for b, c, *row in zip(bases, ctrls, *stacks.values())]
 
     return series
@@ -584,20 +570,17 @@ class _PairSweep(_Sweep):
 def _pair_kind(reads, channels, control_vjp=None):
     """Entry of a linear two-layer kind from the controls it reads and its two maps.
 
-    channels(control, task) -> (packed g~, dcol, boost) feeds the kernel;
+    channels(controls, task) -> (packed g~, dcol, boost) feeds the kernel;
     control_vjp(sweep) -> per-step stacks of the control's arrays, read from
     the sweep's kernel buffers and the adjoint keeps (`sa` the adjoints a,
     `sabb` the gained maps' adjoints, `edb` the error's).
     """
-    return _Kind(2, reads, _moment_args(channels), _series_args(channels), _pair_flows, _moment_losses,
+    return _Kind(2, reads, _moment_base, _series_args(channels), _pair_flows, _moment_losses,
                  partial(_PairSweep, control_vjp=control_vjp))
 
 
-_NO_CHANNELS = (None, None, None)
-
-
-def _gain_channels(control, task):
-    return _NO_CHANNELS if control is None else (_pack((1.0 + control[0], 1.0 + control[1])), None, None)
+def _gain_channels(controls, task):
+    return _pack((1.0 + controls[0], 1.0 + controls[1])), None, None
 
 
 def _gain_vjp(sweep):
@@ -605,7 +588,7 @@ def _gain_vjp(sweep):
     return _split(sweep.sa * sweep.up + sweep.sabb * sweep.w, sweep.shapes)
 
 
-def _engagement_channels(control, task):
+def _engagement_channels(controls, task):
     """Per-task error scaling on a block-composed task.
 
     Scaling the error rows of each task's output block by its engagement
@@ -613,14 +596,12 @@ def _engagement_channels(control, task):
     because each task's targets occupy disjoint output rows while the input
     covariance is shared.
     """
-    if control is None:
-        return _NO_CHANNELS
     if task.blocks is None:
         raise ValueError("engagement dynamics need a block-composed task")
-    sizes, control = task.blocks.output_sizes(), np.asarray(control, dtype=float)
-    if control.shape[-1] != len(sizes):
-        raise ValueError(f"engagement vector length {control.shape[-1]} != task count {len(sizes)}")
-    return None, np.repeat(control, sizes, axis=-1)[..., None], None
+    sizes = task.blocks.output_sizes()
+    if controls.shape[-1] != len(sizes):
+        raise ValueError(f"engagement vector length {controls.shape[-1]} != task count {len(sizes)}")
+    return None, np.repeat(controls, sizes, axis=-1)[..., None], None
 
 
 def _row_vjp(sweep):
@@ -633,22 +614,18 @@ def _engagement_vjp(sweep):
     return (np.add.reduceat(_row_vjp(sweep), bounds[:-1], axis=-1),)
 
 
-def _category_channels(control, task):
-    if control is None:
-        return _NO_CHANNELS
-    phi = np.asarray(control, dtype=float)
+def _category_channels(phi, task):
     if phi.shape[-1] != task.output_dim:
         raise ValueError(f"class engagement length {phi.shape[-1]} != output dim {task.output_dim}")
     return None, (phi * phi)[..., None], None
 
 
 def _category_vjp(sweep):
-    phi = _gather(sweep.stack, "ctrl").ctrl
-    return (2.0 * np.asarray(phi, dtype=float) * _row_vjp(sweep),)
+    return (2.0 * _gather(sweep.stack, "ctrl").ctrl * _row_vjp(sweep),)
 
 
-def _rate_channels(control, task):
-    return _NO_CHANNELS if control is None else (None, None, (1.0 + np.asarray(control, dtype=float))[..., None])
+def _rate_channels(controls, task):
+    return None, None, (1.0 + controls)[..., None]
 
 
 def _rate_vjp(sweep):
@@ -659,13 +636,10 @@ def _rate_vjp(sweep):
 # --- single layer -----------------------------------------------------------
 
 
-def _layer_channels(control, task):
-    gain = control[0] if isinstance(control, tuple) else control
-    if gain is None:
-        return _NO_CHANNELS
-    g = 1.0 + np.asarray(gain, dtype=float)
-    g = g[..., None, None] if g.ndim < 2 else g  # a scalar gain, or a stack of them
-    return np.broadcast_to(g, (*g.shape[:-2], task.output_dim, task.input_dim)).reshape(*g.shape[:-2], -1), None, None
+def _layer_channels(controls, task):
+    g = 1.0 + (controls[0] if isinstance(controls, tuple) else controls)
+    g = g[:, None, None] if g.ndim == 1 else g  # a stack of scalar gains, as the single neuron's closed form gives
+    return np.broadcast_to(g, (len(g), task.output_dim, task.input_dim)).reshape(len(g), -1), None, None
 
 
 def _layer_flows(shapes, lead):
@@ -696,16 +670,16 @@ def _layer_sweep(shapes, lead, spec):
 # nonlinear_taylor's args: packed gains g~ (None where absent), the nonlinearity's
 # (f, fp, fpp), the means <x> and <y> as columns, the input covariance
 # S = Sx - <x><x>^T, R = Sxy^T - <y><x>^T, Sxy, tr Sy, lambda, the control slice
-# and task; a task set's stacked on a batch axis, as _moment_args does.
+# and task; a task set's stacked on a batch axis, as _moment_base does.
 _TaylorArgs = namedtuple("_TaylorArgs", "g nl mcol ycol s r sxy tr_sy lam ctrl task")
 
 
-def _taylor_args(control, task, spec):
+def _taylor_base(task, spec):
     task = TaskSet(task) if is_task_set(task) else task
-    a = _moment_args(_gain_channels)(control, task, spec)
+    a = _moment_base(task, spec)
     mcol, ycol, mrow = task.mean_x[..., :, None], task.mean_y[..., :, None], task.mean_x[..., None, :]
-    return _TaylorArgs(a.g, _NONLIN[spec.nonlinearity], mcol, ycol, a.sx - mcol * mrow, a.sxy_t - ycol * mrow,
-                       _mT(a.sxy_t), a.tr_sy, a.lam, a.ctrl, a.task)
+    return _TaylorArgs(None, _NONLIN[spec.nonlinearity], mcol, ycol, a.sx - mcol * mrow, a.sxy_t - ycol * mrow,
+                       _mT(a.sxy_t), a.tr_sy, a.lam, None, a.task)
 
 
 def _expand(a_mat, a):
@@ -849,26 +823,26 @@ class _TaylorSweep(_Sweep):
 
 # One dynamics kind: its layer count, the series control kinds its channels read
 # (None: it reads no control), and the slots the module docstring describes,
-# args(control, task, spec), series(controls, bases, batched), flow(shapes, lead)(args)(w),
+# base(task, spec), series(controls, bases, batched), flow(shapes, lead)(args)(w),
 # losses(layers, stack, spec) (stack a _Stack) and sweep(shapes, lead, spec).load(w, stack,
-# pw, pws).  series gives every run's args at once, each equal to args(its slice, its task,
-# spec): controls stacks the runs' slices on a leading axis (a tuple of stacks for a matrix
-# pair), bases holds their neutral args(None, task, spec), batched says a task set.  The
-# single neuron's entry holds only float args, series and losses behind its float loops.
+# pw, pws).  base gives a run's neutral args.  series, the one way a control gets into args,
+# gives every run's args at once: controls stacks the runs' slices on a leading axis (a tuple
+# of stacks for a matrix pair), bases holds their base args, batched says a task set.  The
+# single neuron's entry holds only float base, series and losses behind its float loops.
 # single_layer reads none: no scenario builds its one-matrix gains, and it has no adjoint.
-_Kind = namedtuple("_Kind", "layers reads args series flow losses sweep")
+_Kind = namedtuple("_Kind", "layers reads base series flow losses sweep")
 
 _KIND_TABLE = {
-    "single_neuron": _Kind(1, ("scalar_series",), _neuron_args, _neuron_series, None, lambda layers, stack, spec:
+    "single_neuron": _Kind(1, ("scalar_series",), _neuron_base, _neuron_series, None, lambda layers, stack, spec:
                            np.array([_neuron_loss_f(w, *stack.args[p]) for w, p in zip(layers[0], stack.pos)]), None),
-    "single_layer": _Kind(1, (), _moment_args(_layer_channels), _series_args(_layer_channels), _layer_flows,
-                          _moment_losses, _layer_sweep),
-    "two_layer_baseline": _pair_kind(None, lambda control, task: _NO_CHANNELS),
+    "single_layer": _Kind(1, (), _moment_base, _series_args(_layer_channels), _layer_flows, _moment_losses,
+                          _layer_sweep),
+    "two_layer_baseline": _pair_kind(None, lambda controls, task: (None, None, None)),
     "gain_mod": _pair_kind(("matrix_pair_series",), _gain_channels, _gain_vjp),
     "engagement": _pair_kind(("engagement_series",), _engagement_channels, _engagement_vjp),
     "category_engagement": _pair_kind(("category_series",), _category_channels, _category_vjp),
     "lr_mod": _pair_kind(("scalar_series",), _rate_channels, _rate_vjp),
-    "nonlinear_taylor": _Kind(2, ("matrix_pair_series",), _taylor_args, _series_args(_gain_channels), _taylor_flows,
+    "nonlinear_taylor": _Kind(2, ("matrix_pair_series",), _taylor_base, _series_args(_gain_channels), _taylor_flows,
                               _taylor_losses, partial(_TaylorSweep, control_vjp=_gain_vjp)),
 }
 
@@ -897,6 +871,16 @@ def _first(stacks, control):
     return float(row) if np.ndim(row) == 0 else row
 
 
+def _slice_args(control, task, spec):
+    """The args of one control slice (None: the base), as the kind's series gives them to a one-run stack."""
+    kind = _KIND_TABLE[spec.kind]
+    base = kind.base(task, spec)
+    if control is None:
+        return base
+    parts = tuple(np.asarray(c, dtype=float)[None] for c in (control if isinstance(control, tuple) else (control,)))
+    return kind.series(parts if isinstance(control, tuple) else parts[0], [base], is_task_set(task))[0]
+
+
 def expected_loss(state, control, task, spec):
     """Exact expected loss (plus weight decay) at a state under a control slice.
 
@@ -904,13 +888,13 @@ def expected_loss(state, control, task, spec):
     neutral.  Engagement-style controls never alter the loss, only learning.
     """
     kind = _KIND_TABLE[spec.kind]
-    return float(kind.losses(_one_step(state), _lone(kind.args(control, task, spec)), spec)[0])
+    return float(kind.losses(_one_step(state), _lone(_slice_args(control, task, spec)), spec)[0])
 
 
 def _rhs(spec, state, control, task):
     """Flow h(state, control) of the spec's kind, same structure as the state: the kind's flow at its packed row."""
     kind = _KIND_TABLE[spec.kind]
-    a = kind.args(control, task, spec)
+    a = _slice_args(control, task, spec)
     if kind.flow is None:
         return (_neuron_flow(state[0], *a),)
     shapes = _shapes(state)
@@ -932,7 +916,7 @@ def backward_step(spec, state, control, task, a_next):
     stack, on packed rows (the single neuron's float helper).
     """
     kind = _KIND_TABLE[spec.kind]
-    a = kind.args(control, task, spec)
+    a = _slice_args(control, task, spec)
     if kind.sweep is None:
         return _neuron_backward(state[0], *a, a_next[0])
     w = _pack(_one_step(state))
@@ -953,7 +937,11 @@ def _series(schedule):
 
 
 def _runs(schedule, task, n):
-    """(lo, hi, task) of each run of the `n` steps: step_runs' cut.  A series schedule must cover the `n` steps."""
+    """(lo, hi, task) of each run of the `n` steps, the one place a pass is cut.
+
+    A run is a stretch of steps sharing one control slice and one task: a segment, cut again at each
+    task switch.  A series schedule must cover the `n` steps.
+    """
     series = _series(schedule)
     if series and schedule.n_steps != n:
         raise ValueError(f"schedule covers {schedule.n_steps} steps but dynamics run {n}")
@@ -961,18 +949,6 @@ def _runs(schedule, task, n):
     segment = schedule.segment if series else n
     cuts = sorted({n, *range(0, n, segment), *range(0, n, task.period_steps if switching else n)})
     return [(lo, hi, task.task_at(lo) if switching else task) for lo, hi in zip(cuts, cuts[1:])]
-
-
-def step_runs(schedule, task, n):
-    """(lo, hi, control, task) of each run of the `n` steps: the one place a pass is cut.
-
-    A run is a stretch of steps sharing one control slice and one task: a
-    segment, cut again at each task switch.  Each run takes one
-    schedule.at() and one task_at().  The control is None without a
-    schedule and for init_weights (it acts through the state).  A series
-    schedule must cover the `n` steps.
-    """
-    return [(lo, hi, schedule.at(lo) if _series(schedule) else None, t) for lo, hi, t in _runs(schedule, task, n)]
 
 
 class _Plan:
@@ -1021,7 +997,7 @@ class _Plan:
     def args(self, schedule):
         """Each run's args under `schedule`'s controls: the bases, filled by one series call under a series."""
         if self.bases is None:
-            self.bases = [self.kind.args(None, t, self.spec) for _, _, t in self.runs]
+            self.bases = [self.kind.base(t, self.spec) for _, _, t in self.runs]
         if not self.series:
             return self.bases
         controls = tuple(v[self.segs] for v in schedule.values)
@@ -1213,7 +1189,8 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
     class_counts, when given, is an (n_steps, n_classes) integer array: each
     step's batch is drawn with exactly those per-class counts and the update
     uses the plain uncontrolled linear kernel (batch composition is the
-    control).  Each step takes the control slice of its run of step_runs.
+    control).  Both branches read one _Plan of the spec, task and schedule:
+    the tanh network takes each state's packed gains from its run's args.
     """
     from .tasks import sample_batch, sample_class_batch
 
@@ -1227,6 +1204,8 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
     if class_counts is not None and len(class_counts) != n:
         raise ValueError(f"class_counts has {len(class_counts)} rows but dynamics run {n} steps")
     schedule, state = _start(spec, schedule)
+    plan = _Plan(spec, task, schedule)
+    args = plan.args(schedule)
     rng = np.random.default_rng(seed)
     if class_counts is None:
         batches = [sample_batch(task, batch_size, rng) for _ in range(n)]
@@ -1237,32 +1216,29 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
         moments = TaskSchedule([_EmpiricalMoments(x, y, task.blocks) for x, y in batches], 1, n)
         rspec, rsched = (spec, schedule) if class_counts is None else (replace(spec, kind="two_layer_baseline"), None)
         layers = integrate(rspec, rsched, moments, state).layers
-        plan = _Plan(spec, task, schedule)
-        losses = plan.kind.losses(layers, plan.stack(plan.args(schedule), 0, n + 1), spec)
+        losses = plan.kind.losses(layers, plan.stack(args, 0, n + 1), spec)
         return Trajectory(np.arange(n + 1) * spec.dt, layers, losses, spec.kind)
 
     f, fp, _ = _NONLIN[spec.nonlinearity]
     key = [int(s) for s in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
     ex, ey = sample_batch(task, eval_batch, np.random.default_rng(key + [0x5EED]))
     lam, scale = spec.reg_lambda, spec.dt / spec.tau_w
-    ctrls = [c for lo, hi, c, _ in step_runs(schedule, task, n) for _ in range(lo, hi)]
+    gains = None if args[0].g is None else np.stack([a.g for a in args])[plan.run_of]  # each state's, packed
     states = [state]
-    for i, ((x, y), ctrl) in enumerate(zip(batches, ctrls)):
-        gts = (None, None) if ctrl is None else [1.0 + g for g in ctrl]
-        a_mat, b_mat = (w if gt is None else gt * w for w, gt in zip(state, gts))
+    for i, (x, y) in enumerate(batches):
+        g = None if gains is None else gains[i]
+        a_mat, b_mat = _gained(state, g)
         u = x @ a_mat.T
         fu = f(u)
         resid = y - fu @ b_mat.T
         grads = (((resid @ b_mat) * fp(fu)).T @ x / x.shape[0], resid.T @ fu / x.shape[0])
-        hs = (h if gt is None else h * gt for h, gt in zip(grads, gts))
-        state = tuple(w + scale * (h - lam * w) for w, h in zip(state, hs))
+        state = tuple(w + scale * (h - lam * w) for w, h in zip(state, _gained(grads, g)))
         _check_divergence(_one_step(state), i)
         states.append(state)
 
     # the states scored on the evaluation batch DIVERGENCE_BLOCK at a time, which bounds the temporaries
     layers = tuple(np.array(ws) for ws in zip(*states))
-    ctrls.append(ctrls[-1])
-    gained = layers if ctrls[0] is None else tuple((1.0 + np.array(g)) * w for g, w in zip(zip(*ctrls), layers))
+    gained = _gained(layers, gains)
     losses = []
     for lo in range(0, n + 1, DIVERGENCE_BLOCK):
         a_mat, b_mat = (m[lo : lo + DIVERGENCE_BLOCK] for m in gained)
@@ -1293,7 +1269,7 @@ def closed_form_single_layer(g_schedule, task, spec, times):
 
     Row-major flattening turns the gained flow into dw/dt = (b - A w)/tau with
     A = D (I kron sigma_x) D + lambda I and D = diag of the kind's own
-    flattened gains (_layer_channels).  A is symmetric, so each run of
+    flattened gains, each run's args' g (_Plan).  A is symmetric, so each run of
     constant gain is propagated exactly in its eigenbasis
     (linalg.propagate_affine), a stiff run included.  One pass over the runs
     stores the state at each run's start; a probe at time t is carried from
@@ -1310,19 +1286,18 @@ def closed_form_single_layer(g_schedule, task, spec, times):
     base = np.kron(np.eye(spec.output_dim), 0.5 * (task.sigma_x + task.sigma_x.T))
     drive = task.sigma_xy.T.reshape(-1)
 
-    def advance(w, ctrl, duration):
-        g = _layer_channels(ctrl, task)[0]
-        g = np.ones(size) if g is None else g
+    def advance(w, a, duration):
+        g = np.ones(size) if a.g is None else a.g
         rate = (g[:, None] * base * g + spec.reg_lambda * np.eye(size)) / spec.tau_w
         phi, off = propagate_affine(rate, g * drive / spec.tau_w, duration)
         return phi @ w + off
 
-    los, his, ctrls, _ = zip(*step_runs(g_schedule, None, spec.n_steps))
-    starts = np.array(los + (spec.n_steps,)) * spec.dt
+    plan = _Plan(spec, task, g_schedule)
+    args = plan.args(g_schedule)
+    starts = np.array([lo for lo, _, _ in plan.runs] + [spec.n_steps]) * spec.dt
     states = [initial_state(spec)[0].reshape(-1)]
-    for lo, hi, ctrl in zip(los, his, ctrls):
-        states.append(advance(states[-1], ctrl, (hi - lo) * spec.dt))
+    for (lo, hi, _), a in zip(plan.runs, args):
+        states.append(advance(states[-1], a, (hi - lo) * spec.dt))
     at = np.searchsorted(starts, times, side="right") - 1
-    landed = [states[-1] if k == len(ctrls) else advance(states[k], ctrls[k], t - starts[k])
-              for k, t in zip(at, times)]
+    landed = [states[-1] if k == len(args) else advance(states[k], args[k], t - starts[k]) for k, t in zip(at, times)]
     return np.array(landed).reshape(len(times), spec.output_dim, spec.input_dim)

@@ -87,7 +87,13 @@ class OptTrace:
 
 
 def _tree_norm(arrays):
-    return math.sqrt(sum([float((a * a).sum()) for a in arrays]))
+    """The 2-norm of all the arrays' entries; finite entries whose squares pass the float range are scaled first."""
+    with np.errstate(over="ignore"):
+        total = sum([float((a * a).sum()) for a in arrays])
+    if math.isinf(total) and all(np.isfinite(a).all() for a in arrays):
+        peak = max(float(np.abs(a).max(initial=0.0)) for a in arrays)
+        return peak * math.sqrt(sum([float(np.square(a / peak).sum()) for a in arrays]))
+    return math.sqrt(total)
 
 
 def optimize(dspec, task, vspec, ospec, init_schedule):
@@ -103,12 +109,12 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
 
     cur = init_schedule.project()
     plan = _plan(dspec, task, vspec, cur)  # every candidate keeps cur's layout
-    # V first, its overflow silent as the rollout's is: a V that is not finite
-    # is refused before the sweep, which would warn of it on the way
+    # V first, then its gradient, their overflow silent as the rollout's is: a V
+    # or gradient that is not finite is refused by name, not by a warning first
     with np.errstate(over="ignore", invalid="ignore"):
         v_cur, first = forward(cur)
-    if math.isfinite(v_cur):
-        v_cur, g_cur, first = grad_value(dspec, task, cur, vspec, traj=first, plan=plan, total=v_cur)
+        if math.isfinite(v_cur):
+            v_cur, g_cur, first = grad_value(dspec, task, cur, vspec, traj=first, plan=plan, total=v_cur)
     if not (math.isfinite(v_cur) and all(np.isfinite(g).all() for g in g_cur)):
         raise DivergenceError(f"the initial schedule's V ({v_cur}) or its gradient is not finite: "
                               f"the value weights (eta {vspec.eta}, {vspec.cost}) overflow the float range")

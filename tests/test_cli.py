@@ -7,6 +7,7 @@ point wires up.
 
 import gzip
 import json
+import math
 import os
 import re
 import subprocess
@@ -488,6 +489,27 @@ class TestRunCommand:
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1 and "not finite" in err
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    @pytest.mark.parametrize("scenario", ["single_neuron_effort", "category_engagement"])
+    def test_an_overflowing_cost_weight_ends_on_its_error_line_alone(self, scenario, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--preset", scenario, "-p", "value.cost.beta=1e308", "-p", "optimizer.iters=1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1 and "gradient is not finite" in err
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_a_gradient_whose_squares_overflow_has_a_finite_norm(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--preset", "sgd_validation", "-p", "value.eta=1e308", "-p", "optimizer.iters=1",
+                         "--out-dir", str(tmp_path), "--run-name", "r1"])
+        assert code == 0
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        rows = (tmp_path / "r1" / "trace.csv").read_text().splitlines()
+        norms = [float(row.split(",")[2]) for row in rows[1:]]
+        assert len(norms) == 2 and all(math.isfinite(x) and x > 1e154 for x in norms)
 
     def test_any_other_package_error_maps_to_exit_2(self, monkeypatch, capsys):
         def refuse(cfg):

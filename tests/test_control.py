@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from learning_control.control import ControlSchedule, init_weights_control, segment_sumsq
-from learning_control.dynamics import TaskSchedule, step_runs
+from learning_control.dynamics import DynamicsSpec, TaskSchedule, _Plan
 from learning_control.errors import whole
 from learning_control.tasks import two_gaussian_moments
 
@@ -66,7 +66,7 @@ class TestScheduleConstruction:
     def test_partial_trailing_segment(self):
         sched = ControlSchedule.neutral("scalar_series", n_steps=7, segment=3)
         assert sched.n_segments == 3
-        assert sched.segment_index(6) == 2
+        assert sched.with_values((np.array([0.0, 1.0, 2.0]),)).at(6) == 2.0
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown control kind"):
@@ -190,47 +190,53 @@ def random_schedule(kind, n_steps, segment, rng):
     return ControlSchedule(kind=kind, values=values, n_steps=n_steps, segment=segment)
 
 
-def assert_same_slice(a, b):
-    if isinstance(a, tuple):
-        assert isinstance(b, tuple) and len(a) == len(b)
+def assert_same_values(a, b):
+    """A run's ctrl, its row of the stacked values, holds the values of the at() slice `b`."""
+    if isinstance(b, tuple):
+        assert isinstance(a, tuple) and len(a) == len(b)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
     else:
-        assert type(a) is type(b)
         np.testing.assert_array_equal(a, b)
 
 
 SERIES_KINDS = ("scalar_series", "matrix_pair_series", "engagement_series", "category_series")
 
 
-class TestStepRuns:
-    """dynamics.step_runs, the one cut of a pass into runs, against at() and task_at()."""
+def run_plan(sched, task, n_steps):
+    """The _Plan of a two_layer_baseline spec, which runs under any control and keeps each run's slice as its ctrl."""
+    return _Plan(DynamicsSpec(kind="two_layer_baseline", input_dim=1, output_dim=1, hidden_dim=2, n_steps=n_steps),
+                 task, sched)
+
+
+class TestRunCut:
+    """dynamics._Plan's runs, the one cut of a pass, and each run's slice in its args, against at() and task_at()."""
 
     @pytest.mark.parametrize("n_steps, segment", [(12, 3), (11, 3), (5, 7), (4, 1)])
     @pytest.mark.parametrize("kind", SERIES_KINDS)
     def test_matches_at_stepwise(self, kind, n_steps, segment):
         sched = random_schedule(kind, n_steps, segment, np.random.default_rng(4))
-        runs = step_runs(sched, TASK, n_steps)
-        assert [(lo, hi) for lo, hi, _, _ in runs] == [(lo, min(lo + segment, n_steps)) for lo in range(0, n_steps, segment)]
-        for lo, hi, ctrl, task in runs:
+        plan = run_plan(sched, TASK, n_steps)
+        assert [(lo, hi) for lo, hi, _ in plan.runs] == [(lo, min(lo + segment, n_steps)) for lo in range(0, n_steps, segment)]
+        for (lo, hi, task), args in zip(plan.runs, plan.args(sched), strict=True):
             assert task is TASK
             for step in range(lo, hi):
-                assert_same_slice(ctrl, sched.at(step))
+                assert_same_values(args.ctrl, sched.at(step))
 
     def test_init_weights_and_no_schedule_give_none(self):
         sched = init_weights_control((np.ones((2, 2)), np.zeros((1, 2))))
-        assert step_runs(sched, TASK, 5) == step_runs(None, TASK, 5) == [(0, 5, None, TASK)]
+        for s in (sched, None):
+            plan = run_plan(s, TASK, 5)
+            assert plan.runs == [(0, 5, TASK)] and plan.args(s)[0].ctrl is None
 
-    def test_one_at_call_per_run(self, monkeypatch):
+    def test_a_task_switch_cuts_a_segment_whose_runs_share_its_slice(self):
         sched = random_schedule("scalar_series", 100, 7, np.random.default_rng(1))
-        calls = []
-        original = ControlSchedule.at
-        monkeypatch.setattr(ControlSchedule, "at", lambda self, step: calls.append(step) or original(self, step))
-        runs = step_runs(sched, replace(SWITCHING, n_steps=100), 100)
-        assert any(lo % 7 for lo, *_ in runs)  # task switches cut segments
-        assert calls == [lo for lo, *_ in runs]
-        for lo, _, ctrl, _ in runs:
-            assert_same_slice(ctrl, original(sched, lo // 7 * 7))
+        tasks = replace(SWITCHING, n_steps=100)
+        plan = run_plan(sched, tasks, 100)
+        assert any(lo % 7 for lo, *_ in plan.runs)  # task switches cut segments
+        for (lo, _, task), args in zip(plan.runs, plan.args(sched), strict=True):
+            assert task is tasks.task_at(lo)
+            assert_same_values(args.ctrl, sched.at(lo // 7 * 7))
 
 
 class TestGradBuffers:
@@ -296,9 +302,9 @@ class TestGradBuffers:
         assert_same(got, added(_padded_table_add_grads, starts))
 
     @pytest.mark.parametrize("n_steps", [6, 7])
-    def test_segment_of_maps_every_step_as_segment_index_does(self, n_steps):
-        sched = ControlSchedule.neutral("scalar_series", n_steps, segment=3)
-        want = [sched.segment_index(i) for i in range(n_steps + 1)]
+    def test_segment_of_maps_every_step_as_at_does(self, n_steps):
+        sched = ControlSchedule("scalar_series", (np.arange(-(-n_steps // 3), dtype=float),), n_steps, segment=3)
+        want = [sched.at(i) for i in range(n_steps + 1)]
         assert sched.segment_of(np.arange(n_steps + 1)).tolist() == want
 
     def test_init_weights_has_no_per_step_grads(self):

@@ -29,7 +29,6 @@ from learning_control.dynamics import (
     initial_state,
     integrate,
     simulate_sgd,
-    step_runs,
 )
 from learning_control.errors import DivergenceError, UnsupportedOperationError
 from learning_control.experiments import build, override_param, preset
@@ -874,9 +873,11 @@ class TestTaskSwitching:
     def test_runs_take_task_at_of_their_first_step(self, n):
         t1, t2 = two_gaussian_moments(1.0, 0.3), two_gaussian_moments(2.0, 0.3)
         sched = TaskSchedule(tasks=[t1, t2], period_steps=3, n_steps=12)
-        runs = step_runs(None, sched, n)
-        assert [(lo, hi) for lo, hi, _, _ in runs] == [(lo, min(lo + 3, n)) for lo in range(0, n, 3)]
-        assert all(t is sched.task_at(lo) and c is None for lo, _, c, t in runs)
+        spec = neuron_spec(n_steps=n)
+        plan = dynamics._Plan(spec, sched, None)
+        assert [(lo, hi) for lo, hi, _ in plan.runs] == [(lo, min(lo + 3, n)) for lo in range(0, n, 3)]
+        assert all(t is sched.task_at(lo) for lo, _, t in plan.runs)
+        assert plan.args(None) == [dynamics._slice_args(None, t, spec) for _, _, t in plan.runs]
 
 
 class TestNeuronFloatLoop:
@@ -921,9 +922,10 @@ class TestNeuronFloatLoop:
         self.tasks = replace(self.tasks, period_steps=period)
         # a run ends at every segment boundary and at every task switch
         cuts = sorted({0, n, *range(0, n, segment), *range(0, n, period)})
-        runs = step_runs(self.sched, self.tasks, n)
-        assert [(lo, hi) for lo, hi, _, _ in runs] == list(zip(cuts, cuts[1:]))
-        assert all(c == self.sched.at(lo) and t is self.tasks.task_at(lo) for lo, _, c, t in runs)
+        plan = dynamics._Plan(self.spec, self.tasks, self.sched)
+        assert [(lo, hi) for lo, hi, _ in plan.runs] == list(zip(cuts, cuts[1:]))
+        assert all(t is self.tasks.task_at(lo) for lo, _, t in plan.runs)
+        assert plan.args(self.sched) == [dynamics._slice_args(self.sched.at(lo), t, self.spec) for lo, _, t in plan.runs]
         self.test_states_and_losses_equal_the_kind_table_roll()
 
 
@@ -1263,7 +1265,7 @@ class TestStackedKernels:
         assert str(err.value).startswith(step_by_step)
 
 
-# --- a plan's args: one map of the schedule's values against one at() per run ---
+# --- a plan's args: one map of the schedule's values against the one-step API's args of each run's at() slice ---
 
 SERIES_KINDS = [kind for kind, entry in dynamics._KIND_TABLE.items() if entry.reads]
 
@@ -1300,8 +1302,7 @@ def test_a_plans_args_are_each_runs_args_of_its_at_slice(kind, variant):
     plan = dynamics._Plan(spec, task, sched)
     if variant == "switching":  # a task switch cuts a run inside a segment
         assert any(lo % sched.segment for lo, _, _ in plan.runs)
-    entry = dynamics._KIND_TABLE[kind]
-    want = [entry.args(sched.at(lo), t, spec) for lo, _, t in plan.runs]
+    want = [dynamics._slice_args(sched.at(lo), t, spec) for lo, _, t in plan.runs]
     got = plan.args(sched)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -1313,8 +1314,8 @@ def test_a_task_sets_plan_args_are_each_runs_args_of_its_at_slice(kind):
     spec, _, sched = stack_case(kind, "one_task")
     tasks = dynamics.TaskSet(STACK_KINDS[kind][4]())
     plan = dynamics._Plan(spec, tasks, sched)
-    entry = dynamics._KIND_TABLE[kind]
-    for g, w in zip(plan.args(sched), [entry.args(sched.at(lo), tasks, spec) for lo, _, _ in plan.runs], strict=True):
+    want = [dynamics._slice_args(sched.at(lo), tasks, spec) for lo, _, _ in plan.runs]
+    for g, w in zip(plan.args(sched), want, strict=True):
         assert_same_entry(g, w)
 
 

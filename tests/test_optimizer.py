@@ -227,6 +227,17 @@ class TestNonFiniteObjective:
         assert np.array_equal(sched.values[0], neutral().values[0])
 
 
+@pytest.mark.parametrize("grads, norm", [
+    ((np.array([3.0, -4.0]), np.array([[12.0]])), 13.0),
+    # finite entries whose squares overflow: the norm is rescaled, not inf
+    ((np.array([1e200, -1e200]), np.array([[3e199]])), pytest.approx(math.hypot(1e200, -1e200, 3e199), rel=1e-15)),
+    ((np.full(4, 1e308),), math.inf),  # a norm past the float range
+    ((np.array([np.inf, 1.0]),), math.inf),
+])
+def test_tree_norm(grads, norm):
+    assert optimizer._tree_norm(grads) == norm
+
+
 class TestAdaptiveMoments:
     def test_improves_value(self):
         ospec = OptimizerSpec(alpha_g=0.05, iters=60, update_rule="adaptive_moments")

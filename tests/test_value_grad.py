@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_dynamics import STACK_KINDS, stack_case, task_at
+from test_dynamics import STACK_KINDS, sgd_case, stack_case, task_at
 
 from learning_control import dynamics
 from learning_control.control import ControlSchedule, init_weights_control
@@ -533,11 +533,23 @@ class TestPerStepTables:
 
     def test_a_task_switch_inside_a_segment_takes_no_at_call(self, monkeypatch):
         tasks = TaskSchedule([NEURON_TASK, two_gaussian_moments(2.0, 1.0)], period_steps=45, n_steps=3000)
-        runs = dynamics.step_runs(self.sched, tasks, 3000)
-        assert len(runs) > self.sched.n_segments
+        assert len(dynamics._Plan(self.spec, tasks, self.sched).runs) > self.sched.n_segments
         for fn in (lambda: integrate(self.spec, self.sched, tasks),
                    lambda: grad_value(self.spec, tasks, self.sched, self.vspec)):
             assert self.count_at_calls(monkeypatch, fn) == 0
+
+    @pytest.mark.parametrize("kind", ["single_neuron", "single_layer"])
+    def test_a_closed_form_takes_no_at_call(self, monkeypatch, kind):
+        spec, sched, task, _ = sgd_case(kind)
+        closed_form = getattr(dynamics, f"closed_form_{kind}")
+        times = np.linspace(0.0, 1.2 * spec.horizon, 9)  # probes inside runs, on their starts and past the last
+        assert self.count_at_calls(monkeypatch, lambda: closed_form(sched, task, spec, times)) == 0
+
+    def test_the_tanh_twin_takes_no_at_call(self, monkeypatch):
+        spec, sched, task, _ = sgd_case("nonlinear_taylor")
+        assert self.count_at_calls(
+            monkeypatch, lambda: dynamics.simulate_sgd(spec, sched, task, 8, 0, eval_batch=64)
+        ) == 0
 
     def test_value_reads_no_per_step_slices(self, monkeypatch):
         traj = integrate(self.spec, self.sched, NEURON_TASK)
@@ -835,9 +847,9 @@ class TestTaskSetMoments:
         assert np.array_equal(ts.tr_sy, np.array([t.sigma_y.trace() for t in tasks]))
         assert np.array_equal(ts.mean_x, np.array([t.mean_x for t in tasks]))
         assert np.array_equal(ts.mean_y, np.array([t.mean_y for t in tasks]))
-        args = dynamics._KIND_TABLE["gain_mod"].args(sched.at(0), ts, spec)
+        args = dynamics._KIND_TABLE["gain_mod"].base(ts, spec)
         assert args.sx is ts.sx and args.sxy_t is ts.sxy_t and args.tr_sy is ts.tr_sy
-        taylor = dynamics._KIND_TABLE["nonlinear_taylor"].args(sched.at(0), ts, spec)
+        taylor = dynamics._KIND_TABLE["nonlinear_taylor"].base(ts, spec)
         assert taylor.mcol.base is ts.mean_x and taylor.ycol.base is ts.mean_y  # the means as the set stacked them
         vspec = TestBatchedSweep.VSPECS["discounted_with_cost"]
         (v_set, g_set, t_set), (v_list, g_list, t_list) = (grad_value(spec, t, sched, vspec) for t in (ts, tasks))
