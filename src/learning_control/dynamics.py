@@ -74,6 +74,21 @@ once) is one rollout on a batch axis after the step axis, with a lone
 task's bits per task: the pair kernel's products take np.matmul there and
 the cheaper ndarray.dot on a lone task, the same BLAS call.  Only the single
 neuron rolls a task set out one task at a time.
+
+A step is a dozen numpy calls on rows of 8 to 200 entries, so each call
+takes its cheapest entry: `out` is passed positionally, the constants
+(dt/tau, lambda, -lambda, the neutral gain 1.0 and the tail's 0.0) are 0-d
+arrays made once, and a step's elementwise results go into buffers made
+with the kernel's or the sweep's.  On a 16-entry row (2-vCPU Xeon, Python
+3.11.7, numpy 2.4.6) a ufunc took 0.31-0.33 us with a positional `out`
+and 0.36-0.40 us with the `out=` keyword, and a Python float operand made
+it 0.47-0.52 us where a 0-d array kept it at 0.32-0.34 us; a step makes
+the same IEEE operations on the same operands either way, so every bit is
+kept.  So a flow returns a buffer of its kernel, valid until that kernel's
+next call: the rollout adds it into the next row at once, and
+_PairSweep.load's `p` is the one that holds it, until the next load.  An
+adjoint step updates its adjoint row in place, on a copy made per call;
+what adjoints and contract return is new, never a view of a buffer.
 """
 
 import warnings
@@ -253,9 +268,13 @@ def initial_state(spec, override=None):
     return tuple(np.array(w, dtype=float, copy=True) for w in override)
 
 
+# 1.0 and 0.0 as read-only 0-d arrays, which a ufunc takes at less cost than Python floats
+_ONE, _ZERO = np.array(1.0), np.array(0.0)
+_ONE.flags.writeable = _ZERO.flags.writeable = False
+
 # (f, fp, fpp) of each elementwise nonlinearity: f(u), f'(u) from f0 = f(u), and f''(u) from f0 and f'(u)
 _NONLIN = {
-    "tanh": (np.tanh, lambda t: 1.0 - t * t, lambda t, d1: -2.0 * t * d1),
+    "tanh": (np.tanh, lambda t: _ONE - t * t, lambda t, d1: -2.0 * t * d1),
     "identity": (lambda u: u, np.ones_like, lambda t, d1: np.zeros_like(t)),
 }
 
@@ -314,8 +333,9 @@ def _neuron_series(controls, bases, batched):
 
 # The moment kinds' args: the gains g~ = 1 + g packed like the state, dvec as a
 # column and the boost 1 + rate as a length-1 array (None where absent), task
-# moments, lambda, and for the VJPs the raw control slice and task.  For a task
-# set: its stacked moments, the control fields on a length-1 batch axis, its first task.
+# moments, lambda (0-d, as a step's ufuncs take it), and for the VJPs the raw
+# control slice and task.  For a task set: its stacked moments, the control
+# fields on a length-1 batch axis, its first task.
 _PairArgs = namedtuple("_PairArgs", "g dcol boost sx sxy_t tr_sy lam ctrl task")
 
 
@@ -368,11 +388,11 @@ def _gather(stack, *fields):
 
 def _moment_base(task, spec):
     """The neutral args of a kind driven by the task's moments: no channels and no control slice."""
+    lam = np.array(spec.reg_lambda)
     if is_task_set(task):
         ts = TaskSet(task)
-        return _PairArgs(None, None, None, ts.sx, ts.sxy_t, ts.tr_sy, spec.reg_lambda, None, task[0])
-    return _PairArgs(None, None, None, task.sigma_x, task.sigma_xy.T, float(task.sigma_y.trace()), spec.reg_lambda,
-                     None, task)
+        return _PairArgs(None, None, None, ts.sx, ts.sxy_t, ts.tr_sy, lam, None, task[0])
+    return _PairArgs(None, None, None, task.sigma_x, task.sigma_xy.T, float(task.sigma_y.trace()), lam, None, task)
 
 
 def _series_args(channels):
@@ -415,7 +435,8 @@ class _Sweep:
     and the loss gradients, tuples of stacks, None where the control has
     none, summed over a task set's batch axis.  A load writes every buffer
     it later reads, and what adjoints and contract return is new, never a
-    view of a buffer.  release() drops what load kept of the stack
+    view of a buffer.  scale (dt/tau) and neg_lam (-lambda) are 0-d arrays,
+    as a step's ufuncs take them.  release() drops what load kept of the stack
     (`stack_fields`), so a sweep kept between passes holds only its buffers
     (and a pair sweep its last args' bound flow), not a rollout's rows.
     """
@@ -423,7 +444,7 @@ class _Sweep:
     stack_fields = ("w", "stack", "args", "pos", "pws", "lg")
 
     def __init__(self, shapes, lead, spec, control_vjp=None):
-        self.shapes, self.scale, self.neg_lam = shapes, spec.dt / spec.tau_w, -spec.reg_lambda
+        self.shapes, self.scale, self.neg_lam = shapes, np.array(spec.dt / spec.tau_w), np.array(-spec.reg_lambda)
         self.control_vjp = control_vjp
         self.lw, self.plb, self.sa, self.sabb = np.empty((4, *lead, sum(r * c for r, c in shapes)))
         self.pl = list(self.plb)
@@ -470,9 +491,14 @@ def _pair_flows(shapes, lead):
     ndarray.dot at a lone row (no `lead`) and np.matmul over batch axes,
     which dot does not broadcast.  Both make the same BLAS call, so the
     bits agree, and dot costs about a third of matmul's ufunc dispatch.
+    The step's other ops write into buffers too (UP o G~, lambda W and h),
+    so h is one of them: valid until this kernel's next call.  Every call
+    takes the module's cheapest entry, a positional `out` and 0-d lambda
+    and 1.0 (about 0.32 us a ufunc, against 0.38 us with `out=` and 0.50
+    us with a float operand; see the module docstring).
     """
     (hid, inp), (out, _) = shapes
-    ab, up = np.empty((2, *lead, hid * inp + out * hid))
+    ab, up, gup, lw, h = np.empty((5, *lead, hid * inp + out * hid))
     (a_mat, b_mat), (up1, up2) = _split(ab, shapes), _split(up, shapes)
     a_t, b_t = _mT(a_mat), _mT(b_mat)
     x1, err, bx, err_dcol = np.empty((*lead, hid, inp)), *np.empty((3, *lead, out, inp))
@@ -480,20 +506,20 @@ def _pair_flows(shapes, lead):
 
     def bind(a):
         g, dcol, boost, sx, sxy_t, lam = a.g, a.dcol, a.boost, a.sx, a.sxy_t, a.lam
-        gains = 1.0 if g is None else g  # x * 1.0 is x: a copy
+        gains = _ONE if g is None else g  # x * 1.0 is x: a copy
         err_d = err if dcol is None else err_dcol
 
         def flow(w):
-            np.multiply(gains, w, out=ab)
+            np.multiply(gains, w, ab)
             mm(a_mat, sx, x1)
             mm(b_mat, x1, bx)
-            np.subtract(sxy_t, bx, out=err)
+            np.subtract(sxy_t, bx, err)
             if dcol is not None:
-                np.multiply(dcol, err, out=err_d)
+                np.multiply(dcol, err, err_d)
             mm(b_t, err_d, up1)
             mm(err_d, a_t, up2)
-            p = (up if g is None else up * g) - lam * w
-            return p if boost is None else boost * p
+            np.subtract(up if g is None else np.multiply(up, g, gup), np.multiply(lam, w, lw), h)
+            return h if boost is None else np.multiply(boost, h, h)
 
         return flow
 
@@ -505,12 +531,17 @@ class _PairSweep(_Sweep):
     """The sweep of the shared kernel and of the pair's loss.
 
     Its buffers: _Sweep's, the kernel's (bind), the error's adjoint (`edb`),
-    the products' scratch `tmp` and the adjoint's gained copy `ub`; `rows`
-    holds each step's views.  load runs the kernel on the stack (`p` is its
-    flow before the boost, bound again only for args other than the last
-    stack's, `bound`) and forms dL/dW batched.  A step of adjoints
-    reads its own args, and its seven products (dot or matmul, as in
-    _pair_flows) write into the destination rows and `tmp`.
+    the products' scratch `tmp`, the adjoint's gained copy `ub` and the
+    step's elementwise results `elem`; `rows` holds each step's views.
+    load runs the kernel on the stack (`p` is its flow before the boost, a
+    kernel buffer held until the next load, bound again only for args other
+    than the last stack's, `bound`) and forms dL/dW batched.  A step of
+    adjoints reads its own args, its seven products (dot or matmul, as in
+    _pair_flows) write into the destination rows and `tmp`, and its
+    elementwise ops into `elem` and, in place, a copy of the adjoint row
+    made per call.  Like the kernel's, each call passes `out` positionally
+    and takes dt/tau, -lambda and 1.0 as 0-d arrays (about 0.32 us a ufunc,
+    against 0.38 us with `out=` and 0.50 us with a float operand).
     """
 
     stack_fields = _Sweep.stack_fields + ("p",)
@@ -523,7 +554,8 @@ class _PairSweep(_Sweep):
         self.edb, inner = np.empty_like(self.err), lead[1:]
         self.mm = np.matmul if inner else np.ndarray.dot
         self.tmp = np.empty((*inner, out, inp)), np.empty((*inner, out, hid)), *np.empty((2, *inner, hid, inp))
-        ub = np.empty(self.lw.shape[1:])
+        ub, gpb, gab, xb = np.empty((4, *self.lw.shape[1:]))
+        self.elem = gpb, gab, xb, np.empty(self.edb.shape[1:])
         self.ub = (ub, *_split(ub, shapes), *(_mT(u) for u in _split(ub, shapes)))
         self.rows = list(zip(a_mat, b_mat, _mT(b_mat), _mT(x1), self.err, err_dcol, self.lw, self.sabb,
                              *_split(self.sabb, shapes), self.edb))
@@ -544,26 +576,27 @@ class _PairSweep(_Sweep):
         rows, args, pos, pws, pl, sa, vjps = self.rows, self.args, self.pos, self.pws, self.pl, self.sa, self.vjps
         scale, neg_lam = self.scale, self.neg_lam
         ub, u1b, u2b, u1b_t, u2b_t = self.ub
-        mm, (te, tb, ta, tas) = self.mm, self.tmp
+        mm, (te, tb, ta, tas), (gpb, gab, x, ebb) = self.mm, self.tmp, self.elem
+        a = a.copy()  # updated in place, step by step
         for j in range(len(pos) - 1, -1, -1) if step is None else (step,):
             a_mat, b_mat, b_t, x1_t, err, err_dcol, lw, abb, ab, bb, edb = rows[j]
             t = args[pos[j]]
             g, dcol, boost, sx = t.g, t.dcol, t.boost, t.sx
             if vjps:
                 sa[j] = a
-            gp = a if boost is None else boost * a
-            np.multiply(gp, 1.0 if g is None else g, out=ub)  # x * 1.0 is x: a copy
-            np.add(mm(b_mat, u1b, edb), mm(u2b, a_mat, te), out=edb)
-            eb = edb if dcol is None else dcol * edb
+            gp = a if boost is None else np.multiply(boost, a, gpb)
+            np.multiply(gp, _ONE if g is None else g, ub)  # x * 1.0 is x: a copy
+            np.add(mm(b_mat, u1b, edb), mm(u2b, a_mat, te), edb)
+            eb = edb if dcol is None else np.multiply(dcol, edb, ebb)
             err_d = err if dcol is None else err_dcol
-            np.subtract(mm(err_d, u1b_t, bb), mm(eb, x1_t, tb), out=bb)
-            np.subtract(mm(u2b_t, err_d, ab), mm(mm(b_t, eb, ta), sx, tas), out=ab)
-            x = neg_lam * gp + (abb if g is None else abb * g)
+            np.subtract(mm(err_d, u1b_t, bb), mm(eb, x1_t, tb), bb)
+            np.subtract(mm(u2b_t, err_d, ab), mm(mm(b_t, eb, ta), sx, tas), ab)
+            np.add(np.multiply(neg_lam, gp, x), abb if g is None else np.multiply(abb, g, gab), x)
             if step is not None:
-                return x, lw
-            a = a + scale * x
+                return x.copy(), lw.copy()
+            np.add(a, np.multiply(scale, x, x), a)
             if pws[j]:
-                a = a - pl[j]
+                np.subtract(a, pl[j], a)
         return a
 
 
@@ -704,11 +737,11 @@ def _taylor_z(b_mat, a, e, z1, z2):
     Q = f0 <x>^T + J S and K = B^T Sxy^T - B^T B Q, for the expansion e of _expand.
     """
     f0, d1, _, js, ff, fy = e
-    np.subtract(fy, b_mat @ ff, out=z2)
+    np.subtract(fy, b_mat @ ff, z2)
     q = f0[..., :, None] * _mT(a.mcol) + js
     c2 = _mT(b_mat) @ b_mat
     k = _mT(b_mat) @ _mT(a.sxy) - c2 @ q
-    np.multiply(d1[..., None], k, out=z1)
+    np.multiply(d1[..., None], k, z1)
     return q, c2, k
 
 
@@ -716,18 +749,20 @@ def _taylor_flows(shapes, lead):
     """nonlinear_taylor's flow at packed rows (*lead, K), as _pair_flows gives the pair's.
 
     h(w) = Z o G~ - lambda W, Z = [diag f'(u) K | Fy - B Ff] from _taylor_z;
-    the gained maps and Z fill buffers made once here.
+    the gained maps, Z, Z o G~, lambda W and h fill buffers made once here,
+    so h is valid until this kernel's next call.
     """
-    ab, zz = np.empty((2, *lead, sum(r * c for r, c in shapes)))
+    ab, zz, gz, lw, h = np.empty((5, *lead, sum(r * c for r, c in shapes)))
     (a_mat, b_mat), (z1, z2) = _split(ab, shapes), _split(zz, shapes)
 
     def bind(a):
-        gains = 1.0 if a.g is None else a.g  # x * 1.0 is x: a copy
+        g, lam = a.g, a.lam
+        gains = _ONE if g is None else g  # x * 1.0 is x: a copy
 
         def flow(w):
-            np.multiply(gains, w, out=ab)
+            np.multiply(gains, w, ab)
             _taylor_z(b_mat, a, _expand(a_mat, a), z1, z2)
-            return (zz if a.g is None else zz * a.g) - a.lam * w
+            return np.subtract(zz if g is None else np.multiply(zz, g, gz), np.multiply(lam, w, lw), h)
 
         return flow
 
@@ -754,15 +789,15 @@ def _taylor_tail(e, t, fyb, ffb, kb, d1b):
     Each adjoint sums from +0.0, which makes a -0.0 first term +0.0.
     """
     fyb_t, sym = _mT(fyb), ffb + _mT(ffb)
-    f0b = 0.0 + (fyb_t @ t.ycol)[..., 0] + (sym @ e.f0[..., None])[..., 0]
-    jb = 0.0 + fyb_t @ t.r + sym @ e.j @ t.s
+    f0b = _ZERO + (fyb_t @ t.ycol)[..., 0] + (sym @ e.f0[..., None])[..., 0]
+    jb = _ZERO + fyb_t @ t.r + sym @ e.j @ t.s
     bb = None
     if kb is not None:
         c2b, qb = -kb @ _mT(e.q), -e.c2 @ kb
-        bb = 0.0 + _mT(kb @ t.sxy) + e.b @ (c2b + _mT(c2b))
+        bb = _ZERO + _mT(kb @ t.sxy) + e.b @ (c2b + _mT(c2b))
         f0b = f0b + (qb @ t.mcol)[..., 0]
         jb = jb + qb @ t.s
-    d1b = (0.0 if d1b is None else d1b) + (jb * e.a).sum(axis=-1)
+    d1b = (_ZERO if d1b is None else d1b) + (jb * e.a).sum(axis=-1)
     ub = e.d1 * f0b + e.d2 * d1b
     return e.d1[..., None] * jb + ub[..., :, None] * _mT(t.mcol), bb
 
@@ -770,11 +805,13 @@ def _taylor_tail(e, t, fyb, ffb, kb, d1b):
 class _TaylorSweep(_Sweep):
     """The sweep of nonlinear_taylor's flow and loss.
 
-    Its buffers: _Sweep's, with each step's views of `sabb`, and the flow's
-    Z (`up`, as the pair kernel names its flow before gains and decay).
-    load forms the expansion (_Terms) and the loss gradients on the whole
-    stack, the latter through the tail seeded by the loss alone, so a step of
-    adjoints runs only the dynamics' reverse chain on its own terms.
+    Its buffers: _Sweep's, with each step's views of `sabb`, the flow's
+    Z (`up`, as the pair kernel names its flow before gains and decay) and
+    the step's elementwise results `elem`.  load forms the expansion
+    (_Terms) and the loss gradients on the whole stack, the latter through
+    the tail seeded by the loss alone, so a step of adjoints runs only the
+    dynamics' reverse chain on its own terms, updating the adjoint row in
+    place.
     """
 
     stack_fields = _Sweep.stack_fields + ("rows",)
@@ -784,6 +821,7 @@ class _TaylorSweep(_Sweep):
         self.up = np.empty_like(self.sa)
         self.z = _split(self.up, shapes)
         self.xb_rows = list(zip(self.sabb, *_split(self.sabb, shapes)))
+        self.elem = tuple(np.empty((3, *self.lw.shape[1:])))
 
     def load(self, w, stack, pw, pws):
         super().load(w, stack, pw, pws)
@@ -800,22 +838,24 @@ class _TaylorSweep(_Sweep):
 
     def adjoints(self, a, step=None):
         rows, args, pos, pws, pl, sa, vjps = self.rows, self.args, self.pos, self.pws, self.pl, self.sa, self.vjps
-        scale, neg_lam = self.scale, self.neg_lam
+        scale, neg_lam, (ga, gxb, x) = self.scale, self.neg_lam, self.elem
+        a = a.copy()  # updated in place, step by step
         for j in range(len(pos) - 1, -1, -1) if step is None else (step,):
             e, lw, (xb, ab, bb) = rows[j]
             t = args[pos[j]]
+            g = t.g
             if vjps:
                 sa[j] = a
-            gz1, gz2 = _split(a if t.g is None else a * t.g, self.shapes)
+            gz1, gz2 = _split(a if g is None else np.multiply(a, g, ga), self.shapes)
             ab[...], tail_b = _taylor_tail(e, t, gz2, -(_mT(e.b) @ gz2), e.d1[..., None] * gz1,
                                            (gz1 * e.k).sum(axis=-1))
-            np.subtract(tail_b, gz2 @ e.ff, out=bb)
-            x = neg_lam * a + (xb if t.g is None else xb * t.g)
+            np.subtract(tail_b, gz2 @ e.ff, bb)
+            np.add(np.multiply(neg_lam, a, x), xb if g is None else np.multiply(xb, g, gxb), x)
             if step is not None:
-                return x, lw
-            a = a + scale * x
+                return x.copy(), lw.copy()
+            np.add(a, np.multiply(scale, x, x), a)
             if pws[j]:
-                a = a - pl[j]
+                np.subtract(a, pl[j], a)
         return a
 
 
@@ -968,9 +1008,9 @@ class _Plan:
                  schedule), else the base that the kind's series slot fills
                  per call from one map of the schedule's values (args);
       bind       the forward kernel of the kind's flow slot, its buffers
-                 made once (None for the single neuron's float loop), and
-                 flows, each state's bound flow, kept where the args are
-                 the bases;
+                 made once (None for the single neuron's float loop), with
+                 step, the rollout's buffer for (dt/tau) h, and flows, each
+                 state's bound flow, kept where the args are the bases;
       sweeper    per stack length, the kind's sweep, made once with its
                  buffers and per-step views and refilled per stack;
       stack      per stretch of states, its _Stack layout;
@@ -992,6 +1032,7 @@ class _Plan:
             self.shapes = _layer_shapes(spec)
             self.width = sum(r * c for r, c in self.shapes)
             self.bind = self.kind.flow(self.shapes, self.batch)
+            self.step = np.empty((*self.batch, self.width))
         self._sweepers, self._stacks = {}, {}
 
     def args(self, schedule):
@@ -1026,12 +1067,13 @@ class _Plan:
 
         rows is one new buffer of packed rows (n+1, *batch, K), the layers
         views of it; step i writes w + (dt/tau) h(w) into row i+1, h the bound
-        flow of its run.  Raises DivergenceError when any weight magnitude
-        passes DIVERGENCE_LIMIT.
+        flow of its run, (dt/tau) h going through the plan's `step` buffer,
+        and walks the rows lazily.  Raises DivergenceError when any weight
+        magnitude passes DIVERGENCE_LIMIT.
         """
         if _shapes(state) != self.shapes:
             raise ValueError(f"starting weights of shapes {_shapes(state)} do not fit the spec's {self.shapes}")
-        n, scale = self.spec.n_steps, self.spec.dt / self.spec.tau_w
+        n, scale, step = self.spec.n_steps, np.array(self.spec.dt / self.spec.tau_w), self.step
         rows = np.empty((n + 1, *self.batch, self.width))
         layers = _split(rows, self.shapes)
         for layer, w in zip(layers, state):
@@ -1047,9 +1089,8 @@ class _Plan:
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, n, DIVERGENCE_BLOCK):
                 hi = min(lo + DIVERGENCE_BLOCK, n)
-                for i in range(lo, hi):
-                    w = rows[i]
-                    np.add(w, scale * flows[i](w), out=rows[i + 1])
+                for w, nxt, h in zip(rows[lo:hi], rows[lo + 1 : hi + 1], flows[lo:hi]):
+                    np.add(w, np.multiply(scale, h(w), step), nxt)
                 if not np.abs(rows[lo + 1 : hi + 1]).max() < DIVERGENCE_LIMIT:
                     _check_divergence(tuple(layer[lo + 1 : hi + 1] for layer in layers), lo)
         return rows, layers

@@ -92,7 +92,10 @@ def export_class_schedule(phi, batch_size):
     if zero.any():
         warnings.warn("all-zero class weights at some steps; using the uniform mix there")
         phi, total = np.where(zero, 1.0, phi), np.where(zero, float(phi.shape[1]), total)
-    quota = phi * (batch_size / total)
+    # each row and its total scaled by the power of two that brings the total into [0.5, 1), which
+    # is exact, so batch_size / total cannot overflow and a row's quotas keep their bits
+    e = np.frexp(total)[1]
+    quota = np.ldexp(phi, -e) * (batch_size / np.ldexp(total, -e))
     base = np.floor(quota).astype(int)
     short = batch_size - base.sum(axis=1, keepdims=True)
     # each row's rank of its remainders, largest first and ties to the lower class
@@ -130,12 +133,16 @@ def detect_plateaus(times, losses, slope_frac=0.01, min_frac=0.05, smooth_frac=0
         smooth = np.convolve(pad, np.ones(w) / w, mode="valid")
     else:
         smooth = losses
+    # a curve whose total variation is at rounding level has no slope scale
+    # to threshold against (np.gradient emits ~1e-16 noise on such input), and
+    # is not differenced: on a grid too fine for np.gradient (a spacing whose
+    # square underflows, dt 1e-308) the curve is flat, as no weight moves
+    swing = float(np.max(smooth) - np.min(smooth))
+    if swing <= 1e-12 * max(1.0, float(np.max(np.abs(smooth)))):
+        return [(float(times[0]), float(times[-1]))]
     slope = np.gradient(smooth, times)
     peak = float(np.max(np.abs(slope)))
-    swing = float(np.max(smooth) - np.min(smooth))
-    # a curve whose total variation is at rounding level has no slope scale
-    # to threshold against (np.gradient emits ~1e-16 noise on such input)
-    if peak == 0.0 or swing <= 1e-12 * max(1.0, float(np.max(np.abs(smooth)))):
+    if peak == 0.0:
         return [(float(times[0]), float(times[-1]))]
     flat = np.abs(slope) < slope_frac * peak
     min_len = min_frac * (times[-1] - times[0])

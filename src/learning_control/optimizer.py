@@ -145,7 +145,8 @@ def optimize(dspec, task, vspec, ospec, init_schedule):
 
         alpha = ospec.alpha_g
         for _ in range(ospec.max_halvings + 1):
-            cand = cur.project(tuple(val + alpha * d for val, d in zip(cur.values, direction)))
+            with np.errstate(over="ignore"):  # an overflowing step lands on a bound or on a rejected trial
+                cand = cur.project(tuple(val + alpha * d for val, d in zip(cur.values, direction)))
             try:
                 v_cand, trial = forward(cand)
             except DivergenceError:

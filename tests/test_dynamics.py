@@ -1184,6 +1184,11 @@ def task_at(task, step):
     return task.task_at(step) if isinstance(task, TaskSchedule) else task
 
 
+def same_bits(a, b):
+    """Equal values and equal signs, so -0.0 is not +0.0 as np.array_equal alone would have it."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestStackedKernels:
     """integrate's batched losses and stored states against the one-step API, bit for bit.
 
@@ -1206,8 +1211,8 @@ class TestStackedKernels:
 
         state, states = initial_state(spec), traj.states
         for i in range(n + 1):
-            assert all(np.array_equal(a, b) for a, b in zip(states[i], state))
-            assert traj.losses[i] == expected_loss(state, ctrl(i), task_at(task, min(i, n - 1)), spec)
+            assert all(same_bits(a, b) for a, b in zip(states[i], state))
+            assert same_bits(traj.losses[i], expected_loss(state, ctrl(i), task_at(task, min(i, n - 1)), spec))
             if i < n:
                 hs = _rhs(spec, state, ctrl(i), task_at(task, i))
                 state = tuple(w + scale * h for w, h in zip(state, hs))
@@ -1217,8 +1222,8 @@ class TestStackedKernels:
         spec, task, neutral = stack_case(kind, "neutral")
         a, b = integrate(spec, neutral, task), integrate(spec, None, task)
         for la, lb in zip(a.layers, b.layers):
-            assert np.array_equal(la, lb)
-        assert np.array_equal(a.losses, b.losses)
+            assert same_bits(la, lb)
+        assert same_bits(a.losses, b.losses)
 
     def test_divergence_is_reported_at_its_step_inside_a_block(self):
         spec = DynamicsSpec(kind="gain_mod", input_dim=2, output_dim=2, hidden_dim=3,

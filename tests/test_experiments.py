@@ -181,6 +181,11 @@ class TestExportClassSchedule:
         counts = export_class_schedule([0.5, 0.3, 0.2], 10)
         assert counts.shape == (1, 3)
 
+    def test_weights_too_small_for_their_reciprocal_give_their_mix(self):
+        # batch_size / total overflowed for a row summing to 4e-308; the mix of a row does not depend on its scale
+        phi = np.array([[1.0, 3.0], [1e-308, 3e-308], [0.5e-310, 1.5e-310]])
+        assert export_class_schedule(phi, 4).tolist() == [[1, 3]] * 3
+
     def test_zero_rows_fall_back_to_uniform_with_one_warning(self):
         phi = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 1.0]])
         with pytest.warns(UserWarning, match="uniform") as rec:
@@ -271,6 +276,11 @@ class TestDetectPlateaus:
     def test_constant_curve_is_one_plateau_spanning_everything(self):
         times = np.linspace(0.0, 10.0, 101)
         assert detect_plateaus(times, np.ones(101)) == [(0.0, 10.0)]
+
+    def test_a_flat_curve_on_a_grid_too_fine_to_difference_is_one_plateau(self):
+        # the spacing's square underflows, so np.gradient would divide by zero
+        times = np.arange(101) * 1e-308
+        assert detect_plateaus(times, np.full(101, 0.3)) == [(0.0, float(times[-1]))]
 
     def test_steady_descent_has_none(self):
         times = np.linspace(0.0, 1.0, 201)

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_dynamics import STACK_KINDS, sgd_case, stack_case, task_at
+from test_dynamics import STACK_KINDS, same_bits, sgd_case, stack_case, task_at
 
 from learning_control import dynamics
 from learning_control.control import ControlSchedule, init_weights_control
@@ -645,7 +645,33 @@ class TestBatchedSweep:
         want = step_by_step_sweep(spec, task, sched, vspec, traj)
         assert len(grads) == len(want)
         for got, ref in zip(grads, want):
-            assert np.array_equal(got, ref)
+            assert same_bits(got, ref)
+
+
+class TestPassesShareNoResult:
+    """What a pass under a plan hands out stays as it was through the plan's next passes.
+
+    The kernels' flows return their own buffers and the adjoint steps update
+    the adjoint row in place; neither may reach a rollout or a gradient
+    already returned.  The second passes run under other control values.
+    """
+
+    VSPEC = ValueSpec(gamma=0.9, eta=1.3, cost=CostSpec("quadratic", beta=0.2))
+
+    @pytest.mark.parametrize("tasks", ["one", "set"])
+    @pytest.mark.parametrize("kind", [k for k in STACK_KINDS if k != "single_layer"])
+    def test_a_second_integrate_and_grad_value_leave_the_first_results(self, kind, tasks):
+        spec, task, sched = stack_case(kind, "switching") if tasks == "one" else task_set_case(kind)
+        if sched is None:  # the baseline is controlled through its initial weights
+            sched = init_weights_control(initial_state(spec))
+        other = sched.project(tuple(0.5 * v + 0.1 for v in sched.values))
+        plan = _plan(spec, task, self.VSPEC, sched)
+        traj = integrate(spec, sched, task, plan=plan)
+        _, grads, _ = grad_value(spec, task, sched, self.VSPEC, traj=traj, plan=plan)
+        kept = [np.array(x, copy=True) for x in (*traj.layers, traj.losses, *grads)]
+        integrate(spec, other, task, plan=plan)
+        grad_value(spec, task, other, self.VSPEC, plan=plan)
+        assert all(same_bits(x, k) for x, k in zip((*traj.layers, traj.losses, *grads), kept))
 
 
 class TestNeuronFloatAdjoint:
