@@ -189,9 +189,9 @@ def _at(path, line):
 
 def parse_config_file(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config: {err}", path=str(path)) from None
     return parse_config(text, path=str(path))
 

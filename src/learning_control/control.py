@@ -47,11 +47,7 @@ class ControlSchedule:
         if isinstance(self.values, np.ndarray):
             self.values = (self.values,)
         self.values = tuple(np.asarray(v, dtype=float) for v in self.values)
-        self.n_steps, self.segment = whole("n_steps", self.n_steps), whole("segment", self.segment)
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be positive")
-        if self.segment < 1:
-            raise ValueError("segment must be positive")
+        self.n_steps, self.segment = whole("n_steps", self.n_steps, 1), whole("segment", self.segment, 1)
         if self.bounds is not None:
             lo, hi = self.bounds
             if not lo <= hi:
@@ -80,9 +76,7 @@ class ControlSchedule:
         Gains and rate boosts are neutral at 0, engagement weights at 1.
         For init_weights pass the baseline starting state in `state0`.
         """
-        n_steps, segment = whole("n_steps", n_steps), whole("segment", segment)
-        if segment < 1:
-            raise ValueError("segment must be positive")
+        n_steps, segment = whole("n_steps", n_steps, 1), whole("segment", segment, 1)
         n_seg = -(-n_steps // segment)
         if kind == "scalar_series":
             values = (np.zeros(n_seg),)
@@ -91,9 +85,9 @@ class ControlSchedule:
                 raise ValueError("matrix_pair_series needs layer shapes")
             values = tuple(np.zeros((n_seg, *s)) for s in shapes)
         elif kind == "engagement_series" or kind == "category_series":
-            if not n_channels:
+            if n_channels is None:
                 raise ValueError(f"{kind} needs n_channels")
-            values = (np.ones((n_seg, whole("n_channels", n_channels))),)
+            values = (np.ones((n_seg, whole("n_channels", n_channels, 1))),)
         elif kind == "init_weights":
             if state0 is None:
                 raise ValueError("init_weights needs the baseline state")
@@ -217,8 +211,8 @@ class ControlSchedule:
         return cls(
             kind=doc["kind"],
             values=values,
-            n_steps=int(doc["n_steps"]),
-            segment=int(doc["segment"]),
+            n_steps=doc["n_steps"],
+            segment=doc["segment"],
             bounds=tuple(doc["bounds"]) if doc.get("bounds") is not None else None,
         )
 

@@ -105,6 +105,9 @@ DIVERGENCE_LIMIT = 1e6
 DIVERGENCE_BLOCK = 32  # steps integrate runs between divergence checks
 
 
+_LEAST = {"n_steps": 1, "init_seed": 0}  # least values of DynamicsSpec's counts
+
+
 @dataclass
 class DynamicsSpec:
     """Shape and discretization of the learning system.
@@ -135,17 +138,13 @@ class DynamicsSpec:
         check_finite(self)
         for f in fields(self):
             if f.type is int:
-                setattr(self, f.name, whole(f.name, getattr(self, f.name)))
+                setattr(self, f.name, whole(f.name, getattr(self, f.name), _LEAST.get(f.name)))
         if self.kind == "single_neuron" and (self.input_dim, self.output_dim) != (1, 1):
             raise ValueError("single_neuron dynamics are one-dimensional")
         if self.kind in _TWO_LAYER_KINDS and self.hidden_dim < 1:
             raise ValueError(f"{self.kind} needs hidden_dim >= 1")
         if self.dt <= 0 or self.tau_w <= 0:
             raise ValueError("dt and tau_w must be positive")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if self.init_seed < 0:
-            raise ValueError(f"init_seed must be nonnegative, got {self.init_seed}")
         if self.nonlinearity not in _NONLIN:
             raise ValueError(f"unknown nonlinearity '{self.nonlinearity}'")
         if self.kind != "nonlinear_taylor" and self.nonlinearity != "tanh":
@@ -170,8 +169,8 @@ class TaskSchedule:
         dims = {(t.input_dim, t.output_dim, t.blocks and tuple(t.blocks.output_sizes())) for t in self.tasks}
         if len(dims) != 1:
             raise ValueError("all tasks in a schedule must share dimensions and blocks")
-        if self.period_steps < 1:
-            raise ValueError("period_steps must be positive")
+        self.period_steps = whole("period_steps", self.period_steps, 1)
+        self.n_steps = whole("n_steps", self.n_steps, 1)
 
     def task_at(self, step):
         return self.tasks[(step // self.period_steps) % len(self.tasks)]
@@ -494,8 +493,7 @@ def _pair_flows(shapes, lead):
     The step's other ops write into buffers too (UP o G~, lambda W and h),
     so h is one of them: valid until this kernel's next call.  Every call
     takes the module's cheapest entry, a positional `out` and 0-d lambda
-    and 1.0 (about 0.32 us a ufunc, against 0.38 us with `out=` and 0.50
-    us with a float operand; see the module docstring).
+    and 1.0 (see the module docstring).
     """
     (hid, inp), (out, _) = shapes
     ab, up, gup, lw, h = np.empty((5, *lead, hid * inp + out * hid))
@@ -540,8 +538,7 @@ class _PairSweep(_Sweep):
     _pair_flows) write into the destination rows and `tmp`, and its
     elementwise ops into `elem` and, in place, a copy of the adjoint row
     made per call.  Like the kernel's, each call passes `out` positionally
-    and takes dt/tau, -lambda and 1.0 as 0-d arrays (about 0.32 us a ufunc,
-    against 0.38 us with `out=` and 0.50 us with a float operand).
+    and takes dt/tau, -lambda and 1.0 as 0-d arrays.
     """
 
     stack_fields = _Sweep.stack_fields + ("p",)
@@ -1238,8 +1235,8 @@ def simulate_sgd(spec, schedule, task, batch_size, seed, class_counts=None, eval
     if isinstance(task, TaskSchedule) or is_task_set(task):
         raise UnsupportedOperationError("simulate_sgd samples one task: no task switching, no task set")
     n = spec.n_steps
-    if class_counts is None and whole("batch_size", batch_size) < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    if class_counts is None:
+        batch_size = whole("batch_size", batch_size, 1)
     if class_counts is not None and _KIND_TABLE[spec.kind].flow is not _pair_flows:
         raise UnsupportedOperationError(f"class_counts drive a linear two-layer kind, not {spec.kind}")
     if class_counts is not None and len(class_counts) != n:

@@ -21,15 +21,17 @@ def check_finite(spec):
             raise ValueError(f"{f.name} must be finite, got {getattr(spec, f.name)}")
 
 
-def whole(name, value):
-    """The count `value` as an int; a bool, a fraction, a non-finite number or one past the float range is a
-    ValueError naming `name`."""
+def whole(name, value, least=None):
+    """The count `value` as an int; a bool, a str, a fraction, a non-finite number, one past the float range or
+    one below `least` (0 or 1, when given) is a ValueError naming `name`."""
     try:
-        fraction = isinstance(value, (bool, np.bool_)) or not float(value).is_integer()
+        fraction = isinstance(value, (bool, np.bool_, str)) or not float(value).is_integer()
     except OverflowError:
         raise ValueError(f"{name} must be a whole number within the float range") from None
     if fraction:
         raise ValueError(f"{name} must be a whole number, got {value}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
     return int(value)
 
 

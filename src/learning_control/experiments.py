@@ -50,14 +50,12 @@ def task_switch_schedule(tasks, period_steps, n_steps):
     The period must divide the total step count (ragged tails would make the
     per-switch statistics ambiguous) and cannot exceed it.
     """
-    period_steps, n_steps = whole("period_steps", period_steps), whole("n_steps", n_steps)
-    if period_steps < 1:
-        raise ValueError(f"switch period must be positive, got {period_steps}")
-    if period_steps > n_steps:
-        raise ValueError(f"switch period {period_steps} exceeds the horizon {n_steps}")
-    if n_steps % period_steps != 0:
-        raise ValueError(f"switch period {period_steps} does not divide n_steps {n_steps}")
-    return dyn.TaskSchedule(tasks=list(tasks), period_steps=period_steps, n_steps=n_steps)
+    sched = dyn.TaskSchedule(tasks=list(tasks), period_steps=period_steps, n_steps=n_steps)
+    if sched.period_steps > sched.n_steps:
+        raise ValueError(f"switch period {sched.period_steps} exceeds the horizon {sched.n_steps}")
+    if sched.n_steps % sched.period_steps != 0:
+        raise ValueError(f"switch period {sched.period_steps} does not divide n_steps {sched.n_steps}")
+    return sched
 
 
 def post_switch_peaks(losses, switch_steps, n_steps=None):
@@ -84,9 +82,7 @@ def export_class_schedule(phi, batch_size):
         raise ValueError("class engagement weights must be finite")
     if np.any(phi < 0):
         raise ValueError("class engagement weights must be nonnegative")
-    if isinstance(batch_size, (bool, np.bool_)) or not (float(batch_size).is_integer() and batch_size >= 1):
-        raise ValueError(f"batch_size must be a whole number >= 1, got {batch_size}")
-    batch_size = int(batch_size)
+    batch_size = whole("batch_size", batch_size, 1)
     total = phi.sum(axis=1, keepdims=True)
     zero = total == 0.0
     if zero.any():
@@ -357,11 +353,10 @@ def build(cfg):
     p = cfg.params
     try:
         for key, val in p.items():  # the bounds may be infinite
-            if key not in ("g_lo", "g_hi") and not _finite(val):
+            if isinstance(val, int):
+                whole(key, val, _LEAST.get(key))
+            elif key not in ("g_lo", "g_hi") and not _finite(val):
                 raise ValueError(f"{key} must be finite, got {val}")
-        for key, least in _LEAST.items():
-            if key in p and int(p[key]) < least:
-                raise ValueError(f"{key} must be {'positive' if least else 'nonnegative'}, got {p[key]}")
         if not dyn.fits_control(cfg.dynamics.kind, entry.control):
             raise ValueError(f"dynamics kind '{cfg.dynamics.kind}' cannot read the scenario's {entry.control} control")
         d, task = entry.task(replace(cfg.dynamics, init_seed=cfg.seed), p)
@@ -387,7 +382,7 @@ def build(cfg):
         sched = ControlSchedule.neutral(
             entry.control,
             d.n_steps,
-            segment=int(p["segment"]),
+            segment=p["segment"],
             shapes=((d.hidden_dim, d.input_dim), (d.output_dim, d.hidden_dim)),
             n_channels=n_channels,
             bounds=(p["g_lo"], p["g_hi"]),
@@ -511,15 +506,15 @@ def _sum_neuron(cfg, dspec, task, init_sched, sched, trajs):
 
 def _sum_sgd_validation(cfg, dspec, task, init_sched, sched, trajs):
     p = cfg.params
-    n_seeds = int(p["n_seeds"])
-    stride = int(p["stride"])
+    n_seeds = p["n_seeds"]
+    stride = p["stride"]
     ode = trajs["baseline"].losses
     checked = np.arange(0, dspec.n_steps + 1, stride)
     out = {"sgd_seeds": n_seeds, "sgd_stride": stride}
     if n_seeds >= 2:
         runs = np.stack(
             [
-                dyn.simulate_sgd(dspec, init_sched, task, int(p["batch_size"]), seed=[cfg.seed, 1000 + k]).losses
+                dyn.simulate_sgd(dspec, init_sched, task, p["batch_size"], seed=[cfg.seed, 1000 + k]).losses
                 for k in range(n_seeds)
             ]
         )
@@ -581,7 +576,7 @@ def _sum_category(cfg, dspec, task, init_sched, sched, trajs):
 
 def _sum_class_proportion(cfg, dspec, task, init_sched, sched, trajs):
     out = _sum_category(cfg, dspec, task, init_sched, sched, trajs)
-    counts = export_class_schedule(sched, int(cfg.params["batch_size"]))
+    counts = export_class_schedule(sched, cfg.params["batch_size"])
     out["class_counts_first_step"] = [int(c) for c in counts[0]]
     out["class_counts_last_step"] = [int(c) for c in counts[-1]]
     out["class_counts_row_sum"] = int(counts[0].sum())
@@ -589,7 +584,7 @@ def _sum_class_proportion(cfg, dspec, task, init_sched, sched, trajs):
 
 
 def _sum_maml(cfg, dspec, tasks, init_sched, sched, trajs):
-    eval_steps = int(cfg.params["eval_steps"])
+    eval_steps = cfg.params["eval_steps"]
     espec = replace(dspec, n_steps=eval_steps)
     ctrl, base = (dyn.integrate(espec, s, tasks).per_task() for s in (sched, init_sched))
     return {
@@ -616,7 +611,7 @@ def _sum_bilevel(cfg, dspec, task, init_sched, sched, trajs):
 
 
 def _sum_nonlinear(cfg, dspec, task, init_sched, sched, trajs):
-    batch = int(cfg.params["batch_size"])
+    batch = cfg.params["batch_size"]
     sgd_base = dyn.simulate_sgd(dspec, init_sched, task, batch, seed=[cfg.seed, 77])
     sgd_ctrl = dyn.simulate_sgd(dspec, sched, task, batch, seed=[cfg.seed, 77])
     trajs["sgd_baseline"] = sgd_base
@@ -654,7 +649,7 @@ def _neuron_task(d, p):
 
 def _switch_task(d, p):
     tasks = [_corr(p["task_a"], "task_a", "task_a"), _corr(p["task_b"], "task_b", "task_b")]
-    return d, task_switch_schedule(tasks, int(p["switch_period"]), d.n_steps)
+    return d, task_switch_schedule(tasks, p["switch_period"], d.n_steps)
 
 
 def _category_task(d, p):
@@ -666,18 +661,19 @@ def _category_task(d, p):
 def _maml_task(d, p):
     if not p["tasks"] or any(len(t) != 2 for t in p["tasks"]):
         raise ValueError(f"tasks must be one or more (mu, sigma) pairs, got {p['tasks']}")
-    if int(p["steps_ahead"]) > 0:
-        d = replace(d, n_steps=int(p["steps_ahead"]))
+    if p["steps_ahead"] > 0:
+        d = replace(d, n_steps=p["steps_ahead"])
     return d, [two_gaussian_moments(mu, s, name=f"pair{k}") for k, (mu, s) in enumerate(p["tasks"])]
 
 
 def _bilevel_task(d, p):
-    return d, semantic_moments(int(p["levels"]))
+    return d, semantic_moments(p["levels"])
 
 
-# least values of integer scenario parameters, checked by build() before the task
-# function runs (steps_ahead = 0 keeps the preset horizon)
-_LEAST = {"batch_size": 1, "n_seeds": 0, "stride": 1, "steps_ahead": 0, "eval_steps": 1}
+# least values of the integer scenario parameters, checked by build() before the
+# task function runs (steps_ahead = 0 keeps the preset horizon)
+_LEAST = {"segment": 1, "switch_period": 1, "levels": 1, "batch_size": 1, "n_seeds": 0, "stride": 1,
+          "steps_ahead": 0, "eval_steps": 1}
 
 # params: defaults of the scenario's knobs (their types also type config-file
 # values); specs: the preset (DynamicsSpec, ValueSpec, OptimizerSpec);

@@ -15,6 +15,7 @@ import gzip
 import json
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,11 +75,14 @@ def serialize_idx(tensor):
 
 
 def load_idx(path):
-    """Read an IDX file, transparently decompressing gzip."""
+    """Read an IDX file, transparently decompressing gzip; a truncated or corrupt gzip stream is a DataFormatError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, zlib.error) as err:
+            raise DataFormatError(f"{path}: damaged gzip stream: {err}") from None
     return parse_idx(raw)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics as dyn
-from .errors import DivergenceError, check_finite
+from .errors import DivergenceError, check_finite, whole
 from .value import _plan, grad_value, value
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # adaptive_moments' beta1, beta2 and eps
@@ -63,10 +63,7 @@ class OptimizerSpec:
             raise ValueError(f"unknown update rule '{self.update_rule}'")
         if self.alpha_g <= 0:
             raise ValueError("alpha_g must be positive")
-        if self.iters < 0:
-            raise ValueError("iters must be nonnegative")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be nonnegative")
+        self.iters, self.max_halvings = whole("iters", self.iters, 0), whole("max_halvings", self.max_halvings, 0)
 
 
 @dataclass

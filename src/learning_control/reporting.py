@@ -168,9 +168,12 @@ _X0, _Y0, _PLOT_W, _PLOT_H = 70, 30, 700, 410
 
 
 def read_csv_columns(path):
-    """Numeric columns of a CSV as {name: float array}."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    """Numeric columns of a UTF-8 CSV as {name: float array}."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as err:
+        raise DataFormatError(f"{path}: not UTF-8 text: {err}") from None
     if not rows:
         raise DataFormatError(f"{path}: empty CSV")
     header = rows[0]

@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import UnsupportedOperationError
+from .errors import UnsupportedOperationError, whole
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
@@ -157,8 +157,7 @@ def hierarchy_matrix(levels):
     level left to right) contributes one binary feature marking its
     descendants.  Shape is (2^levels - 1, 2^(levels-1)).
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    levels = whole("levels", levels, 1)
     n_items = 2 ** (levels - 1)
     return np.vstack([np.repeat(np.eye(2**level), n_items >> level, axis=1) for level in range(levels)])
 

@@ -2,7 +2,8 @@
 
 The grid: every scenario, each with every config key (configio.KEYS apart
 from output.*, plus seed and run_name) and every parameter of its own,
-each set to every value of VALUES.  One combination is the run
+each set to every value of VALUES, and, in the whole grid, to PAST_FLOAT,
+an integer past the float range.  One combination is the run
 
     learning-control run --preset SCENARIO -p KEY=VALUE -p optimizer.iters=1
 
@@ -16,7 +17,7 @@ keeps the contract when
   - it exits 2, 3 or 4 with one `error:` line on stderr and no traceback.
 
 tests/test_error_contract.py checks a fixed sample of the grid.  Run the
-whole grid, about 3,500 runs, from the repository root with
+whole grid, about 3,800 runs, from the repository root with
 
     PYTHONPATH=src python tests/error_contract_grid.py
 
@@ -34,12 +35,13 @@ from learning_control import cli, configio
 from learning_control.experiments import SCENARIOS, preset
 
 VALUES = ("0", "-1", "1.5", "nan", "inf", "-inf", "1e308", "1e-308", "true", "", "abc", "1,2")
+PAST_FLOAT = "1" + "0" * 400  # 10**400: an int that float() cannot hold
 
 
-def grid():
-    """Every (scenario, key, value) of the grid, in a fixed order."""
+def grid(values=VALUES):
+    """Every (scenario, key, value) of the grid over `values`, in a fixed order."""
     keys = [path for section, _, _, path in configio.KEYS if section != "output"] + list(configio._SCENARIO_FIXED)
-    return [(s, k, v) for s in SCENARIOS for k in keys + list(preset(s).params) for v in VALUES]
+    return [(s, k, v) for s in SCENARIOS for k in keys + list(preset(s).params) for v in values]
 
 
 def violation(scenario, key, value):
@@ -70,7 +72,7 @@ def violation(scenario, key, value):
 
 
 def main():
-    combos = grid()
+    combos = grid(VALUES + (PAST_FLOAT,))
     bad = 0
     for scenario, key, value in combos:
         why = violation(scenario, key, value)

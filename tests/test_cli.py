@@ -249,7 +249,7 @@ class TestConfigLoading:
         [
             ("single_neuron_effort", "segment=-1", "segment must be positive"),
             ("single_neuron_effort", "segment=0", "segment must be positive"),
-            ("task_switch", "switch_period=0", "switch period must be positive"),
+            ("task_switch", "switch_period=0", "switch_period must be positive, got 0"),
             ("task_switch", "task_a=1,2", "a correlated-Gaussian task takes 5 numbers"),
             ("task_switch", "task_a=1,2,3,4,5,6", "a correlated-Gaussian task takes 5 numbers"),
             ("effort_allocation", "task_hard=1", "a correlated-Gaussian task takes 5 numbers"),

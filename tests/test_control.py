@@ -1,5 +1,6 @@
 """Control-schedule mechanics: construction, indexing, gradients, projection, JSON."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -91,6 +92,8 @@ class TestScheduleConstruction:
         (True, 1, "n_steps", "True"),
         (4, np.True_, "segment", "True"),
         (np.nan, 1, "n_steps", "nan"),
+        ("4", "2", "n_steps", "4"),
+        (4, "2", "segment", "2"),
     ])
     def test_rejects_a_fractional_or_bool_count(self, n_steps, segment, name, got):
         with pytest.raises(ValueError, match=f"{name} must be a whole number, got {got}"):
@@ -102,6 +105,17 @@ class TestScheduleConstruction:
     def test_rejects_a_fractional_or_bool_channel_count(self, n_channels, got):
         with pytest.raises(ValueError, match=f"n_channels must be a whole number, got {got}"):
             ControlSchedule.neutral("engagement_series", 4, n_channels=n_channels)
+
+    @pytest.mark.parametrize("n_channels", [0, -1])
+    def test_rejects_a_channel_count_below_one(self, n_channels):
+        with pytest.raises(ValueError, match=f"n_channels must be positive, got {n_channels}"):
+            ControlSchedule.neutral("category_series", 4, n_channels=n_channels)
+
+    @pytest.mark.parametrize("least, word", [(0, "nonnegative"), (1, "positive")])
+    def test_whole_refuses_a_count_below_its_least_value(self, least, word):
+        assert whole("k", least, least) == least
+        with pytest.raises(ValueError, match=f"k must be {word}, got {least - 1}"):
+            whole("k", least - 1, least)
 
     def test_an_int_past_the_float_range_is_refused_by_name(self):
         with pytest.raises(ValueError, match="n_steps must be a whole number within the float range"):
@@ -343,6 +357,13 @@ class TestJsonRoundTrip:
         back = ControlSchedule.from_json(sched.to_json())
         assert back.kind == sched.kind and back.bounds == sched.bounds
         np.testing.assert_array_equal(back.values[0], sched.values[0])
+
+    @pytest.mark.parametrize("field, value", [("n_steps", 4.9), ("segment", 2.5), ("segment", "2")])
+    def test_a_count_that_is_not_whole_is_refused_not_truncated(self, field, value):
+        doc = json.loads(ControlSchedule.neutral("scalar_series", 4, segment=2).to_json())
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a whole number, got {value}"):
+            ControlSchedule.from_json(json.dumps(doc))
 
     def test_matrix_pair_shapes_survive(self):
         vals = (np.zeros((2, 2, 3)), np.zeros((2, 3, 1)))

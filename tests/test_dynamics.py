@@ -76,7 +76,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("field, value, message", [
         ("dt", 0.0, "dt and tau_w must be positive"),
         ("kind", "quadratic_mod", "unknown dynamics kind 'quadratic_mod'"),
-        ("n_steps", 0, "n_steps must be >= 1"),
+        ("n_steps", 0, "n_steps must be positive, got 0"),
         ("init_seed", -1, "init_seed must be nonnegative, got -1"),
         ("nonlinearity", "softsign", "unknown nonlinearity 'softsign'"),
         ("nonlinearity", "identity", "dynamics kind single_neuron ignores nonlinearity: set it to 'tanh', not 'identity'"),
@@ -85,6 +85,7 @@ class TestSpecValidation:
         ("output_dim", True, "output_dim must be a whole number, got True"),
         ("hidden_dim", 0.5, "hidden_dim must be a whole number, got 0.5"),
         ("init_seed", np.True_, "init_seed must be a whole number, got True"),
+        ("n_steps", "3", "n_steps must be a whole number, got 3"),
     ])
     def test_rejects_out_of_range_fields(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -852,6 +853,15 @@ class TestTaskSwitching:
     def test_period_below_one_rejected(self):
         with pytest.raises(ValueError, match="period_steps must be positive"):
             TaskSchedule(tasks=[two_gaussian_moments()], period_steps=0, n_steps=2)
+
+    @pytest.mark.parametrize("period, n_steps, message", [
+        (2.5, 10, "period_steps must be a whole number, got 2.5"),
+        (True, 10, "period_steps must be a whole number, got True"),
+        (2, 0, "n_steps must be positive, got 0"),
+    ])
+    def test_a_count_that_is_not_whole_or_below_one_rejected(self, period, n_steps, message):
+        with pytest.raises(ValueError, match=message):
+            TaskSchedule(tasks=[two_gaussian_moments()], period_steps=period, n_steps=n_steps)
 
     def test_integrated_losses_follow_the_active_task(self):
         t1, t2 = two_gaussian_moments(1.0, 0.3), two_gaussian_moments(2.5, 0.3)

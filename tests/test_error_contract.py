@@ -6,7 +6,7 @@ order; the script next to this file runs the whole grid.
 
 import numpy as np
 import pytest
-from error_contract_grid import grid, violation
+from error_contract_grid import PAST_FLOAT, grid, violation
 
 GRID = grid()
 SAMPLE = [GRID[i] for i in sorted(np.random.default_rng(29).choice(len(GRID), 300, replace=False))]
@@ -25,3 +25,17 @@ def test_a_sampled_override_keeps_the_contract(scenario, key, value):
 ])
 def test_a_run_that_warned_exits_0_without_a_warning(scenario, key, value):
     assert violation(scenario, key, value) is None
+
+
+@pytest.mark.parametrize("scenario,key", [
+    ("single_neuron_effort", "segment"),
+    ("task_switch", "switch_period"),
+    ("class_proportion", "batch_size"),
+    ("maml_multistep", "steps_ahead"),
+    ("maml_multistep", "eval_steps"),
+    ("lr_bilevel", "levels"),
+    ("sgd_validation", "n_seeds"),
+    ("sgd_validation", "stride"),
+])
+def test_an_integer_parameter_past_the_float_range_keeps_the_contract(scenario, key):
+    assert violation(scenario, key, PAST_FLOAT) is None

@@ -51,6 +51,9 @@ class TestSpecValidation:
         [
             ("max_halvings", -1, "max_halvings must be nonnegative"),
             ("iters", -1, "iters must be nonnegative"),
+            ("iters", 2.5, "iters must be a whole number, got 2.5"),
+            ("iters", True, "iters must be a whole number, got True"),
+            ("max_halvings", 1.5, "max_halvings must be a whole number, got 1.5"),
         ],
     )
     def test_rejects_out_of_range_fields(self, field, value, message):

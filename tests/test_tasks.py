@@ -156,6 +156,15 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             hierarchy_matrix(0)
 
+    @pytest.mark.parametrize("levels, message", [
+        (0, "levels must be positive, got 0"),
+        (2.5, "levels must be a whole number, got 2.5"),
+        (True, "levels must be a whole number, got True"),
+    ])
+    def test_a_depth_that_is_not_a_whole_number_of_at_least_one_is_refused(self, levels, message):
+        with pytest.raises(ValueError, match=message):
+            hierarchy_matrix(levels)
+
     def test_semantic_moments_are_item_sums(self):
         """Quadratic moments are per-presentation sums, so sigma_x = I."""
         task = semantic_moments(3)
