@@ -247,19 +247,17 @@ _COMMANDS = {
 }
 
 
+# the exit code of an error: the first entry whose types it is an instance of
+_EXIT_CODES = ((DivergenceError, 3), ((DataFormatError, OSError), 4), (LearningControlError, 2))
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except DivergenceError as err:
+    except (LearningControlError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 3
-    except (DataFormatError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
-    except LearningControlError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return next(code for types, code in _EXIT_CODES if isinstance(err, types))
 
 
 if __name__ == "__main__":

@@ -35,15 +35,16 @@ the next row.  The other slots act on a stack of steps: `losses` scores every
 state, and `sweep` is the reverse mode, one protocol (`_Sweep`): one sweep
 per stack length, made once with its buffers and per-step views, whose
 `load` refills them for each stack and does batched all that does not read
-the adjoint, leaving `adjoints(a)` as the recurrence over the stack's steps
-on the packed adjoint row, looped in one call, and `contract()` as the
-batched control VJPs.  Every pass -- the rollout, the sweeps, the sampled
-twin and the closed forms -- is cut as `_runs` cuts it, into runs,
-stretches of steps sharing one control slice and task (a segment, cut
-again at each task switch); `args`, what the slots read, is made for every
-run of a pass at once by the `series` slot, the one way a control gets into
-args, from one map of the schedule's values over each run's neutral args
-(the `base` slot's), so no pass calls schedule.at().  A `_Plan` holds all a
+the adjoint, leaving `adjoints(a)` as the recurrence over the stack's
+steps, looped in one call, each writing its adjoint into the row before
+it of one buffer, and `contract()` as the batched control VJPs.  Every
+pass -- the rollout, the sweeps, the sampled twin and the closed forms --
+is cut as `_runs` cuts it, into runs, stretches of steps sharing one
+control slice and task (a segment, cut again at each task switch); `args`,
+what the slots read, is made for every run of a pass at once by the
+`series` slot, the one way a control gets into args, from one map of the
+schedule's values over each run's neutral args (the `base` slot's), so no
+pass calls schedule.at().  A `_Plan` holds all a
 pass sets up that the control values do not change -- the cuts, the
 neutral args, the kernel's buffers, the sweeps, and the bound flows where
 no series control varies the args -- so optimize, which moves only the
@@ -87,7 +88,7 @@ the same IEEE operations on the same operands either way, so every bit is
 kept.  So a flow returns a buffer of its kernel, valid until that kernel's
 next call: the rollout adds it into the next row at once, and
 _PairSweep.load's `p` is the one that holds it, until the next load.  An
-adjoint step updates its adjoint row in place, on a copy made per call;
+adjoint step reads its entering adjoint row and writes its leaving one;
 what adjoints and contract return is new, never a view of a buffer.
 """
 
@@ -105,7 +106,8 @@ DIVERGENCE_LIMIT = 1e6
 DIVERGENCE_BLOCK = 32  # steps integrate runs between divergence checks
 
 
-_LEAST = {"n_steps": 1, "init_seed": 0}  # least values of DynamicsSpec's counts
+# least values of DynamicsSpec's counts; the two-layer kinds check hidden_dim >= 1 themselves
+_LEAST = {"n_steps": 1, "init_seed": 0, "input_dim": 1, "output_dim": 1, "hidden_dim": 0}
 
 
 @dataclass
@@ -425,17 +427,18 @@ class _Sweep:
     _loss_grads keeps dL/dW (`lw`) and pl, a row of pw_i dL/dW per state i.
     adjoints(a) runs the recurrence a <- a + scale [dh/dW]^T a - pw_j dL/dW
     over the stack's steps j, last first, from the adjoint row a of the state
-    after the stack, and returns the row of its first state; a step at
-    pw_j = 0 subtracts nothing.  Each step keeps the gained maps' adjoint in
-    `sabb`, and its a in `sa` where load found control VJPs to read it
-    (`vjps`).  adjoints(a, j) is step j alone, the one-step oracle: its
-    [dh/dW]^T a and dL/dW for the adjoint row a of state j+1.  Once every
-    step is swept, contract() returns the control VJPs, control_vjp(sweep),
-    and the loss gradients, tuples of stacks, None where the control has
-    none, summed over a task set's batch axis.  A load writes every buffer
-    it later reads, and what adjoints and contract return is new, never a
-    view of a buffer.  scale (dt/tau) and neg_lam (-lambda) are 0-d arrays,
-    as a step's ufuncs take them.  release() drops what load kept of the stack
+    after the stack, and returns the row of its first state; a step at pw_j =
+    0 subtracts nothing.  Step j reads its a from row j + 1 of `adj`, a row
+    per state and one for the state after, and writes row j, so `sa`, the view
+    adj[1:], holds each step's a for the control VJPs.  A step keeps the
+    gained maps' adjoint in `sabb` and [dh/dW]^T a in `x` (scaled into
+    `scaled`), so x is the last step's once adjoints returns.  Once every step
+    is swept, contract() returns the control VJPs, control_vjp(sweep), and the
+    loss gradients, tuples of stacks, None where the kind or the stack has no
+    control, summed over a task set's batch axis.  A load writes every buffer
+    it later reads, and what adjoints and contract return is new, never a view
+    of a buffer.  scale (dt/tau) and neg_lam (-lambda) are 0-d arrays, as a
+    step's ufuncs take them.  release() drops what load kept of the stack
     (`stack_fields`), so a sweep kept between passes holds only its buffers
     (and a pair sweep its last args' bound flow), not a rollout's rows.
     """
@@ -444,13 +447,14 @@ class _Sweep:
 
     def __init__(self, shapes, lead, spec, control_vjp=None):
         self.shapes, self.scale, self.neg_lam = shapes, np.array(spec.dt / spec.tau_w), np.array(-spec.reg_lambda)
-        self.control_vjp = control_vjp
-        self.lw, self.plb, self.sa, self.sabb = np.empty((4, *lead, sum(r * c for r, c in shapes)))
-        self.pl = list(self.plb)
+        self.control_vjp, width = control_vjp, sum(r * c for r, c in shapes)
+        self.lw, self.plb, self.sabb = np.empty((3, *lead, width))
+        self.adj = np.empty((lead[0] + 1, *lead[1:], width))
+        self.sa, self.pl = self.adj[1:], list(self.plb)
+        self.x, self.scaled = np.empty((2, *lead[1:], width))
 
     def load(self, w, stack, pw, pws):
         self.w, self.stack, self.args, self.pos, self.pws = w, stack, stack.args, stack.pos, pws
-        self.vjps = stack.args[0].ctrl is not None and self.control_vjp is not None
         return self
 
     def release(self):
@@ -466,7 +470,7 @@ class _Sweep:
         np.multiply(_weights_column(pw, w.ndim), self.lw, out=self.plb)
 
     def contract(self):
-        if not self.vjps:
+        if self.control_vjp is None or self.args[0].ctrl is None:
             return None, None
         grads = self.control_vjp(self), self.lg
         if self.w.ndim == 3:  # a task set's stacks (step, task, K)
@@ -530,15 +534,16 @@ class _PairSweep(_Sweep):
 
     Its buffers: _Sweep's, the kernel's (bind), the error's adjoint (`edb`),
     the products' scratch `tmp`, the adjoint's gained copy `ub` and the
-    step's elementwise results `elem`; `rows` holds each step's views.
+    step's elementwise results `elem`; `rows` holds each step's views, its
+    entering and leaving adjoint rows among them.
     load runs the kernel on the stack (`p` is its flow before the boost, a
     kernel buffer held until the next load, bound again only for args other
     than the last stack's, `bound`) and forms dL/dW batched.  A step of
     adjoints reads its own args, its seven products (dot or matmul, as in
     _pair_flows) write into the destination rows and `tmp`, and its
-    elementwise ops into `elem` and, in place, a copy of the adjoint row
-    made per call.  Like the kernel's, each call passes `out` positionally
-    and takes dt/tau, -lambda and 1.0 as 0-d arrays.
+    elementwise ops into `elem`, `x`, `scaled` and its leaving adjoint row.
+    Like the kernel's, each call passes `out` positionally and takes dt/tau,
+    -lambda and 1.0 as 0-d arrays.
     """
 
     stack_fields = _Sweep.stack_fields + ("p",)
@@ -551,11 +556,11 @@ class _PairSweep(_Sweep):
         self.edb, inner = np.empty_like(self.err), lead[1:]
         self.mm = np.matmul if inner else np.ndarray.dot
         self.tmp = np.empty((*inner, out, inp)), np.empty((*inner, out, hid)), *np.empty((2, *inner, hid, inp))
-        ub, gpb, gab, xb = np.empty((4, *self.lw.shape[1:]))
-        self.elem = gpb, gab, xb, np.empty(self.edb.shape[1:])
+        ub, gpb, gab = np.empty((3, *self.x.shape))
+        self.elem = gpb, gab, np.empty(self.edb.shape[1:])
         self.ub = (ub, *_split(ub, shapes), *(_mT(u) for u in _split(ub, shapes)))
-        self.rows = list(zip(a_mat, b_mat, _mT(b_mat), _mT(x1), self.err, err_dcol, self.lw, self.sabb,
-                             *_split(self.sabb, shapes), self.edb))
+        self.rows = list(zip(a_mat, b_mat, _mT(b_mat), _mT(x1), self.err, err_dcol, self.sabb,
+                             *_split(self.sabb, shapes), self.edb, self.sa, self.adj[:-1]))
 
     def load(self, w, stack, pw, pws):
         super().load(w, stack, pw, pws)
@@ -569,18 +574,16 @@ class _PairSweep(_Sweep):
         self._loss_grads(la, a, pw)
         return self
 
-    def adjoints(self, a, step=None):
-        rows, args, pos, pws, pl, sa, vjps = self.rows, self.args, self.pos, self.pws, self.pl, self.sa, self.vjps
-        scale, neg_lam = self.scale, self.neg_lam
+    def adjoints(self, a):
+        rows, args, pos, pws, pl = self.rows, self.args, self.pos, self.pws, self.pl
+        scale, neg_lam, x, scaled = self.scale, self.neg_lam, self.x, self.scaled
         ub, u1b, u2b, u1b_t, u2b_t = self.ub
-        mm, (te, tb, ta, tas), (gpb, gab, x, ebb) = self.mm, self.tmp, self.elem
-        a = a.copy()  # updated in place, step by step
-        for j in range(len(pos) - 1, -1, -1) if step is None else (step,):
-            a_mat, b_mat, b_t, x1_t, err, err_dcol, lw, abb, ab, bb, edb = rows[j]
+        mm, (te, tb, ta, tas), (gpb, gab, ebb) = self.mm, self.tmp, self.elem
+        self.adj[-1] = a
+        for j in range(len(pos) - 1, -1, -1):
+            a_mat, b_mat, b_t, x1_t, err, err_dcol, abb, ab, bb, edb, a, a_out = rows[j]
             t = args[pos[j]]
             g, dcol, boost, sx = t.g, t.dcol, t.boost, t.sx
-            if vjps:
-                sa[j] = a
             gp = a if boost is None else np.multiply(boost, a, gpb)
             np.multiply(gp, _ONE if g is None else g, ub)  # x * 1.0 is x: a copy
             np.add(mm(b_mat, u1b, edb), mm(u2b, a_mat, te), edb)
@@ -589,12 +592,10 @@ class _PairSweep(_Sweep):
             np.subtract(mm(err_d, u1b_t, bb), mm(eb, x1_t, tb), bb)
             np.subtract(mm(u2b_t, err_d, ab), mm(mm(b_t, eb, ta), sx, tas), ab)
             np.add(np.multiply(neg_lam, gp, x), abb if g is None else np.multiply(abb, g, gab), x)
-            if step is not None:
-                return x.copy(), lw.copy()
-            np.add(a, np.multiply(scale, x, x), a)
+            np.add(a, np.multiply(scale, x, scaled), a_out)
             if pws[j]:
-                np.subtract(a, pl[j], a)
-        return a
+                np.subtract(a_out, pl[j], a_out)
+        return self.adj[0].copy()
 
 
 def _pair_kind(reads, channels, control_vjp=None):
@@ -802,23 +803,23 @@ def _taylor_tail(e, t, fyb, ffb, kb, d1b):
 class _TaylorSweep(_Sweep):
     """The sweep of nonlinear_taylor's flow and loss.
 
-    Its buffers: _Sweep's, with each step's views of `sabb`, the flow's
-    Z (`up`, as the pair kernel names its flow before gains and decay) and
-    the step's elementwise results `elem`.  load forms the expansion
-    (_Terms) and the loss gradients on the whole stack, the latter through
-    the tail seeded by the loss alone, so a step of adjoints runs only the
-    dynamics' reverse chain on its own terms, updating the adjoint row in
-    place.
+    Its buffers: _Sweep's, with each step's views of `sabb` and of its
+    entering and leaving adjoint rows (`xb_rows`), the flow's Z (`up`, as
+    the pair kernel names its flow before gains and decay) and the step's
+    elementwise results `elem`.  load forms the expansion (_Terms) and the
+    loss gradients on the whole stack, the latter through the tail seeded
+    by the loss alone, so a step of adjoints runs only the dynamics'
+    reverse chain on its own terms, writing its leaving adjoint row.
     """
 
     stack_fields = _Sweep.stack_fields + ("rows",)
 
     def __init__(self, shapes, lead, spec, control_vjp=None):
         super().__init__(shapes, lead, spec, control_vjp)
-        self.up = np.empty_like(self.sa)
+        self.up = np.empty_like(self.lw)
         self.z = _split(self.up, shapes)
-        self.xb_rows = list(zip(self.sabb, *_split(self.sabb, shapes)))
-        self.elem = tuple(np.empty((3, *self.lw.shape[1:])))
+        self.xb_rows = list(zip(self.sabb, *_split(self.sabb, shapes), self.sa, self.adj[:-1]))
+        self.elem = tuple(np.empty((2, *self.x.shape)))
 
     def load(self, w, stack, pw, pws):
         super().load(w, stack, pw, pws)
@@ -830,30 +831,26 @@ class _TaylorSweep(_Sweep):
         terms = _Terms(a_mat, b_mat, f0, d1, a.nl[2](f0, d1), j, q, c2, k, ff)
         lab, _ = _taylor_tail(terms, a, -b_mat, 0.5 * c2, None, None)
         self._loss_grads(_pack((lab, 0.0 - self.z[1])), a, pw)
-        self.rows = list(zip(map(_Terms._make, zip(*terms)), self.lw, self.xb_rows))
+        self.rows = list(zip(map(_Terms._make, zip(*terms)), self.xb_rows))
         return self
 
-    def adjoints(self, a, step=None):
-        rows, args, pos, pws, pl, sa, vjps = self.rows, self.args, self.pos, self.pws, self.pl, self.sa, self.vjps
-        scale, neg_lam, (ga, gxb, x) = self.scale, self.neg_lam, self.elem
-        a = a.copy()  # updated in place, step by step
-        for j in range(len(pos) - 1, -1, -1) if step is None else (step,):
-            e, lw, (xb, ab, bb) = rows[j]
+    def adjoints(self, a):
+        rows, args, pos, pws, pl = self.rows, self.args, self.pos, self.pws, self.pl
+        scale, neg_lam, x, scaled, (ga, gxb) = self.scale, self.neg_lam, self.x, self.scaled, self.elem
+        self.adj[-1] = a
+        for j in range(len(pos) - 1, -1, -1):
+            e, (xb, ab, bb, a, a_out) = rows[j]
             t = args[pos[j]]
             g = t.g
-            if vjps:
-                sa[j] = a
             gz1, gz2 = _split(a if g is None else np.multiply(a, g, ga), self.shapes)
             ab[...], tail_b = _taylor_tail(e, t, gz2, -(_mT(e.b) @ gz2), e.d1[..., None] * gz1,
                                            (gz1 * e.k).sum(axis=-1))
             np.subtract(tail_b, gz2 @ e.ff, bb)
             np.add(np.multiply(neg_lam, a, x), xb if g is None else np.multiply(xb, g, gxb), x)
-            if step is not None:
-                return x.copy(), lw.copy()
-            np.add(a, np.multiply(scale, x, x), a)
+            np.add(a, np.multiply(scale, x, scaled), a_out)
             if pws[j]:
-                np.subtract(a, pl[j], a)
-        return a
+                np.subtract(a_out, pl[j], a_out)
+        return self.adj[0].copy()
 
 
 # --- the kind table ---------------------------------------------------------
@@ -950,7 +947,8 @@ def backward_step(spec, state, control, task, a_next):
     Everything is exact for the discretized system; finite differences agree
     to first order in the probe step.  single_layer has no adjoint and raises
     UnsupportedOperationError.  This is the kind's sweep over a one-step
-    stack, on packed rows (the single neuron's float helper).
+    stack, on packed rows (the single neuron's float helper): one adjoints
+    call, whose state_vjp is the sweep's `x` and loss_grad_state its dL/dW.
     """
     kind = _KIND_TABLE[spec.kind]
     a = _slice_args(control, task, spec)
@@ -958,7 +956,8 @@ def backward_step(spec, state, control, task, a_next):
         return _neuron_backward(state[0], *a, a_next[0])
     w = _pack(_one_step(state))
     sweep = kind.sweep(_shapes(state), w.shape[:-1], spec).load(w, _lone(a), np.zeros(1), [0.0])
-    state_vjp, loss_state = (_split(x, sweep.shapes) for x in sweep.adjoints(_pack(a_next), 0))
+    sweep.adjoints(_pack(a_next))
+    state_vjp, loss_state = (_split(x.copy(), sweep.shapes) for x in (sweep.x, sweep.lw[0]))
     ctrl_vjp, loss_ctrl = sweep.contract()
     return state_vjp, _first(ctrl_vjp, control), loss_state, _first(loss_ctrl, control)
 

@@ -22,12 +22,14 @@ def check_finite(spec):
 
 
 def whole(name, value, least=None):
-    """The count `value` as an int; a bool, a str, a fraction, a non-finite number, one past the float range or
-    one below `least` (0 or 1, when given) is a ValueError naming `name`."""
+    """The count `value` as an int; a non-number (a bool, a str, bytes, None, a container), a fraction, a non-finite
+    number, one past the float range or one below `least` (0 or 1, when given) is a ValueError naming `name`."""
     try:
-        fraction = isinstance(value, (bool, np.bool_, str)) or not float(value).is_integer()
+        fraction = isinstance(value, (bool, np.bool_, str, bytes, bytearray)) or not float(value).is_integer()
     except OverflowError:
         raise ValueError(f"{name} must be a whole number within the float range") from None
+    except TypeError:  # float() takes no None, container or other object
+        fraction = True
     if fraction:
         raise ValueError(f"{name} must be a whole number, got {value}")
     if least is not None and value < least:

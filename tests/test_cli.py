@@ -481,6 +481,15 @@ class TestRunCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "n_steps must be a whole number within the float range" in err
 
+    def test_a_negative_hidden_dim_is_a_config_error(self, tmp_path, capsys):
+        code = main(["run", "--preset", "single_neuron_effort", "-p", "dynamics.hidden_dim=-1",
+                     "-p", "optimizer.iters=1", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "hidden_dim must be nonnegative, got -1" in err
+        assert not any(tmp_path.iterdir())
+
     def test_overflowing_value_weights_end_before_any_sweep_warns(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

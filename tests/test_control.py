@@ -1,6 +1,7 @@
 """Control-schedule mechanics: construction, indexing, gradients, projection, JSON."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +111,12 @@ class TestScheduleConstruction:
     def test_rejects_a_channel_count_below_one(self, n_channels):
         with pytest.raises(ValueError, match=f"n_channels must be positive, got {n_channels}"):
             ControlSchedule.neutral("category_series", 4, n_channels=n_channels)
+
+    @pytest.mark.parametrize("value", [None, [3], {"n": 3}, object(), np.array([1, 2]), b"3"],
+                             ids=["none", "list", "dict", "object", "array", "bytes"])
+    def test_whole_refuses_a_non_number_by_name(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"n must be a whole number, got {value}")):
+            whole("n", value)
 
     @pytest.mark.parametrize("least, word", [(0, "nonnegative"), (1, "positive")])
     def test_whole_refuses_a_count_below_its_least_value(self, least, word):
@@ -358,7 +365,7 @@ class TestJsonRoundTrip:
         assert back.kind == sched.kind and back.bounds == sched.bounds
         np.testing.assert_array_equal(back.values[0], sched.values[0])
 
-    @pytest.mark.parametrize("field, value", [("n_steps", 4.9), ("segment", 2.5), ("segment", "2")])
+    @pytest.mark.parametrize("field, value", [("n_steps", 4.9), ("segment", 2.5), ("segment", "2"), ("n_steps", None)])
     def test_a_count_that_is_not_whole_is_refused_not_truncated(self, field, value):
         doc = json.loads(ControlSchedule.neutral("scalar_series", 4, segment=2).to_json())
         doc[field] = value

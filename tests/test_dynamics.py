@@ -86,10 +86,20 @@ class TestSpecValidation:
         ("hidden_dim", 0.5, "hidden_dim must be a whole number, got 0.5"),
         ("init_seed", np.True_, "init_seed must be a whole number, got True"),
         ("n_steps", "3", "n_steps must be a whole number, got 3"),
+        ("hidden_dim", -1, "hidden_dim must be nonnegative, got -1"),
     ])
     def test_rejects_out_of_range_fields(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             neuron_spec(**{field: value})
+
+    @pytest.mark.parametrize("dims, message", [
+        (dict(kind="gain_mod", input_dim=-2, output_dim=0, hidden_dim=3), "input_dim must be positive, got -2"),
+        (dict(kind="gain_mod", input_dim=2, output_dim=0, hidden_dim=3), "output_dim must be positive, got 0"),
+        (dict(kind="single_layer", input_dim=0, output_dim=2), "input_dim must be positive, got 0"),
+    ])
+    def test_rejects_a_dimension_below_its_least_value(self, dims, message):
+        with pytest.raises(ValueError, match=message):
+            DynamicsSpec(**dims)
 
     def test_whole_counts_of_another_type_are_kept_as_ints(self):
         spec = neuron_spec(n_steps=8.0, input_dim=np.int64(1), init_seed=3.0)
