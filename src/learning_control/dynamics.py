@@ -66,9 +66,10 @@ back from a swept stack to the control-shaped VJPs.  An absent channel skips its
 multiplies by 1.0, as a neutral one does, which IEEE makes exact, so neutral
 schedules reproduce the baseline bit for bit; tests rely on that.  The
 single neuron bypasses the table in `integrate` and `value.grad_value` for
-Python-float loops over the runs, each run's constants hoisted; its entry
-holds only float base, series and losses, and its one-step API the float
-helpers, whose bits the loops keep.  A stack runs the same products and reductions
+Python-float loops over the runs that carry only the recurrences, each run's
+constants hoisted; its entry holds only float base, series and losses (one
+numpy pass over the recorded weights), and its one-step API the float
+helpers, whose bits the loops and passes keep.  A stack runs the same products and reductions
 on the same operands as its steps one at a time, so it gives their bits.  A
 task set (same-shape tasks from one start; a TaskSet stacks their moments
 once) is one rollout on a batch axis after the step axis, with a lone
@@ -197,7 +198,8 @@ class Trajectory:
     gives each task's rollout.
 
     integrate's rollout also carries what the adjoint sweep reads of it: rows,
-    the packed buffer (n_steps+1, ..., K) its array layers view, and args,
+    the packed buffer (n_steps+1, ..., K) its array layers view (the single
+    neuron's weights as one array beside its float list), and args,
     each run's args (see _Plan).  A Trajectory without them (hand-built, or
     from per_task()) sweeps to the same bits, the sweep making them itself.
     """
@@ -304,12 +306,48 @@ def _neuron_base(task, spec):
     return 1.0, float(task.sigma_xy[0, 0]), float(task.sigma_x[0, 0]), float(task.sigma_y[0, 0]), spec.reg_lambda
 
 
-# The float helpers are the single neuron's entry; the float loops in integrate
-# and value._neuron_sweep repeat their products in their order, the leading
-# ones hoisted per run.  `** 2` is libm pow for floats and np.float64 alike;
-# x * x would round differently on some inputs.
-def _neuron_loss_f(w, gt, mu, x2, sy, lam):
-    return 0.5 * (sy - 2.0 * gt * w * mu + x2 * (gt * w) ** 2) + 0.5 * lam * w * w
+# The float helpers are the single neuron's one-step entry.  The float loops in
+# integrate and value._neuron_sweep carry only the recurrences, in the helpers'
+# product order with the leading products hoisted per run; the losses and each
+# step's other terms are one numpy pass each over the recorded weights, in the
+# same order.  The loss squares with np.float_power, libm pow as Python's `** 2`
+# is: np.square, u * u and np.power(u, 2.0) round differently on some inputs.
+def _neuron_fields(stack, k):
+    """The first k float args (g~, mu, x2, sy, lambda) of each state of a stack, as k rows of one array."""
+    return np.array(list(zip(*stack.args))[:k], dtype=float).take(stack.idx, axis=1)
+
+
+def _neuron_losses(layers, stack, spec):
+    """The single neuron's losses of a stack of weights layers[0] (floats or an array), in one pass.
+
+    A square past the float range is inf here, where a Python float's `** 2` raises.
+    """
+    w = np.asarray(layers[0], dtype=float)
+    gt, mu, x2, sy = _neuron_fields(stack, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * (sy - 2.0 * gt * w * mu + x2 * np.float_power(gt * w, 2.0)) + 0.5 * spec.reg_lambda * w * w
+
+
+def _neuron_divergence(rows, stack, losses):
+    """Raise DivergenceError at the first step that diverged, state i's loss scored before weight i + 1 is checked.
+
+    rows holds the weights of states 0..n, losses their losses under `stack`.  j
+    is the first step whose next weight is not below DIVERGENCE_LIMIT (a nan
+    too), else n.  The first of states 0..j whose finite g~ w squares past the
+    float range is a divergence at its step, as its float `** 2` raised;
+    otherwise step j < n is one at the magnitude of weight j + 1.
+    """
+    n = len(rows) - 1
+    hits = np.flatnonzero(~(np.abs(rows[1:]) < DIVERGENCE_LIMIT))
+    j = int(hits[0]) if len(hits) else n
+    if not np.isfinite(losses[: j + 1]).all():  # an overflowing square leaves its loss inf or nan
+        u = _neuron_fields(stack, 1)[0, : j + 1] * rows[: j + 1]
+        with np.errstate(over="ignore"):
+            over = np.flatnonzero(np.isfinite(u) & np.isinf(np.float_power(u, 2.0)))
+        if len(over):
+            raise _divergence(np.inf, int(over[0]))
+    if j < n:
+        raise _divergence(float(abs(rows[j + 1])), j)
 
 
 def _neuron_flow(w, gt, mu, x2, sy, lam):
@@ -862,13 +900,12 @@ class _TaylorSweep(_Sweep):
 # pw, pws).  base gives a run's neutral args.  series, the one way a control gets into args,
 # gives every run's args at once: controls stacks the runs' slices on a leading axis (a tuple
 # of stacks for a matrix pair), bases holds their base args, batched says a task set.  The
-# single neuron's entry holds only float base, series and losses behind its float loops.
+# single neuron's entry holds only base, series and losses behind its float loops.
 # single_layer reads none: no scenario builds its one-matrix gains, and it has no adjoint.
 _Kind = namedtuple("_Kind", "layers reads base series flow losses sweep")
 
 _KIND_TABLE = {
-    "single_neuron": _Kind(1, ("scalar_series",), _neuron_base, _neuron_series, None, lambda layers, stack, spec:
-                           np.array([_neuron_loss_f(w, *stack.args[p]) for w, p in zip(layers[0], stack.pos)]), None),
+    "single_neuron": _Kind(1, ("scalar_series",), _neuron_base, _neuron_series, None, _neuron_losses, None),
     "single_layer": _Kind(1, (), _moment_base, _series_args(_layer_channels), _layer_flows, _moment_losses,
                           _layer_sweep),
     "two_layer_baseline": _pair_kind(None, lambda controls, task: (None, None, None)),
@@ -1134,8 +1171,8 @@ def integrate(spec, schedule, task, state0=None, *, plan=None):
     packed rows, the layers views of it; the losses are batched after it.
     The Trajectory carries the rows and each run's args for the adjoint
     sweep.  Raises DivergenceError when any weight magnitude passes
-    DIVERGENCE_LIMIT, or when a loss of the single neuron's float loop
-    overflows, as its next weight would.
+    DIVERGENCE_LIMIT, or when a loss of the single neuron overflows (its
+    g~ w squares past the float range), at the step of whichever came first.
     """
     if spec.kind == "single_neuron" and is_task_set(task):  # the float loop takes one task at a time
         trajs = [integrate(spec, schedule, t, state0) for t in task]
@@ -1148,27 +1185,21 @@ def integrate(spec, schedule, task, state0=None, *, plan=None):
     times = plan.times.copy()
 
     if spec.kind == "single_neuron":
-        # Python floats, run by run: each run hoists the leading products of
-        # _neuron_loss_f and _neuron_flow, which Python evaluates first anyway,
-        # so the bits are theirs
-        scale, lam, limit = spec.dt / spec.tau_w, spec.reg_lambda, DIVERGENCE_LIMIT
-        half_lam = 0.5 * lam
-        w = state[0]
-        ws, losses = [w], []
-        keep_w, keep_loss = ws.append, losses.append
-        try:  # a float square past the float range raises where an array would hold inf
-            for (lo, hi, _), (gt, mu, x2, sy, _) in zip(plan.runs, args):
-                gt2, drive, decay = 2.0 * gt, mu * gt, x2 * gt * gt + lam
-                for i in range(lo, hi):
-                    keep_loss(0.5 * (sy - gt2 * w * mu + x2 * (gt * w) ** 2) + half_lam * w * w)
-                    w = w + scale * (drive - w * decay)
-                    if not -limit < w < limit:  # a nan too
-                        raise _divergence(abs(w), i)
-                    keep_w(w)
-            losses.append(_neuron_loss_f(w, gt, mu, x2, sy, lam))
-        except OverflowError:
-            raise _divergence(np.inf, len(losses)) from None  # the step whose loss overflowed
-        return Trajectory(times, (ws,), np.array(losses), spec.kind, args=args)
+        # Python floats, run by run, each run hoisting the leading products of
+        # _neuron_flow, which Python evaluates first anyway, so the bits are its;
+        # the loop runs on past a divergence, which the check after it finds
+        scale, w = spec.dt / spec.tau_w, state[0]
+        ws = [w]
+        keep_w = ws.append
+        for (lo, hi, _), (gt, mu, x2, _, lam) in zip(plan.runs, args):
+            drive, decay = mu * gt, x2 * gt * gt + lam
+            for _ in range(lo, hi):
+                w = w + scale * (drive - w * decay)
+                keep_w(w)
+        rows, stack = np.array(ws, dtype=float), plan.stack(args, 0, n + 1)
+        losses = _neuron_losses((rows,), stack, spec)
+        _neuron_divergence(rows, stack, losses)
+        return Trajectory(times, (ws,), losses, spec.kind, rows, args)
 
     rows, layers = plan.rollout(args, state)
     losses = plan.kind.losses(layers, plan.stack(args, 0, n + 1), spec)

@@ -22,13 +22,15 @@ def check_finite(spec):
 
 
 def whole(name, value, least=None):
-    """The count `value` as an int; a non-number (a bool, a str, bytes, None, a container), a fraction, a non-finite
-    number, one past the float range or one below `least` (0 or 1, when given) is a ValueError naming `name`."""
+    """The count `value` as an int; a non-number (a bool, or what has no __float__: text, any buffer, which
+    float() reads as text, None, a container), a fraction, a non-finite number, one past the float range or one
+    below `least` (0 or 1, when given) is a ValueError naming `name`."""
     try:
-        fraction = isinstance(value, (bool, np.bool_, str, bytes, bytearray)) or not float(value).is_integer()
+        fraction = (isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__float__")
+                    or not float(value).is_integer())
     except OverflowError:
         raise ValueError(f"{name} must be a whole number within the float range") from None
-    except TypeError:  # float() takes no None, container or other object
+    except TypeError:  # the __float__ of an array of more than one entry
         fraction = True
     if fraction:
         raise ValueError(f"{name} must be a whole number, got {value}")

@@ -23,8 +23,10 @@ made once per optimize; a call without one builds its own.
 Every array kind sweeps stacks of steps through one protocol, and a task
 set is rolled out once on a batch axis and swept once; its V and gradient
 are the sum of its tasks', in task order.  The single neuron's sweep is a
-loop on Python floats over the rollout's runs of constant control and task,
-like its forward loop in dynamics.integrate, one task of a set at a time.
+loop on Python floats over the rollout's runs of constant control and task
+that carries only the adjoint recurrence, like its forward loop in
+dynamics.integrate, with each step's other terms one numpy pass each, one
+task of a set at a time.
 fd_check probes that gradient against central finite differences and is wired
 into the CLI, so a broken derivative is loud.
 """
@@ -158,11 +160,11 @@ def _value_weights(vspec, dspec):
     return pw, dspec.dt * disc
 
 
-# A pass's value weights: pw (pws as floats) on states 0..N; cw (cws) the cost
+# A pass's value weights: pw (pws as floats) on states 0..N; cw the cost
 # weights on states 0..N, the terminal one 0, times the task count (each task of
 # a set pays the cost); seg, each segment's cost weight, None where the
 # schedule pays no cost (no series or no cost kind).
-_Weights = namedtuple("_Weights", "pw pws cw cws seg")
+_Weights = namedtuple("_Weights", "pw pws cw seg")
 
 
 def _weights(vspec, dspec, schedule, n_tasks=1):
@@ -172,13 +174,18 @@ def _weights(vspec, dspec, schedule, n_tasks=1):
     if dyn._series(schedule) and vspec.cost.kind != "none":
         seg = [float(cw[lo : lo + schedule.segment].sum()) for lo in range(0, len(cw), schedule.segment)]
     cw = np.append(cw, 0.0) * n_tasks
-    return _Weights(pw, pw.tolist(), cw, cw.tolist(), seg)
+    return _Weights(pw, pw.tolist(), cw, seg)
 
 
 def _plan(dspec, task, vspec, schedule):
     """The dynamics._Plan of passes over `task` under schedules of `schedule`'s layout, with vspec's _Weights."""
     weights = _weights(vspec, dspec, schedule, len(task) if dyn.is_task_set(task) else 1)
     return dyn._Plan(dspec, task, schedule, weights)
+
+
+def _fold(xs):
+    """xs summed left to right from 0.0: builtin sum's bits before Python 3.12, whose sum compensates."""
+    return functools.reduce(operator.add, xs, 0.0)
 
 
 def _segment_total(losses, schedule, vspec, weights):
@@ -196,7 +203,7 @@ def _segment_total(losses, schedule, vspec, weights):
                 if c != 0.0:
                     total -= c * w
             totals[k] = total
-    return totals[0] if losses.ndim == 1 else sum(totals)
+    return totals[0] if losses.ndim == 1 else _fold(totals)
 
 
 def value(trajectory, schedule, vspec, dspec, *, plan=None):
@@ -269,7 +276,7 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None, *, plan=Non
         traj = dyn.integrate(dspec, schedule, task, state0=state0, plan=plan)
     if dspec.kind == "single_neuron" and dyn.is_task_set(task):  # the float sweep takes one task at a time
         parts = [grad_value(dspec, t, schedule, vspec, traj=tr) for t, tr in zip(task, traj.per_task())]
-        total = sum(p[0] for p in parts) if total is None else total
+        total = _fold(p[0] for p in parts) if total is None else total
         return total, tuple(map(_task_sum, zip(*(p[1] for p in parts)))), traj
     scale = dspec.dt / dspec.tau_w
     per_step = plan.series
@@ -281,7 +288,7 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None, *, plan=Non
     if per_step and vspec.cost.kind != "none":
         cost_grads = segment_cost_grads(schedule.values, vspec.cost)
     if dspec.kind == "single_neuron":
-        adj, sums = _neuron_sweep(plan, traj, schedule, weights.pws, weights.cws, cost_grads)
+        adj, sums = _neuron_sweep(plan, traj, schedule, weights, cost_grads)
         return total, (np.array(sums),) if per_step else (np.asarray(adj, dtype=float),), traj
     buffers = schedule.zero_grads() if per_step else None
     # per-step weights, shaped to broadcast over a stack of control slices
@@ -307,37 +314,48 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None, *, plan=Non
     return total, dyn._split(_task_sum(adj) if dyn.is_task_set(task) else adj, plan.shapes), traj
 
 
-def _neuron_sweep(plan, traj, schedule, pws, cws, cost_grads):
-    """The single neuron's adjoint sweep on Python floats, run by run of the plan, last first.
+def _neuron_sweep(plan, traj, schedule, weights, cost_grads):
+    """The single neuron's adjoint sweep: a loop on Python floats over the plan's runs, last first, then one pass.
 
-    Returns the adjoint at state 0 and the gradient of each segment (one sum
-    without a series schedule).  A step takes the products of
-    _neuron_backward and the stack sweep in their order, so their bits, and
-    adds its control gradient into its segment's float from 0.0 in descending
-    step order, as add_grads does.  Without a cost every cost gradient is
-    0.0, and a sum from +0.0 is never -0.0, so the signed zeros this adds
-    change none of its bits.
+    Returns the adjoint at state 0 and the gradient of each segment (no
+    gradients without a series schedule).  The loop carries only the
+    recurrence a <- a + scale (dh/dw a) - q, keeping each step's entering
+    adjoint; q, the weighted loss gradient (0.0 at a zero weight), and then
+    each step's control-gradient term from the kept adjoints are one numpy
+    pass each, in the products of _neuron_backward and the stack sweep in
+    their order, so their bits.  A segment's gradient adds its terms from
+    0.0 in descending step order, as add_grads does.  Without a cost each
+    term would add (-cw) * 0.0, a signed zero that changes no bits, so it
+    is left out.
     """
     dspec, runs = plan.spec, plan.runs
-    n, ws, scale, lam = dspec.n_steps, traj.layers[0], dspec.dt / dspec.tau_w, dspec.reg_lambda
+    n, scale, lam = dspec.n_steps, dspec.dt / dspec.tau_w, dspec.reg_lambda
     args = plan.args(schedule) if traj.args is None else traj.args
-    segment = schedule.segment if plan.series else n  # no control slices: one sum, never read
-    sums = [0.0] * -(-n // segment)
-    cgs = [0.0] * len(sums) if cost_grads is None else cost_grads[0].tolist()
-    a = 0.0
+    w = np.array(traj.layers[0], dtype=float) if traj.rows is None else traj.rows
+    stack = plan.stack(args, 0, n + 1)
+    gt, mu, x2 = dyn._neuron_fields(stack, 3)
+    pw = weights.pw
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.where(pw != 0.0, pw * ((-mu * gt + x2 * w * gt * gt) + lam * w), 0.0).tolist()
+    kept = []  # each step's entering adjoint, step n first
+    keep, a = kept.append, 0.0
     for r in range(len(runs) - 1, -1, -1):
         lo, hi, _ = runs[r]
         hi += r == len(runs) - 1  # the terminal state, scored under the last control
-        gt, mu, x2, _, _ = args[r]
-        dhdw, mgt, s = -(x2 * gt * gt + lam), -mu * gt, lo // segment
-        acc, cg = sums[s], cgs[s]
-        for i in range(hi - 1, lo - 1, -1):
-            w, p = ws[i], pws[i]
-            xw = x2 * w
-            acc += scale * ((mu - 2.0 * w * x2 * gt) * a) + (-p) * (-mu * w + xw * w * gt) + (-cws[i]) * cg
-            a = a + scale * (dhdw * a) - (p * (mgt + xw * gt * gt + lam * w) if p != 0.0 else 0.0)
-        sums[s] = acc
-    return a, sums
+        g, _, x, _, _ = args[r]
+        dhdw = -(x * g * g + lam)
+        for qi in reversed(q[lo:hi]):
+            keep(a)
+            a = a + scale * (dhdw * a) - qi
+    if not plan.series:
+        return a, None
+    entering = np.array(kept, dtype=float)[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = scale * ((mu - 2.0 * w * x2 * gt) * entering) + (-pw) * (-mu * w + x2 * w * w * gt)
+        if cost_grads is not None:
+            terms = terms + (-weights.cw) * cost_grads[0][plan.segs].take(stack.idx)
+    terms, cuts = terms.tolist(), [*range(0, n, schedule.segment), n + 1]
+    return a, [_fold(reversed(terms[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def maml_value_and_grad(dspec, tasks, schedule, steps_ahead=None, traj=None):

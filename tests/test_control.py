@@ -1,5 +1,6 @@
 """Control-schedule mechanics: construction, indexing, gradients, projection, JSON."""
 
+import array
 import json
 import re
 from dataclasses import replace
@@ -112,8 +113,10 @@ class TestScheduleConstruction:
         with pytest.raises(ValueError, match=f"n_channels must be positive, got {n_channels}"):
             ControlSchedule.neutral("category_series", 4, n_channels=n_channels)
 
-    @pytest.mark.parametrize("value", [None, [3], {"n": 3}, object(), np.array([1, 2]), b"3"],
-                             ids=["none", "list", "dict", "object", "array", "bytes"])
+    @pytest.mark.parametrize("value", [None, [3], {"n": 3}, object(), np.array([1, 2]), b"3", bytearray(b"3"),
+                                       memoryview(b"3"), array.array("b", [3])],
+                             ids=["none", "list", "dict", "object", "array", "bytes", "bytearray", "memoryview",
+                                  "stdlib_array"])
     def test_whole_refuses_a_non_number_by_name(self, value):
         with pytest.raises(ValueError, match=re.escape(f"n must be a whole number, got {value}")):
             whole("n", value)
