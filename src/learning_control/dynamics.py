@@ -69,7 +69,9 @@ single neuron bypasses the table in `integrate` and `value.grad_value` for
 Python-float loops over the runs that carry only the recurrences, each run's
 constants hoisted; its entry holds only float base, series and losses (one
 numpy pass over the recorded weights), and its one-step API the float
-helpers, whose bits the loops and passes keep.  A stack runs the same products and reductions
+helpers, whose bits the loops and passes keep.  Its plan's stack keeps each
+state's moments, so a pass gathers only g~, and a loop's list of floats
+becomes an array in one struct pack.  A stack runs the same products and reductions
 on the same operands as its steps one at a time, so it gives their bits.  A
 task set (same-shape tasks from one start; a TaskSet stacks their moments
 once) is one rollout on a batch axis after the step axis, with a lone
@@ -93,6 +95,7 @@ adjoint step reads its entering adjoint row and writes its leaving one;
 what adjoints and contract return is new, never a view of a buffer.
 """
 
+import struct
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
@@ -312,9 +315,26 @@ def _neuron_base(task, spec):
 # step's other terms are one numpy pass each over the recorded weights, in the
 # same order.  The loss squares with np.float_power, libm pow as Python's `** 2`
 # is: np.square, u * u and np.power(u, 2.0) round differently on some inputs.
-def _neuron_fields(stack, k):
-    """The first k float args (g~, mu, x2, sy, lambda) of each state of a stack, as k rows of one array."""
-    return np.array(list(zip(*stack.args))[:k], dtype=float).take(stack.idx, axis=1)
+# A pass gathers only each state's g~: its plan's stack keeps the moments.
+def _neuron_moments(args, idx):
+    """The moments (mu, x2, sy) of each state of a stack, as rows of one array, from its runs' float args."""
+    return np.array([a[1:4] for a in args]).T.take(idx, axis=1)
+
+
+def _neuron_fields(stack):
+    """(g~, mu, x2, sy) of each state of a stack, as arrays: g~ from the runs' args, the moments the stack's.
+
+    A plan's stack holds its moments (_Plan.stack); a lone one's are gathered here.
+    """
+    moments = _neuron_moments(stack.args, stack.idx) if stack.moments is None else stack.moments
+    return np.array([a[0] for a in stack.args]).take(stack.idx), *moments
+
+
+def _float_array(xs):
+    """A list of Python floats as a new array of the same doubles, which struct packs at a third of np.array's cost."""
+    out = np.empty(len(xs))
+    struct.pack_into(f"{len(xs)}d", out, 0, *xs)
+    return out
 
 
 def _neuron_losses(layers, stack, spec):
@@ -323,7 +343,7 @@ def _neuron_losses(layers, stack, spec):
     A square past the float range is inf here, where a Python float's `** 2` raises.
     """
     w = np.asarray(layers[0], dtype=float)
-    gt, mu, x2, sy = _neuron_fields(stack, 4)
+    gt, mu, x2, sy = _neuron_fields(stack)
     with np.errstate(over="ignore", invalid="ignore"):
         return 0.5 * (sy - 2.0 * gt * w * mu + x2 * np.float_power(gt * w, 2.0)) + 0.5 * spec.reg_lambda * w * w
 
@@ -341,7 +361,7 @@ def _neuron_divergence(rows, stack, losses):
     hits = np.flatnonzero(~(np.abs(rows[1:]) < DIVERGENCE_LIMIT))
     j = int(hits[0]) if len(hits) else n
     if not np.isfinite(losses[: j + 1]).all():  # an overflowing square leaves its loss inf or nan
-        u = _neuron_fields(stack, 1)[0, : j + 1] * rows[: j + 1]
+        u = _neuron_fields(stack)[0][: j + 1] * rows[: j + 1]
         with np.errstate(over="ignore"):
             over = np.flatnonzero(np.isfinite(u) & np.isinf(np.float_power(u, 2.0)))
         if len(over):
@@ -403,8 +423,9 @@ def _gained(layers, g):
 
 # The args of a stack of states: `args`, those of each run the stack meets, in
 # order, and each state's run among them, as a list (`pos`) and an int array
-# (`idx`).  State j reads args[pos[j]].
-_Stack = namedtuple("_Stack", "args pos idx")
+# (`idx`).  State j reads args[pos[j]].  A single neuron's stack from a plan
+# also holds `moments`, each state's (mu, x2, sy) (_neuron_moments).
+_Stack = namedtuple("_Stack", "args pos idx moments", defaults=(None,))
 
 
 def _lone(args):
@@ -1046,7 +1067,8 @@ class _Plan:
                  state's bound flow, kept where the args are the bases;
       sweeper    per stack length, the kind's sweep, made once with its
                  buffers and per-step views and refilled per stack;
-      stack      per stretch of states, its _Stack layout;
+      stack      per stretch of states, its _Stack layout, with the single
+                 neuron's moments of each state, made once;
       weights    the value weights value._plan puts in (None here).
     Every buffer a pass writes it writes in full before reading it, and
     the rollout's rows are new per call, so passes under one plan share no
@@ -1084,9 +1106,12 @@ class _Plan:
         if got is None:
             r0 = self.run_of[lo]
             pos = [r - r0 for r in self.run_of[lo:hi]]
-            got = self._stacks[lo, hi] = r0, r0 + pos[-1] + 1, pos, np.array(pos)
-        r0, r1, pos, idx = got
-        return _Stack(args[r0:r1], pos, idx)
+            r1, idx = r0 + pos[-1] + 1, np.array(pos)
+            # any args of the plan's runs hold the same moments: a control moves only g~
+            moments = _neuron_moments(args[r0:r1], idx) if self.kind.flow is None else None
+            got = self._stacks[lo, hi] = r0, r1, pos, idx, moments
+        r0, r1, pos, idx, moments = got
+        return _Stack(args[r0:r1], pos, idx, moments)
 
     def sweeper(self, length):
         """The kind's sweep over stacks of `length` states, made at the first such stack."""
@@ -1196,7 +1221,7 @@ def integrate(spec, schedule, task, state0=None, *, plan=None):
             for _ in range(lo, hi):
                 w = w + scale * (drive - w * decay)
                 keep_w(w)
-        rows, stack = np.array(ws, dtype=float), plan.stack(args, 0, n + 1)
+        rows, stack = _float_array(ws), plan.stack(args, 0, n + 1)
         losses = _neuron_losses((rows,), stack, spec)
         _neuron_divergence(rows, stack, losses)
         return Trajectory(times, (ws,), losses, spec.kind, rows, args)

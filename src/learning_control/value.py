@@ -288,8 +288,8 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None, *, plan=Non
     if per_step and vspec.cost.kind != "none":
         cost_grads = segment_cost_grads(schedule.values, vspec.cost)
     if dspec.kind == "single_neuron":
-        adj, sums = _neuron_sweep(plan, traj, schedule, weights, cost_grads)
-        return total, (np.array(sums),) if per_step else (np.asarray(adj, dtype=float),), traj
+        adj, grads = _neuron_sweep(plan, traj, schedule, weights, cost_grads)
+        return total, grads if per_step else (np.asarray(adj, dtype=float),), traj
     buffers = schedule.zero_grads() if per_step else None
     # per-step weights, shaped to broadcast over a stack of control slices
     weights_shape = (-1,) + (1,) * (schedule.values[0].ndim - 1) if per_step else None
@@ -317,23 +317,23 @@ def grad_value(dspec, task, schedule, vspec, state0=None, traj=None, *, plan=Non
 def _neuron_sweep(plan, traj, schedule, weights, cost_grads):
     """The single neuron's adjoint sweep: a loop on Python floats over the plan's runs, last first, then one pass.
 
-    Returns the adjoint at state 0 and the gradient of each segment (no
-    gradients without a series schedule).  The loop carries only the
-    recurrence a <- a + scale (dh/dw a) - q, keeping each step's entering
-    adjoint; q, the weighted loss gradient (0.0 at a zero weight), and then
-    each step's control-gradient term from the kept adjoints are one numpy
-    pass each, in the products of _neuron_backward and the stack sweep in
-    their order, so their bits.  A segment's gradient adds its terms from
-    0.0 in descending step order, as add_grads does.  Without a cost each
-    term would add (-cw) * 0.0, a signed zero that changes no bits, so it
-    is left out.
+    Returns the adjoint at state 0 and the gradient buffers of the segments
+    (None without a series schedule).  The loop carries only the recurrence
+    a <- a + scale (dh/dw a) - q, keeping each step's entering adjoint; q,
+    the weighted loss gradient (0.0 at a zero weight), and then each step's
+    control-gradient term from the kept adjoints are one numpy pass each,
+    in the products of _neuron_backward and the stack sweep in their order,
+    so their bits.  The terms go into the segments through add_grads, as the
+    stack sweeps' do: each segment adds its terms one at a time, last step
+    first, onto 0.0.  Without a cost each term would add (-cw) * 0.0, a
+    signed zero that changes no bits, so it is left out.
     """
     dspec, runs = plan.spec, plan.runs
     n, scale, lam = dspec.n_steps, dspec.dt / dspec.tau_w, dspec.reg_lambda
     args = plan.args(schedule) if traj.args is None else traj.args
-    w = np.array(traj.layers[0], dtype=float) if traj.rows is None else traj.rows
+    w = dyn._float_array(traj.layers[0]) if traj.rows is None else traj.rows
     stack = plan.stack(args, 0, n + 1)
-    gt, mu, x2 = dyn._neuron_fields(stack, 3)
+    gt, mu, x2, _ = dyn._neuron_fields(stack)
     pw = weights.pw
     with np.errstate(over="ignore", invalid="ignore"):
         q = np.where(pw != 0.0, pw * ((-mu * gt + x2 * w * gt * gt) + lam * w), 0.0).tolist()
@@ -349,13 +349,14 @@ def _neuron_sweep(plan, traj, schedule, weights, cost_grads):
             a = a + scale * (dhdw * a) - qi
     if not plan.series:
         return a, None
-    entering = np.array(kept, dtype=float)[::-1]
+    entering = dyn._float_array(kept)[::-1]
     with np.errstate(over="ignore", invalid="ignore"):
         terms = scale * ((mu - 2.0 * w * x2 * gt) * entering) + (-pw) * (-mu * w + x2 * w * w * gt)
         if cost_grads is not None:
             terms = terms + (-weights.cw) * cost_grads[0][plan.segs].take(stack.idx)
-    terms, cuts = terms.tolist(), [*range(0, n, schedule.segment), n + 1]
-    return a, [_fold(reversed(terms[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
+        grads = schedule.zero_grads()
+        schedule.add_grads(grads, 0, (terms,))
+    return a, grads
 
 
 def maml_value_and_grad(dspec, tasks, schedule, steps_ahead=None, traj=None):

@@ -8,9 +8,16 @@ gradients and the gradient terms are one numpy pass each.  The fused loops
 are kept here as the reference: weights, losses, V and the gradient must
 match them bit for bit, and a divergence must be reported at the same step
 with the same magnitude.
+
+The passes read each state's moments from their plan's stack, made once,
+and add each segment's gradient terms with add_grads; the plan's moments
+must hold across schedules, the one-step API's plan-less stacks must give
+the passes' bits, and each segment's sum must be the left fold from 0.0.
 """
 
+import functools
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +30,7 @@ from learning_control.dynamics import (
     DIVERGENCE_LIMIT,
     TaskSchedule,
     Trajectory,
+    backward_step,
     expected_loss,
     initial_state,
     integrate,
@@ -255,3 +263,158 @@ def test_the_weight_after_the_overflowing_loss_is_finite_past_the_limit():
     gt, mu, x2, _, lam = dynamics._slice_args(1e150, NEURON_TASK, spec)
     w4 = w3 + spec.dt / spec.tau_w * dynamics._neuron_flow(w3, gt, mu, x2, 0.0, lam)
     assert DIVERGENCE_LIMIT < abs(w4) < math.inf
+
+
+# --- the plan's moments and the one-step API -------------------------------------------
+
+
+def plan_passes(spec, task, sched, vspec, plan):
+    """(weights, losses, V, gradient) of an integrate and a grad_value under `plan`."""
+    traj = integrate(spec, sched, task, plan=plan)
+    total, grads, _ = grad_value(spec, task, sched, vspec, traj=traj, plan=plan)
+    return np.array(traj.layers[0]), traj.losses, total, grads
+
+
+def assert_same_passes(got, want):
+    for g, w in zip(got[:3], want[:3]):
+        assert same_bits(g, w)
+    assert_same_grads(got[3], want[3])
+
+
+STALE_TASKS = {
+    "lone": NEURON_TASK,
+    "switching": TaskSchedule(tasks=TASKS, period_steps=5, n_steps=61),  # each run's own moments
+    "task_set": TASKS,
+}
+
+
+class TestThePlansMomentsAreNeverStale:
+    @pytest.mark.parametrize("task", STALE_TASKS)
+    @pytest.mark.parametrize("vspec", ["none", "quadratic"])
+    def test_schedules_a_b_a_under_one_plan_give_a_fresh_plans_bits(self, task, vspec):
+        spec, task, vspec = neuron_spec(dt=0.05, n_steps=61, reg_lambda=0.1), STALE_TASKS[task], VSPECS[vspec]
+        rng = np.random.default_rng(11)
+        a, b = random_series(rng, 61, 7), random_series(rng, 61, 7)
+        plan = _plan(spec, task, vspec, a)
+        for sched in (a, b, a):
+            want = plan_passes(spec, task, sched, vspec, _plan(spec, task, vspec, sched))
+            assert_same_passes(plan_passes(spec, task, sched, vspec, plan), want)
+            # and a sweep that makes its own rollout under the plan
+            total, grads, _ = grad_value(spec, task, sched, vspec, plan=plan)
+            assert same_bits(total, want[2])
+            assert_same_grads(grads, want[3])
+
+    @pytest.mark.parametrize("task", STALE_TASKS)
+    def test_passes_with_no_schedule_under_one_plan(self, task):
+        spec, task, vspec = neuron_spec(dt=0.05, n_steps=40, reg_lambda=0.1), STALE_TASKS[task], VSPECS["none"]
+        if isinstance(task, TaskSchedule):
+            task = replace(task, n_steps=40)
+        plan = _plan(spec, task, vspec, None)
+        want = plan_passes(spec, task, None, vspec, _plan(spec, task, vspec, None))
+        for _ in range(2):
+            assert_same_passes(plan_passes(spec, task, None, vspec, plan), want)
+
+
+def one_step_value_and_grad(spec, task, sched, vspec):
+    """(losses, V, gradient, each step's gradient term) from expected_loss and backward_step, one state at a time.
+
+    The sweep runs from the terminal state down: each step's term adds onto
+    its segment's sum, from 0.0, before the adjoint a <- a + scale x - q moves.
+    """
+    n, scale = spec.n_steps, spec.dt / spec.tau_w
+    ws = integrate(spec, sched, task).layers[0]
+    weights = _plan(spec, task, vspec, sched).weights
+    tasks = [task.task_at(min(i, n - 1)) if isinstance(task, TaskSchedule) else task for i in range(n + 1)]
+    controls = [sched.at(min(i, n - 1)) for i in range(n + 1)]
+    losses = np.array([expected_loss((w,), c, t, spec) for w, c, t in zip(ws, controls, tasks)])
+    total = value(Trajectory(np.arange(n + 1) * spec.dt, (ws,), losses, spec.kind), sched, vspec, spec)
+    cgs = segment_cost_grads(sched.values, vspec.cost)[0].tolist() if vspec.cost.kind != "none" else None
+    sums, terms, a = [0.0] * sched.n_segments, [0.0] * (n + 1), 0.0
+    for i in range(n, -1, -1):
+        p, s = weights.pws[i], min(i // sched.segment, sched.n_segments - 1)
+        (x,), cv, (lw,), lc = backward_step(spec, (ws[i],), controls[i], tasks[i], (a,))
+        terms[i] = scale * cv + (-p) * lc
+        if cgs is not None:
+            terms[i] = terms[i] + (-float(weights.cw[i])) * cgs[s]
+        sums[s] = sums[s] + terms[i]
+        a = a + scale * x - (p * lw if p != 0.0 else 0.0)
+    return losses, total, (np.array(sums),), terms
+
+
+class TestTheOneStepApiMatchesThePasses:
+    @pytest.mark.parametrize("task", ["lone", "switching"])
+    @pytest.mark.parametrize("vspec", VSPECS)
+    def test_losses_value_and_gradient(self, task, vspec):
+        spec, task, vspec = neuron_spec(dt=0.05, n_steps=61, reg_lambda=0.1), STALE_TASKS[task], VSPECS[vspec]
+        sched = random_series(np.random.default_rng(12), 61, 7)
+        losses, total, grads, _ = one_step_value_and_grad(spec, task, sched, vspec)
+        got_total, got_grads, traj = grad_value(spec, task, sched, vspec)
+        assert same_bits(traj.losses, losses) and same_bits(got_total, total)
+        assert_same_grads(got_grads, grads)
+
+
+# --- each segment's gradient is the left fold of its terms ---------------------------------
+
+
+def left_folds(terms, cuts):
+    """Each segment's terms summed last step first onto 0.0, one at a time."""
+    return [functools.reduce(operator.add, reversed(terms[lo:hi]), 0.0) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def segment_pass(terms, n, segment):
+    """The neuron sweep's segment sums: add_grads of the terms of states 0..n into zeroed buffers."""
+    sched = ControlSchedule("scalar_series", (np.zeros(-(-n // segment)),), n, segment)
+    grads = sched.zero_grads()
+    with np.errstate(over="ignore", invalid="ignore"):  # as the sweep adds them: a float fold never warns
+        sched.add_grads(grads, 0, (np.array(terms),))
+    return grads[0]
+
+
+FOLD_CASES = {
+    # n, segment: segments [0, 4), [4, 8) and the ragged [8, 11), which holds the terminal state 10
+    "ragged_last": (10, 4, None),
+    "segment_1": (6, 1, None),
+    "one_segment_of_n": (9, 9, None),
+    "one_segment_past_n": (9, 20, None),
+    "all_negative_zero": (8, 4, {4: -0.0, 5: -0.0, 6: -0.0, 7: -0.0, 8: -0.0}),
+    "inf": (8, 4, {1: math.inf, 6: -math.inf}),
+    "inf_minus_inf": (8, 4, {1: math.inf, 2: -math.inf}),
+    "nan": (8, 4, {7: math.nan}),
+    "overflow": (8, 4, {2: 1e308, 3: 1e308}),
+}
+
+
+@pytest.mark.parametrize("case", FOLD_CASES)
+def test_the_segment_pass_is_the_left_fold(case):
+    n, segment, fixed = FOLD_CASES[case]
+    rng = np.random.default_rng(13)
+    terms = (rng.standard_normal(n + 1) * 10.0 ** rng.integers(-8, 9, size=n + 1)).tolist()
+    for i, t in (fixed or {}).items():
+        terms[i] = t
+    cuts = [*range(0, n, segment), n + 1]
+    want = left_folds(terms, cuts)
+    # the doubles' own bits, so a nan is compared too, and -0.0 is not +0.0
+    assert segment_pass(terms, n, segment).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    if case == "all_negative_zero":
+        assert math.copysign(1.0, want[1]) == 1.0  # 0.0 + -0.0 is +0.0
+
+
+def test_a_pairwise_sum_is_not_the_left_fold():
+    # nine terms: np.sum adds them pairwise, in either order, to other bits than the fold
+    terms = [0.345584192064786, 0.8216181435011584, 0.33043707618338714, -1.303157231604361, 0.9053558666731177,
+             0.4463745723640113, -0.5369532353602852, 0.5811181041963531, 0.36457239618607573]
+    want = left_folds(terms, [0, 9])[0]
+    assert want == 1.9549498842042434
+    assert np.sum(terms[::-1]) != want != np.sum(terms)
+    assert segment_pass(terms, 8, 8)[0] == want  # step 8 is the terminal state, in the one segment
+
+
+def test_the_sweep_sums_each_segment_as_the_left_fold_where_a_pairwise_sum_moves_it():
+    # 30-step segments, as neuron_effort's: a pairwise sum of their terms would move some segment's bits
+    spec, vspec = neuron_spec(dt=0.05, n_steps=300, reg_lambda=0.1), VSPECS["quadratic"]
+    sched = random_series(np.random.default_rng(14), 300, 30)
+    _, _, grads, terms = one_step_value_and_grad(spec, NEURON_TASK, sched, vspec)
+    cuts = [*range(0, 300, 30), 301]
+    assert grads[0].tolist() == left_folds(terms, cuts)
+    assert any(np.sum(terms[lo:hi][::-1]) != f for (lo, hi), f in zip(zip(cuts, cuts[1:]), left_folds(terms, cuts)))
+    assert_same_grads(grad_value(spec, NEURON_TASK, sched, vspec)[1], grads)
