@@ -315,7 +315,6 @@ def _neuron_base(task, spec):
 # step's other terms are one numpy pass each over the recorded weights, in the
 # same order.  The loss squares with np.float_power, libm pow as Python's `** 2`
 # is: np.square, u * u and np.power(u, 2.0) round differently on some inputs.
-# A pass gathers only each state's g~: its plan's stack keeps the moments.
 def _neuron_moments(args, idx):
     """The moments (mu, x2, sy) of each state of a stack, as rows of one array, from its runs' float args."""
     return np.array([a[1:4] for a in args]).T.take(idx, axis=1)

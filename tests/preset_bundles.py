@@ -15,7 +15,10 @@ moved, is missing or is new, and exits 1 if there is any.
 
     PYTHONPATH=src python tests/preset_bundles.py --record
 
-writes the record from the code as it stands.
+writes the record from the code as it stands.  The record holds the bits of
+the machine and the numpy that wrote it (numpy 2.4.6 with its OpenBLAS on
+x86-64): where a BLAS or libm rounds differently, record on the parent
+commit there first, and compare the change with that.
 """
 
 import hashlib
